@@ -266,7 +266,7 @@ def golay_defect_batch(
 def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
     """Peak |S(t)|^2 per row of a (B, n) complex array."""
     b, n = z.shape
-    grid = oversample * n
+    grid = EnvelopeConfig(oversample=oversample).oversample * n
     samples = np.fft.ifft(z, n=grid, axis=1) * grid
     return np.max(np.abs(samples) ** 2, axis=1)
 

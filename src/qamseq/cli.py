@@ -24,6 +24,7 @@ from .analysis import (
     pmepr,
     random_baseline,
     star,
+    star_batch,
 )
 from .constellation import ComplexSequence, Scale
 from .constructions import (
@@ -34,15 +35,15 @@ from .constructions import (
     Offset64,
     OffsetConstraintError,
     OffsetKind,
+    _offset_list,
     build,
     build_block,
     classify_offset64,
     component_values,
     count_enumerated,
-    enumerate_family,
     family_size,
-    list_offsets16,
-    list_offsets64,
+    grid_records,
+    iter_family_chunks,
     star_bound,
 )
 from .gbf import PathQuadratic
@@ -50,6 +51,7 @@ from .verification import (
     STAR_TOL,
     CheckResult,
     default_jobs,
+    dense_envelope_gap,
     example_regression,
     lemma_sweep,
     oversampling_audit,
@@ -107,13 +109,22 @@ def _offset_from_doc(doc: dict):
     return Offset64(OffsetKind(doc["kind"]), d, doc["h1"], doc["h2"], doc["h3"]).validate()
 
 
-def codeword_doc(record: CodewordRecord, oversample: int = 16) -> dict:
-    """JSON-ready document for one codeword; exact ints plus optional floats."""
+def codeword_doc(
+    record: CodewordRecord,
+    oversample: int = 16,
+    star_value: float | None = None,
+    pmepr_value: float | None = None,
+) -> dict:
+    """JSON-ready document for one codeword; exact ints plus star and PMEPR
+    (at this oversampling), computed here unless the caller scored them."""
     params = record.params
-    comps = component_values(params)
+    comps = record.components if record.components is not None else component_values(params)
     seq, primed = record.sequence, record.primed_sequence
     n = len(seq)
-    s = star(seq, primed)
+    if star_value is None:
+        star_value = star(seq, primed)
+    if pmepr_value is None:
+        pmepr_value = pmepr(seq, EnvelopeConfig(oversample=oversample))
     return {
         "format": "qamseq-codeword",
         "m": params.m,
@@ -124,13 +135,13 @@ def codeword_doc(record: CodewordRecord, oversample: int = 16) -> dict:
         "constant": params.base.constant,
         "offset": _offset_doc(params.offset),
         "scale_denominator": seq.scale.value,
-        "base": [int(v) for v in comps[0]],
-        "components": [[int(v) for v in c] for c in comps[1:]],
-        "symbols": [[int(r), int(i)] for r, i in zip(seq.re, seq.im)],
-        "primed_symbols": [[int(r), int(i)] for r, i in zip(primed.re, primed.im)],
-        "star": s,
-        "star_over_n": s / n,
-        "pmepr": pmepr(seq, EnvelopeConfig(oversample=oversample)),
+        "base": comps[0].tolist(),
+        "components": [c.tolist() for c in comps[1:]],
+        "symbols": [list(p) for p in zip(seq.re.tolist(), seq.im.tolist())],
+        "primed_symbols": [list(p) for p in zip(primed.re.tolist(), primed.im.tolist())],
+        "star": star_value,
+        "star_over_n": star_value / n,
+        "pmepr": pmepr_value,
         "oversample": oversample,
     }
 
@@ -167,10 +178,10 @@ def verify_codeword_doc(doc: dict) -> list[str]:
     )
     if not (record.primed_sequence == stored_primed):
         problems.append("primed symbols do not match regeneration")
-    comps = component_values(params)
-    if [int(v) for v in comps[0]] != list(doc["base"]):
+    comps = record.components
+    if comps[0].tolist() != list(doc["base"]):
         problems.append("base sequence does not match regeneration")
-    if [[int(v) for v in c] for c in comps[1:]] != [list(c) for c in doc["components"]]:
+    if [c.tolist() for c in comps[1:]] != [list(c) for c in doc["components"]]:
         problems.append("component sequences do not match regeneration")
     bound = star_bound(params.offset)
     n = len(record.sequence)
@@ -254,8 +265,15 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
 
     def lines():
-        for record in enumerate_family(args.m, modulation):
-            yield json.dumps(codeword_doc(record, oversample=args.oversample), sort_keys=True)
+        n = 1 << args.m
+        for blocks in iter_family_chunks(args.m, modulation):
+            stars = [star_batch(b.sym_re, b.sym_im, b.primed_re, b.primed_im, b.scale.value)
+                     for b in blocks]
+            pmeprs = [pep_batch(b.complex_symbols(), args.oversample) / n for b in blocks]
+            # offsets as columns, read row-major: the order of grid_records
+            scores = zip(np.stack(stars, 1).ravel().tolist(), np.stack(pmeprs, 1).ravel().tolist())
+            for record, (s, p) in zip(grid_records(blocks), scores):
+                yield json.dumps(codeword_doc(record, args.oversample, s, p), sort_keys=True)
 
     if args.out is None or args.out == "-":
         for line in lines():
@@ -269,13 +287,10 @@ def cmd_enumerate(args) -> int:
 
 def _block_pmepr_worker(task) -> tuple[str, list[float]]:
     m, modulation_value, pi, offset_index, oversample = task
-    modulation = Modulation(modulation_value)
-    offsets = list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
-    block = build_block(m, pi, offsets[offset_index])
-    z = (block.sym_re + 1j * block.sym_im) / np.sqrt(block.scale.value)
+    block = build_block(m, pi, _offset_list(Modulation(modulation_value))[offset_index])
     n = 1 << m
     kind = "qam16" if isinstance(block.offset, Offset16) else block.offset.kind.value
-    return kind, (pep_batch(z, oversample) / n).tolist()
+    return kind, (pep_batch(block.complex_symbols(), oversample) / n).tolist()
 
 
 def family_pmeprs(
@@ -283,11 +298,10 @@ def family_pmeprs(
 ) -> dict[str, np.ndarray]:
     """Oversampled PMEPR of every family member, grouped by offset kind."""
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    offsets = list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
     tasks = [
         (m, modulation.value, pi, k, oversample)
         for pi in canonical_permutations(m)
-        for k in range(len(offsets))
+        for k in range(len(_offset_list(modulation)))
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -358,12 +372,14 @@ def _suite_checks(args) -> list[CheckResult]:
             )
         )
         worst_gap = oversampling_audit(3, Modulation.QAM16)
+        dense_gap = dense_envelope_gap(3, Modulation.QAM16)
         checks.append(
             CheckResult(
                 name="analysis.oversampling_adequacy",
-                passed=worst_gap <= 0.005,
-                observed=f"max relative PEP gap L=16 vs L=32: {worst_gap:.3e}",
-                requirement="<= 0.5% over the m=3 16qam family",
+                passed=worst_gap <= 0.005 and dense_gap <= 1e-9,
+                observed=f"max relative PEP gap L=16 vs L=32: {worst_gap:.3e}; "
+                f"FFT vs dense DFT at L=32: {dense_gap:.3e}",
+                requirement="<= 0.5% and <= 1e-9 relative over the m=3 16qam family",
             )
         )
     return checks
@@ -459,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 0) is None:
+            # read QAMSEQ_JOBS up front, so a malformed value fails every suite
+            args.jobs = default_jobs()
         return args.func(args)
     except (UsageError, OffsetConstraintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ are classified by which constraint set they satisfy, never by label.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -188,11 +189,13 @@ class ConstructionParams:
 
 @dataclass(frozen=True, eq=False)
 class CodewordRecord:
-    """A constructed codeword together with its primed companion."""
+    """A constructed codeword, its primed companion and (unless assembled by
+    hand) its unprimed quaternary components ((D, E) or (D, F, G))."""
 
     params: ConstructionParams
     sequence: ComplexSequence
     primed_sequence: ComplexSequence
+    components: tuple[np.ndarray, ...] | None = None
 
 
 def offset16_eval(o: Offset16, x: tuple[int, ...], pi: tuple[int, ...]) -> int:
@@ -232,59 +235,38 @@ def offset64_component_values(
     return s1, s2
 
 
-def _last_bit_column(m: int, pi: tuple[int, ...]) -> np.ndarray:
-    return bit_matrix(m)[:, pi[m - 1]].astype(np.uint8)
+def _offset_components(base: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]):
+    """(D, E) or (D, F, G) from base sequences D: one row, or a batch of rows."""
+    if isinstance(offset, Offset16):
+        return base, (base + offset16_values(offset, m, pi)) % 4
+    s1, s2 = offset64_component_values(offset, m, pi)
+    return base, (base + s1) % 4, (base + s2) % 4
 
 
 def component_values(params: ConstructionParams) -> tuple[np.ndarray, ...]:
     """Quaternary component sequences: (D, E) for 16-QAM, (D, F, G) for 64-QAM."""
-    base = psi(params.base)
-    m, pi = params.m, params.base.pi
-    if isinstance(params.offset, Offset16):
-        s = offset16_values(params.offset, m, pi)
-        return base, (base + s) % 4
-    s1, s2 = offset64_component_values(params.offset, m, pi)
-    return base, (base + s1) % 4, (base + s2) % 4
-
-
-def build_16qam(params: ConstructionParams) -> CodewordRecord:
-    """Synthesize the 16-QAM codeword and its primed companion."""
-    if not isinstance(params.offset, Offset16):
-        raise ValueError("build_16qam needs an Offset16")
-    params.offset.validate()
-    d_vals, e_vals = component_values(params)
-    shift = 2 * _last_bit_column(params.m, params.base.pi)
-    dp, ep = (d_vals + shift) % 4, (e_vals + shift) % 4
-    re, im = qam16_lattice(d_vals, e_vals)
-    rep, imp = qam16_lattice(dp, ep)
-    return CodewordRecord(
-        params=params,
-        sequence=ComplexSequence(re, im, Scale.QAM16),
-        primed_sequence=ComplexSequence(rep, imp, Scale.QAM16),
-    )
-
-
-def build_64qam(params: ConstructionParams) -> CodewordRecord:
-    """Synthesize the 64-QAM codeword and its primed companion."""
-    if not isinstance(params.offset, Offset64):
-        raise ValueError("build_64qam needs an Offset64")
-    params.offset.validate()
-    d_vals, f_vals, g_vals = component_values(params)
-    shift = 2 * _last_bit_column(params.m, params.base.pi)
-    dp, fp, gp = (d_vals + shift) % 4, (f_vals + shift) % 4, (g_vals + shift) % 4
-    re, im = qam64_lattice(d_vals, f_vals, g_vals)
-    rep, imp = qam64_lattice(dp, fp, gp)
-    return CodewordRecord(
-        params=params,
-        sequence=ComplexSequence(re, im, Scale.QAM64),
-        primed_sequence=ComplexSequence(rep, imp, Scale.QAM64),
-    )
+    return _offset_components(psi(params.base), params.offset, params.m, params.base.pi)
 
 
 def build(params: ConstructionParams) -> CodewordRecord:
-    if isinstance(params.offset, Offset16):
-        return build_16qam(params)
-    return build_64qam(params)
+    """Synthesize one codeword and its primed companion: a one-row build_block."""
+    params.offset.validate()
+    row = np.array([[*params.base.linear, params.base.constant]], dtype=np.uint8)
+    return next(grid_records((build_block(params.m, params.base.pi, params.offset, row),)))
+
+
+def build_16qam(params: ConstructionParams) -> CodewordRecord:
+    """build, restricted to 16-QAM parameters."""
+    if not isinstance(params.offset, Offset16):
+        raise ValueError("build_16qam needs an Offset16")
+    return build(params)
+
+
+def build_64qam(params: ConstructionParams) -> CodewordRecord:
+    """build, restricted to 64-QAM parameters."""
+    if not isinstance(params.offset, Offset64):
+        raise ValueError("build_64qam needs an Offset64")
+    return build(params)
 
 
 # star/n ceilings. Rounded values are the published bounds; the exact
@@ -322,8 +304,10 @@ def family_size(m: int, modulation: Modulation) -> int:
     return offsets * (math.factorial(m) // 2) * 4 ** (m + 1)
 
 
-def _offset_list(modulation: Modulation) -> list[Offset]:
-    return list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
+@functools.cache
+def _offset_list(modulation: Modulation) -> tuple[Offset, ...]:
+    """The family's offsets in list order, built once per process (they are frozen)."""
+    return tuple(list_offsets16() if modulation is Modulation.QAM16 else list_offsets64())
 
 
 def parameter_grid(
@@ -354,49 +338,8 @@ def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]
     """Lazily yield every codeword of the family in parameter_grid order."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    return _enumerate_family(m, modulation)
-
-
-def _enumerate_family(m: int, modulation: Modulation):
-    offsets = _offset_list(modulation)
-    coeffs = coefficient_matrix(m)
-    bits = bit_matrix(m).astype(np.int64)
-    for pi in canonical_permutations(m):
-        xp = bits[:, list(pi)]
-        quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
-        shift = 2 * bits[:, pi[m - 1]].astype(np.uint8)
-        if modulation is Modulation.QAM16:
-            svecs = [offset16_values(o, m, pi) for o in offsets]
-        else:
-            svecs = [offset64_component_values(o, m, pi) for o in offsets]
-        for row in coeffs:
-            linear = tuple(int(v) for v in row[:m])
-            constant = int(row[m])
-            base_fn = PathQuadratic(m=m, pi=pi, linear=linear, constant=constant)
-            d_vals = ((quad + xp @ np.asarray(linear, dtype=np.int64) + constant) % 4).astype(
-                np.uint8
-            )
-            dp = (d_vals + shift) % 4
-            for off, sv in zip(offsets, svecs):
-                params = ConstructionParams(base=base_fn, offset=off)
-                if modulation is Modulation.QAM16:
-                    e_vals = (d_vals + sv) % 4
-                    ep = (e_vals + shift) % 4
-                    re, im = qam16_lattice(d_vals, e_vals)
-                    rep, imp = qam16_lattice(dp, ep)
-                    scale = Scale.QAM16
-                else:
-                    f_vals = (d_vals + sv[0]) % 4
-                    g_vals = (d_vals + sv[1]) % 4
-                    fp, gp = (f_vals + shift) % 4, (g_vals + shift) % 4
-                    re, im = qam64_lattice(d_vals, f_vals, g_vals)
-                    rep, imp = qam64_lattice(dp, fp, gp)
-                    scale = Scale.QAM64
-                yield CodewordRecord(
-                    params=params,
-                    sequence=ComplexSequence(re, im, scale),
-                    primed_sequence=ComplexSequence(rep, imp, scale),
-                )
+    chunks = iter_family_chunks(m, modulation)
+    return (record for blocks in chunks for record in grid_records(blocks))
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
@@ -406,10 +349,10 @@ def count_enumerated(m: int, modulation: Modulation) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
-    """All coefficient choices for one (permutation, offset) cell, vectorized.
+    """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
 
-    Row j of every array corresponds to coefficient row j of
-    coefficient_matrix(m).  components holds the unprimed quaternary
+    Row j of every array corresponds to row j of coeffs (by default all of
+    coefficient_matrix(m)).  components holds the unprimed quaternary
     sequences ((D, E) or (D, F, G)); primed adds 2*x_{pi(m-1)}.
     """
 
@@ -428,32 +371,37 @@ class FamilyBlock:
     def __len__(self) -> int:
         return int(self.coeffs.shape[0])
 
+    def complex_symbols(self) -> np.ndarray:
+        """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
+        return (self.sym_re + 1j * self.sym_im) / np.sqrt(self.scale.value)
 
-def _block_for(
-    m: int,
-    pi: tuple[int, ...],
-    offset: Offset,
-    coeffs: np.ndarray,
-    base_all: np.ndarray,
-    shift: np.ndarray,
+
+def base_rows(m: int, pi: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
+    """(rows, n) uint8 base sequences D for a batch of coefficient rows at one pi."""
+    xp = bit_matrix(m)[:, list(pi)].astype(np.int64)
+    quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
+    lin = coeffs[:, :m].astype(np.int64) @ xp.T
+    return ((lin + quad[None, :] + coeffs[:, m].astype(np.int64)[:, None]) % 4).astype(np.uint8)
+
+
+def build_block(
+    m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray | None = None
 ) -> FamilyBlock:
+    """Vectorized synthesis of one (pi, offset) cell over coefficient rows
+    (default: every row of coefficient_matrix(m))."""
+    if m <= 2:
+        raise ValueError(f"family defined for m > 2, got m={m}")
+    if coeffs is None:
+        coeffs = coefficient_matrix(m)
+    comps = _offset_components(base_rows(m, pi, coeffs), offset, m, pi)
     if isinstance(offset, Offset16):
-        s = offset16_values(offset, m, pi)
-        e_all = (base_all + s) % 4
-        comps = (base_all, e_all)
-        primes = tuple((c + shift) % 4 for c in comps)
-        re, im = qam16_lattice(comps[0], comps[1])
-        rep, imp = qam16_lattice(primes[0], primes[1])
-        scale = Scale.QAM16
+        lattice, scale = qam16_lattice, Scale.QAM16
     else:
-        s1, s2 = offset64_component_values(offset, m, pi)
-        f_all = (base_all + s1) % 4
-        g_all = (base_all + s2) % 4
-        comps = (base_all, f_all, g_all)
-        primes = tuple((c + shift) % 4 for c in comps)
-        re, im = qam64_lattice(comps[0], comps[1], comps[2])
-        rep, imp = qam64_lattice(primes[0], primes[1], primes[2])
-        scale = Scale.QAM64
+        lattice, scale = qam64_lattice, Scale.QAM64
+    shift = 2 * bit_matrix(m)[:, pi[m - 1]]
+    primes = tuple((c + shift) % 4 for c in comps)
+    re, im = lattice(*comps)
+    rep, imp = lattice(*primes)
     return FamilyBlock(
         m=m,
         pi=pi,
@@ -467,21 +415,6 @@ def _block_for(
         primed_im=imp,
         scale=scale,
     )
-
-
-def build_block(m: int, pi: tuple[int, ...], offset: Offset) -> FamilyBlock:
-    """Vectorized synthesis of every coefficient choice for one (pi, offset)."""
-    if m <= 2:
-        raise ValueError(f"family defined for m > 2, got m={m}")
-    coeffs = coefficient_matrix(m)
-    bits = bit_matrix(m).astype(np.int64)
-    xp = bits[:, list(pi)]
-    quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
-    lin_mat = coeffs[:, :m].astype(np.int64)
-    const_col = coeffs[:, m].astype(np.int64)[:, None]
-    base_all = ((lin_mat @ xp.T + quad[None, :] + const_col) % 4).astype(np.uint8)
-    shift = (2 * bits[:, pi[m - 1]]).astype(np.uint8)[None, :]
-    return _block_for(m, pi, offset, coeffs, base_all, shift)
 
 
 def iter_family_blocks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
@@ -498,3 +431,33 @@ def iter_family_blocks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
         for pi in canonical_permutations(m)
         for off in _offset_list(modulation)
     )
+
+
+# coefficient rows per chunk of iter_family_chunks: bounds its memory at any m
+CHUNK_ROWS = 64
+
+
+def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
+    """The family in parameter_grid order: per pi, per chunk of CHUNK_ROWS
+    coefficient rows, one block per offset over the same rows."""
+    coeffs = coefficient_matrix(m)
+    offsets = _offset_list(modulation)
+    for pi in canonical_permutations(m):
+        for start in range(0, len(coeffs), CHUNK_ROWS):
+            rows = coeffs[start : start + CHUNK_ROWS]
+            yield tuple(build_block(m, pi, off, rows) for off in offsets)
+
+
+def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:
+    """The records of one chunk in parameter_grid order (row, then offset);
+    their arrays are views into the blocks."""
+    m, pi = blocks[0].m, blocks[0].pi
+    for j, row in enumerate(blocks[0].coeffs.tolist()):
+        base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
+        for b in blocks:
+            yield CodewordRecord(
+                params=ConstructionParams(base=base, offset=b.offset),
+                sequence=ComplexSequence(b.sym_re[j], b.sym_im[j], b.scale),
+                primed_sequence=ComplexSequence(b.primed_re[j], b.primed_im[j], b.scale),
+                components=tuple(c[j] for c in b.components),
+            )

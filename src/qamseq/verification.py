@@ -51,13 +51,13 @@ from .constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    _offset_list,
+    base_rows,
     build,
     build_block,
     component_values,
     family_size,
     iter_family_blocks,
-    list_offsets16,
-    list_offsets64,
     offset16_values,
     offset64_component_values,
     star_bound,
@@ -235,14 +235,6 @@ def _three_residuals_batch(
     return _A1A2 * r12, _A1A3 * r13, _A2A3 * r23
 
 
-def _base_rows(m: int, pi: tuple[int, ...], coeff_rows: np.ndarray) -> np.ndarray:
-    bits = bit_matrix(m).astype(np.int64)
-    xp = bits[:, list(pi)]
-    quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
-    lin = coeff_rows[:, :m].astype(np.int64) @ xp.T
-    return (lin + quad[None, :] + coeff_rows[:, m].astype(np.int64)[:, None]) % 4
-
-
 @dataclass(frozen=True)
 class LemmaSweepResult:
     """Aggregated residual maxima over the sweep plus the negative controls."""
@@ -324,12 +316,12 @@ def lemma_sweep(m: int = 3, coeff_stride: int = 4) -> LemmaSweepResult:
 
     for pi_index, pi in enumerate(perms):
         rows = coeffs if pi_index == 0 else coeffs[::coeff_stride]
-        base_all = _base_rows(m, pi, rows)
+        base_all = base_rows(m, pi, rows)
         lb = _last_bits(m, pi)
-        for off in list_offsets16():
+        for off in _offset_list(Modulation.QAM16):
             svals = offset16_values(off, m, pi).astype(np.int64)
             fold("L1", _lemma1_batch(base_all, svals, lb))
-        for off in list_offsets64():
+        for off in _offset_list(Modulation.QAM64):
             s1, s2 = offset64_component_values(off, m, pi)
             s1, s2 = s1.astype(np.int64), s2.astype(np.int64)
             type1 = off.kind is OffsetKind.TYPE1
@@ -489,8 +481,7 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
         # components and land below 2n; only the ceiling is asserted there.
         ok &= star_over_n >= 2.0 - STAR_TOL
     star_ok = np.count_nonzero(ok)
-    z = (block.sym_re + 1j * block.sym_im) / np.sqrt(block.scale.value)
-    peps = pep_batch(z, oversample)
+    peps = pep_batch(block.complex_symbols(), oversample)
     pmeprs = peps / n
     pmepr_ok = np.count_nonzero(pmeprs <= bound + PMEPR_TOL)
     pmepr_le_star = bool(np.all(pmeprs <= star_over_n + STAR_TOL))
@@ -534,18 +525,17 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
 
 def _audit_block_worker(args: tuple) -> dict:
     m, modulation_value, pi, offset_index, oversample = args
-    modulation = Modulation(modulation_value)
-    offsets = list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
-    block = build_block(m, pi, offsets[offset_index])
+    block = build_block(m, pi, _offset_list(Modulation(modulation_value))[offset_index])
     return _audit_block(block, oversample)
 
 
 def default_jobs() -> int:
-    """Worker count for batch audits: QAMSEQ_JOBS, else 1."""
+    """Worker count for batch audits: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
+    raw = os.environ.get("QAMSEQ_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("QAMSEQ_JOBS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
 
 
 def theorem_bound_audit(
@@ -556,11 +546,10 @@ def theorem_bound_audit(
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds."""
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    offsets = list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
     tasks = [
         (m, modulation.value, pi, k, oversample)
         for pi in canonical_permutations(m)
-        for k in range(len(offsets))
+        for k in range(len(_offset_list(modulation)))
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -637,10 +626,29 @@ def oversampling_audit(m: int, modulation: Modulation, low: int = 16, high: int 
     """Max relative PEP gap between two oversampling rates over a family."""
     worst = 0.0
     for block in iter_family_blocks(m, modulation):
-        z = (block.sym_re + 1j * block.sym_im) / np.sqrt(block.scale.value)
+        z = block.complex_symbols()
         p_low = pep_batch(z, low)
         p_high = pep_batch(z, high)
         worst = max(worst, float(np.max((p_high - p_low) / p_high)))
+    return worst
+
+
+def dense_envelope_gap(m: int, modulation: Modulation, oversample: int = 32) -> float:
+    """Max relative gap between pep_batch and a dense-DFT peak over a family.
+
+    The explicit exp(2*pi*j*i*k/(L*n)) matrix shares no code with the FFT, so
+    a kernel that ignores its oversampling rate shows here and not in
+    oversampling_audit, which compares pep_batch with itself.
+    """
+    n = 1 << m
+    grid = oversample * n
+    phase = np.outer(np.arange(n), np.arange(grid)) % grid
+    basis = np.exp(2j * np.pi * phase / grid)
+    worst = 0.0
+    for block in iter_family_blocks(m, modulation):
+        z = block.complex_symbols()
+        dense = np.max(np.abs(z @ basis) ** 2, axis=1)
+        worst = max(worst, float(np.max(np.abs(pep_batch(z, oversample) - dense) / dense)))
     return worst
 
 
@@ -655,7 +663,7 @@ def parseval_audit(
     over randomly sampled family codewords."""
     rng = np.random.default_rng(seed)
     perms = canonical_permutations(m)
-    offsets = list_offsets16() if modulation is Modulation.QAM16 else list_offsets64()
+    offsets = _offset_list(modulation)
     coeffs = coefficient_matrix(m)
     cfg = EnvelopeConfig(oversample=oversample)
     worst = 0.0

@@ -30,6 +30,8 @@ from qamseq.constructions import (
     Modulation,
     Offset16,
     build_16qam,
+    grid_records,
+    iter_family_chunks,
 )
 from qamseq.gbf import PathQuadratic, polyphase, primed, psi
 
@@ -277,6 +279,31 @@ def test_batch_kernels_match_scalar_paths():
     assert stars[0] == pytest.approx(star(seq, pr), rel=1e-12)
     peps = pep_batch(seq.to_complex()[None, :], 16)
     assert peps[0] == pytest.approx(pep(seq), rel=1e-12)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_batch_kernels_equal_scalar_paths_bit_for_bit(modulation):
+    # enumerate writes star_batch and pep_batch values where records used to
+    # carry star and pmepr; its output is byte-identical only while they are
+    # equal (not merely close) on every record, batched as enumerate batches
+    n = 8
+    for blocks in iter_family_chunks(3, modulation):
+        stars = [
+            star_batch(b.sym_re, b.sym_im, b.primed_re, b.primed_im, b.scale.value) for b in blocks
+        ]
+        pmeprs = [pep_batch(b.complex_symbols(), 16) / n for b in blocks]
+        records = grid_records(blocks)
+        for j in range(len(blocks[0])):
+            for k in range(len(blocks)):
+                record = next(records)
+                assert stars[k][j] == star(record.sequence, record.primed_sequence)
+                assert pmeprs[k][j] == pmepr(record.sequence)
+
+
+def test_pep_batch_rejects_oversample_below_one():
+    z = build_16qam(EX1_PARAMS).sequence.to_complex()[None, :]
+    with pytest.raises(ValueError, match="oversample must be >= 1, got 0"):
+        pep_batch(z, 0)
 
 
 def test_golay_defect_batch_detects_non_pairs():

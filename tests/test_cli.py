@@ -2,13 +2,15 @@ import json
 
 import pytest
 
+from qamseq.analysis import pmepr, star
 from qamseq.cli import (
     codeword_doc,
     main,
     params_from_doc,
     verify_codeword_doc,
 )
-from qamseq.constructions import build
+from qamseq.constructions import ConstructionParams, Modulation, build, parameter_grid
+from qamseq.gbf import PathQuadratic
 from qamseq.verification import EXAMPLE1_PARAMS, EXAMPLE2_PARAMS
 
 EX1_FLAGS = ["--modulation", "16qam", "--pi", "0,1,2", "--c", "1,1,1,0", "--offset", "0,1,1"]
@@ -141,6 +143,48 @@ def test_enumerate_stream_emits_records(capsys, tmp_path):
     # every streamed record passes its own round-trip verification
     for raw in lines[:: 1024]:
         assert verify_codeword_doc(json.loads(raw)) == []
+
+
+def test_enumerate_writes_every_record_in_grid_order_as_the_per_record_oracle(capsys, tmp_path):
+    out_path = tmp_path / "family.jsonl"
+    code, _, _ = run(
+        capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--out", str(out_path)
+    )
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    grid = list(parameter_grid(3, Modulation.QAM16))
+    assert len(lines) == len(grid) == 6144
+    for index, (line, (pi, linear, constant, offset)) in enumerate(zip(lines, grid)):
+        doc = json.loads(line)
+        assert (doc["pi"], doc["linear"], doc["constant"]) == (list(pi), list(linear), constant)
+        if index % 97 == 0:
+            base = PathQuadratic(m=3, pi=pi, linear=linear, constant=constant)
+            record = build(ConstructionParams(base=base, offset=offset))
+            oracle = codeword_doc(
+                record,
+                16,
+                star_value=star(record.sequence, record.primed_sequence),
+                pmepr_value=pmepr(record.sequence),
+            )
+            assert line == json.dumps(oracle, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["ccdf", "enumerate"])
+def test_oversample_below_one_is_a_usage_error(capsys, tmp_path, command):
+    code, _, err = run(
+        capsys, command, "--m", "3", "--modulation", "16qam", "--oversample", "0",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "error: oversample must be >= 1, got 0" in err
+
+
+def test_malformed_qamseq_jobs_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QAMSEQ_JOBS", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "examples")
+    assert code == 2
+    assert out == ""
+    assert "QAMSEQ_JOBS" in err and "'abc'" in err
 
 
 def test_ccdf_16qam_zero_beyond_bound(capsys, tmp_path):

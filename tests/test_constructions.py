@@ -198,6 +198,35 @@ def test_enumerate_family_matches_direct_build_sample():
         assert record.primed_sequence == rebuilt.primed_sequence
 
 
+def test_enumerate_family_walks_the_grid_and_matches_build():
+    # every record, across chunk boundaries, carries the parameters of the
+    # grid tuple at its position; a strided sample is rebuilt one by one
+    records = enumerate_family(3, Modulation.QAM64)
+    grid = parameter_grid(3, Modulation.QAM64)
+    gamma = cmath.exp(1j * cmath.pi / 4)
+    weights = (4 / 21**0.5, 2 / 21**0.5, 1 / 21**0.5)
+    count = 0
+    for index, (record, (pi, linear, constant, offset)) in enumerate(zip(records, grid)):
+        base = record.params.base
+        assert (base.pi, base.linear, base.constant, record.params.offset) == (
+            pi, linear, constant, offset
+        )
+        if index % 389 == 0:
+            rebuilt = build(record.params)
+            assert record.sequence == rebuilt.sequence
+            assert record.primed_sequence == rebuilt.primed_sequence
+            # build is a one-row block too: also check against psi and plain
+            # complex arithmetic, which share no code with the block kernel
+            comps = component_values(record.params)
+            for ours, theirs in zip(record.components, comps):
+                assert np.array_equal(ours, theirs)
+            expected = gamma * sum(a * 1j ** c.astype(int) for a, c in zip(weights, comps))
+            assert np.max(np.abs(record.sequence.to_complex() - expected)) < 1e-12
+        count += 1
+    assert count == family_size(3, Modulation.QAM64)
+    assert next(records, None) is None
+
+
 def test_blocks_agree_with_enumerate():
     block = next(iter(iter_family_blocks(3, Modulation.QAM16)))
     # row j of the first block is (pi0, coeff row j, first offset)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
     LEMMA_TOL,
+    dense_envelope_gap,
     example_regression,
     lemma1_residual,
     lemma2_residuals,
@@ -141,12 +144,12 @@ def test_lemma_sweep_passes_and_counts():
 def test_sweep_batch_agrees_with_per_record_oracle():
     # the vectorized sweep path must reproduce the literal per-record sums,
     # including on an invalid offset where the residuals are far from zero
-    from qamseq.constructions import offset16_values
-    from qamseq.verification import _base_rows, _last_bits, _lemma1_batch
+    from qamseq.constructions import base_rows, offset16_values
+    from qamseq.verification import _last_bits, _lemma1_batch
 
     pi = (0, 2, 1)
     coeffs = coefficient_matrix(3)[::31]
-    base_all = _base_rows(3, pi, coeffs)
+    base_all = base_rows(3, pi, coeffs)
     lb = _last_bits(3, pi)
     for off in (Offset16(0, 1, 3), Offset16(0, 0, 0), Offset16(1, 2, 3)):
         svals = offset16_values(off, 3, pi).astype(np.int64)
@@ -212,6 +215,29 @@ def test_oversampling_audit_within_half_percent():
     assert oversampling_audit(3, Modulation.QAM16) <= 0.005
 
 
+def test_dense_envelope_gap_machine_precision():
+    assert dense_envelope_gap(3, Modulation.QAM16) <= 1e-9
+
+
+def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch, capsys):
+    # negative control: an envelope FFT stuck at 2n points agrees with itself
+    # at L=16 and L=32, so only the dense-DFT reference can see it
+    from qamseq import verification
+    from qamseq.cli import main
+
+    def two_n_grid(z, oversample=16):
+        n = z.shape[1]
+        return np.max(np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2, axis=1)
+
+    monkeypatch.setattr(verification, "pep_batch", two_n_grid)
+    assert oversampling_audit(3, Modulation.QAM16) == 0.0
+    assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "analysis.oversampling_adequacy"
+    ]
+
+
 def test_parseval_audit_machine_precision():
     assert parseval_audit() <= 1e-9
 
@@ -233,4 +259,5 @@ def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("QAMSEQ_JOBS", "3")
     assert default_jobs() == 3
     monkeypatch.setenv("QAMSEQ_JOBS", "junk")
-    assert default_jobs() == 1
+    with pytest.raises(ValueError, match="QAMSEQ_JOBS must be an integer, got 'junk'"):
+        default_jobs()

@@ -12,27 +12,14 @@ reference sequences; see tests.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 import numpy as np
 
 # zeta^v for v in Z4 as exact (re, im) integer pairs: 1, i, -1, -i
 ZETA_INT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-# same table as numpy lookup arrays (index by Z4 value)
-ZETA_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-ZETA_IM = np.array([0, 1, 0, -1], dtype=np.int64)
-
-
-def z4(value: int) -> int:
-    """Reduce an integer into the residue ring Z4."""
-    return value % 4
-
-
-def zeta_complex(value: int) -> complex:
-    """zeta^value as a complex number (exact: one of 1, i, -1, -i)."""
-    re, im = ZETA_INT[z4(value)]
-    return complex(re, im)
+# the same table as int64 lookup arrays, indexed by Z4 value
+ZETA_RE, ZETA_IM = np.array(ZETA_INT, dtype=np.int64).T
 
 
 def bits_of(i: int, m: int) -> tuple[int, ...]:
@@ -95,20 +82,11 @@ def canonical_permutations(m: int) -> list[tuple[int, ...]]:
     return [pi for pi in itertools.permutations(range(m)) if is_canonical(pi)]
 
 
-def iter_coefficients(m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every (linear, constant) pair over Z4, base-4 counter order.
-
-    The constant varies fastest; linear[0] is the most significant digit.
-    4^(m+1) pairs total.
-    """
-    for combo in itertools.product(range(4), repeat=m + 1):
-        yield combo[:m], combo[m]
-
-
 def coefficient_matrix(m: int) -> np.ndarray:
     """(4^(m+1), m+1) uint8 array of all coefficient tuples, counter order.
 
-    Column m is the constant term; rows match iter_coefficients.
+    Column m is the constant term and varies fastest; column 0 is the most
+    significant digit.
     """
     count = 4 ** (m + 1)
     idx = np.arange(count, dtype=np.int64)

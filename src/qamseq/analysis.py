@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import ZETA_IM, ZETA_RE
 from .constellation import ComplexSequence, Scale, qam16_lattice, qam64_lattice
-from .constructions import CodewordRecord, Modulation
+from .constructions import Modulation
 
 STAR_TOL = 1e-9
 
@@ -92,23 +93,6 @@ def star(a: ComplexSequence, b: ComplexSequence) -> float:
     return float(np.sum(np.hypot(tot_re, tot_im)) / a.scale.value)
 
 
-def star_symmetric(a: ComplexSequence, b: ComplexSequence) -> float:
-    """Star via conjugate symmetry: |C(0) sum| + 2 * sum_{u>=1} |C(u) sum|.
-
-    Independent code path from star(); for polyphase pairs this is the
-    2n + 2*sum form.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if a.scale is not b.scale:
-        raise ValueError(f"scale mismatch: {a.scale} != {b.scale}")
-    sr, si = correlation_sums_batch(
-        a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :]
-    )
-    mags = np.hypot(sr[0], si[0])
-    return float((mags[0] + 2 * np.sum(mags[1:])) / a.scale.value)
-
-
 def envelope_samples(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> np.ndarray:
     """S(t_k) = sum_i A_i exp(2*pi*j*i*k/(L*n)) for k = 0 .. L*n - 1."""
     z = a.to_complex()
@@ -130,29 +114,6 @@ def envelope_mean_power(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig
 def pmepr(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> float:
     """PEP over the code-average power n (unit-average-energy constellations)."""
     return pep(a, cfg) / len(a)
-
-
-@dataclass(frozen=True)
-class StarBoundReport:
-    star_value: float
-    star_over_n: float
-    pmepr: float
-    bound: float
-    passed: bool
-
-
-def star_bound_check(
-    record: CodewordRecord, bound: float, cfg: EnvelopeConfig = EnvelopeConfig()
-) -> StarBoundReport:
-    """Check pmepr <= star/n <= bound (within STAR_TOL) for one codeword."""
-    n = len(record.sequence)
-    s = star(record.sequence, record.primed_sequence)
-    p = pmepr(record.sequence, cfg)
-    s_over_n = s / n
-    passed = p <= s_over_n + STAR_TOL and s_over_n <= bound + STAR_TOL
-    return StarBoundReport(
-        star_value=s, star_over_n=s_over_n, pmepr=p, bound=bound, passed=passed
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,6 +235,4 @@ def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
 def polyphase_lattice(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) int64 arrays of zeta^values for a batch of Z4 arrays."""
     v = np.asarray(values, dtype=np.int64) % 4
-    re = np.array([1, 0, -1, 0], dtype=np.int64)[v]
-    im = np.array([0, 1, 0, -1], dtype=np.int64)[v]
-    return re, im
+    return ZETA_RE[v], ZETA_IM[v]

@@ -9,13 +9,12 @@ significant digits.  Identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .algebra import canonical_permutations
 from .analysis import (
     EnvelopeConfig,
     ccdf,
@@ -30,28 +29,27 @@ from .constellation import ComplexSequence, Scale
 from .constructions import (
     CodewordRecord,
     ConstructionParams,
+    FamilyBlock,
     Modulation,
     Offset16,
     Offset64,
     OffsetConstraintError,
     OffsetKind,
-    _offset_list,
     build,
-    build_block,
     classify_offset64,
     component_values,
     count_enumerated,
+    default_jobs,
     family_size,
     grid_records,
     iter_family_chunks,
+    map_family_blocks,
     star_bound,
 )
 from .gbf import PathQuadratic
 from .verification import (
     STAR_TOL,
     CheckResult,
-    default_jobs,
-    dense_envelope_gap,
     example_regression,
     lemma_sweep,
     oversampling_audit,
@@ -156,13 +154,19 @@ def params_from_doc(doc: dict) -> ConstructionParams:
     return ConstructionParams(base=base, offset=_offset_from_doc(doc["offset"]))
 
 
+_PAYLOAD_KEYS = ("scale_denominator", "symbols", "primed_symbols", "base", "components")
+
+
 def verify_codeword_doc(doc: dict) -> list[str]:
     """Regenerate from the document's parameters and diff against its payload."""
     problems = []
     try:
         params = params_from_doc(doc)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable parameters: {exc}"]
+    missing = [key for key in _PAYLOAD_KEYS if key not in doc]
+    if missing:
+        return [f"record has no {key!r}" for key in missing]
     record = build(params)
     stored = ComplexSequence(
         np.array([p[0] for p in doc["symbols"]]),
@@ -263,6 +267,8 @@ def cmd_enumerate(args) -> int:
         }
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
+    # scoring validates oversample too, but only after --out has been truncated
+    EnvelopeConfig(oversample=args.oversample)
 
     def lines():
         n = 1 << args.m
@@ -285,33 +291,19 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _block_pmepr_worker(task) -> tuple[str, list[float]]:
-    m, modulation_value, pi, offset_index, oversample = task
-    block = build_block(m, pi, _offset_list(Modulation(modulation_value))[offset_index])
-    n = 1 << m
-    kind = "qam16" if isinstance(block.offset, Offset16) else block.offset.kind.value
-    return kind, (pep_batch(block.complex_symbols(), oversample) / n).tolist()
+def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[str, np.ndarray]:
+    return block.kind, pep_batch(block.complex_symbols(), oversample) / (1 << block.m)
 
 
 def family_pmeprs(
     m: int, modulation: Modulation, oversample: int = 16, jobs: int | None = None
 ) -> dict[str, np.ndarray]:
     """Oversampled PMEPR of every family member, grouped by offset kind."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    tasks = [
-        (m, modulation.value, pi, k, oversample)
-        for pi in canonical_permutations(m)
-        for k in range(len(_offset_list(modulation)))
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_block_pmepr_worker, tasks, chunksize=4))
-    else:
-        results = [_block_pmepr_worker(t) for t in tasks]
-    grouped: dict[str, list[float]] = {}
-    for kind, values in results:
-        grouped.setdefault(kind, []).extend(values)
-    return {kind: np.asarray(vals) for kind, vals in grouped.items()}
+    grouped: dict[str, list[np.ndarray]] = {}
+    pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
+    for kind, values in map_family_blocks(pmeprs, m, modulation, jobs):
+        grouped.setdefault(kind, []).append(values)
+    return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
 
 
 def _fmt(value: float) -> str:
@@ -371,8 +363,7 @@ def _suite_checks(args) -> list[CheckResult]:
                 requirement="<= 1e-9 relative",
             )
         )
-        worst_gap = oversampling_audit(3, Modulation.QAM16)
-        dense_gap = dense_envelope_gap(3, Modulation.QAM16)
+        worst_gap, dense_gap = oversampling_audit(3, Modulation.QAM16)
         checks.append(
             CheckResult(
                 name="analysis.oversampling_adequacy",
@@ -387,8 +378,11 @@ def _suite_checks(args) -> list[CheckResult]:
 
 def cmd_verify(args) -> int:
     if args.record is not None:
-        with open(args.record, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.record, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read --record {args.record}: {exc.strerror}") from exc
         problems = verify_codeword_doc(doc)
         report = {
             "record": args.record,

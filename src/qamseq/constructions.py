@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -255,20 +257,6 @@ def build(params: ConstructionParams) -> CodewordRecord:
     return next(grid_records((build_block(params.m, params.base.pi, params.offset, row),)))
 
 
-def build_16qam(params: ConstructionParams) -> CodewordRecord:
-    """build, restricted to 16-QAM parameters."""
-    if not isinstance(params.offset, Offset16):
-        raise ValueError("build_16qam needs an Offset16")
-    return build(params)
-
-
-def build_64qam(params: ConstructionParams) -> CodewordRecord:
-    """build, restricted to 64-QAM parameters."""
-    if not isinstance(params.offset, Offset64):
-        raise ValueError("build_64qam needs an Offset64")
-    return build(params)
-
-
 # star/n ceilings. Rounded values are the published bounds; the exact
 # rationals come out of the weight arithmetic: 2*(4/5) + 4*(1/5) = 12/5 for
 # 16-QAM, (16*2 + 4*2 + 1*4 + 8*4)/21 = 76/21 for type 1 (the a1*a2 cross
@@ -287,13 +275,6 @@ def star_bound(offset: Offset) -> float:
     if isinstance(offset, Offset16):
         return BOUND_QAM16
     return BOUND_TYPE1 if offset.kind is OffsetKind.TYPE1 else BOUND_TYPE2
-
-
-def exact_star_bound(offset: Offset) -> Fraction:
-    """Exact rational star/n ceiling (tighter than the published rounding)."""
-    if isinstance(offset, Offset16):
-        return EXACT_BOUND_QAM16
-    return EXACT_BOUND_TYPE1 if offset.kind is OffsetKind.TYPE1 else EXACT_BOUND_TYPE2
 
 
 def family_size(m: int, modulation: Modulation) -> int:
@@ -371,6 +352,11 @@ class FamilyBlock:
     def __len__(self) -> int:
         return int(self.coeffs.shape[0])
 
+    @property
+    def kind(self) -> str:
+        """The part of the family whose bound the block obeys: qam16, type1 or type2."""
+        return "qam16" if isinstance(self.offset, Offset16) else self.offset.kind.value
+
     def complex_symbols(self) -> np.ndarray:
         """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
         return (self.sym_re + 1j * self.sym_im) / np.sqrt(self.scale.value)
@@ -417,20 +403,40 @@ def build_block(
     )
 
 
-def iter_family_blocks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
-    """Vectorized family walk: one block per (pi, offset), coefficients batched.
+def default_jobs() -> int:
+    """Worker count for family walks: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
+    raw = os.environ.get("QAMSEQ_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
 
-    Block order is pi-major then offset; within a block rows follow the
-    base-4 coefficient counter, so the per-record order is a fixed
-    permutation of enumerate_family order.
+
+def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
+    return fn(build_block(*cell))
+
+
+def map_family_blocks(
+    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int | None = None
+) -> list:
+    """fn(block) for every (pi, offset) block of the family, each block over
+    every coefficient row, in pi-major then offset list order.
+
+    jobs (default: default_jobs()) > 1 builds and maps the blocks in that
+    many worker processes; fn and its results must then pickle.  The
+    results are the same for every jobs.
     """
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    return (
-        build_block(m, pi, off)
-        for pi in canonical_permutations(m)
-        for off in _offset_list(modulation)
-    )
+    jobs = default_jobs() if jobs is None else jobs
+    if jobs < 1:
+        raise ValueError(f"worker count (--jobs or QAMSEQ_JOBS) must be >= 1, got {jobs}")
+    cells = [(m, pi, off) for pi in canonical_permutations(m) for off in _offset_list(modulation)]
+    task = functools.partial(_map_cell, fn)
+    if jobs == 1:
+        return [task(cell) for cell in cells]
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, cells, chunksize=4))
 
 
 # coefficient rows per chunk of iter_family_chunks: bounds its memory at any m

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import bit_matrix, validate_permutation
+from .algebra import ZETA_IM, ZETA_RE, bit_matrix, validate_permutation
 from .constellation import ComplexSequence, Scale
 
 
@@ -76,6 +76,4 @@ def primed(f: PathQuadratic) -> PathQuadratic:
 def polyphase(values: np.ndarray) -> ComplexSequence:
     """Unit-scale lattice sequence zeta^values for a Z4-valued sequence."""
     v = np.asarray(values, dtype=np.int64) % 4
-    re = np.array([1, 0, -1, 0], dtype=np.int64)[v]
-    im = np.array([0, 1, 0, -1], dtype=np.int64)[v]
-    return ComplexSequence(re=re, im=im, scale=Scale.UNIT)
+    return ComplexSequence(re=ZETA_RE[v], im=ZETA_IM[v], scale=Scale.UNIT)

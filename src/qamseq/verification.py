@@ -18,14 +18,13 @@ cancellation of the base pair, and the component star ceilings.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
+from .algebra import ZETA_IM, ZETA_RE, bit_matrix, canonical_permutations, coefficient_matrix
 from .analysis import (
     STAR_TOL,
     EnvelopeConfig,
@@ -54,10 +53,9 @@ from .constructions import (
     _offset_list,
     base_rows,
     build,
-    build_block,
     component_values,
     family_size,
-    iter_family_blocks,
+    map_family_blocks,
     offset16_values,
     offset64_component_values,
     star_bound,
@@ -67,7 +65,7 @@ from .gbf import PathQuadratic, psi
 LEMMA_TOL = 1e-9
 PMEPR_TOL = 0.01
 
-_ZC = np.array([1, 1j, -1, -1j])
+_ZC = ZETA_RE + 1j * ZETA_IM
 
 # cross-term weights a1*a2, a1*a3, a2*a3 with (a1, a2, a3) = (4, 2, 1)/sqrt(21)
 _A1A2 = 8.0 / 21.0
@@ -460,12 +458,6 @@ class BoundAuditReport:
         return out
 
 
-def _block_kind(block: FamilyBlock) -> str:
-    if isinstance(block.offset, Offset16):
-        return "qam16"
-    return block.offset.kind.value
-
-
 def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     n = 1 << block.m
     bound = star_bound(block.offset)
@@ -474,7 +466,7 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     )
     star_over_n = stars / n
     ok = star_over_n <= bound + STAR_TOL
-    if isinstance(block.offset, Offset16):
+    if block.kind == "qam16":
         # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
         # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
         # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
@@ -496,11 +488,7 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
         cp_re, cp_im = polyphase_lattice(block.primed_components[idx])
         comp_star = star_batch(c_re, c_im, cp_re, cp_im, 1)
         comp_ok &= bool(np.all(comp_star <= 4 * n + STAR_TOL))
-        if (
-            isinstance(block.offset, Offset64)
-            and block.offset.kind is OffsetKind.TYPE1
-            and idx == 1
-        ):
+        if block.kind == "type1" and idx == 1:
             # type 1 first component is base + linear offset: still a Golay pair
             defect = int(np.max(golay_defect_batch(c_re, c_im, cp_re, cp_im)))
             comp_ok &= defect == 0
@@ -509,7 +497,7 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     hashes = {row.tobytes() for row in sym}
 
     return {
-        "kind": _block_kind(block),
+        "kind": block.kind,
         "count": int(len(block)),
         "star_ok": int(star_ok),
         "pmepr_ok": int(pmepr_ok),
@@ -523,21 +511,6 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     }
 
 
-def _audit_block_worker(args: tuple) -> dict:
-    m, modulation_value, pi, offset_index, oversample = args
-    block = build_block(m, pi, _offset_list(Modulation(modulation_value))[offset_index])
-    return _audit_block(block, oversample)
-
-
-def default_jobs() -> int:
-    """Worker count for batch audits: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
-    raw = os.environ.get("QAMSEQ_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
-
-
 def theorem_bound_audit(
     m: int,
     modulation: Modulation,
@@ -545,18 +518,8 @@ def theorem_bound_audit(
     jobs: int | None = None,
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    tasks = [
-        (m, modulation.value, pi, k, oversample)
-        for pi in canonical_permutations(m)
-        for k in range(len(_offset_list(modulation)))
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_audit_block_worker, tasks, chunksize=4))
-    else:
-        results = [_audit_block_worker(t) for t in tasks]
-
+    audit = functools.partial(_audit_block, oversample=oversample)
+    results = map_family_blocks(audit, m, modulation, jobs)
     kinds: dict[str, dict] = {}
     hashes: set[bytes] = set()
     golay_defect = 0
@@ -622,34 +585,31 @@ def theorem_bound_audit(
     )
 
 
-def oversampling_audit(m: int, modulation: Modulation, low: int = 16, high: int = 32) -> float:
-    """Max relative PEP gap between two oversampling rates over a family."""
-    worst = 0.0
-    for block in iter_family_blocks(m, modulation):
-        z = block.complex_symbols()
-        p_low = pep_batch(z, low)
-        p_high = pep_batch(z, high)
-        worst = max(worst, float(np.max((p_high - p_low) / p_high)))
-    return worst
+def _envelope_gaps(block: FamilyBlock, low: int, high: int, basis: np.ndarray) -> tuple:
+    z = block.complex_symbols()
+    p_low = pep_batch(z, low)
+    p_high = pep_batch(z, high)
+    dense = np.max(np.abs(z @ basis) ** 2, axis=1)
+    return float(np.max((p_high - p_low) / p_high)), float(np.max(np.abs(p_high - dense) / dense))
 
 
-def dense_envelope_gap(m: int, modulation: Modulation, oversample: int = 32) -> float:
-    """Max relative gap between pep_batch and a dense-DFT peak over a family.
+def oversampling_audit(
+    m: int, modulation: Modulation, low: int = 16, high: int = 32
+) -> tuple[float, float]:
+    """Max relative PEP gaps over a family: between the two oversampling
+    rates, and between pep_batch at the high rate and a dense-DFT peak.
 
-    The explicit exp(2*pi*j*i*k/(L*n)) matrix shares no code with the FFT, so
-    a kernel that ignores its oversampling rate shows here and not in
-    oversampling_audit, which compares pep_batch with itself.
+    The explicit exp(2*pi*j*i*k/(high*n)) matrix shares no code with the FFT,
+    so a kernel that ignores its oversampling rate shows in the second gap
+    and not in the first, which compares pep_batch with itself.
     """
     n = 1 << m
-    grid = oversample * n
-    phase = np.outer(np.arange(n), np.arange(grid)) % grid
-    basis = np.exp(2j * np.pi * phase / grid)
-    worst = 0.0
-    for block in iter_family_blocks(m, modulation):
-        z = block.complex_symbols()
-        dense = np.max(np.abs(z @ basis) ** 2, axis=1)
-        worst = max(worst, float(np.max(np.abs(pep_batch(z, oversample) - dense) / dense)))
-    return worst
+    grid = high * n
+    basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
+    gaps = map_family_blocks(
+        functools.partial(_envelope_gaps, low=low, high=high, basis=basis), m, modulation, jobs=1
+    )
+    return max(g[0] for g in gaps), max(g[1] for g in gaps)
 
 
 def parseval_audit(

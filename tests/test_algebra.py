@@ -6,17 +6,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qamseq.algebra import (
+    ZETA_IM,
     ZETA_INT,
+    ZETA_RE,
     bit_matrix,
     bits_of,
     canonical_permutations,
     coefficient_matrix,
     index_of,
     is_canonical,
-    iter_coefficients,
-    z4,
-    zeta_complex,
 )
+
+
+def zeta(value):
+    """zeta^value from the integer-pair table, as a complex number."""
+    return complex(*ZETA_INT[value % 4])
+
+
+def iter_coefficients(m):
+    """Every (linear, constant) pair over Z4 as a base-4 counter, constant fastest."""
+    for combo in itertools.product(range(4), repeat=m + 1):
+        yield combo[:m], combo[m]
 
 
 def test_bits_of_zero():
@@ -91,14 +101,17 @@ def test_is_canonical():
 
 
 def test_zeta_unit_roots():
-    assert [zeta_complex(v) for v in range(4)] == [1, 1j, -1, -1j]
+    assert [zeta(v) for v in range(4)] == [1, 1j, -1, -1j]
     assert ZETA_INT == ((1, 0), (0, 1), (-1, 0), (0, -1))
+    # the lookup arrays every polyphase synthesis indexes are the same table
+    assert ZETA_RE.tolist() == [1, 0, -1, 0]
+    assert ZETA_IM.tolist() == [0, 1, 0, -1]
 
 
 def test_zeta_product_exhaustive():
     for a in range(4):
         for b in range(4):
-            assert zeta_complex(a) * zeta_complex(b) == zeta_complex(z4(a + b))
+            assert zeta(a) * zeta(b) == zeta(a + b)
 
 
 def test_coefficient_matrix_is_base4_counter():

@@ -20,8 +20,6 @@ from qamseq.analysis import (
     random_baseline,
     star,
     star_batch,
-    star_bound_check,
-    star_symmetric,
 )
 from qamseq.constellation import ComplexSequence, Scale, qam16_map
 from qamseq.constructions import (
@@ -29,7 +27,9 @@ from qamseq.constructions import (
     ConstructionParams,
     Modulation,
     Offset16,
-    build_16qam,
+    Offset64,
+    OffsetKind,
+    build,
     grid_records,
     iter_family_chunks,
 )
@@ -72,7 +72,7 @@ def test_autocorr_zero_shift_is_energy():
 
 
 def test_autocorr_conjugate_symmetry_reference():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     profile = autocorr(record.sequence)
     for u in range(1, 8):
         assert profile.value(-u) == profile.value(u).conjugate()
@@ -133,7 +133,7 @@ def test_star_all_ones_self():
 
 
 def test_star_reference_codeword_within_bound():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     value = star(record.sequence, record.primed_sequence)
     assert 16.0 - 1e-9 <= value <= 19.2 + 1e-9
 
@@ -148,8 +148,10 @@ def test_star_length_and_scale_mismatch():
 @given(lattice_pairs)
 @settings(max_examples=60)
 def test_star_two_code_paths_agree(pair):
+    # the literal full-range sum against the batched conjugate-symmetric form
     a, b = pair
-    assert star(a, b) == pytest.approx(star_symmetric(a, b), rel=1e-12)
+    one_row = star_batch(a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :], 1)
+    assert star(a, b) == pytest.approx(one_row[0], rel=1e-12)
 
 
 def test_star_polyphase_identity_form():
@@ -174,7 +176,7 @@ def test_pep_single_symbol_flat():
 
 
 def test_pep_monotone_in_oversampling():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     values = [pep(record.sequence, EnvelopeConfig(oversample=l)) for l in (1, 2, 4, 8, 16, 32)]
     assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
 
@@ -184,7 +186,7 @@ def test_pmepr_all_ones():
 
 
 def test_pmepr_reference_values():
-    rec1 = build_16qam(EX1_PARAMS)
+    rec1 = build(EX1_PARAMS)
     p = pmepr(rec1.sequence)
     assert p == pytest.approx(2.0587415658, abs=1e-6)
     assert abs(p - 2.1) <= 0.05
@@ -196,39 +198,42 @@ def test_pmepr_golay_polyphase_at_most_two():
 
 
 def test_envelope_mean_power_parseval():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     energy = float(record.sequence.energy())
     for l in (1, 4, 16):
         mean = envelope_mean_power(record.sequence, EnvelopeConfig(oversample=l))
         assert mean == pytest.approx(energy, rel=1e-12)
 
 
+def star_bound_holds(record, bound):
+    """pmepr <= star/n <= bound (within 1e-9), and star/n, for one codeword."""
+    star_over_n = star(record.sequence, record.primed_sequence) / len(record.sequence)
+    p = pmepr(record.sequence)
+    return p <= star_over_n + 1e-9 and star_over_n <= bound + 1e-9, star_over_n
+
+
 def test_star_bound_check_reference_pass():
-    record = build_16qam(EX1_PARAMS)
-    report = star_bound_check(record, 2.4)
-    assert report.passed
-    assert report.pmepr <= report.star_over_n + 1e-9
+    passed, _ = star_bound_holds(build(EX1_PARAMS), 2.4)
+    assert passed
 
 
 def test_star_bound_check_64qam_reference_pass():
-    from qamseq.constructions import Offset64, OffsetKind, build_64qam
-
     params = ConstructionParams(
         base=EX1_PARAMS.base,
         offset=Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0),
     )
-    report = star_bound_check(build_64qam(params), 3.62)
-    assert report.passed
-    assert report.star_over_n == pytest.approx(76 / 21, abs=1e-9)
+    passed, star_over_n = star_bound_holds(build(params), 3.62)
+    assert passed
+    assert star_over_n == pytest.approx(76 / 21, abs=1e-9)
 
 
 def test_star_bound_check_fake_record_fails():
     fake_seq = ones(8)  # unit-magnitude coherent sum: pmepr = n
     fake = CodewordRecord(params=EX1_PARAMS, sequence=fake_seq, primed_sequence=fake_seq)
-    report = star_bound_check(fake, 2.4)
-    assert not report.passed
-    assert report.pmepr == pytest.approx(8.0, rel=1e-9)
-    assert report.star_over_n > 2.4
+    passed, star_over_n = star_bound_holds(fake, 2.4)
+    assert not passed
+    assert pmepr(fake_seq) == pytest.approx(8.0, rel=1e-9)
+    assert star_over_n > 2.4
 
 
 def test_ccdf_counting():
@@ -271,7 +276,7 @@ def test_random_baseline_count_validation():
 
 
 def test_batch_kernels_match_scalar_paths():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
     stars = star_batch(
         seq.re[None, :], seq.im[None, :], pr.re[None, :], pr.im[None, :], Scale.QAM16.value
@@ -301,7 +306,7 @@ def test_batch_kernels_equal_scalar_paths_bit_for_bit(modulation):
 
 
 def test_pep_batch_rejects_oversample_below_one():
-    z = build_16qam(EX1_PARAMS).sequence.to_complex()[None, :]
+    z = build(EX1_PARAMS).sequence.to_complex()[None, :]
     with pytest.raises(ValueError, match="oversample must be >= 1, got 0"):
         pep_batch(z, 0)
 
@@ -324,7 +329,7 @@ def test_correlation_profile_accessors():
 
 
 def test_complex_sequence_symbols_accessor():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     symbols = record.sequence.symbols()
     assert len(symbols) == 8
     assert (symbols[6].re_int, symbols[6].im_int) == (3, 3)
@@ -332,7 +337,7 @@ def test_complex_sequence_symbols_accessor():
 
 
 def test_correlation_sums_batch_matches_autocorr():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
     sum_re, sum_im = correlation_sums_batch(
         seq.re[None, :], seq.im[None, :], pr.re[None, :], pr.im[None, :]

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from qamseq.analysis import pmepr, star
 from qamseq.cli import (
     codeword_doc,
+    family_pmeprs,
     main,
     params_from_doc,
     verify_codeword_doc,
@@ -171,12 +173,16 @@ def test_enumerate_writes_every_record_in_grid_order_as_the_per_record_oracle(ca
 
 @pytest.mark.parametrize("command", ["ccdf", "enumerate"])
 def test_oversample_below_one_is_a_usage_error(capsys, tmp_path, command):
+    out_path = tmp_path / "out"
+    out_path.write_text("earlier output\n")
     code, _, err = run(
         capsys, command, "--m", "3", "--modulation", "16qam", "--oversample", "0",
-        "--out", str(tmp_path / "out"),
+        "--out", str(out_path),
     )
     assert code == 2
     assert "error: oversample must be >= 1, got 0" in err
+    # a usage error leaves an existing output file as it was
+    assert out_path.read_text() == "earlier output\n"
 
 
 def test_malformed_qamseq_jobs_is_a_usage_error(capsys, monkeypatch):
@@ -185,6 +191,30 @@ def test_malformed_qamseq_jobs_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "QAMSEQ_JOBS" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "flags,env",
+    [(["--jobs", "0"], None), (["--jobs", "-5"], None), ([], "0")],
+    ids=["jobs=0", "jobs=-5", "QAMSEQ_JOBS=0"],
+)
+def test_worker_count_below_one_is_a_usage_error(capsys, monkeypatch, flags, env):
+    if env is None:
+        monkeypatch.delenv("QAMSEQ_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("QAMSEQ_JOBS", env)
+    code, out, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: worker count") and "must be >= 1" in err
+
+
+def test_family_pmeprs_do_not_depend_on_jobs():
+    serial = family_pmeprs(3, Modulation.QAM64, jobs=1)
+    parallel = family_pmeprs(3, Modulation.QAM64, jobs=2)
+    assert list(serial) == list(parallel) == ["type1", "type2"]
+    for kind in serial:
+        assert np.array_equal(serial[kind], parallel[kind])
 
 
 def test_ccdf_16qam_zero_beyond_bound(capsys, tmp_path):
@@ -285,6 +315,36 @@ def test_verify_corrupted_record_fails(capsys, tmp_path):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["problems"]
+
+
+def test_verify_missing_record_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--record", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read --record") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["symbols", "primed_symbols", "base", "components"])
+def test_verify_record_without_payload_fails(capsys, tmp_path, key):
+    path = tmp_path / "partial.json"
+    code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["problems"] == [f"record has no {key!r}"]
+
+
+def test_verify_record_that_is_not_an_object_fails(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    assert json.loads(out)["problems"][0].startswith("unparseable parameters")
 
 
 def test_codeword_doc_roundtrip_functions():

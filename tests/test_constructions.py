@@ -15,22 +15,22 @@ from qamseq.constructions import (
     OffsetConstraintError,
     OffsetKind,
     build,
-    build_16qam,
-    build_64qam,
     build_block,
     classify_offset64,
     component_values,
     count_enumerated,
     enumerate_family,
     family_size,
-    iter_family_blocks,
     list_offsets16,
     list_offsets64,
+    map_family_blocks,
     offset16_eval,
     offset16_values,
     parameter_grid,
     star_bound,
 )
+from qamseq.algebra import canonical_permutations
+from qamseq.constellation import Scale
 from qamseq.gbf import PathQuadratic
 
 EX1_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
@@ -103,7 +103,7 @@ def test_construction_params_requires_m_above_two():
 
 
 def test_build_16qam_reference_positions():
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     assert (record.sequence.re[6], record.sequence.im[6]) == (3, 3)
     assert (record.sequence.re[7], record.sequence.im[7]) == (3, -3)
 
@@ -111,7 +111,7 @@ def test_build_16qam_reference_positions():
 def test_build_16qam_against_independent_symbol_map():
     # recompute every symbol with plain complex arithmetic from the component
     # sequences; no shared code with the lattice tables
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     d_vals, e_vals = component_values(EX1_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     r1, r2 = 2 / 5**0.5, 1 / 5**0.5
@@ -122,7 +122,7 @@ def test_build_16qam_against_independent_symbol_map():
 
 
 def test_build_64qam_reference_positions():
-    record = build_64qam(EX2_PARAMS)
+    record = build(EX2_PARAMS)
     seq = record.sequence
     assert (seq.re[0], seq.im[0]) == (5, 7)
     assert (seq.re[1], seq.im[1]) == (-7, 5)
@@ -130,7 +130,7 @@ def test_build_64qam_reference_positions():
 
 
 def test_build_64qam_against_independent_symbol_map():
-    record = build_64qam(EX2_PARAMS)
+    record = build(EX2_PARAMS)
     d_vals, f_vals, g_vals = component_values(EX2_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     a1, a2, a3 = 4 / 21**0.5, 2 / 21**0.5, 1 / 21**0.5
@@ -143,17 +143,20 @@ def test_build_64qam_against_independent_symbol_map():
 
 
 def test_build_dispatch_and_offset_type_guards():
-    assert build(EX1_PARAMS).sequence == build_16qam(EX1_PARAMS).sequence
-    with pytest.raises(ValueError):
-        build_16qam(EX2_PARAMS)
-    with pytest.raises(ValueError):
-        build_64qam(EX1_PARAMS)
+    # the offset type picks the constellation and the constraints it must meet
+    assert build(EX1_PARAMS).sequence.scale is Scale.QAM16
+    assert len(build(EX1_PARAMS).components) == 2
+    assert build(EX2_PARAMS).sequence.scale is Scale.QAM64
+    assert len(build(EX2_PARAMS).components) == 3
+    bad_type1 = Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 2, 0, 0)
+    with pytest.raises(OffsetConstraintError, match=r"h1\+2\*h3=0"):
+        build(ConstructionParams(base=EX1_BASE, offset=bad_type1))
 
 
 def test_build_rejects_invalid_offset():
     params = ConstructionParams(base=EX1_BASE, offset=Offset16(0, 0, 0))
     with pytest.raises(OffsetConstraintError):
-        build_16qam(params)
+        build(params)
 
 
 def test_family_sizes_closed_form():
@@ -228,7 +231,12 @@ def test_enumerate_family_walks_the_grid_and_matches_build():
 
 
 def test_blocks_agree_with_enumerate():
-    block = next(iter(iter_family_blocks(3, Modulation.QAM16)))
+    blocks = map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1)
+    # pi-major, then offset list order, each block over every coefficient row
+    assert [(b.pi, b.offset, len(b)) for b in blocks] == [
+        (pi, off, 256) for pi in canonical_permutations(3) for off in list_offsets16()
+    ]
+    block = blocks[0]
     # row j of the first block is (pi0, coeff row j, first offset)
     target = [r for r in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 64, 8)]
     for record in target:
@@ -256,7 +264,7 @@ def test_enumerate_rejects_small_m():
     with pytest.raises(ValueError):
         parameter_grid(2, Modulation.QAM16)
     with pytest.raises(ValueError):
-        iter_family_blocks(2, Modulation.QAM16)
+        map_family_blocks(len, 2, Modulation.QAM16, jobs=1)
 
 
 def test_bounds_constants():
@@ -272,7 +280,7 @@ def test_bounds_constants():
 def test_primed_sequence_is_family_member():
     # the primed companion is itself a codeword: same offset, last path
     # coefficient shifted by 2
-    record = build_16qam(EX1_PARAMS)
+    record = build(EX1_PARAMS)
     base = EX1_PARAMS.base
     shifted = list(base.linear)
     shifted[base.m - 1] = (shifted[base.m - 1] + 2) % 4
@@ -280,4 +288,4 @@ def test_primed_sequence_is_family_member():
         base=PathQuadratic(m=base.m, pi=base.pi, linear=tuple(shifted), constant=base.constant),
         offset=EX1_PARAMS.offset,
     )
-    assert build_16qam(companion).sequence == record.primed_sequence
+    assert build(companion).sequence == record.primed_sequence

@@ -10,14 +10,15 @@ from qamseq.constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    default_jobs,
     list_offsets64,
+    map_family_blocks,
 )
 from qamseq.gbf import PathQuadratic
 from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
     LEMMA_TOL,
-    dense_envelope_gap,
     example_regression,
     lemma1_residual,
     lemma2_residuals,
@@ -196,9 +197,10 @@ def test_bound_audit_64qam_m3():
     assert by_kind["type2"].min_star_over_n > 2.0
 
 
-def test_bound_audit_parallel_matches_serial():
-    serial = theorem_bound_audit(3, Modulation.QAM16, jobs=1)
-    parallel = theorem_bound_audit(3, Modulation.QAM16, jobs=2)
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_bound_audit_parallel_matches_serial(modulation):
+    serial = theorem_bound_audit(3, modulation, jobs=1)
+    parallel = theorem_bound_audit(3, modulation, jobs=2)
     assert serial == parallel
 
 
@@ -212,11 +214,12 @@ def test_bound_audit_checks_have_expected_names():
 
 
 def test_oversampling_audit_within_half_percent():
-    assert oversampling_audit(3, Modulation.QAM16) <= 0.005
+    assert oversampling_audit(3, Modulation.QAM16)[0] <= 0.005
 
 
 def test_dense_envelope_gap_machine_precision():
-    assert dense_envelope_gap(3, Modulation.QAM16) <= 1e-9
+    # the second gap of the shared envelope walk: FFT against a dense DFT
+    assert oversampling_audit(3, Modulation.QAM16)[1] <= 1e-9
 
 
 def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch, capsys):
@@ -230,7 +233,9 @@ def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatc
         return np.max(np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2, axis=1)
 
     monkeypatch.setattr(verification, "pep_batch", two_n_grid)
-    assert oversampling_audit(3, Modulation.QAM16) == 0.0
+    gap, dense_gap = oversampling_audit(3, Modulation.QAM16)
+    assert gap == 0.0
+    assert dense_gap > 1e-9
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [
@@ -252,8 +257,6 @@ def test_example_regression_all_pass():
 
 
 def test_default_jobs_env(monkeypatch):
-    from qamseq.verification import default_jobs
-
     monkeypatch.delenv("QAMSEQ_JOBS", raising=False)
     assert default_jobs() == 1
     monkeypatch.setenv("QAMSEQ_JOBS", "3")
@@ -261,3 +264,9 @@ def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("QAMSEQ_JOBS", "junk")
     with pytest.raises(ValueError, match="QAMSEQ_JOBS must be an integer, got 'junk'"):
         default_jobs()
+    # a count below 1 is refused where the fan-out resolves it, from either source
+    for env, jobs in (("0", None), ("1", 0), ("1", -5)):
+        monkeypatch.setenv("QAMSEQ_JOBS", env)
+        expected = 0 if jobs is None else jobs
+        with pytest.raises(ValueError, match=f"must be >= 1, got {expected}"):
+            map_family_blocks(len, 3, Modulation.QAM16, jobs)

@@ -34,16 +34,6 @@ def bits_of(i: int, m: int) -> tuple[int, ...]:
     return tuple((i >> (m - 1 - k)) & 1 for k in range(m))
 
 
-def index_of(bits: tuple[int, ...]) -> int:
-    """Inverse of bits_of: MSB-first digits back to the integer index."""
-    i = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {bits!r}")
-        i = (i << 1) | b
-    return i
-
-
 def bit_matrix(m: int) -> np.ndarray:
     """(2^m, m) uint8 matrix whose row i is bits_of(i, m).
 

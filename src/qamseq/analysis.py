@@ -1,11 +1,13 @@
-"""Aperiodic autocorrelation, the star operator, envelope power, and CCDF.
+"""The star operator, envelope power, and CCDF.
 
-Correlations of lattice-valued sequences are computed as exact Gaussian
-integers over the scale denominator; the only floating point in the star
-operator is one square root per shift.  Envelope evaluation samples the
+Aperiodic correlations of lattice-valued sequences are computed as exact
+Gaussian integers over the scale denominator; the only floating point in the
+star operator is one square root per shift.  Envelope evaluation samples the
 continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
-peak-to-mean ratios are invariant to that normalization).
+peak-to-mean ratios are invariant to that normalization).  Each quantity has
+one batched kernel over (records, n) arrays; star and pmepr are one-row calls
+of them.
 """
 
 from __future__ import annotations
@@ -32,88 +34,20 @@ class EnvelopeConfig:
             raise ValueError(f"oversample must be >= 1, got {self.oversample}")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationProfile:
-    """C(u) for u in [-(n-1), n-1] as exact integer pairs over a denominator.
-
-    Index u + (n - 1) addresses shift u.  value(0) is real and equals the
-    total sequence energy.
-    """
-
-    n: int
-    num_re: np.ndarray
-    num_im: np.ndarray
-    denominator: int
-
-    def value(self, u: int) -> complex:
-        if not -self.n < u < self.n:
-            return 0j
-        k = u + self.n - 1
-        return complex(self.num_re[k], self.num_im[k]) / self.denominator
-
-    def values(self) -> np.ndarray:
-        return (self.num_re + 1j * self.num_im) / self.denominator
-
-    def shifts(self) -> np.ndarray:
-        return np.arange(-(self.n - 1), self.n)
-
-
-def autocorr(a: ComplexSequence) -> CorrelationProfile:
-    """Aperiodic autocorrelation, both shift signs evaluated from definition.
-
-    C(u) = sum_{i=0}^{n-1-u} A_i * conj(A_{i+u}) for 0 <= u < n and
-    C(u) = sum_{i=0}^{n-1+u} A_{i-u} * conj(A_i) for -n < u < 0.
-    """
-    n = len(a)
-    re, im = a.re, a.im
-    num_re = np.zeros(2 * n - 1, dtype=np.int64)
-    num_im = np.zeros(2 * n - 1, dtype=np.int64)
-    for u in range(n):
-        head_re, head_im = re[: n - u], im[: n - u]
-        tail_re, tail_im = re[u:], im[u:]
-        num_re[u + n - 1] = np.sum(head_re * tail_re + head_im * tail_im)
-        num_im[u + n - 1] = np.sum(head_im * tail_re - head_re * tail_im)
-    for u in range(-(n - 1), 0):
-        lead_re, lead_im = re[-u:], im[-u:]
-        base_re, base_im = re[: n + u], im[: n + u]
-        num_re[u + n - 1] = np.sum(lead_re * base_re + lead_im * base_im)
-        num_im[u + n - 1] = np.sum(lead_im * base_re - lead_re * base_im)
-    return CorrelationProfile(n=n, num_re=num_re, num_im=num_im, denominator=a.scale.value)
-
-
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
-    """sum over every shift of |C_a(u) + C_b(u)|, literal full-range sum."""
+    """sum over every shift of |C_a(u) + C_b(u)|: a one-row star_batch."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
     if a.scale is not b.scale:
         raise ValueError(f"scale mismatch: {a.scale} != {b.scale}")
-    ca, cb = autocorr(a), autocorr(b)
-    tot_re = ca.num_re + cb.num_re
-    tot_im = ca.num_im + cb.num_im
-    return float(np.sum(np.hypot(tot_re, tot_im)) / a.scale.value)
-
-
-def envelope_samples(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> np.ndarray:
-    """S(t_k) = sum_i A_i exp(2*pi*j*i*k/(L*n)) for k = 0 .. L*n - 1."""
-    z = a.to_complex()
-    n = len(a)
-    grid = cfg.oversample * n
-    return np.fft.ifft(z, n=grid) * grid
-
-
-def pep(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> float:
-    """Peak envelope power: discrete supremum of |S(t)|^2 on the grid."""
-    return float(np.max(np.abs(envelope_samples(a, cfg)) ** 2))
-
-
-def envelope_mean_power(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> float:
-    """Grid mean of |S(t)|^2; equals the sequence energy (Parseval)."""
-    return float(np.mean(np.abs(envelope_samples(a, cfg)) ** 2))
+    rows = (a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :])
+    return float(star_batch(*rows, a.scale.value)[0])
 
 
 def pmepr(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> float:
-    """PEP over the code-average power n (unit-average-energy constellations)."""
-    return pep(a, cfg) / len(a)
+    """PEP over the code-average power n (unit-average-energy constellations):
+    a one-row pep_batch."""
+    return float(pep_batch(a.to_complex()[None, :], cfg.oversample)[0]) / len(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +66,6 @@ class CcdfCurve:
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "probabilities", p)
-
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.thresholds.tolist(), self.probabilities.tolist()))
 
 
 def default_threshold_grid() -> np.ndarray:
@@ -224,12 +155,17 @@ def golay_defect_batch(
     return np.max(defect, axis=1)
 
 
-def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
-    """Peak |S(t)|^2 per row of a (B, n) complex array."""
+def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
+    """|S(t_k)|^2 for k = 0 .. L*n - 1, per row of a (B, n) complex array."""
     b, n = z.shape
     grid = EnvelopeConfig(oversample=oversample).oversample * n
     samples = np.fft.ifft(z, n=grid, axis=1) * grid
-    return np.max(np.abs(samples) ** 2, axis=1)
+    return np.abs(samples) ** 2
+
+
+def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
+    """Peak |S(t)|^2 per row of a (B, n) complex array."""
+    return np.max(envelope_power_batch(z, oversample), axis=1)
 
 
 def polyphase_lattice(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

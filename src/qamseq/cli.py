@@ -107,6 +107,10 @@ def _offset_from_doc(doc: dict):
     return Offset64(OffsetKind(doc["kind"]), d, doc["h1"], doc["h2"], doc["h3"]).validate()
 
 
+def _lattice_pairs(seq: ComplexSequence) -> list[list[int]]:
+    return [list(p) for p in zip(seq.re.tolist(), seq.im.tolist())]
+
+
 def codeword_doc(
     record: CodewordRecord,
     oversample: int = 16,
@@ -135,8 +139,8 @@ def codeword_doc(
         "scale_denominator": seq.scale.value,
         "base": comps[0].tolist(),
         "components": [c.tolist() for c in comps[1:]],
-        "symbols": [list(p) for p in zip(seq.re.tolist(), seq.im.tolist())],
-        "primed_symbols": [list(p) for p in zip(primed.re.tolist(), primed.im.tolist())],
+        "symbols": _lattice_pairs(seq),
+        "primed_symbols": _lattice_pairs(primed),
         "star": star_value,
         "star_over_n": star_value / n,
         "pmepr": pmepr_value,
@@ -154,7 +158,30 @@ def params_from_doc(doc: dict) -> ConstructionParams:
     return ConstructionParams(base=base, offset=_offset_from_doc(doc["offset"]))
 
 
-_PAYLOAD_KEYS = ("scale_denominator", "symbols", "primed_symbols", "base", "components")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _is_pair_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int_list(p) and len(p) == 2 for p in value)
+
+
+# the payload fields of a codeword document, every one required but "star":
+# (shape test, what the shape is)
+_PAYLOAD_SHAPES = {
+    "scale_denominator": (lambda v: _is_int(v) and v in {s.value for s in Scale},
+                          f"one of {', '.join(str(s.value) for s in Scale)}"),
+    "symbols": (_is_pair_list, "a list of [re, im] integer pairs"),
+    "primed_symbols": (_is_pair_list, "a list of [re, im] integer pairs"),
+    "base": (_is_int_list, "a list of integers"),
+    "components": (lambda v: isinstance(v, list) and all(_is_int_list(c) for c in v),
+                   "a list of integer lists"),
+    "star": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+}
 
 
 def verify_codeword_doc(doc: dict) -> list[str]:
@@ -164,35 +191,33 @@ def verify_codeword_doc(doc: dict) -> list[str]:
         params = params_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable parameters: {exc}"]
-    missing = [key for key in _PAYLOAD_KEYS if key not in doc]
+    missing = [key for key in _PAYLOAD_SHAPES if key != "star" and key not in doc]
     if missing:
         return [f"record has no {key!r}" for key in missing]
+    malformed = [
+        f"record field {key!r} is not {what}"
+        for key, (fits, what) in _PAYLOAD_SHAPES.items()
+        if key in doc and not fits(doc[key])
+    ]
+    if malformed:
+        return malformed
     record = build(params)
-    stored = ComplexSequence(
-        np.array([p[0] for p in doc["symbols"]]),
-        np.array([p[1] for p in doc["symbols"]]),
-        Scale(doc["scale_denominator"]),
-    )
-    if not (record.sequence == stored):
+    scale_ok = doc["scale_denominator"] == record.sequence.scale.value
+    if not scale_ok or _lattice_pairs(record.sequence) != doc["symbols"]:
         problems.append("symbols do not match regeneration from parameters")
-    stored_primed = ComplexSequence(
-        np.array([p[0] for p in doc["primed_symbols"]]),
-        np.array([p[1] for p in doc["primed_symbols"]]),
-        Scale(doc["scale_denominator"]),
-    )
-    if not (record.primed_sequence == stored_primed):
+    if not scale_ok or _lattice_pairs(record.primed_sequence) != doc["primed_symbols"]:
         problems.append("primed symbols do not match regeneration")
     comps = record.components
-    if comps[0].tolist() != list(doc["base"]):
+    if comps[0].tolist() != doc["base"]:
         problems.append("base sequence does not match regeneration")
-    if [c.tolist() for c in comps[1:]] != [list(c) for c in doc["components"]]:
+    if [c.tolist() for c in comps[1:]] != doc["components"]:
         problems.append("component sequences do not match regeneration")
     bound = star_bound(params.offset)
     n = len(record.sequence)
     s = star(record.sequence, record.primed_sequence) / n
     if s > bound + STAR_TOL:
         problems.append(f"star/n = {s} exceeds bound {bound}")
-    if "star" in doc and abs(doc["star"] - s * n) > 1e-6:
+    if "star" in doc and not abs(doc["star"] - s * n) <= 1e-6:
         problems.append("stored star value does not match recomputation")
     return problems
 
@@ -273,7 +298,8 @@ def cmd_enumerate(args) -> int:
     def lines():
         n = 1 << args.m
         for blocks in iter_family_chunks(args.m, modulation):
-            stars = [star_batch(b.sym_re, b.sym_im, b.primed_re, b.primed_im, b.scale.value)
+            sign = blocks[0].companion_sign
+            stars = [star_batch(b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign, b.scale.value)
                      for b in blocks]
             pmeprs = [pep_batch(b.complex_symbols(), args.oversample) / n for b in blocks]
             # offsets as columns, read row-major: the order of grid_records

@@ -66,17 +66,6 @@ def qam64_map(u: int, v: int, w: int) -> LatticeSymbol:
     return LatticeSymbol(re, im, Scale.QAM64)
 
 
-def average_energy(scale: Scale) -> Fraction:
-    """Mean squared magnitude over the full grid; 1 for every scale."""
-    if scale is Scale.UNIT:
-        points = [LatticeSymbol(*ZETA_INT[v], Scale.UNIT) for v in range(4)]
-    elif scale is Scale.QAM16:
-        points = [qam16_map(u, v) for u in range(4) for v in range(4)]
-    else:
-        points = [qam64_map(u, v, w) for u in range(4) for v in range(4) for w in range(4)]
-    return sum((p.squared_magnitude() for p in points), Fraction(0)) / len(points)
-
-
 # flat lookup tables for vectorized synthesis: index u*4+v (resp. u*16+v*4+w)
 _Q16 = [qam16_map(u, v) for u in range(4) for v in range(4)]
 QAM16_RE = np.array([p.re_int for p in _Q16], dtype=np.int64)
@@ -140,9 +129,3 @@ class ComplexSequence:
         """Sum of squared magnitudes, exact."""
         total = int(np.sum(self.re.astype(object) ** 2 + self.im.astype(object) ** 2))
         return Fraction(total, self.scale.value)
-
-    def symbols(self) -> list[LatticeSymbol]:
-        return [
-            LatticeSymbol(int(r), int(i), self.scale)
-            for r, i in zip(self.re.tolist(), self.im.tolist())
-        ]

@@ -200,12 +200,6 @@ class CodewordRecord:
     components: tuple[np.ndarray, ...] | None = None
 
 
-def offset16_eval(o: Offset16, x: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    """Offset value s(x) = 2*x_{pi(0)}x_{pi(1)} + d1*x_{pi(0)} + d2*x_{pi(1)} + d3."""
-    x0, x1 = x[pi[0]], x[pi[1]]
-    return (2 * x0 * x1 + o.d1 * x0 + o.d2 * x1 + o.d3) % 4
-
-
 def quadratic_offset_values(m: int, pi: tuple[int, ...], c1: int, c2: int, c3: int) -> np.ndarray:
     """Vector of 2*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)} + c2*x_{pi(1)} + c3 over all indices."""
     bits = bit_matrix(m).astype(np.int64)
@@ -333,8 +327,9 @@ class FamilyBlock:
     """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
 
     Row j of every array corresponds to row j of coeffs (by default all of
-    coefficient_matrix(m)).  components holds the unprimed quaternary
-    sequences ((D, E) or (D, F, G)); primed adds 2*x_{pi(m-1)}.
+    coefficient_matrix(m)).  components holds the quaternary sequences
+    ((D, E) or (D, F, G)); the primed companion is derived through
+    companion_sign.
     """
 
     m: int
@@ -342,11 +337,8 @@ class FamilyBlock:
     offset: Offset
     coeffs: np.ndarray
     components: tuple[np.ndarray, ...]
-    primed_components: tuple[np.ndarray, ...]
     sym_re: np.ndarray
     sym_im: np.ndarray
-    primed_re: np.ndarray
-    primed_im: np.ndarray
     scale: Scale
 
     def __len__(self) -> int:
@@ -356,6 +348,13 @@ class FamilyBlock:
     def kind(self) -> str:
         """The part of the family whose bound the block obeys: qam16, type1 or type2."""
         return "qam16" if isinstance(self.offset, Offset16) else self.offset.kind.value
+
+    @property
+    def companion_sign(self) -> np.ndarray:
+        """(n,) int64 vector (-1)^x_{pi(m-1)}: the primed companion adds
+        2*x_{pi(m-1)} to every component, and zeta^(c+2) = -zeta^c, so the
+        companion of any lattice sequence here is that sequence times this."""
+        return 1 - 2 * bit_matrix(self.m)[:, self.pi[self.m - 1]].astype(np.int64)
 
     def complex_symbols(self) -> np.ndarray:
         """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
@@ -384,22 +383,10 @@ def build_block(
         lattice, scale = qam16_lattice, Scale.QAM16
     else:
         lattice, scale = qam64_lattice, Scale.QAM64
-    shift = 2 * bit_matrix(m)[:, pi[m - 1]]
-    primes = tuple((c + shift) % 4 for c in comps)
     re, im = lattice(*comps)
-    rep, imp = lattice(*primes)
     return FamilyBlock(
-        m=m,
-        pi=pi,
-        offset=offset,
-        coeffs=coeffs,
-        components=comps,
-        primed_components=primes,
-        sym_re=re,
-        sym_im=im,
-        primed_re=rep,
-        primed_im=imp,
-        scale=scale,
+        m=m, pi=pi, offset=offset, coeffs=coeffs, components=comps,
+        sym_re=re, sym_im=im, scale=scale,
     )
 
 
@@ -458,12 +445,14 @@ def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:
     """The records of one chunk in parameter_grid order (row, then offset);
     their arrays are views into the blocks."""
     m, pi = blocks[0].m, blocks[0].pi
+    sign = blocks[0].companion_sign
+    primed = [(b.sym_re * sign, b.sym_im * sign) for b in blocks]
     for j, row in enumerate(blocks[0].coeffs.tolist()):
         base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
-        for b in blocks:
+        for b, (primed_re, primed_im) in zip(blocks, primed):
             yield CodewordRecord(
                 params=ConstructionParams(base=base, offset=b.offset),
                 sequence=ComplexSequence(b.sym_re[j], b.sym_im[j], b.scale),
-                primed_sequence=ComplexSequence(b.primed_re[j], b.primed_im[j], b.scale),
+                primed_sequence=ComplexSequence(primed_re[j], primed_im[j], b.scale),
                 components=tuple(c[j] for c in b.components),
             )

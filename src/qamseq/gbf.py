@@ -12,12 +12,11 @@ no general ANF evaluator is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ZETA_IM, ZETA_RE, bit_matrix, validate_permutation
-from .constellation import ComplexSequence, Scale
+from .algebra import bit_matrix, validate_permutation
 
 
 @dataclass(frozen=True)
@@ -45,18 +44,6 @@ class PathQuadratic:
         return 1 << self.m
 
 
-def evaluate(f: PathQuadratic, x: tuple[int, ...]) -> int:
-    """f(x) in Z4 for one bit vector x of length m."""
-    if len(x) != f.m:
-        raise ValueError(f"bit vector length {len(x)} != m={f.m}")
-    v = f.constant
-    for l in range(f.m - 1):
-        v += 2 * x[f.pi[l]] * x[f.pi[l + 1]]
-    for l in range(f.m):
-        v += f.linear[l] * x[f.pi[l]]
-    return v % 4
-
-
 def psi(f: PathQuadratic) -> np.ndarray:
     """Z4-valued sequence of f: entry i is f evaluated at bits_of(i, m)."""
     bits = bit_matrix(f.m)
@@ -64,16 +51,3 @@ def psi(f: PathQuadratic) -> np.ndarray:
     quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
     lin = xp @ np.asarray(f.linear, dtype=np.int64)
     return ((quad + lin + f.constant) % 4).astype(np.uint8)
-
-
-def primed(f: PathQuadratic) -> PathQuadratic:
-    """Companion function f + 2*x_{pi(m-1)} (adds 2 to the last path coefficient)."""
-    lin = list(f.linear)
-    lin[f.m - 1] = (lin[f.m - 1] + 2) % 4
-    return replace(f, linear=tuple(lin))
-
-
-def polyphase(values: np.ndarray) -> ComplexSequence:
-    """Unit-scale lattice sequence zeta^values for a Z4-valued sequence."""
-    v = np.asarray(values, dtype=np.int64) % 4
-    return ComplexSequence(re=ZETA_RE[v], im=ZETA_IM[v], scale=Scale.UNIT)

@@ -7,13 +7,14 @@ The star-bound proofs rest on cross-term double sums of the shape
 
 where B is a component sequence, s an offset sequence and lb the bit at the
 path end pi(m-1).  Offsets satisfying their defining congruences make these
-sums vanish; the oracles here evaluate them literally (no pairing argument)
-and report magnitudes.  Deliberately broken offsets must light them up,
-otherwise the oracle proves nothing.
+sums vanish; the sweep here evaluates them literally (no pairing argument),
+many base rows at a time, and reports magnitudes.  Deliberately broken
+offsets must light them up, otherwise the sweep proves nothing.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
-cancellation of the base pair, and the component star ceilings.
+cancellation of the base pair, and the component star ceilings.  Every
+companion sequence is FamilyBlock.companion_sign times its sequence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import ZETA_IM, ZETA_RE, bit_matrix, canonical_permutations, coeff
 from .analysis import (
     STAR_TOL,
     EnvelopeConfig,
-    envelope_mean_power,
+    envelope_power_batch,
     golay_defect_batch,
     pep_batch,
     pmepr,
@@ -47,6 +48,7 @@ from .constructions import (
     ConstructionParams,
     FamilyBlock,
     Modulation,
+    Offset,
     Offset16,
     Offset64,
     OffsetKind,
@@ -74,17 +76,6 @@ _A2A3 = 2.0 / 21.0
 
 
 @dataclass(frozen=True)
-class LemmaReport:
-    lemma_id: str
-    params: ConstructionParams
-    residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= LEMMA_TOL
-
-
-@dataclass(frozen=True)
 class CheckResult:
     """One verdict line: what was checked, what was seen, what was required."""
 
@@ -98,92 +89,6 @@ def _last_bits(m: int, pi: tuple[int, ...]) -> np.ndarray:
     return bit_matrix(m)[:, pi[m - 1]].astype(np.int64)
 
 
-def _cross_inner(
-    base: np.ndarray, svals: np.ndarray, last_bits: np.ndarray, u: int
-) -> complex:
-    """Inner sum over index pairs (i, i+u), both in range, for one shift u."""
-    n = base.size
-    lo, hi = max(0, -u), min(n, n - u)
-    i = np.arange(lo, hi)
-    k = i + u
-    weight = np.where(last_bits[i] == last_bits[k], 2.0, 0.0)
-    term = _ZC[(base[i] - base[k]) % 4] * (_ZC[svals[i] % 4] + _ZC[(-svals[k]) % 4])
-    return complex(np.sum(term * weight))
-
-
-def lemma1_residual(params: ConstructionParams) -> float:
-    """|full double sum| for the 16-QAM cross term; ~0 for valid offsets."""
-    if not isinstance(params.offset, Offset16):
-        raise ValueError("lemma 1 oracle needs an Offset16")
-    m, pi = params.m, params.base.pi
-    base = psi(params.base).astype(np.int64)
-    svals = offset16_values(params.offset, m, pi).astype(np.int64)
-    lb = _last_bits(m, pi)
-    n = base.size
-    total = sum(_cross_inner(base, svals, lb, u) for u in range(1 - n, n))
-    return abs(total)
-
-
-def _offset64_vectors(params: ConstructionParams) -> tuple[np.ndarray, np.ndarray]:
-    m, pi = params.m, params.base.pi
-    s1, s2 = offset64_component_values(params.offset, m, pi)
-    return s1.astype(np.int64), s2.astype(np.int64)
-
-
-def _three_residuals(
-    base: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    lb: np.ndarray,
-    first_from_one: bool,
-) -> tuple[float, float, float]:
-    """The weighted a1a2 / a1a3 / a2a3 absolute-sum expressions.
-
-    The a1a2 sum ranges over u >= 1 when first_from_one is set (its
-    zero-shift term is genuinely nonzero for type 1 offsets and belongs to
-    the bound, not to the cancellation claim).
-    """
-    n = base.size
-    comp = (base + s1) % 4
-    s3 = (s1 - s2) % 4
-    u_first = range(1, n) if first_from_one else range(1 - n, n)
-    r12 = _A1A2 * sum(abs(_cross_inner(base, s1, lb, u)) for u in u_first)
-    r13 = _A1A3 * sum(abs(_cross_inner(base, s2, lb, u)) for u in range(1 - n, n))
-    r23 = _A2A3 * sum(abs(_cross_inner(comp, s3, lb, u)) for u in range(1 - n, n))
-    return r12, r13, r23
-
-
-def lemma2_residuals(params: ConstructionParams) -> tuple[float, float, float]:
-    """Type 1 cross-term residuals (a1a2 over u>=1, a1a3 and a2a3 over all u)."""
-    if not isinstance(params.offset, Offset64) or params.offset.kind is not OffsetKind.TYPE1:
-        raise ValueError("lemma 2 oracle needs a type 1 Offset64")
-    s1, s2 = _offset64_vectors(params)
-    base = psi(params.base).astype(np.int64)
-    lb = _last_bits(params.m, params.base.pi)
-    return _three_residuals(base, s1, s2, lb, first_from_one=True)
-
-
-def lemma3_residuals(params: ConstructionParams) -> tuple[float, float, float]:
-    """Type 2 cross-term residuals, all three over the full shift range."""
-    if not isinstance(params.offset, Offset64) or params.offset.kind is not OffsetKind.TYPE2:
-        raise ValueError("lemma 3 oracle needs a type 2 Offset64")
-    s1, s2 = _offset64_vectors(params)
-    base = psi(params.base).astype(np.int64)
-    lb = _last_bits(params.m, params.base.pi)
-    return _three_residuals(base, s1, s2, lb, first_from_one=False)
-
-
-def lemma_reports(params: ConstructionParams) -> list[LemmaReport]:
-    """Every applicable lemma residual for one parameter set."""
-    if isinstance(params.offset, Offset16):
-        return [LemmaReport("L1", params, lemma1_residual(params))]
-    if params.offset.kind is OffsetKind.TYPE1:
-        ids, vals = ("L2a", "L2b", "L2c"), lemma2_residuals(params)
-    else:
-        ids, vals = ("L3a", "L3b", "L3c"), lemma3_residuals(params)
-    return [LemmaReport(i, params, v) for i, v in zip(ids, vals)]
-
-
 # ---------------------------------------------------------------------------
 # batched lemma sweep (coefficient rows vectorized)
 # ---------------------------------------------------------------------------
@@ -192,7 +97,8 @@ def lemma_reports(params: ConstructionParams) -> list[LemmaReport]:
 def _cross_inner_batch(
     base_all: np.ndarray, svals: np.ndarray, last_bits: np.ndarray, u: int
 ) -> np.ndarray:
-    """_cross_inner for every coefficient row at once; returns (B,) complex."""
+    """Inner sum over index pairs (i, i+u), both in range, for one shift u and
+    every row of base_all at once; returns (B,) complex."""
     n = base_all.shape[1]
     lo, hi = max(0, -u), min(n, n - u)
     i = np.arange(lo, hi)
@@ -218,6 +124,12 @@ def _three_residuals_batch(
     lb: np.ndarray,
     first_from_one: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted a1a2 / a1a3 / a2a3 absolute-sum expressions per row.
+
+    The a1a2 sum ranges over u >= 1 when first_from_one is set (its
+    zero-shift term is genuinely nonzero for type 1 offsets and belongs to
+    the bound, not to the cancellation claim).
+    """
     n = base_all.shape[1]
     comp_all = (base_all + s1) % 4
     s3 = (s1 - s2) % 4
@@ -231,6 +143,21 @@ def _three_residuals_batch(
         r13 += np.abs(_cross_inner_batch(base_all, s2, lb, u))
         r23 += np.abs(_cross_inner_batch(comp_all, s3, lb, u))
     return _A1A2 * r12, _A1A3 * r13, _A2A3 * r23
+
+
+def _lemma_residuals(
+    base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
+) -> dict[str, np.ndarray]:
+    """Every lemma residual of one offset, per base row: L1 for a 16-QAM
+    offset, L2a-c for a type 1 and L3a-c for a type 2 64-QAM offset."""
+    lb = _last_bits(m, pi)
+    if isinstance(offset, Offset16):
+        return {"L1": _lemma1_batch(base_all, offset16_values(offset, m, pi).astype(np.int64), lb)}
+    s1, s2 = (s.astype(np.int64) for s in offset64_component_values(offset, m, pi))
+    type1 = offset.kind is OffsetKind.TYPE1
+    residuals = _three_residuals_batch(base_all, s1, s2, lb, first_from_one=type1)
+    prefix = "L2" if type1 else "L3"
+    return {prefix + part: r for part, r in zip("abc", residuals)}
 
 
 @dataclass(frozen=True)
@@ -278,22 +205,26 @@ def _example_base(m: int = 3) -> PathQuadratic:
 
 
 def negative_controls(m: int = 3) -> dict[str, float]:
-    """Constraint-violating offsets pushed through the oracles.
+    """Constraint-violating offsets pushed through the sweep's residuals,
+    each on the one base row of _example_base(m).
 
     L1: offset triple (0,0,0), violating both congruences.
     L2: type 1 record with (h1, h3) = (2, 0), violating h1+2*h3=0.
     L3: a genuine type 1 record relabeled type 2 and re-evaluated.
     """
     base = _example_base(m)
+    row = psi(base)[None, :]
     d = Offset16(0, 1, 1)
-    l1 = lemma1_residual(ConstructionParams(base, Offset16(0, 0, 0)))
-    l2 = max(
-        lemma2_residuals(ConstructionParams(base, Offset64(OffsetKind.TYPE1, d, 2, 0, 0)))
-    )
-    l3 = max(
-        lemma3_residuals(ConstructionParams(base, Offset64(OffsetKind.TYPE2, d, 0, 0, 0)))
-    )
-    return {"L1": l1, "L2": l2, "L3": l3}
+    controls = {
+        "L1": Offset16(0, 0, 0),
+        "L2": Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+        "L3": Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
+    }
+    out = {}
+    for name, off in controls.items():
+        residuals = _lemma_residuals(row, off, m, base.pi).values()
+        out[name] = max(float(r[0]) for r in residuals)
+    return out
 
 
 def lemma_sweep(m: int = 3, coeff_stride: int = 4) -> LemmaSweepResult:
@@ -308,28 +239,13 @@ def lemma_sweep(m: int = 3, coeff_stride: int = 4) -> LemmaSweepResult:
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
 
-    def fold(key: str, residuals: np.ndarray) -> None:
-        maxima[key] = max(maxima[key], float(np.max(residuals)))
-        counts[key] += int(residuals.size)
-
     for pi_index, pi in enumerate(perms):
         rows = coeffs if pi_index == 0 else coeffs[::coeff_stride]
         base_all = base_rows(m, pi, rows)
-        lb = _last_bits(m, pi)
-        for off in _offset_list(Modulation.QAM16):
-            svals = offset16_values(off, m, pi).astype(np.int64)
-            fold("L1", _lemma1_batch(base_all, svals, lb))
-        for off in _offset_list(Modulation.QAM64):
-            s1, s2 = offset64_component_values(off, m, pi)
-            s1, s2 = s1.astype(np.int64), s2.astype(np.int64)
-            type1 = off.kind is OffsetKind.TYPE1
-            r12, r13, r23 = _three_residuals_batch(
-                base_all, s1, s2, lb, first_from_one=type1
-            )
-            prefix = "L2" if type1 else "L3"
-            fold(prefix + "a", r12)
-            fold(prefix + "b", r13)
-            fold(prefix + "c", r23)
+        for off in _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64):
+            for key, residuals in _lemma_residuals(base_all, off, m, pi).items():
+                maxima[key] = max(maxima[key], float(np.max(residuals)))
+                counts[key] += int(residuals.size)
 
     return LemmaSweepResult(
         m=m,
@@ -461,8 +377,9 @@ class BoundAuditReport:
 def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     n = 1 << block.m
     bound = star_bound(block.offset)
+    sign = block.companion_sign
     stars = star_batch(
-        block.sym_re, block.sym_im, block.primed_re, block.primed_im, block.scale.value
+        block.sym_re, block.sym_im, block.sym_re * sign, block.sym_im * sign, block.scale.value
     )
     star_over_n = stars / n
     ok = star_over_n <= bound + STAR_TOL
@@ -478,19 +395,20 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
     pmepr_ok = np.count_nonzero(pmeprs <= bound + PMEPR_TOL)
     pmepr_le_star = bool(np.all(pmeprs <= star_over_n + STAR_TOL))
 
-    base_re, base_im = polyphase_lattice(block.components[0])
-    basep_re, basep_im = polyphase_lattice(block.primed_components[0])
-    golay_defect = int(np.max(golay_defect_batch(base_re, base_im, basep_re, basep_im)))
+    # each component's polyphase sequence with its companion: (re, im, re', im')
+    pairs = []
+    for component in block.components:
+        c_re, c_im = polyphase_lattice(component)
+        pairs.append((c_re, c_im, c_re * sign, c_im * sign))
+    golay_defect = int(np.max(golay_defect_batch(*pairs[0])))
 
     comp_ok = True
-    for idx in range(1, len(block.components)):
-        c_re, c_im = polyphase_lattice(block.components[idx])
-        cp_re, cp_im = polyphase_lattice(block.primed_components[idx])
-        comp_star = star_batch(c_re, c_im, cp_re, cp_im, 1)
+    for idx in range(1, len(pairs)):
+        comp_star = star_batch(*pairs[idx], 1)
         comp_ok &= bool(np.all(comp_star <= 4 * n + STAR_TOL))
         if block.kind == "type1" and idx == 1:
             # type 1 first component is base + linear offset: still a Golay pair
-            defect = int(np.max(golay_defect_batch(c_re, c_im, cp_re, cp_im)))
+            defect = int(np.max(golay_defect_batch(*pairs[idx])))
             comp_ok &= defect == 0
 
     sym = np.concatenate([block.sym_re, block.sym_im], axis=1).astype(np.int8)
@@ -625,7 +543,6 @@ def parseval_audit(
     perms = canonical_permutations(m)
     offsets = _offset_list(modulation)
     coeffs = coefficient_matrix(m)
-    cfg = EnvelopeConfig(oversample=oversample)
     worst = 0.0
     for _ in range(count):
         pi = perms[rng.integers(len(perms))]
@@ -635,7 +552,8 @@ def parseval_audit(
             m=m, pi=pi, linear=tuple(int(v) for v in row[:m]), constant=int(row[m])
         )
         record = build(ConstructionParams(base, off))
-        mean_power = envelope_mean_power(record.sequence, cfg)
+        z = record.sequence.to_complex()[None, :]
+        mean_power = float(np.mean(envelope_power_batch(z, oversample)))
         energy = float(record.sequence.energy())
         worst = max(worst, abs(mean_power - energy) / energy)
     return worst

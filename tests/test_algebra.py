@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import index_of
 from qamseq.algebra import (
     ZETA_IM,
     ZETA_INT,
@@ -13,7 +14,6 @@ from qamseq.algebra import (
     bits_of,
     canonical_permutations,
     coefficient_matrix,
-    index_of,
     is_canonical,
 )
 

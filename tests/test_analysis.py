@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+from oracles import autocorr, polyphase, primed
 from qamseq.analysis import (
     CcdfCurve,
     EnvelopeConfig,
-    autocorr,
     ccdf,
     correlation_sums_batch,
     default_threshold_grid,
-    envelope_mean_power,
+    envelope_power_batch,
     golay_defect_batch,
-    pep,
     pep_batch,
     pmepr,
     polyphase_lattice,
@@ -33,7 +33,7 @@ from qamseq.constructions import (
     grid_records,
     iter_family_chunks,
 )
-from qamseq.gbf import PathQuadratic, polyphase, primed, psi
+from qamseq.gbf import PathQuadratic, psi
 
 EX1_PARAMS = ConstructionParams(
     base=PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0),
@@ -43,6 +43,11 @@ EX1_PARAMS = ConstructionParams(
 
 def ones(n, scale=Scale.UNIT):
     return ComplexSequence(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), scale)
+
+
+def pep(seq, oversample=16):
+    """The library's peak envelope power of one sequence: a one-row pep_batch."""
+    return pep_batch(seq.to_complex()[None, :], oversample)[0]
 
 
 lattice_sequences = st.integers(min_value=2, max_value=12).flatmap(
@@ -107,7 +112,8 @@ def test_autocorr_matches_numpy_correlate(seq):
     # independent oracle: numpy's correlation, C(u) = conj(correlate(z, z)[n-1+u])
     z = seq.to_complex()
     reference = np.conj(np.correlate(z, z, mode="full"))
-    values = autocorr(seq).values()
+    profile = autocorr(seq)
+    values = [profile.value(u) for u in range(1 - len(seq), len(seq))]
     assert np.allclose(values, reference, atol=1e-12)
 
 
@@ -151,7 +157,8 @@ def test_star_two_code_paths_agree(pair):
     # the literal full-range sum against the batched conjugate-symmetric form
     a, b = pair
     one_row = star_batch(a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :], 1)
-    assert star(a, b) == pytest.approx(one_row[0], rel=1e-12)
+    assert oracles.star(a, b) == pytest.approx(one_row[0], rel=1e-12)
+    assert star(a, b) == one_row[0]
 
 
 def test_star_polyphase_identity_form():
@@ -177,7 +184,7 @@ def test_pep_single_symbol_flat():
 
 def test_pep_monotone_in_oversampling():
     record = build(EX1_PARAMS)
-    values = [pep(record.sequence, EnvelopeConfig(oversample=l)) for l in (1, 2, 4, 8, 16, 32)]
+    values = [pmepr(record.sequence, EnvelopeConfig(oversample=l)) for l in (1, 2, 4, 8, 16, 32)]
     assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
 
 
@@ -200,9 +207,12 @@ def test_pmepr_golay_polyphase_at_most_two():
 def test_envelope_mean_power_parseval():
     record = build(EX1_PARAMS)
     energy = float(record.sequence.energy())
+    z = record.sequence.to_complex()[None, :]
     for l in (1, 4, 16):
-        mean = envelope_mean_power(record.sequence, EnvelopeConfig(oversample=l))
-        assert mean == pytest.approx(energy, rel=1e-12)
+        power = envelope_power_batch(z, l)
+        assert power.shape == (1, l * 8)
+        assert np.mean(power) == pytest.approx(energy, rel=1e-12)
+        assert np.max(power) == pep_batch(z, l)[0]
 
 
 def star_bound_holds(record, bound):
@@ -281,28 +291,31 @@ def test_batch_kernels_match_scalar_paths():
     stars = star_batch(
         seq.re[None, :], seq.im[None, :], pr.re[None, :], pr.im[None, :], Scale.QAM16.value
     )
-    assert stars[0] == pytest.approx(star(seq, pr), rel=1e-12)
+    assert stars[0] == pytest.approx(oracles.star(seq, pr), rel=1e-12)
     peps = pep_batch(seq.to_complex()[None, :], 16)
-    assert peps[0] == pytest.approx(pep(seq), rel=1e-12)
+    assert peps[0] == pytest.approx(oracles.pep(seq), rel=1e-12)
 
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_batch_kernels_equal_scalar_paths_bit_for_bit(modulation):
     # enumerate writes star_batch and pep_batch values where records used to
-    # carry star and pmepr; its output is byte-identical only while they are
-    # equal (not merely close) on every record, batched as enumerate batches
+    # carry the literal star and pmepr; its output is byte-identical only
+    # while they are equal (not merely close) on every record, batched as
+    # enumerate batches
     n = 8
     for blocks in iter_family_chunks(3, modulation):
+        sign = blocks[0].companion_sign
         stars = [
-            star_batch(b.sym_re, b.sym_im, b.primed_re, b.primed_im, b.scale.value) for b in blocks
+            star_batch(b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign, b.scale.value)
+            for b in blocks
         ]
         pmeprs = [pep_batch(b.complex_symbols(), 16) / n for b in blocks]
         records = grid_records(blocks)
         for j in range(len(blocks[0])):
             for k in range(len(blocks)):
                 record = next(records)
-                assert stars[k][j] == star(record.sequence, record.primed_sequence)
-                assert pmeprs[k][j] == pmepr(record.sequence)
+                assert stars[k][j] == oracles.star(record.sequence, record.primed_sequence)
+                assert pmeprs[k][j] == oracles.pmepr(record.sequence)
 
 
 def test_pep_batch_rejects_oversample_below_one():
@@ -319,21 +332,6 @@ def test_golay_defect_batch_detects_non_pairs():
     assert golay_defect_batch(re_a, im_a, re_b, im_b)[0] == 0
     # a sequence paired with itself is not a Golay pair
     assert golay_defect_batch(re_a, im_a, re_a, im_a)[0] > 0
-
-
-def test_correlation_profile_accessors():
-    profile = autocorr(ones(4))
-    assert profile.shifts().tolist() == [-3, -2, -1, 0, 1, 2, 3]
-    assert profile.values().tolist() == [1, 2, 3, 4, 3, 2, 1]
-    assert profile.denominator == 1
-
-
-def test_complex_sequence_symbols_accessor():
-    record = build(EX1_PARAMS)
-    symbols = record.sequence.symbols()
-    assert len(symbols) == 8
-    assert (symbols[6].re_int, symbols[6].im_int) == (3, 3)
-    assert symbols[6].scale is Scale.QAM16
 
 
 def test_correlation_sums_batch_matches_autocorr():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qamseq.analysis import pmepr, star
+import oracles
 from qamseq.cli import (
     codeword_doc,
     family_pmeprs,
@@ -165,8 +165,8 @@ def test_enumerate_writes_every_record_in_grid_order_as_the_per_record_oracle(ca
             oracle = codeword_doc(
                 record,
                 16,
-                star_value=star(record.sequence, record.primed_sequence),
-                pmepr_value=pmepr(record.sequence),
+                star_value=oracles.star(record.sequence, record.primed_sequence),
+                pmepr_value=oracles.pmepr(record.sequence),
             )
             assert line == json.dumps(oracle, sort_keys=True)
 
@@ -337,6 +337,53 @@ def test_verify_record_without_payload_fails(capsys, tmp_path, key):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["problems"] == [f"record has no {key!r}"]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("symbols", [[1]]),
+        ("primed_symbols", "x"),
+        ("base", 5),
+        ("components", 3),
+        ("star", "abc"),
+        ("scale_denominator", 7),
+    ],
+)
+def test_verify_record_with_malformed_payload_fails(capsys, tmp_path, key, value):
+    # the record, not the command line, is at fault: one problem naming the field, exit 1
+    path = tmp_path / "malformed.json"
+    code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert len(report["problems"]) == 1
+    assert report["problems"][0].startswith(f"record field {key!r} is not ")
+
+
+@pytest.mark.parametrize(
+    "key,value,problem",
+    [
+        ("symbols", [], "symbols do not match regeneration from parameters"),
+        ("star", float("nan"), "stored star value does not match recomputation"),
+    ],
+)
+def test_verify_record_with_wrong_payload_values_fails(capsys, tmp_path, key, value, problem):
+    path = tmp_path / "wrong.json"
+    code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    assert json.loads(out)["problems"] == [problem]
 
 
 def test_verify_record_that_is_not_an_object_fails(capsys, tmp_path):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import average_energy
 from qamseq.constellation import (
     ComplexSequence,
     LatticeSymbol,
     Scale,
-    average_energy,
     qam16_lattice,
     qam16_map,
     qam64_lattice,

@@ -24,13 +24,14 @@ from qamseq.constructions import (
     list_offsets16,
     list_offsets64,
     map_family_blocks,
-    offset16_eval,
     offset16_values,
     parameter_grid,
     star_bound,
 )
-from qamseq.algebra import canonical_permutations
-from qamseq.constellation import Scale
+from oracles import offset16_eval
+from qamseq.algebra import bits_of, canonical_permutations
+from qamseq.analysis import polyphase_lattice
+from qamseq.constellation import Scale, qam16_lattice, qam64_lattice
 from qamseq.gbf import PathQuadratic
 
 EX1_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
@@ -246,7 +247,7 @@ def test_blocks_agree_with_enumerate():
             row = row * 4 + v
         assert np.array_equal(block.sym_re[row], record.sequence.re)
         assert np.array_equal(block.sym_im[row], record.sequence.im)
-        assert np.array_equal(block.primed_re[row], record.primed_sequence.re)
+        assert np.array_equal(block.sym_re[row] * block.companion_sign, record.primed_sequence.re)
 
 
 def test_block_shapes():
@@ -254,6 +255,8 @@ def test_block_shapes():
     assert block.coeffs.shape == (256, 4)
     assert block.sym_re.shape == (256, 8)
     assert len(block.components) == 2
+    # x_{pi(2)} = x_2 is the least significant index bit
+    assert block.companion_sign.tolist() == [1, -1, 1, -1, 1, -1, 1, -1]
     block64 = build_block(3, (0, 1, 2), list_offsets64()[0])
     assert len(block64.components) == 3
 
@@ -275,6 +278,31 @@ def test_bounds_constants():
     assert star_bound(t2) == 2.48
     assert float(EXACT_BOUND_TYPE1) == pytest.approx(76 / 21)
     assert float(EXACT_BOUND_TYPE2) == pytest.approx(52 / 21)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_companion_sign_is_the_primed_definition(modulation):
+    # the primed companion adds 2*x_{pi(m-1)} to every component; on every
+    # block the sign vector must give exactly that, for the symbols and for
+    # the polyphase sequence of each component
+    m = 3
+    lattice = qam16_lattice if modulation is Modulation.QAM16 else qam64_lattice
+
+    def check(block):
+        shift = np.array([2 * bits_of(i, m)[block.pi[m - 1]] for i in range(1 << m)])
+        primed = [(c.astype(np.int64) + shift) % 4 for c in block.components]
+        sign = block.companion_sign
+        re, im = lattice(*primed)
+        assert np.array_equal(block.sym_re * sign, re)
+        assert np.array_equal(block.sym_im * sign, im)
+        for c, p in zip(block.components, primed):
+            c_re, c_im = polyphase_lattice(c)
+            p_re, p_im = polyphase_lattice(p)
+            assert np.array_equal(c_re * sign, p_re)
+            assert np.array_equal(c_im * sign, p_im)
+        return len(block)
+
+    assert sum(map_family_blocks(check, m, modulation, jobs=1)) == family_size(m, modulation)
 
 
 def test_primed_sequence_is_family_member():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from qamseq.algebra import bit_matrix, bits_of
 from qamseq.constellation import Scale
-from qamseq.gbf import PathQuadratic, evaluate, polyphase, primed, psi
+from oracles import evaluate, polyphase, primed
+from qamseq.gbf import PathQuadratic, psi
 
 EXAMPLE_F = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
 

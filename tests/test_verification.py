@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from oracles import lemma1_residual, lemma2_residuals, lemma3_residuals, lemma_reports
 from qamseq.algebra import coefficient_matrix
 from qamseq.constructions import (
     ConstructionParams,
+    FamilyBlock,
     Modulation,
     Offset16,
     Offset64,
     OffsetKind,
+    build_block,
     default_jobs,
     list_offsets64,
     map_family_blocks,
@@ -19,11 +22,8 @@ from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
     LEMMA_TOL,
+    _audit_block,
     example_regression,
-    lemma1_residual,
-    lemma2_residuals,
-    lemma3_residuals,
-    lemma_reports,
     lemma_sweep,
     negative_controls,
     oversampling_audit,
@@ -144,23 +144,35 @@ def test_lemma_sweep_passes_and_counts():
 
 def test_sweep_batch_agrees_with_per_record_oracle():
     # the vectorized sweep path must reproduce the literal per-record sums,
-    # including on an invalid offset where the residuals are far from zero
-    from qamseq.constructions import base_rows, offset16_values
-    from qamseq.verification import _last_bits, _lemma1_batch
+    # including on invalid offsets where the residuals are far from zero
+    # (the negative controls evaluate those through the same path)
+    from qamseq.constructions import base_rows
+    from qamseq.verification import _lemma_residuals
 
     pi = (0, 2, 1)
     coeffs = coefficient_matrix(3)[::31]
     base_all = base_rows(3, pi, coeffs)
-    lb = _last_bits(3, pi)
-    for off in (Offset16(0, 1, 3), Offset16(0, 0, 0), Offset16(1, 2, 3)):
-        svals = offset16_values(off, 3, pi).astype(np.int64)
-        batch = _lemma1_batch(base_all, svals, lb)
+    d = Offset16(0, 1, 1)
+    offsets = (
+        Offset16(0, 1, 3),
+        Offset16(0, 0, 0),
+        Offset16(1, 2, 3),
+        Offset64(OffsetKind.TYPE1, d, 0, 0, 2),
+        Offset64(OffsetKind.TYPE1, d, 2, 1, 3),
+        Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+        Offset64(OffsetKind.TYPE2, d, 2, 3, 0),
+        Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
+    )
+    for off in offsets:
+        batch = _lemma_residuals(base_all, off, 3, pi)
         for j, row in enumerate(coeffs):
             base = PathQuadratic(
                 m=3, pi=pi, linear=tuple(int(v) for v in row[:3]), constant=int(row[3])
             )
-            per_record = lemma1_residual(ConstructionParams(base=base, offset=off))
-            assert batch[j] == pytest.approx(per_record, abs=1e-12)
+            reports = lemma_reports(ConstructionParams(base=base, offset=off))
+            assert list(batch) == [r.lemma_id for r in reports]
+            for r in reports:
+                assert batch[r.lemma_id][j] == pytest.approx(r.residual, abs=1e-12)
 
 
 def test_bound_audit_16qam_m3():
@@ -211,6 +223,17 @@ def test_bound_audit_checks_have_expected_names():
     assert "bounds.16qam.m3.qam16.star" in names
     assert "bounds.16qam.m3.golay_base_pair" in names
     assert all(c.passed for c in report.checks())
+
+
+def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
+    # negative control: with the companion sign forced to all +1 the base
+    # "pair" is a sequence with itself, which is never a Golay pair
+    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1))
+    assert _audit_block(block, 16)["golay_defect"] == 0
+    monkeypatch.setattr(
+        FamilyBlock, "companion_sign", property(lambda b: np.ones(1 << b.m, dtype=np.int64))
+    )
+    assert _audit_block(block, 16)["golay_defect"] > 0
 
 
 def test_oversampling_audit_within_half_percent():

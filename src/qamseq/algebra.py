@@ -22,20 +22,8 @@ ZETA_INT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 ZETA_RE, ZETA_IM = np.array(ZETA_INT, dtype=np.int64).T
 
 
-def bits_of(i: int, m: int) -> tuple[int, ...]:
-    """Binary digits (i_0, ..., i_{m-1}) of i, MSB first.
-
-    Raises ValueError unless 0 <= i < 2**m.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0 <= i < (1 << m):
-        raise ValueError(f"index {i} out of range for m={m}")
-    return tuple((i >> (m - 1 - k)) & 1 for k in range(m))
-
-
 def bit_matrix(m: int) -> np.ndarray:
-    """(2^m, m) uint8 matrix whose row i is bits_of(i, m).
+    """(2^m, m) uint8 matrix whose row i holds the binary digits of i, MSB first.
 
     Shared by every vectorized family computation.
     """

@@ -1,11 +1,14 @@
 """The star operator, envelope power, and CCDF.
 
 Aperiodic correlations of lattice-valued sequences are computed as exact
-Gaussian integers over the scale denominator; the only floating point in the
-star operator is one square root per shift.  Envelope evaluation samples the
-continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
-oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
-peak-to-mean ratios are invariant to that normalization).  Each quantity has
+Gaussian integers over the scale denominator, by one cross-correlation
+kernel that serves star, the Golay check and the lemma sums.  It works in
+complex128, which is exact for them: every sum is a Gaussian integer far
+below 2^53.  The only rounding in the star operator is one square root per
+shift.  Envelope evaluation samples the continuous-time signal
+S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times oversampled grid
+t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1; peak-to-mean ratios
+are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
 of them.
 """
@@ -109,25 +112,36 @@ def random_baseline(
 # ---------------------------------------------------------------------------
 
 
-def correlation_sums_batch(
-    re_a: np.ndarray, im_a: np.ndarray, re_b: np.ndarray, im_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact numerators of C_a(u) + C_b(u) for u = 0 .. n-1, rows batched.
+def correlation_sums_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact sum over k of X_{a_k,b_k}(u) for u = 0 .. n-1, rows batched,
+    where X_{a,b}(u) = sum_i a_i * conj(b_{i+u}).
 
-    Inputs are (B, n) integer arrays; outputs are (B, n) int64.
+    a and b are (K, B, n) arrays of Gaussian integers (integer or complex
+    dtype): K sequence pairs per row.  The output is (B, n) complex128.
+    Every product and partial sum is a Gaussian integer, and complex128
+    holds those exactly while their parts stay below 2^53; here they are at
+    most K * n * max|a| * max|b|: 2 * 32 * 98 for a 64-QAM star at m = 5.
     """
-    b, n = re_a.shape
-    sum_re = np.zeros((b, n), dtype=np.int64)
-    sum_im = np.zeros((b, n), dtype=np.int64)
+    a = np.asarray(a, dtype=complex)
+    b_conj = np.conj(np.asarray(b, dtype=complex))
+    n = a.shape[-1]
+    sums = np.empty(a.shape[1:], dtype=complex)
     for u in range(n):
-        for re, im in ((re_a, im_a), (re_b, im_b)):
-            head_re, head_im = re[:, : n - u], im[:, : n - u]
-            tail_re, tail_im = re[:, u:], im[:, u:]
-            sum_re[:, u] += np.einsum("bi,bi->b", head_re, tail_re)
-            sum_re[:, u] += np.einsum("bi,bi->b", head_im, tail_im)
-            sum_im[:, u] += np.einsum("bi,bi->b", head_im, tail_re)
-            sum_im[:, u] -= np.einsum("bi,bi->b", head_re, tail_im)
-    return sum_re, sum_im
+        sums[:, u] = np.einsum("kbi,kbi->b", a[:, :, : n - u], b_conj[:, :, u:])
+    return sums
+
+
+def star_sum(sums: np.ndarray) -> np.ndarray:
+    """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, n) sums T(u), u >= 0:
+    the sum of |T| over every shift of a conjugate-symmetric T(-u) = conj T(u)."""
+    mags = np.hypot(sums.real, sums.imag)
+    return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
+
+
+def _autocorrelation_sums(re_a, im_a, re_b, im_b) -> np.ndarray:
+    """C_a(u) + C_b(u) for u = 0 .. n-1: the pair (a, b) correlated with itself."""
+    pair = np.stack([re_a + 1j * im_a, re_b + 1j * im_b])
+    return correlation_sums_batch(pair, pair)
 
 
 def star_batch(
@@ -138,9 +152,7 @@ def star_batch(
     denominator: int,
 ) -> np.ndarray:
     """Star values for a batch of sequence pairs (conjugate-symmetric form)."""
-    sum_re, sum_im = correlation_sums_batch(re_a, im_a, re_b, im_b)
-    mags = np.hypot(sum_re.astype(float), sum_im.astype(float))
-    return (mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)) / denominator
+    return star_sum(_autocorrelation_sums(re_a, im_a, re_b, im_b)) / denominator
 
 
 def golay_defect_batch(
@@ -150,9 +162,8 @@ def golay_defect_batch(
 
     Zero iff C_a(u) + C_b(u) = 0 for every nonzero shift.
     """
-    sum_re, sum_im = correlation_sums_batch(re_a, im_a, re_b, im_b)
-    defect = np.abs(sum_re[:, 1:]) + np.abs(sum_im[:, 1:])
-    return np.max(defect, axis=1)
+    sums = _autocorrelation_sums(re_a, im_a, re_b, im_b)[:, 1:]
+    return np.max(np.abs(sums.real) + np.abs(sums.imag), axis=1).astype(np.int64)
 
 
 def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:

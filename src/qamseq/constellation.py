@@ -35,13 +35,6 @@ class LatticeSymbol(NamedTuple):
     im_int: int
     scale: Scale
 
-    def to_complex(self) -> complex:
-        d = np.sqrt(self.scale.value)
-        return complex(self.re_int / d, self.im_int / d)
-
-    def squared_magnitude(self) -> Fraction:
-        return Fraction(self.re_int**2 + self.im_int**2, self.scale.value)
-
 
 def _rotate(a: int, b: int) -> tuple[int, int]:
     # multiply a + ib by (1 + i); the sqrt(2) is absorbed into the denominator

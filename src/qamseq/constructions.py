@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
 from .constellation import ComplexSequence, Scale, qam16_lattice, qam64_lattice
-from .gbf import PathQuadratic, psi
+from .gbf import PathQuadratic, base_rows, psi
 
 
 class OffsetConstraintError(ValueError):
@@ -322,6 +322,13 @@ def count_enumerated(m: int, modulation: Modulation) -> int:
     return sum(1 for _ in parameter_grid(m, modulation))
 
 
+def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
+    """(n,) int64 vector (-1)^x_{pi(m-1)}: the primed companion adds
+    2*x_{pi(m-1)} to every component, and zeta^(c+2) = -zeta^c, so the
+    companion of any lattice sequence at this pi is that sequence times this."""
+    return 1 - 2 * bit_matrix(m)[:, pi[m - 1]].astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
@@ -351,22 +358,11 @@ class FamilyBlock:
 
     @property
     def companion_sign(self) -> np.ndarray:
-        """(n,) int64 vector (-1)^x_{pi(m-1)}: the primed companion adds
-        2*x_{pi(m-1)} to every component, and zeta^(c+2) = -zeta^c, so the
-        companion of any lattice sequence here is that sequence times this."""
-        return 1 - 2 * bit_matrix(self.m)[:, self.pi[self.m - 1]].astype(np.int64)
+        return companion_sign(self.m, self.pi)
 
     def complex_symbols(self) -> np.ndarray:
         """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
         return (self.sym_re + 1j * self.sym_im) / np.sqrt(self.scale.value)
-
-
-def base_rows(m: int, pi: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
-    """(rows, n) uint8 base sequences D for a batch of coefficient rows at one pi."""
-    xp = bit_matrix(m)[:, list(pi)].astype(np.int64)
-    quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
-    lin = coeffs[:, :m].astype(np.int64) @ xp.T
-    return ((lin + quad[None, :] + coeffs[:, m].astype(np.int64)[:, None]) % 4).astype(np.uint8)
 
 
 def build_block(

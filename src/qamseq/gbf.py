@@ -44,10 +44,15 @@ class PathQuadratic:
         return 1 << self.m
 
 
-def psi(f: PathQuadratic) -> np.ndarray:
-    """Z4-valued sequence of f: entry i is f evaluated at bits_of(i, m)."""
-    bits = bit_matrix(f.m)
-    xp = bits[:, list(f.pi)].astype(np.int64)
+def base_rows(m: int, pi: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
+    """(rows, n) uint8 sequences of f at one pi for a batch of coefficient
+    rows (linear part, then the constant); entry i is f at the bits of i."""
+    xp = bit_matrix(m)[:, list(pi)].astype(np.int64)
     quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
-    lin = xp @ np.asarray(f.linear, dtype=np.int64)
-    return ((quad + lin + f.constant) % 4).astype(np.uint8)
+    lin = coeffs[:, :m].astype(np.int64) @ xp.T
+    return ((lin + quad[None, :] + coeffs[:, m].astype(np.int64)[:, None]) % 4).astype(np.uint8)
+
+
+def psi(f: PathQuadratic) -> np.ndarray:
+    """Z4-valued sequence of f: a one-row base_rows."""
+    return base_rows(f.m, f.pi, np.array([[*f.linear, f.constant]]))[0]

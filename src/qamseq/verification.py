@@ -7,9 +7,13 @@ The star-bound proofs rest on cross-term double sums of the shape
 
 where B is a component sequence, s an offset sequence and lb the bit at the
 path end pi(m-1).  Offsets satisfying their defining congruences make these
-sums vanish; the sweep here evaluates them literally (no pairing argument),
-many base rows at a time, and reports magnitudes.  Deliberately broken
-offsets must light them up, otherwise the sweep proves nothing.
+sums vanish.  With P = zeta^(B+s), Q = zeta^B and the companion sign
+(-1)^lb, the inner sum at shift u is a sum of four cross-correlations of P,
+Q and their companions; the sweep evaluates it for u >= 0 with the library's
+one correlation kernel, many base rows at a time, takes the negative shifts
+from T(-u) = conj T(u), and reports magnitudes.  The sums are exact
+Gaussian integers, so a residual passes only at exactly 0.  Deliberately
+broken offsets must light them up, otherwise the sweep proves nothing.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
@@ -25,10 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ZETA_IM, ZETA_RE, bit_matrix, canonical_permutations, coefficient_matrix
+from .algebra import canonical_permutations, coefficient_matrix
 from .analysis import (
     STAR_TOL,
     EnvelopeConfig,
+    correlation_sums_batch,
     envelope_power_batch,
     golay_defect_batch,
     pep_batch,
@@ -36,6 +41,7 @@ from .analysis import (
     polyphase_lattice,
     star,
     star_batch,
+    star_sum,
 )
 from .constellation import ComplexSequence, Scale
 from .constructions import (
@@ -53,8 +59,8 @@ from .constructions import (
     Offset64,
     OffsetKind,
     _offset_list,
-    base_rows,
     build,
+    companion_sign,
     component_values,
     family_size,
     map_family_blocks,
@@ -62,12 +68,9 @@ from .constructions import (
     offset64_component_values,
     star_bound,
 )
-from .gbf import PathQuadratic, psi
+from .gbf import PathQuadratic, base_rows
 
-LEMMA_TOL = 1e-9
 PMEPR_TOL = 0.01
-
-_ZC = ZETA_RE + 1j * ZETA_IM
 
 # cross-term weights a1*a2, a1*a3, a2*a3 with (a1, a2, a3) = (4, 2, 1)/sqrt(21)
 _A1A2 = 8.0 / 21.0
@@ -85,78 +88,50 @@ class CheckResult:
     requirement: str
 
 
-def _last_bits(m: int, pi: tuple[int, ...]) -> np.ndarray:
-    return bit_matrix(m)[:, pi[m - 1]].astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
-# batched lemma sweep (coefficient rows vectorized)
+# lemma sweep: every cross term through the one correlation kernel
 # ---------------------------------------------------------------------------
 
 
-def _cross_inner_batch(
-    base_all: np.ndarray, svals: np.ndarray, last_bits: np.ndarray, u: int
-) -> np.ndarray:
-    """Inner sum over index pairs (i, i+u), both in range, for one shift u and
-    every row of base_all at once; returns (B,) complex."""
-    n = base_all.shape[1]
-    lo, hi = max(0, -u), min(n, n - u)
-    i = np.arange(lo, hi)
-    k = i + u
-    weight = np.where(last_bits[i] == last_bits[k], 2.0, 0.0)
-    factor = (_ZC[svals[i] % 4] + _ZC[(-svals[k]) % 4]) * weight
-    diff = (base_all[:, i].astype(np.int64) - base_all[:, k]) % 4
-    return _ZC[diff] @ factor
+def _lemma_sums(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """T(u) for u = 0 .. n-1 per row of base_all, the inner sum of the
+    cross-term double sum at shift u: with P = zeta^(B+s), Q = zeta^B, the
+    companion sign g and X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
 
-
-def _lemma1_batch(base_all: np.ndarray, svals: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    n = base_all.shape[1]
-    total = np.zeros(base_all.shape[0], dtype=complex)
-    for u in range(1 - n, n):
-        total += _cross_inner_batch(base_all, svals, lb, u)
-    return np.abs(total)
-
-
-def _three_residuals_batch(
-    base_all: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    lb: np.ndarray,
-    first_from_one: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weighted a1a2 / a1a3 / a2a3 absolute-sum expressions per row.
-
-    The a1a2 sum ranges over u >= 1 when first_from_one is set (its
-    zero-shift term is genuinely nonzero for type 1 offsets and belongs to
-    the bound, not to the cancellation claim).
+        T = X_{P,Q} + X_{Q,P} + X_{gP,gQ} + X_{gQ,gP},   T(-u) = conj T(u).
     """
-    n = base_all.shape[1]
-    comp_all = (base_all + s1) % 4
-    s3 = (s1 - s2) % 4
-    b = base_all.shape[0]
-    r12 = np.zeros(b)
-    r13 = np.zeros(b)
-    r23 = np.zeros(b)
-    for u in range(1 - n, n):
-        if u >= 1 or not first_from_one:
-            r12 += np.abs(_cross_inner_batch(base_all, s1, lb, u))
-        r13 += np.abs(_cross_inner_batch(base_all, s2, lb, u))
-        r23 += np.abs(_cross_inner_batch(comp_all, s3, lb, u))
-    return _A1A2 * r12, _A1A3 * r13, _A2A3 * r23
+    p_re, p_im = polyphase_lattice(base_all.astype(np.int64) + svals)
+    q_re, q_im = polyphase_lattice(base_all)
+    p, q = p_re + 1j * p_im, q_re + 1j * q_im
+    return correlation_sums_batch(
+        np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
+    )
 
 
 def _lemma_residuals(
     base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     """Every lemma residual of one offset, per base row: L1 for a 16-QAM
-    offset, L2a-c for a type 1 and L3a-c for a type 2 64-QAM offset."""
-    lb = _last_bits(m, pi)
+    offset, L2a-c for a type 1 and L3a-c for a type 2 64-QAM offset.
+
+    L1 is |sum over every shift of T(u)|, an exact integer.  The others are
+    weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
+    which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
+    type 1 offsets and belongs to the bound, not to the cancellation claim).
+    """
+    sign = companion_sign(m, pi)
     if isinstance(offset, Offset16):
-        return {"L1": _lemma1_batch(base_all, offset16_values(offset, m, pi).astype(np.int64), lb)}
+        t = _lemma_sums(base_all, offset16_values(offset, m, pi), sign).real
+        return {"L1": np.abs(t[:, 0] + 2 * np.sum(t[:, 1:], axis=1))}
     s1, s2 = (s.astype(np.int64) for s in offset64_component_values(offset, m, pi))
-    type1 = offset.kind is OffsetKind.TYPE1
-    residuals = _three_residuals_batch(base_all, s1, s2, lb, first_from_one=type1)
-    prefix = "L2" if type1 else "L3"
+    t12 = _lemma_sums(base_all, s1, sign)
+    r13 = star_sum(_lemma_sums(base_all, s2, sign))
+    r23 = star_sum(_lemma_sums((base_all + s1) % 4, (s1 - s2) % 4, sign))
+    if offset.kind is OffsetKind.TYPE1:
+        prefix, r12 = "L2", np.sum(np.abs(t12[:, 1:]), axis=1)
+    else:
+        prefix, r12 = "L3", star_sum(t12)
+    residuals = (_A1A2 * r12, _A1A3 * r13, _A2A3 * r23)
     return {prefix + part: r for part, r in zip("abc", residuals)}
 
 
@@ -165,14 +140,13 @@ class LemmaSweepResult:
     """Aggregated residual maxima over the sweep plus the negative controls."""
 
     m: int
-    coeff_stride: int
     evaluations: dict[str, int]
     max_residuals: dict[str, float]
     negative_controls: dict[str, float]
 
     @property
     def passed(self) -> bool:
-        sweeps_ok = all(v <= LEMMA_TOL for v in self.max_residuals.values())
+        sweeps_ok = all(v == 0 for v in self.max_residuals.values())
         controls_ok = all(v > 0.1 for v in self.negative_controls.values())
         return sweeps_ok and controls_ok
 
@@ -182,10 +156,10 @@ class LemmaSweepResult:
             out.append(
                 CheckResult(
                     name=f"lemma.{lemma_id}.max_residual",
-                    passed=self.max_residuals[lemma_id] <= LEMMA_TOL,
+                    passed=self.max_residuals[lemma_id] == 0,
                     observed=f"{self.max_residuals[lemma_id]:.3e} over "
                     f"{self.evaluations[lemma_id]} evaluations",
-                    requirement=f"<= {LEMMA_TOL}",
+                    requirement="= 0",
                 )
             )
         for name, value in sorted(self.negative_controls.items()):
@@ -200,20 +174,17 @@ class LemmaSweepResult:
         return out
 
 
-def _example_base(m: int = 3) -> PathQuadratic:
-    return PathQuadratic(m=m, pi=tuple(range(m)), linear=(1,) * m, constant=0)
-
-
 def negative_controls(m: int = 3) -> dict[str, float]:
     """Constraint-violating offsets pushed through the sweep's residuals,
-    each on the one base row of _example_base(m).
+    each on one base row: identity path, every linear coefficient 1,
+    constant 0.
 
     L1: offset triple (0,0,0), violating both congruences.
     L2: type 1 record with (h1, h3) = (2, 0), violating h1+2*h3=0.
     L3: a genuine type 1 record relabeled type 2 and re-evaluated.
     """
-    base = _example_base(m)
-    row = psi(base)[None, :]
+    pi = tuple(range(m))
+    row = base_rows(m, pi, np.array([[1] * m + [0]]))
     d = Offset16(0, 1, 1)
     controls = {
         "L1": Offset16(0, 0, 0),
@@ -222,25 +193,26 @@ def negative_controls(m: int = 3) -> dict[str, float]:
     }
     out = {}
     for name, off in controls.items():
-        residuals = _lemma_residuals(row, off, m, base.pi).values()
+        residuals = _lemma_residuals(row, off, m, pi).values()
         out[name] = max(float(r[0]) for r in residuals)
     return out
 
 
-def lemma_sweep(m: int = 3, coeff_stride: int = 4) -> LemmaSweepResult:
-    """Exhaustive offset/permutation sweep of every lemma residual at one m.
+def lemma_sweep(m: int = 3) -> LemmaSweepResult:
+    """Every lemma residual at one m, over every (pi, linear part, offset).
 
-    Coefficient tuples are subsampled with a fixed stride (the identities are
-    coefficient-independent; the sweep hunts implementation bugs), and the
-    first permutation additionally gets the full coefficient grid.
+    Each linear part is walked once, with constant 0.  That is exhaustive:
+    a constant c multiplies P and Q by zeta^c, so every product
+    P_i conj(Q_{i+u}), and with it every lemma sum, does not depend on c.
+    The sums are exact, so a residual passes only at exactly 0.
     """
-    coeffs = coefficient_matrix(m)
-    perms = canonical_permutations(m)
+    if m <= 2:
+        raise ValueError(f"family defined for m > 2, got m={m}")
+    rows = coefficient_matrix(m)[::4]  # the constant varies fastest
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
 
-    for pi_index, pi in enumerate(perms):
-        rows = coeffs if pi_index == 0 else coeffs[::coeff_stride]
+    for pi in canonical_permutations(m):
         base_all = base_rows(m, pi, rows)
         for off in _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64):
             for key, residuals in _lemma_residuals(base_all, off, m, pi).items():
@@ -249,7 +221,6 @@ def lemma_sweep(m: int = 3, coeff_stride: int = 4) -> LemmaSweepResult:
 
     return LemmaSweepResult(
         m=m,
-        coeff_stride=coeff_stride,
         evaluations=counts,
         max_residuals=maxima,
         negative_controls=negative_controls(m),

@@ -127,11 +127,11 @@ def test_criterion_5_golay_substructure(audit_16_m3, audit_16_m4, audit_64_m3):
 
 
 def test_criterion_6_lemma_oracles():
-    result = lemma_sweep(m=3, coeff_stride=4)
+    result = lemma_sweep(m=3)
     worst = max(result.max_residuals.values())
     controls = result.negative_controls
     ok = (
-        worst <= 1e-9
+        worst == 0
         and controls["L1"] > 0.5
         and all(v > 0.1 for v in controls.values())
     )
@@ -141,7 +141,7 @@ def test_criterion_6_lemma_oracles():
         f"max residual {worst:.3e} over {sum(result.evaluations.values())} evaluations; "
         f"controls L1={controls['L1']:.2f} L2={controls['L2']:.2f} L3={controls['L3']:.2f}",
     )
-    assert worst <= 1e-9
+    assert worst == 0
     assert controls["L1"] > 0.5
     assert all(v > 0.1 for v in controls.values())
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import index_of
+from oracles import bits_of, index_of
 from qamseq.algebra import (
     ZETA_IM,
     ZETA_INT,
     ZETA_RE,
     bit_matrix,
-    bits_of,
     canonical_permutations,
     coefficient_matrix,
     is_canonical,

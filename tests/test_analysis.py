@@ -30,7 +30,6 @@ from qamseq.constructions import (
     Offset64,
     OffsetKind,
     build,
-    grid_records,
     iter_family_chunks,
 )
 from qamseq.gbf import PathQuadratic, psi
@@ -296,26 +295,55 @@ def test_batch_kernels_match_scalar_paths():
     assert peps[0] == pytest.approx(oracles.pep(seq), rel=1e-12)
 
 
+def family_stars_and_pmeprs(modulation):
+    """star_batch and pep_batch values batched as enumerate batches them,
+    with the symbol and companion rows they came from, over m=3."""
+    n = 8
+    rows, stars, pmeprs = [], [], []
+    for blocks in iter_family_chunks(3, modulation):
+        sign = blocks[0].companion_sign
+        for b in blocks:
+            rows.append((b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign))
+            stars.append(star_batch(*rows[-1], b.scale.value))
+            pmeprs.append(pep_batch(b.complex_symbols(), 16) / n)
+    columns = tuple(np.concatenate(c) for c in zip(*rows))
+    return columns, np.concatenate(stars), np.concatenate(pmeprs)
+
+
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_batch_kernels_equal_scalar_paths_bit_for_bit(modulation):
     # enumerate writes star_batch and pep_batch values where records used to
     # carry the literal star and pmepr; its output is byte-identical only
-    # while they are equal (not merely close) on every record, batched as
-    # enumerate batches
-    n = 8
-    for blocks in iter_family_chunks(3, modulation):
-        sign = blocks[0].companion_sign
-        stars = [
-            star_batch(b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign, b.scale.value)
-            for b in blocks
-        ]
-        pmeprs = [pep_batch(b.complex_symbols(), 16) / n for b in blocks]
-        records = grid_records(blocks)
-        for j in range(len(blocks[0])):
-            for k in range(len(blocks)):
-                record = next(records)
-                assert stars[k][j] == oracles.star(record.sequence, record.primed_sequence)
-                assert pmeprs[k][j] == oracles.pmepr(record.sequence)
+    # while they are equal (not merely close) on every record
+    (re, im, re_p, im_p), stars, pmeprs = family_stars_and_pmeprs(modulation)
+    scale = Scale.QAM16 if modulation is Modulation.QAM16 else Scale.QAM64
+    assert len(stars) == len(re) == (6144 if modulation is Modulation.QAM16 else 49152)
+    assert np.array_equal(stars, oracles.star_rows(re, im, re_p, im_p, scale.value))
+    for j in range(len(re)):
+        assert pmeprs[j] == oracles.pmepr(ComplexSequence(re[j], im[j], scale))
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_star_rows_is_the_literal_star(modulation):
+    # the all-records star oracle against the one-record literal sum, bit
+    # for bit, on a seeded sample of family records and on random lattice
+    # pairs, whose star sums are not integers
+    (re, im, re_p, im_p), _, _ = family_stars_and_pmeprs(modulation)
+    scale = Scale.QAM16 if modulation is Modulation.QAM16 else Scale.QAM64
+    rng = np.random.default_rng(20240731)
+    sample = rng.choice(len(re), size=300, replace=False)
+    rows = oracles.star_rows(re[sample], im[sample], re_p[sample], im_p[sample], scale.value)
+    for value, j in zip(rows, sample):
+        a = ComplexSequence(re[j], im[j], scale)
+        b = ComplexSequence(re_p[j], im_p[j], scale)
+        assert value == oracles.star(a, b)
+    pairs = rng.integers(-7, 8, size=(4, 200, 8))
+    rows = oracles.star_rows(*pairs, scale.value)
+    for k, value in enumerate(rows):
+        a = ComplexSequence(pairs[0, k], pairs[1, k], scale)
+        b = ComplexSequence(pairs[2, k], pairs[3, k], scale)
+        assert value == oracles.star(a, b)
+    assert not np.all(rows * scale.value == np.rint(rows * scale.value))
 
 
 def test_pep_batch_rejects_oversample_below_one():
@@ -335,14 +363,32 @@ def test_golay_defect_batch_detects_non_pairs():
 
 
 def test_correlation_sums_batch_matches_autocorr():
+    # star and Golay pass the pair (H, H') as both operands: C_H(u) + C_H'(u)
     record = build(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
-    sum_re, sum_im = correlation_sums_batch(
-        seq.re[None, :], seq.im[None, :], pr.re[None, :], pr.im[None, :]
-    )
+    pair = np.stack([seq.re + 1j * seq.im, pr.re + 1j * pr.im])[:, None, :]
+    sums = correlation_sums_batch(pair, pair)
     ca, cb = autocorr(seq), autocorr(pr)
     n = len(seq)
+    assert sums.shape == (1, n)
     for u in range(n):
         k = u + n - 1
-        assert sum_re[0, u] == ca.num_re[k] + cb.num_re[k]
-        assert sum_im[0, u] == ca.num_im[k] + cb.num_im[k]
+        assert sums[0, u] == complex(ca.num_re[k] + cb.num_re[k], ca.num_im[k] + cb.num_im[k])
+
+
+def test_correlation_sums_batch_cross_terms_match_definition():
+    # sum_k sum_i a_k[i] * conj(b_k[i + u]) in exact Python integers, for
+    # distinct operands, complex and integer inputs
+    rng = np.random.default_rng(7)
+    a = rng.integers(-7, 8, size=(3, 5, 8)) + 1j * rng.integers(-7, 8, size=(3, 5, 8))
+    b = rng.integers(-7, 8, size=(3, 5, 8)) + 1j * rng.integers(-7, 8, size=(3, 5, 8))
+    for x, y in ((a, b), (a.real.astype(np.int64), b.imag.astype(np.int64))):
+        sums = correlation_sums_batch(x, y)
+        for row in range(5):
+            for u in range(8):
+                want = sum(
+                    complex(x[k, row, i]) * complex(y[k, row, i + u]).conjugate()
+                    for k in range(3)
+                    for i in range(8 - u)
+                )
+                assert sums[row, u] == want

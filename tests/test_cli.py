@@ -282,6 +282,15 @@ def test_verify_lemmas_suite(capsys):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("suite", ["lemmas", "bounds"])
+def test_verify_small_m_is_a_usage_error(capsys, suite):
+    # no family exists for m <= 2, so no suite over it may pass
+    code, out, err = run(capsys, "verify", "--suite", suite, "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert "family defined for m > 2, got m=2" in err
+
+
 def test_verify_bounds_suite(capsys):
     code, out, err = run(capsys, "verify", "--m", "3", "--suite", "bounds")
     assert code == 0

@@ -28,8 +28,8 @@ from qamseq.constructions import (
     parameter_grid,
     star_bound,
 )
-from oracles import offset16_eval
-from qamseq.algebra import bits_of, canonical_permutations
+from oracles import bits_of, offset16_eval
+from qamseq.algebra import canonical_permutations
 from qamseq.analysis import polyphase_lattice
 from qamseq.constellation import Scale, qam16_lattice, qam64_lattice
 from qamseq.gbf import PathQuadratic

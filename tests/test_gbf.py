@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qamseq.algebra import bit_matrix, bits_of
+from qamseq.algebra import bit_matrix
 from qamseq.constellation import Scale
-from oracles import evaluate, polyphase, primed
+from oracles import bits_of, evaluate, polyphase, primed
 from qamseq.gbf import PathQuadratic, psi
 
 EXAMPLE_F = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)

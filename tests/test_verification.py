@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import lemma1_residual, lemma2_residuals, lemma3_residuals, lemma_reports
-from qamseq.algebra import coefficient_matrix
+from qamseq import verification
+from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.constructions import (
     ConstructionParams,
     FamilyBlock,
@@ -12,17 +13,18 @@ from qamseq.constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    _offset_list,
     build_block,
     default_jobs,
     list_offsets64,
     map_family_blocks,
 )
-from qamseq.gbf import PathQuadratic
+from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
-    LEMMA_TOL,
     _audit_block,
+    _lemma_residuals,
     example_regression,
     lemma_sweep,
     negative_controls,
@@ -36,7 +38,7 @@ ZERO_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(0, 0, 0), constant=0)
 
 
 def test_lemma1_reference_params_vanish():
-    assert lemma1_residual(EXAMPLE1_PARAMS) <= LEMMA_TOL
+    assert lemma1_residual(EXAMPLE1_PARAMS) == 0
 
 
 def test_lemma1_all_offsets_zero_coefficients():
@@ -44,7 +46,7 @@ def test_lemma1_all_offsets_zero_coefficients():
 
     for off in list_offsets16():
         params = ConstructionParams(base=ZERO_BASE, offset=off)
-        assert lemma1_residual(params) <= LEMMA_TOL
+        assert lemma1_residual(params) == 0
 
 
 def test_lemma1_negative_control():
@@ -59,7 +61,7 @@ def test_lemma1_requires_offset16():
 
 def test_lemma2_reference_params_vanish():
     residuals = lemma2_residuals(EXAMPLE2_PARAMS)
-    assert all(r <= LEMMA_TOL for r in residuals)
+    assert all(r == 0 for r in residuals)
 
 
 def test_lemma2_all_type1_offsets():
@@ -67,14 +69,14 @@ def test_lemma2_all_type1_offsets():
         if off.kind is not OffsetKind.TYPE1:
             continue
         params = ConstructionParams(base=ID_BASE, offset=off)
-        assert max(lemma2_residuals(params)) <= LEMMA_TOL
+        assert max(lemma2_residuals(params)) == 0
 
 
 def test_lemma2_negative_control_lights_up_a2a3():
     bad = Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 2, 0, 0)
     r12, r13, r23 = lemma2_residuals(ConstructionParams(base=ID_BASE, offset=bad))
-    assert r12 <= LEMMA_TOL
-    assert r13 <= LEMMA_TOL
+    assert r12 == 0
+    assert r13 == 0
     assert r23 > 0.1
 
 
@@ -87,7 +89,7 @@ def test_lemma2_kind_guard():
 def test_lemma3_reference_offset_vanishes():
     t2 = Offset64(OffsetKind.TYPE2, Offset16(0, 1, 1), 0, 3, 1)
     residuals = lemma3_residuals(ConstructionParams(base=ID_BASE, offset=t2))
-    assert all(r <= LEMMA_TOL for r in residuals)
+    assert all(r == 0 for r in residuals)
 
 
 def test_lemma3_all_type2_offsets():
@@ -95,7 +97,7 @@ def test_lemma3_all_type2_offsets():
         if off.kind is not OffsetKind.TYPE2:
             continue
         params = ConstructionParams(base=ID_BASE, offset=off)
-        assert max(lemma3_residuals(params)) <= LEMMA_TOL
+        assert max(lemma3_residuals(params)) == 0
 
 
 def test_lemma3_negative_control_relabeled_type1():
@@ -128,27 +130,71 @@ def test_negative_controls_pinned_values():
 
 
 def test_lemma_sweep_passes_and_counts():
-    result = lemma_sweep(m=3, coeff_stride=4)
+    result = lemma_sweep(m=3)
     assert result.passed
-    # full grid for the first permutation + stride-4 subsample for the others
-    per_offset = 256 + 2 * 64
+    # the 64 constant-0 rows of each of the 3 permutations, once per offset
+    per_offset = 3 * 64
     assert result.evaluations["L1"] == 8 * per_offset
     assert result.evaluations["L2a"] == 32 * per_offset
     assert result.evaluations["L3c"] == 32 * per_offset
-    assert all(v <= LEMMA_TOL for v in result.max_residuals.values())
+    assert all(v == 0 for v in result.max_residuals.values())
     assert all(v > 0.1 for v in result.negative_controls.values())
     names = [c.name for c in result.checks()]
     assert "lemma.L1.max_residual" in names
     assert "lemma.negative_control.L3" in names
 
 
+def test_lemma_sweep_rejects_small_m():
+    with pytest.raises(ValueError, match="family defined for m > 2, got m=2"):
+        lemma_sweep(m=2)
+
+
+def test_lemma_residuals_do_not_depend_on_the_constant():
+    # the symmetry the sweep rests on: over the full 4^(m+1)-row grid, every
+    # residual equals, bit for bit, that of the row's constant-0 twin; the
+    # invalid offsets of the negative controls are included
+    m = 3
+    coeffs = coefficient_matrix(m)
+    d = Offset16(0, 1, 1)
+    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64) + (
+        Offset16(0, 0, 0),
+        Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+        Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
+    )
+    lit = 0
+    for pi in canonical_permutations(m):
+        full = base_rows(m, pi, coeffs)
+        twins = base_rows(m, pi, coeffs[::4])
+        for off in offsets:
+            got = _lemma_residuals(full, off, m, pi)
+            reduced = _lemma_residuals(twins, off, m, pi)
+            for key, values in got.items():
+                assert np.array_equal(values, np.repeat(reduced[key], 4))
+                lit += int(np.count_nonzero(values))
+    assert lit > 0
+
+
+def test_lemma_residuals_see_a_companion_that_is_not_derived(monkeypatch):
+    # negative control: with the companion sign forced to all +1 the
+    # (-1)^(lb_i - lb_{i+u}) factor is gone, and valid offsets light up
+    m, pi = 3, (0, 1, 2)
+    row = base_rows(m, pi, np.array([[1, 1, 1, 0]]))
+    valid = (Offset16(0, 1, 1), Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0))
+
+    def residuals():
+        return {k: float(r[0]) for off in valid for k, r in _lemma_residuals(row, off, m, pi).items()}
+
+    assert all(v == 0 for v in residuals().values())
+    monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
+    lit = residuals()
+    assert lit["L1"] == 32.0
+    assert all(v > 0.1 for v in lit.values())
+
+
 def test_sweep_batch_agrees_with_per_record_oracle():
     # the vectorized sweep path must reproduce the literal per-record sums,
     # including on invalid offsets where the residuals are far from zero
     # (the negative controls evaluate those through the same path)
-    from qamseq.constructions import base_rows
-    from qamseq.verification import _lemma_residuals
-
     pi = (0, 2, 1)
     coeffs = coefficient_matrix(3)[::31]
     base_all = base_rows(3, pi, coeffs)

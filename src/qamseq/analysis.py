@@ -86,25 +86,18 @@ def ccdf(values, thresholds) -> CcdfCurve:
     return CcdfCurve(thresholds=t, probabilities=probs)
 
 
-def random_baseline(
-    n: int, modulation: Modulation, count: int, seed: int
-) -> list[ComplexSequence]:
-    """Uniform i.i.d. constellation symbols: the uncoded reference ensemble."""
+def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np.ndarray:
+    """(count, n) complex unit-average-energy symbols, uniform i.i.d. over the
+    constellation (as ComplexSequence.to_complex): the uncoded reference ensemble."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     if modulation is Modulation.QAM16:
-        u = rng.integers(0, 4, size=(count, n))
-        v = rng.integers(0, 4, size=(count, n))
-        re, im = qam16_lattice(u, v)
-        scale = Scale.QAM16
+        lattice, digits, scale = qam16_lattice, 2, Scale.QAM16
     else:
-        u = rng.integers(0, 4, size=(count, n))
-        v = rng.integers(0, 4, size=(count, n))
-        w = rng.integers(0, 4, size=(count, n))
-        re, im = qam64_lattice(u, v, w)
-        scale = Scale.QAM64
-    return [ComplexSequence(re[k], im[k], scale) for k in range(count)]
+        lattice, digits, scale = qam64_lattice, 3, Scale.QAM64
+    re, im = lattice(*(rng.integers(0, 4, size=(count, n)) for _ in range(digits)))
+    return (re + 1j * im) / np.sqrt(scale.value)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +131,9 @@ def star_sum(sums: np.ndarray) -> np.ndarray:
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 
 
-def _autocorrelation_sums(re_a, im_a, re_b, im_b) -> np.ndarray:
-    """C_a(u) + C_b(u) for u = 0 .. n-1: the pair (a, b) correlated with itself."""
+def autocorrelation_sums(re_a, im_a, re_b, im_b) -> np.ndarray:
+    """C_a(u) + C_b(u) for u = 0 .. n-1: the pair (a, b) correlated with itself.
+    star_sum and golay_defect reduce these sums."""
     pair = np.stack([re_a + 1j * im_a, re_b + 1j * im_b])
     return correlation_sums_batch(pair, pair)
 
@@ -152,18 +146,24 @@ def star_batch(
     denominator: int,
 ) -> np.ndarray:
     """Star values for a batch of sequence pairs (conjugate-symmetric form)."""
-    return star_sum(_autocorrelation_sums(re_a, im_a, re_b, im_b)) / denominator
+    return star_sum(autocorrelation_sums(re_a, im_a, re_b, im_b)) / denominator
+
+
+def golay_defect(sums: np.ndarray) -> np.ndarray:
+    """Exact integer Golay defect per row of (B, n) autocorrelation sums:
+    max |numerator| over shifts u != 0.
+
+    Zero iff C_a(u) + C_b(u) = 0 for every nonzero shift.
+    """
+    side = sums[:, 1:]
+    return np.max(np.abs(side.real) + np.abs(side.imag), axis=1).astype(np.int64)
 
 
 def golay_defect_batch(
     re_a: np.ndarray, im_a: np.ndarray, re_b: np.ndarray, im_b: np.ndarray
 ) -> np.ndarray:
-    """Exact integer Golay defect per row: max |numerator| over shifts u != 0.
-
-    Zero iff C_a(u) + C_b(u) = 0 for every nonzero shift.
-    """
-    sums = _autocorrelation_sums(re_a, im_a, re_b, im_b)[:, 1:]
-    return np.max(np.abs(sums.real) + np.abs(sums.imag), axis=1).astype(np.int64)
+    """Golay defect per row of a batch of sequence pairs."""
+    return golay_defect(autocorrelation_sums(re_a, im_a, re_b, im_b))
 
 
 def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:

@@ -349,9 +349,8 @@ def cmd_ccdf(args) -> int:
         curves["ccdf_type1"] = ccdf(by_kind["type1"], thresholds)
         curves["ccdf_type2"] = ccdf(by_kind["type2"], thresholds)
 
-    baseline_seqs = random_baseline(n, modulation, args.baseline_count, args.seed)
-    z = np.stack([s.to_complex() for s in baseline_seqs])
-    baseline_pmeprs = pep_batch(z, args.oversample) / n
+    baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
+    baseline_pmeprs = pep_batch(baseline, args.oversample) / n
     curves["ccdf_baseline"] = ccdf(baseline_pmeprs, thresholds)
 
     names = list(curves)

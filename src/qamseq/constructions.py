@@ -251,24 +251,26 @@ def build(params: ConstructionParams) -> CodewordRecord:
     return next(grid_records((build_block(params.m, params.base.pi, params.offset, row),)))
 
 
-# star/n ceilings. Rounded values are the published bounds; the exact
+# star/n ceiling per offset kind: (published value, exact rational).  The
 # rationals come out of the weight arithmetic: 2*(4/5) + 4*(1/5) = 12/5 for
 # 16-QAM, (16*2 + 4*2 + 1*4 + 8*4)/21 = 76/21 for type 1 (the a1*a2 cross
 # term contributes its zero-shift 4n), (16*2 + 4*4 + 1*4)/21 = 52/21 for
 # type 2.
-BOUND_QAM16 = 2.4
-BOUND_TYPE1 = 3.62
-BOUND_TYPE2 = 2.48
-EXACT_BOUND_QAM16 = Fraction(12, 5)
-EXACT_BOUND_TYPE1 = Fraction(76, 21)
-EXACT_BOUND_TYPE2 = Fraction(52, 21)
+CEILINGS = {
+    "qam16": (2.4, Fraction(12, 5)),
+    "type1": (3.62, Fraction(76, 21)),
+    "type2": (2.48, Fraction(52, 21)),
+}
+
+
+def offset_kind(offset: Offset) -> str:
+    """The part of the family whose ceiling an offset obeys: qam16, type1 or type2."""
+    return "qam16" if isinstance(offset, Offset16) else offset.kind.value
 
 
 def star_bound(offset: Offset) -> float:
     """Published star/n ceiling for a codeword with this offset."""
-    if isinstance(offset, Offset16):
-        return BOUND_QAM16
-    return BOUND_TYPE1 if offset.kind is OffsetKind.TYPE1 else BOUND_TYPE2
+    return CEILINGS[offset_kind(offset)][0]
 
 
 def family_size(m: int, modulation: Modulation) -> int:
@@ -353,8 +355,7 @@ class FamilyBlock:
 
     @property
     def kind(self) -> str:
-        """The part of the family whose bound the block obeys: qam16, type1 or type2."""
-        return "qam16" if isinstance(self.offset, Offset16) else self.offset.kind.value
+        return offset_kind(self.offset)
 
     @property
     def companion_sign(self) -> np.ndarray:

@@ -18,14 +18,20 @@ broken offsets must light them up, otherwise the sweep proves nothing.
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
 cancellation of the base pair, and the component star ceilings.  Every
-companion sequence is FamilyBlock.companion_sign times its sequence.
+companion sequence is FamilyBlock.companion_sign times its sequence.  Each
+component is correlated with its companion once; the component star and the
+Golay defect are both reductions of those sums.  Each (pi, offset) block
+becomes the KindStats of its offset kind, read against that kind's ceiling in
+constructions.CEILINGS, and the report is their sum per kind: counts add,
+extrema take min/max and flags AND, so it is the same in any block order and
+for any worker count.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,9 +39,10 @@ from .algebra import canonical_permutations, coefficient_matrix
 from .analysis import (
     STAR_TOL,
     EnvelopeConfig,
+    autocorrelation_sums,
     correlation_sums_batch,
     envelope_power_batch,
-    golay_defect_batch,
+    golay_defect,
     pep_batch,
     pmepr,
     polyphase_lattice,
@@ -45,12 +52,7 @@ from .analysis import (
 )
 from .constellation import ComplexSequence, Scale
 from .constructions import (
-    BOUND_QAM16,
-    BOUND_TYPE1,
-    BOUND_TYPE2,
-    EXACT_BOUND_QAM16,
-    EXACT_BOUND_TYPE1,
-    EXACT_BOUND_TYPE2,
+    CEILINGS,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -234,15 +236,41 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
 
 @dataclass(frozen=True)
 class KindStats:
+    """The audit tally of one offset kind over some of its blocks; the
+    tallies of two block sets add with +, in any order."""
+
     kind: str
-    bound: float
-    exact_bound: str
     total: int
     star_ok: int
     pmepr_ok: int
     min_star_over_n: float
     max_star_over_n: float
     max_pmepr: float
+    golay_defect: int
+    component_ok: bool
+    pmepr_le_star: bool
+
+    @property
+    def bound(self) -> float:
+        return CEILINGS[self.kind][0]
+
+    @property
+    def exact_bound(self) -> Fraction:
+        return CEILINGS[self.kind][1]
+
+    def __add__(self, other: "KindStats") -> "KindStats":
+        return KindStats(
+            kind=self.kind,
+            total=self.total + other.total,
+            star_ok=self.star_ok + other.star_ok,
+            pmepr_ok=self.pmepr_ok + other.pmepr_ok,
+            min_star_over_n=min(self.min_star_over_n, other.min_star_over_n),
+            max_star_over_n=max(self.max_star_over_n, other.max_star_over_n),
+            max_pmepr=max(self.max_pmepr, other.max_pmepr),
+            golay_defect=max(self.golay_defect, other.golay_defect),
+            component_ok=self.component_ok and other.component_ok,
+            pmepr_le_star=self.pmepr_le_star and other.pmepr_le_star,
+        )
 
 
 @dataclass(frozen=True)
@@ -250,14 +278,29 @@ class BoundAuditReport:
     m: int
     modulation: Modulation
     oversample: int
-    total: int
     expected_total: int
-    golay_exact: bool
-    component_bounds_ok: bool
-    pmepr_le_star_ok: bool
-    strictly_near_complementary: bool
     distinct_sequences: int
     kinds: tuple[KindStats, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(k.total for k in self.kinds)
+
+    @property
+    def golay_exact(self) -> bool:
+        return all(k.golay_defect == 0 for k in self.kinds)
+
+    @property
+    def component_bounds_ok(self) -> bool:
+        return all(k.component_ok for k in self.kinds)
+
+    @property
+    def pmepr_le_star_ok(self) -> bool:
+        return all(k.pmepr_le_star for k in self.kinds)
+
+    @property
+    def strictly_near_complementary(self) -> bool:
+        return any(k.max_star_over_n > 2.0 + STAR_TOL for k in self.kinds)
 
     @property
     def passed(self) -> bool:
@@ -271,9 +314,10 @@ class BoundAuditReport:
         )
 
     def checks(self) -> list[CheckResult]:
+        prefix = f"bounds.{self.modulation.value}.m{self.m}"
         out = [
             CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.count",
+                name=f"{prefix}.count",
                 passed=self.total == self.expected_total,
                 observed=str(self.total),
                 requirement=f"= {self.expected_total}",
@@ -287,7 +331,7 @@ class BoundAuditReport:
             )
             out.append(
                 CheckResult(
-                    name=f"bounds.{self.modulation.value}.m{self.m}.{k.kind}.star",
+                    name=f"{prefix}.{k.kind}.star",
                     passed=k.star_ok == k.total,
                     observed=f"max star/n = {k.max_star_over_n:.12f} "
                     f"(min {k.min_star_over_n:.12f}, exact bound {k.exact_bound})",
@@ -296,47 +340,29 @@ class BoundAuditReport:
             )
             out.append(
                 CheckResult(
-                    name=f"bounds.{self.modulation.value}.m{self.m}.{k.kind}.pmepr",
+                    name=f"{prefix}.{k.kind}.pmepr",
                     passed=k.pmepr_ok == k.total,
                     observed=f"max pmepr(L={self.oversample}) = {k.max_pmepr:.12f}",
                     requirement=f"<= {k.bound} + {PMEPR_TOL}",
                 )
             )
-        out.append(
-            CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.golay_base_pair",
-                passed=self.golay_exact,
-                observed="exact integer cancellation" if self.golay_exact else "defect found",
-                requirement="C_D(u) + C_D'(u) = 0 for every u != 0, all records",
-            )
+        # (check, verdict, observed if it holds, observed if not, requirement)
+        flags = (
+            ("golay_base_pair", self.golay_exact, "exact integer cancellation", "defect found",
+             "C_D(u) + C_D'(u) = 0 for every u != 0, all records"),
+            ("component_stars", self.component_bounds_ok, "ok", "violation",
+             "offset components star <= 4n (type 1 first component Golay)"),
+            ("pmepr_le_star", self.pmepr_le_star_ok, "ok", "violation",
+             f"pmepr <= star/n + {STAR_TOL} on every record"),
+            ("strictly_near_complementary", self.strictly_near_complementary, "max star/n > 2",
+             "all Golay", "at least one record with star/n > 2"),
         )
+        for check, passed, holds, fails, requirement in flags:
+            observed = holds if passed else fails
+            out.append(CheckResult(f"{prefix}.{check}", passed, observed, requirement))
         out.append(
             CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.component_stars",
-                passed=self.component_bounds_ok,
-                observed="ok" if self.component_bounds_ok else "violation",
-                requirement="offset components star <= 4n (type 1 first component Golay)",
-            )
-        )
-        out.append(
-            CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.pmepr_le_star",
-                passed=self.pmepr_le_star_ok,
-                observed="ok" if self.pmepr_le_star_ok else "violation",
-                requirement=f"pmepr <= star/n + {STAR_TOL} on every record",
-            )
-        )
-        out.append(
-            CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.strictly_near_complementary",
-                passed=self.strictly_near_complementary,
-                observed="max star/n > 2" if self.strictly_near_complementary else "all Golay",
-                requirement="at least one record with star/n > 2",
-            )
-        )
-        out.append(
-            CheckResult(
-                name=f"bounds.{self.modulation.value}.m{self.m}.distinct_sequences",
+                name=f"{prefix}.distinct_sequences",
                 passed=True,
                 observed=f"{self.distinct_sequences} distinct of {self.total} tuples",
                 requirement="reported, not asserted",
@@ -345,7 +371,8 @@ class BoundAuditReport:
         return out
 
 
-def _audit_block(block: FamilyBlock, oversample: int) -> dict:
+def _audit_block(block: FamilyBlock, oversample: int) -> tuple[KindStats, set[bytes]]:
+    """The block's KindStats and the set of its symbol rows as bytes."""
     n = 1 << block.m
     bound = star_bound(block.offset)
     sign = block.companion_sign
@@ -360,44 +387,33 @@ def _audit_block(block: FamilyBlock, oversample: int) -> dict:
         # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
         # components and land below 2n; only the ceiling is asserted there.
         ok &= star_over_n >= 2.0 - STAR_TOL
-    star_ok = np.count_nonzero(ok)
-    peps = pep_batch(block.complex_symbols(), oversample)
-    pmeprs = peps / n
-    pmepr_ok = np.count_nonzero(pmeprs <= bound + PMEPR_TOL)
-    pmepr_le_star = bool(np.all(pmeprs <= star_over_n + STAR_TOL))
+    pmeprs = pep_batch(block.complex_symbols(), oversample) / n
 
-    # each component's polyphase sequence with its companion: (re, im, re', im')
-    pairs = []
+    # C_c(u) + C_c'(u) of each component c with its companion, correlated
+    # once: star and the Golay defect are both reductions of these sums
+    sums = []
     for component in block.components:
         c_re, c_im = polyphase_lattice(component)
-        pairs.append((c_re, c_im, c_re * sign, c_im * sign))
-    golay_defect = int(np.max(golay_defect_batch(*pairs[0])))
-
-    comp_ok = True
-    for idx in range(1, len(pairs)):
-        comp_star = star_batch(*pairs[idx], 1)
-        comp_ok &= bool(np.all(comp_star <= 4 * n + STAR_TOL))
-        if block.kind == "type1" and idx == 1:
-            # type 1 first component is base + linear offset: still a Golay pair
-            defect = int(np.max(golay_defect_batch(*pairs[idx])))
-            comp_ok &= defect == 0
+        sums.append(autocorrelation_sums(c_re, c_im, c_re * sign, c_im * sign))
+    component_ok = all(bool(np.all(star_sum(s) <= 4 * n + STAR_TOL)) for s in sums[1:])
+    if block.kind == "type1":
+        # type 1 first component is base + linear offset: still a Golay pair
+        component_ok &= int(np.max(golay_defect(sums[1]))) == 0
 
     sym = np.concatenate([block.sym_re, block.sym_im], axis=1).astype(np.int8)
-    hashes = {row.tobytes() for row in sym}
-
-    return {
-        "kind": block.kind,
-        "count": int(len(block)),
-        "star_ok": int(star_ok),
-        "pmepr_ok": int(pmepr_ok),
-        "min_star_over_n": float(np.min(star_over_n)),
-        "max_star_over_n": float(np.max(star_over_n)),
-        "max_pmepr": float(np.max(pmeprs)),
-        "pmepr_le_star": pmepr_le_star,
-        "golay_defect": golay_defect,
-        "component_ok": bool(comp_ok),
-        "hashes": hashes,
-    }
+    stats = KindStats(
+        kind=block.kind,
+        total=len(block),
+        star_ok=int(np.count_nonzero(ok)),
+        pmepr_ok=int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
+        min_star_over_n=float(np.min(star_over_n)),
+        max_star_over_n=float(np.max(star_over_n)),
+        max_pmepr=float(np.max(pmeprs)),
+        golay_defect=int(np.max(golay_defect(sums[0]))),
+        component_ok=component_ok,
+        pmepr_le_star=bool(np.all(pmeprs <= star_over_n + STAR_TOL)),
+    )
+    return stats, {row.tobytes() for row in sym}
 
 
 def theorem_bound_audit(
@@ -408,69 +424,18 @@ def theorem_bound_audit(
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds."""
     audit = functools.partial(_audit_block, oversample=oversample)
-    results = map_family_blocks(audit, m, modulation, jobs)
-    kinds: dict[str, dict] = {}
+    kinds: dict[str, KindStats] = {}
     hashes: set[bytes] = set()
-    golay_defect = 0
-    comp_ok = True
-    pmepr_le_star = True
-    for r in results:
-        st = kinds.setdefault(
-            r["kind"],
-            {
-                "total": 0,
-                "star_ok": 0,
-                "pmepr_ok": 0,
-                "min_star": np.inf,
-                "max_star": 0.0,
-                "max_pmepr": 0.0,
-            },
-        )
-        st["total"] += r["count"]
-        st["star_ok"] += r["star_ok"]
-        st["pmepr_ok"] += r["pmepr_ok"]
-        st["min_star"] = min(st["min_star"], r["min_star_over_n"])
-        st["max_star"] = max(st["max_star"], r["max_star_over_n"])
-        st["max_pmepr"] = max(st["max_pmepr"], r["max_pmepr"])
-        hashes |= r["hashes"]
-        golay_defect = max(golay_defect, r["golay_defect"])
-        comp_ok &= r["component_ok"]
-        pmepr_le_star &= r["pmepr_le_star"]
-
-    bound_of = {"qam16": BOUND_QAM16, "type1": BOUND_TYPE1, "type2": BOUND_TYPE2}
-    exact_of = {
-        "qam16": str(EXACT_BOUND_QAM16),
-        "type1": str(EXACT_BOUND_TYPE1),
-        "type2": str(EXACT_BOUND_TYPE2),
-    }
-    kind_stats = tuple(
-        KindStats(
-            kind=k,
-            bound=bound_of[k],
-            exact_bound=exact_of[k],
-            total=st["total"],
-            star_ok=st["star_ok"],
-            pmepr_ok=st["pmepr_ok"],
-            min_star_over_n=st["min_star"],
-            max_star_over_n=st["max_star"],
-            max_pmepr=st["max_pmepr"],
-        )
-        for k, st in sorted(kinds.items())
-    )
-    total = sum(k.total for k in kind_stats)
-    max_star = max(k.max_star_over_n for k in kind_stats)
+    for stats, rows in map_family_blocks(audit, m, modulation, jobs):
+        kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
+        hashes |= rows
     return BoundAuditReport(
         m=m,
         modulation=modulation,
         oversample=oversample,
-        total=total,
         expected_total=family_size(m, modulation),
-        golay_exact=golay_defect == 0,
-        component_bounds_ok=comp_ok,
-        pmepr_le_star_ok=pmepr_le_star,
-        strictly_near_complementary=max_star > 2.0 + STAR_TOL,
         distinct_sequences=len(hashes),
-        kinds=kind_stats,
+        kinds=tuple(kinds[k] for k in sorted(kinds)),
     )
 
 
@@ -538,109 +503,78 @@ EXAMPLE1_PARAMS = ConstructionParams(
     base=PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0),
     offset=Offset16(0, 1, 1),
 )
-EXAMPLE1_BASE = (0, 1, 1, 0, 1, 2, 0, 3)
-EXAMPLE1_COMPONENT = (1, 2, 3, 2, 2, 3, 0, 3)
-# recomputed from the synthesis formula (the published symbol list for this
-# example is internally inconsistent with its own component sequences)
-EXAMPLE1_SYMBOLS_RE = (1, -3, -1, 1, -3, -1, 3, 3)
-EXAMPLE1_SYMBOLS_IM = (3, 1, 1, 1, 1, -3, 3, -3)
-EXAMPLE1_PMEPR = 2.1
-
 EXAMPLE2_PARAMS = ConstructionParams(
     base=PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0),
     offset=Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0),
 )
-EXAMPLE2_COMPONENTS = (
-    (0, 1, 1, 0, 1, 2, 0, 3),
-    (0, 1, 1, 0, 1, 2, 0, 3),
-    (1, 2, 3, 2, 2, 3, 0, 3),
-)
-EXAMPLE2_SYMBOLS_RE = (5, -7, -5, 5, -7, -5, 7, 7)
-EXAMPLE2_SYMBOLS_IM = (7, 5, 5, 5, 5, -7, 7, -7)
-EXAMPLE2_PMEPR = 3.5
 EXAMPLE_PMEPR_TOL = 0.05
 
-
-def _seq_check(name: str, observed: np.ndarray, expected: Sequence[int]) -> CheckResult:
-    obs = tuple(int(v) for v in observed)
-    return CheckResult(
-        name=name,
-        passed=obs == tuple(expected),
-        observed=str(list(obs)),
-        requirement=str(list(expected)),
-    )
+# per example: check-name prefix, parameters, component sequences by check
+# name, symbols and published PMEPR.  The example 1 symbols are recomputed
+# from the synthesis formula (the published symbol list for this example is
+# internally inconsistent with its own component sequences).
+_EXAMPLES = (
+    (
+        "example1",
+        EXAMPLE1_PARAMS,
+        {"base_sequence": [0, 1, 1, 0, 1, 2, 0, 3], "offset_component": [1, 2, 3, 2, 2, 3, 0, 3]},
+        ComplexSequence([1, -3, -1, 1, -3, -1, 3, 3], [3, 1, 1, 1, 1, -3, 3, -3], Scale.QAM16),
+        2.1,
+    ),
+    (
+        "example2",
+        EXAMPLE2_PARAMS,
+        {
+            "component0": [0, 1, 1, 0, 1, 2, 0, 3],
+            "component1": [0, 1, 1, 0, 1, 2, 0, 3],
+            "component2": [1, 2, 3, 2, 2, 3, 0, 3],
+        },
+        ComplexSequence([5, -7, -5, 5, -7, -5, 7, 7], [7, 5, 5, 5, 5, -7, 7, -7], Scale.QAM64),
+        3.5,
+    ),
+)
 
 
 def example_regression(oversample: int = 16) -> list[CheckResult]:
     """Rebuild both reference examples and pin sequences, symbols, and PMEPR."""
     cfg = EnvelopeConfig(oversample=oversample)
     out: list[CheckResult] = []
-
-    rec1 = build(EXAMPLE1_PARAMS)
-    d1, e1 = component_values(EXAMPLE1_PARAMS)
-    out.append(_seq_check("example1.base_sequence", d1, EXAMPLE1_BASE))
-    out.append(_seq_check("example1.offset_component", e1, EXAMPLE1_COMPONENT))
-    expected1 = ComplexSequence(
-        np.array(EXAMPLE1_SYMBOLS_RE), np.array(EXAMPLE1_SYMBOLS_IM), Scale.QAM16
-    )
-    out.append(
-        CheckResult(
-            name="example1.symbols",
-            passed=rec1.sequence == expected1,
-            observed=f"re={rec1.sequence.re.tolist()} im={rec1.sequence.im.tolist()}",
-            requirement=f"re={list(EXAMPLE1_SYMBOLS_RE)} im={list(EXAMPLE1_SYMBOLS_IM)} (/sqrt(10))",
+    for name, params, components, symbols, published_pmepr in _EXAMPLES:
+        record = build(params)
+        for (check, expected), observed in zip(
+            components.items(), component_values(params), strict=True
+        ):
+            observed = observed.tolist()
+            out.append(
+                CheckResult(f"{name}.{check}", observed == expected, str(observed), str(expected))
+            )
+        seq = record.sequence
+        out.append(
+            CheckResult(
+                name=f"{name}.symbols",
+                passed=seq == symbols,
+                observed=f"re={seq.re.tolist()} im={seq.im.tolist()}",
+                requirement=f"re={symbols.re.tolist()} im={symbols.im.tolist()} "
+                f"(/sqrt({symbols.scale.value}))",
+            )
         )
-    )
-    p1 = pmepr(rec1.sequence, cfg)
-    out.append(
-        CheckResult(
-            name="example1.pmepr",
-            passed=abs(p1 - EXAMPLE1_PMEPR) <= EXAMPLE_PMEPR_TOL,
-            observed=f"{p1:.6f}",
-            requirement=f"{EXAMPLE1_PMEPR} +/- {EXAMPLE_PMEPR_TOL}",
+        p = pmepr(seq, cfg)
+        out.append(
+            CheckResult(
+                name=f"{name}.pmepr",
+                passed=abs(p - published_pmepr) <= EXAMPLE_PMEPR_TOL,
+                observed=f"{p:.6f}",
+                requirement=f"{published_pmepr} +/- {EXAMPLE_PMEPR_TOL}",
+            )
         )
-    )
-    s1 = star(rec1.sequence, rec1.primed_sequence) / len(rec1.sequence)
-    out.append(
-        CheckResult(
-            name="example1.star_bound",
-            passed=p1 <= s1 + STAR_TOL and s1 <= 2.4 + STAR_TOL,
-            observed=f"star/n = {s1:.12f}",
-            requirement=f"pmepr <= star/n <= 2.4 (+{STAR_TOL})",
+        s = star(seq, record.primed_sequence) / len(seq)
+        bound = star_bound(params.offset)
+        out.append(
+            CheckResult(
+                name=f"{name}.star_bound",
+                passed=p <= s + STAR_TOL and s <= bound + STAR_TOL,
+                observed=f"star/n = {s:.12f}",
+                requirement=f"pmepr <= star/n <= {bound} (+{STAR_TOL})",
+            )
         )
-    )
-
-    rec2 = build(EXAMPLE2_PARAMS)
-    comps2 = component_values(EXAMPLE2_PARAMS)
-    for idx, (obs, exp) in enumerate(zip(comps2, EXAMPLE2_COMPONENTS)):
-        out.append(_seq_check(f"example2.component{idx}", obs, exp))
-    expected2 = ComplexSequence(
-        np.array(EXAMPLE2_SYMBOLS_RE), np.array(EXAMPLE2_SYMBOLS_IM), Scale.QAM64
-    )
-    out.append(
-        CheckResult(
-            name="example2.symbols",
-            passed=rec2.sequence == expected2,
-            observed=f"re={rec2.sequence.re.tolist()} im={rec2.sequence.im.tolist()}",
-            requirement=f"re={list(EXAMPLE2_SYMBOLS_RE)} im={list(EXAMPLE2_SYMBOLS_IM)} (/sqrt(42))",
-        )
-    )
-    p2 = pmepr(rec2.sequence, cfg)
-    out.append(
-        CheckResult(
-            name="example2.pmepr",
-            passed=abs(p2 - EXAMPLE2_PMEPR) <= EXAMPLE_PMEPR_TOL,
-            observed=f"{p2:.6f}",
-            requirement=f"{EXAMPLE2_PMEPR} +/- {EXAMPLE_PMEPR_TOL}",
-        )
-    )
-    s2 = star(rec2.sequence, rec2.primed_sequence) / len(rec2.sequence)
-    out.append(
-        CheckResult(
-            name="example2.star_bound",
-            passed=p2 <= s2 + STAR_TOL and s2 <= 3.62 + STAR_TOL,
-            observed=f"star/n = {s2:.12f}",
-            requirement=f"pmepr <= star/n <= 3.62 (+{STAR_TOL})",
-        )
-    )
     return out

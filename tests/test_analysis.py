@@ -21,7 +21,7 @@ from qamseq.analysis import (
     star,
     star_batch,
 )
-from qamseq.constellation import ComplexSequence, Scale, qam16_map
+from qamseq.constellation import ComplexSequence, Scale, qam16_map, qam64_map
 from qamseq.constructions import (
     CodewordRecord,
     ConstructionParams,
@@ -266,17 +266,21 @@ def test_default_threshold_grid():
 
 
 def test_random_baseline_domain_and_determinism():
-    seqs = random_baseline(16, Modulation.QAM16, 50, seed=42)
-    assert len(seqs) == 50
-    grid = {qam16_map(u, v)[:2] for u in range(4) for v in range(4)}
-    for seq in seqs[:5]:
-        assert seq.scale is Scale.QAM16
-        for r, i in zip(seq.re, seq.im):
-            assert (int(r), int(i)) in grid
-    again = random_baseline(16, Modulation.QAM16, 50, seed=42)
-    assert all(a == b for a, b in zip(seqs, again))
-    different = random_baseline(16, Modulation.QAM16, 50, seed=43)
-    assert any(a != b for a, b in zip(seqs, different))
+    for modulation, scale, points in (
+        (Modulation.QAM16, Scale.QAM16, [qam16_map(u, v) for u in range(4) for v in range(4)]),
+        (Modulation.QAM64, Scale.QAM64, [qam64_map(u, v, w) for u in range(4)
+                                         for v in range(4) for w in range(4)]),
+    ):
+        z = random_baseline(16, modulation, 50, seed=42)
+        assert z.shape == (50, 16) and z.dtype == complex
+        lattice = np.rint(z * np.sqrt(scale.value))
+        re, im = lattice.real.astype(np.int64), lattice.imag.astype(np.int64)
+        assert set(zip(re.ravel().tolist(), im.ravel().tolist())) <= {p[:2] for p in points}
+        # bit for bit what ComplexSequence.to_complex gives for those lattice points
+        for k in range(len(z)):
+            assert np.array_equal(ComplexSequence(re[k], im[k], scale).to_complex(), z[k])
+        assert np.array_equal(random_baseline(16, modulation, 50, seed=42), z)
+        assert not np.array_equal(random_baseline(16, modulation, 50, seed=43), z)
 
 
 def test_random_baseline_count_validation():

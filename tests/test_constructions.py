@@ -1,14 +1,14 @@
 import cmath
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qamseq.constructions import (
-    BOUND_QAM16,
+    CEILINGS,
     ConstructionParams,
-    EXACT_BOUND_TYPE1,
-    EXACT_BOUND_TYPE2,
     Modulation,
     Offset16,
     Offset64,
@@ -25,6 +25,7 @@ from qamseq.constructions import (
     list_offsets64,
     map_family_blocks,
     offset16_values,
+    offset_kind,
     parameter_grid,
     star_bound,
 )
@@ -271,13 +272,20 @@ def test_enumerate_rejects_small_m():
 
 
 def test_bounds_constants():
-    assert star_bound(Offset16(0, 1, 1)) == BOUND_QAM16 == 2.4
+    assert CEILINGS == {
+        "qam16": (2.4, Fraction(12, 5)),
+        "type1": (3.62, Fraction(76, 21)),
+        "type2": (2.48, Fraction(52, 21)),
+    }
+    # each published ceiling is its exact rational rounded up to hundredths
+    for published, exact in CEILINGS.values():
+        assert Fraction(str(published)) == Fraction(math.ceil(exact * 100), 100)
     t1 = Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0)
     t2 = Offset64(OffsetKind.TYPE2, Offset16(0, 1, 1), 0, 3, 1)
+    assert [offset_kind(o) for o in (Offset16(0, 1, 1), t1, t2)] == ["qam16", "type1", "type2"]
+    assert star_bound(Offset16(0, 1, 1)) == 2.4
     assert star_bound(t1) == 3.62
     assert star_bound(t2) == 2.48
-    assert float(EXACT_BOUND_TYPE1) == pytest.approx(76 / 21)
-    assert float(EXACT_BOUND_TYPE2) == pytest.approx(52 / 21)
 
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])

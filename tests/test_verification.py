@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import lemma1_residual, lemma2_residuals, lemma3_residuals, lemma_reports
-from qamseq import verification
+from qamseq import analysis, verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
+from qamseq.constellation import Scale
 from qamseq.constructions import (
+    CEILINGS,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -18,11 +20,13 @@ from qamseq.constructions import (
     default_jobs,
     list_offsets64,
     map_family_blocks,
+    offset_kind,
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
+    KindStats,
     _audit_block,
     _lemma_residuals,
     example_regression,
@@ -272,14 +276,95 @@ def test_bound_audit_checks_have_expected_names():
 
 
 def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
-    # negative control: with the companion sign forced to all +1 the base
-    # "pair" is a sequence with itself, which is never a Golay pair
+    # negative control: with the companion sign forced to all +1 every
+    # "pair" is a sequence with itself, which is never a Golay pair: the
+    # base pair shows a defect, and so does the type 1 first component
     block = build_block(3, (0, 1, 2), Offset16(0, 1, 1))
-    assert _audit_block(block, 16)["golay_defect"] == 0
+    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
+    assert _audit_block(block, 16)[0].golay_defect == 0
+    assert _audit_block(type1, 16)[0].component_ok
     monkeypatch.setattr(
         FamilyBlock, "companion_sign", property(lambda b: np.ones(1 << b.m, dtype=np.int64))
     )
-    assert _audit_block(block, 16)["golay_defect"] > 0
+    assert _audit_block(block, 16)[0].golay_defect > 0
+    assert not _audit_block(type1, 16)[0].component_ok
+
+
+def test_audit_block_correlates_each_component_once(monkeypatch):
+    block = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
+    assert block.kind == "type1"
+    calls = []
+    real = analysis.correlation_sums_batch
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(analysis, "correlation_sums_batch", counted)
+    _audit_block(block, 16)
+    # the codeword star, then one per component (D, F, G): the type 1 first
+    # component's star and Golay checks share its sums
+    assert len(calls) == 4
+
+
+def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch):
+    # every Golay defect read one unit high: a type 1 block must lose its
+    # component check (its first component must be a Golay pair), a type 2
+    # block must keep it (its components are only held to star <= 4n)
+    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
+    type2 = build_block(3, (0, 1, 2), list_offsets64()[-1])
+    assert type2.kind == "type2"
+    real = verification.golay_defect
+    monkeypatch.setattr(verification, "golay_defect", lambda sums: real(sums) + 1)
+    assert not _audit_block(type1, 16)[0].component_ok
+    assert _audit_block(type2, 16)[0].component_ok
+
+
+def test_kind_stats_add():
+    a = KindStats("type1", 10, 9, 10, 0.5, 3.0, 2.9, 0, True, True)
+    b = KindStats("type1", 5, 5, 4, 0.6, 3.5, 2.8, 2, False, True)
+    total = KindStats("type1", 15, 14, 14, 0.5, 3.5, 2.9, 2, False, True)
+    assert a + b == b + a == total
+    assert (total.bound, total.exact_bound) == CEILINGS["type1"]
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
+    forward = theorem_bound_audit(3, modulation, jobs=1)
+    real = verification.map_family_blocks
+    monkeypatch.setattr(verification, "map_family_blocks", lambda *args: real(*args)[::-1])
+    assert theorem_bound_audit(3, modulation, jobs=1) == forward
+
+
+def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
+    # negative control: the first type 2 block's first record reads one
+    # lattice unit (1/42) above the published type 2 ceiling
+    from qamseq.cli import main
+
+    first_type2 = [offset_kind(o) for o in list_offsets64()].index("type2")
+    real = verification.star_batch
+    calls = []
+
+    def one_over(re_a, im_a, re_b, im_b, denominator):
+        stars = real(re_a, im_a, re_b, im_b, denominator)
+        if denominator == Scale.QAM64.value:
+            calls.append(None)
+            if len(calls) == first_type2 + 1:
+                stars[0] = CEILINGS["type2"][0] * re_a.shape[1] + 1 / denominator
+        return stars
+
+    monkeypatch.setattr(verification, "star_batch", one_over)
+    report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
+    assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.type2.star"]
+    assert not report.passed
+    by_kind = {k.kind: k for k in report.kinds}
+    assert by_kind["type2"].star_ok == by_kind["type2"].total - 1
+    assert by_kind["type1"].star_ok == by_kind["type1"].total
+
+    calls.clear()
+    assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.64qam.m3.type2.star"]
 
 
 def test_oversampling_audit_within_half_percent():

@@ -20,21 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ZETA_IM, ZETA_RE
-from .constellation import ComplexSequence, Scale, qam16_lattice, qam64_lattice
+from .constellation import ComplexSequence, qam_lattice
 from .constructions import Modulation
 
 STAR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    """Envelope sampling control; oversample L >= 1 grid points per carrier."""
-
-    oversample: int = 16
-
-    def __post_init__(self):
-        if self.oversample < 1:
-            raise ValueError(f"oversample must be >= 1, got {self.oversample}")
 
 
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
@@ -47,10 +36,10 @@ def star(a: ComplexSequence, b: ComplexSequence) -> float:
     return float(star_batch(*rows, a.scale.value)[0])
 
 
-def pmepr(a: ComplexSequence, cfg: EnvelopeConfig = EnvelopeConfig()) -> float:
-    """PEP over the code-average power n (unit-average-energy constellations):
-    a one-row pep_batch."""
-    return float(pep_batch(a.to_complex()[None, :], cfg.oversample)[0]) / len(a)
+def pmepr(a: ComplexSequence, oversample: int = 16) -> float:
+    """PEP over the code-average power n (unit-average-energy constellations),
+    sampled at oversample grid points per carrier: a one-row pep_batch."""
+    return float(pep_batch(a.to_complex()[None, :], oversample)[0]) / len(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +66,13 @@ def default_threshold_grid() -> np.ndarray:
 
 
 def ccdf(values, thresholds) -> CcdfCurve:
-    """Empirical CCDF of PMEPR samples on an ascending threshold grid."""
-    v = np.asarray(values, dtype=float)
+    """Empirical CCDF of PMEPR samples on an ascending threshold grid: the
+    share of samples strictly above each threshold, from one sort."""
+    v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("need at least one PMEPR sample")
     t = np.asarray(thresholds, dtype=float)
-    probs = np.array([np.mean(v > thr) for thr in t])
+    probs = (v.size - np.searchsorted(v, t, side="right")) / v.size
     return CcdfCurve(thresholds=t, probabilities=probs)
 
 
@@ -92,11 +82,8 @@ def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    if modulation is Modulation.QAM16:
-        lattice, digits, scale = qam16_lattice, 2, Scale.QAM16
-    else:
-        lattice, digits, scale = qam64_lattice, 3, Scale.QAM64
-    re, im = lattice(*(rng.integers(0, 4, size=(count, n)) for _ in range(digits)))
+    components = (rng.integers(0, 4, size=(count, n)) for _ in range(modulation.components))
+    re, im, scale = qam_lattice(*components)
     return (re + 1j * im) / np.sqrt(scale.value)
 
 
@@ -168,8 +155,9 @@ def golay_defect_batch(
 
 def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
     """|S(t_k)|^2 for k = 0 .. L*n - 1, per row of a (B, n) complex array."""
-    b, n = z.shape
-    grid = EnvelopeConfig(oversample=oversample).oversample * n
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    grid = oversample * z.shape[1]
     samples = np.fft.ifft(z, n=grid, axis=1) * grid
     return np.abs(samples) ** 2
 

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .analysis import (
-    EnvelopeConfig,
     ccdf,
     default_threshold_grid,
     pep_batch,
@@ -126,7 +125,7 @@ def codeword_doc(
     if star_value is None:
         star_value = star(seq, primed)
     if pmepr_value is None:
-        pmepr_value = pmepr(seq, EnvelopeConfig(oversample=oversample))
+        pmepr_value = pmepr(seq, oversample)
     return {
         "format": "qamseq-codeword",
         "m": params.m,
@@ -292,8 +291,9 @@ def cmd_enumerate(args) -> int:
         }
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
-    # scoring validates oversample too, but only after --out has been truncated
-    EnvelopeConfig(oversample=args.oversample)
+    # scoring checks oversample too, but only after --out has been truncated
+    if args.oversample < 1:
+        raise UsageError(f"oversample must be >= 1, got {args.oversample}")
 
     def lines():
         n = 1 << args.m

@@ -1,25 +1,28 @@
 """Exact QAM symbol synthesis from QPSK components on an integer lattice.
 
-A 16-QAM point is gamma*(r1*zeta^u + r2*zeta^v) with gamma = e^{i pi/4},
-(r1, r2) = (2, 1)/sqrt(5); a 64-QAM point is gamma*(a1*zeta^u + a2*zeta^v
-+ a3*zeta^w) with (a1, a2, a3) = (4, 2, 1)/sqrt(21).  Multiplying a Gaussian
-integer a + ib by gamma*sqrt(2) = 1 + i is the lattice rotation
-(a, b) -> (a - b, a + b), so every symbol is stored as an exact integer pair
-over a fixed denominator sqrt(10) or sqrt(42).  Golay cancellations and
-offset identities can then be tested in integer arithmetic; floats appear
-only at envelope evaluation.
+A QAM point of k QPSK components c_0 .. c_{k-1} in Z4 is
+
+    gamma * sum_j 2^(k-1-j) * zeta^(c_j) / sqrt((4^k - 1)/3),   gamma = e^{i pi/4}:
+
+weights (2, 1)/sqrt(5) for 16-QAM (k = 2) and (4, 2, 1)/sqrt(21) for 64-QAM
+(k = 3).  Multiplying a Gaussian integer a + ib by gamma*sqrt(2) = 1 + i is
+the lattice rotation (a, b) -> (a - b, a + b), so every symbol is stored as an
+exact integer pair over the denominator sqrt(2(4^k - 1)/3): sqrt(10) or
+sqrt(42).  Golay cancellations and offset identities can then be tested in
+integer arithmetic; floats appear only at envelope evaluation.  The map is
+a bijection from Z4^k onto its 4^k lattice points (see constructions).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ZETA_INT
+from .algebra import ZETA_IM, ZETA_RE
 
 
 class Scale(Enum):
@@ -30,59 +33,25 @@ class Scale(Enum):
     QAM64 = 42
 
 
-class LatticeSymbol(NamedTuple):
-    re_int: int
-    im_int: int
-    scale: Scale
-
-
-def _rotate(a: int, b: int) -> tuple[int, int]:
-    # multiply a + ib by (1 + i); the sqrt(2) is absorbed into the denominator
+@functools.cache
+def _qam_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) int64 points of all 4^k component tuples, c_0 the most
+    significant base-4 digit of the index."""
+    digits = np.arange(4**k)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
+    weights = 2 ** np.arange(k - 1, -1, -1)
+    a, b = ZETA_RE[digits] @ weights, ZETA_IM[digits] @ weights
     return a - b, a + b
 
 
-def qam16_map(u: int, v: int) -> LatticeSymbol:
-    """16-QAM point for QPSK component phases (u, v) in Z4."""
-    zu, zv = ZETA_INT[u % 4], ZETA_INT[v % 4]
-    a = 2 * zu[0] + zv[0]
-    b = 2 * zu[1] + zv[1]
-    re, im = _rotate(a, b)
-    return LatticeSymbol(re, im, Scale.QAM16)
-
-
-def qam64_map(u: int, v: int, w: int) -> LatticeSymbol:
-    """64-QAM point for QPSK component phases (u, v, w) in Z4."""
-    zu, zv, zw = ZETA_INT[u % 4], ZETA_INT[v % 4], ZETA_INT[w % 4]
-    a = 4 * zu[0] + 2 * zv[0] + zw[0]
-    b = 4 * zu[1] + 2 * zv[1] + zw[1]
-    re, im = _rotate(a, b)
-    return LatticeSymbol(re, im, Scale.QAM64)
-
-
-# flat lookup tables for vectorized synthesis: index u*4+v (resp. u*16+v*4+w)
-_Q16 = [qam16_map(u, v) for u in range(4) for v in range(4)]
-QAM16_RE = np.array([p.re_int for p in _Q16], dtype=np.int64)
-QAM16_IM = np.array([p.im_int for p in _Q16], dtype=np.int64)
-
-_Q64 = [qam64_map(u, v, w) for u in range(4) for v in range(4) for w in range(4)]
-QAM64_RE = np.array([p.re_int for p in _Q64], dtype=np.int64)
-QAM64_IM = np.array([p.im_int for p in _Q64], dtype=np.int64)
-
-
-def qam16_lattice(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized qam16_map over Z4-valued arrays; returns (re, im) int64."""
-    idx = (np.asarray(u, dtype=np.int64) % 4) * 4 + np.asarray(v, dtype=np.int64) % 4
-    return QAM16_RE[idx], QAM16_IM[idx]
-
-
-def qam64_lattice(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized qam64_map; returns (re, im) int64."""
-    idx = (
-        (np.asarray(u, dtype=np.int64) % 4) * 16
-        + (np.asarray(v, dtype=np.int64) % 4) * 4
-        + np.asarray(w, dtype=np.int64) % 4
-    )
-    return QAM64_RE[idx], QAM64_IM[idx]
+def qam_lattice(*components) -> tuple[np.ndarray, np.ndarray, Scale]:
+    """(re, im, scale) of (1 + i) * sum_j 2^(k-1-j) * zeta^(c_j) over Z4-valued
+    arrays c_0 .. c_{k-1}, k = 2 (16-QAM) or 3 (64-QAM); re and im are int64
+    and the scale is the denominator 2(4^k - 1)/3."""
+    re, im = _qam_table(len(components))
+    idx = 0
+    for c in components:
+        idx = idx * 4 + np.asarray(c, dtype=np.int64) % 4
+    return re[idx], im[idx], Scale(2 * (4 ** len(components) - 1) // 3)
 
 
 @dataclass(frozen=True, eq=False)

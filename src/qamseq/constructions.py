@@ -3,24 +3,47 @@
 A codeword is synthesized from a base quadratic-path function plus one or two
 offset functions:
 
-    16-QAM:  H_i = qam16(D_i, E_i),        E = D + s
-    64-QAM:  J_i = qam64(D_i, F_i, G_i),   F = D + s1,  G = D + s2
+    16-QAM:  H_i = qam(D_i, E_i),        E = D + s
+    64-QAM:  J_i = qam(D_i, F_i, G_i),   F = D + s1,  G = D + s2
 
-where s is a quadratic offset 2*x_{pi(0)}x_{pi(1)} + d1*x_{pi(0)}
-+ d2*x_{pi(1)} + d3 constrained by d1 + 2*d3 = 2 and 2*d2 = 2, and the
-64-QAM offset pair (s1, s2) comes in two kinds:
+with qam the lattice formula of constellation.qam_lattice, where s is a
+quadratic offset 2*x_{pi(0)}x_{pi(1)} + d1*x_{pi(0)} + d2*x_{pi(1)} + d3
+constrained by d1 + 2*d3 = 2 and 2*d2 = 2, and the 64-QAM offset pair
+(s1, s2) comes in two kinds:
 
     type 1:  s1 = h1*x_{pi(0)} + h3 with h1 + 2*h3 = 0, s2 quadratic as above
     type 2:  s1 quadratic as above, s2 quadratic with coefficients
              (h1, h2, h3), h2 = d2 + 2, h1 + 2*h3 = 2
 
-The primed companion of any component adds 2*x_{pi(m-1)}.  Offset records
-are classified by which constraint set they satisfy, never by label.
+Every component offset is one form q*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)}
++ c2*x_{pi(1)} + c3 (offset_forms), evaluated by offset_values.  The primed
+companion of any component adds 2*x_{pi(m-1)}.  Offset records are
+classified by which constraint set they satisfy, never by label.
+
+The family has family_size(m) distinct sequences: the map (pi, linear,
+constant, offset) -> symbols is injective for every m >= 3.
+
+1. The symbols give the components.  (1 + i)*zeta^c is one of +-1 +- i, so
+   the real part of a lattice point is sum_j 2^(k-1-j)*e_j with signs
+   e_j = +-1; signed binary digits fix every e_j, the imaginary part fixes
+   the other signs, and the two signs of a digit fix c_j.
+2. D gives (pi, linear, constant).  Every function Z2^m -> Z4 has exactly one
+   Z4 normal form, a Z4 combination of the monomials prod_{i in S} x_i
+   (Davis & Jedwab, IEEE Trans. IT 1999).  The quadratic terms 2*x_i*x_j of
+   D are the edges of the path pi, which fixes pi up to reversal, and the
+   canonical pi (pi(0) < pi(m-1)) is the one of the two that is listed; the
+   affine part of D is then the linear part and the constant.
+3. With pi fixed, E - D (16-QAM), or F - D and G - D (64-QAM), are the
+   component offsets, and the normal form of each gives its form's
+   coefficients.  Type 1 and type 2 differ in the x_{pi(0)}x_{pi(1)} term of
+   s1 (0 against 2); the coefficients then give d and (h1, h3), and h2 is
+   fixed by the kind.  The offset lists hold each (kind, d, h1, h3) once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent import futures
@@ -32,7 +55,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
-from .constellation import ComplexSequence, Scale, qam16_lattice, qam64_lattice
+from .constellation import ComplexSequence, Scale, qam_lattice
 from .gbf import PathQuadratic, base_rows, psi
 
 
@@ -43,6 +66,11 @@ class OffsetConstraintError(ValueError):
 class Modulation(Enum):
     QAM16 = "16qam"
     QAM64 = "64qam"
+
+    @property
+    def components(self) -> int:
+        """QPSK components per symbol."""
+        return 2 if self is Modulation.QAM16 else 3
 
 
 class OffsetKind(Enum):
@@ -135,35 +163,25 @@ def classify_offset64(d: Offset16, h1: int, h3: int) -> Offset64:
 
 def list_offsets16() -> list[Offset16]:
     """The 8 valid offset triples, lexicographic in (d1, d2, d3)."""
-    out = []
-    for d1 in range(4):
-        for d2 in range(4):
-            for d3 in range(4):
-                o = Offset16(d1, d2, d3)
-                if not o.violations():
-                    out.append(o)
-    return out
-
-
-# (h1, h3) pairs per kind, exhausted from Z4^2 and filtered by the congruence
-_TYPE1_H = [(0, 0), (0, 2), (2, 1), (2, 3)]
-_TYPE2_H = [(0, 1), (0, 3), (2, 0), (2, 2)]
+    triples = (Offset16(*t) for t in itertools.product(range(4), repeat=3))
+    return [o for o in triples if not o.violations()]
 
 
 def list_offsets64() -> list[Offset64]:
-    """All 64 valid offset pairs: 32 type 1 records then 32 type 2 records.
+    """All 64 valid offset pairs: 32 type 1 records (h1 + 2*h3 = 0) then 32
+    type 2 records (h1 + 2*h3 = 2).
 
     Within each kind: d triples in list_offsets16 order, (h1, h3) pairs in
     lexicographic order.
     """
-    out = []
-    for d in list_offsets16():
-        for h1, h3 in _TYPE1_H:
-            out.append(Offset64(OffsetKind.TYPE1, d, h1, 0, h3).validate())
-    for d in list_offsets16():
-        for h1, h3 in _TYPE2_H:
-            out.append(Offset64(OffsetKind.TYPE2, d, h1, (d.d2 + 2) % 4, h3).validate())
-    return out
+    pairs = list(itertools.product(range(4), repeat=2))
+    return [
+        classify_offset64(d, h1, h3)
+        for r in (0, 2)
+        for d in list_offsets16()
+        for h1, h3 in pairs
+        if (h1 + 2 * h3) % 4 == r
+    ]
 
 
 Offset = Union[Offset16, Offset64]
@@ -200,43 +218,31 @@ class CodewordRecord:
     components: tuple[np.ndarray, ...] | None = None
 
 
-def quadratic_offset_values(m: int, pi: tuple[int, ...], c1: int, c2: int, c3: int) -> np.ndarray:
-    """Vector of 2*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)} + c2*x_{pi(1)} + c3 over all indices."""
+def offset_forms(offset: Offset) -> tuple[tuple[int, int, int, int], ...]:
+    """(q, c1, c2, c3) of each component offset, the form
+    q*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)} + c2*x_{pi(1)} + c3: s for 16-QAM,
+    (s1, s2) for 64-QAM."""
+    if isinstance(offset, Offset16):
+        return ((2, offset.d1, offset.d2, offset.d3),)
+    d = (2, offset.d.d1, offset.d.d2, offset.d.d3)
+    if offset.kind is OffsetKind.TYPE1:
+        return ((0, offset.h1, 0, offset.h3), d)
+    return (d, (2, offset.h1, offset.h2, offset.h3))
+
+
+def offset_values(offset: Offset, m: int, pi: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(n,) uint8 vector of each component offset over all indices."""
     bits = bit_matrix(m).astype(np.int64)
     x0, x1 = bits[:, pi[0]], bits[:, pi[1]]
-    return ((2 * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
-
-
-def linear_offset_values(m: int, pi: tuple[int, ...], h1: int, h3: int) -> np.ndarray:
-    """Vector of h1*x_{pi(0)} + h3 over all indices."""
-    bits = bit_matrix(m).astype(np.int64)
-    return ((h1 * bits[:, pi[0]] + h3) % 4).astype(np.uint8)
-
-
-def offset16_values(o: Offset16, m: int, pi: tuple[int, ...]) -> np.ndarray:
-    return quadratic_offset_values(m, pi, o.d1, o.d2, o.d3)
-
-
-def offset64_component_values(
-    o: Offset64, m: int, pi: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two offset vectors (s1, s2) for a 64-QAM offset pair."""
-    d = o.d
-    if o.kind is OffsetKind.TYPE1:
-        s1 = linear_offset_values(m, pi, o.h1, o.h3)
-        s2 = quadratic_offset_values(m, pi, d.d1, d.d2, d.d3)
-    else:
-        s1 = quadratic_offset_values(m, pi, d.d1, d.d2, d.d3)
-        s2 = quadratic_offset_values(m, pi, o.h1, o.h2, o.h3)
-    return s1, s2
+    return tuple(
+        ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
+        for q, c1, c2, c3 in offset_forms(offset)
+    )
 
 
 def _offset_components(base: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]):
     """(D, E) or (D, F, G) from base sequences D: one row, or a batch of rows."""
-    if isinstance(offset, Offset16):
-        return base, (base + offset16_values(offset, m, pi)) % 4
-    s1, s2 = offset64_component_values(offset, m, pi)
-    return base, (base + s1) % 4, (base + s2) % 4
+    return (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
 
 
 def component_values(params: ConstructionParams) -> tuple[np.ndarray, ...]:
@@ -376,11 +382,7 @@ def build_block(
     if coeffs is None:
         coeffs = coefficient_matrix(m)
     comps = _offset_components(base_rows(m, pi, coeffs), offset, m, pi)
-    if isinstance(offset, Offset16):
-        lattice, scale = qam16_lattice, Scale.QAM16
-    else:
-        lattice, scale = qam64_lattice, Scale.QAM64
-    re, im = lattice(*comps)
+    re, im, scale = qam_lattice(*comps)
     return FamilyBlock(
         m=m, pi=pi, offset=offset, coeffs=coeffs, components=comps,
         sym_re=re, sym_im=im, scale=scale,
@@ -423,18 +425,21 @@ def map_family_blocks(
         return list(pool.map(task, cells, chunksize=4))
 
 
-# coefficient rows per chunk of iter_family_chunks: bounds its memory at any m
-CHUNK_ROWS = 64
+# symbols per chunk of iter_family_chunks, over all its blocks: bounds its
+# memory at any m and for either modulation
+CHUNK_SYMBOLS = 1 << 15
 
 
 def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
-    """The family in parameter_grid order: per pi, per chunk of CHUNK_ROWS
-    coefficient rows, one block per offset over the same rows."""
+    """The family in parameter_grid order: per pi, per chunk of coefficient
+    rows, one block per offset over the same rows; a chunk holds at most
+    CHUNK_SYMBOLS symbols while one row per offset fits in it."""
     coeffs = coefficient_matrix(m)
     offsets = _offset_list(modulation)
+    step = max(1, CHUNK_SYMBOLS // ((1 << m) * len(offsets)))
     for pi in canonical_permutations(m):
-        for start in range(0, len(coeffs), CHUNK_ROWS):
-            rows = coeffs[start : start + CHUNK_ROWS]
+        for start in range(0, len(coeffs), step):
+            rows = coeffs[start : start + step]
             yield tuple(build_block(m, pi, off, rows) for off in offsets)
 
 

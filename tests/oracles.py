@@ -4,28 +4,33 @@ Each function here evaluates its quantity straight from the definition, one
 sequence or one record at a time: the per-shift autocorrelation loop, the
 full-range star sum, the one-sequence envelope FFT, the per-record lemma
 double sums, pointwise Boolean-function evaluation, the binary digits of an
-index and the float value of a lattice point.  The library computes each of
-these once, in a batched kernel; the tests compare the two.  star_rows is
+index, the two QAM maps written out per modulation, pointwise offset
+values, and the float value of a lattice point.  The library computes each
+of these once, in a batched kernel; the tests compare the two.  star_rows is
 the literal star sum over many records at once, for checks that cover a
-whole family.
+whole family, and distinct_rows counts a family's distinct symbol rows by
+hashing every one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from qamseq.algebra import ZETA_IM, ZETA_INT, ZETA_RE, bit_matrix
-from qamseq.constellation import ComplexSequence, LatticeSymbol, Scale, qam16_map, qam64_map
+from qamseq.constellation import ComplexSequence, Scale
 from qamseq.constructions import (
     ConstructionParams,
+    Modulation,
+    Offset,
     Offset16,
     Offset64,
     OffsetKind,
-    offset16_values,
-    offset64_component_values,
+    map_family_blocks,
+    offset_values,
 )
 from qamseq.gbf import PathQuadratic, psi
 
@@ -54,6 +59,35 @@ def index_of(bits: tuple[int, ...]) -> int:
             raise ValueError(f"bits must be 0/1, got {bits!r}")
         i = (i << 1) | b
     return i
+
+
+class LatticeSymbol(NamedTuple):
+    re_int: int
+    im_int: int
+    scale: Scale
+
+
+def _rotate(a: int, b: int) -> tuple[int, int]:
+    # multiply a + ib by (1 + i); the sqrt(2) is absorbed into the denominator
+    return a - b, a + b
+
+
+def qam16_map(u: int, v: int) -> LatticeSymbol:
+    """16-QAM point for QPSK component phases (u, v) in Z4."""
+    zu, zv = ZETA_INT[u % 4], ZETA_INT[v % 4]
+    a = 2 * zu[0] + zv[0]
+    b = 2 * zu[1] + zv[1]
+    re, im = _rotate(a, b)
+    return LatticeSymbol(re, im, Scale.QAM16)
+
+
+def qam64_map(u: int, v: int, w: int) -> LatticeSymbol:
+    """64-QAM point for QPSK component phases (u, v, w) in Z4."""
+    zu, zv, zw = ZETA_INT[u % 4], ZETA_INT[v % 4], ZETA_INT[w % 4]
+    a = 4 * zu[0] + 2 * zv[0] + zw[0]
+    b = 4 * zu[1] + 2 * zv[1] + zw[1]
+    re, im = _rotate(a, b)
+    return LatticeSymbol(re, im, Scale.QAM64)
 
 
 def to_complex(p: LatticeSymbol) -> complex:
@@ -106,6 +140,33 @@ def offset16_eval(o: Offset16, x: tuple[int, ...], pi: tuple[int, ...]) -> int:
     """Offset value s(x) = 2*x_{pi(0)}x_{pi(1)} + d1*x_{pi(0)} + d2*x_{pi(1)} + d3."""
     x0, x1 = x[pi[0]], x[pi[1]]
     return (2 * x0 * x1 + o.d1 * x0 + o.d2 * x1 + o.d3) % 4
+
+
+def offset_eval(o: Offset, x: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
+    """Each component offset at one bit vector x: (s,) for 16-QAM; (s1, s2)
+    for 64-QAM, where type 1 has s1 = h1*x_{pi(0)} + h3 and s2 = s of d, and
+    type 2 has s1 = s of d and s2 = 2*x_{pi(0)}x_{pi(1)} + h1*x_{pi(0)}
+    + h2*x_{pi(1)} + h3."""
+    if isinstance(o, Offset16):
+        return (offset16_eval(o, x, pi),)
+    x0, x1 = x[pi[0]], x[pi[1]]
+    s_d = offset16_eval(o.d, x, pi)
+    if o.kind is OffsetKind.TYPE1:
+        return ((o.h1 * x0 + o.h3) % 4, s_d)
+    return (s_d, (2 * x0 * x1 + o.h1 * x0 + o.h2 * x1 + o.h3) % 4)
+
+
+def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
+    """(distinct symbol rows, records) over the whole family, every row hashed."""
+    def rows(block):
+        sym = np.concatenate([block.sym_re, block.sym_im], axis=1).astype(np.int8)
+        return {row.tobytes() for row in sym}, len(block)
+
+    seen, total = set(), 0
+    for block_rows, count in map_family_blocks(rows, m, modulation, jobs=1):
+        seen |= block_rows
+        total += count
+    return len(seen), total
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +310,7 @@ def lemma1_residual(params: ConstructionParams) -> float:
         raise ValueError("lemma 1 oracle needs an Offset16")
     m, pi = params.m, params.base.pi
     base = psi(params.base).astype(np.int64)
-    svals = offset16_values(params.offset, m, pi).astype(np.int64)
+    (svals,) = (s.astype(np.int64) for s in offset_values(params.offset, m, pi))
     lb = _last_bits(m, pi)
     n = base.size
     total = sum(_cross_inner(base, svals, lb, u) for u in range(1 - n, n))
@@ -262,7 +323,7 @@ def _three_residuals(
     """The weighted a1a2 / a1a3 / a2a3 absolute-sum expressions; the a1a2 sum
     ranges over u >= 1 when first_from_one is set."""
     m, pi = params.m, params.base.pi
-    s1, s2 = (s.astype(np.int64) for s in offset64_component_values(params.offset, m, pi))
+    s1, s2 = (s.astype(np.int64) for s in offset_values(params.offset, m, pi))
     base = psi(params.base).astype(np.int64)
     lb = _last_bits(m, pi)
     n = base.size

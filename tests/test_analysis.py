@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from oracles import autocorr, polyphase, primed
+from oracles import autocorr, polyphase, primed, qam16_map, qam64_map
 from qamseq.analysis import (
     CcdfCurve,
-    EnvelopeConfig,
     ccdf,
     correlation_sums_batch,
     default_threshold_grid,
@@ -21,7 +20,7 @@ from qamseq.analysis import (
     star,
     star_batch,
 )
-from qamseq.constellation import ComplexSequence, Scale, qam16_map, qam64_map
+from qamseq.constellation import ComplexSequence, Scale
 from qamseq.constructions import (
     CodewordRecord,
     ConstructionParams,
@@ -183,7 +182,7 @@ def test_pep_single_symbol_flat():
 
 def test_pep_monotone_in_oversampling():
     record = build(EX1_PARAMS)
-    values = [pmepr(record.sequence, EnvelopeConfig(oversample=l)) for l in (1, 2, 4, 8, 16, 32)]
+    values = [pmepr(record.sequence, l) for l in (1, 2, 4, 8, 16, 32)]
     assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
 
 
@@ -248,6 +247,22 @@ def test_star_bound_check_fake_record_fails():
 def test_ccdf_counting():
     curve = ccdf([1.0, 2.0, 3.0], [0.0, 2.5, 4.0])
     assert curve.probabilities.tolist() == [1.0, pytest.approx(1 / 3), 0.0]
+
+
+def test_ccdf_counts_only_samples_strictly_above_a_threshold():
+    # samples sitting exactly on a threshold do not exceed it
+    curve = ccdf([2.45, 2.4, 2.4], [2.35, 2.4, 2.45])
+    assert curve.probabilities.tolist() == [1.0, 1 / 3, 0.0]
+
+
+def test_ccdf_equals_the_share_above_each_threshold():
+    # the literal definition, one pass per threshold, bit for bit, on
+    # samples that repeat and that sit on grid points
+    rng = np.random.default_rng(5)
+    grid = default_threshold_grid()
+    values = np.concatenate([rng.uniform(0.5, 11.0, 500), grid[::7], grid[::7], [1.0, 10.0]])
+    curve = ccdf(values, grid)
+    assert curve.probabilities.tolist() == [np.mean(values > t) for t in grid]
 
 
 def test_ccdf_rejects_empty_and_bad_grid():

@@ -4,16 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import average_energy, squared_magnitude, to_complex
-from qamseq.constellation import (
-    ComplexSequence,
+from oracles import (
     LatticeSymbol,
-    Scale,
-    qam16_lattice,
+    average_energy,
     qam16_map,
-    qam64_lattice,
     qam64_map,
+    squared_magnitude,
+    to_complex,
 )
+from qamseq.constellation import ComplexSequence, Scale, qam_lattice
 
 GAMMA = cmath.exp(1j * cmath.pi / 4)
 R1, R2 = 2 / 5**0.5, 1 / 5**0.5
@@ -74,15 +73,19 @@ def test_squared_magnitude_exact():
 
 
 def test_vectorized_tables_match_scalar_maps():
-    u = np.repeat(np.arange(4), 4)
-    v = np.tile(np.arange(4), 4)
-    re, im = qam16_lattice(u, v)
-    for k in range(16):
-        assert (re[k], im[k]) == qam16_map(u[k], v[k])[:2]
-    u3, v3, w3 = np.meshgrid(np.arange(4), np.arange(4), np.arange(4), indexing="ij")
-    re, im = qam64_lattice(u3.ravel(), v3.ravel(), w3.ravel())
-    for k, (a, b, c) in enumerate(zip(u3.ravel(), v3.ravel(), w3.ravel())):
-        assert (re[k], im[k]) == qam64_map(a, b, c)[:2]
+    # one formula for both modulations: equal to the literal map written out
+    # per modulation on all 4^k inputs, 4^k distinct points, and the
+    # denominator 2(4^k - 1)/3
+    for k, literal, scale in ((2, qam16_map, Scale.QAM16), (3, qam64_map, Scale.QAM64)):
+        digits = [c.ravel() for c in np.meshgrid(*[np.arange(4)] * k, indexing="ij")]
+        re, im, got_scale = qam_lattice(*digits)
+        assert got_scale is scale and scale.value == 2 * (4**k - 1) // 3
+        points = list(zip(re.tolist(), im.tolist()))
+        assert points == [literal(*c)[:2] for c in zip(*(d.tolist() for d in digits))]
+        assert len(set(points)) == 4**k
+        # components are read mod 4, and any array shape is kept
+        re2, im2, _ = qam_lattice(*((d + 4).reshape(-1, 4) for d in digits))
+        assert np.array_equal(re2, re.reshape(-1, 4)) and np.array_equal(im2, im.reshape(-1, 4))
 
 
 def test_complex_sequence_equality_and_energy():

@@ -8,6 +8,7 @@ import pytest
 
 from qamseq.constructions import (
     CEILINGS,
+    CHUNK_SYMBOLS,
     ConstructionParams,
     Modulation,
     Offset16,
@@ -21,18 +22,20 @@ from qamseq.constructions import (
     count_enumerated,
     enumerate_family,
     family_size,
+    iter_family_chunks,
     list_offsets16,
     list_offsets64,
     map_family_blocks,
-    offset16_values,
     offset_kind,
+    offset_values,
     parameter_grid,
     star_bound,
 )
-from oracles import bits_of, offset16_eval
+from oracles import bits_of, distinct_rows, offset16_eval, offset_eval
+from qamseq import constructions
 from qamseq.algebra import canonical_permutations
 from qamseq.analysis import polyphase_lattice
-from qamseq.constellation import Scale, qam16_lattice, qam64_lattice
+from qamseq.constellation import Scale, qam_lattice
 from qamseq.gbf import PathQuadratic
 
 EX1_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
@@ -47,6 +50,20 @@ def test_offset16_eval_reference_values():
     assert offset16_eval(o, (0, 0, 0), (0, 1, 2)) == 1
     assert offset16_eval(o, (0, 1, 0), (0, 1, 2)) == 2
     assert offset16_eval(Offset16(2, 1, 0), (0, 0, 0), (0, 1, 2)) == 0
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_offset_values_are_the_offset_definitions(m):
+    # every offset of both families at every canonical pi, against the
+    # pointwise definition of each kind's component offsets
+    offsets = list_offsets16() + list_offsets64()
+    points = [bits_of(i, m) for i in range(1 << m)]
+    for pi in canonical_permutations(m):
+        for o in offsets:
+            got = offset_values(o, m, pi)
+            assert all(v.dtype == np.uint8 for v in got)
+            want = np.array([offset_eval(o, x, pi) for x in points]).T
+            assert np.array_equal(np.stack(got), want)
 
 
 def test_list_offsets16_exact():
@@ -191,7 +208,7 @@ def test_enumerate_family_offset_identity_sample():
     for record in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 37):
         params = record.params
         d_vals, e_vals = component_values(params)
-        s = offset16_values(params.offset, params.m, params.base.pi)
+        (s,) = offset_values(params.offset, params.m, params.base.pi)
         assert np.array_equal((e_vals.astype(int) - d_vals) % 4, s)
 
 
@@ -294,13 +311,12 @@ def test_companion_sign_is_the_primed_definition(modulation):
     # block the sign vector must give exactly that, for the symbols and for
     # the polyphase sequence of each component
     m = 3
-    lattice = qam16_lattice if modulation is Modulation.QAM16 else qam64_lattice
 
     def check(block):
         shift = np.array([2 * bits_of(i, m)[block.pi[m - 1]] for i in range(1 << m)])
         primed = [(c.astype(np.int64) + shift) % 4 for c in block.components]
         sign = block.companion_sign
-        re, im = lattice(*primed)
+        re, im, _ = qam_lattice(*primed)
         assert np.array_equal(block.sym_re * sign, re)
         assert np.array_equal(block.sym_im * sign, im)
         for c, p in zip(block.components, primed):
@@ -325,3 +341,35 @@ def test_primed_sequence_is_family_member():
         offset=EX1_PARAMS.offset,
     )
     assert build(companion).sequence == record.primed_sequence
+
+
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
+])
+def test_every_family_record_is_a_distinct_sequence(m, modulation):
+    # the injectivity that the audit's distinct count rests on, seen by
+    # hashing every symbol row of the family
+    assert distinct_rows(m, modulation) == (family_size(m, modulation),) * 2
+
+
+def test_distinct_rows_sees_a_repeated_offset(monkeypatch):
+    # negative control: a family walk that lists one offset twice synthesises
+    # the same rows twice, and the hash count must fall below the total
+    offsets = list_offsets16()
+    monkeypatch.setattr(constructions, "_offset_list", lambda modulation: (*offsets, offsets[0]))
+    distinct, total = distinct_rows(3, Modulation.QAM16)
+    assert total == 9 * 3 * 256
+    assert distinct == family_size(3, Modulation.QAM16) < total
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
+    n, offsets = 1 << m, len(list_offsets16() if modulation is Modulation.QAM16 else list_offsets64())
+    chunk = next(iter_family_chunks(m, modulation))
+    assert [b.offset for b in chunk] == list(constructions._offset_list(modulation))
+    rows = len(chunk[0])
+    assert all(len(b) == rows and b.sym_re.shape == (rows, n) for b in chunk)
+    assert rows * n * offsets <= CHUNK_SYMBOLS
+    # as many rows as fit, up to the 4^(m+1) rows of one pi
+    assert rows == min(CHUNK_SYMBOLS // (n * offsets), 4 ** (m + 1))

@@ -2,16 +2,23 @@
 
 The traced benchmark run (perfbench/child.py) wraps the functions named in
 its LAYERS and ITERATOR_LAYERS with getattr; a deleted or renamed function
-makes that run raise AttributeError, which no other test would notice.
+makes that run raise AttributeError, which no other test would notice.  Its
+count functions read attributes of the results and arguments of the traced
+calls, so one traced run checks those too.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qamseq
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def load_child():
@@ -32,3 +39,16 @@ def test_traced_layers_resolve():
 def test_public_exports_resolve():
     for name in qamseq.__all__:
         assert getattr(qamseq, name) is not None
+
+
+def test_traced_benchmark_child_runs(tmp_path):
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    args = ["verify", "--suite", "bounds", "--m", "3", "--jobs", "1", "--out", str(tmp_path / "r")]
+    proc = subprocess.run([sys.executable, str(CHILD), str(result), "1", "--", *args],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(result.read_text())
+    assert doc["exit_code"] == 0
+    # 6 144 16-QAM and 49 152 64-QAM records
+    assert doc["layers"]["counts"]["audit.distinct_sequences"] == 55296

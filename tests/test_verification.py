@@ -269,6 +269,9 @@ def test_bound_audit_parallel_matches_serial(modulation):
 def test_bound_audit_checks_have_expected_names():
     report = theorem_bound_audit(3, Modulation.QAM16)
     names = {c.name for c in report.checks()}
+    (distinct,) = [c for c in report.checks() if c.name == "bounds.16qam.m3.distinct_sequences"]
+    assert distinct.observed == "6144 distinct of 6144 tuples"
+    assert "injectivity" in distinct.requirement
     assert "bounds.16qam.m3.count" in names
     assert "bounds.16qam.m3.qam16.star" in names
     assert "bounds.16qam.m3.golay_base_pair" in names
@@ -281,13 +284,14 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
     # base pair shows a defect, and so does the type 1 first component
     block = build_block(3, (0, 1, 2), Offset16(0, 1, 1))
     type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
-    assert _audit_block(block, 16)[0].golay_defect == 0
-    assert _audit_block(type1, 16)[0].component_ok
+    assert isinstance(_audit_block(block, 16), KindStats)
+    assert _audit_block(block, 16).golay_defect == 0
+    assert _audit_block(type1, 16).component_ok
     monkeypatch.setattr(
         FamilyBlock, "companion_sign", property(lambda b: np.ones(1 << b.m, dtype=np.int64))
     )
-    assert _audit_block(block, 16)[0].golay_defect > 0
-    assert not _audit_block(type1, 16)[0].component_ok
+    assert _audit_block(block, 16).golay_defect > 0
+    assert not _audit_block(type1, 16).component_ok
 
 
 def test_audit_block_correlates_each_component_once(monkeypatch):
@@ -316,8 +320,8 @@ def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch
     assert type2.kind == "type2"
     real = verification.golay_defect
     monkeypatch.setattr(verification, "golay_defect", lambda sums: real(sums) + 1)
-    assert not _audit_block(type1, 16)[0].component_ok
-    assert _audit_block(type2, 16)[0].component_ok
+    assert not _audit_block(type1, 16).component_ok
+    assert _audit_block(type2, 16).component_ok
 
 
 def test_kind_stats_add():

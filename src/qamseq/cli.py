@@ -1,6 +1,7 @@
 """Command-line surface: construct, enumerate, ccdf, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or constraint error.
+Exit codes: 0 success, 1 verification failure, 2 usage or constraint error,
+3 internal error (a fault in the library, reported with its traceback).
 Records are emitted as self-describing JSON (symbols as exact integer
 lattice pairs plus a scale tag, never floats); curves as CSV with 12
 significant digits.  Identical flags produce byte-identical output.
@@ -9,9 +10,11 @@ significant digits.  Identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -26,13 +29,14 @@ from .analysis import (
 )
 from .constellation import ComplexSequence, Scale
 from .constructions import (
+    CHUNK_SYMBOLS,
+    ORBIT_SIZE,
     CodewordRecord,
     ConstructionParams,
     FamilyBlock,
     Modulation,
     Offset16,
     Offset64,
-    OffsetConstraintError,
     OffsetKind,
     build,
     classify_offset64,
@@ -61,6 +65,7 @@ ENUMERATION_CAPS = {Modulation.QAM16: 4, Modulation.QAM64: 3}
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -237,16 +242,16 @@ def _record_csv_lines(doc: dict) -> list[str]:
     return lines
 
 
+def _open_out(out: str | None):
+    """The output stream: stdout for None or "-", else the file, truncated."""
+    if out in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
+
+
 def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    with _open_out(out) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_construct(args) -> int:
@@ -258,9 +263,13 @@ def cmd_construct(args) -> int:
         raise UsageError(f"--m {args.m} disagrees with --pi of length {m}")
     if len(coeffs) != m + 1:
         raise UsageError(f"--c needs {m} linear coefficients plus the constant")
-    offset = _parse_offset(_parse_int_list(args.offset, "--offset"), modulation)
-    base = PathQuadratic(m=m, pi=pi, linear=tuple(coeffs[:m]), constant=coeffs[m])
-    record = build(ConstructionParams(base=base, offset=offset))
+    try:  # an offset that breaks its congruences, a bad permutation or m <= 2
+        offset = _parse_offset(_parse_int_list(args.offset, "--offset"), modulation)
+        base = PathQuadratic(m=m, pi=pi, linear=tuple(coeffs[:m]), constant=coeffs[m])
+        params = ConstructionParams(base=base, offset=offset)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    record = build(params)
     doc = codeword_doc(record, oversample=args.oversample)
     if args.format == "json":
         _write_out(json.dumps(doc, sort_keys=True, indent=2), args.out)
@@ -271,8 +280,6 @@ def cmd_construct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     modulation = Modulation(args.modulation)
-    if args.m <= 2:
-        raise UsageError(f"family defined for m > 2, got m={args.m}")
     cap = ENUMERATION_CAPS[modulation]
     if args.m > cap and not args.stream:
         raise UsageError(
@@ -291,10 +298,6 @@ def cmd_enumerate(args) -> int:
         }
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
-    # scoring checks oversample too, but only after --out has been truncated
-    if args.oversample < 1:
-        raise UsageError(f"oversample must be >= 1, got {args.oversample}")
-
     def lines():
         n = 1 << args.m
         for blocks in iter_family_chunks(args.m, modulation):
@@ -307,13 +310,8 @@ def cmd_enumerate(args) -> int:
             for record, (s, p) in zip(grid_records(blocks), scores):
                 yield json.dumps(codeword_doc(record, args.oversample, s, p), sort_keys=True)
 
-    if args.out is None or args.out == "-":
-        for line in lines():
-            sys.stdout.write(line + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines():
-                fh.write(line + "\n")
+    with _open_out(args.out) as fh:
+        fh.writelines(line + "\n" for line in lines())
     return EXIT_OK
 
 
@@ -324,11 +322,12 @@ def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[str, np.ndarray]
 def family_pmeprs(
     m: int, modulation: Modulation, oversample: int = 16, jobs: int | None = None
 ) -> dict[str, np.ndarray]:
-    """Oversampled PMEPR of every family member, grouped by offset kind."""
+    """Oversampled PMEPR of every family member, grouped by offset kind: each
+    orbit row's value repeated for the ORBIT_SIZE records of its orbit."""
     grouped: dict[str, list[np.ndarray]] = {}
     pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
     for kind, values in map_family_blocks(pmeprs, m, modulation, jobs):
-        grouped.setdefault(kind, []).append(values)
+        grouped.setdefault(kind, []).append(np.repeat(values, ORBIT_SIZE))
     return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
 
 
@@ -338,8 +337,9 @@ def _fmt(value: float) -> str:
 
 def cmd_ccdf(args) -> int:
     modulation = Modulation(args.modulation)
-    if args.m <= 2:
-        raise UsageError(f"family defined for m > 2, got m={args.m}")
+    if args.baseline_count < 1 or args.seed < 0:
+        raise UsageError(f"baseline count must be >= 1 and seed >= 0, got "
+                         f"{args.baseline_count} and {args.seed}")
     n = 1 << args.m
     thresholds = default_threshold_grid()
     by_kind = family_pmeprs(args.m, modulation, oversample=args.oversample, jobs=args.jobs)
@@ -350,7 +350,10 @@ def cmd_ccdf(args) -> int:
         curves["ccdf_type2"] = ccdf(by_kind["type2"], thresholds)
 
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
-    baseline_pmeprs = pep_batch(baseline, args.oversample) / n
+    step = max(1, CHUNK_SYMBOLS // n)  # rows per pep_batch call: bounds the envelope's memory
+    baseline_pmeprs = np.concatenate(
+        [pep_batch(baseline[i : i + step], args.oversample) for i in range(0, len(baseline), step)]
+    ) / n
     curves["ccdf_baseline"] = ccdf(baseline_pmeprs, thresholds)
 
     names = list(curves)
@@ -408,6 +411,8 @@ def cmd_verify(args) -> int:
                 doc = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read --record {args.record}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise UsageError(f"cannot parse --record {args.record}: {exc}") from exc
         problems = verify_codeword_doc(doc)
         report = {
             "record": args.record,
@@ -494,13 +499,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 0) is None:
-            # read QAMSEQ_JOBS up front, so a malformed value fails every suite
-            args.jobs = default_jobs()
+        if getattr(args, "jobs", 0) is None:  # read QAMSEQ_JOBS up front, for every suite
+            try:
+                args.jobs = default_jobs()
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"worker count (--jobs or QAMSEQ_JOBS) must be >= 1, got {args.jobs}")
+        if getattr(args, "m", None) is not None and args.m <= 2:
+            raise UsageError(f"family defined for m > 2, got m={args.m}")
+        if getattr(args, "oversample", 1) < 1:
+            raise UsageError(f"oversample must be >= 1, got {args.oversample}")
         return args.func(args)
-    except (UsageError, OffsetConstraintError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault in the library, not in the command line
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

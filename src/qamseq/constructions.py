@@ -337,14 +337,25 @@ def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
     return 1 - 2 * bit_matrix(m)[:, pi[m - 1]].astype(np.int64)
 
 
+# records per constant orbit: adding c to every component multiplies the
+# symbols by zeta^c, an exact lattice rotation, so star, PMEPR, the Golay
+# defect and the component stars are the same on the c = 0, 1, 2, 3 rows
+ORBIT_SIZE = 4
+
+
+def orbit_rows(m: int) -> np.ndarray:
+    """The 4^m constant-0 rows of coefficient_matrix(m), one per constant orbit."""
+    return coefficient_matrix(m)[::ORBIT_SIZE]  # the constant varies fastest
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
 
-    Row j of every array corresponds to row j of coeffs (by default all of
-    coefficient_matrix(m)).  components holds the quaternary sequences
-    ((D, E) or (D, F, G)); the primed companion is derived through
-    companion_sign.
+    Row j of every array corresponds to row j of coeffs, rows of
+    coefficient_matrix(m) (orbit_rows(m) in map_family_blocks).  components
+    holds the quaternary sequences ((D, E) or (D, F, G)); the primed
+    companion is derived through companion_sign.
     """
 
     m: int
@@ -372,15 +383,10 @@ class FamilyBlock:
         return (self.sym_re + 1j * self.sym_im) / np.sqrt(self.scale.value)
 
 
-def build_block(
-    m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray | None = None
-) -> FamilyBlock:
-    """Vectorized synthesis of one (pi, offset) cell over coefficient rows
-    (default: every row of coefficient_matrix(m))."""
+def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray) -> FamilyBlock:
+    """Vectorized synthesis of one (pi, offset) cell over coefficient rows."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    if coeffs is None:
-        coeffs = coefficient_matrix(m)
     comps = _offset_components(base_rows(m, pi, coeffs), offset, m, pi)
     re, im, scale = qam_lattice(*comps)
     return FamilyBlock(
@@ -405,8 +411,9 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
 def map_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int | None = None
 ) -> list:
-    """fn(block) for every (pi, offset) block of the family, each block over
-    every coefficient row, in pi-major then offset list order.
+    """fn(block) for every (pi, offset) block of the family, in pi-major then
+    offset list order, each block over orbit_rows(m): a consumer that counts
+    records weights each row by ORBIT_SIZE, the records of its orbit.
 
     jobs (default: default_jobs()) > 1 builds and maps the blocks in that
     many worker processes; fn and its results must then pickle.  The
@@ -417,7 +424,8 @@ def map_family_blocks(
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError(f"worker count (--jobs or QAMSEQ_JOBS) must be >= 1, got {jobs}")
-    cells = [(m, pi, off) for pi in canonical_permutations(m) for off in _offset_list(modulation)]
+    rows, offsets = orbit_rows(m), _offset_list(modulation)
+    cells = [(m, pi, off, rows) for pi in canonical_permutations(m) for off in offsets]
     task = functools.partial(_map_cell, fn)
     if jobs == 1:
         return [task(cell) for cell in cells]

@@ -17,14 +17,16 @@ broken offsets must light them up, otherwise the sweep proves nothing.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
-cancellation of the base pair, and the component star ceilings.  Every
-companion sequence is FamilyBlock.companion_sign times its sequence.  Each
-component is correlated with its companion once; the component star and the
-Golay defect are both reductions of those sums.  Each (pi, offset) block
-becomes the KindStats of its offset kind, read against that kind's ceiling in
-constructions.CEILINGS, and the report is their sum per kind: counts add,
-extrema take min/max and flags AND, so it is the same in any block order and
-for any worker count.
+cancellation of the base pair, and the component star ceilings.  It scores
+each constant orbit once, on its constant-0 row, which counts for the
+ORBIT_SIZE records of the orbit (constructions.ORBIT_SIZE says why they
+agree).  Every companion sequence is FamilyBlock.companion_sign times its
+sequence.  Each component is correlated with its companion once; the
+component star and the Golay defect are both reductions of those sums.  Each
+(pi, offset) block becomes the KindStats of its offset kind, read against
+that kind's ceiling in constructions.CEILINGS, and the report is their sum
+per kind: counts add, extrema take min/max and flags AND, so it is the same
+in any block order and for any worker count.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .analysis import (
 from .constellation import ComplexSequence, Scale
 from .constructions import (
     CEILINGS,
+    ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -67,6 +70,7 @@ from .constructions import (
     family_size,
     map_family_blocks,
     offset_values,
+    orbit_rows,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -210,7 +214,7 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     """
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    rows = coefficient_matrix(m)[::4]  # the constant varies fastest
+    rows = orbit_rows(m)
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
 
@@ -378,7 +382,8 @@ class BoundAuditReport:
 
 
 def _audit_block(block: FamilyBlock, oversample: int) -> KindStats:
-    """The audit tally of one block."""
+    """The audit tally of one block, each row counted as the ORBIT_SIZE
+    records of its constant orbit."""
     n = 1 << block.m
     bound = star_bound(block.offset)
     sign = block.companion_sign
@@ -408,9 +413,9 @@ def _audit_block(block: FamilyBlock, oversample: int) -> KindStats:
 
     return KindStats(
         kind=block.kind,
-        total=len(block),
-        star_ok=int(np.count_nonzero(ok)),
-        pmepr_ok=int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
+        total=ORBIT_SIZE * len(block),
+        star_ok=ORBIT_SIZE * int(np.count_nonzero(ok)),
+        pmepr_ok=ORBIT_SIZE * int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
         min_star_over_n=float(np.min(star_over_n)),
         max_star_over_n=float(np.max(star_over_n)),
         max_pmepr=float(np.max(pmeprs)),
@@ -426,7 +431,8 @@ def theorem_bound_audit(
     oversample: int = 16,
     jobs: int | None = None,
 ) -> BoundAuditReport:
-    """Check every codeword of the family against its star and PMEPR bounds."""
+    """Check every codeword of the family against its star and PMEPR bounds,
+    one row per constant orbit."""
     audit = functools.partial(_audit_block, oversample=oversample)
     kinds: dict[str, KindStats] = {}
     for stats in map_family_blocks(audit, m, modulation, jobs):
@@ -451,7 +457,8 @@ def _envelope_gaps(block: FamilyBlock, low: int, high: int, basis: np.ndarray) -
 def oversampling_audit(
     m: int, modulation: Modulation, low: int = 16, high: int = 32
 ) -> tuple[float, float]:
-    """Max relative PEP gaps over a family: between the two oversampling
+    """Max relative PEP gaps over a family, one row per constant orbit (a
+    row's PEP is that of its whole orbit): between the two oversampling
     rates, and between pep_batch at the high rate and a dense-DFT peak.
 
     The explicit exp(2*pi*j*i*k/(high*n)) matrix shares no code with the FFT,

@@ -10,29 +10,48 @@ of these once, in a batched kernel; the tests compare the two.  star_rows is
 the literal star sum over many records at once, for checks that cover a
 whole family, and distinct_rows counts a family's distinct symbol rows by
 hashing every one of them.
+
+full_family_blocks is the family walk over every coefficient row, all four
+constants of each orbit included; full_bound_audit and full_family_pmeprs
+run the audit and the PMEPR collection over it, scoring and counting every
+record once.  The library walks one row per constant orbit and weights it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from qamseq.algebra import ZETA_IM, ZETA_INT, ZETA_RE, bit_matrix
+from qamseq import constructions
+from qamseq.algebra import (
+    ZETA_IM,
+    ZETA_INT,
+    ZETA_RE,
+    bit_matrix,
+    canonical_permutations,
+    coefficient_matrix,
+)
+from qamseq.cli import _block_pmeprs
 from qamseq.constellation import ComplexSequence, Scale
 from qamseq.constructions import (
+    ORBIT_SIZE,
     ConstructionParams,
+    FamilyBlock,
     Modulation,
     Offset,
     Offset16,
     Offset64,
     OffsetKind,
-    map_family_blocks,
+    build_block,
+    family_size,
     offset_values,
 )
 from qamseq.gbf import PathQuadratic, psi
+from qamseq.verification import BoundAuditReport, KindStats, _audit_block
 
 # ---------------------------------------------------------------------------
 # indices, constellations, Boolean functions
@@ -156,6 +175,49 @@ def offset_eval(o: Offset, x: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int
     return (s_d, (2 * x0 * x1 + o.h1 * x0 + o.h2 * x1 + o.h3) % 4)
 
 
+# ---------------------------------------------------------------------------
+# the family walk over every coefficient row
+# ---------------------------------------------------------------------------
+
+
+def full_family_blocks(
+    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation
+) -> list:
+    """fn(block) for every (pi, offset) block of the family, in the order of
+    map_family_blocks, each block over all 4^(m+1) rows of
+    coefficient_matrix(m): every constant of every orbit, constant fastest."""
+    coeffs = coefficient_matrix(m)
+    offsets = constructions._offset_list(modulation)
+    return [
+        fn(build_block(m, pi, off, coeffs)) for pi in canonical_permutations(m) for off in offsets
+    ]
+
+
+def full_bound_audit(m: int, modulation: Modulation, oversample: int = 16) -> BoundAuditReport:
+    """theorem_bound_audit over full_family_blocks, each record counted once."""
+    def audit(block):  # _audit_block counts each row ORBIT_SIZE times; count it once
+        stats = _audit_block(block, oversample)
+        return replace(stats, total=len(block), star_ok=stats.star_ok // ORBIT_SIZE,
+                       pmepr_ok=stats.pmepr_ok // ORBIT_SIZE)
+
+    kinds: dict[str, KindStats] = {}
+    for stats in full_family_blocks(audit, m, modulation):
+        kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
+    kinds_in_order = tuple(kinds[k] for k in sorted(kinds))
+    return BoundAuditReport(m, modulation, oversample, family_size(m, modulation), kinds_in_order)
+
+
+def full_family_pmeprs(
+    m: int, modulation: Modulation, oversample: int = 16
+) -> dict[str, np.ndarray]:
+    """cli.family_pmeprs over full_family_blocks: the PMEPR of every record."""
+    grouped: dict[str, list[np.ndarray]] = {}
+    pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
+    for kind, values in full_family_blocks(pmeprs, m, modulation):
+        grouped.setdefault(kind, []).append(values)
+    return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
+
+
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
     """(distinct symbol rows, records) over the whole family, every row hashed."""
     def rows(block):
@@ -163,7 +225,7 @@ def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
         return {row.tobytes() for row in sym}, len(block)
 
     seen, total = set(), 0
-    for block_rows, count in map_family_blocks(rows, m, modulation, jobs=1):
+    for block_rows, count in full_family_blocks(rows, m, modulation):
         seen |= block_rows
         total += count
     return len(seen), total

@@ -209,6 +209,18 @@ def test_worker_count_below_one_is_a_usage_error(capsys, monkeypatch, flags, env
     assert err.startswith("error: worker count") and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
+])
+def test_family_pmeprs_equal_the_full_walk(m, modulation):
+    ours = family_pmeprs(m, modulation, jobs=1)
+    full = oracles.full_family_pmeprs(m, modulation)
+    assert list(ours) == list(full)
+    for kind in full:
+        # element for element, not only sorted: the constant varies fastest
+        assert np.array_equal(ours[kind], full[kind])
+
+
 def test_family_pmeprs_do_not_depend_on_jobs():
     serial = family_pmeprs(3, Modulation.QAM64, jobs=1)
     parallel = family_pmeprs(3, Modulation.QAM64, jobs=2)
@@ -412,3 +424,48 @@ def test_codeword_doc_roundtrip_functions():
     doc64 = codeword_doc(record64)
     assert verify_codeword_doc(doc64) == []
     assert params_from_doc(doc64) == EXAMPLE2_PARAMS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ccdf", "--m", "3", "--modulation", "16qam", "--baseline-count", "0"],
+     "baseline count must be >= 1"),
+    (["ccdf", "--m", "3", "--modulation", "16qam", "--seed", "-1"], "seed >= 0"),
+    (["construct", *EX1_FLAGS, "--oversample", "0"], "oversample must be >= 1, got 0"),
+    (["verify", "--suite", "examples", "--oversample", "0"], "oversample must be >= 1, got 0"),
+    (["verify", "--suite", "examples", "--m", "2"], "family defined for m > 2, got m=2"),
+    (["enumerate", "--m", "1", "--modulation", "64qam", "--count-only"], "m > 2"),
+    (["construct", "--modulation", "64qam", "--pi", "0,1,2", "--c", "1,1,1,0",
+      "--offset", "0,1,1,1,0"], "satisfies neither"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["{not json", b"\xff\xfe"])
+def test_verify_record_that_is_not_json_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "record.json"
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    code, out, err = run(capsys, "verify", "--record", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot parse --record {path}: ")
+
+
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # negative control: a fault inside the library that happens to raise
+    # ValueError must exit 3 with its traceback, not 2 as a usage error
+    from qamseq import verification
+
+    def faulty(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(verification, "star_batch", faulty)
+    code, out, err = run(capsys, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback (most recent call last)" in err and "in faulty" in err
+    assert err.rstrip().splitlines()[-1] == "internal error: ValueError: injected fault"

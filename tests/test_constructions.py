@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from qamseq.constructions import (
     CEILINGS,
     CHUNK_SYMBOLS,
+    ORBIT_SIZE,
     ConstructionParams,
     Modulation,
     Offset16,
@@ -28,13 +30,21 @@ from qamseq.constructions import (
     map_family_blocks,
     offset_kind,
     offset_values,
+    orbit_rows,
     parameter_grid,
     star_bound,
 )
-from oracles import bits_of, distinct_rows, offset16_eval, offset_eval
+from oracles import bits_of, distinct_rows, full_family_blocks, offset16_eval, offset_eval
 from qamseq import constructions
-from qamseq.algebra import canonical_permutations
-from qamseq.analysis import polyphase_lattice
+from qamseq.algebra import canonical_permutations, coefficient_matrix
+from qamseq.analysis import (
+    autocorrelation_sums,
+    golay_defect,
+    pep_batch,
+    polyphase_lattice,
+    star_batch,
+    star_sum,
+)
 from qamseq.constellation import Scale, qam_lattice
 from qamseq.gbf import PathQuadratic
 
@@ -251,31 +261,46 @@ def test_enumerate_family_walks_the_grid_and_matches_build():
 
 def test_blocks_agree_with_enumerate():
     blocks = map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1)
-    # pi-major, then offset list order, each block over every coefficient row
+    # pi-major, then offset list order, each block over the 64 constant-0 rows
     assert [(b.pi, b.offset, len(b)) for b in blocks] == [
-        (pi, off, 256) for pi in canonical_permutations(3) for off in list_offsets16()
+        (pi, off, 64) for pi in canonical_permutations(3) for off in list_offsets16()
     ]
+    assert np.array_equal(blocks[0].coeffs, coefficient_matrix(3)[::4])
     block = blocks[0]
-    # row j of the first block is (pi0, coeff row j, first offset)
-    target = [r for r in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 64, 8)]
+    # row j of the first block is (pi0, linear part j, constant 0, first
+    # offset): every 32nd record, as 8 offsets follow each coefficient row
+    # and the constant varies fastest
+    target = [r for r in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 32)]
     for record in target:
+        assert record.params.base.constant == 0
         row = 0
-        coeffs = record.params.base.linear + (record.params.base.constant,)
-        for v in coeffs:
+        for v in record.params.base.linear:
             row = row * 4 + v
         assert np.array_equal(block.sym_re[row], record.sequence.re)
         assert np.array_equal(block.sym_im[row], record.sequence.im)
         assert np.array_equal(block.sym_re[row] * block.companion_sign, record.primed_sequence.re)
+    # the oracle's blocks over every coefficient row, all four constants,
+    # hold every enumerated record in parameter_grid order
+    full = full_family_blocks(lambda b: b, 3, Modulation.QAM16)
+    records, per_pi = enumerate_family(3, Modulation.QAM16), len(list_offsets16())
+    for i in range(0, len(full), per_pi):
+        for record in constructions.grid_records(tuple(full[i : i + per_pi])):
+            expected = next(records)
+            assert record.params == expected.params
+            assert record.sequence == expected.sequence
+            assert record.primed_sequence == expected.primed_sequence
+    assert next(records, None) is None
 
 
 def test_block_shapes():
-    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1))
-    assert block.coeffs.shape == (256, 4)
-    assert block.sym_re.shape == (256, 8)
+    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1), orbit_rows(3))
+    assert np.array_equal(block.coeffs, orbit_rows(3))
+    assert block.coeffs.shape == (64, 4)
+    assert block.sym_re.shape == (64, 8)
     assert len(block.components) == 2
     # x_{pi(2)} = x_2 is the least significant index bit
     assert block.companion_sign.tolist() == [1, -1, 1, -1, 1, -1, 1, -1]
-    block64 = build_block(3, (0, 1, 2), list_offsets64()[0])
+    block64 = build_block(3, (0, 1, 2), list_offsets64()[0], orbit_rows(3))
     assert len(block64.components) == 3
 
 
@@ -326,7 +351,11 @@ def test_companion_sign_is_the_primed_definition(modulation):
             assert np.array_equal(c_im * sign, p_im)
         return len(block)
 
-    assert sum(map_family_blocks(check, m, modulation, jobs=1)) == family_size(m, modulation)
+    # every record, all four constants of each orbit: enumerate and build
+    # apply companion_sign to them all, not only to the orbit rows
+    assert sum(full_family_blocks(check, m, modulation)) == family_size(m, modulation)
+    rows = sum(map_family_blocks(check, m, modulation, jobs=1))
+    assert ORBIT_SIZE * rows == family_size(m, modulation)
 
 
 def test_primed_sequence_is_family_member():
@@ -373,3 +402,58 @@ def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
     assert rows * n * offsets <= CHUNK_SYMBOLS
     # as many rows as fit, up to the 4^(m+1) rows of one pi
     assert rows == min(CHUNK_SYMBOLS // (n * offsets), 4 ** (m + 1))
+
+
+def test_orbit_rows_are_the_constant_zero_rows():
+    for m in (3, 4, 5):
+        full, rows = coefficient_matrix(m), orbit_rows(m)
+        assert ORBIT_SIZE * len(rows) == len(full) == 4 ** (m + 1)
+        assert not rows[:, m].any()
+        # the linear parts in counter order, each once
+        assert np.array_equal(rows[:, :m], full[full[:, m] == 0][:, :m])
+
+
+def orbit_scores(block):
+    """Per row: the codeword star and PEP, then per component the star sum and
+    Golay defect of the component with its companion."""
+    sign = block.companion_sign
+    scores = [
+        star_batch(block.sym_re, block.sym_im, block.sym_re * sign, block.sym_im * sign,
+                   block.scale.value),
+        pep_batch(block.complex_symbols(), 16),
+    ]
+    for component in block.components:
+        re, im = polyphase_lattice(component)
+        sums = autocorrelation_sums(re, im, re * sign, im * sign)
+        scores += [star_sum(sums), golay_defect(sums)]
+    return scores
+
+
+def orbit_invariant(block):
+    """Whether every score of every row of a full block (constant fastest)
+    equals, bit for bit, that of the row's constant-0 twin."""
+    return all(
+        np.array_equal(v, np.repeat(v[::ORBIT_SIZE], ORBIT_SIZE)) for v in orbit_scores(block)
+    )
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_scores_are_the_same_on_every_constant_of_an_orbit(modulation):
+    # the symmetry that lets the family walk score one row per orbit: a
+    # constant c multiplies every component's zeta^(.) by zeta^c, so the
+    # codeword is zeta^c times its constant-0 twin, exactly on the lattice
+    assert all(full_family_blocks(orbit_invariant, 3, modulation))
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_orbit_invariance_fails_when_the_constant_reaches_one_component_only(modulation):
+    # negative control: c added to the base component D alone makes the
+    # codeword no longer a unit multiple of its twin, and the test must see it
+    m, coeffs = 3, coefficient_matrix(3)
+    block = build_block(m, (0, 1, 2), constructions._offset_list(modulation)[0], coeffs)
+    assert orbit_invariant(block)
+    constant = coeffs[:, m:].astype(np.int64)
+    comps = (block.components[0], *((c - constant) % 4 for c in block.components[1:]))
+    re, im, _ = qam_lattice(*comps)
+    broken = dataclasses.replace(block, components=comps, sym_re=re, sym_im=im)
+    assert not orbit_invariant(broken)

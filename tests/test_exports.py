@@ -41,14 +41,24 @@ def test_public_exports_resolve():
         assert getattr(qamseq, name) is not None
 
 
-def test_traced_benchmark_child_runs(tmp_path):
+def traced_counts(tmp_path, *args):
+    """The per-layer counts of one traced benchmark run of the CLI."""
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    args = ["verify", "--suite", "bounds", "--m", "3", "--jobs", "1", "--out", str(tmp_path / "r")]
+    args = [*args, "--out", str(tmp_path / "r")]
     proc = subprocess.run([sys.executable, str(CHILD), str(result), "1", "--", *args],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(result.read_text())
     assert doc["exit_code"] == 0
+    return doc["layers"]["counts"]
+
+
+def test_traced_benchmark_child_runs(tmp_path):
+    counts = traced_counts(tmp_path, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
     # 6 144 16-QAM and 49 152 64-QAM records
-    assert doc["layers"]["counts"]["audit.distinct_sequences"] == 55296
+    assert counts["audit.distinct_sequences"] == 55296
+    # the family walk synthesises one row per constant orbit: a quarter of
+    # the 6 144 records of 16-QAM m=3
+    counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
+    assert counts["synthesis.rows"] == 6144 // 4

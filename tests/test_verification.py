@@ -3,12 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from oracles import lemma1_residual, lemma2_residuals, lemma3_residuals, lemma_reports
+from oracles import (
+    full_bound_audit,
+    lemma1_residual,
+    lemma2_residuals,
+    lemma3_residuals,
+    lemma_reports,
+)
 from qamseq import analysis, verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.constellation import Scale
 from qamseq.constructions import (
     CEILINGS,
+    ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -21,6 +28,7 @@ from qamseq.constructions import (
     list_offsets64,
     map_family_blocks,
     offset_kind,
+    orbit_rows,
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
@@ -259,6 +267,17 @@ def test_bound_audit_64qam_m3():
     assert by_kind["type2"].min_star_over_n > 2.0
 
 
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
+])
+def test_bound_audit_equals_the_full_walk(m, modulation):
+    # one row per constant orbit, weighted, against every record scored and
+    # counted once: counts, extrema, the Golay defect and every flag
+    report = theorem_bound_audit(m, modulation, jobs=1)
+    assert report == full_bound_audit(m, modulation)
+    assert report.total == report.expected_total
+
+
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_bound_audit_parallel_matches_serial(modulation):
     serial = theorem_bound_audit(3, modulation, jobs=1)
@@ -282,8 +301,8 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
     # negative control: with the companion sign forced to all +1 every
     # "pair" is a sequence with itself, which is never a Golay pair: the
     # base pair shows a defect, and so does the type 1 first component
-    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1))
-    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
+    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1), orbit_rows(3))
+    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
     assert isinstance(_audit_block(block, 16), KindStats)
     assert _audit_block(block, 16).golay_defect == 0
     assert _audit_block(type1, 16).component_ok
@@ -295,7 +314,7 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
 
 
 def test_audit_block_correlates_each_component_once(monkeypatch):
-    block = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
+    block = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
     assert block.kind == "type1"
     calls = []
     real = analysis.correlation_sums_batch
@@ -315,8 +334,8 @@ def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch
     # every Golay defect read one unit high: a type 1 block must lose its
     # component check (its first component must be a Golay pair), a type 2
     # block must keep it (its components are only held to star <= 4n)
-    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset)
-    type2 = build_block(3, (0, 1, 2), list_offsets64()[-1])
+    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
+    type2 = build_block(3, (0, 1, 2), list_offsets64()[-1], orbit_rows(3))
     assert type2.kind == "type2"
     real = verification.golay_defect
     monkeypatch.setattr(verification, "golay_defect", lambda sums: real(sums) + 1)
@@ -362,7 +381,9 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.type2.star"]
     assert not report.passed
     by_kind = {k.kind: k for k in report.kinds}
-    assert by_kind["type2"].star_ok == by_kind["type2"].total - 1
+    # the forged row is an orbit representative: its star fails for the
+    # ORBIT_SIZE records of its constant orbit
+    assert by_kind["type2"].star_ok == by_kind["type2"].total - ORBIT_SIZE
     assert by_kind["type1"].star_ok == by_kind["type1"].total
 
     calls.clear()

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -40,9 +41,7 @@ from .constructions import (
     OffsetKind,
     build,
     classify_offset64,
-    component_values,
     count_enumerated,
-    default_jobs,
     family_size,
     grid_records,
     iter_family_chunks,
@@ -53,10 +52,9 @@ from .gbf import PathQuadratic
 from .verification import (
     STAR_TOL,
     CheckResult,
+    envelope_checks,
     example_regression,
     lemma_sweep,
-    oversampling_audit,
-    parseval_audit,
     theorem_bound_audit,
 )
 
@@ -70,6 +68,15 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
+
+
+def default_jobs() -> int:
+    """Worker count for family walks: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
+    raw = os.environ.get("QAMSEQ_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -105,9 +112,9 @@ def _offset_doc(offset) -> dict:
 
 
 def _offset_from_doc(doc: dict):
-    if "kind" not in doc:
-        return Offset16(doc["d1"], doc["d2"], doc["d3"]).validate()
     d = Offset16(doc["d1"], doc["d2"], doc["d3"]).validate()
+    if "kind" not in doc:
+        return d
     return Offset64(OffsetKind(doc["kind"]), d, doc["h1"], doc["h2"], doc["h3"]).validate()
 
 
@@ -123,8 +130,7 @@ def codeword_doc(
 ) -> dict:
     """JSON-ready document for one codeword; exact ints plus star and PMEPR
     (at this oversampling), computed here unless the caller scored them."""
-    params = record.params
-    comps = record.components if record.components is not None else component_values(params)
+    params, comps = record.params, record.components
     seq, primed = record.sequence, record.primed_sequence
     n = len(seq)
     if star_value is None:
@@ -174,37 +180,54 @@ def _is_pair_list(value) -> bool:
     return isinstance(value, list) and all(_is_int_list(p) and len(p) == 2 for p in value)
 
 
-# the payload fields of a codeword document, every one required but "star":
+_INT = (_is_int, "an integer")
+_INT_LIST = (_is_int_list, "a list of integers")
+_PAIRS = (_is_pair_list, "a list of [re, im] integer pairs")
+
+# the fields of a codeword document, the offset's as "offset.<name>":
 # (shape test, what the shape is)
-_PAYLOAD_SHAPES = {
+_FIELD_SHAPES = {
+    "m": _INT,
+    "pi": _INT_LIST,
+    "linear": _INT_LIST,
+    "constant": _INT,
+    **{f"offset.{key}": _INT for key in ("d1", "d2", "d3", "h1", "h2", "h3")},
     "scale_denominator": (lambda v: _is_int(v) and v in {s.value for s in Scale},
                           f"one of {', '.join(str(s.value) for s in Scale)}"),
-    "symbols": (_is_pair_list, "a list of [re, im] integer pairs"),
-    "primed_symbols": (_is_pair_list, "a list of [re, im] integer pairs"),
-    "base": (_is_int_list, "a list of integers"),
+    "symbols": _PAIRS,
+    "primed_symbols": _PAIRS,
+    "base": _INT_LIST,
     "components": (lambda v: isinstance(v, list) and all(_is_int_list(c) for c in v),
                    "a list of integer lists"),
     "star": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
 }
+_REQUIRED_PAYLOAD = ("scale_denominator", "symbols", "primed_symbols", "base", "components")
 
 
 def verify_codeword_doc(doc: dict) -> list[str]:
-    """Regenerate from the document's parameters and diff against its payload."""
-    problems = []
+    """Regenerate from the document's parameters and diff against its payload.
+
+    Every field is type-checked before anything is built from it: each field
+    of the wrong type gives one problem that names it."""
+    if not isinstance(doc, dict):
+        return ["unparseable parameters: the record is not a JSON object"]
+    fields = dict(doc)
+    if isinstance(doc.get("offset"), dict):
+        fields.update((f"offset.{key}", value) for key, value in doc["offset"].items())
+    problems = [
+        f"record field {key!r} is not {what}"
+        for key, (fits, what) in _FIELD_SHAPES.items()
+        if key in fields and not fits(fields[key])
+    ]
+    if problems:
+        return problems
     try:
         params = params_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable parameters: {exc}"]
-    missing = [key for key in _PAYLOAD_SHAPES if key != "star" and key not in doc]
+    missing = [key for key in _REQUIRED_PAYLOAD if key not in doc]
     if missing:
         return [f"record has no {key!r}" for key in missing]
-    malformed = [
-        f"record field {key!r} is not {what}"
-        for key, (fits, what) in _PAYLOAD_SHAPES.items()
-        if key in doc and not fits(doc[key])
-    ]
-    if malformed:
-        return malformed
     record = build(params)
     scale_ok = doc["scale_denominator"] == record.sequence.scale.value
     if not scale_ok or _lattice_pairs(record.sequence) != doc["symbols"]:
@@ -320,7 +343,7 @@ def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[str, np.ndarray]
 
 
 def family_pmeprs(
-    m: int, modulation: Modulation, oversample: int = 16, jobs: int | None = None
+    m: int, modulation: Modulation, oversample: int = 16, jobs: int = 1
 ) -> dict[str, np.ndarray]:
     """Oversampled PMEPR of every family member, grouped by offset kind: each
     orbit row's value repeated for the ORBIT_SIZE records of its orbit."""
@@ -382,25 +405,7 @@ def _suite_checks(args) -> list[CheckResult]:
                 args.m, modulation, oversample=args.oversample, jobs=args.jobs
             )
             checks += report.checks()
-        worst_parseval = parseval_audit()
-        checks.append(
-            CheckResult(
-                name="analysis.parseval",
-                passed=worst_parseval <= 1e-9,
-                observed=f"max relative gap {worst_parseval:.3e} over 100 random codewords",
-                requirement="<= 1e-9 relative",
-            )
-        )
-        worst_gap, dense_gap = oversampling_audit(3, Modulation.QAM16)
-        checks.append(
-            CheckResult(
-                name="analysis.oversampling_adequacy",
-                passed=worst_gap <= 0.005 and dense_gap <= 1e-9,
-                observed=f"max relative PEP gap L=16 vs L=32: {worst_gap:.3e}; "
-                f"FFT vs dense DFT at L=32: {dense_gap:.3e}",
-                requirement="<= 0.5% and <= 1e-9 relative over the m=3 16qam family",
-            )
-        )
+        checks += envelope_checks()
     return checks
 
 

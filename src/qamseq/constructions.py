@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +55,7 @@ import numpy as np
 
 from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
 from .constellation import ComplexSequence, Scale, qam_lattice
-from .gbf import PathQuadratic, base_rows, psi
+from .gbf import PathQuadratic, base_rows
 
 
 class OffsetConstraintError(ValueError):
@@ -128,6 +127,8 @@ class Offset64:
         if self.kind is OffsetKind.TYPE1:
             if (self.h1 + 2 * self.h3) % 4 != 0:
                 out.append("h1+2*h3=0")
+            if self.h2 != 0:
+                out.append("h2=0")
         else:
             if self.h2 % 4 != (self.d.d2 + 2) % 4:
                 out.append("h2=d2+2")
@@ -148,7 +149,7 @@ class Offset64:
 def classify_offset64(d: Offset16, h1: int, h3: int) -> Offset64:
     """Build an Offset64 from raw (h1, h3), inferring the kind by constraints.
 
-    h1 + 2*h3 = 0 -> type 1 (h2 unused, fixed 0); h1 + 2*h3 = 2 -> type 2
+    h1 + 2*h3 = 0 -> type 1 (h2 = 0); h1 + 2*h3 = 2 -> type 2
     (h2 forced to d2 + 2).  Anything else is rejected.
     """
     r = (h1 + 2 * h3) % 4
@@ -209,13 +210,13 @@ class ConstructionParams:
 
 @dataclass(frozen=True, eq=False)
 class CodewordRecord:
-    """A constructed codeword, its primed companion and (unless assembled by
-    hand) its unprimed quaternary components ((D, E) or (D, F, G))."""
+    """A constructed codeword, its primed companion and its unprimed
+    quaternary components ((D, E) or (D, F, G))."""
 
     params: ConstructionParams
     sequence: ComplexSequence
     primed_sequence: ComplexSequence
-    components: tuple[np.ndarray, ...] | None = None
+    components: tuple[np.ndarray, ...]
 
 
 def offset_forms(offset: Offset) -> tuple[tuple[int, int, int, int], ...]:
@@ -238,16 +239,6 @@ def offset_values(offset: Offset, m: int, pi: tuple[int, ...]) -> tuple[np.ndarr
         ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
         for q, c1, c2, c3 in offset_forms(offset)
     )
-
-
-def _offset_components(base: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]):
-    """(D, E) or (D, F, G) from base sequences D: one row, or a batch of rows."""
-    return (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
-
-
-def component_values(params: ConstructionParams) -> tuple[np.ndarray, ...]:
-    """Quaternary component sequences: (D, E) for 16-QAM, (D, F, G) for 64-QAM."""
-    return _offset_components(psi(params.base), params.offset, params.m, params.base.pi)
 
 
 def build(params: ConstructionParams) -> CodewordRecord:
@@ -293,32 +284,8 @@ def _offset_list(modulation: Modulation) -> tuple[Offset, ...]:
     return tuple(list_offsets16() if modulation is Modulation.QAM16 else list_offsets64())
 
 
-def parameter_grid(
-    m: int, modulation: Modulation
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, Offset]]:
-    """Deterministic tuple walk: pi lexicographic, coefficients as a base-4
-    counter (constant fastest), then offset list order.
-
-    This is the count-only fast path: nothing is synthesized.
-    """
-    if m <= 2:
-        raise ValueError(f"family defined for m > 2, got m={m}")
-    return _parameter_grid(m, modulation)
-
-
-def _parameter_grid(m: int, modulation: Modulation):
-    offsets = _offset_list(modulation)
-    coeffs = coefficient_matrix(m)
-    for pi in canonical_permutations(m):
-        for row in coeffs:
-            linear = tuple(int(v) for v in row[:m])
-            constant = int(row[m])
-            for off in offsets:
-                yield pi, linear, constant, off
-
-
 def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]:
-    """Lazily yield every codeword of the family in parameter_grid order."""
+    """Lazily yield every codeword of the family in the order of chunk_cells."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     chunks = iter_family_chunks(m, modulation)
@@ -326,8 +293,10 @@ def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
-    """Walk the parameter grid and count tuples (matches family_size)."""
-    return sum(1 for _ in parameter_grid(m, modulation))
+    """The records that enumerate_family yields (matches family_size): one
+    per offset on each row of each cell of chunk_cells, with nothing built."""
+    rows = sum(len(coeffs) for _, coeffs in chunk_cells(m, modulation))
+    return len(_offset_list(modulation)) * rows
 
 
 def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
@@ -387,7 +356,8 @@ def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray)
     """Vectorized synthesis of one (pi, offset) cell over coefficient rows."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    comps = _offset_components(base_rows(m, pi, coeffs), offset, m, pi)
+    base = base_rows(m, pi, coeffs)
+    comps = (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
     re, im, scale = qam_lattice(*comps)
     return FamilyBlock(
         m=m, pi=pi, offset=offset, coeffs=coeffs, components=comps,
@@ -395,35 +365,25 @@ def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray)
     )
 
 
-def default_jobs() -> int:
-    """Worker count for family walks: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
-    raw = os.environ.get("QAMSEQ_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
-
-
 def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
     return fn(build_block(*cell))
 
 
 def map_family_blocks(
-    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int | None = None
+    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
 ) -> list:
     """fn(block) for every (pi, offset) block of the family, in pi-major then
     offset list order, each block over orbit_rows(m): a consumer that counts
     records weights each row by ORBIT_SIZE, the records of its orbit.
 
-    jobs (default: default_jobs()) > 1 builds and maps the blocks in that
-    many worker processes; fn and its results must then pickle.  The
-    results are the same for every jobs.
+    jobs > 1 builds and maps the blocks in that many worker processes; fn
+    and its results must then pickle.  The results are the same for every
+    jobs.
     """
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
-        raise ValueError(f"worker count (--jobs or QAMSEQ_JOBS) must be >= 1, got {jobs}")
+        raise ValueError(f"worker count must be >= 1, got {jobs}")
     rows, offsets = orbit_rows(m), _offset_list(modulation)
     cells = [(m, pi, off, rows) for pi in canonical_permutations(m) for off in offsets]
     task = functools.partial(_map_cell, fn)
@@ -438,21 +398,30 @@ def map_family_blocks(
 CHUNK_SYMBOLS = 1 << 15
 
 
-def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
-    """The family in parameter_grid order: per pi, per chunk of coefficient
-    rows, one block per offset over the same rows; a chunk holds at most
-    CHUNK_SYMBOLS symbols while one row per offset fits in it."""
+def chunk_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The (pi, coefficient rows) cells of the family walk: pi lexicographic,
+    then consecutive rows of coefficient_matrix(m) (a base-4 counter, the
+    constant fastest); a cell holds at most CHUNK_SYMBOLS symbols over all
+    offsets while one row per offset fits in it."""
+    if m <= 2:
+        raise ValueError(f"family defined for m > 2, got m={m}")
     coeffs = coefficient_matrix(m)
-    offsets = _offset_list(modulation)
-    step = max(1, CHUNK_SYMBOLS // ((1 << m) * len(offsets)))
+    step = max(1, CHUNK_SYMBOLS // ((1 << m) * len(_offset_list(modulation))))
     for pi in canonical_permutations(m):
         for start in range(0, len(coeffs), step):
-            rows = coeffs[start : start + step]
-            yield tuple(build_block(m, pi, off, rows) for off in offsets)
+            yield pi, coeffs[start : start + step]
+
+
+def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
+    """The family as chunks, one per cell of chunk_cells: one block per
+    offset, in list order, over the cell's rows."""
+    offsets = _offset_list(modulation)
+    for pi, rows in chunk_cells(m, modulation):
+        yield tuple(build_block(m, pi, off, rows) for off in offsets)
 
 
 def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:
-    """The records of one chunk in parameter_grid order (row, then offset);
+    """The records of one chunk in enumeration order (row, then offset);
     their arrays are views into the blocks."""
     m, pi = blocks[0].m, blocks[0].pi
     sign = blocks[0].companion_sign

@@ -51,8 +51,3 @@ def base_rows(m: int, pi: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
     quad = 2 * np.sum(xp[:, :-1] * xp[:, 1:], axis=1)
     lin = coeffs[:, :m].astype(np.int64) @ xp.T
     return ((lin + quad[None, :] + coeffs[:, m].astype(np.int64)[:, None]) % 4).astype(np.uint8)
-
-
-def psi(f: PathQuadratic) -> np.ndarray:
-    """Z4-valued sequence of f: a one-row base_rows."""
-    return base_rows(f.m, f.pi, np.array([[*f.linear, f.constant]]))[0]

@@ -27,6 +27,11 @@ component star and the Golay defect are both reductions of those sums.  Each
 that kind's ceiling in constructions.CEILINGS, and the report is their sum
 per kind: counts add, extrema take min/max and flags AND, so it is the same
 in any block order and for any worker count.
+
+The envelope checks hold the envelope kernel to Parseval and to its
+oversampling rate over every constant orbit of the m=3 16-QAM family.  A
+report's passed is the AND of its own checks(), the verdicts that
+`qamseq verify` prints and exits on.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import canonical_permutations, coefficient_matrix
+from .algebra import canonical_permutations
 from .analysis import (
     STAR_TOL,
     autocorrelation_sums,
@@ -64,9 +69,7 @@ from .constructions import (
     OffsetKind,
     _offset_list,
     build,
-    build_block,
     companion_sign,
-    component_values,
     family_size,
     map_family_blocks,
     offset_values,
@@ -152,32 +155,19 @@ class LemmaSweepResult:
 
     @property
     def passed(self) -> bool:
-        sweeps_ok = all(v == 0 for v in self.max_residuals.values())
-        controls_ok = all(v > 0.1 for v in self.negative_controls.values())
-        return sweeps_ok and controls_ok
+        return all(c.passed for c in self.checks())
 
     def checks(self) -> list[CheckResult]:
-        out = []
-        for lemma_id in sorted(self.max_residuals):
-            out.append(
-                CheckResult(
-                    name=f"lemma.{lemma_id}.max_residual",
-                    passed=self.max_residuals[lemma_id] == 0,
-                    observed=f"{self.max_residuals[lemma_id]:.3e} over "
-                    f"{self.evaluations[lemma_id]} evaluations",
-                    requirement="= 0",
-                )
-            )
-        for name, value in sorted(self.negative_controls.items()):
-            out.append(
-                CheckResult(
-                    name=f"lemma.negative_control.{name}",
-                    passed=value > 0.1,
-                    observed=f"{value:.6f}",
-                    requirement="> 0.1",
-                )
-            )
-        return out
+        sweeps = [
+            CheckResult(f"lemma.{lemma_id}.max_residual", value == 0,
+                        f"{value:.3e} over {self.evaluations[lemma_id]} evaluations", "= 0")
+            for lemma_id, value in sorted(self.max_residuals.items())
+        ]
+        controls = [
+            CheckResult(f"lemma.negative_control.{name}", value > 0.1, f"{value:.6f}", "> 0.1")
+            for name, value in sorted(self.negative_controls.items())
+        ]
+        return sweeps + controls
 
 
 def negative_controls(m: int = 3) -> dict[str, float]:
@@ -313,14 +303,7 @@ class BoundAuditReport:
 
     @property
     def passed(self) -> bool:
-        per_kind = all(k.star_ok == k.total and k.pmepr_ok == k.total for k in self.kinds)
-        return (
-            per_kind
-            and self.total == self.expected_total
-            and self.golay_exact
-            and self.component_bounds_ok
-            and self.pmepr_le_star_ok
-        )
+        return all(c.passed for c in self.checks())
 
     def checks(self) -> list[CheckResult]:
         prefix = f"bounds.{self.modulation.value}.m{self.m}"
@@ -365,19 +348,13 @@ class BoundAuditReport:
              f"pmepr <= star/n + {STAR_TOL} on every record"),
             ("strictly_near_complementary", self.strictly_near_complementary, "max star/n > 2",
              "all Golay", "at least one record with star/n > 2"),
+            ("distinct_sequences", True, f"{self.distinct_sequences} distinct of {self.total} "
+             "tuples", None, "= count, by injectivity of parameters -> symbols "
+             "(proof in qamseq.constructions)"),
         )
         for check, passed, holds, fails, requirement in flags:
             observed = holds if passed else fails
             out.append(CheckResult(f"{prefix}.{check}", passed, observed, requirement))
-        out.append(
-            CheckResult(
-                name=f"{prefix}.distinct_sequences",
-                passed=True,
-                observed=f"{self.distinct_sequences} distinct of {self.total} tuples",
-                requirement="= count, by injectivity of parameters -> symbols "
-                "(proof in qamseq.constructions)",
-            )
-        )
         return out
 
 
@@ -429,7 +406,7 @@ def theorem_bound_audit(
     m: int,
     modulation: Modulation,
     oversample: int = 16,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds,
     one row per constant orbit."""
@@ -446,56 +423,65 @@ def theorem_bound_audit(
     )
 
 
-def _envelope_gaps(block: FamilyBlock, low: int, high: int, basis: np.ndarray) -> tuple:
+# the family of the envelope checks, and their two oversampling rates:
+# L = LOW, the audits' default rate, and L = HIGH, its reference
+ENVELOPE_M, ENVELOPE_MODULATION = 3, Modulation.QAM16
+LOW, HIGH = 16, 32
+
+
+def _envelope_gaps(block: FamilyBlock, basis: np.ndarray) -> tuple:
     z = block.complex_symbols()
-    p_low = pep_batch(z, low)
-    p_high = pep_batch(z, high)
+    p_low, p_high = pep_batch(z, LOW), pep_batch(z, HIGH)
     dense = np.max(np.abs(z @ basis) ** 2, axis=1)
     return float(np.max((p_high - p_low) / p_high)), float(np.max(np.abs(p_high - dense) / dense))
 
 
-def oversampling_audit(
-    m: int, modulation: Modulation, low: int = 16, high: int = 32
-) -> tuple[float, float]:
-    """Max relative PEP gaps over a family, one row per constant orbit (a
-    row's PEP is that of its whole orbit): between the two oversampling
-    rates, and between pep_batch at the high rate and a dense-DFT peak.
+def oversampling_audit() -> tuple[float, float]:
+    """Max relative PEP gaps over the envelope family, one row per constant
+    orbit (a row's PEP is that of its whole orbit): between the two
+    oversampling rates, and between pep_batch at the high rate and a
+    dense-DFT peak.
 
     The explicit exp(2*pi*j*i*k/(high*n)) matrix shares no code with the FFT,
     so a kernel that ignores its oversampling rate shows in the second gap
     and not in the first, which compares pep_batch with itself.
     """
-    n = 1 << m
-    grid = high * n
+    n = 1 << ENVELOPE_M
+    grid = HIGH * n
     basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
-    gaps = map_family_blocks(
-        functools.partial(_envelope_gaps, low=low, high=high, basis=basis), m, modulation, jobs=1
-    )
+    envelope_gaps = functools.partial(_envelope_gaps, basis=basis)
+    gaps = map_family_blocks(envelope_gaps, ENVELOPE_M, ENVELOPE_MODULATION)
     return max(g[0] for g in gaps), max(g[1] for g in gaps)
 
 
-def parseval_audit(
-    m: int = 3,
-    modulation: Modulation = Modulation.QAM16,
-    count: int = 100,
-    seed: int = 20240731,
-    oversample: int = 16,
-) -> float:
+def _parseval_gap(block: FamilyBlock) -> float:
+    mean_power = np.mean(envelope_power_batch(block.complex_symbols(), LOW), axis=1)
+    energy = np.sum(block.sym_re**2 + block.sym_im**2, axis=1) / block.scale.value
+    return float(np.max(np.abs(mean_power - energy) / energy))
+
+
+def parseval_audit() -> float:
     """Max relative gap between grid-mean envelope power and sequence energy
-    over randomly sampled family codewords."""
-    rng = np.random.default_rng(seed)
-    perms = canonical_permutations(m)
-    offsets = _offset_list(modulation)
-    coeffs = coefficient_matrix(m)
-    worst = 0.0
-    for _ in range(count):
-        pi = perms[rng.integers(len(perms))]
-        row = coeffs[rng.integers(len(coeffs))]
-        block = build_block(m, pi, offsets[rng.integers(len(offsets))], row[None, :])
-        mean_power = float(np.mean(envelope_power_batch(block.complex_symbols(), oversample)))
-        energy = int(np.sum(block.sym_re**2 + block.sym_im**2)) / block.scale.value
-        worst = max(worst, abs(mean_power - energy) / energy)
-    return worst
+    over the envelope family, one row per constant orbit: zeta^c changes
+    neither, so a row's gap is that of its whole orbit."""
+    return max(map_family_blocks(_parseval_gap, ENVELOPE_M, ENVELOPE_MODULATION))
+
+
+def envelope_checks() -> list[CheckResult]:
+    """The Parseval and oversampling-adequacy checks of the envelope kernel."""
+    family = f"the m={ENVELOPE_M} {ENVELOPE_MODULATION.value} family"
+    parseval = parseval_audit()
+    gap, dense_gap = oversampling_audit()
+    records = family_size(ENVELOPE_M, ENVELOPE_MODULATION)
+    return [
+        CheckResult("analysis.parseval", parseval <= 1e-9,
+                    f"max relative gap {parseval:.3e} over all {records} codewords of {family}",
+                    "<= 1e-9 relative"),
+        CheckResult("analysis.oversampling_adequacy", gap <= 0.005 and dense_gap <= 1e-9,
+                    f"max relative PEP gap L={LOW} vs L={HIGH}: {gap:.3e}; "
+                    f"FFT vs dense DFT at L={HIGH}: {dense_gap:.3e}",
+                    f"<= 0.5% and <= 1e-9 relative over {family}"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +530,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
     for name, params, components, symbols, published_pmepr in _EXAMPLES:
         record = build(params)
         for (check, expected), observed in zip(
-            components.items(), component_values(params), strict=True
+            components.items(), record.components, strict=True
         ):
             observed = observed.tolist()
             out.append(

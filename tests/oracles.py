@@ -5,12 +5,13 @@ sequence or one record at a time: the per-shift autocorrelation loop, the
 full-range star sum, the one-sequence envelope FFT, the per-record lemma
 double sums, pointwise Boolean-function evaluation, the binary digits of an
 index, the two QAM maps written out per modulation, pointwise offset
-values, and the float value of a lattice point.  The library computes each
+values and component sequences, and the float value of a lattice point.  The library computes each
 of these once, in a batched kernel; the tests compare the two.  star_rows is
 the literal star sum over many records at once, for checks that cover a
 whole family, and distinct_rows counts a family's distinct symbol rows by
 hashing every one of them.
 
+parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
 constants of each orbit included; full_bound_audit and full_family_pmeprs
 run the audit and the PMEPR collection over it, scoring and counting every
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from qamseq.constructions import (
     family_size,
     offset_values,
 )
-from qamseq.gbf import PathQuadratic, psi
+from qamseq.gbf import PathQuadratic
 from qamseq.verification import BoundAuditReport, KindStats, _audit_block
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,11 @@ def evaluate(f: PathQuadratic, x: tuple[int, ...]) -> int:
     return v % 4
 
 
+def psi(f: PathQuadratic) -> np.ndarray:
+    """The Z4 sequence of f: evaluate at the bits of every index 0 .. n-1."""
+    return np.array([evaluate(f, bits_of(i, f.m)) for i in range(1 << f.m)], dtype=np.int64)
+
+
 def primed(f: PathQuadratic) -> PathQuadratic:
     """Companion function f + 2*x_{pi(m-1)} (adds 2 to the last path coefficient)."""
     lin = list(f.linear)
@@ -175,9 +181,31 @@ def offset_eval(o: Offset, x: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int
     return (s_d, (2 * x0 * x1 + o.h1 * x0 + o.h2 * x1 + o.h3) % 4)
 
 
+def components(params: ConstructionParams) -> tuple[np.ndarray, ...]:
+    """(D, E) or (D, F, G) pointwise: D = psi(base), and each further
+    component D plus one component offset of offset_eval."""
+    f, pi = params.base, params.base.pi
+    d = psi(f)
+    offsets = np.array([offset_eval(params.offset, bits_of(i, f.m), pi) for i in range(1 << f.m)])
+    return (d, *((d + s) % 4 for s in offsets.T))
+
+
 # ---------------------------------------------------------------------------
 # the family walk over every coefficient row
 # ---------------------------------------------------------------------------
+
+
+def parameter_grid(
+    m: int, modulation: Modulation
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, Offset]]:
+    """(pi, linear, constant, offset) of every record in enumeration order:
+    pi lexicographic, coefficients as a base-4 counter (constant fastest),
+    then offset list order."""
+    offsets = constructions._offset_list(modulation)
+    for pi in canonical_permutations(m):
+        for row in coefficient_matrix(m):
+            for off in offsets:
+                yield pi, tuple(int(v) for v in row[:m]), int(row[m]), off
 
 
 def full_family_blocks(

@@ -176,8 +176,8 @@ def test_criterion_7_ccdf_shape():
 
 
 def test_criterion_8_analysis_self_consistency(audit_16_m3, audit_16_m4, audit_64_m3):
-    parseval = parseval_audit(count=100)
-    gap, _ = oversampling_audit(3, Modulation.QAM16)
+    parseval = parseval_audit()
+    gap, _ = oversampling_audit()
     pmepr_le_star = (
         audit_16_m3.pmepr_le_star_ok
         and audit_16_m4.pmepr_le_star_ok

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from oracles import autocorr, polyphase, primed, qam16_map, qam64_map
+from oracles import autocorr, polyphase, primed, psi, qam16_map, qam64_map
 from qamseq.analysis import (
     CcdfCurve,
     ccdf,
@@ -31,7 +31,7 @@ from qamseq.constructions import (
     build,
     iter_family_chunks,
 )
-from qamseq.gbf import PathQuadratic, psi
+from qamseq.gbf import PathQuadratic
 
 EX1_PARAMS = ConstructionParams(
     base=PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0),
@@ -237,7 +237,8 @@ def test_star_bound_check_64qam_reference_pass():
 
 def test_star_bound_check_fake_record_fails():
     fake_seq = ones(8)  # unit-magnitude coherent sum: pmepr = n
-    fake = CodewordRecord(params=EX1_PARAMS, sequence=fake_seq, primed_sequence=fake_seq)
+    fake = CodewordRecord(params=EX1_PARAMS, sequence=fake_seq, primed_sequence=fake_seq,
+                          components=build(EX1_PARAMS).components)
     passed, star_over_n = star_bound_holds(fake, 2.4)
     assert not passed
     assert pmepr(fake_seq) == pytest.approx(8.0, rel=1e-9)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import parameter_grid
+from qamseq import constructions
 from qamseq.cli import (
     codeword_doc,
     family_pmeprs,
@@ -11,7 +13,7 @@ from qamseq.cli import (
     params_from_doc,
     verify_codeword_doc,
 )
-from qamseq.constructions import ConstructionParams, Modulation, build, parameter_grid
+from qamseq.constructions import ConstructionParams, Modulation, build
 from qamseq.gbf import PathQuadratic
 from qamseq.verification import EXAMPLE1_PARAMS, EXAMPLE2_PARAMS
 
@@ -120,6 +122,18 @@ def test_enumerate_count_only(capsys, m, modulation, expected):
     assert doc["closed_form"] == expected
     assert doc["enumerated"] == expected
     assert doc["match"] is True
+
+
+def test_enumerate_count_only_sees_a_dropped_chunk(capsys, monkeypatch):
+    # negative control: a cell walk that loses its last chunk loses records
+    # from enumerate, and the count, which reads the same cells, must show it
+    real = constructions.chunk_cells
+    monkeypatch.setattr(constructions, "chunk_cells", lambda m, mod: list(real(m, mod))[:-1])
+    code, out, _ = run(capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--count-only")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["closed_form"] == 6144 > doc["enumerated"]
+    assert doc["match"] is False
 
 
 def test_enumerate_cap_requires_stream(capsys):
@@ -386,6 +400,47 @@ def test_verify_record_with_malformed_payload_fails(capsys, tmp_path, key, value
     assert report["passed"] is False
     assert len(report["problems"]) == 1
     assert report["problems"][0].startswith(f"record field {key!r} is not ")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("m", 3.0), ("pi", [0, 1, 2.0]), ("linear", [1, True, 1]), ("offset.d1", "0")],
+)
+def test_verify_record_with_malformed_parameters_fails(capsys, tmp_path, key, value):
+    # a parameter of the wrong type is the record's fault: one problem naming
+    # the field, exit 1, and nothing built from it
+    path = tmp_path / "params.json"
+    code, _, _ = run(capsys, "construct", *EX2_FLAGS, "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    if key.startswith("offset."):
+        doc["offset"][key.split(".")[1]] = value
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert len(report["problems"]) == 1
+    assert report["problems"][0].startswith(f"record field {key!r} is not ")
+
+
+def test_verify_type1_record_with_nonzero_h2_fails(capsys, tmp_path):
+    # no walk writes a type 1 offset with h2 != 0: it would name the same
+    # codeword as h2 = 0
+    path = tmp_path / "type1.json"
+    code, _, _ = run(capsys, "construct", *EX2_FLAGS, "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert (doc["offset"]["kind"], doc["offset"]["h2"]) == ("type1", 0)
+    doc["offset"]["h2"] = 3
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 1
+    (problem,) = json.loads(out)["problems"]
+    assert problem.startswith("unparseable parameters") and "h2=0" in problem
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from qamseq.constructions import (
     build,
     build_block,
     classify_offset64,
-    component_values,
     count_enumerated,
     enumerate_family,
     family_size,
@@ -31,10 +30,17 @@ from qamseq.constructions import (
     offset_kind,
     offset_values,
     orbit_rows,
-    parameter_grid,
     star_bound,
 )
-from oracles import bits_of, distinct_rows, full_family_blocks, offset16_eval, offset_eval
+import oracles
+from oracles import (
+    bits_of,
+    distinct_rows,
+    full_family_blocks,
+    offset16_eval,
+    offset_eval,
+    parameter_grid,
+)
 from qamseq import constructions
 from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
@@ -137,11 +143,20 @@ def test_build_16qam_reference_positions():
     assert (record.sequence.re[7], record.sequence.im[7]) == (3, -3)
 
 
+def assert_pointwise_components(record):
+    """The record's components equal the pointwise evaluate/offset_eval oracle."""
+    expected = oracles.components(record.params)
+    assert len(record.components) == len(expected)
+    for ours, theirs in zip(record.components, expected):
+        assert np.array_equal(ours, theirs)
+
+
 def test_build_16qam_against_independent_symbol_map():
-    # recompute every symbol with plain complex arithmetic from the component
-    # sequences; no shared code with the lattice tables
+    # recompute every symbol with plain complex arithmetic from the pointwise
+    # component sequences; no shared code with the lattice tables
     record = build(EX1_PARAMS)
-    d_vals, e_vals = component_values(EX1_PARAMS)
+    assert_pointwise_components(record)
+    d_vals, e_vals = oracles.components(EX1_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     r1, r2 = 2 / 5**0.5, 1 / 5**0.5
     got = record.sequence.to_complex()
@@ -160,7 +175,8 @@ def test_build_64qam_reference_positions():
 
 def test_build_64qam_against_independent_symbol_map():
     record = build(EX2_PARAMS)
-    d_vals, f_vals, g_vals = component_values(EX2_PARAMS)
+    assert_pointwise_components(record)
+    d_vals, f_vals, g_vals = oracles.components(EX2_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     a1, a2, a3 = 4 / 21**0.5, 2 / 21**0.5, 1 / 21**0.5
     got = record.sequence.to_complex()
@@ -201,6 +217,12 @@ def test_count_enumerated_matches_closed_form():
     assert count_enumerated(3, Modulation.QAM64) == 49152
 
 
+def test_count_enumerated_counts_the_records_enumerate_yields():
+    # the count reads the cells that enumerate walks, not a walk of its own
+    yielded = sum(1 for _ in enumerate_family(3, Modulation.QAM16))
+    assert count_enumerated(3, Modulation.QAM16) == yielded == 6144
+
+
 def test_enumeration_order_deterministic():
     first = next(iter(enumerate_family(3, Modulation.QAM16)))
     assert first.params.base.pi == (0, 1, 2)
@@ -214,12 +236,13 @@ def test_enumeration_order_deterministic():
 
 
 def test_enumerate_family_offset_identity_sample():
-    # psi(E) - psi(D) must equal the offset sequence pointwise
+    # E - D must equal the offset sequence pointwise, and D the base function
     for record in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 37):
         params = record.params
-        d_vals, e_vals = component_values(params)
+        d_vals, e_vals = record.components
         (s,) = offset_values(params.offset, params.m, params.base.pi)
         assert np.array_equal((e_vals.astype(int) - d_vals) % 4, s)
+        assert_pointwise_components(record)
 
 
 def test_enumerate_family_matches_direct_build_sample():
@@ -247,11 +270,11 @@ def test_enumerate_family_walks_the_grid_and_matches_build():
             rebuilt = build(record.params)
             assert record.sequence == rebuilt.sequence
             assert record.primed_sequence == rebuilt.primed_sequence
-            # build is a one-row block too: also check against psi and plain
-            # complex arithmetic, which share no code with the block kernel
-            comps = component_values(record.params)
-            for ours, theirs in zip(record.components, comps):
-                assert np.array_equal(ours, theirs)
+            # build is a one-row block too: also check against the pointwise
+            # components and plain complex arithmetic, which share no code
+            # with the block kernel
+            assert_pointwise_components(record)
+            comps = oracles.components(record.params)
             expected = gamma * sum(a * 1j ** c.astype(int) for a, c in zip(weights, comps))
             assert np.max(np.abs(record.sequence.to_complex() - expected)) < 1e-12
         count += 1
@@ -308,7 +331,7 @@ def test_enumerate_rejects_small_m():
     with pytest.raises(ValueError):
         enumerate_family(2, Modulation.QAM16)
     with pytest.raises(ValueError):
-        parameter_grid(2, Modulation.QAM16)
+        count_enumerated(2, Modulation.QAM16)
     with pytest.raises(ValueError):
         map_family_blocks(len, 2, Modulation.QAM16, jobs=1)
 

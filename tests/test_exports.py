@@ -58,6 +58,9 @@ def test_traced_benchmark_child_runs(tmp_path):
     counts = traced_counts(tmp_path, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
     # 6 144 16-QAM and 49 152 64-QAM records
     assert counts["audit.distinct_sequences"] == 55296
+    # one row per constant orbit: the two audits (1 536 and 12 288 rows),
+    # then the Parseval and oversampling walks of the 16-QAM family (1 536 each)
+    assert counts["synthesis.rows"] == 1536 + 12288 + 1536 + 1536
     # the family walk synthesises one row per constant orbit: a quarter of
     # the 6 144 records of 16-QAM m=3
     counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")

@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from qamseq.algebra import bit_matrix
 from qamseq.constellation import Scale
 from oracles import bits_of, evaluate, polyphase, primed
-from qamseq.gbf import PathQuadratic, psi
+from qamseq.gbf import PathQuadratic, base_rows
 
 EXAMPLE_F = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
+
+
+def psi(f):
+    """The library's Z4 sequence of f: a one-row base_rows."""
+    return base_rows(f.m, f.pi, np.array([[*f.linear, f.constant]]))[0]
 
 functions = st.integers(min_value=2, max_value=5).flatmap(
     lambda m: st.builds(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import (
     full_bound_audit,
+    full_family_blocks,
     lemma1_residual,
     lemma2_residuals,
     lemma3_residuals,
@@ -24,12 +26,12 @@ from qamseq.constructions import (
     OffsetKind,
     _offset_list,
     build_block,
-    default_jobs,
     list_offsets64,
     map_family_blocks,
     offset_kind,
     orbit_rows,
 )
+from qamseq.cli import default_jobs
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
     EXAMPLE1_PARAMS,
@@ -37,6 +39,8 @@ from qamseq.verification import (
     KindStats,
     _audit_block,
     _lemma_residuals,
+    _parseval_gap,
+    envelope_checks,
     example_regression,
     lemma_sweep,
     negative_controls,
@@ -154,6 +158,15 @@ def test_lemma_sweep_passes_and_counts():
     names = [c.name for c in result.checks()]
     assert "lemma.L1.max_residual" in names
     assert "lemma.negative_control.L3" in names
+
+
+def test_lemma_sweep_verdict_is_its_checks():
+    # negative control: a negative control that no longer lights up fails
+    # its check, and with it the sweep
+    result = lemma_sweep(m=3)
+    dead = dataclasses.replace(result, negative_controls={**result.negative_controls, "L2": 0.0})
+    assert [c.name for c in dead.checks() if not c.passed] == ["lemma.negative_control.L2"]
+    assert dead.passed is False
 
 
 def test_lemma_sweep_rejects_small_m():
@@ -297,6 +310,19 @@ def test_bound_audit_checks_have_expected_names():
     assert all(c.passed for c in report.checks())
 
 
+def test_bound_audit_verdict_is_its_checks():
+    # negative control: a report forged to star/n = 2 on every kind is all
+    # Golay, not strictly near-complementary; its verdict must say so, as the
+    # exit code of verify does
+    report = theorem_bound_audit(3, Modulation.QAM16)
+    forged = dataclasses.replace(report, kinds=tuple(
+        dataclasses.replace(k, min_star_over_n=2.0, max_star_over_n=2.0) for k in report.kinds
+    ))
+    failed = [c.name for c in forged.checks() if not c.passed]
+    assert failed == ["bounds.16qam.m3.strictly_near_complementary"]
+    assert forged.passed is False
+
+
 def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
     # negative control: with the companion sign forced to all +1 every
     # "pair" is a sequence with itself, which is never a Golay pair: the
@@ -393,12 +419,12 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
 
 
 def test_oversampling_audit_within_half_percent():
-    assert oversampling_audit(3, Modulation.QAM16)[0] <= 0.005
+    assert oversampling_audit()[0] <= 0.005
 
 
 def test_dense_envelope_gap_machine_precision():
     # the second gap of the shared envelope walk: FFT against a dense DFT
-    assert oversampling_audit(3, Modulation.QAM16)[1] <= 1e-9
+    assert oversampling_audit()[1] <= 1e-9
 
 
 def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch, capsys):
@@ -412,7 +438,7 @@ def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatc
         return np.max(np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2, axis=1)
 
     monkeypatch.setattr(verification, "pep_batch", two_n_grid)
-    gap, dense_gap = oversampling_audit(3, Modulation.QAM16)
+    gap, dense_gap = oversampling_audit()
     assert gap == 0.0
     assert dense_gap > 1e-9
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
@@ -424,6 +450,23 @@ def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatc
 
 def test_parseval_audit_machine_precision():
     assert parseval_audit() <= 1e-9
+    (check,) = [c for c in envelope_checks() if c.name == "analysis.parseval"]
+    assert check.passed
+    assert check.observed.endswith("over all 6144 codewords of the m=3 16qam family")
+
+
+def test_parseval_audit_equals_the_full_walk():
+    # one row per constant orbit against every record of the family
+    assert parseval_audit() == max(full_family_blocks(_parseval_gap, 3, Modulation.QAM16))
+
+
+def test_parseval_check_fails_on_an_envelope_off_by_one_part_in_a_million(monkeypatch):
+    # negative control: grid-mean power 1 + 1e-6 times the energy
+    real = verification.envelope_power_batch
+    monkeypatch.setattr(
+        verification, "envelope_power_batch", lambda z, oversample: real(z, oversample) * (1 + 1e-6)
+    )
+    assert [c.name for c in envelope_checks() if not c.passed] == ["analysis.parseval"]
 
 
 def test_example_regression_all_pass():
@@ -443,9 +486,10 @@ def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("QAMSEQ_JOBS", "junk")
     with pytest.raises(ValueError, match="QAMSEQ_JOBS must be an integer, got 'junk'"):
         default_jobs()
-    # a count below 1 is refused where the fan-out resolves it, from either source
-    for env, jobs in (("0", None), ("1", 0), ("1", -5)):
-        monkeypatch.setenv("QAMSEQ_JOBS", env)
-        expected = 0 if jobs is None else jobs
-        with pytest.raises(ValueError, match=f"must be >= 1, got {expected}"):
+    # the library reads no environment: its fan-out defaults to one worker,
+    # and refuses a count below 1 that it is passed
+    monkeypatch.setenv("QAMSEQ_JOBS", "0")
+    assert map_family_blocks(len, 3, Modulation.QAM16) == [64] * 24
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {jobs}"):
             map_family_blocks(len, 3, Modulation.QAM16, jobs)

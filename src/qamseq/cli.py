@@ -28,7 +28,7 @@ from .analysis import (
     star,
     star_batch,
 )
-from .constellation import ComplexSequence, Scale
+from .constellation import ComplexSequence
 from .constructions import (
     CHUNK_SYMBOLS,
     ORBIT_SIZE,
@@ -50,7 +50,6 @@ from .constructions import (
 )
 from .gbf import PathQuadratic
 from .verification import (
-    STAR_TOL,
     CheckResult,
     envelope_checks,
     example_regression,
@@ -176,15 +175,10 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
-def _is_pair_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int_list(p) and len(p) == 2 for p in value)
-
-
 _INT = (_is_int, "an integer")
 _INT_LIST = (_is_int_list, "a list of integers")
-_PAIRS = (_is_pair_list, "a list of [re, im] integer pairs")
 
-# the fields of a codeword document, the offset's as "offset.<name>":
+# the fields a codeword is rebuilt from, the offset's as "offset.<name>":
 # (shape test, what the shape is)
 _FIELD_SHAPES = {
     "m": _INT,
@@ -192,29 +186,31 @@ _FIELD_SHAPES = {
     "linear": _INT_LIST,
     "constant": _INT,
     **{f"offset.{key}": _INT for key in ("d1", "d2", "d3", "h1", "h2", "h3")},
-    "scale_denominator": (lambda v: _is_int(v) and v in {s.value for s in Scale},
-                          f"one of {', '.join(str(s.value) for s in Scale)}"),
-    "symbols": _PAIRS,
-    "primed_symbols": _PAIRS,
-    "base": _INT_LIST,
-    "components": (lambda v: isinstance(v, list) and all(_is_int_list(c) for c in v),
-                   "a list of integer lists"),
-    "star": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "oversample": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
 }
-_REQUIRED_PAYLOAD = ("scale_denominator", "symbols", "primed_symbols", "base", "components")
+# their top-level keys, each of which a record must have
+_BUILD_KEYS = tuple(dict.fromkeys(key.split(".")[0] for key in _FIELD_SHAPES))
+
+
+def _exact(value) -> str:
+    """A value's JSON text: equal texts mean equal values of equal type."""
+    return json.dumps(value, sort_keys=True)
 
 
 def verify_codeword_doc(doc: dict) -> list[str]:
-    """Regenerate from the document's parameters and diff against its payload.
+    """Rebuild the whole document from its parameters and compare every field
+    exactly, one problem per field that is missing, extra or different.
 
-    Every field is type-checked before anything is built from it: each field
-    of the wrong type gives one problem that names it."""
+    The fields it is rebuilt from are type-checked first, so nothing is built
+    from a field of the wrong type. The star/n ceiling verdict is read from
+    the rebuilt document, never from the record's own numbers."""
     if not isinstance(doc, dict):
         return ["unparseable parameters: the record is not a JSON object"]
     fields = dict(doc)
     if isinstance(doc.get("offset"), dict):
         fields.update((f"offset.{key}", value) for key, value in doc["offset"].items())
-    problems = [
+    problems = [f"record has no {key!r}" for key in _BUILD_KEYS if key not in doc]
+    problems += [
         f"record field {key!r} is not {what}"
         for key, (fits, what) in _FIELD_SHAPES.items()
         if key in fields and not fits(fields[key])
@@ -225,27 +221,19 @@ def verify_codeword_doc(doc: dict) -> list[str]:
         params = params_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable parameters: {exc}"]
-    missing = [key for key in _REQUIRED_PAYLOAD if key not in doc]
-    if missing:
-        return [f"record has no {key!r}" for key in missing]
-    record = build(params)
-    scale_ok = doc["scale_denominator"] == record.sequence.scale.value
-    if not scale_ok or _lattice_pairs(record.sequence) != doc["symbols"]:
-        problems.append("symbols do not match regeneration from parameters")
-    if not scale_ok or _lattice_pairs(record.primed_sequence) != doc["primed_symbols"]:
-        problems.append("primed symbols do not match regeneration")
-    comps = record.components
-    if comps[0].tolist() != doc["base"]:
-        problems.append("base sequence does not match regeneration")
-    if [c.tolist() for c in comps[1:]] != doc["components"]:
-        problems.append("component sequences do not match regeneration")
+    rate = doc["oversample"]
+    expected = codeword_doc(build(params), oversample=rate)
+    problems = [f"record has no {key!r}" for key in expected if key not in doc]
+    for key, value in doc.items():
+        if key not in expected:
+            problems.append(f"record field {key!r} is not a codeword field")
+        elif _exact(value) != _exact(expected[key]):
+            # the PMEPR is the one field regenerated at the record's own rate
+            at = f" at 'oversample' {rate}" if key == "pmepr" else ""
+            problems.append(f"record field {key!r} is not its regenerated value{at}")
     bound = star_bound(params.offset)
-    n = len(record.sequence)
-    s = star(record.sequence, record.primed_sequence) / n
-    if s > bound + STAR_TOL:
-        problems.append(f"star/n = {s} exceeds bound {bound}")
-    if "star" in doc and not abs(doc["star"] - s * n) <= 1e-6:
-        problems.append("stored star value does not match recomputation")
+    if expected["star_over_n"] > bound:
+        problems.append(f"star/n = {expected['star_over_n']} exceeds bound {bound}")
     return problems
 
 

@@ -13,7 +13,13 @@ from qamseq.cli import (
     params_from_doc,
     verify_codeword_doc,
 )
-from qamseq.constructions import ConstructionParams, Modulation, build
+from qamseq.constructions import (
+    ConstructionParams,
+    Modulation,
+    build,
+    list_offsets16,
+    list_offsets64,
+)
 from qamseq.gbf import PathQuadratic
 from qamseq.verification import EXAMPLE1_PARAMS, EXAMPLE2_PARAMS
 
@@ -158,6 +164,15 @@ def test_enumerate_stream_emits_records(capsys, tmp_path):
     assert last["pi"] == [1, 0, 2]
     # every streamed record passes its own round-trip verification
     for raw in lines[:: 1024]:
+        assert verify_codeword_doc(json.loads(raw)) == []
+    out64 = tmp_path / "family64.jsonl"
+    code, _, _ = run(
+        capsys, "enumerate", "--m", "3", "--modulation", "64qam", "--out", str(out64)
+    )
+    assert code == 0
+    lines64 = out64.read_text().splitlines()
+    assert len(lines64) == 49152
+    for raw in lines64[:: 4093]:  # both offset kinds under every pi
         assert verify_codeword_doc(json.loads(raw)) == []
 
 
@@ -338,6 +353,133 @@ def test_verify_record_roundtrip(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def construct_doc(capsys, tmp_path, flags, *extra):
+    """The record `construct` writes for these flags, and the file it is in."""
+    path = tmp_path / "record.json"
+    code, _, _ = run(capsys, "construct", *flags, *extra, "--out", str(path))
+    assert code == 0
+    return json.loads(path.read_text()), path
+
+
+def verify_doc(capsys, tmp_path, doc):
+    """(exit code, problems) of `verify --record` on this document."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--record", str(path))
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is (code == 0)
+    return code, report["problems"]
+
+
+def named(problem: str, doc: dict) -> list[str]:
+    return [key for key in doc if repr(key) in problem]
+
+
+@pytest.mark.parametrize("flags", [EX1_FLAGS, EX2_FLAGS], ids=["16qam", "64qam"])
+@pytest.mark.parametrize("rate", [[], ["--oversample", "32"]], ids=["default", "L32"])
+def test_construct_output_roundtrips_at_its_rate(capsys, tmp_path, flags, rate):
+    doc, path = construct_doc(capsys, tmp_path, flags, *rate)
+    assert doc["oversample"] == (int(rate[1]) if rate else 16)
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 0
+    assert json.loads(out) == {"record": str(path), "passed": True, "problems": []}
+
+
+def test_construct_roundtrips_for_every_offset(capsys, tmp_path):
+    offsets16 = [("16qam", f"{o.d1},{o.d2},{o.d3}") for o in list_offsets16()]
+    offsets64 = [("64qam", f"{o.d.d1},{o.d.d2},{o.d.d3},{o.h1},{o.h3}") for o in list_offsets64()]
+    assert len(offsets16 + offsets64) == 72
+    for modulation, offset in offsets16 + offsets64:
+        flags = ["--modulation", modulation, "--pi", "0,2,1", "--c", "3,0,2,1", "--offset", offset]
+        doc, _ = construct_doc(capsys, tmp_path, flags)
+        assert verify_doc(capsys, tmp_path, doc) == (0, []), (modulation, offset)
+
+
+# for every field of a construct document but m and pi, a value of the right
+# JSON type that no regeneration writes there
+WRONG_VALUES = {
+    "base": lambda v: [(v[0] + 1) % 4, *v[1:]],
+    "components": lambda v: [[(v[0][0] + 1) % 4, *v[0][1:]], *v[1:]],
+    "constant": lambda v: v + 4,  # reads as the same constant mod 4
+    "format": lambda v: "junk",
+    "linear": lambda v: [v[0] + 4, *v[1:]],  # the same codeword, not in mod-4 form
+    "modulation": lambda v: {"16qam": "64qam", "64qam": "16qam"}[v],
+    "n": lambda v: 99,
+    "offset": lambda v: {**v, "d1": v["d1"] + 4},  # the same offset, not in mod-4 form
+    "oversample": lambda v: 32,
+    "pmepr": lambda v: 0.5,
+    "primed_symbols": lambda v: [[v[0][0] + 1, v[0][1]], *v[1:]],
+    "scale_denominator": lambda v: v + 1,
+    "star": lambda v: v + 1.0,
+    "star_over_n": lambda v: 7.0,
+    "symbols": lambda v: [[v[0][0], v[0][1] + 1], *v[1:]],
+}
+
+
+@pytest.mark.parametrize("flags", [EX1_FLAGS, EX2_FLAGS], ids=["16qam", "64qam"])
+@pytest.mark.parametrize("key", sorted(WRONG_VALUES))
+def test_verify_record_names_each_wrong_field(capsys, tmp_path, flags, key):
+    doc, _ = construct_doc(capsys, tmp_path, flags)
+    assert set(doc) == set(WRONG_VALUES) | {"m", "pi"}
+    edited = dict(doc, **{key: WRONG_VALUES[key](doc[key])})
+    code, problems = verify_doc(capsys, tmp_path, edited)
+    assert code == 1
+    assert len(problems) == 1
+    assert key in named(problems[0], doc)
+    assert problems[0].startswith("record field ")
+
+
+@pytest.mark.parametrize("key,value,text", [("m", 4, "m=4"), ("pi", [0, 1, 1], "(0, 1, 1)")])
+def test_verify_record_with_a_parameter_no_codeword_has_fails(capsys, tmp_path, key, value, text):
+    # a different valid m or pi names a different codeword, whose payload
+    # then differs; a value that names no codeword cannot be built at all
+    doc, _ = construct_doc(capsys, tmp_path, EX1_FLAGS)
+    code, problems = verify_doc(capsys, tmp_path, dict(doc, **{key: value}))
+    assert code == 1
+    (problem,) = problems
+    assert problem.startswith("unparseable parameters: ") and text in problem
+
+
+def test_verify_forged_record_names_each_forged_field(capsys, tmp_path):
+    doc, _ = construct_doc(capsys, tmp_path, EX1_FLAGS)
+    forged = dict(doc, modulation="64qam", n=99, pmepr=0.5, star_over_n=7.0, oversample=3,
+                  format="junk", offset=dict(doc["offset"], d1=4))
+    code, problems = verify_doc(capsys, tmp_path, forged)
+    assert code == 1
+    names = [key for problem in problems for key in named(problem, doc)]
+    assert sorted(names) == [
+        "format", "modulation", "n", "offset", "oversample", "pmepr", "star_over_n"
+    ]
+
+
+def test_verify_record_with_an_unknown_field_fails(capsys, tmp_path):
+    doc, _ = construct_doc(capsys, tmp_path, EX2_FLAGS)
+    code, problems = verify_doc(capsys, tmp_path, dict(doc, extra=1))
+    assert code == 1
+    assert problems == ["record field 'extra' is not a codeword field"]
+
+
+@pytest.mark.parametrize("value", [0, -3, "16", True])
+def test_verify_record_with_a_bad_oversample_fails(capsys, tmp_path, value):
+    # the record's own rate is a fault of the record (exit 1), never an
+    # envelope error inside the library (exit 3)
+    doc, _ = construct_doc(capsys, tmp_path, EX1_FLAGS)
+    code, problems = verify_doc(capsys, tmp_path, dict(doc, oversample=value))
+    assert code == 1
+    assert problems == ["record field 'oversample' is not an integer >= 1"]
+
+
+def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
+    # negative control: a regenerated star/n above the published 12/5 is a
+    # problem even when the record stores that same star
+    from qamseq import cli
+
+    monkeypatch.setattr(cli, "star", lambda seq, primed: 2.5 * len(seq))
+    doc = codeword_doc(build(EXAMPLE1_PARAMS))
+    assert verify_codeword_doc(doc) == ["star/n = 2.5 exceeds bound 2.4"]
+
+
 def test_verify_corrupted_record_fails(capsys, tmp_path):
     path = tmp_path / "bad.json"
     code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
@@ -359,7 +501,7 @@ def test_verify_missing_record_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: cannot read --record") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key", ["symbols", "primed_symbols", "base", "components"])
+@pytest.mark.parametrize("key", ["symbols", "primed_symbols", "base", "components", "star"])
 def test_verify_record_without_payload_fails(capsys, tmp_path, key):
     path = tmp_path / "partial.json"
     code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
@@ -386,7 +528,8 @@ def test_verify_record_without_payload_fails(capsys, tmp_path, key):
     ],
 )
 def test_verify_record_with_malformed_payload_fails(capsys, tmp_path, key, value):
-    # the record, not the command line, is at fault: one problem naming the field, exit 1
+    # the record, not the command line, is at fault: one problem naming the
+    # field, exit 1; a payload of the wrong shape is just not its regeneration
     path = tmp_path / "malformed.json"
     code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
     assert code == 0
@@ -443,14 +586,14 @@ def test_verify_type1_record_with_nonzero_h2_fails(capsys, tmp_path):
     assert problem.startswith("unparseable parameters") and "h2=0" in problem
 
 
-@pytest.mark.parametrize(
-    "key,value,problem",
-    [
-        ("symbols", [], "symbols do not match regeneration from parameters"),
-        ("star", float("nan"), "stored star value does not match recomputation"),
-    ],
-)
-def test_verify_record_with_wrong_payload_values_fails(capsys, tmp_path, key, value, problem):
+@pytest.mark.parametrize("key,value", [
+    ("symbols", []),
+    ("star", float("nan")),
+    # equal to the regenerated 8 and base under Python's ==, but not of its type
+    ("n", 8.0),
+    ("base", [0, True, True, 0, True, 2, 0, 3]),
+])
+def test_verify_record_with_wrong_payload_values_fails(capsys, tmp_path, key, value):
     path = tmp_path / "wrong.json"
     code, _, _ = run(capsys, "construct", *EX1_FLAGS, "--out", str(path))
     assert code == 0
@@ -459,7 +602,7 @@ def test_verify_record_with_wrong_payload_values_fails(capsys, tmp_path, key, va
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--record", str(path))
     assert code == 1
-    assert json.loads(out)["problems"] == [problem]
+    assert json.loads(out)["problems"] == [f"record field {key!r} is not its regenerated value"]
 
 
 def test_verify_record_that_is_not_an_object_fails(capsys, tmp_path):

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 import traceback
 
@@ -67,15 +66,6 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
-
-
-def default_jobs() -> int:
-    """Worker count for family walks: QAMSEQ_JOBS (ValueError unless an integer), else 1."""
-    raw = os.environ.get("QAMSEQ_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QAMSEQ_JOBS must be an integer, got {raw!r}") from None
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -309,16 +299,21 @@ def cmd_enumerate(args) -> int:
         }
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
+
     def lines():
         n = 1 << args.m
         for blocks in iter_family_chunks(args.m, modulation):
             sign = blocks[0].companion_sign
-            stars = [star_batch(b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign, b.scale.value)
-                     for b in blocks]
-            pmeprs = [pep_batch(b.complex_symbols(), args.oversample) / n for b in blocks]
-            # offsets as columns, read row-major: the order of grid_records
-            scores = zip(np.stack(stars, 1).ravel().tolist(), np.stack(pmeprs, 1).ravel().tolist())
-            for record, (s, p) in zip(grid_records(blocks), scores):
+            stars, pmeprs = [], []
+            for b in blocks:  # each orbit scored once, on its constant-0 row
+                re, im = b.sym_re[::ORBIT_SIZE], b.sym_im[::ORBIT_SIZE]
+                stars.append(star_batch(re, im, re * sign, im * sign, b.scale.value))
+                pmeprs.append(pep_batch(b.complex_symbols()[::ORBIT_SIZE], args.oversample) / n)
+            # offsets as columns, each orbit's scores repeated for its rows,
+            # read row-major: the order of grid_records
+            scores = [np.repeat(np.stack(v, 1), ORBIT_SIZE, axis=0).ravel().tolist()
+                      for v in (stars, pmeprs)]
+            for record, s, p in zip(grid_records(blocks), *scores):
                 yield json.dumps(codeword_doc(record, args.oversample, s, p), sort_keys=True)
 
     with _open_out(args.out) as fh:
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-count", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--oversample", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=None, help="default from QAMSEQ_JOBS")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the family walk")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ccdf)
 
@@ -481,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["lemmas", "bounds", "examples", "all"], default="all")
     p.add_argument("--record", default=None, help="re-verify a stored codeword JSON file")
     p.add_argument("--oversample", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=None, help="default from QAMSEQ_JOBS")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the bound audits")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -492,13 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 0) is None:  # read QAMSEQ_JOBS up front, for every suite
-            try:
-                args.jobs = default_jobs()
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
         if getattr(args, "jobs", 1) < 1:
-            raise UsageError(f"worker count (--jobs or QAMSEQ_JOBS) must be >= 1, got {args.jobs}")
+            raise UsageError(f"worker count (--jobs) must be >= 1, got {args.jobs}")
         if getattr(args, "m", None) is not None and args.m <= 2:
             raise UsageError(f"family defined for m > 2, got m={args.m}")
         if getattr(args, "oversample", 1) < 1:

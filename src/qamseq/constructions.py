@@ -285,7 +285,9 @@ def _offset_list(modulation: Modulation) -> tuple[Offset, ...]:
 
 
 def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]:
-    """Lazily yield every codeword of the family in the order of chunk_cells."""
+    """Lazily yield every codeword of the family, chunk by chunk of
+    iter_family_chunks: pi lexicographic, then coefficient rows in counter
+    order (the constant fastest), then offsets in list order."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     chunks = iter_family_chunks(m, modulation)
@@ -293,10 +295,10 @@ def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
-    """The records that enumerate_family yields (matches family_size): one
-    per offset on each row of each cell of chunk_cells, with nothing built."""
-    rows = sum(len(coeffs) for _, coeffs in chunk_cells(m, modulation))
-    return len(_offset_list(modulation)) * rows
+    """The records that enumerate_family yields (matches family_size): the
+    ORBIT_SIZE records per offset of each orbit row of its cells, unbuilt."""
+    rows = sum(len(rows) for _, rows in _enumerate_cells(m, modulation))
+    return ORBIT_SIZE * len(_offset_list(modulation)) * rows
 
 
 def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
@@ -317,12 +319,31 @@ def orbit_rows(m: int) -> np.ndarray:
     return coefficient_matrix(m)[::ORBIT_SIZE]  # the constant varies fastest
 
 
+# symbols a family walk holds per cell of family_cells: bounds its memory
+# at any m and for either modulation
+CHUNK_SYMBOLS = 1 << 15
+
+
+def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The (pi, orbit rows) cells of every family walk, with nothing built:
+    pi lexicographic, then consecutive slices of orbit_rows(m), each of at
+    most CHUNK_SYMBOLS // per_row rows and at least one.  per_row is the
+    number of symbols the walk holds per orbit row."""
+    if m <= 2:
+        raise ValueError(f"family defined for m > 2, got m={m}")
+    rows = orbit_rows(m)
+    step = max(1, CHUNK_SYMBOLS // per_row)
+    for pi in canonical_permutations(m):
+        for start in range(0, len(rows), step):
+            yield pi, rows[start : start + step]
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
 
     Row j of every array corresponds to row j of coeffs, rows of
-    coefficient_matrix(m) (orbit_rows(m) in map_family_blocks).  components
+    coefficient_matrix(m) (a slice of orbit_rows(m) in map_family_blocks).  components
     holds the quaternary sequences ((D, E) or (D, F, G)); the primed
     companion is derived through companion_sign.
     """
@@ -372,20 +393,19 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
 def map_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
 ) -> list:
-    """fn(block) for every (pi, offset) block of the family, in pi-major then
-    offset list order, each block over orbit_rows(m): a consumer that counts
-    records weights each row by ORBIT_SIZE, the records of its orbit.
+    """fn(block) for every block of the family: one per offset, in list
+    order, on each cell of family_cells(m, n), so each block holds at most
+    CHUNK_SYMBOLS symbols.  A block's rows are orbit rows: a consumer that
+    counts records weights each row by ORBIT_SIZE, the records of its orbit.
 
     jobs > 1 builds and maps the blocks in that many worker processes; fn
     and its results must then pickle.  The results are the same for every
     jobs.
     """
-    if m <= 2:
-        raise ValueError(f"family defined for m > 2, got m={m}")
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
-    rows, offsets = orbit_rows(m), _offset_list(modulation)
-    cells = [(m, pi, off, rows) for pi in canonical_permutations(m) for off in offsets]
+    offsets = _offset_list(modulation)
+    cells = [(m, pi, off, rows) for pi, rows in family_cells(m, 1 << m) for off in offsets]
     task = functools.partial(_map_cell, fn)
     if jobs == 1:
         return [task(cell) for cell in cells]
@@ -393,31 +413,20 @@ def map_family_blocks(
         return list(pool.map(task, cells, chunksize=4))
 
 
-# symbols per chunk of iter_family_chunks, over all its blocks: bounds its
-# memory at any m and for either modulation
-CHUNK_SYMBOLS = 1 << 15
-
-
-def chunk_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """The (pi, coefficient rows) cells of the family walk: pi lexicographic,
-    then consecutive rows of coefficient_matrix(m) (a base-4 counter, the
-    constant fastest); a cell holds at most CHUNK_SYMBOLS symbols over all
-    offsets while one row per offset fits in it."""
-    if m <= 2:
-        raise ValueError(f"family defined for m > 2, got m={m}")
-    coeffs = coefficient_matrix(m)
-    step = max(1, CHUNK_SYMBOLS // ((1 << m) * len(_offset_list(modulation))))
-    for pi in canonical_permutations(m):
-        for start in range(0, len(coeffs), step):
-            yield pi, coeffs[start : start + step]
+def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The cells of iter_family_chunks: it holds an orbit's records for every offset."""
+    return family_cells(m, ORBIT_SIZE * (1 << m) * len(_offset_list(modulation)))
 
 
 def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
-    """The family as chunks, one per cell of chunk_cells: one block per
-    offset, in list order, over the cell's rows."""
+    """The family as chunks, one per cell of family_cells: one block per
+    offset, in list order, over the cell's coefficient rows, each orbit row
+    followed by its constants 1 to ORBIT_SIZE - 1."""
     offsets = _offset_list(modulation)
-    for pi, rows in chunk_cells(m, modulation):
-        yield tuple(build_block(m, pi, off, rows) for off in offsets)
+    for pi, rows in _enumerate_cells(m, modulation):
+        coeffs = np.repeat(rows, ORBIT_SIZE, axis=0)
+        coeffs[:, m] = np.arange(len(coeffs)) % ORBIT_SIZE
+        yield tuple(build_block(m, pi, off, coeffs) for off in offsets)
 
 
 def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:

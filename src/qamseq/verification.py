@@ -1,4 +1,4 @@
-"""Brute-force oracles for the cancellation identities and bound audits.
+"""The checks behind `qamseq verify`: lemma sweep, bound audits, envelope, examples.
 
 The star-bound proofs rest on cross-term double sums of the shape
 
@@ -23,10 +23,11 @@ ORBIT_SIZE records of the orbit (constructions.ORBIT_SIZE says why they
 agree).  Every companion sequence is FamilyBlock.companion_sign times its
 sequence.  Each component is correlated with its companion once; the
 component star and the Golay defect are both reductions of those sums.  Each
-(pi, offset) block becomes the KindStats of its offset kind, read against
-that kind's ceiling in constructions.CEILINGS, and the report is their sum
-per kind: counts add, extrema take min/max and flags AND, so it is the same
-in any block order and for any worker count.
+block (one offset on one cell of constructions.family_cells) becomes the
+KindStats of its offset kind, read against that kind's ceiling in
+constructions.CEILINGS, and the report is their sum per kind: counts add,
+extrema take min/max and flags AND, so it is the same in any block order,
+for any cell size and for any worker count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family.  A
@@ -42,7 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import canonical_permutations
 from .analysis import (
     STAR_TOL,
     autocorrelation_sums,
@@ -70,10 +70,10 @@ from .constructions import (
     _offset_list,
     build,
     companion_sign,
+    family_cells,
     family_size,
     map_family_blocks,
     offset_values,
-    orbit_rows,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -195,22 +195,20 @@ def negative_controls(m: int = 3) -> dict[str, float]:
 
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
-    """Every lemma residual at one m, over every (pi, linear part, offset).
+    """Every lemma residual at one m, over every (pi, linear part, offset),
+    on the cells of family_cells.
 
     Each linear part is walked once, with constant 0.  That is exhaustive:
     a constant c multiplies P and Q by zeta^c, so every product
     P_i conj(Q_{i+u}), and with it every lemma sum, does not depend on c.
     The sums are exact, so a residual passes only at exactly 0.
     """
-    if m <= 2:
-        raise ValueError(f"family defined for m > 2, got m={m}")
-    rows = orbit_rows(m)
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
-
-    for pi in canonical_permutations(m):
+    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64)
+    for pi, rows in family_cells(m, 1 << m):
         base_all = base_rows(m, pi, rows)
-        for off in _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64):
+        for off in offsets:
             for key, residuals in _lemma_residuals(base_all, off, m, pi).items():
                 maxima[key] = max(maxima[key], float(np.max(residuals)))
                 counts[key] += int(residuals.size)

@@ -21,7 +21,12 @@ from qamseq.constructions import (
     list_offsets64,
 )
 from qamseq.gbf import PathQuadratic
-from qamseq.verification import EXAMPLE1_PARAMS, EXAMPLE2_PARAMS
+from qamseq.verification import (
+    EXAMPLE1_PARAMS,
+    EXAMPLE2_PARAMS,
+    lemma_sweep,
+    theorem_bound_audit,
+)
 
 EX1_FLAGS = ["--modulation", "16qam", "--pi", "0,1,2", "--c", "1,1,1,0", "--offset", "0,1,1"]
 EX2_FLAGS = ["--modulation", "64qam", "--pi", "0,1,2", "--c", "1,1,1,0", "--offset", "0,1,1,0,0"]
@@ -131,15 +136,46 @@ def test_enumerate_count_only(capsys, m, modulation, expected):
 
 
 def test_enumerate_count_only_sees_a_dropped_chunk(capsys, monkeypatch):
-    # negative control: a cell walk that loses its last chunk loses records
-    # from enumerate, and the count, which reads the same cells, must show it
-    real = constructions.chunk_cells
-    monkeypatch.setattr(constructions, "chunk_cells", lambda m, mod: list(real(m, mod))[:-1])
+    # negative control: a cell walk that loses its last cell loses records
+    # from enumerate, and the count, which reads the same cells, must show
+    # it; so must the audit's count, whose blocks come from the same cells
+    real = constructions.family_cells
+    monkeypatch.setattr(constructions, "family_cells", lambda *args: list(real(*args))[:-1])
     code, out, _ = run(capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--count-only")
     assert code == 1
     doc = json.loads(out)
     assert doc["closed_form"] == 6144 > doc["enumerated"]
     assert doc["match"] is False
+    report = theorem_bound_audit(3, Modulation.QAM16)
+    assert report.total < 6144
+    assert [c.name for c in report.checks() if not c.passed] == ["bounds.16qam.m3.count"]
+
+
+def split_walk_outputs(capsys, tmp_path):
+    """Every family walk's output at m=3: both audits at jobs 1 and 2, the
+    lemma sweep, a ccdf CSV and enumerate's JSONL bytes."""
+    audits = [theorem_bound_audit(3, modulation, jobs=jobs)
+              for modulation in (Modulation.QAM16, Modulation.QAM64) for jobs in (1, 2)]
+    files = {}
+    for name, argv in (
+        ("ccdf", ["ccdf", "--m", "3", "--modulation", "64qam", "--baseline-count", "100"]),
+        ("enumerate", ["enumerate", "--m", "3", "--modulation", "16qam"]),
+    ):
+        path = tmp_path / name
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        files[name] = path.read_bytes()
+    return audits, lemma_sweep(3), files
+
+
+def test_splitting_the_family_into_more_cells_changes_no_result(capsys, monkeypatch, tmp_path):
+    default = split_walk_outputs(capsys, tmp_path)
+    # 200 symbols: 25-row slices of the 64 orbit rows for the n-symbol walks
+    # (25, 25, 14), one orbit row per cell for enumerate's 256-symbol rows
+    monkeypatch.setattr(constructions, "CHUNK_SYMBOLS", 200)
+    cells = [len(rows) for _, rows in constructions.family_cells(3, 8)]
+    assert cells == [25, 25, 14] * 3
+    assert len(list(constructions.family_cells(3, 256))) == 64 * 3
+    assert split_walk_outputs(capsys, tmp_path) == default
 
 
 def test_enumerate_cap_requires_stream(capsys):
@@ -214,25 +250,9 @@ def test_oversample_below_one_is_a_usage_error(capsys, tmp_path, command):
     assert out_path.read_text() == "earlier output\n"
 
 
-def test_malformed_qamseq_jobs_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("QAMSEQ_JOBS", "abc")
-    code, out, err = run(capsys, "verify", "--suite", "examples")
-    assert code == 2
-    assert out == ""
-    assert "QAMSEQ_JOBS" in err and "'abc'" in err
-
-
-@pytest.mark.parametrize(
-    "flags,env",
-    [(["--jobs", "0"], None), (["--jobs", "-5"], None), ([], "0")],
-    ids=["jobs=0", "jobs=-5", "QAMSEQ_JOBS=0"],
-)
-def test_worker_count_below_one_is_a_usage_error(capsys, monkeypatch, flags, env):
-    if env is None:
-        monkeypatch.delenv("QAMSEQ_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("QAMSEQ_JOBS", env)
-    code, out, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam", *flags)
+@pytest.mark.parametrize("jobs", ["0", "-5"], ids=["jobs=0", "jobs=-5"])
+def test_worker_count_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", jobs)
     assert code == 2
     assert out == ""
     assert err.startswith("error: worker count") and "must be >= 1" in err

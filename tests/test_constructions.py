@@ -22,6 +22,7 @@ from qamseq.constructions import (
     classify_offset64,
     count_enumerated,
     enumerate_family,
+    family_cells,
     family_size,
     iter_family_chunks,
     list_offsets16,
@@ -417,14 +418,31 @@ def test_distinct_rows_sees_a_repeated_offset(monkeypatch):
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
-    n, offsets = 1 << m, len(list_offsets16() if modulation is Modulation.QAM16 else list_offsets64())
-    chunk = next(iter_family_chunks(m, modulation))
-    assert [b.offset for b in chunk] == list(constructions._offset_list(modulation))
-    rows = len(chunk[0])
-    assert all(len(b) == rows and b.sym_re.shape == (rows, n) for b in chunk)
-    assert rows * n * offsets <= CHUNK_SYMBOLS
-    # as many rows as fit, up to the 4^(m+1) rows of one pi
-    assert rows == min(CHUNK_SYMBOLS // (n * offsets), 4 ** (m + 1))
+    n, offsets = 1 << m, constructions._offset_list(modulation)
+    per_row = ORBIT_SIZE * n * len(offsets)
+    (pi, rows), chunk = next(family_cells(m, per_row)), next(iter_family_chunks(m, modulation))
+    assert [b.offset for b in chunk] == list(offsets)
+    # the first cell's orbit rows, each followed by its constants 1-3: the
+    # first rows of coefficient_matrix, in counter order
+    coeffs = coefficient_matrix(m)[: ORBIT_SIZE * len(rows)]
+    for b in chunk:
+        assert b.pi == pi and np.array_equal(b.coeffs, coeffs)
+        assert b.sym_re.shape == (len(coeffs), n)
+    assert len(coeffs) * n * len(offsets) <= CHUNK_SYMBOLS
+    # as many orbit rows as fit, up to the 4^m of one pi
+    assert len(rows) == min(CHUNK_SYMBOLS // per_row, 4**m)
+
+
+def test_family_cells_shape(monkeypatch):
+    # the cells are orbit-row slices of each pi, and nothing is built for them
+    monkeypatch.setattr(constructions, "build_block", None)
+    for m, per_row, slices in ((6, 64, [512] * 8), (5, 32, [1024]), (3, 1 << 20, [1] * 64)):
+        cells = list(family_cells(m, per_row))
+        pis = canonical_permutations(m)
+        assert [pi for pi, _ in cells] == [pi for pi in pis for _ in slices]
+        assert [len(rows) for _, rows in cells] == slices * len(pis)
+        per_pi = np.concatenate([rows for _, rows in cells[: len(slices)]])
+        assert np.array_equal(per_pi, orbit_rows(m))
 
 
 def test_orbit_rows_are_the_constant_zero_rows():

@@ -65,3 +65,6 @@ def test_traced_benchmark_child_runs(tmp_path):
     # the 6 144 records of 16-QAM m=3
     counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
     assert counts["synthesis.rows"] == 6144 // 4
+    # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient rows
+    counts = traced_counts(tmp_path, "enumerate", "--m", "3", "--modulation", "16qam")
+    assert counts["synthesis.rows"] == 3 * 8 * 256

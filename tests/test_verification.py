@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from qamseq.constructions import (
     offset_kind,
     orbit_rows,
 )
-from qamseq.cli import default_jobs
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
     EXAMPLE1_PARAMS,
@@ -478,17 +478,10 @@ def test_example_regression_all_pass():
     assert "example2.pmepr" in names
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("QAMSEQ_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("QAMSEQ_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("QAMSEQ_JOBS", "junk")
-    with pytest.raises(ValueError, match="QAMSEQ_JOBS must be an integer, got 'junk'"):
-        default_jobs()
-    # the library reads no environment: its fan-out defaults to one worker,
-    # and refuses a count below 1 that it is passed
-    monkeypatch.setenv("QAMSEQ_JOBS", "0")
+def test_fan_out_defaults_to_one_worker(monkeypatch):
+    # the library's fan-out runs in this process unless it is given a
+    # worker count, and refuses a count below 1
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", None)
     assert map_family_blocks(len, 3, Modulation.QAM16) == [64] * 24
     for jobs in (0, -5):
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {jobs}"):

@@ -1,8 +1,8 @@
 """Z4 arithmetic, binary index decomposition, and path permutations.
 
 Everything downstream works over the ring Z4 with the fourth root of unity
-zeta = i, so unit roots are kept as exact Gaussian-integer pairs and never
-touch floating point until envelope evaluation.
+zeta = i, so unit roots are exact Gaussian integers: complex128 values with
+integer parts, which no sum of the library rounds before envelope evaluation.
 
 Bit convention: MSB-first, i = sum_k bits[k] * 2^(m-1-k).  This is the only
 convention under which the quadratic-path constructions reproduce their
@@ -18,8 +18,8 @@ import numpy as np
 # zeta^v for v in Z4 as exact (re, im) integer pairs: 1, i, -1, -i
 ZETA_INT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-# the same table as int64 lookup arrays, indexed by Z4 value
-ZETA_RE, ZETA_IM = np.array(ZETA_INT, dtype=np.int64).T
+# the same table as one complex lookup array, indexed by Z4 value
+ZETA = np.array([complex(*z) for z in ZETA_INT])
 
 
 def bit_matrix(m: int) -> np.ndarray:

@@ -1,16 +1,15 @@
 """The star operator, envelope power, and CCDF.
 
-Aperiodic correlations of lattice-valued sequences are computed as exact
-Gaussian integers over the scale denominator, by one cross-correlation
-kernel that serves star, the Golay check and the lemma sums.  It works in
-complex128, which is exact for them: every sum is a Gaussian integer far
-below 2^53.  The only rounding in the star operator is one square root per
-shift.  Envelope evaluation samples the continuous-time signal
+Lattice sequences (symbols over their scale denominator, zeta powers of Z4
+sequences) are complex128 arrays of Gaussian integers, and one exact
+cross-correlation kernel serves star, the Golay check and the lemma sums:
+every value and every sum is a Gaussian integer far below 2^53, which
+complex128 holds exactly.  The only rounding in the star operator is one
+square root per shift.  Envelope evaluation samples the continuous-time signal
 S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times oversampled grid
 t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1; peak-to-mean ratios
-are invariant to that normalization).  Each quantity has
-one batched kernel over (records, n) arrays; star and pmepr are one-row calls
-of them.
+are invariant to that normalization).  Each quantity has one batched kernel
+over (records, n) arrays; star and pmepr are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ZETA_IM, ZETA_RE
+from .algebra import ZETA
 from .constellation import ComplexSequence, qam_lattice
 from .constructions import Modulation
-
-STAR_TOL = 1e-9
 
 
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
@@ -32,7 +29,7 @@ def star(a: ComplexSequence, b: ComplexSequence) -> float:
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
     if a.scale is not b.scale:
         raise ValueError(f"scale mismatch: {a.scale} != {b.scale}")
-    rows = (a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :])
+    rows = ((s.re + 1j * s.im)[None, :] for s in (a, b))
     return float(star_batch(*rows, a.scale.value)[0])
 
 
@@ -83,12 +80,12 @@ def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     components = (rng.integers(0, 4, size=(count, n)) for _ in range(modulation.components))
-    re, im, scale = qam_lattice(*components)
-    return (re + 1j * im) / np.sqrt(scale.value)
+    points, scale = qam_lattice(*components)
+    return points / np.sqrt(scale.value)
 
 
 # ---------------------------------------------------------------------------
-# batched kernels over (records, n) integer lattice arrays
+# batched kernels over (records, n) complex lattice arrays
 # ---------------------------------------------------------------------------
 
 
@@ -118,22 +115,16 @@ def star_sum(sums: np.ndarray) -> np.ndarray:
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 
 
-def autocorrelation_sums(re_a, im_a, re_b, im_b) -> np.ndarray:
-    """C_a(u) + C_b(u) for u = 0 .. n-1: the pair (a, b) correlated with itself.
-    star_sum and golay_defect reduce these sums."""
-    pair = np.stack([re_a + 1j * im_a, re_b + 1j * im_b])
+def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C_a(u) + C_b(u) for u = 0 .. n-1 per row of (B, n) lattice arrays:
+    the pair (a, b) correlated with itself.  star_sum and golay_defect reduce these sums."""
+    pair = np.stack([a, b])
     return correlation_sums_batch(pair, pair)
 
 
-def star_batch(
-    re_a: np.ndarray,
-    im_a: np.ndarray,
-    re_b: np.ndarray,
-    im_b: np.ndarray,
-    denominator: int,
-) -> np.ndarray:
+def star_batch(a: np.ndarray, b: np.ndarray, denominator: int) -> np.ndarray:
     """Star values for a batch of sequence pairs (conjugate-symmetric form)."""
-    return star_sum(autocorrelation_sums(re_a, im_a, re_b, im_b)) / denominator
+    return star_sum(autocorrelation_sums(a, b)) / denominator
 
 
 def golay_defect(sums: np.ndarray) -> np.ndarray:
@@ -146,11 +137,9 @@ def golay_defect(sums: np.ndarray) -> np.ndarray:
     return np.max(np.abs(side.real) + np.abs(side.imag), axis=1).astype(np.int64)
 
 
-def golay_defect_batch(
-    re_a: np.ndarray, im_a: np.ndarray, re_b: np.ndarray, im_b: np.ndarray
-) -> np.ndarray:
+def golay_defect_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golay defect per row of a batch of sequence pairs."""
-    return golay_defect(autocorrelation_sums(re_a, im_a, re_b, im_b))
+    return golay_defect(autocorrelation_sums(a, b))
 
 
 def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
@@ -167,7 +156,6 @@ def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
     return np.max(envelope_power_batch(z, oversample), axis=1)
 
 
-def polyphase_lattice(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) int64 arrays of zeta^values for a batch of Z4 arrays."""
-    v = np.asarray(values, dtype=np.int64) % 4
-    return ZETA_RE[v], ZETA_IM[v]
+def polyphase_lattice(values: np.ndarray) -> np.ndarray:
+    """The complex128 Gaussian integers zeta^values for a batch of Z4 arrays."""
+    return ZETA[np.asarray(values, dtype=np.int64) % 4]

@@ -306,8 +306,8 @@ def cmd_enumerate(args) -> int:
             sign = blocks[0].companion_sign
             stars, pmeprs = [], []
             for b in blocks:  # each orbit scored once, on its constant-0 row
-                re, im = b.sym_re[::ORBIT_SIZE], b.sym_im[::ORBIT_SIZE]
-                stars.append(star_batch(re, im, re * sign, im * sign, b.scale.value))
+                z = b.symbols[::ORBIT_SIZE]
+                stars.append(star_batch(z, z * sign, b.scale.value))
                 pmeprs.append(pep_batch(b.complex_symbols()[::ORBIT_SIZE], args.oversample) / n)
             # offsets as columns, each orbit's scores repeated for its rows,
             # read row-major: the order of grid_records

@@ -6,11 +6,13 @@ A QAM point of k QPSK components c_0 .. c_{k-1} in Z4 is
 
 weights (2, 1)/sqrt(5) for 16-QAM (k = 2) and (4, 2, 1)/sqrt(21) for 64-QAM
 (k = 3).  Multiplying a Gaussian integer a + ib by gamma*sqrt(2) = 1 + i is
-the lattice rotation (a, b) -> (a - b, a + b), so every symbol is stored as an
-exact integer pair over the denominator sqrt(2(4^k - 1)/3): sqrt(10) or
-sqrt(42).  Golay cancellations and offset identities can then be tested in
-integer arithmetic; floats appear only at envelope evaluation.  The map is
-a bijection from Z4^k onto its 4^k lattice points (see constructions).
+the lattice rotation (a, b) -> (a - b, a + b), so every symbol is an exact
+Gaussian integer over the denominator sqrt(2(4^k - 1)/3): sqrt(10) or
+sqrt(42).  The library holds it as a complex128 value, exact while its parts
+stay below 2^53, and a record (ComplexSequence) as an int64 (re, im) pair.
+Golay cancellations and offset identities are then exact tests; floats round
+only at envelope evaluation.  The map is a bijection from Z4^k onto its 4^k
+lattice points (see constructions).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ZETA_IM, ZETA_RE
+from .algebra import ZETA
 
 
 class Scale(Enum):
@@ -34,37 +36,44 @@ class Scale(Enum):
 
 
 @functools.cache
-def _qam_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) int64 points of all 4^k component tuples, c_0 the most
+def _qam_table(k: int) -> np.ndarray:
+    """Complex lattice points of all 4^k component tuples, c_0 the most
     significant base-4 digit of the index."""
     digits = np.arange(4**k)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
-    weights = 2 ** np.arange(k - 1, -1, -1)
-    a, b = ZETA_RE[digits] @ weights, ZETA_IM[digits] @ weights
-    return a - b, a + b
+    return (1 + 1j) * (ZETA[digits] @ 2 ** np.arange(k - 1, -1, -1))
 
 
-def qam_lattice(*components) -> tuple[np.ndarray, np.ndarray, Scale]:
-    """(re, im, scale) of (1 + i) * sum_j 2^(k-1-j) * zeta^(c_j) over Z4-valued
-    arrays c_0 .. c_{k-1}, k = 2 (16-QAM) or 3 (64-QAM); re and im are int64
-    and the scale is the denominator 2(4^k - 1)/3."""
-    re, im = _qam_table(len(components))
+def qam_lattice(*components) -> tuple[np.ndarray, Scale]:
+    """(points, scale) of (1 + i) * sum_j 2^(k-1-j) * zeta^(c_j) over Z4-valued
+    arrays c_0 .. c_{k-1}, k = 2 (16-QAM) or 3 (64-QAM): the points are
+    complex128 Gaussian integers and the scale is the denominator
+    2(4^k - 1)/3."""
     idx = 0
     for c in components:
         idx = idx * 4 + np.asarray(c, dtype=np.int64) % 4
-    return re[idx], im[idx], Scale(2 * (4 ** len(components) - 1) // 3)
+    return _qam_table(len(components))[idx], Scale(2 * (4 ** len(components) - 1) // 3)
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as int64, exactly: int64 input as it is, a fractional value refused."""
+    values = np.asarray(values)
+    ints = values if values.dtype == np.int64 else values.astype(np.int64)
+    if ints is not values and not np.array_equal(ints, values):
+        raise ValueError(f"{name} must hold integers, got a fractional value")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
 class ComplexSequence:
-    """Length-n symbol vector with exact integer components over one scale."""
+    """Length-n symbol vector with exact integer components over one scale:
+    the form in which records hold their symbols."""
 
     re: np.ndarray
     im: np.ndarray
     scale: Scale
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.int64)
-        im = np.asarray(self.im, dtype=np.int64)
+        re, im = _integers(self.re, "re"), _integers(self.im, "im")
         if re.shape != im.shape or re.ndim != 1:
             raise ValueError("re and im must be 1-d arrays of equal length")
         if re.size == 0:

@@ -344,8 +344,8 @@ class FamilyBlock:
 
     Row j of every array corresponds to row j of coeffs, rows of
     coefficient_matrix(m) (a slice of orbit_rows(m) in map_family_blocks).  components
-    holds the quaternary sequences ((D, E) or (D, F, G)); the primed
-    companion is derived through companion_sign.
+    holds the quaternary sequences ((D, E) or (D, F, G)), symbols their complex
+    lattice points; the primed companion is derived through companion_sign.
     """
 
     m: int
@@ -353,8 +353,7 @@ class FamilyBlock:
     offset: Offset
     coeffs: np.ndarray
     components: tuple[np.ndarray, ...]
-    sym_re: np.ndarray
-    sym_im: np.ndarray
+    symbols: np.ndarray
     scale: Scale
 
     def __len__(self) -> int:
@@ -370,7 +369,7 @@ class FamilyBlock:
 
     def complex_symbols(self) -> np.ndarray:
         """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
-        return (self.sym_re + 1j * self.sym_im) / np.sqrt(self.scale.value)
+        return self.symbols / np.sqrt(self.scale.value)
 
 
 def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray) -> FamilyBlock:
@@ -379,11 +378,8 @@ def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray)
         raise ValueError(f"family defined for m > 2, got m={m}")
     base = base_rows(m, pi, coeffs)
     comps = (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
-    re, im, scale = qam_lattice(*comps)
-    return FamilyBlock(
-        m=m, pi=pi, offset=offset, coeffs=coeffs, components=comps,
-        sym_re=re, sym_im=im, scale=scale,
-    )
+    symbols, scale = qam_lattice(*comps)
+    return FamilyBlock(m, pi, offset, coeffs, comps, symbols, scale)
 
 
 def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
@@ -430,17 +426,20 @@ def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyB
 
 
 def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:
-    """The records of one chunk in enumeration order (row, then offset);
-    their arrays are views into the blocks."""
+    """The records of one chunk in enumeration order (row, then offset); their
+    arrays are row views into int64 (re, im) pairs made once per block."""
     m, pi = blocks[0].m, blocks[0].pi
     sign = blocks[0].companion_sign
-    primed = [(b.sym_re * sign, b.sym_im * sign) for b in blocks]
+    pairs = [
+        [(z.real.astype(np.int64), z.imag.astype(np.int64)) for z in (b.symbols, b.symbols * sign)]
+        for b in blocks
+    ]
     for j, row in enumerate(blocks[0].coeffs.tolist()):
         base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
-        for b, (primed_re, primed_im) in zip(blocks, primed):
+        for b, ((re, im), (primed_re, primed_im)) in zip(blocks, pairs):
             yield CodewordRecord(
                 params=ConstructionParams(base=base, offset=b.offset),
-                sequence=ComplexSequence(b.sym_re[j], b.sym_im[j], b.scale),
+                sequence=ComplexSequence(re[j], im[j], b.scale),
                 primed_sequence=ComplexSequence(primed_re[j], primed_im[j], b.scale),
                 components=tuple(c[j] for c in b.components),
             )

@@ -11,9 +11,10 @@ sums vanish.  With P = zeta^(B+s), Q = zeta^B and the companion sign
 (-1)^lb, the inner sum at shift u is a sum of four cross-correlations of P,
 Q and their companions; the sweep evaluates it for u >= 0 with the library's
 one correlation kernel, many base rows at a time, takes the negative shifts
-from T(-u) = conj T(u), and reports magnitudes.  The sums are exact
-Gaussian integers, so a residual passes only at exactly 0.  Deliberately
-broken offsets must light them up, otherwise the sweep proves nothing.
+from T(-u) = conj T(u), and reports magnitudes (L1, a sum over every shift,
+comes from row sums instead).  The sums are exact Gaussian integers, so a
+residual passes only at exactly 0.  Deliberately broken offsets must light
+them up, otherwise the sweep proves nothing.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
@@ -44,7 +45,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
-    STAR_TOL,
     autocorrelation_sums,
     correlation_sums_batch,
     envelope_power_batch,
@@ -78,6 +78,7 @@ from .constructions import (
 )
 from .gbf import PathQuadratic, base_rows
 
+STAR_TOL = 1e-9
 PMEPR_TOL = 0.01
 
 # cross-term weights a1*a2, a1*a3, a2*a3 with (a1, a2, a3) = (4, 2, 1)/sqrt(21)
@@ -101,19 +102,16 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_sums(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """T(u) for u = 0 .. n-1 per row of base_all, the inner sum of the
-    cross-term double sum at shift u: with P = zeta^(B+s), Q = zeta^B, the
-    companion sign g and X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
+def _lemma_terms(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> tuple:
+    """The (4, rows, n) stacks a, b whose correlation sums over k, per row of
+    base_all, are T(u), the inner sum of the cross-term double sum at shift u:
+    with P = zeta^(B+s), Q = zeta^B, the companion sign g and
+    X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
 
         T = X_{P,Q} + X_{Q,P} + X_{gP,gQ} + X_{gQ,gP},   T(-u) = conj T(u).
     """
-    p_re, p_im = polyphase_lattice(base_all.astype(np.int64) + svals)
-    q_re, q_im = polyphase_lattice(base_all)
-    p, q = p_re + 1j * p_im, q_re + 1j * q_im
-    return correlation_sums_batch(
-        np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
-    )
+    p, q = polyphase_lattice(base_all.astype(np.int64) + svals), polyphase_lattice(base_all)
+    return np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
 
 
 def _lemma_residuals(
@@ -122,7 +120,8 @@ def _lemma_residuals(
     """Every lemma residual of one offset, per base row: L1 for a 16-QAM
     offset, L2a-c for a type 1 and L3a-c for a type 2 64-QAM offset.
 
-    L1 is |sum over every shift of T(u)|, an exact integer.  The others are
+    L1 is |sum over every shift of T(u)|, an exact integer from row sums:
+    summed over every shift, X_{a,b} is (sum a) * conj(sum b).  The others are
     weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
     which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
     type 1 offsets and belongs to the bound, not to the cancellation claim).
@@ -130,12 +129,12 @@ def _lemma_residuals(
     sign = companion_sign(m, pi)
     svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
     if isinstance(offset, Offset16):
-        t = _lemma_sums(base_all, svals[0], sign).real
-        return {"L1": np.abs(t[:, 0] + 2 * np.sum(t[:, 1:], axis=1))}
+        a, b = _lemma_terms(base_all, svals[0], sign)
+        return {"L1": np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)}
     s1, s2 = svals
-    t12 = _lemma_sums(base_all, s1, sign)
-    r13 = star_sum(_lemma_sums(base_all, s2, sign))
-    r23 = star_sum(_lemma_sums((base_all + s1) % 4, (s1 - s2) % 4, sign))
+    t12 = correlation_sums_batch(*_lemma_terms(base_all, s1, sign))
+    r13 = star_sum(correlation_sums_batch(*_lemma_terms(base_all, s2, sign)))
+    r23 = star_sum(correlation_sums_batch(*_lemma_terms((base_all + s1) % 4, (s1 - s2) % 4, sign)))
     if offset.kind is OffsetKind.TYPE1:
         prefix, r12 = "L2", np.sum(np.abs(t12[:, 1:]), axis=1)
     else:
@@ -362,9 +361,7 @@ def _audit_block(block: FamilyBlock, oversample: int) -> KindStats:
     n = 1 << block.m
     bound = star_bound(block.offset)
     sign = block.companion_sign
-    stars = star_batch(
-        block.sym_re, block.sym_im, block.sym_re * sign, block.sym_im * sign, block.scale.value
-    )
+    stars = star_batch(block.symbols, block.symbols * sign, block.scale.value)
     star_over_n = stars / n
     ok = star_over_n <= bound + STAR_TOL
     if block.kind == "qam16":
@@ -379,8 +376,8 @@ def _audit_block(block: FamilyBlock, oversample: int) -> KindStats:
     # once: star and the Golay defect are both reductions of these sums
     sums = []
     for component in block.components:
-        c_re, c_im = polyphase_lattice(component)
-        sums.append(autocorrelation_sums(c_re, c_im, c_re * sign, c_im * sign))
+        c = polyphase_lattice(component)
+        sums.append(autocorrelation_sums(c, c * sign))
     component_ok = all(bool(np.all(star_sum(s) <= 4 * n + STAR_TOL)) for s in sums[1:])
     if block.kind == "type1":
         # type 1 first component is base + linear offset: still a Golay pair
@@ -454,7 +451,8 @@ def oversampling_audit() -> tuple[float, float]:
 
 def _parseval_gap(block: FamilyBlock) -> float:
     mean_power = np.mean(envelope_power_batch(block.complex_symbols(), LOW), axis=1)
-    energy = np.sum(block.sym_re**2 + block.sym_im**2, axis=1) / block.scale.value
+    z = block.symbols
+    energy = np.sum(z.real**2 + z.imag**2, axis=1) / block.scale.value
     return float(np.max(np.abs(mean_power - energy) / energy))
 
 

@@ -8,8 +8,9 @@ index, the two QAM maps written out per modulation, pointwise offset
 values and component sequences, and the float value of a lattice point.  The library computes each
 of these once, in a batched kernel; the tests compare the two.  star_rows is
 the literal star sum over many records at once, for checks that cover a
-whole family, and distinct_rows counts a family's distinct symbol rows by
-hashing every one of them.
+whole family, distinct_rows counts a family's distinct symbol rows by
+hashing every one of them, and l1_per_shift sums the L1 lemma residual of
+many rows shift by shift, where the library takes it from row sums.
 
 parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
@@ -29,13 +30,12 @@ import numpy as np
 
 from qamseq import constructions
 from qamseq.algebra import (
-    ZETA_IM,
     ZETA_INT,
-    ZETA_RE,
     bit_matrix,
     canonical_permutations,
     coefficient_matrix,
 )
+from qamseq.analysis import correlation_sums_batch
 from qamseq.cli import _block_pmeprs
 from qamseq.constellation import ComplexSequence, Scale
 from qamseq.constructions import (
@@ -48,11 +48,12 @@ from qamseq.constructions import (
     Offset64,
     OffsetKind,
     build_block,
+    companion_sign,
     family_size,
     offset_values,
 )
 from qamseq.gbf import PathQuadratic
-from qamseq.verification import BoundAuditReport, KindStats, _audit_block
+from qamseq.verification import BoundAuditReport, KindStats, _audit_block, _lemma_terms
 
 # ---------------------------------------------------------------------------
 # indices, constellations, Boolean functions
@@ -79,6 +80,10 @@ def index_of(bits: tuple[int, ...]) -> int:
             raise ValueError(f"bits must be 0/1, got {bits!r}")
         i = (i << 1) | b
     return i
+
+
+# zeta^v for v in Z4 as int64 lookup arrays, built here from the pair table
+_ZETA_RE, _ZETA_IM = np.array(ZETA_INT, dtype=np.int64).T
 
 
 class LatticeSymbol(NamedTuple):
@@ -158,7 +163,7 @@ def primed(f: PathQuadratic) -> PathQuadratic:
 def polyphase(values: np.ndarray) -> ComplexSequence:
     """Unit-scale lattice sequence zeta^values for a Z4-valued sequence."""
     v = np.asarray(values, dtype=np.int64) % 4
-    return ComplexSequence(re=ZETA_RE[v], im=ZETA_IM[v], scale=Scale.UNIT)
+    return ComplexSequence(re=_ZETA_RE[v], im=_ZETA_IM[v], scale=Scale.UNIT)
 
 
 def offset16_eval(o: Offset16, x: tuple[int, ...], pi: tuple[int, ...]) -> int:
@@ -249,7 +254,7 @@ def full_family_pmeprs(
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
     """(distinct symbol rows, records) over the whole family, every row hashed."""
     def rows(block):
-        sym = np.concatenate([block.sym_re, block.sym_im], axis=1).astype(np.int8)
+        sym = np.concatenate([block.symbols.real, block.symbols.imag], axis=1).astype(np.int8)
         return {row.tobytes() for row in sym}, len(block)
 
     seen, total = set(), 0
@@ -438,6 +443,17 @@ def lemma3_residuals(params: ConstructionParams) -> tuple[float, float, float]:
     if not isinstance(params.offset, Offset64) or params.offset.kind is not OffsetKind.TYPE2:
         raise ValueError("lemma 3 oracle needs a type 2 Offset64")
     return _three_residuals(params, first_from_one=False)
+
+
+def l1_per_shift(
+    base_all: np.ndarray, offset: Offset16, m: int, pi: tuple[int, ...]
+) -> np.ndarray:
+    """The L1 residual of every row of base_all from its sums T(u) at each
+    shift u >= 0 (the sweep's correlation kernel): |T(0) + 2 * sum_{u>=1}
+    Re T(u)|, the real sum of T over every shift, as T(-u) = conj T(u)."""
+    (svals,) = (s.astype(np.int64) for s in offset_values(offset, m, pi))
+    t = correlation_sums_batch(*_lemma_terms(base_all, svals, companion_sign(m, pi))).real
+    return np.abs(t[:, 0] + 2 * np.sum(t[:, 1:], axis=1))
 
 
 def lemma_reports(params: ConstructionParams) -> list[LemmaReport]:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import bits_of, index_of
 from qamseq.algebra import (
-    ZETA_IM,
+    ZETA,
     ZETA_INT,
-    ZETA_RE,
     bit_matrix,
     canonical_permutations,
     coefficient_matrix,
@@ -102,9 +101,9 @@ def test_is_canonical():
 def test_zeta_unit_roots():
     assert [zeta(v) for v in range(4)] == [1, 1j, -1, -1j]
     assert ZETA_INT == ((1, 0), (0, 1), (-1, 0), (0, -1))
-    # the lookup arrays every polyphase synthesis indexes are the same table
-    assert ZETA_RE.tolist() == [1, 0, -1, 0]
-    assert ZETA_IM.tolist() == [0, 1, 0, -1]
+    # the complex lookup array every lattice synthesis indexes is the same table
+    assert ZETA.dtype == complex and ZETA.tolist() == [1, 1j, -1, -1j]
+    assert [(z.real, z.imag) for z in ZETA] == list(ZETA_INT)
 
 
 def test_zeta_product_exhaustive():

@@ -48,9 +48,14 @@ def pep(seq, oversample=16):
     return pep_batch(seq.to_complex()[None, :], oversample)[0]
 
 
+def unit_sequence(z):
+    """The unit-scale record of a complex lattice array."""
+    return ComplexSequence(z.real, z.imag, Scale.UNIT)
+
+
 lattice_sequences = st.integers(min_value=2, max_value=12).flatmap(
     lambda n: arrays(np.int64, n, elements=st.integers(0, 3)).map(
-        lambda vals: ComplexSequence(*polyphase_lattice(vals), Scale.UNIT)
+        lambda vals: unit_sequence(polyphase_lattice(vals))
     )
 )
 
@@ -58,7 +63,7 @@ lattice_pairs = st.integers(min_value=2, max_value=12).flatmap(
     lambda n: st.tuples(
         arrays(np.int64, n, elements=st.integers(0, 3)),
         arrays(np.int64, n, elements=st.integers(0, 3)),
-    ).map(lambda ab: tuple(ComplexSequence(*polyphase_lattice(v), Scale.UNIT) for v in ab))
+    ).map(lambda ab: tuple(unit_sequence(polyphase_lattice(v)) for v in ab))
 )
 
 
@@ -154,7 +159,7 @@ def test_star_length_and_scale_mismatch():
 def test_star_two_code_paths_agree(pair):
     # the literal full-range sum against the batched conjugate-symmetric form
     a, b = pair
-    one_row = star_batch(a.re[None, :], a.im[None, :], b.re[None, :], b.im[None, :], 1)
+    one_row = star_batch(*((s.re + 1j * s.im)[None, :] for s in (a, b)), 1)
     assert oracles.star(a, b) == pytest.approx(one_row[0], rel=1e-12)
     assert star(a, b) == one_row[0]
 
@@ -307,9 +312,7 @@ def test_random_baseline_count_validation():
 def test_batch_kernels_match_scalar_paths():
     record = build(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
-    stars = star_batch(
-        seq.re[None, :], seq.im[None, :], pr.re[None, :], pr.im[None, :], Scale.QAM16.value
-    )
+    stars = star_batch(*((s.re + 1j * s.im)[None, :] for s in (seq, pr)), Scale.QAM16.value)
     assert stars[0] == pytest.approx(oracles.star(seq, pr), rel=1e-12)
     peps = pep_batch(seq.to_complex()[None, :], 16)
     assert peps[0] == pytest.approx(oracles.pep(seq), rel=1e-12)
@@ -323,8 +326,9 @@ def family_stars_and_pmeprs(modulation):
     for blocks in iter_family_chunks(3, modulation):
         sign = blocks[0].companion_sign
         for b in blocks:
-            rows.append((b.sym_re, b.sym_im, b.sym_re * sign, b.sym_im * sign))
-            stars.append(star_batch(*rows[-1], b.scale.value))
+            z, zp = b.symbols, b.symbols * sign
+            rows.append(tuple(x.astype(np.int64) for x in (z.real, z.imag, zp.real, zp.imag)))
+            stars.append(star_batch(z, zp, b.scale.value))
             pmeprs.append(pep_batch(b.complex_symbols(), 16) / n)
     columns = tuple(np.concatenate(c) for c in zip(*rows))
     return columns, np.concatenate(stars), np.concatenate(pmeprs)
@@ -375,11 +379,11 @@ def test_pep_batch_rejects_oversample_below_one():
 def test_golay_defect_batch_detects_non_pairs():
     base = EX1_PARAMS.base
     d_vals = psi(base)
-    re_a, im_a = polyphase_lattice(d_vals[None, :])
-    re_b, im_b = polyphase_lattice(psi(primed(base))[None, :])
-    assert golay_defect_batch(re_a, im_a, re_b, im_b)[0] == 0
+    a = polyphase_lattice(d_vals[None, :])
+    b = polyphase_lattice(psi(primed(base))[None, :])
+    assert golay_defect_batch(a, b)[0] == 0
     # a sequence paired with itself is not a Golay pair
-    assert golay_defect_batch(re_a, im_a, re_a, im_a)[0] > 0
+    assert golay_defect_batch(a, a)[0] > 0
 
 
 def test_correlation_sums_batch_matches_autocorr():

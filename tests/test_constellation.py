@@ -78,14 +78,16 @@ def test_vectorized_tables_match_scalar_maps():
     # denominator 2(4^k - 1)/3
     for k, literal, scale in ((2, qam16_map, Scale.QAM16), (3, qam64_map, Scale.QAM64)):
         digits = [c.ravel() for c in np.meshgrid(*[np.arange(4)] * k, indexing="ij")]
-        re, im, got_scale = qam_lattice(*digits)
+        z, got_scale = qam_lattice(*digits)
         assert got_scale is scale and scale.value == 2 * (4**k - 1) // 3
-        points = list(zip(re.tolist(), im.tolist()))
+        assert z.dtype == complex
+        points = [(int(p.real), int(p.imag)) for p in z]
+        assert np.array_equal(z, [complex(*p) for p in points])  # integer parts
         assert points == [literal(*c)[:2] for c in zip(*(d.tolist() for d in digits))]
         assert len(set(points)) == 4**k
         # components are read mod 4, and any array shape is kept
-        re2, im2, _ = qam_lattice(*((d + 4).reshape(-1, 4) for d in digits))
-        assert np.array_equal(re2, re.reshape(-1, 4)) and np.array_equal(im2, im.reshape(-1, 4))
+        z2, _ = qam_lattice(*((d + 4).reshape(-1, 4) for d in digits))
+        assert np.array_equal(z2, z.reshape(-1, 4))
 
 
 def test_complex_sequence_equality_and_energy():
@@ -103,3 +105,24 @@ def test_complex_sequence_rejects_empty_and_ragged():
         ComplexSequence(np.array([], dtype=np.int64), np.array([], dtype=np.int64), Scale.UNIT)
     with pytest.raises(ValueError):
         ComplexSequence(np.array([1, 2]), np.array([1]), Scale.UNIT)
+
+
+def test_complex_sequence_refuses_fractional_parts():
+    # a complex lattice value becomes a record's integers here, so a
+    # truncated part would be a wrong integer written without an error
+    with pytest.raises(ValueError, match="re must hold integers"):
+        ComplexSequence([1.5, 2.9], [0.2, -0.7], Scale.QAM16)
+    with pytest.raises(ValueError, match="im must hold integers"):
+        ComplexSequence([1, 3], np.array([3.0, -0.5]), Scale.QAM16)
+    # integral floats convert exactly, as do complex lattice parts
+    z = np.array([3 + 1j, -1 - 3j])
+    seq = ComplexSequence(z.real, z.imag, Scale.QAM16)
+    assert seq.re.dtype == seq.im.dtype == np.int64
+    assert seq == ComplexSequence([3, -1], [1, -3], Scale.QAM16)
+    assert ComplexSequence([2.0**52 + 1], [-7.0], Scale.UNIT).re.tolist() == [2**52 + 1]
+
+
+def test_complex_sequence_keeps_int64_input_without_a_copy():
+    re, im = np.array([1, -3], dtype=np.int64), np.array([3, 1], dtype=np.int64)
+    seq = ComplexSequence(re, im, Scale.QAM16)
+    assert seq.re is re and seq.im is im

@@ -300,9 +300,11 @@ def test_blocks_agree_with_enumerate():
         row = 0
         for v in record.params.base.linear:
             row = row * 4 + v
-        assert np.array_equal(block.sym_re[row], record.sequence.re)
-        assert np.array_equal(block.sym_im[row], record.sequence.im)
-        assert np.array_equal(block.sym_re[row] * block.companion_sign, record.primed_sequence.re)
+        seq, primed_seq = record.sequence, record.primed_sequence
+        assert np.array_equal(block.symbols[row], seq.re + 1j * seq.im)
+        assert np.array_equal(
+            block.symbols[row] * block.companion_sign, primed_seq.re + 1j * primed_seq.im
+        )
     # the oracle's blocks over every coefficient row, all four constants,
     # hold every enumerated record in parameter_grid order
     full = full_family_blocks(lambda b: b, 3, Modulation.QAM16)
@@ -316,11 +318,30 @@ def test_blocks_agree_with_enumerate():
     assert next(records, None) is None
 
 
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_records_hold_the_block_symbols_as_int64_pairs(modulation):
+    # the record boundary: grid_records makes each block's complex lattice
+    # points, and its companion's, int64 (re, im) pairs, exactly
+    blocks = next(iter_family_chunks(3, modulation))
+    sign = blocks[0].companion_sign
+    records = list(constructions.grid_records(blocks))
+    assert len(records) == len(blocks) * len(blocks[0])
+    for j, record in enumerate(records):
+        row, k = divmod(j, len(blocks))
+        z = blocks[k].symbols[row]
+        for seq, expected in ((record.sequence, z), (record.primed_sequence, z * sign)):
+            assert seq.re.dtype == seq.im.dtype == np.int64
+            assert np.array_equal(seq.re, expected.real) and np.array_equal(seq.im, expected.imag)
+    # row views into one int64 array per block, not one conversion per record
+    first, second = records[0].sequence.re, records[len(blocks)].sequence.re
+    assert first.base is not None and first.base is second.base
+
+
 def test_block_shapes():
     block = build_block(3, (0, 1, 2), Offset16(0, 1, 1), orbit_rows(3))
     assert np.array_equal(block.coeffs, orbit_rows(3))
     assert block.coeffs.shape == (64, 4)
-    assert block.sym_re.shape == (64, 8)
+    assert block.symbols.shape == (64, 8) and block.symbols.dtype == complex
     assert len(block.components) == 2
     # x_{pi(2)} = x_2 is the least significant index bit
     assert block.companion_sign.tolist() == [1, -1, 1, -1, 1, -1, 1, -1]
@@ -365,14 +386,9 @@ def test_companion_sign_is_the_primed_definition(modulation):
         shift = np.array([2 * bits_of(i, m)[block.pi[m - 1]] for i in range(1 << m)])
         primed = [(c.astype(np.int64) + shift) % 4 for c in block.components]
         sign = block.companion_sign
-        re, im, _ = qam_lattice(*primed)
-        assert np.array_equal(block.sym_re * sign, re)
-        assert np.array_equal(block.sym_im * sign, im)
+        assert np.array_equal(block.symbols * sign, qam_lattice(*primed)[0])
         for c, p in zip(block.components, primed):
-            c_re, c_im = polyphase_lattice(c)
-            p_re, p_im = polyphase_lattice(p)
-            assert np.array_equal(c_re * sign, p_re)
-            assert np.array_equal(c_im * sign, p_im)
+            assert np.array_equal(polyphase_lattice(c) * sign, polyphase_lattice(p))
         return len(block)
 
     # every record, all four constants of each orbit: enumerate and build
@@ -427,7 +443,7 @@ def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
     coeffs = coefficient_matrix(m)[: ORBIT_SIZE * len(rows)]
     for b in chunk:
         assert b.pi == pi and np.array_equal(b.coeffs, coeffs)
-        assert b.sym_re.shape == (len(coeffs), n)
+        assert b.symbols.shape == (len(coeffs), n)
     assert len(coeffs) * n * len(offsets) <= CHUNK_SYMBOLS
     # as many orbit rows as fit, up to the 4^m of one pi
     assert len(rows) == min(CHUNK_SYMBOLS // per_row, 4**m)
@@ -459,13 +475,12 @@ def orbit_scores(block):
     Golay defect of the component with its companion."""
     sign = block.companion_sign
     scores = [
-        star_batch(block.sym_re, block.sym_im, block.sym_re * sign, block.sym_im * sign,
-                   block.scale.value),
+        star_batch(block.symbols, block.symbols * sign, block.scale.value),
         pep_batch(block.complex_symbols(), 16),
     ]
     for component in block.components:
-        re, im = polyphase_lattice(component)
-        sums = autocorrelation_sums(re, im, re * sign, im * sign)
+        c = polyphase_lattice(component)
+        sums = autocorrelation_sums(c, c * sign)
         scores += [star_sum(sums), golay_defect(sums)]
     return scores
 
@@ -495,6 +510,5 @@ def test_orbit_invariance_fails_when_the_constant_reaches_one_component_only(mod
     assert orbit_invariant(block)
     constant = coeffs[:, m:].astype(np.int64)
     comps = (block.components[0], *((c - constant) % 4 for c in block.components[1:]))
-    re, im, _ = qam_lattice(*comps)
-    broken = dataclasses.replace(block, components=comps, sym_re=re, sym_im=im)
+    broken = dataclasses.replace(block, components=comps, symbols=qam_lattice(*comps)[0])
     assert not orbit_invariant(broken)

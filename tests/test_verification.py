@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     full_bound_audit,
     full_family_blocks,
+    l1_per_shift,
     lemma1_residual,
     lemma2_residuals,
     lemma3_residuals,
@@ -27,6 +28,7 @@ from qamseq.constructions import (
     OffsetKind,
     _offset_list,
     build_block,
+    family_cells,
     list_offsets64,
     map_family_blocks,
     offset_kind,
@@ -246,6 +248,26 @@ def test_sweep_batch_agrees_with_per_record_oracle():
                 assert batch[r.lemma_id][j] == pytest.approx(r.residual, abs=1e-12)
 
 
+def test_l1_from_row_sums_equals_the_per_shift_sum():
+    # summed over every shift, X_{a,b} is (sum a) * conj(sum b): the sweep's
+    # row-sum L1 equals the per-shift sum row by row, on every valid 16-QAM
+    # offset and four constraint-breaking triples, over every cell of m=3, 4
+    broken = tuple(Offset16(*t) for t in ((0, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 1)))
+    assert all(o.violations() for o in broken)
+    total = lit = 0
+    for m in (3, 4):
+        for pi, rows in family_cells(m, 1 << m):
+            base_all = base_rows(m, pi, rows)
+            for off in _offset_list(Modulation.QAM16) + broken:
+                got = _lemma_residuals(base_all, off, m, pi)["L1"]
+                assert np.array_equal(got, l1_per_shift(base_all, off, m, pi))
+                total += got.size
+                lit += int(np.count_nonzero(got))
+    assert total == 12 * (3 * 4**3 + 12 * 4**4) == 39168
+    assert lit > 0
+    assert [negative_controls(m)["L1"] for m in (3, 4)] == [16.0, 32.0]
+
+
 def test_bound_audit_16qam_m3():
     report = theorem_bound_audit(3, Modulation.QAM16)
     assert report.passed
@@ -394,12 +416,12 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     real = verification.star_batch
     calls = []
 
-    def one_over(re_a, im_a, re_b, im_b, denominator):
-        stars = real(re_a, im_a, re_b, im_b, denominator)
+    def one_over(a, b, denominator):
+        stars = real(a, b, denominator)
         if denominator == Scale.QAM64.value:
             calls.append(None)
             if len(calls) == first_type2 + 1:
-                stars[0] = CEILINGS["type2"][0] * re_a.shape[1] + 1 / denominator
+                stars[0] = CEILINGS["type2"][0] * a.shape[1] + 1 / denominator
         return stars
 
     monkeypatch.setattr(verification, "star_batch", one_over)

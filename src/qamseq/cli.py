@@ -1,7 +1,8 @@
 """Command-line surface: construct, enumerate, ccdf, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or constraint error,
-3 internal error (a fault in the library, reported with its traceback).
+3 internal error (a fault in the library, reported with its traceback), 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends.
 Records are emitted as self-describing JSON (symbols as exact integer
 lattice pairs plus a scale tag, never floats); curves as CSV with 12
 significant digits.  Identical flags produce byte-identical output.
@@ -13,8 +14,10 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import traceback
+from typing import Iterator
 
 import numpy as np
 
@@ -22,29 +25,24 @@ from .analysis import (
     ccdf,
     default_threshold_grid,
     pep_batch,
-    pmepr,
     random_baseline,
-    star,
     star_batch,
 )
-from .constellation import ComplexSequence
 from .constructions import (
     CHUNK_SYMBOLS,
     ORBIT_SIZE,
-    CodewordRecord,
     ConstructionParams,
     FamilyBlock,
     Modulation,
     Offset16,
     Offset64,
     OffsetKind,
-    build,
     classify_offset64,
     count_enumerated,
     family_size,
-    grid_records,
     iter_family_chunks,
     map_family_blocks,
+    params_block,
     star_bound,
 )
 from .gbf import PathQuadratic
@@ -62,6 +60,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -89,15 +88,8 @@ def _parse_offset(values: list[int], modulation: Modulation):
 def _offset_doc(offset) -> dict:
     if isinstance(offset, Offset16):
         return {"d1": offset.d1, "d2": offset.d2, "d3": offset.d3}
-    return {
-        "kind": offset.kind.value,
-        "d1": offset.d.d1,
-        "d2": offset.d.d2,
-        "d3": offset.d.d3,
-        "h1": offset.h1,
-        "h2": offset.h2,
-        "h3": offset.h3,
-    }
+    h = {"h1": offset.h1, "h2": offset.h2, "h3": offset.h3}
+    return {"kind": offset.kind.value, **_offset_doc(offset.d), **h}
 
 
 def _offset_from_doc(doc: dict):
@@ -107,44 +99,59 @@ def _offset_from_doc(doc: dict):
     return Offset64(OffsetKind(doc["kind"]), d, doc["h1"], doc["h2"], doc["h3"]).validate()
 
 
-def _lattice_pairs(seq: ComplexSequence) -> list[list[int]]:
-    return [list(p) for p in zip(seq.re.tolist(), seq.im.tolist())]
+def _texts(values: np.ndarray) -> np.ndarray:
+    """repr of each entry of an array, as an object array: one repr per distinct value."""
+    unique, index = np.unique(values, return_inverse=True)
+    return np.array([repr(v) for v in unique.tolist()], dtype=object)[index.reshape(values.shape)]
 
 
-def codeword_doc(
-    record: CodewordRecord,
-    oversample: int = 16,
-    star_value: float | None = None,
-    pmepr_value: float | None = None,
-) -> dict:
-    """JSON-ready document for one codeword; exact ints plus star and PMEPR
-    (at this oversampling), computed here unless the caller scored them."""
-    params, comps = record.params, record.components
-    seq, primed = record.sequence, record.primed_sequence
-    n = len(seq)
-    if star_value is None:
-        star_value = star(seq, primed)
-    if pmepr_value is None:
-        pmepr_value = pmepr(seq, oversample)
-    return {
-        "format": "qamseq-codeword",
-        "m": params.m,
-        "n": n,
-        "modulation": params.modulation.value,
-        "pi": list(params.base.pi),
-        "linear": list(params.base.linear),
-        "constant": params.base.constant,
-        "offset": _offset_doc(params.offset),
-        "scale_denominator": seq.scale.value,
-        "base": comps[0].tolist(),
-        "components": [c.tolist() for c in comps[1:]],
-        "symbols": _lattice_pairs(seq),
-        "primed_symbols": _lattice_pairs(primed),
-        "star": star_value,
-        "star_over_n": star_value / n,
-        "pmepr": pmepr_value,
-        "oversample": oversample,
-    }
+def codeword_lines(blocks: tuple[FamilyBlock, ...], oversample: int) -> Iterator[str]:
+    """The lines json.dumps(doc, sort_keys=True) + "\\n" of the codewords of a
+    chunk of iter_family_chunks or of one one-row block, in grid order (row,
+    then block), one text per slice of rows.  A line is its block's document
+    with null for each number that varies by row, split at the nulls and
+    joined by the numbers' reprs (json's texts of ints and finite floats).
+    Each orbit is scored once, on its first row: zeta^c rotates a codeword
+    exactly, so the records of an orbit share star and PMEPR bit for bit."""
+    first = blocks[0]
+    m, scale, sign, coeffs = first.m, first.scale.value, first.companion_sign, first.coeffs
+    n, grid = 1 << m, (len(first), len(blocks))
+    orbits = [b.symbols[::ORBIT_SIZE] for b in blocks]
+    star = np.stack([star_batch(z, z * sign, scale) for z in orbits], 1)  # (orbits, blocks)
+    pmepr = np.stack([pep_batch(b.complex_symbols()[::ORBIT_SIZE], oversample) for b in blocks], 1)
+    shared = {"base": first.components[0], "linear": coeffs[:, :m], "constant": coeffs[:, m]}
+    # every number that varies by row, over (rows, blocks, ...); the symbols'
+    # (re, im) pairs fit int8, as lattice parts are at most 14 in size
+    numbers = {k: np.broadcast_to(v[:, None], (*grid, *v.shape[1:])) for k, v in shared.items()}
+    scores = {"star": star, "star_over_n": star / n, "pmepr": pmepr / n}
+    numbers.update({k: np.repeat(v, ORBIT_SIZE, axis=0)[: grid[0]] for k, v in scores.items()})
+    numbers["components"] = np.stack([np.stack(b.components[1:], 1) for b in blocks], 1)
+    pairs = np.stack([b.symbols.view(float).reshape(-1, n, 2).astype(np.int8) for b in blocks], 1)
+    numbers.update(symbols=pairs, primed_symbols=pairs * sign[:, None].astype(np.int8))
+    nulls = {k: np.full(v.shape[2:], None).tolist() for k, v in numbers.items()}
+    modulation = Modulation.QAM16 if isinstance(first.offset, Offset16) else Modulation.QAM64
+    skeletons = np.array([(json.dumps({
+        "format": "qamseq-codeword", "m": m, "n": n, "modulation": modulation.value,
+        "pi": list(b.pi), "offset": _offset_doc(b.offset), "oversample": oversample,
+        "scale_denominator": scale, **nulls,
+    }, sort_keys=True) + "\n").split("null") for b in blocks], dtype=object)
+    # a slice's texts take some 30 times the 16 bytes of its complex symbols:
+    # a 32nd of the chunk's symbols holds about as much memory as the chunk
+    step = max(1, CHUNK_SYMBOLS // (32 * n * grid[1]))
+    for start in range(0, grid[0], step):
+        part = slice(start, start + step)
+        texts = [_texts(numbers[k][part]) for k in sorted(numbers)]
+        values = np.concatenate([t.reshape(*t.shape[:2], -1) for t in texts], -1)
+        lines = np.empty((*values.shape[:2], 2 * values.shape[2] + 1), dtype=object)
+        lines[..., 0::2], lines[..., 1::2] = skeletons, values
+        yield "".join(lines.ravel().tolist())
+
+
+def codeword_doc(params: ConstructionParams, oversample: int = 16) -> dict:
+    """The JSON document of one codeword (a CodewordRecord stands for its
+    params): the line codeword_lines renders for its one-row block, parsed."""
+    params = getattr(params, "params", params)
+    return json.loads(next(codeword_lines((params_block(params),), oversample)))
 
 
 def params_from_doc(doc: dict) -> ConstructionParams:
@@ -212,7 +219,7 @@ def verify_codeword_doc(doc: dict) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable parameters: {exc}"]
     rate = doc["oversample"]
-    expected = codeword_doc(build(params), oversample=rate)
+    expected = codeword_doc(params, oversample=rate)
     problems = [f"record has no {key!r}" for key in expected if key not in doc]
     for key, value in doc.items():
         if key not in expected:
@@ -247,7 +254,10 @@ def _open_out(out: str | None):
     """The output stream: stdout for None or "-", else the file, truncated."""
     if out in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
-    return open(out, "w", encoding="utf-8")
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -270,8 +280,7 @@ def cmd_construct(args) -> int:
         params = ConstructionParams(base=base, offset=offset)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    record = build(params)
-    doc = codeword_doc(record, oversample=args.oversample)
+    doc = codeword_doc(params, oversample=args.oversample)
     if args.format == "json":
         _write_out(json.dumps(doc, sort_keys=True, indent=2), args.out)
     else:
@@ -300,24 +309,9 @@ def cmd_enumerate(args) -> int:
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
 
-    def lines():
-        n = 1 << args.m
-        for blocks in iter_family_chunks(args.m, modulation):
-            sign = blocks[0].companion_sign
-            stars, pmeprs = [], []
-            for b in blocks:  # each orbit scored once, on its constant-0 row
-                z = b.symbols[::ORBIT_SIZE]
-                stars.append(star_batch(z, z * sign, b.scale.value))
-                pmeprs.append(pep_batch(b.complex_symbols()[::ORBIT_SIZE], args.oversample) / n)
-            # offsets as columns, each orbit's scores repeated for its rows,
-            # read row-major: the order of grid_records
-            scores = [np.repeat(np.stack(v, 1), ORBIT_SIZE, axis=0).ravel().tolist()
-                      for v in (stars, pmeprs)]
-            for record, s, p in zip(grid_records(blocks), *scores):
-                yield json.dumps(codeword_doc(record, args.oversample, s, p), sort_keys=True)
-
     with _open_out(args.out) as fh:
-        fh.writelines(line + "\n" for line in lines())
+        for blocks in iter_family_chunks(args.m, modulation):
+            fh.writelines(codeword_lines(blocks, args.oversample))
     return EXIT_OK
 
 
@@ -497,6 +491,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # stdout's reader left: its flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # a fault in the library, not in the command line
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -203,10 +203,6 @@ class ConstructionParams:
     def m(self) -> int:
         return self.base.m
 
-    @property
-    def modulation(self) -> Modulation:
-        return Modulation.QAM16 if isinstance(self.offset, Offset16) else Modulation.QAM64
-
 
 @dataclass(frozen=True, eq=False)
 class CodewordRecord:
@@ -241,11 +237,16 @@ def offset_values(offset: Offset, m: int, pi: tuple[int, ...]) -> tuple[np.ndarr
     )
 
 
-def build(params: ConstructionParams) -> CodewordRecord:
-    """Synthesize one codeword and its primed companion: a one-row build_block."""
+def params_block(params: ConstructionParams) -> FamilyBlock:
+    """The one-row block of one codeword."""
     params.offset.validate()
     row = np.array([[*params.base.linear, params.base.constant]], dtype=np.uint8)
-    return next(grid_records((build_block(params.m, params.base.pi, params.offset, row),)))
+    return build_block(params.m, params.base.pi, params.offset, row)
+
+
+def build(params: ConstructionParams) -> CodewordRecord:
+    """Synthesize one codeword and its primed companion: the record of params_block."""
+    return next(grid_records((params_block(params),)))
 
 
 # star/n ceiling per offset kind: (published value, exact rational).  The

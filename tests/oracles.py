@@ -11,6 +11,9 @@ the literal star sum over many records at once, for checks that cover a
 whole family, distinct_rows counts a family's distinct symbol rows by
 hashing every one of them, and l1_per_shift sums the L1 lemma residual of
 many rows shift by shift, where the library takes it from row sums.
+codeword_doc is the JSON document of one codeword built field by field from
+the pointwise components and QAM maps, the reference for the CLI's block
+renderer.
 
 parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
@@ -28,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from qamseq import constructions
+from qamseq import analysis, constructions
 from qamseq.algebra import (
     ZETA_INT,
     bit_matrix,
@@ -465,3 +468,59 @@ def lemma_reports(params: ConstructionParams) -> list[LemmaReport]:
     else:
         ids, vals = ("L3a", "L3b", "L3c"), lemma3_residuals(params)
     return [LemmaReport(i, params, v) for i, v in zip(ids, vals)]
+
+
+# ---------------------------------------------------------------------------
+# the codeword document, one record at a time
+# ---------------------------------------------------------------------------
+
+
+def _offset_doc(o: Offset) -> dict:
+    if isinstance(o, Offset16):
+        return {"d1": o.d1, "d2": o.d2, "d3": o.d3}
+    return {"kind": o.kind.value, "d1": o.d.d1, "d2": o.d.d2, "d3": o.d.d3,
+            "h1": o.h1, "h2": o.h2, "h3": o.h3}
+
+
+def _lattice(comps: tuple[np.ndarray, ...]) -> ComplexSequence:
+    """The QAM sequence of components, one qam16_map or qam64_map per index."""
+    qam = qam16_map if len(comps) == 2 else qam64_map
+    points = [qam(*(int(c[i]) for c in comps)) for i in range(comps[0].size)]
+    return ComplexSequence([p.re_int for p in points], [p.im_int for p in points], points[0].scale)
+
+
+def codeword_doc(
+    params: ConstructionParams,
+    oversample: int = 16,
+    star_of: Callable = analysis.star,
+    pmepr_of: Callable = analysis.pmepr,
+) -> dict:
+    """The JSON document of one codeword as a dict, field by field: the
+    pointwise components of params and of its primed companion, their QAM
+    sequences, and the star and PMEPR that star_of and pmepr_of give them
+    (the library's one-row kernels unless the literal star and pmepr here
+    are passed)."""
+    comps = components(params)
+    seq = _lattice(comps)
+    primed_seq = _lattice(components(replace(params, base=primed(params.base))))
+    star_value = star_of(seq, primed_seq)
+    n = len(seq)
+    return {
+        "format": "qamseq-codeword",
+        "m": params.m,
+        "n": n,
+        "modulation": "16qam" if isinstance(params.offset, Offset16) else "64qam",
+        "pi": list(params.base.pi),
+        "linear": list(params.base.linear),
+        "constant": params.base.constant,
+        "offset": _offset_doc(params.offset),
+        "scale_denominator": seq.scale.value,
+        "base": comps[0].tolist(),
+        "components": [c.tolist() for c in comps[1:]],
+        "symbols": [[int(re), int(im)] for re, im in zip(seq.re, seq.im)],
+        "primed_symbols": [[int(re), int(im)] for re, im in zip(primed_seq.re, primed_seq.im)],
+        "star": star_value,
+        "star_over_n": star_value / n,
+        "pmepr": pmepr_of(seq, oversample),
+        "oversample": oversample,
+    }

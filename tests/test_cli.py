@@ -1,4 +1,8 @@
+import errno
+import hashlib
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import oracles
 from oracles import parameter_grid
 from qamseq import constructions
 from qamseq.cli import (
+    EXIT_BROKEN_PIPE,
     codeword_doc,
     family_pmeprs,
     main,
@@ -212,28 +217,119 @@ def test_enumerate_stream_emits_records(capsys, tmp_path):
         assert verify_codeword_doc(json.loads(raw)) == []
 
 
-def test_enumerate_writes_every_record_in_grid_order_as_the_per_record_oracle(capsys, tmp_path):
-    out_path = tmp_path / "family.jsonl"
+def enumerate_m3(capsys, tmp_path, modulation: Modulation) -> list[str]:
+    """The lines `enumerate --m 3` writes for this modulation."""
+    out_path = tmp_path / f"{modulation.value}.jsonl"
     code, _, _ = run(
-        capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--out", str(out_path)
+        capsys, "enumerate", "--m", "3", "--modulation", modulation.value, "--out", str(out_path)
     )
     assert code == 0
-    lines = out_path.read_text().splitlines()
-    grid = list(parameter_grid(3, Modulation.QAM16))
+    return out_path.read_text().splitlines()
+
+
+def grid_params(m: int, modulation: Modulation) -> list[ConstructionParams]:
+    """The parameters of every record, in enumeration order."""
+    return [
+        ConstructionParams(PathQuadratic(m=m, pi=pi, linear=linear, constant=constant), offset)
+        for pi, linear, constant, offset in parameter_grid(m, modulation)
+    ]
+
+
+def test_enumerate_writes_every_record_in_grid_order_as_the_per_record_oracle(capsys, tmp_path):
+    lines = enumerate_m3(capsys, tmp_path, Modulation.QAM16)
+    grid = grid_params(3, Modulation.QAM16)
     assert len(lines) == len(grid) == 6144
-    for index, (line, (pi, linear, constant, offset)) in enumerate(zip(lines, grid)):
-        doc = json.loads(line)
-        assert (doc["pi"], doc["linear"], doc["constant"]) == (list(pi), list(linear), constant)
-        if index % 97 == 0:
-            base = PathQuadratic(m=3, pi=pi, linear=linear, constant=constant)
-            record = build(ConstructionParams(base=base, offset=offset))
-            oracle = codeword_doc(
-                record,
-                16,
-                star_value=oracles.star(record.sequence, record.primed_sequence),
-                pmepr_value=oracles.pmepr(record.sequence),
-            )
-            assert line == json.dumps(oracle, sort_keys=True)
+    for index, (line, params) in enumerate(zip(lines, grid)):
+        assert line == json.dumps(oracles.codeword_doc(params), sort_keys=True), index
+        if index % 97 == 0:  # scored by the literal star sum and envelope as well
+            literal = oracles.codeword_doc(params, star_of=oracles.star, pmepr_of=oracles.pmepr)
+            assert line == json.dumps(literal, sort_keys=True), index
+
+
+def test_enumerate_64qam_sample_is_the_per_record_oracle(capsys, tmp_path):
+    lines = enumerate_m3(capsys, tmp_path, Modulation.QAM64)
+    grid = grid_params(3, Modulation.QAM64)
+    assert len(lines) == len(grid) == 49152
+    # per pi, 256 coefficient rows of 64 offsets: 32 type 1, then 32 type 2
+    sample = [pi * 16384 + row * 64 + offset
+              for pi in range(3) for row, offset in ((0, 0), (97, 31), (130, 32), (255, 63))]
+    kinds = {(grid[i].base.pi, grid[i].offset.kind) for i in sample}
+    assert len(kinds) == 6
+    for index in sample:
+        literal = oracles.codeword_doc(grid[index], star_of=oracles.star, pmepr_of=oracles.pmepr)
+        assert lines[index] == json.dumps(literal, sort_keys=True), index
+
+
+# sha256 of outputs written by the record-by-record renderer that the block
+# renderer replaced: the output has stayed the same byte for byte
+PINNED_SHA256 = [
+    (["enumerate", "--m", "3", "--modulation", "16qam"],
+     "c7cea8093a6aaa574b6bbfbfec0c411f6d459f6d67bf39d4665db521665e9365"),
+    (["enumerate", "--m", "3", "--modulation", "64qam"],
+     "d8787ece08a4fb9aca5df0ce705006ff6101e86fad71c7435cc70b0e5dfc70cd"),
+    (["construct", *EX1_FLAGS],
+     "9e48fea47afecbfc12ac531fa8c0376d6141a97882e50f502eca87573b86e673"),
+    (["construct", *EX2_FLAGS],
+     "1dcd390d6dcd2c782688abb71b8562f2504f31d8d3c927103217d59112f2ca2c"),
+    (["construct", *EX1_FLAGS, "--format", "csv"],
+     "fe5290806856b8e9064f1704c636a931207c50aa8b711f55f5a67114a33d924e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_SHA256, ids=[
+    "enumerate-16qam-m3", "enumerate-64qam-m3", "construct-16qam", "construct-64qam",
+    "construct-16qam-csv",
+])
+def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    absent = tmp_path / "absent" / "record.json"
+    code, out, err = run(capsys, "construct", *EX1_FLAGS, "--out", str(absent))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {absent}: {os.strerror(errno.ENOENT)}\n"
+    code, out, err = run(
+        capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    # the usage checks run before the file is opened, so a rejected command
+    # line leaves an existing file as it was
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("kept\n")
+    code, _, err = run(
+        capsys, "enumerate", "--m", "5", "--modulation", "16qam", "--out", str(kept)
+    )
+    assert code == 2 and "--stream" in err
+    assert kept.read_text() == "kept\n"
+
+
+def test_a_closed_stdout_is_not_a_library_fault(capsys, monkeypatch, tmp_path):
+    # `qamseq enumerate ... | head`: the reader leaves, and the next write fails
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        writelines = write
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        code = main(["enumerate", "--m", "3", "--modulation", "16qam"])
+        # the stream's descriptor now points at devnull, so the flush at exit
+        # writes nowhere instead of failing again
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+        monkeypatch.undo()
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("command", ["ccdf", "enumerate"])
@@ -414,6 +510,8 @@ def test_construct_roundtrips_for_every_offset(capsys, tmp_path):
         flags = ["--modulation", modulation, "--pi", "0,2,1", "--c", "3,0,2,1", "--offset", offset]
         doc, _ = construct_doc(capsys, tmp_path, flags)
         assert verify_doc(capsys, tmp_path, doc) == (0, []), (modulation, offset)
+        # the one-row render, at constant 1, is the per-record oracle's document
+        assert doc == oracles.codeword_doc(params_from_doc(doc)), (modulation, offset)
 
 
 # for every field of a construct document but m and pi, a value of the right
@@ -495,8 +593,8 @@ def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
     # problem even when the record stores that same star
     from qamseq import cli
 
-    monkeypatch.setattr(cli, "star", lambda seq, primed: 2.5 * len(seq))
-    doc = codeword_doc(build(EXAMPLE1_PARAMS))
+    monkeypatch.setattr(cli, "star_batch", lambda a, b, scale: np.full(len(a), 2.5 * a.shape[1]))
+    doc = codeword_doc(EXAMPLE1_PARAMS)
     assert verify_codeword_doc(doc) == ["star/n = 2.5 exceeds bound 2.4"]
 
 
@@ -634,14 +732,12 @@ def test_verify_record_that_is_not_an_object_fails(capsys, tmp_path):
 
 
 def test_codeword_doc_roundtrip_functions():
-    record = build(EXAMPLE1_PARAMS)
-    doc = codeword_doc(record)
-    assert verify_codeword_doc(doc) == []
-    assert params_from_doc(doc) == EXAMPLE1_PARAMS
-    record64 = build(EXAMPLE2_PARAMS)
-    doc64 = codeword_doc(record64)
-    assert verify_codeword_doc(doc64) == []
-    assert params_from_doc(doc64) == EXAMPLE2_PARAMS
+    for params in (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS):
+        doc = codeword_doc(params)
+        assert verify_codeword_doc(doc) == []
+        assert params_from_doc(doc) == params
+        # a built record stands for its parameters
+        assert codeword_doc(build(params), oversample=32) == codeword_doc(params, 32)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -71,6 +71,9 @@ def test_traced_benchmark_child_runs(tmp_path):
     # the 6 144 records of 16-QAM m=3
     counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
     assert counts["synthesis.rows"] == 6144 // 4
-    # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient rows
+    # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient
+    # rows; it scores one row per constant orbit, at L=16, and writes every line
     counts = traced_counts(tmp_path, "enumerate", "--m", "3", "--modulation", "16qam")
-    assert counts["synthesis.rows"] == 3 * 8 * 256
+    assert counts["synthesis.rows"] == 3 * 8 * 256 == 6144
+    assert counts["envelope.fft_points"] == 8 * 16 * 6144 // 4
+    assert (tmp_path / "r").stat().st_size == 3189024

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import ZETA
 from .constellation import ComplexSequence, qam_lattice
-from .constructions import Modulation
+from .constructions import CHUNK_SYMBOLS, Modulation
 
 
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
@@ -147,13 +147,23 @@ def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
     grid = oversample * z.shape[1]
-    samples = np.fft.ifft(z, n=grid, axis=1) * grid
-    return np.abs(samples) ** 2
+    samples = np.fft.ifft(z, n=grid, axis=1)
+    samples *= grid
+    power = np.abs(samples)
+    power **= 2
+    return power
 
 
 def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
-    """Peak |S(t)|^2 per row of a (B, n) complex array."""
-    return np.max(envelope_power_batch(z, oversample), axis=1)
+    """Peak |S(t)|^2 per row of a (B, n) complex array, over slices of rows
+    whose L*n grids hold at most CHUNK_SYMBOLS points together: a batch's
+    envelope is never held whole, and each row's peak is the same in any slice."""
+    step = max(1, CHUNK_SYMBOLS // max(1, oversample * z.shape[1]))
+    peaks = np.empty(len(z))
+    for start in range(0, len(z), step):
+        power = envelope_power_batch(z[start : start + step], oversample)
+        peaks[start : start + step] = np.max(power, axis=1)
+    return peaks
 
 
 def polyphase_lattice(values: np.ndarray) -> np.ndarray:

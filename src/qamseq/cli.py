@@ -105,38 +105,37 @@ def _texts(values: np.ndarray) -> np.ndarray:
     return np.array([repr(v) for v in unique.tolist()], dtype=object)[index.reshape(values.shape)]
 
 
-def codeword_lines(blocks: tuple[FamilyBlock, ...], oversample: int) -> Iterator[str]:
+def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     """The lines json.dumps(doc, sort_keys=True) + "\\n" of the codewords of a
-    chunk of iter_family_chunks or of one one-row block, in grid order (row,
-    then block), one text per slice of rows.  A line is its block's document
+    block of iter_family_chunks or of a one-row block, in grid order (row,
+    then offset), one text per slice of rows.  A line is its offset's document
     with null for each number that varies by row, split at the nulls and
     joined by the numbers' reprs (json's texts of ints and finite floats).
     Each orbit is scored once, on its first row: zeta^c rotates a codeword
     exactly, so the records of an orbit share star and PMEPR bit for bit."""
-    first = blocks[0]
-    m, scale, sign, coeffs = first.m, first.scale.value, first.companion_sign, first.coeffs
-    n, grid = 1 << m, (len(first), len(blocks))
-    orbits = [b.symbols[::ORBIT_SIZE] for b in blocks]
-    star = np.stack([star_batch(z, z * sign, scale) for z in orbits], 1)  # (orbits, blocks)
-    pmepr = np.stack([pep_batch(b.complex_symbols()[::ORBIT_SIZE], oversample) for b in blocks], 1)
-    shared = {"base": first.components[0], "linear": coeffs[:, :m], "constant": coeffs[:, m]}
-    # every number that varies by row, over (rows, blocks, ...); the symbols'
+    m, scale, sign, coeffs = block.m, block.scale.value, block.companion_sign, block.coeffs
+    n, grid = 1 << m, (len(coeffs), len(block.offsets))
+    orbits = block.symbols[:, ::ORBIT_SIZE].reshape(-1, n)
+    star = star_batch(orbits, orbits * sign, scale).reshape(grid[1], -1).T  # (orbits, offsets)
+    pmepr = pep_batch(orbits / np.sqrt(scale), oversample).reshape(grid[1], -1).T
+    shared = {"base": block.components[0], "linear": coeffs[:, :m], "constant": coeffs[:, m]}
+    # every number that varies by row, over (rows, offsets, ...); the symbols'
     # (re, im) pairs fit int8, as lattice parts are at most 14 in size
     numbers = {k: np.broadcast_to(v[:, None], (*grid, *v.shape[1:])) for k, v in shared.items()}
     scores = {"star": star, "star_over_n": star / n, "pmepr": pmepr / n}
     numbers.update({k: np.repeat(v, ORBIT_SIZE, axis=0)[: grid[0]] for k, v in scores.items()})
-    numbers["components"] = np.stack([np.stack(b.components[1:], 1) for b in blocks], 1)
-    pairs = np.stack([b.symbols.view(float).reshape(-1, n, 2).astype(np.int8) for b in blocks], 1)
+    numbers["components"] = block.components[block.component_index[:, 1:]].transpose(2, 0, 1, 3)
+    pairs = block.symbols.view(float).reshape(*grid[::-1], n, 2).astype(np.int8).swapaxes(0, 1)
     numbers.update(symbols=pairs, primed_symbols=pairs * sign[:, None].astype(np.int8))
     nulls = {k: np.full(v.shape[2:], None).tolist() for k, v in numbers.items()}
-    modulation = Modulation.QAM16 if isinstance(first.offset, Offset16) else Modulation.QAM64
+    modulation = Modulation.QAM16 if isinstance(block.offsets[0], Offset16) else Modulation.QAM64
     skeletons = np.array([(json.dumps({
         "format": "qamseq-codeword", "m": m, "n": n, "modulation": modulation.value,
-        "pi": list(b.pi), "offset": _offset_doc(b.offset), "oversample": oversample,
+        "pi": list(block.pi), "offset": _offset_doc(offset), "oversample": oversample,
         "scale_denominator": scale, **nulls,
-    }, sort_keys=True) + "\n").split("null") for b in blocks], dtype=object)
+    }, sort_keys=True) + "\n").split("null") for offset in block.offsets], dtype=object)
     # a slice's texts take some 30 times the 16 bytes of its complex symbols:
-    # a 32nd of the chunk's symbols holds about as much memory as the chunk
+    # a 32nd of the block's symbols holds about as much memory as the block
     step = max(1, CHUNK_SYMBOLS // (32 * n * grid[1]))
     for start in range(0, grid[0], step):
         part = slice(start, start + step)
@@ -151,7 +150,7 @@ def codeword_doc(params: ConstructionParams, oversample: int = 16) -> dict:
     """The JSON document of one codeword (a CodewordRecord stands for its
     params): the line codeword_lines renders for its one-row block, parsed."""
     params = getattr(params, "params", params)
-    return json.loads(next(codeword_lines((params_block(params),), oversample)))
+    return json.loads(next(codeword_lines(params_block(params), oversample)))
 
 
 def params_from_doc(doc: dict) -> ConstructionParams:
@@ -310,24 +309,28 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
 
     with _open_out(args.out) as fh:
-        for blocks in iter_family_chunks(args.m, modulation):
-            fh.writelines(codeword_lines(blocks, args.oversample))
+        for block in iter_family_chunks(args.m, modulation):
+            fh.writelines(codeword_lines(block, args.oversample))
     return EXIT_OK
 
 
-def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[str, np.ndarray]:
-    return block.kind, pep_batch(block.complex_symbols(), oversample) / (1 << block.m)
+def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The offset kinds of a block, and its (offsets, rows) PMEPRs."""
+    z = block.complex_symbols().reshape(-1, 1 << block.m)
+    return block.kinds, (pep_batch(z, oversample) / (1 << block.m)).reshape(len(block.offsets), -1)
 
 
 def family_pmeprs(
     m: int, modulation: Modulation, oversample: int = 16, jobs: int = 1
 ) -> dict[str, np.ndarray]:
     """Oversampled PMEPR of every family member, grouped by offset kind: each
-    orbit row's value repeated for the ORBIT_SIZE records of its orbit."""
+    orbit row's value repeated for the ORBIT_SIZE records of its orbit, block
+    by block, offsets in list order along the block's first axis."""
     grouped: dict[str, list[np.ndarray]] = {}
     pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
-    for kind, values in map_family_blocks(pmeprs, m, modulation, jobs):
-        grouped.setdefault(kind, []).append(np.repeat(values, ORBIT_SIZE))
+    for kinds, values in map_family_blocks(pmeprs, m, modulation, jobs):
+        for kind, row_values in zip(kinds, values):
+            grouped.setdefault(kind, []).append(np.repeat(row_values, ORBIT_SIZE))
     return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
 
 
@@ -350,11 +353,7 @@ def cmd_ccdf(args) -> int:
         curves["ccdf_type2"] = ccdf(by_kind["type2"], thresholds)
 
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
-    step = max(1, CHUNK_SYMBOLS // n)  # rows per pep_batch call: bounds the envelope's memory
-    baseline_pmeprs = np.concatenate(
-        [pep_batch(baseline[i : i + step], args.oversample) for i in range(0, len(baseline), step)]
-    ) / n
-    curves["ccdf_baseline"] = ccdf(baseline_pmeprs, thresholds)
+    curves["ccdf_baseline"] = ccdf(pep_batch(baseline, args.oversample) / n, thresholds)
 
     names = list(curves)
     lines = [

@@ -49,8 +49,8 @@ def qam_lattice(*components) -> tuple[np.ndarray, Scale]:
     complex128 Gaussian integers and the scale is the denominator
     2(4^k - 1)/3."""
     idx = 0
-    for c in components:
-        idx = idx * 4 + np.asarray(c, dtype=np.int64) % 4
+    for c in components:  # the index is below 4^k <= 64: uint8 components keep it uint8
+        idx = idx * 4 + np.asarray(c) % 4
     return _qam_table(len(components))[idx], Scale(2 * (4 ** len(components) - 1) // 3)
 
 

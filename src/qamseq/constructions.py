@@ -16,7 +16,7 @@ constrained by d1 + 2*d3 = 2 and 2*d2 = 2, and the 64-QAM offset pair
              (h1, h2, h3), h2 = d2 + 2, h1 + 2*h3 = 2
 
 Every component offset is one form q*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)}
-+ c2*x_{pi(1)} + c3 (offset_forms), evaluated by offset_values.  The primed
++ c2*x_{pi(1)} + c3 (offset_forms), evaluated by form_values.  The primed
 companion of any component adds 2*x_{pi(m-1)}.  Offset records are
 classified by which constraint set they satisfy, never by label.
 
@@ -227,26 +227,24 @@ def offset_forms(offset: Offset) -> tuple[tuple[int, int, int, int], ...]:
     return (d, (2, offset.h1, offset.h2, offset.h3))
 
 
-def offset_values(offset: Offset, m: int, pi: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(n,) uint8 vector of each component offset over all indices."""
+def form_values(forms, m: int, pi: tuple[int, ...]) -> np.ndarray:
+    """(len(forms), n) uint8 values of offset_forms forms over all indices."""
     bits = bit_matrix(m).astype(np.int64)
     x0, x1 = bits[:, pi[0]], bits[:, pi[1]]
-    return tuple(
-        ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
-        for q, c1, c2, c3 in offset_forms(offset)
-    )
+    q, c1, c2, c3 = np.array(forms, dtype=np.int64).reshape(-1, 4).T[:, :, None]
+    return ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
 
 
 def params_block(params: ConstructionParams) -> FamilyBlock:
     """The one-row block of one codeword."""
     params.offset.validate()
     row = np.array([[*params.base.linear, params.base.constant]], dtype=np.uint8)
-    return build_block(params.m, params.base.pi, params.offset, row)
+    return build_block(params.m, params.base.pi, (params.offset,), row)
 
 
 def build(params: ConstructionParams) -> CodewordRecord:
     """Synthesize one codeword and its primed companion: the record of params_block."""
-    return next(grid_records((params_block(params),)))
+    return next(grid_records(params_block(params)))
 
 
 # star/n ceiling per offset kind: (published value, exact rational).  The
@@ -292,7 +290,7 @@ def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     chunks = iter_family_chunks(m, modulation)
-    return (record for blocks in chunks for record in grid_records(blocks))
+    return (record for block in chunks for record in grid_records(block))
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
@@ -341,46 +339,62 @@ def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.nda
 
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
-    """A batch of coefficient choices for one (permutation, offset) cell, vectorized.
+    """Every offset of one (permutation, coefficient rows) cell, vectorized.
 
-    Row j of every array corresponds to row j of coeffs, rows of
-    coefficient_matrix(m) (a slice of orbit_rows(m) in map_family_blocks).  components
-    holds the quaternary sequences ((D, E) or (D, F, G)), symbols their complex
-    lattice points; the primed companion is derived through companion_sign.
+    The row axis of every array follows coeffs, rows of coefficient_matrix(m)
+    (a slice of orbit_rows(m) in map_family_blocks).  components holds the
+    quaternary sequences the cell's codewords are made of, each once: D at
+    index 0, then D plus each distinct offset_forms form of the offsets, as
+    (1 + forms, rows, n).  Row o of component_index names the components
+    ((D, E) or (D, F, G)) of offset o, and symbols holds the (offsets, rows,
+    n) complex lattice points of every codeword; the primed companion is
+    derived through companion_sign.  len counts the sequences, offsets times
+    rows.
     """
 
     m: int
     pi: tuple[int, ...]
-    offset: Offset
+    offsets: tuple[Offset, ...]
     coeffs: np.ndarray
-    components: tuple[np.ndarray, ...]
+    components: np.ndarray
+    component_index: np.ndarray
     symbols: np.ndarray
     scale: Scale
 
     def __len__(self) -> int:
-        return int(self.coeffs.shape[0])
+        return int(self.symbols.shape[0] * self.symbols.shape[1])
 
     @property
-    def kind(self) -> str:
-        return offset_kind(self.offset)
+    def kinds(self) -> tuple[str, ...]:
+        """The offset kind of each offset, in block order."""
+        return tuple(offset_kind(o) for o in self.offsets)
 
     @property
     def companion_sign(self) -> np.ndarray:
         return companion_sign(self.m, self.pi)
 
+    def offset_components(self, o: int) -> np.ndarray:
+        """(components, rows, n) sequences of offset o: (D, E) or (D, F, G)."""
+        return self.components[self.component_index[o]]
+
     def complex_symbols(self) -> np.ndarray:
-        """(rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
+        """(offsets, rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
         return self.symbols / np.sqrt(self.scale.value)
 
 
-def build_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray) -> FamilyBlock:
-    """Vectorized synthesis of one (pi, offset) cell over coefficient rows."""
+def build_block(
+    m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...], coeffs: np.ndarray
+) -> FamilyBlock:
+    """Vectorized synthesis of every offset of one (pi, rows) cell: D once, each
+    distinct component form once, then every offset's symbols from them."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
+    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
+    index = np.array([[0, *(1 + forms.index(f) for f in offset_forms(off))] for off in offsets])
     base = base_rows(m, pi, coeffs)
-    comps = (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
-    symbols, scale = qam_lattice(*comps)
-    return FamilyBlock(m, pi, offset, coeffs, comps, symbols, scale)
+    comps = np.concatenate([base[None], (base + form_values(forms, m, pi)[:, None]) % 4])
+    symbols, scale = qam_lattice(*np.moveaxis(comps[index], 1, 0))
+    return FamilyBlock(m, pi, tuple(offsets), coeffs, comps, index, symbols, scale)
 
 
 def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
@@ -390,10 +404,11 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
 def map_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
 ) -> list:
-    """fn(block) for every block of the family: one per offset, in list
-    order, on each cell of family_cells(m, n), so each block holds at most
-    CHUNK_SYMBOLS symbols.  A block's rows are orbit rows: a consumer that
-    counts records weights each row by ORBIT_SIZE, the records of its orbit.
+    """fn(block) for every block of the family: one per cell of
+    family_cells(m, n * offsets), each holding every offset of the family in
+    list order, so each block holds at most CHUNK_SYMBOLS symbols.  A block's
+    rows are orbit rows: a consumer that counts records weights each row by
+    ORBIT_SIZE, the records of its orbit.
 
     jobs > 1 builds and maps the blocks in that many worker processes; fn
     and its results must then pickle.  The results are the same for every
@@ -402,12 +417,12 @@ def map_family_blocks(
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     offsets = _offset_list(modulation)
-    cells = [(m, pi, off, rows) for pi, rows in family_cells(m, 1 << m) for off in offsets]
+    cells = [(m, pi, offsets, rows) for pi, rows in family_cells(m, (1 << m) * len(offsets))]
     task = functools.partial(_map_cell, fn)
     if jobs == 1:
         return [task(cell) for cell in cells]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, cells, chunksize=4))
+        return list(pool.map(task, cells))
 
 
 def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:
@@ -415,32 +430,32 @@ def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np
     return family_cells(m, ORBIT_SIZE * (1 << m) * len(_offset_list(modulation)))
 
 
-def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[tuple[FamilyBlock, ...]]:
-    """The family as chunks, one per cell of family_cells: one block per
-    offset, in list order, over the cell's coefficient rows, each orbit row
-    followed by its constants 1 to ORBIT_SIZE - 1."""
+def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
+    """The family as blocks, one per cell of family_cells: every offset, in
+    list order, over the cell's coefficient rows, each orbit row followed by
+    its constants 1 to ORBIT_SIZE - 1."""
     offsets = _offset_list(modulation)
     for pi, rows in _enumerate_cells(m, modulation):
         coeffs = np.repeat(rows, ORBIT_SIZE, axis=0)
         coeffs[:, m] = np.arange(len(coeffs)) % ORBIT_SIZE
-        yield tuple(build_block(m, pi, off, coeffs) for off in offsets)
+        yield build_block(m, pi, offsets, coeffs)
 
 
-def grid_records(blocks: tuple[FamilyBlock, ...]) -> Iterator[CodewordRecord]:
-    """The records of one chunk in enumeration order (row, then offset); their
+def grid_records(block: FamilyBlock) -> Iterator[CodewordRecord]:
+    """The records of one block in enumeration order (row, then offset); their
     arrays are row views into int64 (re, im) pairs made once per block."""
-    m, pi = blocks[0].m, blocks[0].pi
-    sign = blocks[0].companion_sign
-    pairs = [
-        [(z.real.astype(np.int64), z.imag.astype(np.int64)) for z in (b.symbols, b.symbols * sign)]
-        for b in blocks
-    ]
-    for j, row in enumerate(blocks[0].coeffs.tolist()):
+    m, pi, scale = block.m, block.pi, block.scale
+    (re, im), (primed_re, primed_im) = (
+        (z.real.astype(np.int64), z.imag.astype(np.int64))
+        for z in (block.symbols, block.symbols * block.companion_sign)
+    )
+    comps = [block.offset_components(o) for o in range(len(block.offsets))]
+    for j, row in enumerate(block.coeffs.tolist()):
         base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
-        for b, ((re, im), (primed_re, primed_im)) in zip(blocks, pairs):
+        for o, offset in enumerate(block.offsets):
             yield CodewordRecord(
-                params=ConstructionParams(base=base, offset=b.offset),
-                sequence=ComplexSequence(re[j], im[j], b.scale),
-                primed_sequence=ComplexSequence(primed_re[j], primed_im[j], b.scale),
-                components=tuple(c[j] for c in b.components),
+                params=ConstructionParams(base=base, offset=offset),
+                sequence=ComplexSequence(re[o, j], im[o, j], scale),
+                primed_sequence=ComplexSequence(primed_re[o, j], primed_im[o, j], scale),
+                components=tuple(c[j] for c in comps[o]),
             )

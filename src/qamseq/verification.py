@@ -12,9 +12,12 @@ sums vanish.  With P = zeta^(B+s), Q = zeta^B and the companion sign
 Q and their companions; the sweep evaluates it for u >= 0 with the library's
 one correlation kernel, many base rows at a time, takes the negative shifts
 from T(-u) = conj T(u), and reports magnitudes (L1, a sum over every shift,
-comes from row sums instead).  The sums are exact Gaussian integers, so a
-residual passes only at exactly 0.  Deliberately broken offsets must light
-them up, otherwise the sweep proves nothing.
+comes from row sums instead).  It scores every offset of a cell together:
+T of the base with one component form is shared by every offset whose s1 or
+s2 is that form, so it is correlated once per distinct form.  The sums are
+exact Gaussian integers, so a residual passes only at exactly 0.
+Deliberately broken offsets must light them up, otherwise the sweep proves
+nothing.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
@@ -22,13 +25,16 @@ cancellation of the base pair, and the component star ceilings.  It scores
 each constant orbit once, on its constant-0 row, which counts for the
 ORBIT_SIZE records of the orbit (constructions.ORBIT_SIZE says why they
 agree).  Every companion sequence is FamilyBlock.companion_sign times its
-sequence.  Each component is correlated with its companion once; the
-component star and the Golay defect are both reductions of those sums.  Each
-block (one offset on one cell of constructions.family_cells) becomes the
-KindStats of its offset kind, read against that kind's ceiling in
-constructions.CEILINGS, and the report is their sum per kind: counts add,
-extrema take min/max and flags AND, so it is the same in any block order,
-for any cell size and for any worker count.
+sequence.  A block holds every offset of one cell of
+constructions.family_cells, and each component sequence once: D, and D plus
+each distinct component form.  Each of them is correlated with its companion
+once per cell; D's Golay defect and each form's star and Golay defect are
+reductions of those sums.  The codewords' stars and PMEPRs run over groups
+of offsets, GROUP_SYMBOLS symbol positions per call.  Each block becomes
+the KindStats of each offset kind it holds, read against that kind's
+ceiling in constructions.CEILINGS, and the report is their sum per kind:
+counts add, extrema take min/max and flags AND, so it is the same in any
+block order, for any cell or group size and for any worker count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family.  A
@@ -59,6 +65,7 @@ from .analysis import (
 from .constellation import ComplexSequence, Scale
 from .constructions import (
     CEILINGS,
+    CHUNK_SYMBOLS,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -72,8 +79,9 @@ from .constructions import (
     companion_sign,
     family_cells,
     family_size,
+    form_values,
     map_family_blocks,
-    offset_values,
+    offset_forms,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -114,33 +122,70 @@ def _lemma_terms(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> t
     return np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
 
 
+# symbol positions per correlation or envelope call of the audit and the lemma
+# sweep: a cell holds up to CHUNK_SYMBOLS, and intermediates of that size
+# would set the walks' peak memory
+GROUP_SYMBOLS = CHUNK_SYMBOLS // 32
+
+
+def _offset_groups(count: int, per_offset: int) -> list[slice]:
+    """Consecutive slices of count offsets, each of at most GROUP_SYMBOLS
+    symbol positions at per_offset per offset, and at least one offset."""
+    step = max(1, GROUP_SYMBOLS // per_offset)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _lemma_residuals(
-    base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
+    base_all: np.ndarray, offsets: tuple[Offset, ...], m: int, pi: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
-    """Every lemma residual of one offset, per base row: L1 for a 16-QAM
-    offset, L2a-c for a type 1 and L3a-c for a type 2 64-QAM offset.
+    """Every lemma residual of each offset, per base row, as (offsets, rows)
+    arrays in the order of offsets: L1 over the 16-QAM offsets, L2a-c over
+    the type 1 and L3a-c over the type 2 64-QAM offsets.
 
     L1 is |sum over every shift of T(u)|, an exact integer from row sums:
     summed over every shift, X_{a,b} is (sum a) * conj(sum b).  The others are
     weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
     which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
     type 1 offsets and belongs to the bound, not to the cancellation claim).
+    The a1a2 sums of an offset are T of its s1 and the a1a3 sums T of its s2,
+    so T is correlated once per distinct component form; the a2a3 sums, T of
+    D + s1 with s1 - s2, once per offset, a group of offsets per call.
     """
     sign = companion_sign(m, pi)
-    svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
-    if isinstance(offset, Offset16):
-        a, b = _lemma_terms(base_all, svals[0], sign)
-        return {"L1": np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)}
-    s1, s2 = svals
-    t12 = correlation_sums_batch(*_lemma_terms(base_all, s1, sign))
-    r13 = star_sum(correlation_sums_batch(*_lemma_terms(base_all, s2, sign)))
-    r23 = star_sum(correlation_sums_batch(*_lemma_terms((base_all + s1) % 4, (s1 - s2) % 4, sign)))
-    if offset.kind is OffsetKind.TYPE1:
-        prefix, r12 = "L2", np.sum(np.abs(t12[:, 1:]), axis=1)
-    else:
-        prefix, r12 = "L3", star_sum(t12)
-    residuals = (_A1A2 * r12, _A1A3 * r13, _A2A3 * r23)
-    return {prefix + part: r for part, r in zip("abc", residuals)}
+    rows, n = base_all.shape
+    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
+    values = dict(zip(forms, form_values(forms, m, pi).astype(np.int64)))
+    out: dict[str, list[np.ndarray]] = {}
+    for off in offsets:
+        if isinstance(off, Offset16):
+            a, b = _lemma_terms(base_all, values[offset_forms(off)[0]], sign)
+            out.setdefault("L1", []).append(
+                np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)
+            )
+    offsets64 = [off for off in offsets if isinstance(off, Offset64)]
+    pairs = [offset_forms(off) for off in offsets64]
+    if not pairs:
+        return {k: np.stack(v) for k, v in out.items()}
+    t = {f: correlation_sums_batch(*_lemma_terms(base_all, values[f], sign))
+         for f in dict.fromkeys(f for pair in pairs for f in pair)}
+    s1 = np.stack([values[f1] for f1, _ in pairs])[:, None]
+    s2 = np.stack([values[f2] for _, f2 in pairs])[:, None]
+    comp = (base_all + s1) % 4
+    diff = np.broadcast_to((s1 - s2) % 4, comp.shape)
+    r23 = np.concatenate([
+        star_sum(correlation_sums_batch(*_lemma_terms(
+            comp[group].reshape(-1, n), diff[group].reshape(-1, n), sign)))
+        for group in _offset_groups(len(pairs), rows * n)
+    ]).reshape(len(pairs), rows)
+    for off, (f1, f2), a2a3 in zip(offsets64, pairs, r23):
+        if off.kind is OffsetKind.TYPE1:
+            prefix, r12 = "L2", np.sum(np.abs(t[f1][:, 1:]), axis=1)
+        else:
+            prefix, r12 = "L3", star_sum(t[f1])
+        residuals = (_A1A2 * r12, _A1A3 * star_sum(t[f2]), _A2A3 * a2a3)
+        for part, r in zip("abc", residuals):
+            out.setdefault(prefix + part, []).append(r)
+    return {k: np.stack(v) for k, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -188,8 +233,8 @@ def negative_controls(m: int = 3) -> dict[str, float]:
     }
     out = {}
     for name, off in controls.items():
-        residuals = _lemma_residuals(row, off, m, pi).values()
-        out[name] = max(float(r[0]) for r in residuals)
+        residuals = _lemma_residuals(row, (off,), m, pi).values()
+        out[name] = max(float(np.max(r)) for r in residuals)
     return out
 
 
@@ -206,11 +251,9 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     counts: dict[str, int] = {k: 0 for k in maxima}
     offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64)
     for pi, rows in family_cells(m, 1 << m):
-        base_all = base_rows(m, pi, rows)
-        for off in offsets:
-            for key, residuals in _lemma_residuals(base_all, off, m, pi).items():
-                maxima[key] = max(maxima[key], float(np.max(residuals)))
-                counts[key] += int(residuals.size)
+        for key, residuals in _lemma_residuals(base_rows(m, pi, rows), offsets, m, pi).items():
+            maxima[key] = max(maxima[key], float(np.max(residuals)))
+            counts[key] += int(residuals.size)
 
     return LemmaSweepResult(
         m=m,
@@ -355,46 +398,57 @@ class BoundAuditReport:
         return out
 
 
-def _audit_block(block: FamilyBlock, oversample: int) -> KindStats:
-    """The audit tally of one block, each row counted as the ORBIT_SIZE
-    records of its constant orbit."""
-    n = 1 << block.m
-    bound = star_bound(block.offset)
+def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
+    """The audit tally of each offset kind of one block, each row counted as
+    the ORBIT_SIZE records of its constant orbit."""
+    n, rows = 1 << block.m, len(block.coeffs)
     sign = block.companion_sign
-    stars = star_batch(block.symbols, block.symbols * sign, block.scale.value)
-    star_over_n = stars / n
-    ok = star_over_n <= bound + STAR_TOL
-    if block.kind == "qam16":
-        # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
-        # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
-        # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
-        # components and land below 2n; only the ceiling is asserted there.
-        ok &= star_over_n >= 2.0 - STAR_TOL
-    pmeprs = pep_batch(block.complex_symbols(), oversample) / n
+    # C_c(u) + C_c'(u) of each component c with its companion, once per cell:
+    # D's Golay defect, and each form's star and Golay defect, are
+    # reductions of these sums
+    c = polyphase_lattice(block.components).reshape(-1, n)
+    sums = autocorrelation_sums(c, c * sign)
+    golay = np.max(golay_defect(sums).reshape(-1, rows), axis=1)
+    star_ok = np.all((star_sum(sums) <= 4 * n + STAR_TOL).reshape(-1, rows), axis=1)
 
-    # C_c(u) + C_c'(u) of each component c with its companion, correlated
-    # once: star and the Golay defect are both reductions of these sums
-    sums = []
-    for component in block.components:
-        c = polyphase_lattice(component)
-        sums.append(autocorrelation_sums(c, c * sign))
-    component_ok = all(bool(np.all(star_sum(s) <= 4 * n + STAR_TOL)) for s in sums[1:])
-    if block.kind == "type1":
-        # type 1 first component is base + linear offset: still a Golay pair
-        component_ok &= int(np.max(golay_defect(sums[1]))) == 0
+    stars, peps = [], []
+    for group in _offset_groups(len(block.offsets), rows * n):
+        z = block.symbols[group].reshape(-1, n)
+        stars.append(star_batch(z, z * sign, block.scale.value))
+        peps.append(pep_batch(z / np.sqrt(block.scale.value), oversample))
+    star_over_n = np.concatenate(stars).reshape(-1, rows) / n
+    pmeprs = np.concatenate(peps).reshape(-1, rows) / n
 
-    return KindStats(
-        kind=block.kind,
-        total=ORBIT_SIZE * len(block),
-        star_ok=ORBIT_SIZE * int(np.count_nonzero(ok)),
-        pmepr_ok=ORBIT_SIZE * int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
-        min_star_over_n=float(np.min(star_over_n)),
-        max_star_over_n=float(np.max(star_over_n)),
-        max_pmepr=float(np.max(pmeprs)),
-        golay_defect=int(np.max(golay_defect(sums[0]))),
-        component_ok=component_ok,
-        pmepr_le_star=bool(np.all(pmeprs <= star_over_n + STAR_TOL)),
-    )
+    out = []
+    kinds = np.array(block.kinds)
+    for kind in dict.fromkeys(block.kinds):
+        mask = kinds == kind
+        s, p, index = star_over_n[mask], pmeprs[mask], block.component_index[mask]
+        bound = CEILINGS[kind][0]
+        ok = s <= bound + STAR_TOL
+        if kind == "qam16":
+            # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
+            # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
+            # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
+            # components and land below 2n; only the ceiling is asserted there.
+            ok &= s >= 2.0 - STAR_TOL
+        component_ok = bool(np.all(star_ok[index[:, 1:]]))
+        if kind == "type1":
+            # type 1 first component is base + linear offset: still a Golay pair
+            component_ok &= bool(np.all(golay[index[:, 1]] == 0))
+        out.append(KindStats(
+            kind=kind,
+            total=ORBIT_SIZE * s.size,
+            star_ok=ORBIT_SIZE * int(np.count_nonzero(ok)),
+            pmepr_ok=ORBIT_SIZE * int(np.count_nonzero(p <= bound + PMEPR_TOL)),
+            min_star_over_n=float(np.min(s)),
+            max_star_over_n=float(np.max(s)),
+            max_pmepr=float(np.max(p)),
+            golay_defect=int(golay[0]),
+            component_ok=component_ok,
+            pmepr_le_star=bool(np.all(p <= s + STAR_TOL)),
+        ))
+    return out
 
 
 def theorem_bound_audit(
@@ -407,8 +461,9 @@ def theorem_bound_audit(
     one row per constant orbit."""
     audit = functools.partial(_audit_block, oversample=oversample)
     kinds: dict[str, KindStats] = {}
-    for stats in map_family_blocks(audit, m, modulation, jobs):
-        kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
+    for block_stats in map_family_blocks(audit, m, modulation, jobs):
+        for stats in block_stats:
+            kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
     return BoundAuditReport(
         m=m,
         modulation=modulation,
@@ -425,10 +480,13 @@ LOW, HIGH = 16, 32
 
 
 def _envelope_gaps(block: FamilyBlock, basis: np.ndarray) -> tuple:
-    z = block.complex_symbols()
-    p_low, p_high = pep_batch(z, LOW), pep_batch(z, HIGH)
-    dense = np.max(np.abs(z @ basis) ** 2, axis=1)
-    return float(np.max((p_high - p_low) / p_high)), float(np.max(np.abs(p_high - dense) / dense))
+    """The two PEP gaps of a block, one offset of its first axis at a time."""
+    gaps = []
+    for z in block.complex_symbols():
+        p_low, p_high = pep_batch(z, LOW), pep_batch(z, HIGH)
+        dense = np.max(np.abs(z @ basis) ** 2, axis=1)
+        gaps.append((np.max((p_high - p_low) / p_high), np.max(np.abs(p_high - dense) / dense)))
+    return tuple(float(max(g)) for g in zip(*gaps))
 
 
 def oversampling_audit() -> tuple[float, float]:
@@ -450,10 +508,13 @@ def oversampling_audit() -> tuple[float, float]:
 
 
 def _parseval_gap(block: FamilyBlock) -> float:
-    mean_power = np.mean(envelope_power_batch(block.complex_symbols(), LOW), axis=1)
-    z = block.symbols
-    energy = np.sum(z.real**2 + z.imag**2, axis=1) / block.scale.value
-    return float(np.max(np.abs(mean_power - energy) / energy))
+    """The Parseval gap of a block, one offset of its first axis at a time."""
+    gaps = []
+    for z, w in zip(block.symbols, block.complex_symbols()):
+        mean_power = np.mean(envelope_power_batch(w, LOW), axis=1)
+        energy = np.sum(z.real**2 + z.imag**2, axis=1) / block.scale.value
+        gaps.append(np.max(np.abs(mean_power - energy) / energy))
+    return float(max(gaps))
 
 
 def parseval_audit() -> float:

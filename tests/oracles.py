@@ -17,9 +17,16 @@ renderer.
 
 parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
-constants of each orbit included; full_bound_audit and full_family_pmeprs
-run the audit and the PMEPR collection over it, scoring and counting every
-record once.  The library walks one row per constant orbit and weights it.
+constants of each orbit included, one block per pi; full_family_pmeprs runs
+the PMEPR collection over it.  The library walks one row per constant orbit
+and weights it.
+
+The library scores every offset of a cell at once, each distinct component
+form correlated once.  The reference scores one offset at a time:
+offset_block builds one (pi, offset) block straight from offset_values,
+audit_block scores it alone, and lemma_residuals correlates every sum of
+one offset for that offset alone; offset_bound_audit, full_bound_audit and
+offset_lemma_sweep fold them over a family.
 """
 
 from __future__ import annotations
@@ -38,11 +45,18 @@ from qamseq.algebra import (
     canonical_permutations,
     coefficient_matrix,
 )
-from qamseq.analysis import correlation_sums_batch
+from qamseq.analysis import (
+    autocorrelation_sums,
+    correlation_sums_batch,
+    golay_defect,
+    pep_batch,
+    polyphase_lattice,
+    star_batch,
+    star_sum,
+)
 from qamseq.cli import _block_pmeprs
-from qamseq.constellation import ComplexSequence, Scale
+from qamseq.constellation import ComplexSequence, Scale, qam_lattice
 from qamseq.constructions import (
-    ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -52,11 +66,15 @@ from qamseq.constructions import (
     OffsetKind,
     build_block,
     companion_sign,
+    family_cells,
     family_size,
-    offset_values,
+    form_values,
+    offset_forms,
+    offset_kind,
+    star_bound,
 )
-from qamseq.gbf import PathQuadratic
-from qamseq.verification import BoundAuditReport, KindStats, _audit_block, _lemma_terms
+from qamseq.gbf import PathQuadratic, base_rows
+from qamseq.verification import PMEPR_TOL, STAR_TOL, BoundAuditReport, KindStats, _lemma_terms
 
 # ---------------------------------------------------------------------------
 # indices, constellations, Boolean functions
@@ -189,6 +207,12 @@ def offset_eval(o: Offset, x: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int
     return (s_d, (2 * x0 * x1 + o.h1 * x0 + o.h2 * x1 + o.h3) % 4)
 
 
+def offset_values(offset: Offset, m: int, pi: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(n,) uint8 vector of each component offset over all indices: the
+    library's form_values of the offset's forms."""
+    return tuple(form_values(offset_forms(offset), m, pi))
+
+
 def components(params: ConstructionParams) -> tuple[np.ndarray, ...]:
     """(D, E) or (D, F, G) pointwise: D = psi(base), and each further
     component D plus one component offset of offset_eval."""
@@ -219,28 +243,18 @@ def parameter_grid(
 def full_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation
 ) -> list:
-    """fn(block) for every (pi, offset) block of the family, in the order of
-    map_family_blocks, each block over all 4^(m+1) rows of
-    coefficient_matrix(m): every constant of every orbit, constant fastest."""
+    """fn(block) for one block per pi, every offset in list order, each block
+    over all 4^(m+1) rows of coefficient_matrix(m): every constant of every
+    orbit, constant fastest."""
     coeffs = coefficient_matrix(m)
     offsets = constructions._offset_list(modulation)
-    return [
-        fn(build_block(m, pi, off, coeffs)) for pi in canonical_permutations(m) for off in offsets
-    ]
+    return [fn(build_block(m, pi, offsets, coeffs)) for pi in canonical_permutations(m)]
 
 
 def full_bound_audit(m: int, modulation: Modulation, oversample: int = 16) -> BoundAuditReport:
-    """theorem_bound_audit over full_family_blocks, each record counted once."""
-    def audit(block):  # _audit_block counts each row ORBIT_SIZE times; count it once
-        stats = _audit_block(block, oversample)
-        return replace(stats, total=len(block), star_ok=stats.star_ok // ORBIT_SIZE,
-                       pmepr_ok=stats.pmepr_ok // ORBIT_SIZE)
-
-    kinds: dict[str, KindStats] = {}
-    for stats in full_family_blocks(audit, m, modulation):
-        kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
-    kinds_in_order = tuple(kinds[k] for k in sorted(kinds))
-    return BoundAuditReport(m, modulation, oversample, family_size(m, modulation), kinds_in_order)
+    """The bound audit over every coefficient row, scored by audit_block one
+    (pi, offset) block at a time, each record counted once."""
+    return offset_bound_audit(m, modulation, coefficient_matrix(m), 1, oversample)
 
 
 def full_family_pmeprs(
@@ -249,16 +263,133 @@ def full_family_pmeprs(
     """cli.family_pmeprs over full_family_blocks: the PMEPR of every record."""
     grouped: dict[str, list[np.ndarray]] = {}
     pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
-    for kind, values in full_family_blocks(pmeprs, m, modulation):
-        grouped.setdefault(kind, []).append(values)
+    for kinds, values in full_family_blocks(pmeprs, m, modulation):
+        for kind, row_values in zip(kinds, values):
+            grouped.setdefault(kind, []).append(row_values)
     return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
+
+
+# ---------------------------------------------------------------------------
+# one (pi, offset) block at a time: the reference of the cell scorers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class OffsetBlock:
+    """One offset over coefficient rows of one pi: its components ((D, E) or
+    (D, F, G)), each built straight from offset_values, and their (rows, n)
+    lattice symbols."""
+
+    m: int
+    pi: tuple[int, ...]
+    offset: Offset
+    coeffs: np.ndarray
+    components: tuple[np.ndarray, ...]
+    symbols: np.ndarray
+    scale: Scale
+
+    @property
+    def kind(self) -> str:
+        return offset_kind(self.offset)
+
+
+def offset_block(m: int, pi: tuple[int, ...], offset: Offset, coeffs: np.ndarray) -> OffsetBlock:
+    base = base_rows(m, pi, coeffs)
+    comps = (base, *((base + s) % 4 for s in offset_values(offset, m, pi)))
+    symbols, scale = qam_lattice(*comps)
+    return OffsetBlock(m, pi, offset, coeffs, comps, symbols, scale)
+
+
+def audit_block(block: OffsetBlock, oversample: int, weight: int) -> KindStats:
+    """The audit tally of one offset block, each row counted weight times:
+    its own star, PMEPR, Golay defect of D and component stars."""
+    n = 1 << block.m
+    bound = star_bound(block.offset)
+    sign = companion_sign(block.m, block.pi)
+    star_over_n = star_batch(block.symbols, block.symbols * sign, block.scale.value) / n
+    ok = star_over_n <= bound + STAR_TOL
+    if block.kind == "qam16":
+        ok &= star_over_n >= 2.0 - STAR_TOL
+    pmeprs = pep_batch(block.symbols / np.sqrt(block.scale.value), oversample) / n
+    sums = []
+    for component in block.components:
+        c = polyphase_lattice(component)
+        sums.append(autocorrelation_sums(c, c * sign))
+    component_ok = all(bool(np.all(star_sum(s) <= 4 * n + STAR_TOL)) for s in sums[1:])
+    if block.kind == "type1":
+        component_ok &= int(np.max(golay_defect(sums[1]))) == 0
+    return KindStats(
+        kind=block.kind,
+        total=weight * len(block.coeffs),
+        star_ok=weight * int(np.count_nonzero(ok)),
+        pmepr_ok=weight * int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
+        min_star_over_n=float(np.min(star_over_n)),
+        max_star_over_n=float(np.max(star_over_n)),
+        max_pmepr=float(np.max(pmeprs)),
+        golay_defect=int(np.max(golay_defect(sums[0]))),
+        component_ok=component_ok,
+        pmepr_le_star=bool(np.all(pmeprs <= star_over_n + STAR_TOL)),
+    )
+
+
+def offset_bound_audit(
+    m: int, modulation: Modulation, coeffs: np.ndarray, weight: int, oversample: int = 16
+) -> BoundAuditReport:
+    """theorem_bound_audit one (pi, offset) block at a time, each over the
+    coeffs rows of its pi and each row counted weight times."""
+    kinds: dict[str, KindStats] = {}
+    for pi in canonical_permutations(m):
+        for off in constructions._offset_list(modulation):
+            stats = audit_block(offset_block(m, pi, off, coeffs), oversample, weight)
+            kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
+    kinds_in_order = tuple(kinds[k] for k in sorted(kinds))
+    return BoundAuditReport(m, modulation, oversample, family_size(m, modulation), kinds_in_order)
+
+
+def lemma_residuals(
+    base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
+) -> dict[str, np.ndarray]:
+    """Every lemma residual of one offset, per base row, each of its sums
+    correlated for this offset alone: L1 for a 16-QAM offset, L2a-c for a
+    type 1 and L3a-c for a type 2 64-QAM offset."""
+    sign = companion_sign(m, pi)
+    svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
+    if isinstance(offset, Offset16):
+        a, b = _lemma_terms(base_all, svals[0], sign)
+        return {"L1": np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)}
+    s1, s2 = svals
+    t12 = correlation_sums_batch(*_lemma_terms(base_all, s1, sign))
+    r13 = star_sum(correlation_sums_batch(*_lemma_terms(base_all, s2, sign)))
+    r23 = star_sum(correlation_sums_batch(*_lemma_terms((base_all + s1) % 4, (s1 - s2) % 4, sign)))
+    if offset.kind is OffsetKind.TYPE1:
+        prefix, r12 = "L2", np.sum(np.abs(t12[:, 1:]), axis=1)
+    else:
+        prefix, r12 = "L3", star_sum(t12)
+    residuals = (_A1A2 * r12, _A1A3 * r13, _A2A3 * r23)
+    return {prefix + part: r for part, r in zip("abc", residuals)}
+
+
+def offset_lemma_sweep(m: int) -> tuple[dict[str, float], dict[str, int]]:
+    """(maxima, evaluation counts) of lemma_sweep, one offset at a time."""
+    maxima: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    offsets = constructions._offset_list(Modulation.QAM16) + constructions._offset_list(
+        Modulation.QAM64
+    )
+    for pi, rows in family_cells(m, 1 << m):
+        base_all = base_rows(m, pi, rows)
+        for off in offsets:
+            for key, residuals in lemma_residuals(base_all, off, m, pi).items():
+                maxima[key] = max(maxima.get(key, 0.0), float(np.max(residuals)))
+                counts[key] = counts.get(key, 0) + int(residuals.size)
+    return maxima, counts
 
 
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
     """(distinct symbol rows, records) over the whole family, every row hashed."""
     def rows(block):
-        sym = np.concatenate([block.symbols.real, block.symbols.imag], axis=1).astype(np.int8)
-        return {row.tobytes() for row in sym}, len(block)
+        sym = np.concatenate([block.symbols.real, block.symbols.imag], axis=2).astype(np.int8)
+        return {row.tobytes() for row in sym.reshape(len(block), -1)}, len(block)
 
     seen, total = set(), 0
     for block_rows, count in full_family_blocks(rows, m, modulation):

@@ -323,13 +323,13 @@ def family_stars_and_pmeprs(modulation):
     with the symbol and companion rows they came from, over m=3."""
     n = 8
     rows, stars, pmeprs = [], [], []
-    for blocks in iter_family_chunks(3, modulation):
-        sign = blocks[0].companion_sign
-        for b in blocks:
-            z, zp = b.symbols, b.symbols * sign
+    for block in iter_family_chunks(3, modulation):
+        sign = block.companion_sign
+        for z, w in zip(block.symbols, block.complex_symbols()):
+            zp = z * sign
             rows.append(tuple(x.astype(np.int64) for x in (z.real, z.imag, zp.real, zp.imag)))
-            stars.append(star_batch(z, zp, b.scale.value))
-            pmeprs.append(pep_batch(b.complex_symbols(), 16) / n)
+            stars.append(star_batch(z, zp, block.scale.value))
+            pmeprs.append(pep_batch(w, 16) / n)
     columns = tuple(np.concatenate(c) for c in zip(*rows))
     return columns, np.concatenate(stars), np.concatenate(pmeprs)
 
@@ -368,6 +368,31 @@ def test_star_rows_is_the_literal_star(modulation):
         b = ComplexSequence(pairs[2, k], pairs[3, k], scale)
         assert value == oracles.star(a, b)
     assert not np.all(rows * scale.value == np.rint(rows * scale.value))
+
+
+def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
+    # a stacked batch runs its envelope FFT in slices of rows whose L*n grids
+    # hold at most CHUNK_SYMBOLS points, and every row's peak is bit for bit
+    # that of its own one-row call
+    from qamseq import analysis
+
+    z = random_baseline(16, Modulation.QAM64, 600, seed=7)
+    single = np.array([pep_batch(row[None, :], 16)[0] for row in z])
+    shapes = []
+    real = analysis.envelope_power_batch
+
+    def recorded(batch, oversample):
+        shapes.append(batch.shape)
+        return real(batch, oversample)
+
+    monkeypatch.setattr(analysis, "envelope_power_batch", recorded)
+    stacked = pep_batch(z, 16)
+    assert np.array_equal(stacked, single)
+    assert analysis.CHUNK_SYMBOLS // (16 * 16) == 128
+    assert shapes == [(128, 16)] * 4 + [(88, 16)]
+    # an empty batch has no peaks and runs no FFT
+    assert pep_batch(z[:0], 16).shape == (0,)
+    assert len(shapes) == 5
 
 
 def test_pep_batch_rejects_oversample_below_one():

@@ -261,7 +261,9 @@ def test_enumerate_64qam_sample_is_the_per_record_oracle(capsys, tmp_path):
 
 
 # sha256 of outputs written by the record-by-record renderer that the block
-# renderer replaced: the output has stayed the same byte for byte
+# renderer replaced (enumerate, construct) and by the one-offset-at-a-time
+# scorers that the cell scorers replaced (the verify report, the ccdf
+# curves): each output has stayed the same byte for byte
 PINNED_SHA256 = [
     (["enumerate", "--m", "3", "--modulation", "16qam"],
      "c7cea8093a6aaa574b6bbfbfec0c411f6d459f6d67bf39d4665db521665e9365"),
@@ -273,12 +275,21 @@ PINNED_SHA256 = [
      "1dcd390d6dcd2c782688abb71b8562f2504f31d8d3c927103217d59112f2ca2c"),
     (["construct", *EX1_FLAGS, "--format", "csv"],
      "fe5290806856b8e9064f1704c636a931207c50aa8b711f55f5a67114a33d924e"),
+    (["verify", "--suite", "all", "--m", "3", "--jobs", "1"],
+     "e6f976831757061b8e20fa93b5aab6593dfb9410e99056145bd1b93a6d0cce5d"),
+    (["verify", "--suite", "all", "--m", "3", "--jobs", "2"],
+     "e6f976831757061b8e20fa93b5aab6593dfb9410e99056145bd1b93a6d0cce5d"),
+    (["ccdf", "--m", "4", "--modulation", "16qam", "--baseline-count", "10000", "--seed", "42"],
+     "53c1773248316ccac95f81fa3352f2f4c5321721030c7dbfcbc77ca58bd4a67f"),
+    (["ccdf", "--m", "3", "--modulation", "64qam"],
+     "f5119e86cf9c861e9076da37bb141e941ea726988c1b66b977c0301b727e0e5c"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_SHA256, ids=[
     "enumerate-16qam-m3", "enumerate-64qam-m3", "construct-16qam", "construct-64qam",
-    "construct-16qam-csv",
+    "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2", "ccdf-16qam-m4",
+    "ccdf-64qam-m3",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

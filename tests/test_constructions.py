@@ -28,8 +28,8 @@ from qamseq.constructions import (
     list_offsets16,
     list_offsets64,
     map_family_blocks,
+    offset_forms,
     offset_kind,
-    offset_values,
     orbit_rows,
     star_bound,
 )
@@ -40,6 +40,7 @@ from oracles import (
     full_family_blocks,
     offset16_eval,
     offset_eval,
+    offset_values,
     parameter_grid,
 )
 from qamseq import constructions
@@ -285,32 +286,34 @@ def test_enumerate_family_walks_the_grid_and_matches_build():
 
 def test_blocks_agree_with_enumerate():
     blocks = map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1)
-    # pi-major, then offset list order, each block over the 64 constant-0 rows
-    assert [(b.pi, b.offset, len(b)) for b in blocks] == [
-        (pi, off, 64) for pi in canonical_permutations(3) for off in list_offsets16()
+    # one block per pi, every offset in list order along its first axis,
+    # over the 64 constant-0 rows
+    assert [(b.pi, b.offsets, len(b)) for b in blocks] == [
+        (pi, tuple(list_offsets16()), 8 * 64) for pi in canonical_permutations(3)
     ]
     assert np.array_equal(blocks[0].coeffs, coefficient_matrix(3)[::4])
     block = blocks[0]
-    # row j of the first block is (pi0, linear part j, constant 0, first
-    # offset): every 32nd record, as 8 offsets follow each coefficient row
-    # and the constant varies fastest
-    target = [r for r in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 32)]
-    for record in target:
+    # row j of offset o of the first block is (pi0, linear part j, constant
+    # 0, offset o): record 32 * j + o, as 8 offsets follow each coefficient
+    # row and the constant varies fastest
+    for index, record in enumerate(itertools.islice(enumerate_family(3, Modulation.QAM16), 2048)):
+        row, o = divmod(index, 32)
+        if index % 32 >= 8:
+            continue
         assert record.params.base.constant == 0
-        row = 0
-        for v in record.params.base.linear:
-            row = row * 4 + v
+        assert record.params.offset == block.offsets[o]
         seq, primed_seq = record.sequence, record.primed_sequence
-        assert np.array_equal(block.symbols[row], seq.re + 1j * seq.im)
+        assert np.array_equal(block.symbols[o, row], seq.re + 1j * seq.im)
         assert np.array_equal(
-            block.symbols[row] * block.companion_sign, primed_seq.re + 1j * primed_seq.im
+            block.symbols[o, row] * block.companion_sign, primed_seq.re + 1j * primed_seq.im
         )
+        assert all(np.array_equal(a, b) for a, b in zip(
+            block.offset_components(o)[:, row], record.components, strict=True))
     # the oracle's blocks over every coefficient row, all four constants,
     # hold every enumerated record in parameter_grid order
-    full = full_family_blocks(lambda b: b, 3, Modulation.QAM16)
-    records, per_pi = enumerate_family(3, Modulation.QAM16), len(list_offsets16())
-    for i in range(0, len(full), per_pi):
-        for record in constructions.grid_records(tuple(full[i : i + per_pi])):
+    records = enumerate_family(3, Modulation.QAM16)
+    for full in full_family_blocks(lambda b: b, 3, Modulation.QAM16):
+        for record in constructions.grid_records(full):
             expected = next(records)
             assert record.params == expected.params
             assert record.sequence == expected.sequence
@@ -320,33 +323,50 @@ def test_blocks_agree_with_enumerate():
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_records_hold_the_block_symbols_as_int64_pairs(modulation):
-    # the record boundary: grid_records makes each block's complex lattice
+    # the record boundary: grid_records makes a block's complex lattice
     # points, and its companion's, int64 (re, im) pairs, exactly
-    blocks = next(iter_family_chunks(3, modulation))
-    sign = blocks[0].companion_sign
-    records = list(constructions.grid_records(blocks))
-    assert len(records) == len(blocks) * len(blocks[0])
+    block = next(iter_family_chunks(3, modulation))
+    sign = block.companion_sign
+    offsets = len(block.offsets)
+    records = list(constructions.grid_records(block))
+    assert len(records) == len(block)
     for j, record in enumerate(records):
-        row, k = divmod(j, len(blocks))
-        z = blocks[k].symbols[row]
+        row, o = divmod(j, offsets)
+        z = block.symbols[o, row]
         for seq, expected in ((record.sequence, z), (record.primed_sequence, z * sign)):
             assert seq.re.dtype == seq.im.dtype == np.int64
             assert np.array_equal(seq.re, expected.real) and np.array_equal(seq.im, expected.imag)
     # row views into one int64 array per block, not one conversion per record
-    first, second = records[0].sequence.re, records[len(blocks)].sequence.re
+    first, second = records[0].sequence.re, records[offsets + 1].sequence.re
     assert first.base is not None and first.base is second.base
 
 
 def test_block_shapes():
-    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1), orbit_rows(3))
+    block = build_block(3, (0, 1, 2), list_offsets16(), orbit_rows(3))
     assert np.array_equal(block.coeffs, orbit_rows(3))
     assert block.coeffs.shape == (64, 4)
-    assert block.symbols.shape == (64, 8) and block.symbols.dtype == complex
-    assert len(block.components) == 2
+    assert block.symbols.shape == (8, 64, 8) and block.symbols.dtype == complex
+    assert len(block) == 8 * 64
+    # D, then the 8 quadratic forms d of the offsets, each once
+    assert block.components.shape == (1 + 8, 64, 8)
+    assert block.component_index.tolist() == [[0, 1 + o] for o in range(8)]
+    assert block.offset_components(3).shape == (2, 64, 8)
     # x_{pi(2)} = x_2 is the least significant index bit
     assert block.companion_sign.tolist() == [1, -1, 1, -1, 1, -1, 1, -1]
-    block64 = build_block(3, (0, 1, 2), list_offsets64()[0], orbit_rows(3))
-    assert len(block64.components) == 3
+    offsets = list_offsets64()
+    block64 = build_block(3, (0, 1, 2), offsets, orbit_rows(3))
+    # D, then 12 distinct forms: 4 linear type 1 s1, 8 quadratic d = type 2 s1
+    # = type 2 s2
+    assert block64.components.shape == (1 + 12, 64, 8)
+    assert block64.component_index.shape == (64, 3)
+    assert block64.kinds == ("type1",) * 32 + ("type2",) * 32
+    for o, off in enumerate(offsets):
+        # each offset reads back the form of each of its components
+        for k, values in enumerate(offset_values(off, 3, (0, 1, 2)), start=1):
+            form = (block64.offset_components(o)[k] - block64.components[0]) % 4
+            assert np.array_equal(form, np.broadcast_to(values, form.shape))
+    forms = {f for off in offsets for f in offset_forms(off)}
+    assert len(forms) == 12 and sum(f[0] == 0 for f in forms) == 4
 
 
 def test_enumerate_rejects_small_m():
@@ -384,11 +404,13 @@ def test_companion_sign_is_the_primed_definition(modulation):
 
     def check(block):
         shift = np.array([2 * bits_of(i, m)[block.pi[m - 1]] for i in range(1 << m)])
-        primed = [(c.astype(np.int64) + shift) % 4 for c in block.components]
         sign = block.companion_sign
-        assert np.array_equal(block.symbols * sign, qam_lattice(*primed)[0])
-        for c, p in zip(block.components, primed):
-            assert np.array_equal(polyphase_lattice(c) * sign, polyphase_lattice(p))
+        for o in range(len(block.offsets)):
+            comps = block.offset_components(o)
+            primed = [(c.astype(np.int64) + shift) % 4 for c in comps]
+            assert np.array_equal(block.symbols[o] * sign, qam_lattice(*primed)[0])
+            for c, p in zip(comps, primed):
+                assert np.array_equal(polyphase_lattice(c) * sign, polyphase_lattice(p))
         return len(block)
 
     # every record, all four constants of each orbit: enumerate and build
@@ -436,17 +458,32 @@ def test_distinct_rows_sees_a_repeated_offset(monkeypatch):
 def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
     n, offsets = 1 << m, constructions._offset_list(modulation)
     per_row = ORBIT_SIZE * n * len(offsets)
-    (pi, rows), chunk = next(family_cells(m, per_row)), next(iter_family_chunks(m, modulation))
-    assert [b.offset for b in chunk] == list(offsets)
+    (pi, rows), block = next(family_cells(m, per_row)), next(iter_family_chunks(m, modulation))
+    assert block.offsets == offsets
     # the first cell's orbit rows, each followed by its constants 1-3: the
     # first rows of coefficient_matrix, in counter order
     coeffs = coefficient_matrix(m)[: ORBIT_SIZE * len(rows)]
-    for b in chunk:
-        assert b.pi == pi and np.array_equal(b.coeffs, coeffs)
-        assert b.symbols.shape == (len(coeffs), n)
+    assert block.pi == pi and np.array_equal(block.coeffs, coeffs)
+    assert block.symbols.shape == (len(offsets), len(coeffs), n)
     assert len(coeffs) * n * len(offsets) <= CHUNK_SYMBOLS
     # as many orbit rows as fit, up to the 4^m of one pi
     assert len(rows) == min(CHUNK_SYMBOLS // per_row, 4**m)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+@pytest.mark.parametrize("m", [3, 4])
+def test_family_blocks_hold_every_offset_within_the_symbol_budget(m, modulation):
+    # map_family_blocks: every offset of an orbit-row cell, as many rows as
+    # fit in CHUNK_SYMBOLS, and every orbit row of each pi once
+    n, offsets = 1 << m, constructions._offset_list(modulation)
+    blocks = map_family_blocks(lambda b: (b.pi, b.offsets, b.coeffs), m, modulation)
+    rows = min(CHUNK_SYMBOLS // (n * len(offsets)), 4**m)
+    assert [len(coeffs) for _, _, coeffs in blocks] == [rows] * len(blocks)
+    assert all(block_offsets == offsets for _, block_offsets, _ in blocks)
+    assert len(offsets) * rows * n <= CHUNK_SYMBOLS
+    for pi in canonical_permutations(m):
+        per_pi = np.concatenate([coeffs for p, _, coeffs in blocks if p == pi])
+        assert np.array_equal(per_pi, orbit_rows(m))
 
 
 def test_family_cells_shape(monkeypatch):
@@ -471,25 +508,28 @@ def test_orbit_rows_are_the_constant_zero_rows():
 
 
 def orbit_scores(block):
-    """Per row: the codeword star and PEP, then per component the star sum and
-    Golay defect of the component with its companion."""
-    sign = block.companion_sign
+    """Per row of each offset: the codeword star and PEP, then per component
+    the star sum and Golay defect of the component with its companion, each
+    as an (arrays, rows) array."""
+    n, sign = 1 << block.m, block.companion_sign
+    z = block.symbols.reshape(-1, n)
     scores = [
-        star_batch(block.symbols, block.symbols * sign, block.scale.value),
-        pep_batch(block.complex_symbols(), 16),
+        star_batch(z, z * sign, block.scale.value),
+        pep_batch(z / np.sqrt(block.scale.value), 16),
     ]
-    for component in block.components:
-        c = polyphase_lattice(component)
-        sums = autocorrelation_sums(c, c * sign)
-        scores += [star_sum(sums), golay_defect(sums)]
-    return scores
+    c = polyphase_lattice(block.components).reshape(-1, n)
+    sums = autocorrelation_sums(c, c * sign)
+    scores += [star_sum(sums), golay_defect(sums)]
+    rows = len(block.coeffs)
+    return [v.reshape(-1, rows) for v in scores]
 
 
 def orbit_invariant(block):
     """Whether every score of every row of a full block (constant fastest)
     equals, bit for bit, that of the row's constant-0 twin."""
     return all(
-        np.array_equal(v, np.repeat(v[::ORBIT_SIZE], ORBIT_SIZE)) for v in orbit_scores(block)
+        np.array_equal(v, np.repeat(v[:, ::ORBIT_SIZE], ORBIT_SIZE, axis=1))
+        for v in orbit_scores(block)
     )
 
 
@@ -506,9 +546,10 @@ def test_orbit_invariance_fails_when_the_constant_reaches_one_component_only(mod
     # negative control: c added to the base component D alone makes the
     # codeword no longer a unit multiple of its twin, and the test must see it
     m, coeffs = 3, coefficient_matrix(3)
-    block = build_block(m, (0, 1, 2), constructions._offset_list(modulation)[0], coeffs)
+    block = build_block(m, (0, 1, 2), constructions._offset_list(modulation), coeffs)
     assert orbit_invariant(block)
     constant = coeffs[:, m:].astype(np.int64)
-    comps = (block.components[0], *((c - constant) % 4 for c in block.components[1:]))
-    broken = dataclasses.replace(block, components=comps, symbols=qam_lattice(*comps)[0])
+    comps = np.concatenate([block.components[:1], (block.components[1:] - constant) % 4])
+    symbols = qam_lattice(*np.moveaxis(comps[block.component_index], 1, 0))[0]
+    broken = dataclasses.replace(block, components=comps, symbols=symbols)
     assert not orbit_invariant(broken)

@@ -61,9 +61,11 @@ def test_traced_benchmark_child_runs(tmp_path):
     # one row per constant orbit: the two audits (1 536 and 12 288 rows),
     # then the Parseval and oversampling walks of the 16-QAM family (1 536 each)
     assert counts["synthesis.rows"] == 1536 + 12288 + 1536 + 1536
-    # per audited block, one star_batch and one polyphase_lattice per
-    # component: 24 16-QAM blocks of 2 components, 192 64-QAM blocks of 3
-    assert counts["correlation.calls"] == 24 * 3 + 192 * 4 == 840
+    # per audited block (one pi's 64 orbit rows, every offset), one
+    # polyphase_lattice for D and all its distinct component forms, then one
+    # star_batch per group of two offsets (1 024 symbol positions): 3 16-QAM
+    # blocks of 8 offsets and 3 64-QAM blocks of 64
+    assert counts["correlation.calls"] == 3 * (1 + 8 // 2) + 3 * (1 + 64 // 2) == 114
     # pep_batch points at n=8: the audited rows at L=16, then the
     # oversampling walk at L=16 and at L=32 (Parseval reads no peak)
     assert counts["envelope.fft_points"] == 8 * (16 * (1536 + 12288) + 48 * 1536) == 2359296

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    audit_block,
     full_bound_audit,
     full_family_blocks,
     l1_per_shift,
@@ -13,8 +14,12 @@ from oracles import (
     lemma2_residuals,
     lemma3_residuals,
     lemma_reports,
+    lemma_residuals,
+    offset_bound_audit,
+    offset_block,
+    offset_lemma_sweep,
 )
-from qamseq import analysis, verification
+from qamseq import verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.constellation import Scale
 from qamseq.constructions import (
@@ -190,14 +195,11 @@ def test_lemma_residuals_do_not_depend_on_the_constant():
     )
     lit = 0
     for pi in canonical_permutations(m):
-        full = base_rows(m, pi, coeffs)
-        twins = base_rows(m, pi, coeffs[::4])
-        for off in offsets:
-            got = _lemma_residuals(full, off, m, pi)
-            reduced = _lemma_residuals(twins, off, m, pi)
-            for key, values in got.items():
-                assert np.array_equal(values, np.repeat(reduced[key], 4))
-                lit += int(np.count_nonzero(values))
+        got = _lemma_residuals(base_rows(m, pi, coeffs), offsets, m, pi)
+        reduced = _lemma_residuals(base_rows(m, pi, coeffs[::4]), offsets, m, pi)
+        for key, values in got.items():
+            assert np.array_equal(values, np.repeat(reduced[key], 4, axis=1))
+            lit += int(np.count_nonzero(values))
     assert lit > 0
 
 
@@ -209,7 +211,7 @@ def test_lemma_residuals_see_a_companion_that_is_not_derived(monkeypatch):
     valid = (Offset16(0, 1, 1), Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0))
 
     def residuals():
-        return {k: float(r[0]) for off in valid for k, r in _lemma_residuals(row, off, m, pi).items()}
+        return {k: float(r[0, 0]) for k, r in _lemma_residuals(row, valid, m, pi).items()}
 
     assert all(v == 0 for v in residuals().values())
     monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
@@ -236,16 +238,23 @@ def test_sweep_batch_agrees_with_per_record_oracle():
         Offset64(OffsetKind.TYPE2, d, 2, 3, 0),
         Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
     )
+    batch = _lemma_residuals(base_all, offsets, 3, pi)
+    # each lemma's rows hold its offsets in the order given
+    position = dict.fromkeys(batch, 0)
     for off in offsets:
-        batch = _lemma_residuals(base_all, off, 3, pi)
         for j, row in enumerate(coeffs):
             base = PathQuadratic(
                 m=3, pi=pi, linear=tuple(int(v) for v in row[:3]), constant=int(row[3])
             )
             reports = lemma_reports(ConstructionParams(base=base, offset=off))
-            assert list(batch) == [r.lemma_id for r in reports]
             for r in reports:
-                assert batch[r.lemma_id][j] == pytest.approx(r.residual, abs=1e-12)
+                assert batch[r.lemma_id][position[r.lemma_id], j] == pytest.approx(
+                    r.residual, abs=1e-12
+                )
+        for r in reports:
+            position[r.lemma_id] += 1
+    assert position == {key: len(values) for key, values in batch.items()}
+    assert position == {"L1": 3, "L2a": 3, "L2b": 3, "L2c": 3, "L3a": 2, "L3b": 2, "L3c": 2}
 
 
 def test_l1_from_row_sums_equals_the_per_shift_sum():
@@ -254,18 +263,49 @@ def test_l1_from_row_sums_equals_the_per_shift_sum():
     # offset and four constraint-breaking triples, over every cell of m=3, 4
     broken = tuple(Offset16(*t) for t in ((0, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 1)))
     assert all(o.violations() for o in broken)
+    offsets = _offset_list(Modulation.QAM16) + broken
     total = lit = 0
     for m in (3, 4):
         for pi, rows in family_cells(m, 1 << m):
             base_all = base_rows(m, pi, rows)
-            for off in _offset_list(Modulation.QAM16) + broken:
-                got = _lemma_residuals(base_all, off, m, pi)["L1"]
-                assert np.array_equal(got, l1_per_shift(base_all, off, m, pi))
-                total += got.size
-                lit += int(np.count_nonzero(got))
+            got = _lemma_residuals(base_all, offsets, m, pi)["L1"]
+            for values, off in zip(got, offsets, strict=True):
+                assert np.array_equal(values, l1_per_shift(base_all, off, m, pi))
+            total += got.size
+            lit += int(np.count_nonzero(got))
     assert total == 12 * (3 * 4**3 + 12 * 4**4) == 39168
     assert lit > 0
     assert [negative_controls(m)["L1"] for m in (3, 4)] == [16.0, 32.0]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_cell_lemma_residuals_equal_the_per_offset_reference(m):
+    # every residual of a cell, each distinct form correlated once and the
+    # a2a3 sums in offset groups, equals bit for bit that of its offset
+    # correlated alone, on every cell and on the negative controls' offsets
+    d = Offset16(0, 1, 1)
+    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64) + (
+        Offset16(0, 0, 0),
+        Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+        Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
+    )
+    lit = 0
+    for pi, rows in family_cells(m, 1 << m):
+        base_all = base_rows(m, pi, rows)
+        cell = _lemma_residuals(base_all, offsets, m, pi)
+        reference: dict[str, list] = {}
+        for off in offsets:
+            for key, values in lemma_residuals(base_all, off, m, pi).items():
+                reference.setdefault(key, []).append(values)
+        assert list(cell) == list(reference)
+        for key, values in cell.items():
+            assert np.array_equal(values, np.stack(reference[key]))
+            lit += int(np.count_nonzero(values))
+    assert lit > 0
+    # and the sweep reports the reference's maxima and evaluation counts
+    result = lemma_sweep(m)
+    maxima, counts = offset_lemma_sweep(m)
+    assert (result.max_residuals, result.evaluations) == (maxima, counts)
 
 
 def test_bound_audit_16qam_m3():
@@ -345,50 +385,89 @@ def test_bound_audit_verdict_is_its_checks():
     assert forged.passed is False
 
 
+def cell_stats(block):
+    """The cell audit of a block, its KindStats by kind."""
+    return {k.kind: k for k in _audit_block(block, 16)}
+
+
 def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
     # negative control: with the companion sign forced to all +1 every
     # "pair" is a sequence with itself, which is never a Golay pair: the
-    # base pair shows a defect, and so does the type 1 first component
-    block = build_block(3, (0, 1, 2), Offset16(0, 1, 1), orbit_rows(3))
-    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
-    assert isinstance(_audit_block(block, 16), KindStats)
-    assert _audit_block(block, 16).golay_defect == 0
-    assert _audit_block(type1, 16).component_ok
+    # base pair of every cell shows a defect, and so does the type 1 first
+    # component
+    cell16 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM16), orbit_rows(3))
+    cell64 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
+    assert cell_stats(cell16)["qam16"].golay_defect == 0
+    assert cell_stats(cell64)["type1"].component_ok
     monkeypatch.setattr(
         FamilyBlock, "companion_sign", property(lambda b: np.ones(1 << b.m, dtype=np.int64))
     )
-    assert _audit_block(block, 16).golay_defect > 0
-    assert not _audit_block(type1, 16).component_ok
+    assert cell_stats(cell16)["qam16"].golay_defect > 0
+    stats64 = cell_stats(cell64)
+    assert stats64["type1"].golay_defect > 0 and stats64["type2"].golay_defect > 0
+    assert not stats64["type1"].component_ok
 
 
 def test_audit_block_correlates_each_component_once(monkeypatch):
-    block = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
-    assert block.kind == "type1"
-    calls = []
-    real = analysis.correlation_sums_batch
+    # D and the 12 distinct component forms of the 64 offsets (4 linear type
+    # 1 s1 forms, 8 quadratic forms serving as d, type 2 s1 and type 2 s2)
+    # are correlated once per cell, in one call, not 3 times per offset;
+    # the codewords' stars run over offset groups, every row once
+    block = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
+    assert block.components.shape == (13, 64, 8)
+    assert len(block) == 64 * 64
+    components, stars = [], []
+    real_sums, real_star = verification.autocorrelation_sums, verification.star_batch
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return real(a, b)
+    def counted_sums(a, b):
+        components.append(a.shape)
+        return real_sums(a, b)
 
-    monkeypatch.setattr(analysis, "correlation_sums_batch", counted)
-    _audit_block(block, 16)
-    # the codeword star, then one per component (D, F, G): the type 1 first
-    # component's star and Golay checks share its sums
-    assert len(calls) == 4
+    def counted_star(a, b, denominator):
+        stars.append(a.shape)
+        return real_star(a, b, denominator)
+
+    monkeypatch.setattr(verification, "autocorrelation_sums", counted_sums)
+    monkeypatch.setattr(verification, "star_batch", counted_star)
+    stats = _audit_block(block, 16)
+    assert components == [(13 * 64, 8)]
+    # 1 024 symbol positions per call: two offsets of 64 rows of n = 8
+    assert stars == [(2 * 64, 8)] * 32
+    assert [(k.kind, k.total) for k in stats] == [("type1", 4 * 32 * 64), ("type2", 4 * 32 * 64)]
 
 
 def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch):
-    # every Golay defect read one unit high: a type 1 block must lose its
-    # component check (its first component must be a Golay pair), a type 2
-    # block must keep it (its components are only held to star <= 4n)
-    type1 = build_block(3, (0, 1, 2), EXAMPLE2_PARAMS.offset, orbit_rows(3))
-    type2 = build_block(3, (0, 1, 2), list_offsets64()[-1], orbit_rows(3))
-    assert type2.kind == "type2"
+    # every Golay defect read one unit high: the type 1 offsets of a cell
+    # must lose their component check (their first component must be a
+    # Golay pair), the type 2 offsets must keep it (their components are
+    # only held to star <= 4n)
+    cell64 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
     real = verification.golay_defect
     monkeypatch.setattr(verification, "golay_defect", lambda sums: real(sums) + 1)
-    assert not _audit_block(type1, 16).component_ok
-    assert _audit_block(type2, 16).component_ok
+    stats = cell_stats(cell64)
+    assert not stats["type1"].component_ok
+    assert stats["type2"].component_ok
+
+
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (3, Modulation.QAM64), (4, Modulation.QAM16),
+])
+def test_cell_audit_equals_the_per_offset_reference(m, modulation):
+    # the cell audit (D and each distinct form correlated once per cell,
+    # stars and PMEPRs over offset groups) against each (pi, offset) block
+    # scored alone on the same orbit rows, weighted ORBIT_SIZE: every count,
+    # extremum, defect and flag, bit for bit
+    reference = offset_bound_audit(m, modulation, orbit_rows(m), ORBIT_SIZE)
+    assert theorem_bound_audit(m, modulation, jobs=1) == reference
+    # and cell by cell: the KindStats of one block are the reference's
+    # blocks of its offsets summed
+    pi, rows = next(family_cells(m, 1 << m))
+    offsets = _offset_list(modulation)
+    summed: dict[str, KindStats] = {}
+    for off in offsets:
+        stats = audit_block(offset_block(m, pi, off, rows), 16, ORBIT_SIZE)
+        summed[stats.kind] = summed[stats.kind] + stats if stats.kind in summed else stats
+    assert cell_stats(build_block(m, pi, offsets, rows)) == summed
 
 
 def test_kind_stats_add():
@@ -408,20 +487,23 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 
 
 def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
-    # negative control: the first type 2 block's first record reads one
-    # lattice unit (1/42) above the published type 2 ceiling
+    # negative control: the first record of the first type 2 offset of the
+    # first cell reads one lattice unit (1/42) above the published type 2
+    # ceiling, wherever the offset groups of the star calls fall
     from qamseq.cli import main
 
     first_type2 = [offset_kind(o) for o in list_offsets64()].index("type2")
+    target = first_type2 * 4**3  # its row in the first cell: 64 orbit rows per offset
     real = verification.star_batch
-    calls = []
+    seen = []
 
     def one_over(a, b, denominator):
         stars = real(a, b, denominator)
         if denominator == Scale.QAM64.value:
-            calls.append(None)
-            if len(calls) == first_type2 + 1:
-                stars[0] = CEILINGS["type2"][0] * a.shape[1] + 1 / denominator
+            start = sum(seen)
+            seen.append(len(stars))
+            if start <= target < start + len(stars):
+                stars[target - start] = CEILINGS["type2"][0] * a.shape[1] + 1 / denominator
         return stars
 
     monkeypatch.setattr(verification, "star_batch", one_over)
@@ -434,7 +516,7 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     assert by_kind["type2"].star_ok == by_kind["type2"].total - ORBIT_SIZE
     assert by_kind["type1"].star_ok == by_kind["type1"].total
 
-    calls.clear()
+    seen.clear()
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.64qam.m3.type2.star"]
@@ -502,9 +584,10 @@ def test_example_regression_all_pass():
 
 def test_fan_out_defaults_to_one_worker(monkeypatch):
     # the library's fan-out runs in this process unless it is given a
-    # worker count, and refuses a count below 1
+    # worker count, and refuses a count below 1; a block is one pi's 64
+    # orbit rows with all 8 offsets, and len counts its sequences
     monkeypatch.setattr(futures, "ProcessPoolExecutor", None)
-    assert map_family_blocks(len, 3, Modulation.QAM16) == [64] * 24
+    assert map_family_blocks(len, 3, Modulation.QAM16) == [8 * 64] * 3
     for jobs in (0, -5):
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {jobs}"):
             map_family_blocks(len, 3, Modulation.QAM16, jobs)

@@ -269,6 +269,8 @@ PINNED_SHA256 = [
      "c7cea8093a6aaa574b6bbfbfec0c411f6d459f6d67bf39d4665db521665e9365"),
     (["enumerate", "--m", "3", "--modulation", "64qam"],
      "d8787ece08a4fb9aca5df0ce705006ff6101e86fad71c7435cc70b0e5dfc70cd"),
+    (["enumerate", "--m", "4", "--modulation", "16qam"],
+     "24bf7a34a870dcdb038a6137a8d5bee7b7e6ee50a2a3f0e20428e13d4fc221df"),
     (["construct", *EX1_FLAGS],
      "9e48fea47afecbfc12ac531fa8c0376d6141a97882e50f502eca87573b86e673"),
     (["construct", *EX2_FLAGS],
@@ -287,9 +289,9 @@ PINNED_SHA256 = [
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_SHA256, ids=[
-    "enumerate-16qam-m3", "enumerate-64qam-m3", "construct-16qam", "construct-64qam",
-    "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2", "ccdf-16qam-m4",
-    "ccdf-64qam-m3",
+    "enumerate-16qam-m3", "enumerate-64qam-m3", "enumerate-16qam-m4", "construct-16qam",
+    "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
+    "ccdf-16qam-m4", "ccdf-64qam-m3",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

@@ -99,50 +99,62 @@ def _offset_from_doc(doc: dict):
     return Offset64(OffsetKind(doc["kind"]), d, doc["h1"], doc["h2"], doc["h3"]).validate()
 
 
-def _texts(values: np.ndarray) -> np.ndarray:
-    """repr of each entry of an array, as an object array: one repr per distinct value."""
-    unique, index = np.unique(values, return_inverse=True)
-    return np.array([repr(v) for v in unique.tolist()], dtype=object)[index.reshape(values.shape)]
+def _z4_texts(digits: np.ndarray) -> np.ndarray:
+    """JSON texts "[d, d, ...]" of the Z4 lists along the last axis: 3n wide, so made at once."""
+    chars = np.full((*digits.shape[:-1], 3 * digits.shape[-1]), ord(" "), np.uint32)
+    chars[..., 0], chars[..., 2::3], chars[..., 1::3] = ord("["), ord(","), digits + ord("0")
+    chars[..., -1] = ord("]")
+    return chars.view(f"U{chars.shape[-1]}")[..., 0].astype(object)
+
+
+# the JSON text [re, im] of each lattice pair (odd parts), at 8 * (re + 7) / 2 + (im + 7) / 2
+_PAIR_TEXTS = np.array([f"[{a}, {b}]" for a in range(-7, 8, 2) for b in range(-7, 8, 2)], object)
 
 
 def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     """The lines json.dumps(doc, sort_keys=True) + "\\n" of the codewords of a
     block of iter_family_chunks or of a one-row block, in grid order (row,
     then offset), one text per slice of rows.  A line is its offset's document
-    with null for each number that varies by row, split at the nulls and
-    joined by the numbers' reprs (json's texts of ints and finite floats).
-    Each orbit is scored once, on its first row: zeta^c rotates a codeword
-    exactly, so the records of an orbit share star and PMEPR bit for bit."""
+    split at a null per Z4 list, symbol pair, constant and score, and joined
+    by their texts: lists written whole, pairs and constants read from tables,
+    scores' reprs made once per distinct value in the block.  Each orbit is
+    scored once, on its first row: zeta^c rotates a codeword exactly, so its
+    records share star and PMEPR bit for bit."""
     m, scale, sign, coeffs = block.m, block.scale.value, block.companion_sign, block.coeffs
     n, grid = 1 << m, (len(coeffs), len(block.offsets))
     orbits = block.symbols[:, ::ORBIT_SIZE].reshape(-1, n)
     star = star_batch(orbits, orbits * sign, scale).reshape(grid[1], -1).T  # (orbits, offsets)
     pmepr = pep_batch(orbits / np.sqrt(scale), oversample).reshape(grid[1], -1).T
-    shared = {"base": block.components[0], "linear": coeffs[:, :m], "constant": coeffs[:, m]}
-    # every number that varies by row, over (rows, offsets, ...); the symbols'
-    # (re, im) pairs fit int8, as lattice parts are at most 14 in size
-    numbers = {k: np.broadcast_to(v[:, None], (*grid, *v.shape[1:])) for k, v in shared.items()}
-    scores = {"star": star, "star_over_n": star / n, "pmepr": pmepr / n}
-    numbers.update({k: np.repeat(v, ORBIT_SIZE, axis=0)[: grid[0]] for k, v in scores.items()})
-    numbers["components"] = block.components[block.component_index[:, 1:]].transpose(2, 0, 1, 3)
-    pairs = block.symbols.view(float).reshape(*grid[::-1], n, 2).astype(np.int8).swapaxes(0, 1)
-    numbers.update(symbols=pairs, primed_symbols=pairs * sign[:, None].astype(np.int8))
-    nulls = {k: np.full(v.shape[2:], None).tolist() for k, v in numbers.items()}
+    scores = {}
+    for key, value in (("star", star), ("star_over_n", star / n), ("pmepr", pmepr / n)):
+        unique, index = np.unique(np.repeat(value, ORBIT_SIZE, 0)[: grid[0]], return_inverse=True)
+        scores[key] = np.array([repr(v) for v in unique.tolist()], object)[index].reshape(*grid, 1)
     modulation = Modulation.QAM16 if isinstance(block.offsets[0], Offset16) else Modulation.QAM64
     skeletons = np.array([(json.dumps({
         "format": "qamseq-codeword", "m": m, "n": n, "modulation": modulation.value,
         "pi": list(block.pi), "offset": _offset_doc(offset), "oversample": oversample,
-        "scale_denominator": scale, **nulls,
+        "scale_denominator": scale, **dict.fromkeys(("base", "linear", "constant", *scores)),
+        "components": [None] * (block.component_index.shape[1] - 1),
+        **dict.fromkeys(("symbols", "primed_symbols"), [None] * n),
     }, sort_keys=True) + "\n").split("null") for offset in block.offsets], dtype=object)
-    # a slice's texts take some 30 times the 16 bytes of its complex symbols:
-    # a 32nd of the block's symbols holds about as much memory as the block
-    step = max(1, CHUNK_SYMBOLS // (32 * n * grid[1]))
+    # a slice's texts take some 8 to 13 times the 16 bytes of its complex symbols:
+    # an 8th of the block's symbols holds about as much memory as the block
+    step = max(1, CHUNK_SYMBOLS // (8 * n * grid[1]))
     for start in range(0, grid[0], step):
-        part = slice(start, start + step)
-        texts = [_texts(numbers[k][part]) for k in sorted(numbers)]
-        values = np.concatenate([t.reshape(*t.shape[:2], -1) for t in texts], -1)
-        lines = np.empty((*values.shape[:2], 2 * values.shape[2] + 1), dtype=object)
-        lines[..., 0::2], lines[..., 1::2] = skeletons, values
+        rows = slice(start, start + step)
+        lists, z = _z4_texts(block.components[:, rows]), block.symbols[:, rows]
+        parts = (np.stack([z, z * sign]).view(float).astype(np.int8) + 7) // 2  # re, im, re, ...
+        pairs = _PAIR_TEXTS[parts[..., 0::2] * 8 + parts[..., 1::2]].swapaxes(1, 2)
+        texts = {  # of every field that varies by row, over (rows, offsets, texts)
+            "base+components": lists[block.component_index].transpose(2, 0, 1),  # D, E or D, F, G
+            "constant": np.array(list("0123"), object)[coeffs[rows, m], None, None],
+            "linear": _z4_texts(coeffs[rows, :m])[:, None, None], "symbols": pairs[0],
+            "primed_symbols": pairs[1], **{k: v[rows] for k, v in scores.items()}}
+        lines = np.empty((*pairs.shape[1:3], 2 * skeletons.shape[1] - 1), dtype=object)
+        lines[..., 0::2], col = skeletons, 1
+        for key in sorted(texts):
+            lines[..., col : col + 2 * texts[key].shape[2] : 2] = texts[key]
+            col += 2 * texts[key].shape[2]
         yield "".join(lines.ravel().tolist())
 
 
@@ -241,10 +253,8 @@ def _record_csv_lines(doc: dict) -> list[str]:
     comps = doc["components"]
     comp_names = ["component1"] if len(comps) == 1 else ["component1", "component2"]
     lines.append(",".join(["index", "base", *comp_names, "re", "im", "primed_re", "primed_im"]))
-    for i in range(doc["n"]):
-        row = [i, doc["base"][i], *(c[i] for c in comps),
-               doc["symbols"][i][0], doc["symbols"][i][1],
-               doc["primed_symbols"][i][0], doc["primed_symbols"][i][1]]
+    for i, pair, primed in zip(range(doc["n"]), doc["symbols"], doc["primed_symbols"]):
+        row = [i, doc["base"][i], *(c[i] for c in comps), *pair, *primed]
         lines.append(",".join(str(v) for v in row))
     return lines
 

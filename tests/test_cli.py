@@ -12,16 +12,21 @@ from oracles import parameter_grid
 from qamseq import constructions
 from qamseq.cli import (
     EXIT_BROKEN_PIPE,
+    _PAIR_TEXTS,
+    _z4_texts,
     codeword_doc,
+    codeword_lines,
     family_pmeprs,
     main,
     params_from_doc,
     verify_codeword_doc,
 )
+from qamseq.constellation import _qam_table
 from qamseq.constructions import (
     ConstructionParams,
     Modulation,
     build,
+    iter_family_chunks,
     list_offsets16,
     list_offsets64,
 )
@@ -258,6 +263,39 @@ def test_enumerate_64qam_sample_is_the_per_record_oracle(capsys, tmp_path):
     for index in sample:
         literal = oracles.codeword_doc(grid[index], star_of=oracles.star, pmepr_of=oracles.pmepr)
         assert lines[index] == json.dumps(literal, sort_keys=True), index
+
+
+def test_n32_lines_of_a_multi_slice_block_are_the_per_record_oracle():
+    block = next(iter_family_chunks(5, Modulation.QAM16))
+    lines = "".join(codeword_lines(block, 16)).splitlines()
+    offsets = len(block.offsets)
+    assert len(lines) == len(block) == 1024
+    # rows in the first, a middle and the last slice of the block, and every offset
+    for row, o in [(0, 0), (1, 7), (3, 3), (17, 2), (40, 5), (63, 1), (64, 6), (77, 0),
+                   (96, 4), (101, 7), (126, 3), (127, 0)]:
+        linear, constant = block.coeffs[row, :5].tolist(), int(block.coeffs[row, 5])
+        base = PathQuadratic(m=5, pi=block.pi, linear=tuple(linear), constant=constant)
+        params = ConstructionParams(base, block.offsets[o])
+        assert lines[row * offsets + o] == json.dumps(oracles.codeword_doc(params), sort_keys=True)
+
+
+def test_pair_table_holds_the_json_of_every_lattice_pair_and_its_negation():
+    for k in (2, 3):  # 16-QAM and 64-QAM
+        points = _qam_table(k)
+        for z in (*points, *-points):
+            re, im = int(z.real), int(z.imag)
+            assert _PAIR_TEXTS[8 * ((re + 7) // 2) + (im + 7) // 2] == json.dumps([re, im])
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 32])
+def test_z4_list_texts_are_the_json_of_the_lists(n):
+    rng = np.random.default_rng(n)
+    digits = np.concatenate([
+        np.full((1, n), 0), np.full((1, n), 3), rng.integers(0, 4, size=(200, n))
+    ]).astype(np.uint8)
+    texts = _z4_texts(digits.reshape(2, -1, n))
+    assert texts.shape == (2, len(digits) // 2)
+    assert texts.ravel().tolist() == [json.dumps(row) for row in digits.tolist()]
 
 
 # sha256 of outputs written by the record-by-record renderer that the block

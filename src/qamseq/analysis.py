@@ -1,15 +1,19 @@
 """The star operator, envelope power, and CCDF.
 
 Lattice sequences (symbols over their scale denominator, zeta powers of Z4
-sequences) are complex128 arrays of Gaussian integers, and one exact
-cross-correlation kernel serves star, the Golay check and the lemma sums:
-every value and every sum is a Gaussian integer far below 2^53, which
-complex128 holds exactly.  The only rounding in the star operator is one
-square root per shift.  Envelope evaluation samples the continuous-time signal
-S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times oversampled grid
-t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1; peak-to-mean ratios
-are invariant to that normalization).  Each quantity has one batched kernel
-over (records, n) arrays; star and pmepr are one-row calls of them.
+sequences) are complex128 arrays of Gaussian integers.  Every value and every
+sum below is a Gaussian integer far below 2^53, which complex128 holds
+exactly; the only rounding in the star operator is one np.hypot per shift.
+Every sequence a family walk correlates lies in a coset zeta^D * x of one base
+row D, and coset_correlation_sums correlates a whole family cell that way:
+one matrix product per shift for every (row, term) pair.  The arbitrary-pair
+kernel correlation_sums_batch serves star, star_batch and golay_defect_batch,
+the public functions and the tests' reference.  Envelope evaluation samples
+the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
+oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
+peak-to-mean ratios are invariant to that normalization).  Each quantity has
+one batched kernel over (records, n) arrays; star and pmepr are one-row calls
+of them.
 """
 
 from __future__ import annotations
@@ -120,6 +124,72 @@ def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the pair (a, b) correlated with itself.  star_sum and golay_defect reduce these sums."""
     pair = np.stack([a, b])
     return correlation_sums_batch(pair, pair)
+
+
+def row_free(sequences: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The (terms, n) sequences x_k with sequences[k, r] = units[r] * x_k on
+    every row r, from (terms, rows, n) sequences and (rows, n) unit sequences
+    zeta^(D_r).  Raises ValueError when a term is not one such x_k on every
+    row: coset_correlation_sums would then correlate some other sequence."""
+    x = sequences * np.conj(units)
+    if not np.array_equal(x, np.broadcast_to(x[:, :1], x.shape)):
+        raise ValueError("a sequence is not zeta^D times one row-free sequence on every row")
+    return x[:, 0]
+
+
+def _ahead(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, i) -> i + u modulo n, and where i + u < n."""
+    ahead = np.arange(n)[:, None] + np.arange(n)[None, :]
+    return ahead % n, ahead < n
+
+
+def shift_factors(p: np.ndarray, q: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """(n, terms, n) factors F[u, k, i] = p_k(i) * conj(q_k(i+u)) * (1 + g_i g_{i+u})
+    for i + u < n, and 0 beyond, of (terms, n) row-free sequences p, q and
+    the (n,) companion sign g: coset_correlation_sums of them is X_{P,Q} +
+    X_{gP,gQ} for P = zeta^D * p and Q = zeta^D * q."""
+    ahead, inside = _ahead(p.shape[-1])
+    factors = np.conj(q).T[ahead]  # (u, i, terms)
+    factors *= p.T
+    factors *= np.where(inside, 1 + sign * sign[ahead], 0)[:, :, None]
+    return factors.transpose(0, 2, 1)
+
+
+def coset_footprint(n: int, terms: int) -> int:
+    """Complex values coset_correlation_sums holds per base row: its (n, n)
+    unit products and its terms x n sums."""
+    return n * (n + terms)
+
+
+def coset_correlation_sums(base: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """(terms, rows, n) sums sum_i zeta^(D_r(i) - D_r(i+u)) * F[u, k, i] for the
+    (rows, n) Z4 base rows D_r and (n, terms, n) shift_factors F.
+
+    Every sequence a family walk correlates is zeta^D times a sequence that
+    does not depend on the row: a codeword is zeta^D * (1 + i) * sum_j w_j *
+    zeta^(s_j), a component zeta^D * zeta^(s_j), and a lemma pair
+    (zeta^(B+s), zeta^B) with B = D or D + s1 moves zeta^(s1) into its row-free
+    part (the Reed-Muller coset structure of Davis and Jedwab).  With
+    P = zeta^D * p, Q = zeta^D * q and X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
+
+        X_{P,Q}(u) + X_{gP,gQ}(u)
+            = sum_i zeta^(D_i - D_{i+u}) * p_i conj(q_{i+u}) * (1 + g_i g_{i+u}),
+
+    so at each shift the sums of every row and term are one matrix product
+    of the unit products by the row-free factors.  The units are +-1, +-i
+    and the factors Gaussian integers, so every product and partial sum is
+    exact.  Rows run in slices of at most CHUNK_SYMBOLS // coset_footprint
+    (and at least one), so the unit products are never held for a whole cell.
+    """
+    n, terms = factors.shape[:2]
+    ahead, _ = _ahead(n)
+    sums = np.empty((terms, len(base), n), dtype=complex)
+    step = max(1, CHUNK_SYMBOLS // coset_footprint(n, terms))
+    for start in range(0, len(base), step):
+        d = base[start : start + step].T  # (i, rows)
+        units = ZETA[(d[None] - d[ahead]) & 3]  # (u, i, rows)
+        sums[:, start : start + step] = np.matmul(factors, units).transpose(1, 2, 0)
+    return sums
 
 
 def star_batch(a: np.ndarray, b: np.ndarray, denominator: int) -> np.ndarray:

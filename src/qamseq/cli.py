@@ -23,10 +23,14 @@ import numpy as np
 
 from .analysis import (
     ccdf,
+    coset_correlation_sums,
     default_threshold_grid,
     pep_batch,
+    polyphase_lattice,
     random_baseline,
-    star_batch,
+    row_free,
+    shift_factors,
+    star_sum,
 )
 from .constructions import (
     CHUNK_SYMBOLS,
@@ -122,9 +126,11 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     records share star and PMEPR bit for bit."""
     m, scale, sign, coeffs = block.m, block.scale.value, block.companion_sign, block.coeffs
     n, grid = 1 << m, (len(coeffs), len(block.offsets))
-    orbits = block.symbols[:, ::ORBIT_SIZE].reshape(-1, n)
-    star = star_batch(orbits, orbits * sign, scale).reshape(grid[1], -1).T  # (orbits, offsets)
-    pmepr = pep_batch(orbits / np.sqrt(scale), oversample).reshape(grid[1], -1).T
+    orbits, base = block.symbols[:, ::ORBIT_SIZE], block.components[0, ::ORBIT_SIZE]
+    x = row_free(orbits, polyphase_lattice(base))
+    sums = coset_correlation_sums(base, shift_factors(x, x, sign)).reshape(-1, n)
+    star = (star_sum(sums) / scale).reshape(grid[1], -1).T  # (orbits, offsets)
+    pmepr = pep_batch(orbits.reshape(-1, n) / np.sqrt(scale), oversample).reshape(grid[1], -1).T
     scores = {}
     for key, value in (("star", star), ("star_over_n", star / n), ("pmepr", pmepr / n)):
         unique, index = np.unique(np.repeat(value, ORBIT_SIZE, 0)[: grid[0]], return_inverse=True)

@@ -9,13 +9,12 @@ where B is a component sequence, s an offset sequence and lb the bit at the
 path end pi(m-1).  Offsets satisfying their defining congruences make these
 sums vanish.  With P = zeta^(B+s), Q = zeta^B and the companion sign
 (-1)^lb, the inner sum at shift u is a sum of four cross-correlations of P,
-Q and their companions; the sweep evaluates it for u >= 0 with the library's
-one correlation kernel, many base rows at a time, takes the negative shifts
-from T(-u) = conj T(u), and reports magnitudes (L1, a sum over every shift,
-comes from row sums instead).  It scores every offset of a cell together:
-T of the base with one component form is shared by every offset whose s1 or
-s2 is that form, so it is correlated once per distinct form.  The sums are
-exact Gaussian integers, so a residual passes only at exactly 0.
+Q and their companions, T(u), with T(-u) = conj T(u).  Every such pair is
+zeta^D times row-free sequences, D the cell's base row, so the sweep takes
+every T of a cell, for u >= 0, from one analysis.coset_correlation_sums
+call: T of D with each distinct component form once (shared by every offset
+whose s1 or s2 is that form), and the a2a3 T of each 64-QAM offset.  The
+sums are exact Gaussian integers, so a residual passes only at exactly 0.
 Deliberately broken offsets must light them up, otherwise the sweep proves
 nothing.
 
@@ -27,14 +26,16 @@ ORBIT_SIZE records of the orbit (constructions.ORBIT_SIZE says why they
 agree).  Every companion sequence is FamilyBlock.companion_sign times its
 sequence.  A block holds every offset of one cell of
 constructions.family_cells, and each component sequence once: D, and D plus
-each distinct component form.  Each of them is correlated with its companion
-once per cell; D's Golay defect and each form's star and Golay defect are
-reductions of those sums.  The codewords' stars and PMEPRs run over groups
-of offsets, GROUP_SYMBOLS symbol positions per call.  Each block becomes
-the KindStats of each offset kind it holds, read against that kind's
-ceiling in constructions.CEILINGS, and the report is their sum per kind:
-counts add, extrema take min/max and flags AND, so it is the same in any
-block order, for any cell or group size and for any worker count.
+each distinct component form.  The audit reads back each codeword's and
+each component's row-free sequence from what the block holds, refusing the
+block if one differs between rows, and correlates all of them with their
+companions in one coset_correlation_sums call per cell; the codewords' stars,
+D's Golay defect and each form's star and Golay defect are reductions of
+those sums.  Each block becomes the KindStats of each offset kind it holds,
+read against that kind's ceiling in constructions.CEILINGS, and the report
+is their sum per kind: counts add, extrema take min/max and flags AND, so
+it is the same in any block order, for any cell size and for any worker
+count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family.  A
@@ -45,27 +46,29 @@ report's passed is the AND of its own checks(), the verdicts that
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .analysis import (
-    autocorrelation_sums,
-    correlation_sums_batch,
+    coset_correlation_sums,
+    coset_footprint,
     envelope_power_batch,
     golay_defect,
     pep_batch,
     pmepr,
     polyphase_lattice,
+    row_free,
+    shift_factors,
     star,
-    star_batch,
     star_sum,
 )
 from .constellation import ComplexSequence, Scale
 from .constructions import (
     CEILINGS,
-    CHUNK_SYMBOLS,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -110,29 +113,13 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_terms(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> tuple:
-    """The (4, rows, n) stacks a, b whose correlation sums over k, per row of
-    base_all, are T(u), the inner sum of the cross-term double sum at shift u:
-    with P = zeta^(B+s), Q = zeta^B, the companion sign g and
-    X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
-
-        T = X_{P,Q} + X_{Q,P} + X_{gP,gQ} + X_{gQ,gP},   T(-u) = conj T(u).
-    """
-    p, q = polyphase_lattice(base_all.astype(np.int64) + svals), polyphase_lattice(base_all)
-    return np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
-
-
-# symbol positions per correlation or envelope call of the audit and the lemma
-# sweep: a cell holds up to CHUNK_SYMBOLS, and intermediates of that size
-# would set the walks' peak memory
-GROUP_SYMBOLS = CHUNK_SYMBOLS // 32
-
-
-def _offset_groups(count: int, per_offset: int) -> list[slice]:
-    """Consecutive slices of count offsets, each of at most GROUP_SYMBOLS
-    symbol positions at per_offset per offset, and at least one offset."""
-    step = max(1, GROUP_SYMBOLS // per_offset)
-    return [slice(start, start + step) for start in range(0, count, step)]
+def _lemma_forms(offsets: tuple[Offset, ...]) -> tuple[list, list[tuple[int, int]]]:
+    """The distinct component forms of offsets, and the (s1, s2) form indices
+    of each 64-QAM offset among them, in offset order."""
+    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
+    pairs = [tuple(forms.index(f) for f in offset_forms(off))
+             for off in offsets if isinstance(off, Offset64)]
+    return forms, pairs
 
 
 def _lemma_residuals(
@@ -142,50 +129,60 @@ def _lemma_residuals(
     arrays in the order of offsets: L1 over the 16-QAM offsets, L2a-c over
     the type 1 and L3a-c over the type 2 64-QAM offsets.
 
-    L1 is |sum over every shift of T(u)|, an exact integer from row sums:
-    summed over every shift, X_{a,b} is (sum a) * conj(sum b).  The others are
+    One coset_correlation_sums call gives every T of the cell: T of D with
+    each distinct component form s (P = zeta^(D+s), Q = zeta^D: row-free parts
+    zeta^s and 1), whose form serves the a1a2 sums of every offset with that
+    s1, the a1a3 sums of every offset with that s2 and the L1 sums; and the
+    a2a3 sums of each 64-QAM offset, T of D + s1 with s1 - s2 (row-free parts
+    zeta^(2*s1 - s2) and zeta^(s1)).  L1 is |sum over every shift of T(u)| =
+    |T(0) + 2 * sum_{u>=1} Re T(u)|, an exact integer.  The others are
     weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
     which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
     type 1 offsets and belongs to the bound, not to the cancellation claim).
-    The a1a2 sums of an offset are T of its s1 and the a1a3 sums T of its s2,
-    so T is correlated once per distinct component form; the a2a3 sums, T of
-    D + s1 with s1 - s2, once per offset, a group of offsets per call.
     """
+    return _lemma_residuals_at(offsets, m, pi)(base_all)
+
+
+def _lemma_residuals_at(
+    offsets: tuple[Offset, ...], m: int, pi: tuple[int, ...]
+) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """_lemma_residuals of offsets at pi as a function of the base rows: the
+    factors and term indices are made once, for every cell of the pi."""
+    forms, pairs = _lemma_forms(offsets)
+    values = form_values(forms, m, pi).astype(np.int64)
+    s1, s2 = (values[[pair[k] for pair in pairs]] for k in (0, 1))
+    p = polyphase_lattice(np.concatenate([values, 2 * s1 - s2]))
+    q = polyphase_lattice(np.concatenate([np.zeros_like(values), s1]))
     sign = companion_sign(m, pi)
-    rows, n = base_all.shape
-    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
-    values = dict(zip(forms, form_values(forms, m, pi).astype(np.int64)))
-    out: dict[str, list[np.ndarray]] = {}
-    for off in offsets:
-        if isinstance(off, Offset16):
-            a, b = _lemma_terms(base_all, values[offset_forms(off)[0]], sign)
-            out.setdefault("L1", []).append(
-                np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)
-            )
-    offsets64 = [off for off in offsets if isinstance(off, Offset64)]
-    pairs = [offset_forms(off) for off in offsets64]
-    if not pairs:
-        return {k: np.stack(v) for k, v in out.items()}
-    t = {f: correlation_sums_batch(*_lemma_terms(base_all, values[f], sign))
-         for f in dict.fromkeys(f for pair in pairs for f in pair)}
-    s1 = np.stack([values[f1] for f1, _ in pairs])[:, None]
-    s2 = np.stack([values[f2] for _, f2 in pairs])[:, None]
-    comp = (base_all + s1) % 4
-    diff = np.broadcast_to((s1 - s2) % 4, comp.shape)
-    r23 = np.concatenate([
-        star_sum(correlation_sums_batch(*_lemma_terms(
-            comp[group].reshape(-1, n), diff[group].reshape(-1, n), sign)))
-        for group in _offset_groups(len(pairs), rows * n)
-    ]).reshape(len(pairs), rows)
-    for off, (f1, f2), a2a3 in zip(offsets64, pairs, r23):
-        if off.kind is OffsetKind.TYPE1:
-            prefix, r12 = "L2", np.sum(np.abs(t[f1][:, 1:]), axis=1)
-        else:
-            prefix, r12 = "L3", star_sum(t[f1])
-        residuals = (_A1A2 * r12, _A1A3 * star_sum(t[f2]), _A2A3 * a2a3)
-        for part, r in zip("abc", residuals):
-            out.setdefault(prefix + part, []).append(r)
-    return {k: np.stack(v) for k, v in out.items()}
+    factors = shift_factors(p, q, sign) + shift_factors(q, p, sign)
+    d_forms = [forms.index(offset_forms(off)[0]) for off in offsets if isinstance(off, Offset16)]
+    kinds = [off.kind for off in offsets if isinstance(off, Offset64)]
+    terms = {}  # per 64-QAM kind: the T of each offset's s1, s2 and a2a3 sums
+    for kind in OffsetKind:
+        chosen = [j for j, k in enumerate(kinds) if k is kind]
+        if chosen:
+            terms[kind] = (*np.array(pairs)[chosen].T, len(forms) + np.array(chosen))
+
+    def cell_residuals(base_all: np.ndarray) -> dict[str, np.ndarray]:
+        t = coset_correlation_sums(base_all, factors)
+        # most T vanish at every shift (the lemmas' claim): their stars are 0
+        # without a square root
+        live = np.any(t, axis=2)
+        stars = np.zeros(live.shape)
+        stars[live] = star_sum(t[live])
+        d = t[: len(forms)].real
+        out = {}
+        if d_forms:
+            out["L1"] = np.abs(d[d_forms, :, 0] + 2 * np.sum(d[d_forms, :, 1:], axis=2))
+        side = np.sum(np.abs(t[: len(forms), :, 1:]), axis=2)  # the sum over u >= 1
+        for kind, prefix, a1a2 in ((OffsetKind.TYPE1, "L2", side), (OffsetKind.TYPE2, "L3", stars)):
+            if kind in terms:
+                f1, f2, a2a3 = terms[kind]
+                parts = (_A1A2 * a1a2[f1], _A1A3 * stars[f2], _A2A3 * stars[a2a3])
+                out.update((prefix + part, r) for part, r in zip("abc", parts))
+        return out
+
+    return cell_residuals
 
 
 @dataclass(frozen=True)
@@ -215,9 +212,9 @@ class LemmaSweepResult:
 
 
 def negative_controls(m: int = 3) -> dict[str, float]:
-    """Constraint-violating offsets pushed through the sweep's residuals,
-    each on one base row: identity path, every linear coefficient 1,
-    constant 0.
+    """Constraint-violating offsets pushed through the sweep's residuals
+    together, on one base row: identity path, every linear coefficient 1,
+    constant 0.  Each control reads the largest of its lemma's residuals.
 
     L1: offset triple (0,0,0), violating both congruences.
     L2: type 1 record with (h1, h3) = (2, 0), violating h1+2*h3=0.
@@ -231,11 +228,9 @@ def negative_controls(m: int = 3) -> dict[str, float]:
         "L2": Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
         "L3": Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
     }
-    out = {}
-    for name, off in controls.items():
-        residuals = _lemma_residuals(row, (off,), m, pi).values()
-        out[name] = max(float(np.max(r)) for r in residuals)
-    return out
+    residuals = _lemma_residuals(row, tuple(controls.values()), m, pi)
+    return {name: max(float(np.max(r)) for key, r in residuals.items() if key.startswith(name))
+            for name in controls}
 
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
@@ -250,10 +245,14 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
     offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64)
-    for pi, rows in family_cells(m, 1 << m):
-        for key, residuals in _lemma_residuals(base_rows(m, pi, rows), offsets, m, pi).items():
-            maxima[key] = max(maxima[key], float(np.max(residuals)))
-            counts[key] += int(residuals.size)
+    forms, pairs = _lemma_forms(offsets)
+    cells = family_cells(m, coset_footprint(1 << m, len(forms) + len(pairs)))
+    for pi, pi_cells in itertools.groupby(cells, key=lambda cell: cell[0]):
+        residuals_of = _lemma_residuals_at(offsets, m, pi)
+        for _, rows in pi_cells:
+            for key, residuals in residuals_of(base_rows(m, pi, rows)).items():
+                maxima[key] = max(maxima[key], float(np.max(residuals)))
+                counts[key] += int(residuals.size)
 
     return LemmaSweepResult(
         m=m,
@@ -401,23 +400,20 @@ class BoundAuditReport:
 def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
     """The audit tally of each offset kind of one block, each row counted as
     the ORBIT_SIZE records of its constant orbit."""
-    n, rows = 1 << block.m, len(block.coeffs)
-    sign = block.companion_sign
-    # C_c(u) + C_c'(u) of each component c with its companion, once per cell:
-    # D's Golay defect, and each form's star and Golay defect, are
-    # reductions of these sums
-    c = polyphase_lattice(block.components).reshape(-1, n)
-    sums = autocorrelation_sums(c, c * sign)
-    golay = np.max(golay_defect(sums).reshape(-1, rows), axis=1)
-    star_ok = np.all((star_sum(sums) <= 4 * n + STAR_TOL).reshape(-1, rows), axis=1)
-
-    stars, peps = [], []
-    for group in _offset_groups(len(block.offsets), rows * n):
-        z = block.symbols[group].reshape(-1, n)
-        stars.append(star_batch(z, z * sign, block.scale.value))
-        peps.append(pep_batch(z / np.sqrt(block.scale.value), oversample))
-    star_over_n = np.concatenate(stars).reshape(-1, rows) / n
-    pmeprs = np.concatenate(peps).reshape(-1, rows) / n
+    n, rows, codewords = 1 << block.m, len(block.coeffs), len(block.offsets)
+    # each codeword is zeta^D * K_o and each component zeta^D * zeta^(s_j), with
+    # K_o and s_j the same on every row: read back from what the block holds
+    # (row_free raises otherwise), so every star is of the block's own symbols
+    units = polyphase_lattice(block.components)
+    x = np.concatenate([row_free(block.symbols, units[0]), row_free(units, units[0])])
+    sums = coset_correlation_sums(block.components[0], shift_factors(x, x, block.companion_sign))
+    stars = star_sum(sums.reshape(-1, n)).reshape(-1, rows)
+    star_over_n = stars[:codewords] / block.scale.value / n
+    pmeprs = np.stack([pep_batch(z, oversample) for z in block.complex_symbols()]) / n
+    # D's Golay defect, and each form's star and Golay defect, from the
+    # components' sums
+    golay = np.max(golay_defect(sums[codewords:].reshape(-1, n)).reshape(-1, rows), axis=1)
+    star_ok = np.all(stars[codewords:] <= 4 * n + STAR_TOL, axis=1)
 
     out = []
     kinds = np.array(block.kinds)

@@ -9,8 +9,8 @@ values and component sequences, and the float value of a lattice point.  The lib
 of these once, in a batched kernel; the tests compare the two.  star_rows is
 the literal star sum over many records at once, for checks that cover a
 whole family, distinct_rows counts a family's distinct symbol rows by
-hashing every one of them, and l1_per_shift sums the L1 lemma residual of
-many rows shift by shift, where the library takes it from row sums.
+hashing every one of them, and l1_row_sums takes the L1 lemma residual of
+many rows from row sums, where the library sums it shift by shift.
 codeword_doc is the JSON document of one codeword built field by field from
 the pointwise components and QAM maps, the reference for the CLI's block
 renderer.
@@ -21,8 +21,9 @@ constants of each orbit included, one block per pi; full_family_pmeprs runs
 the PMEPR collection over it.  The library walks one row per constant orbit
 and weights it.
 
-The library scores every offset of a cell at once, each distinct component
-form correlated once.  The reference scores one offset at a time:
+The library scores every offset of a cell at once, through one
+factored correlation of the cell's base rows.  The reference scores one
+offset at a time, from the explicit sequences and their companions:
 offset_block builds one (pi, offset) block straight from offset_values,
 audit_block scores it alone, and lemma_residuals correlates every sum of
 one offset for that offset alone; offset_bound_audit, full_bound_audit and
@@ -74,7 +75,7 @@ from qamseq.constructions import (
     star_bound,
 )
 from qamseq.gbf import PathQuadratic, base_rows
-from qamseq.verification import PMEPR_TOL, STAR_TOL, BoundAuditReport, KindStats, _lemma_terms
+from qamseq.verification import PMEPR_TOL, STAR_TOL, BoundAuditReport, KindStats
 
 # ---------------------------------------------------------------------------
 # indices, constellations, Boolean functions
@@ -346,6 +347,18 @@ def offset_bound_audit(
     return BoundAuditReport(m, modulation, oversample, family_size(m, modulation), kinds_in_order)
 
 
+def _lemma_terms(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> tuple:
+    """The (4, rows, n) stacks a, b whose correlation sums over k, per row of
+    base_all, are T(u), the inner sum of the cross-term double sum at shift u:
+    with P = zeta^(B+s), Q = zeta^B, the companion sign g and
+    X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
+
+        T = X_{P,Q} + X_{Q,P} + X_{gP,gQ} + X_{gQ,gP},   T(-u) = conj T(u).
+    """
+    p, q = polyphase_lattice(base_all.astype(np.int64) + svals), polyphase_lattice(base_all)
+    return np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
+
+
 def lemma_residuals(
     base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
@@ -355,8 +368,7 @@ def lemma_residuals(
     sign = companion_sign(m, pi)
     svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
     if isinstance(offset, Offset16):
-        a, b = _lemma_terms(base_all, svals[0], sign)
-        return {"L1": np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)}
+        return {"L1": l1_row_sums(base_all, offset, m, pi)}
     s1, s2 = svals
     t12 = correlation_sums_batch(*_lemma_terms(base_all, s1, sign))
     r13 = star_sum(correlation_sums_batch(*_lemma_terms(base_all, s2, sign)))
@@ -579,15 +591,15 @@ def lemma3_residuals(params: ConstructionParams) -> tuple[float, float, float]:
     return _three_residuals(params, first_from_one=False)
 
 
-def l1_per_shift(
+def l1_row_sums(
     base_all: np.ndarray, offset: Offset16, m: int, pi: tuple[int, ...]
 ) -> np.ndarray:
-    """The L1 residual of every row of base_all from its sums T(u) at each
-    shift u >= 0 (the sweep's correlation kernel): |T(0) + 2 * sum_{u>=1}
-    Re T(u)|, the real sum of T over every shift, as T(-u) = conj T(u)."""
+    """The L1 residual of every row of base_all from row sums: summed over
+    every shift, X_{a,b} is (sum a) * conj(sum b), so the sum of T over every
+    shift is the real number sum_k (sum a_k) * conj(sum b_k) of _lemma_terms."""
     (svals,) = (s.astype(np.int64) for s in offset_values(offset, m, pi))
-    t = correlation_sums_batch(*_lemma_terms(base_all, svals, companion_sign(m, pi))).real
-    return np.abs(t[:, 0] + 2 * np.sum(t[:, 1:], axis=1))
+    a, b = _lemma_terms(base_all, svals, companion_sign(m, pi))
+    return np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)
 
 
 def lemma_reports(params: ConstructionParams) -> list[LemmaReport]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from oracles import autocorr, polyphase, primed, psi, qam16_map, qam64_map
+from qamseq import analysis
+from qamseq.algebra import ZETA
 from qamseq.analysis import (
     CcdfCurve,
     ccdf,
     correlation_sums_batch,
+    coset_correlation_sums,
+    coset_footprint,
     default_threshold_grid,
     envelope_power_batch,
     golay_defect_batch,
@@ -17,6 +23,8 @@ from qamseq.analysis import (
     pmepr,
     polyphase_lattice,
     random_baseline,
+    row_free,
+    shift_factors,
     star,
     star_batch,
 )
@@ -28,8 +36,14 @@ from qamseq.constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    _offset_list,
     build,
+    build_block,
+    family_cells,
+    form_values,
     iter_family_chunks,
+    offset_forms,
+    orbit_rows,
 )
 from qamseq.gbf import PathQuadratic
 
@@ -374,8 +388,6 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
     # a stacked batch runs its envelope FFT in slices of rows whose L*n grids
     # hold at most CHUNK_SYMBOLS points, and every row's peak is bit for bit
     # that of its own one-row call
-    from qamseq import analysis
-
     z = random_baseline(16, Modulation.QAM64, 600, seed=7)
     single = np.array([pep_batch(row[None, :], 16)[0] for row in z])
     shapes = []
@@ -441,3 +453,74 @@ def test_correlation_sums_batch_cross_terms_match_definition():
                     for i in range(8 - u)
                 )
                 assert sums[row, u] == want
+
+
+def _explicit_sums(sequences, sign):
+    """C_z(u) + C_gz(u) of each (..., n) sequence z with its companion g * z,
+    from correlation_sums_batch of the explicit pair."""
+    z = sequences.reshape(-1, sequences.shape[-1])
+    pair = np.stack([z, z * sign])
+    return correlation_sums_batch(pair, pair).reshape(sequences.shape)
+
+
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+@pytest.mark.parametrize("m, cells", [(3, None), (4, 2), (5, 2)])
+def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
+    # every sum the family walks take from coset_correlation_sums, bit for bit
+    # against correlation_sums_batch of the explicit sequences: the codewords
+    # and the components with their companions, and the lemma's T of D with
+    # each form and a2a3 T of D + s1 with s1 - s2, for the cell's offsets
+    # and the three negative-control offsets; on every cell of m=3, the
+    # first two of m=4 and m=5
+    d = Offset16(0, 1, 1)
+    controls = (Offset16(0, 0, 0), Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+                Offset64(OffsetKind.TYPE2, d, 0, 0, 0))
+    offsets = _offset_list(modulation)
+    for pi, rows in itertools.islice(family_cells(m, (1 << m) * len(offsets)), cells):
+        block = build_block(m, pi, offsets, rows)
+        base, sign = block.components[0], block.companion_sign
+        units = polyphase_lattice(block.components)
+        for sequences in (block.symbols, units):
+            x = row_free(sequences, units[0])
+            got = coset_correlation_sums(base, shift_factors(x, x, sign))
+            assert np.array_equal(got, _explicit_sums(sequences, sign))
+        lemma_offsets = offsets + controls
+        forms = list(dict.fromkeys(f for off in lemma_offsets for f in offset_forms(off)))
+        values = dict(zip(forms, form_values(forms, m, pi).astype(np.int64)))
+        pairs = [offset_forms(off) for off in lemma_offsets if isinstance(off, Offset64)]
+        # (row-free p, q, explicit B, s): T of B with s, P = zeta^(B+s), Q = zeta^B
+        cases = [(ZETA[values[f] % 4], np.ones(1 << m), base, values[f]) for f in forms]
+        cases += [(ZETA[(2 * values[f1] - values[f2]) % 4], ZETA[values[f1] % 4],
+                   (base + values[f1]) % 4, values[f1] - values[f2]) for f1, f2 in pairs]
+        p, q = (np.stack([case[k] for case in cases]) for k in (0, 1))
+        got = coset_correlation_sums(base, shift_factors(p, q, sign) + shift_factors(q, p, sign))
+        for t, (_, _, explicit, s) in zip(got, cases, strict=True):
+            assert np.array_equal(t, correlation_sums_batch(*oracles._lemma_terms(explicit, s, sign)))
+
+
+def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):
+    # the kernel runs its rows in slices sized by its footprint: slices of
+    # one row, of three rows (the last one short), and the default budget's
+    # 25 rows give the one-slice sums of all 40 rows bit for bit
+    block = build_block(4, (0, 1, 2, 3), _offset_list(Modulation.QAM64), orbit_rows(4)[:40])
+    units = polyphase_lattice(block.components)
+    x = row_free(block.symbols, units[0])
+    factors = shift_factors(x, x, block.companion_sign)
+    assert analysis.CHUNK_SYMBOLS // coset_footprint(16, 64) == 25
+    sliced = coset_correlation_sums(block.components[0], factors)
+    for budget in (40, 1, 3):
+        monkeypatch.setattr(analysis, "CHUNK_SYMBOLS", budget * coset_footprint(16, 64))
+        assert np.array_equal(coset_correlation_sums(block.components[0], factors), sliced)
+
+
+def test_row_free_refuses_a_sequence_outside_its_coset():
+    # negative control: one symbol of one row moved by one lattice unit is
+    # no longer zeta^D times the row-free sequence of the other rows
+    block = build_block(3, (0, 2, 1), _offset_list(Modulation.QAM16), orbit_rows(3))
+    units = polyphase_lattice(block.components)
+    x = row_free(block.symbols, units[0])
+    assert np.array_equal(block.symbols, units[0] * x[:, None, :])
+    forged = block.symbols.copy()
+    forged[3, 17, 5] += 1
+    with pytest.raises(ValueError, match="not zeta\\^D times one row-free sequence"):
+        row_free(forged, units[0])

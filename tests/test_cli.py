@@ -644,8 +644,17 @@ def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
     # problem even when the record stores that same star
     from qamseq import cli
 
-    monkeypatch.setattr(cli, "star_batch", lambda a, b, scale: np.full(len(a), 2.5 * a.shape[1]))
+    def stars_at_two_and_a_half(base, factors):
+        # T(0) = 2.5 * n * 10 and T(u) = 0 otherwise: every star 2.5 * n over
+        # the 16-QAM denominator 10
+        n, terms = factors.shape[:2]
+        sums = np.zeros((terms, len(base), n), dtype=complex)
+        sums[:, :, 0] = 2.5 * n * 10
+        return sums
+
+    monkeypatch.setattr(cli, "coset_correlation_sums", stars_at_two_and_a_half)
     doc = codeword_doc(EXAMPLE1_PARAMS)
+    assert doc["star"] == 2.5 * doc["n"]
     assert verify_codeword_doc(doc) == ["star/n = 2.5 exceeds bound 2.4"]
 
 
@@ -820,6 +829,27 @@ def test_verify_record_that_is_not_json_is_a_usage_error(capsys, tmp_path, conte
     assert err.startswith(f"error: cannot parse --record {path}: ")
 
 
+def test_a_symbol_outside_its_coset_is_an_internal_error(capsys, monkeypatch):
+    # negative control: a block whose first symbol is one lattice unit off
+    # is refused by the audit, which exits 3 with its traceback
+    real = constructions.build_block
+
+    def forged(*args):
+        block = real(*args)
+        block.symbols[0, 0, 0] += 1
+        return block
+
+    monkeypatch.setattr(constructions, "build_block", forged)
+    code, out, err = run(capsys, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback (most recent call last)" in err and "in row_free" in err
+    assert err.rstrip().splitlines()[-1] == (
+        "internal error: ValueError: a sequence is not zeta^D times one row-free sequence "
+        "on every row"
+    )
+
+
 def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # negative control: a fault inside the library that happens to raise
     # ValueError must exit 3 with its traceback, not 2 as a usage error
@@ -828,7 +858,7 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def faulty(*args, **kwargs):
         raise ValueError("injected fault")
 
-    monkeypatch.setattr(verification, "star_batch", faulty)
+    monkeypatch.setattr(verification, "coset_correlation_sums", faulty)
     code, out, err = run(capsys, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
     assert code == 3
     assert out == ""

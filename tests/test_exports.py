@@ -62,10 +62,11 @@ def test_traced_benchmark_child_runs(tmp_path):
     # then the Parseval and oversampling walks of the 16-QAM family (1 536 each)
     assert counts["synthesis.rows"] == 1536 + 12288 + 1536 + 1536
     # per audited block (one pi's 64 orbit rows, every offset), one
-    # polyphase_lattice for D and all its distinct component forms, then one
-    # star_batch per group of two offsets (1 024 symbol positions): 3 16-QAM
-    # blocks of 8 offsets and 3 64-QAM blocks of 64
-    assert counts["correlation.calls"] == 3 * (1 + 8 // 2) + 3 * (1 + 64 // 2) == 114
+    # polyphase_lattice for D and all its distinct component forms; the
+    # codewords and components are then correlated by coset_correlation_sums,
+    # which is not a traced name, and no star_batch, golay_defect_batch or star
+    # runs: 3 16-QAM blocks and 3 64-QAM blocks
+    assert counts["correlation.calls"] == 3 * 1 + 3 * 1 == 6
     # pep_batch points at n=8: the audited rows at L=16, then the
     # oversampling walk at L=16 and at L=32 (Parseval reads no peak)
     assert counts["envelope.fft_points"] == 8 * (16 * (1536 + 12288) + 48 * 1536) == 2359296

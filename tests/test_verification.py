@@ -9,7 +9,7 @@ from oracles import (
     audit_block,
     full_bound_audit,
     full_family_blocks,
-    l1_per_shift,
+    l1_row_sums,
     lemma1_residual,
     lemma2_residuals,
     lemma3_residuals,
@@ -21,9 +21,11 @@ from oracles import (
 )
 from qamseq import verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
+from qamseq.analysis import coset_footprint, correlation_sums_batch, polyphase_lattice, star_sum
 from qamseq.constellation import Scale
 from qamseq.constructions import (
     CEILINGS,
+    CHUNK_SYMBOLS,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -259,8 +261,9 @@ def test_sweep_batch_agrees_with_per_record_oracle():
 
 def test_l1_from_row_sums_equals_the_per_shift_sum():
     # summed over every shift, X_{a,b} is (sum a) * conj(sum b): the sweep's
-    # row-sum L1 equals the per-shift sum row by row, on every valid 16-QAM
-    # offset and four constraint-breaking triples, over every cell of m=3, 4
+    # L1, |T(0) + 2 * sum_{u>=1} Re T(u)| from the per-shift sums T, equals the
+    # row-sum L1 row by row, on every valid 16-QAM offset and four
+    # constraint-breaking triples, over every cell of m=3, 4
     broken = tuple(Offset16(*t) for t in ((0, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 1)))
     assert all(o.violations() for o in broken)
     offsets = _offset_list(Modulation.QAM16) + broken
@@ -270,7 +273,7 @@ def test_l1_from_row_sums_equals_the_per_shift_sum():
             base_all = base_rows(m, pi, rows)
             got = _lemma_residuals(base_all, offsets, m, pi)["L1"]
             for values, off in zip(got, offsets, strict=True):
-                assert np.array_equal(values, l1_per_shift(base_all, off, m, pi))
+                assert np.array_equal(values, l1_row_sums(base_all, off, m, pi))
             total += got.size
             lit += int(np.count_nonzero(got))
     assert total == 12 * (3 * 4**3 + 12 * 4**4) == 39168
@@ -411,29 +414,74 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
 def test_audit_block_correlates_each_component_once(monkeypatch):
     # D and the 12 distinct component forms of the 64 offsets (4 linear type
     # 1 s1 forms, 8 quadratic forms serving as d, type 2 s1 and type 2 s2)
-    # are correlated once per cell, in one call, not 3 times per offset;
-    # the codewords' stars run over offset groups, every row once
+    # are correlated once per cell, not 3 times per offset, in the one
+    # kernel call that also correlates the 64 codewords: over the cell's
+    # base rows D, every orbit row once
     block = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
     assert block.components.shape == (13, 64, 8)
     assert len(block) == 64 * 64
-    components, stars = [], []
-    real_sums, real_star = verification.autocorrelation_sums, verification.star_batch
+    calls = []
+    real = verification.coset_correlation_sums
 
-    def counted_sums(a, b):
-        components.append(a.shape)
-        return real_sums(a, b)
+    def counted(base, factors):
+        sums = real(base, factors)
+        calls.append((base, factors.shape, sums))
+        return sums
 
-    def counted_star(a, b, denominator):
-        stars.append(a.shape)
-        return real_star(a, b, denominator)
-
-    monkeypatch.setattr(verification, "autocorrelation_sums", counted_sums)
-    monkeypatch.setattr(verification, "star_batch", counted_star)
+    monkeypatch.setattr(verification, "coset_correlation_sums", counted)
     stats = _audit_block(block, 16)
-    assert components == [(13 * 64, 8)]
-    # 1 024 symbol positions per call: two offsets of 64 rows of n = 8
-    assert stars == [(2 * 64, 8)] * 32
+    ((base, shape, sums),) = calls
+    assert np.array_equal(base, block.components[0])
+    # (shifts, terms, n): the 64 codewords, then D and the 12 forms, each
+    # correlated with its companion as the explicit sequences are
+    assert shape == (8, 64 + 13, 8)
+    explicit = np.concatenate([block.symbols, polyphase_lattice(block.components)])
+    z = explicit.reshape(-1, 8)
+    pair = np.stack([z, z * block.companion_sign])
+    assert np.array_equal(sums, correlation_sums_batch(pair, pair).reshape(explicit.shape))
     assert [(k.kind, k.total) for k in stats] == [("type1", 4 * 32 * 64), ("type2", 4 * 32 * 64)]
+
+
+def test_audit_block_refuses_a_symbol_outside_its_coset():
+    # negative control: the audit reads each codeword's row-free sequence
+    # back from the block's symbols and each form from its components; one
+    # symbol, or one component value, of one row moved by one unit makes
+    # them differ between rows, and the audit must refuse the cell rather
+    # than score some other sequence
+    block = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
+    assert all(k.star_ok == k.total and k.component_ok for k in _audit_block(block, 16))
+    symbols = block.symbols.copy()
+    symbols[40, 9, 6] += 1
+    components = block.components.copy()
+    components[5, 9, 6] = (components[5, 9, 6] + 1) % 4
+    for forged in (dataclasses.replace(block, symbols=symbols),
+                   dataclasses.replace(block, components=components)):
+        with pytest.raises(ValueError, match="not zeta\\^D times one row-free sequence"):
+            _audit_block(forged, 16)
+
+
+def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
+    # each lemma cell, sized by the kernel's per-row footprint (unit
+    # products and sums), holds at most CHUNK_SYMBOLS complex values, and
+    # the sweep correlates every orbit row of every pi once
+    real = verification.coset_correlation_sums
+    calls = []
+
+    def recorded(base, factors):
+        calls.append((len(base), factors.shape))
+        return real(base, factors)
+
+    monkeypatch.setattr(verification, "coset_correlation_sums", recorded)
+    for m in (3, 4):
+        calls.clear()
+        lemma_sweep(m)
+        n = 1 << m
+        assert all(rows * coset_footprint(n, shape[1]) <= CHUNK_SYMBOLS for rows, shape in calls)
+        # 12 forms and 64 a2a3 terms per call, then the negative controls'
+        # one row: their 3 distinct forms and the a2a3 terms of L2 and L3
+        assert {shape for _, shape in calls[:-1]} == {(n, 12 + 64, n)}
+        assert sum(rows for rows, _ in calls[:-1]) == len(canonical_permutations(m)) * 4**m
+        assert calls[-1] == (1, (n, 3 + 2, n))
 
 
 def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch):
@@ -450,7 +498,7 @@ def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch
 
 
 @pytest.mark.parametrize("m, modulation", [
-    (3, Modulation.QAM16), (3, Modulation.QAM64), (4, Modulation.QAM16),
+    (3, Modulation.QAM16), (3, Modulation.QAM64), (4, Modulation.QAM16), (4, Modulation.QAM64),
 ])
 def test_cell_audit_equals_the_per_offset_reference(m, modulation):
     # the cell audit (D and each distinct form correlated once per cell,
@@ -489,24 +537,24 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
     # negative control: the first record of the first type 2 offset of the
     # first cell reads one lattice unit (1/42) above the published type 2
-    # ceiling, wherever the offset groups of the star calls fall
+    # ceiling: its zero-shift sum, in the kernel's output, is raised by the
+    # gap, which raises its star by exactly that much (T(0) > 0)
     from qamseq.cli import main
 
     first_type2 = [offset_kind(o) for o in list_offsets64()].index("type2")
-    target = first_type2 * 4**3  # its row in the first cell: 64 orbit rows per offset
-    real = verification.star_batch
-    seen = []
+    real = verification.coset_correlation_sums
+    forged = []
 
-    def one_over(a, b, denominator):
-        stars = real(a, b, denominator)
-        if denominator == Scale.QAM64.value:
-            start = sum(seen)
-            seen.append(len(stars))
-            if start <= target < start + len(stars):
-                stars[target - start] = CEILINGS["type2"][0] * a.shape[1] + 1 / denominator
-        return stars
+    def one_over(base, factors):
+        sums = real(base, factors)
+        n, terms = factors.shape[:2]
+        if terms == 64 + 13 and not forged:  # the first 64-QAM cell: codewords, D, forms
+            row = sums[first_type2, 0]
+            row[0] += CEILINGS["type2"][0] * n * Scale.QAM64.value + 1 - star_sum(row[None])[0]
+            forged.append(row[0])
+        return sums
 
-    monkeypatch.setattr(verification, "star_batch", one_over)
+    monkeypatch.setattr(verification, "coset_correlation_sums", one_over)
     report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
     assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.type2.star"]
     assert not report.passed
@@ -515,8 +563,10 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     # ORBIT_SIZE records of its constant orbit
     assert by_kind["type2"].star_ok == by_kind["type2"].total - ORBIT_SIZE
     assert by_kind["type1"].star_ok == by_kind["type1"].total
+    assert by_kind["type2"].max_star_over_n == pytest.approx(CEILINGS["type2"][0] + 1 / (42 * 8))
 
-    seen.clear()
+    assert len(forged) == 1 and forged[0].real > 0
+    forged.clear()
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.64qam.m3.type2.star"]

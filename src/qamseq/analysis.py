@@ -3,7 +3,8 @@
 Lattice sequences (symbols over their scale denominator, zeta powers of Z4
 sequences) are complex128 arrays of Gaussian integers.  Every value and every
 sum below is a Gaussian integer far below 2^53, which complex128 holds
-exactly; the only rounding in the star operator is one np.hypot per shift.
+exactly; the only rounding in the star operator is one correctly rounded
+square root of the exact norm re^2 + im^2 per shift, and the sum over shifts.
 Every sequence a family walk correlates lies in a coset zeta^D * x of one base
 row D, and coset_correlation_sums correlates a whole family cell that way:
 one matrix product per shift for every (row, term) pair.  The arbitrary-pair
@@ -13,18 +14,21 @@ the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
 peak-to-mean ratios are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
-of them.
+of them.  orbit_peps scores a row for the conjugation x reversal images of
+its sequence too, and computes their PEPs only where pep_spread says that a
+decision could tell them apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ZETA
 from .constellation import ComplexSequence, qam_lattice
-from .constructions import CHUNK_SYMBOLS, Modulation
+from .constructions import CHUNK_SYMBOLS, OFFSET_ORBIT_SIZE, Modulation
 
 
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
@@ -66,14 +70,19 @@ def default_threshold_grid() -> np.ndarray:
     return np.linspace(1.0, 10.0, 181)
 
 
-def ccdf(values, thresholds) -> CcdfCurve:
+def ccdf(values, thresholds, weights=None) -> CcdfCurve:
     """Empirical CCDF of PMEPR samples on an ascending threshold grid: the
-    share of samples strictly above each threshold, from one sort."""
-    v = np.sort(np.asarray(values, dtype=float))
+    share of samples strictly above each threshold, from one sort.  Sample k
+    counts weights[k] times (an integer, 1 by default): each share is the
+    integer weight above the threshold over the integer total."""
+    v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("need at least one PMEPR sample")
+    w = np.ones(v.size, np.int64) if weights is None else np.asarray(weights, np.int64)
+    order = np.argsort(v, kind="stable")
+    above = np.append(np.cumsum(w[order][::-1])[::-1], 0)  # the weight from each index on
     t = np.asarray(thresholds, dtype=float)
-    probs = (v.size - np.searchsorted(v, t, side="right")) / v.size
+    probs = above[np.searchsorted(v[order], t, side="right")] / above[0]
     return CcdfCurve(thresholds=t, probabilities=probs)
 
 
@@ -115,7 +124,9 @@ def correlation_sums_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def star_sum(sums: np.ndarray) -> np.ndarray:
     """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, n) sums T(u), u >= 0:
     the sum of |T| over every shift of a conjugate-symmetric T(-u) = conj T(u)."""
-    mags = np.hypot(sums.real, sums.imag)
+    parts = np.ascontiguousarray(sums, dtype=complex).view(float).reshape(*sums.shape, 2)
+    mags = np.einsum("...i,...i->...", parts, parts)  # the exact norms re^2 + im^2, below 2^53
+    np.sqrt(mags, out=mags)
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 
 
@@ -234,6 +245,62 @@ def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
         power = envelope_power_batch(z[start : start + step], oversample)
         peaks[start : start + step] = np.max(power, axis=1)
     return peaks
+
+
+def pep_spread(grid: int) -> float:
+    """A relative bound delta with |p - p'| <= delta * p for the computed PEPs
+    p, p' of two sequences whose exact envelopes on the grid of `grid`
+    points hold the same values, such as z, conj(z) and z reversed.
+
+    Let y_k be the exact samples and P = max |y_k|^2.  The FFT's forward
+    error is ||y^ - y||_2 <= f * ||y||_2 with f = log2(N) * eta / (1 -
+    log2(N) * eta), eta <= 7u for weights accurate to about u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec. 24.1; u the
+    unit roundoff), and by Parseval ||y||_2^2 = N * ||z||_2^2 <= N * P, as
+    the peak is at least the mean.  So every sample is off by at most
+    e * sqrt(P), e = f * sqrt(N).  The modulus (one ulp, squared) and the
+    square add at most 6u, so a computed PEP lies within r * P of P,
+    r = (1 + e)^2 * (1 + 6u) - 1, and two of them within 2r * P <=
+    2r / (1 - r) * p of each other.  The scalings by 1/N and N are exact for
+    N a power of two, as in every family walk.  delta is about 4e-13 at
+    N = 256; the largest spread seen over the families is about 1.5e-15.
+    """
+    u = np.finfo(float).eps / 2
+    f = math.log2(grid) * 7 * u
+    e = f / (1 - f) * math.sqrt(grid)
+    r = (1 + e) ** 2 * (1 + 6 * u) - 1
+    return 2 * r / (1 - r)
+
+
+def near_points(peps: np.ndarray, points, grid: int) -> np.ndarray:
+    """Where a computed PEP on a grid of `grid` points is no farther than
+    pep_spread(grid) times itself from one of the ascending points: there,
+    and only there, a comparison with a point can come out differently for
+    the PEPs of the images of a sequence."""
+    points = np.asarray(points, dtype=float)
+    i = np.searchsorted(points, peps)
+    below = np.abs(peps - points[np.maximum(i - 1, 0)])
+    above = np.abs(points[np.minimum(i, len(points) - 1)] - peps)
+    return np.minimum(below, above) <= pep_spread(grid) * peps
+
+
+def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: int) -> tuple:
+    """(values, images, rows): the computed PEPs of the OFFSET_ORBIT_SIZE
+    conjugation x reversal images of each row of (rows, n) z, as a
+    multiset.  Each row's own PEP in peps (pep_batch of z) stands for all
+    its images, except where near holds: there it stands for the row alone,
+    and the PEPs of conj(z), z reversed and conj(z) reversed are computed,
+    one image each.  The images of a row hold the same exact envelope, so
+    off near_points every comparison of an image's PEP with a point comes
+    out as the row's own.  images counts the images each value stands for;
+    rows names the row of z of each value."""
+    (rows,) = np.nonzero(near)
+    own = z[rows]
+    extra = pep_batch(np.concatenate([np.conj(own), own[:, ::-1], np.conj(own[:, ::-1])]), oversample)
+    images = np.where(near, 1, OFFSET_ORBIT_SIZE)
+    return (np.concatenate([peps, extra]),
+            np.concatenate([images, np.ones(len(extra), images.dtype)]),
+            np.concatenate([np.arange(len(peps)), np.tile(rows, OFFSET_ORBIT_SIZE - 1)]))
 
 
 def polyphase_lattice(values: np.ndarray) -> np.ndarray:

@@ -25,6 +25,8 @@ from .analysis import (
     ccdf,
     coset_correlation_sums,
     default_threshold_grid,
+    near_points,
+    orbit_peps,
     pep_batch,
     polyphase_lattice,
     random_baseline,
@@ -46,6 +48,7 @@ from .constructions import (
     family_size,
     iter_family_chunks,
     map_family_blocks,
+    orbit_offsets,
     params_block,
     star_bound,
 )
@@ -330,24 +333,38 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """The offset kinds of a block, and its (offsets, rows) PMEPRs."""
-    z = block.complex_symbols().reshape(-1, 1 << block.m)
-    return block.kinds, (pep_batch(z, oversample) / (1 << block.m)).reshape(len(block.offsets), -1)
+def _block_pmeprs(block: FamilyBlock, oversample: int, thresholds: np.ndarray) -> dict:
+    """(PMEPRs, records) per offset kind of a block over orbit_offsets: the
+    orbit_peps multiset of its rows, refined near the thresholds, each value
+    counting for ORBIT_SIZE records per image it stands for."""
+    n = 1 << block.m
+    z = block.complex_symbols().reshape(-1, n)
+    peps = pep_batch(z, oversample)
+    near = near_points(peps / n, thresholds, oversample * n)
+    values, images, rows = orbit_peps(z, peps, near, oversample)
+    kinds = np.array(block.kinds)[rows // len(block.coeffs)]
+    return {kind: (values[kinds == kind] / n, ORBIT_SIZE * images[kinds == kind])
+            for kind in dict.fromkeys(block.kinds)}
 
 
 def family_pmeprs(
-    m: int, modulation: Modulation, oversample: int = 16, jobs: int = 1
-) -> dict[str, np.ndarray]:
-    """Oversampled PMEPR of every family member, grouped by offset kind: each
-    orbit row's value repeated for the ORBIT_SIZE records of its orbit, block
-    by block, offsets in list order along the block's first axis."""
-    grouped: dict[str, list[np.ndarray]] = {}
-    pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
-    for kinds, values in map_family_blocks(pmeprs, m, modulation, jobs):
-        for kind, row_values in zip(kinds, values):
-            grouped.setdefault(kind, []).append(np.repeat(row_values, ORBIT_SIZE))
-    return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
+    m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The oversampled PMEPRs of the family as a weighted multiset per offset
+    kind, (values, records): one value per orbit row of orbit_offsets
+    standing for the FULL_ORBIT_SIZE records of its orbit, or, where it lies
+    within analysis.pep_spread of a threshold, one per conjugation x
+    reversal image standing for its ORBIT_SIZE records.  The records above
+    each of the ascending thresholds are those of a walk over every record,
+    and the records sum to the kind's size."""
+    grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    pmeprs = functools.partial(
+        _block_pmeprs, oversample=oversample, thresholds=np.asarray(thresholds, dtype=float))
+    for block_values in map_family_blocks(pmeprs, m, modulation, jobs, orbit_offsets(modulation)):
+        for kind, pair in block_values.items():
+            grouped.setdefault(kind, []).append(pair)
+    return {kind: tuple(np.concatenate(part) for part in zip(*pairs))
+            for kind, pairs in grouped.items()}
 
 
 def _fmt(value: float) -> str:
@@ -361,12 +378,12 @@ def cmd_ccdf(args) -> int:
                          f"{args.baseline_count} and {args.seed}")
     n = 1 << args.m
     thresholds = default_threshold_grid()
-    by_kind = family_pmeprs(args.m, modulation, oversample=args.oversample, jobs=args.jobs)
-    constructed = np.concatenate(list(by_kind.values()))
-    curves = {"ccdf_constructed": ccdf(constructed, thresholds)}
+    by_kind = family_pmeprs(args.m, modulation, thresholds, args.oversample, args.jobs)
+    samples = {"constructed": tuple(np.concatenate(part) for part in zip(*by_kind.values()))}
     if modulation is Modulation.QAM64:
-        curves["ccdf_type1"] = ccdf(by_kind["type1"], thresholds)
-        curves["ccdf_type2"] = ccdf(by_kind["type2"], thresholds)
+        samples.update(type1=by_kind["type1"], type2=by_kind["type2"])
+    curves = {f"ccdf_{name}": ccdf(values, thresholds, records)
+              for name, (values, records) in samples.items()}
 
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
     curves["ccdf_baseline"] = ccdf(pep_batch(baseline, args.oversample) / n, thresholds)

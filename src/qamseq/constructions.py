@@ -38,6 +38,48 @@ constant, offset) -> symbols is injective for every m >= 3.
    coefficients.  Type 1 and type 2 differ in the x_{pi(0)}x_{pi(1)} term of
    s1 (0 against 2); the coefficients then give d and (h1, h3), and h2 is
    fixed by the kind.  The offset lists hold each (kind, d, h1, h3) once.
+
+Every record has 16 images that share its star and its continuous envelope
+(the coset view of Davis and Jedwab).  Write a record as (pi, c_l, c, o): D
+has the path quadratic, c_l on x_{pi(l)} and the constant c, and each
+component is D plus one form (q, c1, c2, c3) of offset_forms(o).  The symbol
+is (1 + i) * sum_j w_j * zeta^(c_j) over its components c_j.
+
+- zeta^c: adding k to every component multiplies the symbols by zeta^k
+  (the constant c + k; ORBIT_SIZE).
+- Conjugation: conj((1 + i) * zeta^a) = -i * (1 + i) * zeta^(-a), and -D is
+  D with -c_l and -c (2*x*y = -2*x*y), so
+  conj(H(pi, c_l, c, o)) = zeta^(-1) * H(pi, -c_l, -c, sigma(o)), with
+  sigma: (q, c1, c2, c3) -> (q, -c1, -c2, -c3) on every form (q = -q for
+  q in {0, 2}).
+- Reversal: index n-1-i has every bit flipped, x -> 1 - x.  Over the path
+  (x_l short for x_{pi(l)}), 2 * sum_l (1 - x_l)(1 - x_{l+1}) = 2(m-1) +
+  2*x_0 + 2*x_{m-1} + the path quadratic mod 4, since -2 = 2 and the inner
+  x_l appear twice; a form gives q*x_0*x_1 + (-q - c1)*x_0 + (-q - c2)*x_1
+  + q + c1 + c2 + c3, and -q = q.  So
+  H(pi, c_l, c, o)[::-1] = H(pi, c_l', c + sum c_l + 2(m-1), rho(o)), with
+  c_l' = -c_l + 2*[l in {0, m-1}] and rho: (q, c1, c2, c3) ->
+  (q, q - c1, q - c2, q + c1 + c2 + c3).
+- sigma and rho are involutions and commute.  Both keep every defining
+  congruence (d1 + 2*d3 = 2, 2*d2 = 2, h1 + 2*h3 = 0 or 2, h2 = d2 + 2) and
+  q, hence the kind, so each maps the offset list onto itself
+  (offset_symmetries looks every image up and fails if one is missing).
+  No offset is fixed by a non-identity element.  Every offset has a d form
+  (2, d1, d2, d3), with d2 odd and d1 even: sigma sends d2 to -d2 and
+  sigma*rho sends it to d2 - 2, neither equal to d2 since 2*d2 = 2, and rho
+  sends d1 to 2 - d1, unequal to d1 since 2*d1 = 0.  So every orbit
+  {o, sigma(o), rho(o), sigma(rho(o))} has 4 offsets, and the 16 records
+  {zeta^k, conj, reversal} of one record are distinct.  Exactly the 4
+  records of one constant orbit among them carry the least offset of the
+  offset orbit (orbit_offsets): a family walk over the orbit rows of those
+  offsets meets each 16-record orbit once.
+- What the images share.  Every star sum, component star and Golay defect
+  of an image is the conjugate of the record's, an exact Gaussian integer:
+  the companion of an image is, up to a unit, conj(H') or H'[::-1], and
+  conj(z) and z[::-1] both have the autocorrelation conj(C_z(u)).
+  |S(t_k)| of conj(z) or z[::-1] is |S(-t_k)| of z, and -t_k is a grid
+  point too, so the exact sampled PEP is the same; the computed one may
+  differ in its last bits (analysis.pep_spread bounds by how much).
 """
 
 from __future__ import annotations
@@ -318,6 +360,47 @@ def orbit_rows(m: int) -> np.ndarray:
     return coefficient_matrix(m)[::ORBIT_SIZE]  # the constant varies fastest
 
 
+# the images of one offset_forms form under conjugation (sigma) and reversal (rho)
+FORM_SYMMETRIES = (
+    lambda q, c1, c2, c3: (q, -c1 % 4, -c2 % 4, -c3 % 4),
+    lambda q, c1, c2, c3: (q, (q - c1) % 4, (q - c2) % 4, (q + c1 + c2 + c3) % 4),
+)
+# offsets per conjugation x reversal orbit, and records per orbit with zeta^c
+OFFSET_ORBIT_SIZE = 4
+FULL_ORBIT_SIZE = OFFSET_ORBIT_SIZE * ORBIT_SIZE
+
+
+@functools.cache
+def offset_symmetries(modulation: Modulation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sigma, rho): the list index of the conjugate and of the reverse of
+    each offset of the family's list, found by looking up the images of its
+    forms (the argument is in the module docstring).  Raises AssertionError
+    if an image is not in the list, or if the two maps are not commuting
+    involutions whose every orbit has OFFSET_ORBIT_SIZE offsets."""
+    offsets = _offset_list(modulation)
+    index = {offset_forms(o): k for k, o in enumerate(offsets)}
+    sigma, rho = (
+        tuple(index.get(tuple(image(*f) for f in offset_forms(o)), -1) for o in offsets)
+        for image in FORM_SYMMETRIES
+    )
+    for k in range(len(offsets)):
+        orbit = {k, sigma[k], rho[k], sigma[rho[k]]}
+        if -1 in orbit or len(orbit) != OFFSET_ORBIT_SIZE or (
+            sigma[sigma[k]], rho[rho[k]], rho[sigma[k]]) != (k, k, sigma[rho[k]]):
+            raise AssertionError(f"offset {offsets[k]} has no free conjugation x reversal orbit")
+    return sigma, rho
+
+
+@functools.cache
+def orbit_offsets(modulation: Modulation) -> tuple[Offset, ...]:
+    """The least offset, in list order, of each conjugation x reversal orbit:
+    2 of the 8 16-QAM offsets, 16 of the 64 64-QAM offsets (8 per kind).
+    Their orbit rows meet every record's FULL_ORBIT_SIZE-record orbit once."""
+    sigma, rho = offset_symmetries(modulation)
+    offsets = _offset_list(modulation)
+    return tuple(o for k, o in enumerate(offsets) if k == min(sigma[k], rho[k], sigma[rho[k]], k))
+
+
 # symbols a family walk holds per cell of family_cells: bounds its memory
 # at any m and for either modulation
 CHUNK_SYMBOLS = 1 << 15
@@ -402,13 +485,18 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
 
 
 def map_family_blocks(
-    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
+    fn: Callable[[FamilyBlock], object],
+    m: int,
+    modulation: Modulation,
+    jobs: int = 1,
+    offsets: tuple[Offset, ...] | None = None,
 ) -> list:
     """fn(block) for every block of the family: one per cell of
-    family_cells(m, n * offsets), each holding every offset of the family in
-    list order, so each block holds at most CHUNK_SYMBOLS symbols.  A block's
-    rows are orbit rows: a consumer that counts records weights each row by
-    ORBIT_SIZE, the records of its orbit.
+    family_cells(m, n * offsets), each holding the offsets (every offset of
+    the family by default) in list order, so each block holds at most
+    CHUNK_SYMBOLS symbols.  A block's rows are orbit rows: a consumer that
+    counts records weights each row by ORBIT_SIZE, the records of its
+    orbit, or, over orbit_offsets(modulation), by FULL_ORBIT_SIZE.
 
     jobs > 1 builds and maps the blocks in that many worker processes; fn
     and its results must then pickle.  The results are the same for every
@@ -416,7 +504,7 @@ def map_family_blocks(
     """
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
-    offsets = _offset_list(modulation)
+    offsets = _offset_list(modulation) if offsets is None else offsets
     cells = [(m, pi, offsets, rows) for pi, rows in family_cells(m, (1 << m) * len(offsets))]
     task = functools.partial(_map_cell, fn)
     if jobs == 1:

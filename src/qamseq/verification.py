@@ -21,12 +21,16 @@ nothing.
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
 cancellation of the base pair, and the component star ceilings.  It scores
-each constant orbit once, on its constant-0 row, which counts for the
-ORBIT_SIZE records of the orbit (constructions.ORBIT_SIZE says why they
-agree).  Every companion sequence is FamilyBlock.companion_sign times its
-sequence.  A block holds every offset of one cell of
-constructions.family_cells, and each component sequence once: D, and D plus
-each distinct component form.  The audit reads back each codeword's and
+each FULL_ORBIT_SIZE-record orbit of zeta^c, conjugation and reversal once,
+on the constant-0 row of its offset in constructions.orbit_offsets, which
+counts for the 16 records of the orbit (the constructions docstring says
+why they agree).  Their stars agree exactly; their PMEPRs may differ in the
+last bits, so a row whose PMEPR lies within analysis.pep_spread of a
+decision has the PMEPR of each image computed (_audit_block).  Every
+companion sequence is FamilyBlock.companion_sign times its sequence.  A
+block holds every orbit offset of one cell of constructions.family_cells,
+and each component sequence once: D, and D plus each distinct component
+form.  The audit reads back each codeword's and
 each component's row-free sequence from what the block holds, refusing the
 block if one differs between rows, and correlates all of them with their
 companions in one coset_correlation_sums call per cell; the codewords' stars,
@@ -58,7 +62,10 @@ from .analysis import (
     coset_footprint,
     envelope_power_batch,
     golay_defect,
+    near_points,
+    orbit_peps,
     pep_batch,
+    pep_spread,
     pmepr,
     polyphase_lattice,
     row_free,
@@ -69,6 +76,7 @@ from .analysis import (
 from .constellation import ComplexSequence, Scale
 from .constructions import (
     CEILINGS,
+    FULL_ORBIT_SIZE,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -85,6 +93,7 @@ from .constructions import (
     form_values,
     map_family_blocks,
     offset_forms,
+    orbit_offsets,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -397,9 +406,12 @@ class BoundAuditReport:
         return out
 
 
-def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
-    """The audit tally of each offset kind of one block, each row counted as
-    the ORBIT_SIZE records of its constant orbit."""
+def _block_stars(block: FamilyBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(stars, golay): the star sum of each codeword and then of D and each
+    form with its companion, (offsets + components, rows), and each
+    component's Golay defect over the rows, from one coset_correlation_sums
+    call.  A function of its own, so that the kernel's sums are freed
+    before the envelope runs."""
     n, rows, codewords = 1 << block.m, len(block.coeffs), len(block.offsets)
     # each codeword is zeta^D * K_o and each component zeta^D * zeta^(s_j), with
     # K_o and s_j the same on every row: read back from what the block holds
@@ -408,12 +420,30 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
     x = np.concatenate([row_free(block.symbols, units[0]), row_free(units, units[0])])
     sums = coset_correlation_sums(block.components[0], shift_factors(x, x, block.companion_sign))
     stars = star_sum(sums.reshape(-1, n)).reshape(-1, rows)
-    star_over_n = stars[:codewords] / block.scale.value / n
-    pmeprs = np.stack([pep_batch(z, oversample) for z in block.complex_symbols()]) / n
-    # D's Golay defect, and each form's star and Golay defect, from the
-    # components' sums
+    # D's Golay defect, and each form's, from the components' sums
     golay = np.max(golay_defect(sums[codewords:].reshape(-1, n)).reshape(-1, rows), axis=1)
+    return stars, golay
+
+
+def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
+    """The audit tally of each offset kind of one block over orbit_offsets,
+    each (offset, row) counted as the FULL_ORBIT_SIZE records of its orbit.
+
+    The stars, component stars and Golay defects are the same on all of an
+    orbit's records (constructions).  Their PMEPRs decide three things: p <=
+    bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  A row
+    whose PMEPR is farther than analysis.pep_spread from all three decides
+    them for its whole orbit; on the other rows orbit_peps computes the
+    PMEPR of each conjugation x reversal image, so every verdict and the
+    max are those of a walk over every record."""
+    n, codewords = 1 << block.m, len(block.offsets)
+    grid = oversample * n
+    stars, golay = _block_stars(block)
+    star_over_n = stars[:codewords] / block.scale.value / n
     star_ok = np.all(stars[codewords:] <= 4 * n + STAR_TOL, axis=1)
+    z = block.complex_symbols()
+    peps = np.stack([pep_batch(w, oversample) for w in z])
+    pmeprs = peps / n
 
     out = []
     kinds = np.array(block.kinds)
@@ -421,6 +451,12 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
         mask = kinds == kind
         s, p, index = star_over_n[mask], pmeprs[mask], block.component_index[mask]
         bound = CEILINGS[kind][0]
+        # the rows within pep_spread of one of their three PMEPR decisions
+        near = near_points(p, np.sort([bound + PMEPR_TOL, np.max(p)]), grid)
+        near |= np.abs(p - (s + STAR_TOL)) <= pep_spread(grid) * p
+        values, images, at = orbit_peps(
+            z[mask].reshape(-1, n), peps[mask].ravel(), near.ravel(), oversample)
+        values /= n
         ok = s <= bound + STAR_TOL
         if kind == "qam16":
             # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
@@ -434,15 +470,15 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
             component_ok &= bool(np.all(golay[index[:, 1]] == 0))
         out.append(KindStats(
             kind=kind,
-            total=ORBIT_SIZE * s.size,
-            star_ok=ORBIT_SIZE * int(np.count_nonzero(ok)),
-            pmepr_ok=ORBIT_SIZE * int(np.count_nonzero(p <= bound + PMEPR_TOL)),
+            total=FULL_ORBIT_SIZE * s.size,
+            star_ok=FULL_ORBIT_SIZE * int(np.count_nonzero(ok)),
+            pmepr_ok=ORBIT_SIZE * int(np.sum(images[values <= bound + PMEPR_TOL])),
             min_star_over_n=float(np.min(s)),
             max_star_over_n=float(np.max(s)),
-            max_pmepr=float(np.max(p)),
+            max_pmepr=float(np.max(values)),
             golay_defect=int(golay[0]),
             component_ok=component_ok,
-            pmepr_le_star=bool(np.all(p <= s + STAR_TOL)),
+            pmepr_le_star=bool(np.all(values <= s.ravel()[at] + STAR_TOL)),
         ))
     return out
 
@@ -454,10 +490,11 @@ def theorem_bound_audit(
     jobs: int = 1,
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds,
-    one row per constant orbit."""
+    on the orbit rows of orbit_offsets: one (offset, row) per
+    FULL_ORBIT_SIZE-record orbit."""
     audit = functools.partial(_audit_block, oversample=oversample)
     kinds: dict[str, KindStats] = {}
-    for block_stats in map_family_blocks(audit, m, modulation, jobs):
+    for block_stats in map_family_blocks(audit, m, modulation, jobs, orbit_offsets(modulation)):
         for stats in block_stats:
             kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
     return BoundAuditReport(

@@ -17,9 +17,12 @@ renderer.
 
 parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
-constants of each orbit included, one block per pi; full_family_pmeprs runs
-the PMEPR collection over it.  The library walks one row per constant orbit
-and weights it.
+constants of each orbit included, one block per pi; full_family_pmeprs takes
+the PMEPR of every record over it.  The library walks one row per orbit of
+zeta^c, conjugation and reversal and weights it.  image_rows writes the
+conjugation and reversal of a record's coefficient row out from their
+formulas, for the test that the library's offset permutations complete
+them.
 
 The library scores every offset of a cell at once, through one
 factored correlation of the cell's base rows.  The reference scores one
@@ -55,7 +58,6 @@ from qamseq.analysis import (
     star_batch,
     star_sum,
 )
-from qamseq.cli import _block_pmeprs
 from qamseq.constellation import ComplexSequence, Scale, qam_lattice
 from qamseq.constructions import (
     ConstructionParams,
@@ -258,16 +260,37 @@ def full_bound_audit(m: int, modulation: Modulation, oversample: int = 16) -> Bo
     return offset_bound_audit(m, modulation, coefficient_matrix(m), 1, oversample)
 
 
+def _block_pmeprs(block: FamilyBlock, oversample: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The offset kinds of a block, and its (offsets, rows) PMEPRs."""
+    z = block.complex_symbols().reshape(-1, 1 << block.m)
+    return block.kinds, (pep_batch(z, oversample) / (1 << block.m)).reshape(len(block.offsets), -1)
+
+
 def full_family_pmeprs(
     m: int, modulation: Modulation, oversample: int = 16
 ) -> dict[str, np.ndarray]:
-    """cli.family_pmeprs over full_family_blocks: the PMEPR of every record."""
+    """The PMEPR of every record over full_family_blocks, grouped by offset
+    kind: the per-record walk that cli.family_pmeprs weights."""
     grouped: dict[str, list[np.ndarray]] = {}
     pmeprs = functools.partial(_block_pmeprs, oversample=oversample)
     for kinds, values in full_family_blocks(pmeprs, m, modulation):
         for kind, row_values in zip(kinds, values):
             grouped.setdefault(kind, []).append(row_values)
     return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
+
+
+def image_rows(coeffs: np.ndarray, m: int, path_ends: bool = True) -> tuple[np.ndarray, ...]:
+    """The coefficient rows (c_0 .. c_{m-1}, c) of the conjugation and of the
+    reversal image of each row of coeffs: (-c_l, -c), and (-c_l + 2*[l in {0,
+    m-1}], c + sum c_l + 2(m-1)), each mod 4.  path_ends=False drops the
+    2*[l in {0, m-1}] term (a negative control)."""
+    c = coeffs.astype(np.int64)
+    conj = -c % 4
+    rev = -c
+    if path_ends:
+        rev[:, [0, m - 1]] += 2
+    rev[:, m] = c[:, m] + c[:, :m].sum(axis=1) + 2 * (m - 1)
+    return conj, rev % 4
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,11 @@ def test_criterion_6_lemma_oracles():
 def test_criterion_7_ccdf_shape():
     thresholds = np.array([2.0, 2.4, 2.48, 3.0, 3.62, 4.0])
 
-    family16 = np.concatenate(list(family_pmeprs(4, Modulation.QAM16).values()))
-    curve16 = ccdf(family16, thresholds)
+    values, records = family_pmeprs(4, Modulation.QAM16, thresholds)["qam16"]
+    curve16 = ccdf(values, thresholds, records)
     beyond16 = curve16.probabilities[thresholds >= 2.4]
-    family64 = family_pmeprs(3, Modulation.QAM64)
-    curve_t2 = ccdf(family64["type2"], thresholds)
+    values, records = family_pmeprs(3, Modulation.QAM64, thresholds)["type2"]
+    curve_t2 = ccdf(values, thresholds, records)
     beyond_t2 = curve_t2.probabilities[thresholds >= 2.48]
 
     baseline = random_baseline(16, Modulation.QAM16, 10_000, seed=42)

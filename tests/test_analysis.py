@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -382,6 +383,22 @@ def test_star_rows_is_the_literal_star(modulation):
         b = ComplexSequence(pairs[2, k], pairs[3, k], scale)
         assert value == oracles.star(a, b)
     assert not np.all(rows * scale.value == np.rint(rows * scale.value))
+
+
+def test_star_sum_takes_the_correctly_rounded_root_of_each_exact_norm():
+    # one shift per row, so star_sum is |T(0)|: a Gaussian integer whose norm
+    # is a perfect square gives its integer root exactly, and any other
+    # gives math.sqrt of the exact Python-int norm (parts below 2^26, so the
+    # norm is below 2^53 and converts to float exactly)
+    rng = np.random.default_rng(18)
+    p, q, k = (rng.integers(1, 64, size=2000) for _ in range(3))
+    legs = np.stack([k * (p * p - q * q), k * 2 * p * q])  # hypotenuse k * (p^2 + q^2)
+    sums = (legs[0] + 1j * legs[1])[:, None]
+    assert np.array_equal(analysis.star_sum(sums), k * (p * p + q * q))
+    assert np.array_equal(analysis.star_sum(np.conj(sums)), k * (p * p + q * q))
+    re, im = rng.integers(-(1 << 26), 1 << 26, size=(2, 20000))
+    roots = [math.sqrt(a * a + b * b) for a, b in zip(re.tolist(), im.tolist())]
+    assert np.array_equal(analysis.star_sum((re + 1j * im)[:, None]), roots)
 
 
 def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):

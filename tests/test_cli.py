@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from oracles import parameter_grid
-from qamseq import constructions
+from qamseq import analysis, constructions
+from qamseq.analysis import default_threshold_grid, pep_batch
 from qamseq.cli import (
     EXIT_BROKEN_PIPE,
     _PAIR_TEXTS,
@@ -26,9 +27,12 @@ from qamseq.constructions import (
     ConstructionParams,
     Modulation,
     build,
+    build_block,
     iter_family_chunks,
     list_offsets16,
     list_offsets64,
+    orbit_offsets,
+    orbit_rows,
 )
 from qamseq.gbf import PathQuadratic
 from qamseq.verification import (
@@ -301,7 +305,9 @@ def test_z4_list_texts_are_the_json_of_the_lists(n):
 # sha256 of outputs written by the record-by-record renderer that the block
 # renderer replaced (enumerate, construct) and by the one-offset-at-a-time
 # scorers that the cell scorers replaced (the verify report, the ccdf
-# curves): each output has stayed the same byte for byte
+# curves): each output has stayed the same byte for byte.  The m=4 verify
+# reports and the 64qam m=4 curves are those of the walk over every offset,
+# before the walk took one offset per conjugation x reversal orbit
 PINNED_SHA256 = [
     (["enumerate", "--m", "3", "--modulation", "16qam"],
      "c7cea8093a6aaa574b6bbfbfec0c411f6d459f6d67bf39d4665db521665e9365"),
@@ -323,13 +329,20 @@ PINNED_SHA256 = [
      "53c1773248316ccac95f81fa3352f2f4c5321721030c7dbfcbc77ca58bd4a67f"),
     (["ccdf", "--m", "3", "--modulation", "64qam"],
      "f5119e86cf9c861e9076da37bb141e941ea726988c1b66b977c0301b727e0e5c"),
+    (["verify", "--suite", "all", "--m", "4", "--jobs", "1"],
+     "64fbfedf588976056422f29de4feeb34b74d3fb8ecc55ab302b4510f77da0791"),
+    (["verify", "--suite", "all", "--m", "4", "--jobs", "2"],
+     "64fbfedf588976056422f29de4feeb34b74d3fb8ecc55ab302b4510f77da0791"),
+    (["ccdf", "--m", "4", "--modulation", "64qam"],
+     "2388bbdec103ee5d874eb57027849f8d629d13ba1a7ee54195722b4d79eada32"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_SHA256, ids=[
     "enumerate-16qam-m3", "enumerate-64qam-m3", "enumerate-16qam-m4", "construct-16qam",
     "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
-    "ccdf-16qam-m4", "ccdf-64qam-m3",
+    "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
+    "ccdf-64qam-m4",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"
@@ -409,20 +422,55 @@ def test_worker_count_below_one_is_a_usage_error(capsys, jobs):
     (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
 ])
 def test_family_pmeprs_equal_the_full_walk(m, modulation):
-    ours = family_pmeprs(m, modulation, jobs=1)
+    # the weighted multiset puts exactly the full walk's records above every
+    # threshold it was refined at: the CCDF grid, and every distinct PMEPR
+    # of the family, so that no threshold can sit between two members of
+    # an orbit unseen
     full = oracles.full_family_pmeprs(m, modulation)
-    assert list(ours) == list(full)
-    for kind in full:
-        # element for element, not only sorted: the constant varies fastest
-        assert np.array_equal(ours[kind], full[kind])
+    for thresholds in (default_threshold_grid(), np.unique(np.concatenate(list(full.values())))):
+        ours = family_pmeprs(m, modulation, thresholds, jobs=1)
+        assert list(ours) == list(full)
+        for kind, (values, records) in ours.items():
+            assert records.sum() == full[kind].size
+            assert np.array_equal(records_above(values, records, thresholds),
+                                  records_above(full[kind], 1, thresholds))
+
+
+def records_above(values, records, thresholds):
+    """The records strictly above each threshold of a weighted multiset."""
+    records = np.broadcast_to(records, values.shape)
+    return np.array([records[values > t].sum() for t in thresholds])
 
 
 def test_family_pmeprs_do_not_depend_on_jobs():
-    serial = family_pmeprs(3, Modulation.QAM64, jobs=1)
-    parallel = family_pmeprs(3, Modulation.QAM64, jobs=2)
+    thresholds = default_threshold_grid()
+    serial = family_pmeprs(3, Modulation.QAM64, thresholds, jobs=1)
+    parallel = family_pmeprs(3, Modulation.QAM64, thresholds, jobs=2)
     assert list(serial) == list(parallel) == ["type1", "type2"]
     for kind in serial:
-        assert np.array_equal(serial[kind], parallel[kind])
+        assert all(map(np.array_equal, serial[kind], parallel[kind]))
+
+
+def test_a_threshold_between_two_members_of_an_orbit_is_counted_exactly(monkeypatch):
+    # an orbit row whose PEP lies above that of one of its conjugation x
+    # reversal images, bit for bit: a threshold at the image's PMEPR has
+    # the row above it and the image not.  The refinement counts each
+    # member on its own side, as the full walk does; with the spread
+    # forced to 0 the row decides for its whole orbit, and the count is off
+    m, modulation = 3, Modulation.QAM16
+    block = build_block(m, (0, 1, 2), orbit_offsets(modulation), orbit_rows(m))
+    z = block.complex_symbols().reshape(-1, 8)
+    own = pep_batch(z, 16) / 8
+    images = pep_batch(np.concatenate([np.conj(z), z[:, ::-1], np.conj(z[:, ::-1])]), 16) / 8
+    below = images.reshape(3, -1) < own
+    assert 0 < np.count_nonzero(np.any(below, axis=0)) < len(z)
+    threshold = np.array([images.reshape(3, -1)[below][0]])
+    full = records_above(oracles.full_family_pmeprs(m, modulation)["qam16"], 1, threshold)
+    values, records = family_pmeprs(m, modulation, threshold)["qam16"]
+    assert np.array_equal(records_above(values, records, threshold), full)
+    monkeypatch.setattr(analysis, "pep_spread", lambda grid: 0.0)
+    values, records = family_pmeprs(m, modulation, threshold)["qam16"]
+    assert records_above(values, records, threshold)[0] > full[0]
 
 
 def test_ccdf_16qam_zero_beyond_bound(capsys, tmp_path):

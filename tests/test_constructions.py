@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,8 @@ import pytest
 from qamseq.constructions import (
     CEILINGS,
     CHUNK_SYMBOLS,
+    FULL_ORBIT_SIZE,
+    OFFSET_ORBIT_SIZE,
     ORBIT_SIZE,
     ConstructionParams,
     Modulation,
@@ -30,6 +33,8 @@ from qamseq.constructions import (
     map_family_blocks,
     offset_forms,
     offset_kind,
+    offset_symmetries,
+    orbit_offsets,
     orbit_rows,
     star_bound,
 )
@@ -553,3 +558,75 @@ def test_orbit_invariance_fails_when_the_constant_reaches_one_component_only(mod
     symbols = qam_lattice(*np.moveaxis(comps[block.component_index], 1, 0))[0]
     broken = dataclasses.replace(block, components=comps, symbols=symbols)
     assert not orbit_invariant(broken)
+
+
+def images_are_family_records(m, modulation, images=oracles.image_rows):
+    """Whether, on every record, the record of the conjugate offset and the
+    conjugated row is zeta * conj(H), and that of the reversed offset and the
+    reversed row is H[::-1], exactly: offsets by offset_symmetries, rows by
+    images (each row's pair of image rows)."""
+    sigma, rho = offset_symmetries(modulation)
+    coeffs = coefficient_matrix(m)
+    conj, rev = (rows @ 4 ** np.arange(m, -1, -1) for rows in images(coeffs, m))
+
+    def check(block):
+        s = block.symbols  # (offsets, every row in counter order, n)
+        return (np.array_equal(s[list(sigma)][:, conj], 1j * np.conj(s))
+                and np.array_equal(s[list(rho)][:, rev], s[:, :, ::-1]))
+
+    return all(full_family_blocks(check, m, modulation))
+
+
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
+])
+def test_conjugation_and_reversal_map_every_record_onto_a_family_record(m, modulation):
+    # the action the family walks rest on: conj(H(pi, c_l, c, o)) =
+    # zeta^-1 * H(pi, -c_l, -c, sigma(o)) and H(pi, c_l, c, o)[::-1] =
+    # H(pi, c_l', c + sum c_l + 2(m-1), rho(o)), on every record
+    assert images_are_family_records(m, modulation)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_a_reversal_without_its_path_end_term_misses(modulation):
+    # negative control: the reversal of the path quadratic adds
+    # 2*x_{pi(0)} + 2*x_{pi(m-1)}; a row map without it lands elsewhere
+    images = functools.partial(oracles.image_rows, path_ends=False)
+    assert not images_are_family_records(3, modulation, images)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_every_offset_orbit_has_four_offsets(modulation):
+    sigma, rho = offset_symmetries(modulation)
+    offsets = constructions._offset_list(modulation)
+    orbits = {frozenset({k, sigma[k], rho[k], sigma[rho[k]]}) for k in range(len(offsets))}
+    assert {len(orbit) for orbit in orbits} == {OFFSET_ORBIT_SIZE} == {4}
+    assert sum(len(orbit) for orbit in orbits) == len(offsets)
+    # each kept offset is the least of its orbit, in list order
+    kept = orbit_offsets(modulation)
+    assert [offsets.index(o) for o in kept] == sorted(min(orbit) for orbit in orbits)
+    assert len(kept) == {Modulation.QAM16: 2, Modulation.QAM64: 16}[modulation]
+    # conjugation and reversal keep the kind: each kind keeps a quarter of its offsets
+    assert all(offset_kind(offsets[sigma[k]]) == offset_kind(offsets[rho[k]]) == offset_kind(o)
+               for k, o in enumerate(offsets))
+    for m in (3, 4):
+        rows = sum(map_family_blocks(len, m, modulation, 1, kept))
+        assert FULL_ORBIT_SIZE * rows == family_size(m, modulation)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda q, c1, c2, c3: (q, -c1 % 4, -c2 % 4, -c3 % 4),  # conjugation again: orbits of 2
+    lambda q, c1, c2, c3: (q, (q - c1) % 4, c2, c3),  # c1 alone: off the congruences
+])
+def test_offset_symmetries_refuse_a_map_that_is_not_the_free_action(monkeypatch, broken):
+    # negative control: a reversal map that equals conjugation leaves orbits
+    # of two offsets, and one that moves c1 alone sends the d form off
+    # d1 + 2*d3 = 2, outside the list; either must stop the derivation
+    monkeypatch.setattr(constructions, "FORM_SYMMETRIES", (constructions.FORM_SYMMETRIES[0], broken))
+    constructions.offset_symmetries.cache_clear()
+    try:
+        for modulation in Modulation:
+            with pytest.raises(AssertionError, match="no free conjugation x reversal orbit"):
+                offset_symmetries(modulation)
+    finally:
+        constructions.offset_symmetries.cache_clear()

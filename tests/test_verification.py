@@ -21,11 +21,19 @@ from oracles import (
 )
 from qamseq import verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
-from qamseq.analysis import coset_footprint, correlation_sums_batch, polyphase_lattice, star_sum
+from qamseq.analysis import (
+    coset_footprint,
+    correlation_sums_batch,
+    pep_batch,
+    pep_spread,
+    polyphase_lattice,
+    star_sum,
+)
 from qamseq.constellation import Scale
 from qamseq.constructions import (
     CEILINGS,
     CHUNK_SYMBOLS,
+    FULL_ORBIT_SIZE,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -39,6 +47,7 @@ from qamseq.constructions import (
     list_offsets64,
     map_family_blocks,
     offset_kind,
+    orbit_offsets,
     orbit_rows,
 )
 from qamseq.gbf import PathQuadratic, base_rows
@@ -412,14 +421,14 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
 
 
 def test_audit_block_correlates_each_component_once(monkeypatch):
-    # D and the 12 distinct component forms of the 64 offsets (4 linear type
-    # 1 s1 forms, 8 quadratic forms serving as d, type 2 s1 and type 2 s2)
-    # are correlated once per cell, not 3 times per offset, in the one
-    # kernel call that also correlates the 64 codewords: over the cell's
-    # base rows D, every orbit row once
-    block = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
-    assert block.components.shape == (13, 64, 8)
-    assert len(block) == 64 * 64
+    # D and the 10 distinct component forms of the 16 orbit offsets (4
+    # linear type 1 s1 forms, 2 quadratic forms serving as d and type 2 s1,
+    # 4 type 2 s2 forms) are correlated once per cell, not 3 times per
+    # offset, in the one kernel call that also correlates the 16 codewords:
+    # over the cell's base rows D, every orbit row once
+    block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
+    assert block.components.shape == (11, 64, 8)
+    assert len(block) == 16 * 64
     calls = []
     real = verification.coset_correlation_sums
 
@@ -432,14 +441,15 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     stats = _audit_block(block, 16)
     ((base, shape, sums),) = calls
     assert np.array_equal(base, block.components[0])
-    # (shifts, terms, n): the 64 codewords, then D and the 12 forms, each
+    # (shifts, terms, n): the 16 codewords, then D and the 10 forms, each
     # correlated with its companion as the explicit sequences are
-    assert shape == (8, 64 + 13, 8)
+    assert shape == (8, 16 + 11, 8)
     explicit = np.concatenate([block.symbols, polyphase_lattice(block.components)])
     z = explicit.reshape(-1, 8)
     pair = np.stack([z, z * block.companion_sign])
     assert np.array_equal(sums, correlation_sums_batch(pair, pair).reshape(explicit.shape))
-    assert [(k.kind, k.total) for k in stats] == [("type1", 4 * 32 * 64), ("type2", 4 * 32 * 64)]
+    # each (offset, row) counts for the 16 records of its orbit
+    assert [(k.kind, k.total) for k in stats] == [("type1", 16 * 8 * 64), ("type2", 16 * 8 * 64)]
 
 
 def test_audit_block_refuses_a_symbol_outside_its_coset():
@@ -501,21 +511,68 @@ def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch
     (3, Modulation.QAM16), (3, Modulation.QAM64), (4, Modulation.QAM16), (4, Modulation.QAM64),
 ])
 def test_cell_audit_equals_the_per_offset_reference(m, modulation):
-    # the cell audit (D and each distinct form correlated once per cell,
-    # stars and PMEPRs over offset groups) against each (pi, offset) block
-    # scored alone on the same orbit rows, weighted ORBIT_SIZE: every count,
-    # extremum, defect and flag, bit for bit
+    # the cell audit (one offset per conjugation x reversal orbit, D and
+    # each distinct form correlated once per cell, PMEPRs refined near each
+    # decision) against each (pi, offset) block of every offset scored alone
+    # on the same orbit rows, weighted ORBIT_SIZE: every count, extremum,
+    # defect and flag, bit for bit
     reference = offset_bound_audit(m, modulation, orbit_rows(m), ORBIT_SIZE)
     assert theorem_bound_audit(m, modulation, jobs=1) == reference
-    # and cell by cell: the KindStats of one block are the reference's
-    # blocks of its offsets summed
+    # and cell by cell: the KindStats of one block of the orbit offsets are
+    # the reference's blocks of every offset summed
     pi, rows = next(family_cells(m, 1 << m))
-    offsets = _offset_list(modulation)
     summed: dict[str, KindStats] = {}
-    for off in offsets:
+    for off in _offset_list(modulation):
         stats = audit_block(offset_block(m, pi, off, rows), 16, ORBIT_SIZE)
         summed[stats.kind] = summed[stats.kind] + stats if stats.kind in summed else stats
-    assert cell_stats(build_block(m, pi, offsets, rows)) == summed
+    assert cell_stats(build_block(m, pi, orbit_offsets(modulation), rows)) == summed
+
+
+def test_the_audit_max_needs_the_refinement(monkeypatch):
+    # negative control: an audit that lets every orbit row stand for its
+    # whole orbit misses the type 2 max of 64-QAM m=3, which an image
+    # reaches in its last bits
+    reference = offset_bound_audit(3, Modulation.QAM64, orbit_rows(3), ORBIT_SIZE)
+    real = verification.orbit_peps
+    monkeypatch.setattr(verification, "orbit_peps",
+                        lambda z, peps, near, oversample: real(z, peps, near & False, oversample))
+    unrefined = {k.kind: k for k in theorem_bound_audit(3, Modulation.QAM64, jobs=1).kinds}
+    expected = {k.kind: k for k in reference.kinds}
+    assert unrefined["type1"] == expected["type1"]
+    assert unrefined["type2"].max_pmepr < expected["type2"].max_pmepr
+    assert unrefined["type2"] == dataclasses.replace(
+        expected["type2"], max_pmepr=unrefined["type2"].max_pmepr)
+
+
+@pytest.mark.parametrize("tolerance", ["PMEPR_TOL", "STAR_TOL"])
+def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolerance):
+    # the audit compares a row's PMEPR with the ceiling plus PMEPR_TOL, with
+    # its star/n plus STAR_TOL and with the kind's max.  A tolerance moved so
+    # that its point lands on one row's PMEPR must send that row, and only
+    # rows that near, to orbit_peps for its images' PEPs
+    block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
+    stars, _ = verification._block_stars(block)
+    type2 = np.array(block.kinds) == "type2"
+    s = (stars[: len(block.offsets)] / 42 / 8)[type2].ravel()
+    p = np.stack([pep_batch(z, 16) for z in block.complex_symbols()])[type2].ravel() / 8
+    row = int(np.argsort(p)[len(p) // 2])  # a middling PMEPR, far from the max
+    point = {"PMEPR_TOL": CEILINGS["type2"][0], "STAR_TOL": s[row]}[tolerance]
+    real, marked = verification.orbit_peps, []
+
+    def spy(z, peps, near, oversample):
+        marked.append(near.copy())
+        return real(z, peps, near, oversample)
+
+    monkeypatch.setattr(verification, "orbit_peps", spy)
+    cell_stats(block)
+    assert not marked[1][row]
+    monkeypatch.setattr(verification, tolerance, p[row] - point)
+    marked.clear()
+    cell_stats(block)
+    assert marked[1][row]
+    points = [p.max(), CEILINGS["type2"][0] + verification.PMEPR_TOL, s + verification.STAR_TOL]
+    near = [np.abs(p - point) <= pep_spread(16 * 8) * p for point in points]
+    assert np.array_equal(marked[1], near[0] | near[1] | near[2])
 
 
 def test_kind_stats_add():
@@ -535,20 +592,20 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 
 
 def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
-    # negative control: the first record of the first type 2 offset of the
-    # first cell reads one lattice unit (1/42) above the published type 2
+    # negative control: the first record of the first type 2 orbit offset
+    # of the first cell reads one lattice unit (1/42) above the published type 2
     # ceiling: its zero-shift sum, in the kernel's output, is raised by the
     # gap, which raises its star by exactly that much (T(0) > 0)
     from qamseq.cli import main
 
-    first_type2 = [offset_kind(o) for o in list_offsets64()].index("type2")
+    first_type2 = [offset_kind(o) for o in orbit_offsets(Modulation.QAM64)].index("type2")
     real = verification.coset_correlation_sums
     forged = []
 
     def one_over(base, factors):
         sums = real(base, factors)
         n, terms = factors.shape[:2]
-        if terms == 64 + 13 and not forged:  # the first 64-QAM cell: codewords, D, forms
+        if terms == 16 + 11 and not forged:  # the first 64-QAM cell: codewords, D, forms
             row = sums[first_type2, 0]
             row[0] += CEILINGS["type2"][0] * n * Scale.QAM64.value + 1 - star_sum(row[None])[0]
             forged.append(row[0])
@@ -560,8 +617,8 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     assert not report.passed
     by_kind = {k.kind: k for k in report.kinds}
     # the forged row is an orbit representative: its star fails for the
-    # ORBIT_SIZE records of its constant orbit
-    assert by_kind["type2"].star_ok == by_kind["type2"].total - ORBIT_SIZE
+    # FULL_ORBIT_SIZE records of its orbit
+    assert by_kind["type2"].star_ok == by_kind["type2"].total - FULL_ORBIT_SIZE
     assert by_kind["type1"].star_ok == by_kind["type1"].total
     assert by_kind["type2"].max_star_over_n == pytest.approx(CEILINGS["type2"][0] + 1 / (42 * 8))
 

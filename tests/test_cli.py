@@ -335,6 +335,12 @@ PINNED_SHA256 = [
      "64fbfedf588976056422f29de4feeb34b74d3fb8ecc55ab302b4510f77da0791"),
     (["ccdf", "--m", "4", "--modulation", "64qam"],
      "2388bbdec103ee5d874eb57027849f8d629d13ba1a7ee54195722b4d79eada32"),
+    # an odd oversampling rate: the grid is not a power of two, and the
+    # computed PEPs of one orbit's records differ in their last bits
+    (["ccdf", "--m", "4", "--modulation", "16qam", "--oversample", "3"],
+     "79a6b10e3f6fee2a64361ba164e707395b0be6905e35fb6b31b0506a48c61fe7"),
+    (["verify", "--suite", "bounds", "--m", "3", "--oversample", "3", "--jobs", "1"],
+     "4605198d0b5218f2e5558a523c94535613ee24fda66e6228bd4e68fa5b49dfc0"),
 ]
 
 
@@ -342,7 +348,7 @@ PINNED_SHA256 = [
     "enumerate-16qam-m3", "enumerate-64qam-m3", "enumerate-16qam-m4", "construct-16qam",
     "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
     "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
-    "ccdf-64qam-m4",
+    "ccdf-64qam-m4", "ccdf-16qam-m4-L3", "verify-bounds-m3-L3",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

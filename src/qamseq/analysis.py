@@ -14,9 +14,9 @@ the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
 peak-to-mean ratios are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
-of them.  orbit_peps scores a row for the conjugation x reversal images of
-its sequence too, and computes their PEPs only where pep_spread says that a
-decision could tell them apart.
+of them.  orbit_peps scores a row for the conjugation x reversal x
+quarter-shift images of its sequence too, and computes their PEPs only where
+pep_spread says that a decision could tell them apart.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import ZETA
 from .constellation import ComplexSequence, qam_lattice
-from .constructions import CHUNK_SYMBOLS, OFFSET_ORBIT_SIZE, Modulation
+from .constructions import CHUNK_SYMBOLS, FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE, Modulation
 
 
 def star(a: ComplexSequence, b: ComplexSequence) -> float:
@@ -250,7 +250,8 @@ def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
 def pep_spread(grid: int) -> float:
     """A relative bound delta with |p - p'| <= delta * p for the computed PEPs
     p, p' of two sequences whose exact envelopes on the grid of `grid`
-    points hold the same values, such as z, conj(z) and z reversed.
+    points hold the same values, such as z, conj(z), z reversed and
+    i^i * z, whose envelope is that of z moved grid / 4 samples on.
 
     Let y_k be the exact samples and P = max |y_k|^2.  The FFT's forward
     error is ||y^ - y||_2 <= f * ||y||_2 with f = log2(N) * eta / (1 -
@@ -262,8 +263,14 @@ def pep_spread(grid: int) -> float:
     square add at most 6u, so a computed PEP lies within r * P of P,
     r = (1 + e)^2 * (1 + 6u) - 1, and two of them within 2r * P <=
     2r / (1 - r) * p of each other.  The scalings by 1/N and N are exact for
-    N a power of two, as in every family walk.  delta is about 4e-13 at
-    N = 256; the largest spread seen over the families is about 1.5e-15.
+    N a power of two, as at every power-of-two oversampling rate.  delta is
+    about 4e-13 at N = 256; the largest spread seen over the families is
+    about 1.5e-15, and at N = 256 the quarter-shift images' PEPs came out
+    bit-equal.  At an odd rate N is not a power of two: the FFT then has
+    radix-L passes, which Higham's radix-2 bound does not cover, and the
+    scalings round, so there delta is the same formula, not a proof; at
+    L = 5 and n = 16 it is 1.8e-13, and the largest spread of a quarter
+    shift seen at L = 3 and 5 over 16qam and 64qam m=3/4 is 1.6e-15.
     """
     u = np.finfo(float).eps / 2
     f = math.log2(grid) * 7 * u
@@ -285,22 +292,27 @@ def near_points(peps: np.ndarray, points, grid: int) -> np.ndarray:
 
 
 def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: int) -> tuple:
-    """(values, images, rows): the computed PEPs of the OFFSET_ORBIT_SIZE
-    conjugation x reversal images of each row of (rows, n) z, as a
-    multiset.  Each row's own PEP in peps (pep_batch of z) stands for all
-    its images, except where near holds: there it stands for the row alone,
-    and the PEPs of conj(z), z reversed and conj(z) reversed are computed,
-    one image each.  The images of a row hold the same exact envelope, so
-    off near_points every comparison of an image's PEP with a point comes
-    out as the row's own.  images counts the images each value stands for;
-    rows names the row of z of each value."""
+    """(values, images, rows): the computed PEPs of the FULL_ORBIT_SIZE //
+    ORBIT_SIZE = 16 images of each row of (rows, n) z, as a multiset: y *
+    i^(b*i) for y one of z, conj(z), z reversed and conj(z) reversed, and b =
+    0 .. 3, the conjugation x reversal x quarter-shift images.  Each row's
+    own PEP in peps (pep_batch of z) stands for all its images, except where
+    near holds: there it stands for the row alone, and the PEPs of the 15
+    other images are computed, one image each.  The images of a row hold the
+    same exact envelope, so off near_points every comparison of an image's
+    PEP with a point comes out as the row's own.  images counts the images
+    each value stands for; rows names the row of z of each value."""
     (rows,) = np.nonzero(near)
     own = z[rows]
-    extra = pep_batch(np.concatenate([np.conj(own), own[:, ::-1], np.conj(own[:, ::-1])]), oversample)
-    images = np.where(near, 1, OFFSET_ORBIT_SIZE)
+    flips = np.stack([own, np.conj(own), own[:, ::-1], np.conj(own[:, ::-1])])
+    turns = ZETA[np.outer(np.arange(SHIFT_ORBIT_SIZE), np.arange(z.shape[1])) % 4]  # i^(b*i)
+    others = (turns[:, None, None] * flips).reshape(-1, z.shape[1])[len(rows):]
+    extra = pep_batch(others, oversample)
+    count = FULL_ORBIT_SIZE // ORBIT_SIZE
+    images = np.where(near, 1, count)
     return (np.concatenate([peps, extra]),
             np.concatenate([images, np.ones(len(extra), images.dtype)]),
-            np.concatenate([np.arange(len(peps)), np.tile(rows, OFFSET_ORBIT_SIZE - 1)]))
+            np.concatenate([np.arange(len(peps)), np.tile(rows, count - 1)]))
 
 
 def polyphase_lattice(values: np.ndarray) -> np.ndarray:

@@ -47,8 +47,7 @@ from .constructions import (
     count_enumerated,
     family_size,
     iter_family_chunks,
-    map_family_blocks,
-    orbit_offsets,
+    map_orbit_blocks,
     params_block,
     star_bound,
 )
@@ -334,7 +333,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _block_pmeprs(block: FamilyBlock, oversample: int, thresholds: np.ndarray) -> dict:
-    """(PMEPRs, records) per offset kind of a block over orbit_offsets: the
+    """(PMEPRs, records) per offset kind of a block of map_orbit_blocks: the
     orbit_peps multiset of its rows, refined near the thresholds, each value
     counting for ORBIT_SIZE records per image it stands for."""
     n = 1 << block.m
@@ -351,16 +350,17 @@ def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The oversampled PMEPRs of the family as a weighted multiset per offset
-    kind, (values, records): one value per orbit row of orbit_offsets
-    standing for the FULL_ORBIT_SIZE records of its orbit, or, where it lies
-    within analysis.pep_spread of a threshold, one per conjugation x
-    reversal image standing for its ORBIT_SIZE records.  The records above
+    kind, (values, records): one value per (offset, row) of
+    map_orbit_blocks standing for the FULL_ORBIT_SIZE records of its orbit,
+    or, where it lies within analysis.pep_spread of a threshold, one per
+    conjugation x reversal x quarter-shift image standing for its
+    ORBIT_SIZE records.  The records above
     each of the ascending thresholds are those of a walk over every record,
     and the records sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     pmeprs = functools.partial(
         _block_pmeprs, oversample=oversample, thresholds=np.asarray(thresholds, dtype=float))
-    for block_values in map_family_blocks(pmeprs, m, modulation, jobs, orbit_offsets(modulation)):
+    for block_values in map_orbit_blocks(pmeprs, m, modulation, jobs):
         for kind, pair in block_values.items():
             grouped.setdefault(kind, []).append(pair)
     return {kind: tuple(np.concatenate(part) for part in zip(*pairs))

@@ -39,14 +39,21 @@ constant, offset) -> symbols is injective for every m >= 3.
    s1 (0 against 2); the coefficients then give d and (h1, h3), and h2 is
    fixed by the kind.  The offset lists hold each (kind, d, h1, h3) once.
 
-Every record has 16 images that share its star and its continuous envelope
-(the coset view of Davis and Jedwab).  Write a record as (pi, c_l, c, o): D
-has the path quadratic, c_l on x_{pi(l)} and the constant c, and each
-component is D plus one form (q, c1, c2, c3) of offset_forms(o).  The symbol
-is (1 + i) * sum_j w_j * zeta^(c_j) over its components c_j.
+Every record has 64 images that share its star and its continuous envelope
+(the coset view of Davis and Jedwab, and the affine-term symmetry of the
+Reed-Muller cosets of Paterson, IEEE Trans. IT 2000).  Write a record as
+(pi, c_l, c, o): D has the path quadratic, c_l on x_{pi(l)} and the
+constant c, and each component is D plus one form (q, c1, c2, c3) of
+offset_forms(o).  The symbol is (1 + i) * sum_j w_j * zeta^(c_j) over its
+components c_j.
 
 - zeta^c: adding k to every component multiplies the symbols by zeta^k
   (the constant c + k; ORBIT_SIZE).
+- The quarter shift: x_{m-1} + 2*x_{m-2} is i mod 4 (bit_matrix is MSB
+  first), so adding 1 to the coefficient of x_{m-1} and 2 to that of
+  x_{m-2} (quarter_shift) adds i mod 4 to D and to every component, and
+  multiplies symbol i, and its companion's, by zeta^i = i^i.  That is
+  S(t) -> S(t + 1/4) for S(t) = sum_i H_i exp(2*pi*j*i*t).
 - Conjugation: conj((1 + i) * zeta^a) = -i * (1 + i) * zeta^(-a), and -D is
   D with -c_l and -c (2*x*y = -2*x*y), so
   conj(H(pi, c_l, c, o)) = zeta^(-1) * H(pi, -c_l, -c, sigma(o)), with
@@ -68,17 +75,29 @@ is (1 + i) * sum_j w_j * zeta^(c_j) over its components c_j.
   (2, d1, d2, d3), with d2 odd and d1 even: sigma sends d2 to -d2 and
   sigma*rho sends it to d2 - 2, neither equal to d2 since 2*d2 = 2, and rho
   sends d1 to 2 - d1, unequal to d1 since 2*d1 = 0.  So every orbit
-  {o, sigma(o), rho(o), sigma(rho(o))} has 4 offsets, and the 16 records
-  {zeta^k, conj, reversal} of one record are distinct.  Exactly the 4
-  records of one constant orbit among them carry the least offset of the
-  offset orbit (orbit_offsets): a family walk over the orbit rows of those
-  offsets meets each 16-record orbit once.
+  {o, sigma(o), rho(o), sigma(rho(o))} has 4 offsets.
+- The group.  The translations T, zeta^k times the quarter shift s to the
+  power b, move (c, c_{pi^-1(m-1)}) by (k, b) and keep o, so T acts freely,
+  16 records per T-orbit.  T is normal: the conjugation map (c_l, c) ->
+  (-c_l, -c) turns a translation by t into one by -t, and the reversal map
+  turns zeta into zeta and s into s^-1 * zeta^3 (the constant gains the
+  sum 1 + 2 of s's coefficients, plus 4*(m-1) and sum_l 2*[l in
+  {0, m-1}] = 4, both 0 mod 4).  So the 64 maps t * kappa, t in T and
+  kappa in {1, sigma, rho, sigma*rho}, form a group; one that fixes a
+  record keeps its offset, so kappa = 1 and then t = 1.  Every orbit has
+  FULL_ORBIT_SIZE = 64 records, and exactly one of them has the least
+  offset of its offset orbit (orbit_offsets), constant 0 and
+  c_{pi^-1(m-1)} = 0: a walk over those rows (orbit_cells) meets each
+  orbit once.
 - What the images share.  Every star sum, component star and Golay defect
-  of an image is the conjugate of the record's, an exact Gaussian integer:
-  the companion of an image is, up to a unit, conj(H') or H'[::-1], and
-  conj(z) and z[::-1] both have the autocorrelation conj(C_z(u)).
-  |S(t_k)| of conj(z) or z[::-1] is |S(-t_k)| of z, and -t_k is a grid
-  point too, so the exact sampled PEP is the same; the computed one may
+  of an image is the record's, conjugated or times a unit: the companion of
+  an image is, up to a unit, conj(H'), H'[::-1] or i^i * H'; conj(z) and
+  z[::-1] both have the autocorrelation conj(C_z(u)), and i^i * z has
+  i^(-u) * C_z(u), a unit times a Gaussian integer.  So |C| and
+  |re C| + |im C| are the same, bit for bit.  |S(t_k)| of conj(z) or
+  z[::-1] is |S(-t_k)| of z, and that of i^i * z is |S(t_k + 1/4)|; -t_k
+  and t_k + 1/4 are grid points too when the grid's size is a multiple of
+  4, as L*n is, so the exact sampled PEP is the same; the computed one may
   differ in its last bits (analysis.pep_spread bounds by how much).
 """
 
@@ -365,9 +384,14 @@ FORM_SYMMETRIES = (
     lambda q, c1, c2, c3: (q, -c1 % 4, -c2 % 4, -c3 % 4),
     lambda q, c1, c2, c3: (q, (q - c1) % 4, (q - c2) % 4, (q + c1 + c2 + c3) % 4),
 )
-# offsets per conjugation x reversal orbit, and records per orbit with zeta^c
+# (variable, coefficient) pairs of the quarter shift, variables counted from
+# the end: x_{m-1} + 2*x_{m-2} is i mod 4
+QUARTER_SHIFT = ((-1, 1), (-2, 2))
+# offsets per conjugation x reversal orbit, rows per quarter-shift orbit, and
+# records per orbit of the whole group with zeta^c
 OFFSET_ORBIT_SIZE = 4
-FULL_ORBIT_SIZE = OFFSET_ORBIT_SIZE * ORBIT_SIZE
+SHIFT_ORBIT_SIZE = 4
+FULL_ORBIT_SIZE = OFFSET_ORBIT_SIZE * SHIFT_ORBIT_SIZE * ORBIT_SIZE
 
 
 @functools.cache
@@ -395,10 +419,31 @@ def offset_symmetries(modulation: Modulation) -> tuple[tuple[int, ...], tuple[in
 def orbit_offsets(modulation: Modulation) -> tuple[Offset, ...]:
     """The least offset, in list order, of each conjugation x reversal orbit:
     2 of the 8 16-QAM offsets, 16 of the 64 64-QAM offsets (8 per kind).
-    Their orbit rows meet every record's FULL_ORBIT_SIZE-record orbit once."""
+    Over the rows of orbit_cells they meet every FULL_ORBIT_SIZE-record
+    orbit once."""
     sigma, rho = offset_symmetries(modulation)
     offsets = _offset_list(modulation)
     return tuple(o for k, o in enumerate(offsets) if k == min(sigma[k], rho[k], sigma[rho[k]], k))
+
+
+@functools.cache
+def quarter_shift(m: int, pi: tuple[int, ...]) -> np.ndarray:
+    """The (m + 1,) coefficient row whose addition to any row at pi is the
+    quarter shift: QUARTER_SHIFT's coefficients on the linear coefficients
+    of its variables, so D gains i mod 4 and every symbol and companion is
+    multiplied by i^i (the argument is in the module docstring).  Raises
+    AssertionError unless base_rows of the row minus base_rows of the zero
+    row is i mod 4; that fixes the row to 1 on c_{pi^-1(m-1)}, 2 on
+    c_{pi^-1(m-2)} and 0 elsewhere, so its powers and the constants move
+    (c, c_{pi^-1(m-1)}) freely, 16 rows per orbit."""
+    shift = np.zeros(m + 1, dtype=np.uint8)
+    for variable, coefficient in QUARTER_SHIFT:
+        shift[pi.index(variable % m)] = coefficient
+    d = base_rows(m, pi, np.stack([np.zeros_like(shift), shift])).astype(np.int64)
+    if not np.array_equal((d[1] - d[0]) % 4, np.arange(1 << m) % 4):
+        raise AssertionError(f"{shift.tolist()} is not a free quarter shift at pi {pi}")
+    shift.setflags(write=False)  # cached: every caller shares it
+    return shift
 
 
 # symbols a family walk holds per cell of family_cells: bounds its memory
@@ -420,19 +465,36 @@ def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.nda
             yield pi, rows[start : start + step]
 
 
+def orbit_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The (pi, rows) cells of the orbit walk: per pi, the orbit rows with
+    c_{pi^-1(m-1)} = 0 (the coefficient quarter_shift moves by 1), one per
+    quarter-shift orbit.  Each is a cell of family_cells(m, per_row //
+    SHIFT_ORBIT_SIZE) with only its rows whose last linear coefficient is 0,
+    a quarter of them, and that coefficient's column swapped with the one
+    quarter_shift moves by 1.  So for per_row a power of two up to
+    CHUNK_SYMBOLS a cell holds CHUNK_SYMBOLS // per_row rows, or all of its
+    pi's; a cell left with no row is skipped."""
+    for pi, rows in family_cells(m, per_row // SHIFT_ORBIT_SIZE):
+        free = int(np.flatnonzero(quarter_shift(m, pi) == 1)[0])
+        kept = rows[rows[:, m - 1] == 0]
+        kept[:, [free, m - 1]] = kept[:, [m - 1, free]]
+        if len(kept):
+            yield pi, kept
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """Every offset of one (permutation, coefficient rows) cell, vectorized.
 
     The row axis of every array follows coeffs, rows of coefficient_matrix(m)
-    (a slice of orbit_rows(m) in map_family_blocks).  components holds the
-    quaternary sequences the cell's codewords are made of, each once: D at
-    index 0, then D plus each distinct offset_forms form of the offsets, as
-    (1 + forms, rows, n).  Row o of component_index names the components
-    ((D, E) or (D, F, G)) of offset o, and symbols holds the (offsets, rows,
-    n) complex lattice points of every codeword; the primed companion is
-    derived through companion_sign.  len counts the sequences, offsets times
-    rows.
+    (a cell of family_cells or orbit_cells in the family walks).  components
+    holds the quaternary sequences the cell's codewords are made of, each
+    once: D at index 0, then D plus each distinct offset_forms form of the
+    offsets, as (1 + forms, rows, n).  Row o of component_index names the
+    components ((D, E) or (D, F, G)) of offset o, and symbols holds the
+    (offsets, rows, n) complex lattice points of every codeword; the primed
+    companion is derived through companion_sign.  len counts the sequences,
+    offsets times rows.
     """
 
     m: int
@@ -484,33 +546,46 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
     return fn(build_block(*cell))
 
 
-def map_family_blocks(
-    fn: Callable[[FamilyBlock], object],
-    m: int,
-    modulation: Modulation,
-    jobs: int = 1,
-    offsets: tuple[Offset, ...] | None = None,
-) -> list:
-    """fn(block) for every block of the family: one per cell of
-    family_cells(m, n * offsets), each holding the offsets (every offset of
-    the family by default) in list order, so each block holds at most
-    CHUNK_SYMBOLS symbols.  A block's rows are orbit rows: a consumer that
-    counts records weights each row by ORBIT_SIZE, the records of its
-    orbit, or, over orbit_offsets(modulation), by FULL_ORBIT_SIZE.
-
-    jobs > 1 builds and maps the blocks in that many worker processes; fn
-    and its results must then pickle.  The results are the same for every
-    jobs.
-    """
+def _map_cells(fn: Callable[[FamilyBlock], object], m: int, offsets: tuple[Offset, ...],
+               cells_of: Callable, jobs: int) -> list:
+    """fn(build_block(m, pi, offsets, rows)) for every (pi, rows) of
+    cells_of(m, n * offsets), in jobs processes; one cell is built at a
+    time when jobs is 1."""
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
-    offsets = _offset_list(modulation) if offsets is None else offsets
-    cells = [(m, pi, offsets, rows) for pi, rows in family_cells(m, (1 << m) * len(offsets))]
+    cells = ((m, pi, offsets, rows) for pi, rows in cells_of(m, (1 << m) * len(offsets)))
     task = functools.partial(_map_cell, fn)
     if jobs == 1:
         return [task(cell) for cell in cells]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task, cells))
+
+
+def map_family_blocks(
+    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
+) -> list:
+    """fn(block) for every block of the family: one per cell of
+    family_cells(m, n * offsets), each holding every offset of the family
+    in list order, so each block holds at most CHUNK_SYMBOLS symbols.  A
+    block's rows are orbit rows: a consumer that counts records weights
+    each row by ORBIT_SIZE, the records of its orbit.
+
+    jobs > 1 builds and maps the blocks in that many worker processes; fn
+    and its results must then pickle.  The results are the same for every
+    jobs.
+    """
+    return _map_cells(fn, m, _offset_list(modulation), family_cells, jobs)
+
+
+def map_orbit_blocks(
+    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
+) -> list:
+    """fn(block) for every block of the orbit walk: one per cell of
+    orbit_cells(m, n * offsets), each holding orbit_offsets(modulation), so
+    that its (offset, row) pairs meet every FULL_ORBIT_SIZE-record orbit of
+    the family once; a consumer that counts records weights each by
+    FULL_ORBIT_SIZE.  jobs as for map_family_blocks."""
+    return _map_cells(fn, m, orbit_offsets(modulation), orbit_cells, jobs)
 
 
 def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:

@@ -21,16 +21,16 @@ nothing.
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
 cancellation of the base pair, and the component star ceilings.  It scores
-each FULL_ORBIT_SIZE-record orbit of zeta^c, conjugation and reversal once,
-on the constant-0 row of its offset in constructions.orbit_offsets, which
-counts for the 16 records of the orbit (the constructions docstring says
-why they agree).  Their stars agree exactly; their PMEPRs may differ in the
-last bits, so a row whose PMEPR lies within analysis.pep_spread of a
-decision has the PMEPR of each image computed (_audit_block).  Every
-companion sequence is FamilyBlock.companion_sign times its sequence.  A
-block holds every orbit offset of one cell of constructions.family_cells,
-and each component sequence once: D, and D plus each distinct component
-form.  The audit reads back each codeword's and
+each FULL_ORBIT_SIZE-record orbit of zeta^c, conjugation, reversal and the
+quarter shift once, on the row of its offset in constructions.orbit_offsets
+with constant 0 and c_{pi^-1(m-1)} = 0, which counts for the 64 records of
+the orbit (the constructions docstring says why they agree).  Their stars
+agree exactly; their PMEPRs may differ in the last bits, so a row whose
+PMEPR lies within analysis.pep_spread of a decision has the PMEPR of each
+image computed (_audit_block).  Every companion sequence is
+FamilyBlock.companion_sign times its sequence.  A block holds every orbit
+offset of one cell of constructions.orbit_cells, and each component
+sequence once: D, and D plus each distinct component form.  The audit reads back each codeword's and
 each component's row-free sequence from what the block holds, refusing the
 block if one differs between rows, and correlates all of them with their
 companions in one coset_correlation_sums call per cell; the codewords' stars,
@@ -92,8 +92,8 @@ from .constructions import (
     family_size,
     form_values,
     map_family_blocks,
+    map_orbit_blocks,
     offset_forms,
-    orbit_offsets,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -434,8 +434,8 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
     bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  A row
     whose PMEPR is farther than analysis.pep_spread from all three decides
     them for its whole orbit; on the other rows orbit_peps computes the
-    PMEPR of each conjugation x reversal image, so every verdict and the
-    max are those of a walk over every record."""
+    PMEPR of each conjugation x reversal x quarter-shift image, so every
+    verdict and the max are those of a walk over every record."""
     n, codewords = 1 << block.m, len(block.offsets)
     grid = oversample * n
     stars, golay = _block_stars(block)
@@ -490,11 +490,11 @@ def theorem_bound_audit(
     jobs: int = 1,
 ) -> BoundAuditReport:
     """Check every codeword of the family against its star and PMEPR bounds,
-    on the orbit rows of orbit_offsets: one (offset, row) per
+    on the blocks of map_orbit_blocks: one (offset, row) per
     FULL_ORBIT_SIZE-record orbit."""
     audit = functools.partial(_audit_block, oversample=oversample)
     kinds: dict[str, KindStats] = {}
-    for block_stats in map_family_blocks(audit, m, modulation, jobs, orbit_offsets(modulation)):
+    for block_stats in map_orbit_blocks(audit, m, modulation, jobs):
         for stats in block_stats:
             kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
     return BoundAuditReport(

@@ -19,10 +19,11 @@ parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
 constants of each orbit included, one block per pi; full_family_pmeprs takes
 the PMEPR of every record over it.  The library walks one row per orbit of
-zeta^c, conjugation and reversal and weights it.  image_rows writes the
-conjugation and reversal of a record's coefficient row out from their
-formulas, for the test that the library's offset permutations complete
-them.
+zeta^c, conjugation, reversal and the quarter shift and weights it.
+image_rows writes the conjugation and reversal of a record's coefficient
+row out from their formulas, for the test that the library's offset
+permutations complete them.  conjugation_reversal_peps is the refinement
+without the quarter-shift images, for the negative controls that need it.
 
 The library scores every offset of a cell at once, through one
 factored correlation of the cell's base rows.  The reference scores one
@@ -277,6 +278,20 @@ def full_family_pmeprs(
         for kind, row_values in zip(kinds, values):
             grouped.setdefault(kind, []).append(row_values)
     return {kind: np.concatenate(vals) for kind, vals in grouped.items()}
+
+
+def conjugation_reversal_peps(z, peps, near, oversample):
+    """analysis.orbit_peps without the quarter-shift images, a negative
+    control: on a near row the row and its conjugation x reversal images
+    are computed, each standing for its 4 quarter shifts."""
+    (rows,) = np.nonzero(near)
+    own = z[rows]
+    extra = pep_batch(np.concatenate([np.conj(own), own[:, ::-1], np.conj(own[:, ::-1])]), oversample)
+    shifts = constructions.SHIFT_ORBIT_SIZE
+    images = np.where(near, shifts, constructions.FULL_ORBIT_SIZE // constructions.ORBIT_SIZE)
+    return (np.concatenate([peps, extra]),
+            np.concatenate([images, np.full(len(extra), shifts)]),
+            np.concatenate([np.arange(len(peps)), np.tile(rows, 3)]))
 
 
 def image_rows(coeffs: np.ndarray, m: int, path_ends: bool = True) -> tuple[np.ndarray, ...]:

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import parameter_grid
-from qamseq import analysis, constructions
+from qamseq import analysis, cli, constructions
 from qamseq.analysis import default_threshold_grid, pep_batch
 from qamseq.cli import (
     EXIT_BROKEN_PIPE,
@@ -432,14 +432,44 @@ def test_family_pmeprs_equal_the_full_walk(m, modulation):
     # threshold it was refined at: the CCDF grid, and every distinct PMEPR
     # of the family, so that no threshold can sit between two members of
     # an orbit unseen
-    full = oracles.full_family_pmeprs(m, modulation)
-    for thresholds in (default_threshold_grid(), np.unique(np.concatenate(list(full.values())))):
-        ours = family_pmeprs(m, modulation, thresholds, jobs=1)
-        assert list(ours) == list(full)
+    assert family_pmeprs_count_the_full_walk(m, modulation, 16)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_family_pmeprs_equal_the_full_walk_at_an_odd_rate(modulation):
+    # at L = 5 the grid is not a power of two, and the computed PEPs of an
+    # orbit's quarter shifts differ in their last bits
+    assert family_pmeprs_count_the_full_walk(3, modulation, 5)
+
+
+def test_an_odd_rate_ccdf_needs_the_quarter_shift_images(monkeypatch):
+    # negative control: a refinement that computes only the conjugation x
+    # reversal images of a near row gives the full walk's counts at L = 16,
+    # but at L = 5 it misses records on the CCDF grid itself
+    monkeypatch.setattr(cli, "orbit_peps", oracles.conjugation_reversal_peps)
+    assert family_pmeprs_count_the_full_walk(3, Modulation.QAM16, 16)
+    assert not family_pmeprs_count_the_full_walk(3, Modulation.QAM16, 5, grid_only=True)
+
+
+def family_pmeprs_count_the_full_walk(m, modulation, oversample, grid_only=False):
+    """Whether family_pmeprs, refined at the CCDF grid and (unless
+    grid_only) at every distinct full-walk PMEPR, puts the full walk's
+    records above each of those thresholds, its records summing to each
+    kind's size."""
+    full = oracles.full_family_pmeprs(m, modulation, oversample)
+    grids = [default_threshold_grid()]
+    if not grid_only:
+        grids.append(np.unique(np.concatenate(list(full.values()))))
+    for thresholds in grids:
+        ours = family_pmeprs(m, modulation, thresholds, oversample, jobs=1)
+        if list(ours) != list(full):
+            return False
         for kind, (values, records) in ours.items():
-            assert records.sum() == full[kind].size
-            assert np.array_equal(records_above(values, records, thresholds),
-                                  records_above(full[kind], 1, thresholds))
+            if records.sum() != full[kind].size or not np.array_equal(
+                    records_above(values, records, thresholds),
+                    records_above(full[kind], 1, thresholds)):
+                return False
+    return True
 
 
 def records_above(values, records, thresholds):

@@ -14,6 +14,7 @@ from qamseq.constructions import (
     FULL_ORBIT_SIZE,
     OFFSET_ORBIT_SIZE,
     ORBIT_SIZE,
+    SHIFT_ORBIT_SIZE,
     ConstructionParams,
     Modulation,
     Offset16,
@@ -31,11 +32,14 @@ from qamseq.constructions import (
     list_offsets16,
     list_offsets64,
     map_family_blocks,
+    map_orbit_blocks,
     offset_forms,
     offset_kind,
     offset_symmetries,
+    orbit_cells,
     orbit_offsets,
     orbit_rows,
+    quarter_shift,
     star_bound,
 )
 import oracles
@@ -49,7 +53,7 @@ from oracles import (
     parameter_grid,
 )
 from qamseq import constructions
-from qamseq.algebra import canonical_permutations, coefficient_matrix
+from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     autocorrelation_sums,
     golay_defect,
@@ -609,8 +613,9 @@ def test_every_offset_orbit_has_four_offsets(modulation):
     # conjugation and reversal keep the kind: each kind keeps a quarter of its offsets
     assert all(offset_kind(offsets[sigma[k]]) == offset_kind(offsets[rho[k]]) == offset_kind(o)
                for k, o in enumerate(offsets))
+    # the orbit walk's (offset, row) pairs, 64 records each, are the family
     for m in (3, 4):
-        rows = sum(map_family_blocks(len, m, modulation, 1, kept))
+        rows = sum(map_orbit_blocks(len, m, modulation))
         assert FULL_ORBIT_SIZE * rows == family_size(m, modulation)
 
 
@@ -630,3 +635,128 @@ def test_offset_symmetries_refuse_a_map_that_is_not_the_free_action(monkeypatch,
                 offset_symmetries(modulation)
     finally:
         constructions.offset_symmetries.cache_clear()
+
+
+def shifted_blocks(m, modulation, shift=quarter_shift):
+    """(block, shifted) per pi: every offset over every row of
+    coefficient_matrix(m), and over each row plus shift(m, pi)."""
+    coeffs, offsets = coefficient_matrix(m), constructions._offset_list(modulation)
+    for pi in canonical_permutations(m):
+        yield (build_block(m, pi, offsets, coeffs),
+               build_block(m, pi, offsets, (coeffs + shift(m, pi)) % 4))
+
+
+def shifts_every_record(m, modulation, shift=quarter_shift):
+    """Whether each record of shifted_blocks is its twin times i^i, exactly,
+    primed companion included."""
+    turn = ZETA[np.arange(1 << m) % 4]
+    return all(
+        np.array_equal(shifted.symbols, block.symbols * turn)
+        and np.array_equal(shifted.symbols * shifted.companion_sign,
+                           block.symbols * block.companion_sign * turn)
+        for block, shifted in shifted_blocks(m, modulation, shift))
+
+
+@pytest.mark.parametrize("m, modulation", [
+    (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
+])
+def test_the_quarter_shift_multiplies_every_record_by_i_to_the_i(m, modulation):
+    # 1 on the coefficient of x_{m-1} and 2 on that of x_{m-2} add i mod 4
+    # to D and to every component: S(t) becomes S(t + 1/4) on every record
+    for pi in canonical_permutations(m):
+        shift = quarter_shift(m, pi)
+        assert shift[pi.index(m - 1)] == 1 and shift[pi.index(m - 2)] == 2
+        assert shift.sum() == 3
+    assert shifts_every_record(m, modulation)
+
+
+def msb_shift(m, pi):
+    """The quarter shift's coefficients on the two most significant variables."""
+    shift = np.zeros(m + 1, dtype=np.uint8)
+    shift[pi.index(0)], shift[pi.index(1)] = 1, 2
+    return shift
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_the_same_bump_on_the_most_significant_variables_is_no_shift(monkeypatch, modulation):
+    # negative control: x_0 + 2*x_1 is made of the two most significant
+    # bits of i, not i mod 4; the records it reaches are not i^i times their
+    # twins, and the library's self-check must refuse it before any walk
+    # uses it
+    assert not shifts_every_record(3, modulation, msb_shift)
+    monkeypatch.setattr(constructions, "QUARTER_SHIFT", ((0, 1), (1, 2)))
+    quarter_shift.cache_clear()
+    try:
+        for pi in canonical_permutations(3):
+            with pytest.raises(AssertionError, match="is not a free quarter shift"):
+                quarter_shift(3, pi)
+        with pytest.raises(AssertionError, match="is not a free quarter shift"):
+            map_orbit_blocks(len, 3, modulation)
+    finally:
+        quarter_shift.cache_clear()
+
+
+def record_codes(coeffs, m, count):
+    """(rows, 1) record codes, row index in counter order times count: add
+    an offset index to name the record of a (row, offset) pair."""
+    return (coeffs.astype(np.int64) @ 4 ** np.arange(m, -1, -1))[:, None] * count
+
+
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_every_orbit_has_64_records_and_the_walk_meets_each_once(modulation):
+    # the action of zeta^c, the quarter shift, conjugation and reversal on
+    # the records of each pi at m=3, from their row and offset maps: the 64
+    # images t * kappa of each orbit-walk record are distinct, together they
+    # are every record once, and each of the four maps keeps every record
+    # among the images of its own walk record, so those images are its orbit
+    m, offsets = 3, constructions._offset_list(modulation)
+    sigma, rho = offset_symmetries(modulation)
+    count, coeffs = len(offsets), coefficient_matrix(m)
+    records = count * len(coeffs)
+    conj, rev = (record_codes(rows, m, count) for rows in oracles.image_rows(coeffs, m))
+    kept = np.array([offsets.index(o) for o in orbit_offsets(modulation)])
+    for pi in canonical_permutations(m):
+        constant = coeffs.copy()
+        constant[:, m] = (constant[:, m] + 1) % 4
+        shifted = (coeffs + quarter_shift(m, pi)) % 4
+        # each map as the record code of the image of every record, by code
+        zeta, shift, conjugate, reverse = (codes.ravel() for codes in (
+            record_codes(constant, m, count) + np.arange(count),
+            record_codes(shifted, m, count) + np.arange(count),
+            conj + np.array(sigma),
+            rev + np.array(rho),
+        ))
+        reps = np.concatenate([rows for p, rows in orbit_cells(m, 8 * len(kept)) if p == pi])
+        walk = (record_codes(reps, m, count) + kept).ravel()
+        images = []
+        for k in (walk, conjugate[walk], reverse[walk], conjugate[reverse[walk]]):
+            for _ in range(SHIFT_ORBIT_SIZE):
+                for _ in range(ORBIT_SIZE):
+                    images.append(k)
+                    k = zeta[k]
+                k = shift[k]
+        images = np.stack(images)  # (64, walk records)
+        assert images.shape == (FULL_ORBIT_SIZE, records // FULL_ORBIT_SIZE)
+        assert np.array_equal(np.sort(images.ravel()), np.arange(records))
+        label = np.empty(records, dtype=np.int64)
+        label[images] = np.arange(len(walk))
+        for action in (zeta, shift, conjugate, reverse):
+            assert np.array_equal(label[action], label)
+
+
+def test_orbit_cells_shape(monkeypatch):
+    # the orbit walk's cells: of each pi, the orbit rows with
+    # c_{pi^-1(m-1)} = 0, each once, a quarter of a cell of family_cells at
+    # a quarter of the symbols per row, and nothing is built for them
+    monkeypatch.setattr(constructions, "build_block", None)
+    for m, per_row, slices in ((6, 1024, [32] * 32), (5, 128, [256]), (4, 16, [64])):
+        cells = list(orbit_cells(m, per_row))
+        pis = canonical_permutations(m)
+        assert [pi for pi, _ in cells] == [pi for pi in pis for _ in slices]
+        assert [len(rows) for _, rows in cells] == slices * len(pis)
+        assert all(len(rows) * per_row <= CHUNK_SYMBOLS for _, rows in cells)
+        for pi in pis:
+            per_pi = np.concatenate([rows for p, rows in cells if p == pi])
+            expected = orbit_rows(m)[orbit_rows(m)[:, pi.index(m - 1)] == 0]
+            assert len(per_pi) == 4 ** m // SHIFT_ORBIT_SIZE
+            assert np.array_equal(np.unique(per_pi, axis=0), expected)

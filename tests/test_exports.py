@@ -58,31 +58,35 @@ def test_traced_benchmark_child_runs(tmp_path):
     counts = traced_counts(tmp_path, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
     # 6 144 16-QAM and 49 152 64-QAM records
     assert counts["audit.distinct_sequences"] == 55296
-    # one orbit row per offset of orbit_offsets: the two audits (3 pis x 64
-    # rows x 2 of the 8 16-QAM offsets, x 16 of the 64 64-QAM offsets), then
-    # the Parseval and oversampling walks of the 16-QAM family, which keep
-    # every offset (1 536 rows each)
-    assert counts["synthesis.rows"] == 3 * 64 * 2 + 3 * 64 * 16 + 1536 + 1536 == 6528
-    # per audited block (one pi's 64 orbit rows, every orbit offset), one
+    # one row per 64-record orbit: the two audits walk the orbit rows with
+    # c_{pi^-1(m-1)} = 0, a quarter of the 64 orbit rows of each of the 3
+    # pis, under 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets;
+    # then the Parseval and oversampling walks of the 16-QAM family, which
+    # keep every offset and every orbit row (1 536 rows each)
+    walked = 3 * (64 // 4) * 2 + 3 * (64 // 4) * 16
+    assert counts["synthesis.rows"] == walked + 1536 + 1536 == 3936
+    # per audited block (one pi's 16 walk rows, every orbit offset), one
     # polyphase_lattice for D and all its distinct component forms; the
     # codewords and components are then correlated by coset_correlation_sums,
     # which is not a traced name, and no star_batch, golay_defect_batch or star
     # runs: 3 16-QAM blocks and 3 64-QAM blocks
     assert counts["correlation.calls"] == 3 * 1 + 3 * 1 == 6
-    # pep_batch points at n=8: the audited rows at L=16, with the three
-    # images of each row within pep_spread of its kind's max in its block
-    # (4 + 16 + 4 rows in the three 16-QAM blocks, 4 + 4 + 8 type 1 and
-    # 16 + 4 + 4 type 2 rows in the 64-QAM ones; no PMEPR lies that near its
-    # ceiling plus PMEPR_TOL or its star/n plus STAR_TOL), then the
-    # oversampling walk at L=16 and at L=32 (Parseval reads no peak)
-    audited = 384 + 3072 + 3 * (24 + 16 + 24)
-    assert counts["envelope.fft_points"] == 8 * (16 * audited + 48 * 1536) == 1056768
-    # the family walk synthesises one orbit row per orbit offset: a 16th of
-    # the 6 144 records of 16-QAM m=3; it refines the 12 rows whose PMEPR is
-    # exactly the threshold 2.0, and the baseline adds its 10 000 sequences
+    # pep_batch points at n=8: the audited rows at L=16, with the 15 other
+    # conjugation x reversal x quarter-shift images of each row within
+    # pep_spread of its kind's max in its block (1 + 4 + 1 rows in the three
+    # 16-QAM blocks, 1 + 1 + 2 type 1 and 4 + 1 + 1 type 2 rows in the
+    # 64-QAM ones, a quarter of the walk over 16-record orbits; no PMEPR lies
+    # that near its ceiling plus PMEPR_TOL or its star/n plus STAR_TOL), then
+    # the oversampling walk at L=16 and at L=32 (Parseval reads no peak)
+    audited = walked + 15 * (6 + 4 + 6)
+    assert counts["envelope.fft_points"] == 8 * (16 * audited + 48 * 1536) == 731136
+    # the family walk synthesises one row per 64-record orbit: a 64th of the
+    # 6 144 records of 16-QAM m=3; it refines the 3 rows, one per pi, whose
+    # PMEPR is exactly the threshold 2.0, and the baseline adds its 10 000
+    # sequences
     counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
-    assert counts["synthesis.rows"] == 6144 // 16
-    assert counts["envelope.fft_points"] == 8 * 16 * (6144 // 16 + 3 * 12 + 10000)
+    assert counts["synthesis.rows"] == 6144 // 64
+    assert counts["envelope.fft_points"] == 8 * 16 * (6144 // 64 + 15 * 3 + 10000)
     # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient
     # rows; it scores one row per constant orbit, at L=16, and writes every line
     counts = traced_counts(tmp_path, "enumerate", "--m", "3", "--modulation", "16qam")

@@ -5,6 +5,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     audit_block,
     full_bound_audit,
@@ -35,6 +36,7 @@ from qamseq.constructions import (
     CHUNK_SYMBOLS,
     FULL_ORBIT_SIZE,
     ORBIT_SIZE,
+    SHIFT_ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -47,6 +49,7 @@ from qamseq.constructions import (
     list_offsets64,
     map_family_blocks,
     offset_kind,
+    orbit_cells,
     orbit_offsets,
     orbit_rows,
 )
@@ -425,10 +428,12 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     # linear type 1 s1 forms, 2 quadratic forms serving as d and type 2 s1,
     # 4 type 2 s2 forms) are correlated once per cell, not 3 times per
     # offset, in the one kernel call that also correlates the 16 codewords:
-    # over the cell's base rows D, every orbit row once
-    block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
-    assert block.components.shape == (11, 64, 8)
-    assert len(block) == 16 * 64
+    # over the cell's base rows D, the 64 / 4 = 16 orbit rows of the orbit
+    # walk's first cell, every row once
+    pi, rows = next(orbit_cells(3, 8 * 16))
+    block = build_block(3, pi, orbit_offsets(Modulation.QAM64), rows)
+    assert block.components.shape == (11, 16, 8)
+    assert len(block) == 16 * 16
     calls = []
     real = verification.coset_correlation_sums
 
@@ -448,8 +453,10 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     z = explicit.reshape(-1, 8)
     pair = np.stack([z, z * block.companion_sign])
     assert np.array_equal(sums, correlation_sums_batch(pair, pair).reshape(explicit.shape))
-    # each (offset, row) counts for the 16 records of its orbit
-    assert [(k.kind, k.total) for k in stats] == [("type1", 16 * 8 * 64), ("type2", 16 * 8 * 64)]
+    # each (offset, row) counts for the 64 records of its orbit: 8 offsets
+    # per kind over 16 rows
+    assert FULL_ORBIT_SIZE == 64
+    assert [(k.kind, k.total) for k in stats] == [("type1", 64 * 8 * 16), ("type2", 64 * 8 * 16)]
 
 
 def test_audit_block_refuses_a_symbol_outside_its_coset():
@@ -518,14 +525,43 @@ def test_cell_audit_equals_the_per_offset_reference(m, modulation):
     # defect and flag, bit for bit
     reference = offset_bound_audit(m, modulation, orbit_rows(m), ORBIT_SIZE)
     assert theorem_bound_audit(m, modulation, jobs=1) == reference
-    # and cell by cell: the KindStats of one block of the orbit offsets are
-    # the reference's blocks of every offset summed
-    pi, rows = next(family_cells(m, 1 << m))
+    # and cell by cell: the KindStats of the first orbit-walk block, which
+    # holds every orbit of its pi, are the reference's blocks of every
+    # offset over every orbit row of that pi, summed
+    offsets = orbit_offsets(modulation)
+    pi, rows = next(orbit_cells(m, (1 << m) * len(offsets)))
+    assert len(rows) == 4**m // SHIFT_ORBIT_SIZE
     summed: dict[str, KindStats] = {}
     for off in _offset_list(modulation):
-        stats = audit_block(offset_block(m, pi, off, rows), 16, ORBIT_SIZE)
+        stats = audit_block(offset_block(m, pi, off, orbit_rows(m)), 16, ORBIT_SIZE)
         summed[stats.kind] = summed[stats.kind] + stats if stats.kind in summed else stats
-    assert cell_stats(build_block(m, pi, orbit_offsets(modulation), rows)) == summed
+    assert cell_stats(build_block(m, pi, offsets, rows)) == summed
+
+
+@pytest.mark.parametrize("oversample", [16, 5])
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_the_orbit_walk_audit_equals_every_orbit_row_scored_alone(modulation, oversample):
+    # one row per 64-record orbit, refined near each decision, against every
+    # offset scored alone on every orbit row: at L = 16, where the grid is a
+    # power of two, and at L = 5, where it is not
+    reference = offset_bound_audit(3, modulation, orbit_rows(3), ORBIT_SIZE, oversample)
+    assert theorem_bound_audit(3, modulation, oversample, jobs=1) == reference
+
+
+def test_an_odd_rate_needs_the_quarter_shift_images(monkeypatch):
+    # negative control: at L = 5 the computed PEPs of a record's quarter
+    # shifts differ from its own in the last bits, and a refinement that
+    # computes only the conjugation x reversal images misses the type 1 max
+    # of 64-QAM m=3, which a quarter shift reaches; at L = 16 they are
+    # bit-equal here, and the same refinement gives the reference
+    monkeypatch.setattr(verification, "orbit_peps", oracles.conjugation_reversal_peps)
+    audits = {oversample: (theorem_bound_audit(3, Modulation.QAM64, oversample, jobs=1),
+                           offset_bound_audit(3, Modulation.QAM64, orbit_rows(3), ORBIT_SIZE,
+                                              oversample)) for oversample in (16, 5)}
+    assert audits[16][0] == audits[16][1]
+    got, expected = (audit.kinds for audit in audits[5])
+    assert got[0].max_pmepr < expected[0].max_pmepr
+    assert got == (dataclasses.replace(expected[0], max_pmepr=got[0].max_pmepr), expected[1])
 
 
 def test_the_audit_max_needs_the_refinement(monkeypatch):
@@ -586,8 +622,8 @@ def test_kind_stats_add():
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
     forward = theorem_bound_audit(3, modulation, jobs=1)
-    real = verification.map_family_blocks
-    monkeypatch.setattr(verification, "map_family_blocks", lambda *args: real(*args)[::-1])
+    real = verification.map_orbit_blocks
+    monkeypatch.setattr(verification, "map_orbit_blocks", lambda *args: real(*args)[::-1])
     assert theorem_bound_audit(3, modulation, jobs=1) == forward
 
 

@@ -7,7 +7,6 @@ computation.  The names below are the ones the README's Library section
 documents; everything else lives in the submodules.
 """
 
-from .analysis import pmepr, star
 from .constructions import (
     ConstructionParams,
     Modulation,
@@ -34,7 +33,5 @@ __all__ = [
     "family_size",
     "lemma_sweep",
     "map_family_blocks",
-    "pmepr",
-    "star",
     "theorem_bound_audit",
 ]

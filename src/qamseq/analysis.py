@@ -9,10 +9,10 @@ Every sequence a family walk correlates lies in a coset zeta^D * x of one base
 row D, and coset_correlation_sums correlates a whole family cell that way:
 one matrix product per shift for every (row, term) pair.  The arbitrary-pair
 kernel correlation_sums_batch serves star, star_batch and golay_defect_batch,
-the public functions and the tests' reference.  Envelope evaluation samples
-the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
-oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
-peak-to-mean ratios are invariant to that normalization).  Each quantity has
+and the tests' reference.  Envelope evaluation samples the continuous-time
+signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times oversampled grid
+t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1; peak-to-mean ratios
+are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
 of them.  orbit_peps scores a row for the conjugation x reversal x
 quarter-shift images of its sequence too, and computes their PEPs only where
@@ -27,24 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ZETA
-from .constellation import ComplexSequence, qam_lattice
+from .constellation import qam_lattice
 from .constructions import CHUNK_SYMBOLS, FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE, Modulation
 
 
-def star(a: ComplexSequence, b: ComplexSequence) -> float:
-    """sum over every shift of |C_a(u) + C_b(u)|: a one-row star_batch."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if a.scale is not b.scale:
-        raise ValueError(f"scale mismatch: {a.scale} != {b.scale}")
-    rows = ((s.re + 1j * s.im)[None, :] for s in (a, b))
-    return float(star_batch(*rows, a.scale.value)[0])
+def star(a: np.ndarray, b: np.ndarray, denominator: int) -> float:
+    """sum over every shift of |C_a(u) + C_b(u)| over the scale denominator,
+    for two equal-length rows of Gaussian integers: a one-row star_batch."""
+    return float(star_batch(a[None, :], b[None, :], denominator)[0])
 
 
-def pmepr(a: ComplexSequence, oversample: int = 16) -> float:
-    """PEP over the code-average power n (unit-average-energy constellations),
-    sampled at oversample grid points per carrier: a one-row pep_batch."""
-    return float(pep_batch(a.to_complex()[None, :], oversample)[0]) / len(a)
+def pmepr(z: np.ndarray, oversample: int = 16) -> float:
+    """PEP over the code-average power n of one row z of unit-average-energy
+    symbols, sampled at oversample grid points per carrier: a one-row pep_batch."""
+    return float(pep_batch(z[None, :], oversample)[0]) / len(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +84,7 @@ def ccdf(values, thresholds, weights=None) -> CcdfCurve:
 
 def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np.ndarray:
     """(count, n) complex unit-average-energy symbols, uniform i.i.d. over the
-    constellation (as ComplexSequence.to_complex): the uncoded reference ensemble."""
+    constellation (as FamilyBlock.complex_symbols): the uncoded reference ensemble."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -250,8 +246,9 @@ def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
 def pep_spread(grid: int) -> float:
     """A relative bound delta with |p - p'| <= delta * p for the computed PEPs
     p, p' of two sequences whose exact envelopes on the grid of `grid`
-    points hold the same values, such as z, conj(z), z reversed and
-    i^i * z, whose envelope is that of z moved grid / 4 samples on.
+    points hold the same values, such as z, conj(z), z reversed and i^i * z,
+    whose envelope is that of z moved grid / 4 samples on; math.inf unless
+    grid is a power of two.
 
     Let y_k be the exact samples and P = max |y_k|^2.  The FFT's forward
     error is ||y^ - y||_2 <= f * ||y||_2 with f = log2(N) * eta / (1 -
@@ -263,15 +260,15 @@ def pep_spread(grid: int) -> float:
     square add at most 6u, so a computed PEP lies within r * P of P,
     r = (1 + e)^2 * (1 + 6u) - 1, and two of them within 2r * P <=
     2r / (1 - r) * p of each other.  The scalings by 1/N and N are exact for
-    N a power of two, as at every power-of-two oversampling rate.  delta is
-    about 4e-13 at N = 256; the largest spread seen over the families is
-    about 1.5e-15, and at N = 256 the quarter-shift images' PEPs came out
-    bit-equal.  At an odd rate N is not a power of two: the FFT then has
-    radix-L passes, which Higham's radix-2 bound does not cover, and the
-    scalings round, so there delta is the same formula, not a proof; at
-    L = 5 and n = 16 it is 1.8e-13, and the largest spread of a quarter
-    shift seen at L = 3 and 5 over 16qam and 64qam m=3/4 is 1.6e-15.
+    N a power of two.  delta is about 4e-13 at N = 256; the largest spread
+    seen over the families is about 1.5e-15, and at N = 256 the
+    quarter-shift images' PEPs came out bit-equal.  Any other N, as at an
+    odd oversampling rate, has FFT passes of another radix, which the bound
+    does not cover, and scalings that round: there no spread is proved, so
+    delta is infinite and every decision computes the PEP of every image.
     """
+    if grid & (grid - 1):
+        return math.inf
     u = np.finfo(float).eps / 2
     f = math.log2(grid) * 7 * u
     e = f / (1 - f) * math.sqrt(grid)
@@ -283,7 +280,8 @@ def near_points(peps: np.ndarray, points, grid: int) -> np.ndarray:
     """Where a computed PEP on a grid of `grid` points is no farther than
     pep_spread(grid) times itself from one of the ascending points: there,
     and only there, a comparison with a point can come out differently for
-    the PEPs of the images of a sequence."""
+    the PEPs of the images of a sequence.  Every PEP is near where
+    pep_spread is infinite."""
     points = np.asarray(points, dtype=float)
     i = np.searchsorted(points, peps)
     below = np.abs(peps - points[np.maximum(i - 1, 0)])

@@ -43,12 +43,12 @@ from .constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    build,
     classify_offset64,
     count_enumerated,
     family_size,
     iter_family_chunks,
     map_orbit_blocks,
-    params_block,
     star_bound,
 )
 from .gbf import PathQuadratic
@@ -167,10 +167,9 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
 
 
 def codeword_doc(params: ConstructionParams, oversample: int = 16) -> dict:
-    """The JSON document of one codeword (a CodewordRecord stands for its
-    params): the line codeword_lines renders for its one-row block, parsed."""
-    params = getattr(params, "params", params)
-    return json.loads(next(codeword_lines(params_block(params), oversample)))
+    """The JSON document of one codeword: the line codeword_lines renders for
+    its one-row block, parsed."""
+    return json.loads(next(codeword_lines(build(params), oversample)))
 
 
 def params_from_doc(doc: dict) -> ConstructionParams:

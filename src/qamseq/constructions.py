@@ -115,7 +115,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
-from .constellation import ComplexSequence, Scale, qam_lattice
+from .constellation import Scale, qam_lattice
 from .gbf import PathQuadratic, base_rows
 
 
@@ -265,17 +265,6 @@ class ConstructionParams:
         return self.base.m
 
 
-@dataclass(frozen=True, eq=False)
-class CodewordRecord:
-    """A constructed codeword, its primed companion and its unprimed
-    quaternary components ((D, E) or (D, F, G))."""
-
-    params: ConstructionParams
-    sequence: ComplexSequence
-    primed_sequence: ComplexSequence
-    components: tuple[np.ndarray, ...]
-
-
 def offset_forms(offset: Offset) -> tuple[tuple[int, int, int, int], ...]:
     """(q, c1, c2, c3) of each component offset, the form
     q*x_{pi(0)}x_{pi(1)} + c1*x_{pi(0)} + c2*x_{pi(1)} + c3: s for 16-QAM,
@@ -296,16 +285,13 @@ def form_values(forms, m: int, pi: tuple[int, ...]) -> np.ndarray:
     return ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
 
 
-def params_block(params: ConstructionParams) -> FamilyBlock:
-    """The one-row block of one codeword."""
+def build(params: ConstructionParams) -> FamilyBlock:
+    """The one-row block of one codeword: its symbols at [0, 0], its
+    components at offset_components(0)[:, 0], its companion through
+    companion_sign."""
     params.offset.validate()
     row = np.array([[*params.base.linear, params.base.constant]], dtype=np.uint8)
     return build_block(params.m, params.base.pi, (params.offset,), row)
-
-
-def build(params: ConstructionParams) -> CodewordRecord:
-    """Synthesize one codeword and its primed companion: the record of params_block."""
-    return next(grid_records(params_block(params)))
 
 
 # star/n ceiling per offset kind: (published value, exact rational).  The
@@ -344,19 +330,23 @@ def _offset_list(modulation: Modulation) -> tuple[Offset, ...]:
     return tuple(list_offsets16() if modulation is Modulation.QAM16 else list_offsets64())
 
 
-def enumerate_family(m: int, modulation: Modulation) -> Iterator[CodewordRecord]:
-    """Lazily yield every codeword of the family, chunk by chunk of
+def enumerate_family(m: int, modulation: Modulation) -> Iterator[ConstructionParams]:
+    """Lazily yield the parameters of every codeword of the family, with
+    nothing built, in the order of the rows and offsets of the blocks of
     iter_family_chunks: pi lexicographic, then coefficient rows in counter
     order (the constant fastest), then offsets in list order."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    chunks = iter_family_chunks(m, modulation)
-    return (record for block in chunks for record in grid_records(block))
+    offsets = _offset_list(modulation)
+    bases = (PathQuadratic(m, pi, tuple(row[:m]), row[m])
+             for pi, rows in _enumerate_cells(m, modulation)
+             for row in _chunk_coeffs(rows, m).tolist())
+    return (ConstructionParams(base, offset) for base in bases for offset in offsets)
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
-    """The records that enumerate_family yields (matches family_size): the
-    ORBIT_SIZE records per offset of each orbit row of its cells, unbuilt."""
+    """The parameter sets that enumerate_family yields (matches family_size):
+    the ORBIT_SIZE records per offset of each orbit row of its cells, unbuilt."""
     rows = sum(len(rows) for _, rows in _enumerate_cells(m, modulation))
     return ORBIT_SIZE * len(_offset_list(modulation)) * rows
 
@@ -523,7 +513,8 @@ class FamilyBlock:
         return self.components[self.component_index[o]]
 
     def complex_symbols(self) -> np.ndarray:
-        """(offsets, rows, n) complex unit-average-energy symbols, as ComplexSequence.to_complex."""
+        """(offsets, rows, n) complex unit-average-energy symbols: the lattice
+        points over the square root of the scale."""
         return self.symbols / np.sqrt(self.scale.value)
 
 
@@ -546,25 +537,28 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
     return fn(build_block(*cell))
 
 
+def _pool_map(task: Callable, cells: Iterator, jobs: int) -> Iterator:
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(task, cells)
+
+
 def _map_cells(fn: Callable[[FamilyBlock], object], m: int, offsets: tuple[Offset, ...],
-               cells_of: Callable, jobs: int) -> list:
+               cells_of: Callable, jobs: int) -> Iterator:
     """fn(build_block(m, pi, offsets, rows)) for every (pi, rows) of
-    cells_of(m, n * offsets), in jobs processes; one cell is built at a
-    time when jobs is 1."""
+    cells_of(m, n * offsets), in jobs processes, yielded in cell order as
+    they come, so a consumer folds them without holding them all; one cell
+    is built at a time when jobs is 1."""
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     cells = ((m, pi, offsets, rows) for pi, rows in cells_of(m, (1 << m) * len(offsets)))
     task = functools.partial(_map_cell, fn)
-    if jobs == 1:
-        return [task(cell) for cell in cells]
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, cells))
+    return map(task, cells) if jobs == 1 else _pool_map(task, cells, jobs)
 
 
 def map_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
-) -> list:
-    """fn(block) for every block of the family: one per cell of
+) -> Iterator:
+    """fn(block) for every block of the family, in cell order: one per cell of
     family_cells(m, n * offsets), each holding every offset of the family
     in list order, so each block holds at most CHUNK_SYMBOLS symbols.  A
     block's rows are orbit rows: a consumer that counts records weights
@@ -579,8 +573,8 @@ def map_family_blocks(
 
 def map_orbit_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
-) -> list:
-    """fn(block) for every block of the orbit walk: one per cell of
+) -> Iterator:
+    """fn(block) for every block of the orbit walk, in cell order: one per cell of
     orbit_cells(m, n * offsets), each holding orbit_offsets(modulation), so
     that its (offset, row) pairs meet every FULL_ORBIT_SIZE-record orbit of
     the family once; a consumer that counts records weights each by
@@ -599,26 +593,12 @@ def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
     its constants 1 to ORBIT_SIZE - 1."""
     offsets = _offset_list(modulation)
     for pi, rows in _enumerate_cells(m, modulation):
-        coeffs = np.repeat(rows, ORBIT_SIZE, axis=0)
-        coeffs[:, m] = np.arange(len(coeffs)) % ORBIT_SIZE
-        yield build_block(m, pi, offsets, coeffs)
+        yield build_block(m, pi, offsets, _chunk_coeffs(rows, m))
 
 
-def grid_records(block: FamilyBlock) -> Iterator[CodewordRecord]:
-    """The records of one block in enumeration order (row, then offset); their
-    arrays are row views into int64 (re, im) pairs made once per block."""
-    m, pi, scale = block.m, block.pi, block.scale
-    (re, im), (primed_re, primed_im) = (
-        (z.real.astype(np.int64), z.imag.astype(np.int64))
-        for z in (block.symbols, block.symbols * block.companion_sign)
-    )
-    comps = [block.offset_components(o) for o in range(len(block.offsets))]
-    for j, row in enumerate(block.coeffs.tolist()):
-        base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
-        for o, offset in enumerate(block.offsets):
-            yield CodewordRecord(
-                params=ConstructionParams(base=base, offset=offset),
-                sequence=ComplexSequence(re[o, j], im[o, j], scale),
-                primed_sequence=ComplexSequence(primed_re[o, j], primed_im[o, j], scale),
-                components=tuple(c[j] for c in comps[o]),
-            )
+def _chunk_coeffs(rows: np.ndarray, m: int) -> np.ndarray:
+    """The coefficient rows of an enumeration cell: each orbit row followed
+    by its constants 1 to ORBIT_SIZE - 1."""
+    coeffs = np.repeat(rows, ORBIT_SIZE, axis=0)
+    coeffs[:, m] = np.arange(len(coeffs)) % ORBIT_SIZE
+    return coeffs

@@ -73,7 +73,7 @@ from .analysis import (
     star,
     star_sum,
 )
-from .constellation import ComplexSequence, Scale
+from .constellation import Scale
 from .constructions import (
     CEILINGS,
     FULL_ORBIT_SIZE,
@@ -537,7 +537,7 @@ def oversampling_audit() -> tuple[float, float]:
     basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
     envelope_gaps = functools.partial(_envelope_gaps, basis=basis)
     gaps = map_family_blocks(envelope_gaps, ENVELOPE_M, ENVELOPE_MODULATION)
-    return max(g[0] for g in gaps), max(g[1] for g in gaps)
+    return tuple(max(g) for g in zip(*gaps))
 
 
 def _parseval_gap(block: FamilyBlock) -> float:
@@ -589,15 +589,17 @@ EXAMPLE2_PARAMS = ConstructionParams(
 EXAMPLE_PMEPR_TOL = 0.05
 
 # per example: check-name prefix, parameters, component sequences by check
-# name, symbols and published PMEPR.  The example 1 symbols are recomputed
-# from the synthesis formula (the published symbol list for this example is
-# internally inconsistent with its own component sequences).
+# name, symbols (Gaussian integers over the square root of their scale) and
+# published PMEPR.  The example 1 symbols are recomputed from the synthesis
+# formula (the published symbol list for this example is internally
+# inconsistent with its own component sequences).
 _EXAMPLES = (
     (
         "example1",
         EXAMPLE1_PARAMS,
         {"base_sequence": [0, 1, 1, 0, 1, 2, 0, 3], "offset_component": [1, 2, 3, 2, 2, 3, 0, 3]},
-        ComplexSequence([1, -3, -1, 1, -3, -1, 3, 3], [3, 1, 1, 1, 1, -3, 3, -3], Scale.QAM16),
+        (np.array([1 + 3j, -3 + 1j, -1 + 1j, 1 + 1j, -3 + 1j, -1 - 3j, 3 + 3j, 3 - 3j]),
+         Scale.QAM16),
         2.1,
     ),
     (
@@ -608,35 +610,41 @@ _EXAMPLES = (
             "component1": [0, 1, 1, 0, 1, 2, 0, 3],
             "component2": [1, 2, 3, 2, 2, 3, 0, 3],
         },
-        ComplexSequence([5, -7, -5, 5, -7, -5, 7, 7], [7, 5, 5, 5, 5, -7, 7, -7], Scale.QAM64),
+        (np.array([5 + 7j, -7 + 5j, -5 + 5j, 5 + 5j, -7 + 5j, -5 - 7j, 7 + 7j, 7 - 7j]),
+         Scale.QAM64),
         3.5,
     ),
 )
 
 
+def _parts(z: np.ndarray) -> str:
+    """The integer parts of Gaussian-integer symbols, as the report prints them."""
+    return f"re={[int(v) for v in z.real]} im={[int(v) for v in z.imag]}"
+
+
 def example_regression(oversample: int = 16) -> list[CheckResult]:
-    """Rebuild both reference examples and pin sequences, symbols, and PMEPR."""
+    """Rebuild both reference examples and pin sequences, symbols, and PMEPR,
+    each read from the example's one-row block."""
     out: list[CheckResult] = []
-    for name, params, components, symbols, published_pmepr in _EXAMPLES:
-        record = build(params)
+    for name, params, components, (symbols, scale), published_pmepr in _EXAMPLES:
+        block = build(params)
         for (check, expected), observed in zip(
-            components.items(), record.components, strict=True
+            components.items(), block.offset_components(0)[:, 0], strict=True
         ):
             observed = observed.tolist()
             out.append(
                 CheckResult(f"{name}.{check}", observed == expected, str(observed), str(expected))
             )
-        seq = record.sequence
+        z = block.symbols[0, 0]
         out.append(
             CheckResult(
                 name=f"{name}.symbols",
-                passed=seq == symbols,
-                observed=f"re={seq.re.tolist()} im={seq.im.tolist()}",
-                requirement=f"re={symbols.re.tolist()} im={symbols.im.tolist()} "
-                f"(/sqrt({symbols.scale.value}))",
+                passed=block.scale is scale and np.array_equal(z, symbols),
+                observed=_parts(z),
+                requirement=f"{_parts(symbols)} (/sqrt({scale.value}))",
             )
         )
-        p = pmepr(seq, oversample)
+        p = pmepr(block.complex_symbols()[0, 0], oversample)
         out.append(
             CheckResult(
                 name=f"{name}.pmepr",
@@ -645,7 +653,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{published_pmepr} +/- {EXAMPLE_PMEPR_TOL}",
             )
         )
-        s = star(seq, record.primed_sequence) / len(seq)
+        s = star(z, z * block.companion_sign, block.scale.value) / len(z)
         bound = star_bound(params.offset)
         out.append(
             CheckResult(

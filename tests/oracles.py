@@ -1,5 +1,12 @@
 """Literal-definition oracles for the library's kernels.
 
+The library holds a codeword as complex128 Gaussian integers in a
+FamilyBlock.  Here a record holds it as int64 (re, im) pairs
+(ComplexSequence, CodewordRecord): block_records reads them out of a block
+exactly, build_record out of the one-row block of constructions.build, and
+library_star and library_pmepr run the library's one-row kernels on them.
+The tests compare integers in this form.
+
 Each function here evaluates its quantity straight from the definition, one
 sequence or one record at a time: the per-shift autocorrelation loop, the
 full-range star sum, the one-sequence envelope FFT, the per-record lemma
@@ -59,7 +66,7 @@ from qamseq.analysis import (
     star_batch,
     star_sum,
 )
-from qamseq.constellation import ComplexSequence, Scale, qam_lattice
+from qamseq.constellation import Scale, qam_lattice
 from qamseq.constructions import (
     ConstructionParams,
     FamilyBlock,
@@ -79,6 +86,108 @@ from qamseq.constructions import (
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import PMEPR_TOL, STAR_TOL, BoundAuditReport, KindStats
+
+# ---------------------------------------------------------------------------
+# the int64 record form of a codeword
+# ---------------------------------------------------------------------------
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as int64, exactly: int64 input as it is, a fractional value refused."""
+    values = np.asarray(values)
+    ints = values if values.dtype == np.int64 else values.astype(np.int64)
+    if ints is not values and not np.array_equal(ints, values):
+        raise ValueError(f"{name} must hold integers, got a fractional value")
+    return ints
+
+
+@dataclass(frozen=True, eq=False)
+class ComplexSequence:
+    """Length-n symbol vector with exact integer components over one scale:
+    the form in which records hold their symbols."""
+
+    re: np.ndarray
+    im: np.ndarray
+    scale: Scale
+
+    def __post_init__(self):
+        re, im = _integers(self.re, "re"), _integers(self.im, "im")
+        if re.shape != im.shape or re.ndim != 1:
+            raise ValueError("re and im must be 1-d arrays of equal length")
+        if re.size == 0:
+            raise ValueError("empty sequence")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __len__(self) -> int:
+        return int(self.re.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComplexSequence):
+            return NotImplemented
+        return (
+            self.scale is other.scale
+            and np.array_equal(self.re, other.re)
+            and np.array_equal(self.im, other.im)
+        )
+
+    def lattice(self) -> np.ndarray:
+        """The complex128 Gaussian integers re + i*im, the library's form."""
+        return self.re + 1j * self.im
+
+    def to_complex(self) -> np.ndarray:
+        return self.lattice() / np.sqrt(self.scale.value)
+
+    def energy(self) -> Fraction:
+        """Sum of squared magnitudes, exact."""
+        total = int(np.sum(self.re.astype(object) ** 2 + self.im.astype(object) ** 2))
+        return Fraction(total, self.scale.value)
+
+
+@dataclass(frozen=True, eq=False)
+class CodewordRecord:
+    """A constructed codeword, its primed companion and its unprimed
+    quaternary components ((D, E) or (D, F, G))."""
+
+    params: ConstructionParams
+    sequence: ComplexSequence
+    primed_sequence: ComplexSequence
+    components: tuple[np.ndarray, ...]
+
+
+def block_records(block: FamilyBlock) -> Iterator[CodewordRecord]:
+    """The records of one block in grid order (row, then offset); their
+    arrays are row views into int64 (re, im) pairs made once per block."""
+    m, pi, scale = block.m, block.pi, block.scale
+    (re, im), (primed_re, primed_im) = (
+        (z.real.astype(np.int64), z.imag.astype(np.int64))
+        for z in (block.symbols, block.symbols * block.companion_sign)
+    )
+    comps = [block.offset_components(o) for o in range(len(block.offsets))]
+    for j, row in enumerate(block.coeffs.tolist()):
+        base = PathQuadratic(m=m, pi=pi, linear=tuple(row[:m]), constant=row[m])
+        for o, offset in enumerate(block.offsets):
+            yield CodewordRecord(
+                params=ConstructionParams(base=base, offset=offset),
+                sequence=ComplexSequence(re[o, j], im[o, j], scale),
+                primed_sequence=ComplexSequence(primed_re[o, j], primed_im[o, j], scale),
+                components=tuple(c[j] for c in comps[o]),
+            )
+
+
+def build_record(params: ConstructionParams) -> CodewordRecord:
+    """The record of one codeword: that of its one-row block."""
+    return next(block_records(constructions.build(params)))
+
+
+def library_star(a: ComplexSequence, b: ComplexSequence) -> float:
+    """analysis.star of two record sequences."""
+    return analysis.star(a.lattice(), b.lattice(), a.scale.value)
+
+
+def library_pmepr(a: ComplexSequence, oversample: int = 16) -> float:
+    """analysis.pmepr of a record sequence."""
+    return analysis.pmepr(a.to_complex(), oversample)
 
 # ---------------------------------------------------------------------------
 # indices, constellations, Boolean functions
@@ -673,8 +782,8 @@ def _lattice(comps: tuple[np.ndarray, ...]) -> ComplexSequence:
 def codeword_doc(
     params: ConstructionParams,
     oversample: int = 16,
-    star_of: Callable = analysis.star,
-    pmepr_of: Callable = analysis.pmepr,
+    star_of: Callable = library_star,
+    pmepr_of: Callable = library_pmepr,
 ) -> dict:
     """The JSON document of one codeword as a dict, field by field: the
     pointwise components of params and of its primed companion, their QAM

@@ -8,7 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from oracles import autocorr, polyphase, primed, psi, qam16_map, qam64_map
+from oracles import (
+    CodewordRecord,
+    ComplexSequence,
+    autocorr,
+    build_record,
+    library_pmepr,
+    library_star,
+    polyphase,
+    primed,
+    psi,
+    qam16_map,
+    qam64_map,
+)
 from qamseq import analysis
 from qamseq.algebra import ZETA
 from qamseq.analysis import (
@@ -29,9 +41,8 @@ from qamseq.analysis import (
     star,
     star_batch,
 )
-from qamseq.constellation import ComplexSequence, Scale
+from qamseq.constellation import Scale
 from qamseq.constructions import (
-    CodewordRecord,
     ConstructionParams,
     Modulation,
     Offset16,
@@ -54,8 +65,8 @@ EX1_PARAMS = ConstructionParams(
 )
 
 
-def ones(n, scale=Scale.UNIT):
-    return ComplexSequence(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), scale)
+def ones(n):
+    return ComplexSequence(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), Scale.UNIT)
 
 
 def pep(seq, oversample=16):
@@ -95,7 +106,7 @@ def test_autocorr_zero_shift_is_energy():
 
 
 def test_autocorr_conjugate_symmetry_reference():
-    record = build(EX1_PARAMS)
+    record = build_record(EX1_PARAMS)
     profile = autocorr(record.sequence)
     for u in range(1, 8):
         assert profile.value(-u) == profile.value(u).conjugate()
@@ -141,32 +152,43 @@ def test_pep_bounded_by_star_for_any_pair(pair):
     # |S_a(t)|^2 <= |S_a|^2 + |S_b|^2 <= sum_u |C_a(u) + C_b(u)| holds for
     # arbitrary equal-length pairs, not only constructed codewords
     a, b = pair
-    assert pep(a) <= star(a, b) + 1e-9
+    assert pep(a) <= library_star(a, b) + 1e-9
 
 
 def test_star_polyphase_golay_pair_is_2n():
     base = EX1_PARAMS.base
     a = polyphase(psi(base))
     b = polyphase(psi(primed(base)))
-    assert star(a, b) == pytest.approx(16.0, abs=1e-12)
+    assert library_star(a, b) == pytest.approx(16.0, abs=1e-12)
 
 
 def test_star_all_ones_self():
     a = ones(4)
-    assert star(a, a) == pytest.approx(32.0, abs=1e-12)
+    assert library_star(a, a) == pytest.approx(32.0, abs=1e-12)
 
 
 def test_star_reference_codeword_within_bound():
-    record = build(EX1_PARAMS)
-    value = star(record.sequence, record.primed_sequence)
+    record = build_record(EX1_PARAMS)
+    value = library_star(record.sequence, record.primed_sequence)
     assert 16.0 - 1e-9 <= value <= 19.2 + 1e-9
 
 
-def test_star_length_and_scale_mismatch():
+def test_star_length_mismatch():
     with pytest.raises(ValueError):
-        star(ones(4), ones(5))
-    with pytest.raises(ValueError):
-        star(ones(4), ones(4, Scale.QAM16))
+        star(np.ones(4, complex), np.ones(5, complex), 1)
+
+
+def test_star_and_pmepr_are_one_row_calls_on_a_block_row():
+    # the one-row block of build: star of its symbol row and companion over
+    # the scale, and the PMEPR of its unit-energy row, equal the batched
+    # kernels on the block's rows bit for bit
+    block = build(EX1_PARAMS)
+    z, sign, scale = block.symbols[0], block.companion_sign, block.scale.value
+    assert star(z[0], z[0] * sign, scale) == star_batch(z, z * sign, scale)[0]
+    assert star(z[0], z[0] * sign, scale) / 8 == pytest.approx(2.4, abs=1e-12)
+    w = block.complex_symbols()[0]
+    assert pmepr(w[0]) == pep_batch(w, 16)[0] / 8
+    assert pmepr(w[0], 32) == pep_batch(w, 32)[0] / 8
 
 
 @given(lattice_pairs)
@@ -176,7 +198,7 @@ def test_star_two_code_paths_agree(pair):
     a, b = pair
     one_row = star_batch(*((s.re + 1j * s.im)[None, :] for s in (a, b)), 1)
     assert oracles.star(a, b) == pytest.approx(one_row[0], rel=1e-12)
-    assert star(a, b) == one_row[0]
+    assert library_star(a, b) == one_row[0]
 
 
 def test_star_polyphase_identity_form():
@@ -187,7 +209,7 @@ def test_star_polyphase_identity_form():
     ca, cb = autocorr(a), autocorr(b)
     n = len(a)
     tail = sum(abs(ca.value(u) + cb.value(u)) for u in range(1, n))
-    assert star(a, b) == pytest.approx(2 * n + 2 * tail, abs=1e-12)
+    assert library_star(a, b) == pytest.approx(2 * n + 2 * tail, abs=1e-12)
 
 
 def test_pep_coherent_sum():
@@ -201,29 +223,29 @@ def test_pep_single_symbol_flat():
 
 
 def test_pep_monotone_in_oversampling():
-    record = build(EX1_PARAMS)
-    values = [pmepr(record.sequence, l) for l in (1, 2, 4, 8, 16, 32)]
+    record = build_record(EX1_PARAMS)
+    values = [library_pmepr(record.sequence, l) for l in (1, 2, 4, 8, 16, 32)]
     assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
 
 
 def test_pmepr_all_ones():
-    assert pmepr(ones(8)) == pytest.approx(8.0, rel=1e-12)
+    assert library_pmepr(ones(8)) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_pmepr_reference_values():
-    rec1 = build(EX1_PARAMS)
-    p = pmepr(rec1.sequence)
+    rec1 = build_record(EX1_PARAMS)
+    p = library_pmepr(rec1.sequence)
     assert p == pytest.approx(2.0587415658, abs=1e-6)
     assert abs(p - 2.1) <= 0.05
 
 
 def test_pmepr_golay_polyphase_at_most_two():
     base = EX1_PARAMS.base
-    assert pmepr(polyphase(psi(base))) <= 2.0 + 1e-9
+    assert library_pmepr(polyphase(psi(base))) <= 2.0 + 1e-9
 
 
 def test_envelope_mean_power_parseval():
-    record = build(EX1_PARAMS)
+    record = build_record(EX1_PARAMS)
     energy = float(record.sequence.energy())
     z = record.sequence.to_complex()[None, :]
     for l in (1, 4, 16):
@@ -235,13 +257,13 @@ def test_envelope_mean_power_parseval():
 
 def star_bound_holds(record, bound):
     """pmepr <= star/n <= bound (within 1e-9), and star/n, for one codeword."""
-    star_over_n = star(record.sequence, record.primed_sequence) / len(record.sequence)
-    p = pmepr(record.sequence)
+    star_over_n = library_star(record.sequence, record.primed_sequence) / len(record.sequence)
+    p = library_pmepr(record.sequence)
     return p <= star_over_n + 1e-9 and star_over_n <= bound + 1e-9, star_over_n
 
 
 def test_star_bound_check_reference_pass():
-    passed, _ = star_bound_holds(build(EX1_PARAMS), 2.4)
+    passed, _ = star_bound_holds(build_record(EX1_PARAMS), 2.4)
     assert passed
 
 
@@ -250,7 +272,7 @@ def test_star_bound_check_64qam_reference_pass():
         base=EX1_PARAMS.base,
         offset=Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0),
     )
-    passed, star_over_n = star_bound_holds(build(params), 3.62)
+    passed, star_over_n = star_bound_holds(build_record(params), 3.62)
     assert passed
     assert star_over_n == pytest.approx(76 / 21, abs=1e-9)
 
@@ -258,10 +280,10 @@ def test_star_bound_check_64qam_reference_pass():
 def test_star_bound_check_fake_record_fails():
     fake_seq = ones(8)  # unit-magnitude coherent sum: pmepr = n
     fake = CodewordRecord(params=EX1_PARAMS, sequence=fake_seq, primed_sequence=fake_seq,
-                          components=build(EX1_PARAMS).components)
+                          components=build_record(EX1_PARAMS).components)
     passed, star_over_n = star_bound_holds(fake, 2.4)
     assert not passed
-    assert pmepr(fake_seq) == pytest.approx(8.0, rel=1e-9)
+    assert library_pmepr(fake_seq) == pytest.approx(8.0, rel=1e-9)
     assert star_over_n > 2.4
 
 
@@ -325,7 +347,7 @@ def test_random_baseline_count_validation():
 
 
 def test_batch_kernels_match_scalar_paths():
-    record = build(EX1_PARAMS)
+    record = build_record(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
     stars = star_batch(*((s.re + 1j * s.im)[None, :] for s in (seq, pr)), Scale.QAM16.value)
     assert stars[0] == pytest.approx(oracles.star(seq, pr), rel=1e-12)
@@ -425,7 +447,7 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
 
 
 def test_pep_batch_rejects_oversample_below_one():
-    z = build(EX1_PARAMS).sequence.to_complex()[None, :]
+    z = build(EX1_PARAMS).complex_symbols()[0]
     with pytest.raises(ValueError, match="oversample must be >= 1, got 0"):
         pep_batch(z, 0)
 
@@ -442,7 +464,7 @@ def test_golay_defect_batch_detects_non_pairs():
 
 def test_correlation_sums_batch_matches_autocorr():
     # star and Golay pass the pair (H, H') as both operands: C_H(u) + C_H'(u)
-    record = build(EX1_PARAMS)
+    record = build_record(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
     pair = np.stack([seq.re + 1j * seq.im, pr.re + 1j * pr.im])[:, None, :]
     sums = correlation_sums_batch(pair, pair)

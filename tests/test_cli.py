@@ -26,8 +26,9 @@ from qamseq.constellation import _qam_table
 from qamseq.constructions import (
     ConstructionParams,
     Modulation,
-    build,
     build_block,
+    count_enumerated,
+    enumerate_family,
     iter_family_chunks,
     list_offsets16,
     list_offsets64,
@@ -267,6 +268,30 @@ def test_enumerate_64qam_sample_is_the_per_record_oracle(capsys, tmp_path):
     for index in sample:
         literal = oracles.codeword_doc(grid[index], star_of=oracles.star, pmepr_of=oracles.pmepr)
         assert lines[index] == json.dumps(literal, sort_keys=True), index
+
+
+@pytest.mark.parametrize("modulation, stride", [(Modulation.QAM16, 7), (Modulation.QAM64, 61)])
+def test_enumerate_family_yields_the_parameters_of_the_chunk_lines(modulation, stride):
+    # enumerate_family builds nothing: it yields the (pi, linear, constant,
+    # offset) of each row x offset of the iter_family_chunks blocks, in the
+    # order codeword_lines writes them, and as many as count_enumerated
+    # says; the document of a strided sample, built anew from the yielded
+    # parameters, is the line written for that position
+    params = enumerate_family(3, modulation)
+    index = 0
+    for block in iter_family_chunks(3, modulation):
+        lines = "".join(codeword_lines(block, 16)).splitlines(keepends=True)
+        for row in block.coeffs.tolist():
+            for offset in block.offsets:
+                p = next(params)
+                assert (p.base.pi, p.base.linear, p.base.constant, p.offset) == (
+                    block.pi, tuple(row[:3]), row[3], offset)
+                if index % stride == 0:
+                    doc = json.dumps(codeword_doc(p), sort_keys=True) + "\n"
+                    assert doc == lines[index % len(block)], index
+                index += 1
+    assert next(params, None) is None
+    assert index == count_enumerated(3, modulation)
 
 
 def test_n32_lines_of_a_multi_slice_block_are_the_per_record_oracle():
@@ -880,8 +905,6 @@ def test_codeword_doc_roundtrip_functions():
         doc = codeword_doc(params)
         assert verify_codeword_doc(doc) == []
         assert params_from_doc(doc) == params
-        # a built record stands for its parameters
-        assert codeword_doc(build(params), oversample=32) == codeword_doc(params, 32)
 
 
 @pytest.mark.parametrize("argv, message", [

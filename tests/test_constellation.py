@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ComplexSequence,
     LatticeSymbol,
     average_energy,
     qam16_map,
@@ -12,7 +13,7 @@ from oracles import (
     squared_magnitude,
     to_complex,
 )
-from qamseq.constellation import ComplexSequence, Scale, qam_lattice
+from qamseq.constellation import Scale, qam_lattice
 
 GAMMA = cmath.exp(1j * cmath.pi / 4)
 R1, R2 = 2 / 5**0.5, 1 / 5**0.5
@@ -109,7 +110,7 @@ def test_complex_sequence_rejects_empty_and_ragged():
 
 def test_complex_sequence_refuses_fractional_parts():
     # a complex lattice value becomes a record's integers here, so a
-    # truncated part would be a wrong integer written without an error
+    # truncated part would be a wrong integer compared without an error
     with pytest.raises(ValueError, match="re must hold integers"):
         ComplexSequence([1.5, 2.9], [0.2, -0.7], Scale.QAM16)
     with pytest.raises(ValueError, match="im must hold integers"):

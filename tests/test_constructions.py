@@ -45,6 +45,8 @@ from qamseq.constructions import (
 import oracles
 from oracles import (
     bits_of,
+    block_records,
+    build_record,
     distinct_rows,
     full_family_blocks,
     offset16_eval,
@@ -149,48 +151,47 @@ def test_construction_params_requires_m_above_two():
 
 
 def test_build_16qam_reference_positions():
-    record = build(EX1_PARAMS)
-    assert (record.sequence.re[6], record.sequence.im[6]) == (3, 3)
-    assert (record.sequence.re[7], record.sequence.im[7]) == (3, -3)
+    z = build(EX1_PARAMS).symbols[0, 0]
+    assert (z[6], z[7]) == (3 + 3j, 3 - 3j)
 
 
-def assert_pointwise_components(record):
-    """The record's components equal the pointwise evaluate/offset_eval oracle."""
-    expected = oracles.components(record.params)
-    assert len(record.components) == len(expected)
-    for ours, theirs in zip(record.components, expected):
+def components_of(params):
+    """The components ((D, E) or (D, F, G)) of the one-row block of params."""
+    return build(params).offset_components(0)[:, 0]
+
+
+def assert_pointwise_components(params, components):
+    """components equal the pointwise evaluate/offset_eval oracle of params."""
+    expected = oracles.components(params)
+    assert len(components) == len(expected)
+    for ours, theirs in zip(components, expected):
         assert np.array_equal(ours, theirs)
 
 
 def test_build_16qam_against_independent_symbol_map():
     # recompute every symbol with plain complex arithmetic from the pointwise
     # component sequences; no shared code with the lattice tables
-    record = build(EX1_PARAMS)
-    assert_pointwise_components(record)
+    assert_pointwise_components(EX1_PARAMS, components_of(EX1_PARAMS))
     d_vals, e_vals = oracles.components(EX1_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     r1, r2 = 2 / 5**0.5, 1 / 5**0.5
-    got = record.sequence.to_complex()
+    got = build(EX1_PARAMS).complex_symbols()[0, 0]
     for i in range(8):
         expected = gamma * (r1 * 1j ** int(d_vals[i]) + r2 * 1j ** int(e_vals[i]))
         assert abs(got[i] - expected) < 1e-12
 
 
 def test_build_64qam_reference_positions():
-    record = build(EX2_PARAMS)
-    seq = record.sequence
-    assert (seq.re[0], seq.im[0]) == (5, 7)
-    assert (seq.re[1], seq.im[1]) == (-7, 5)
-    assert (seq.re[6], seq.im[6]) == (7, 7)
+    z = build(EX2_PARAMS).symbols[0, 0]
+    assert (z[0], z[1], z[6]) == (5 + 7j, -7 + 5j, 7 + 7j)
 
 
 def test_build_64qam_against_independent_symbol_map():
-    record = build(EX2_PARAMS)
-    assert_pointwise_components(record)
+    assert_pointwise_components(EX2_PARAMS, components_of(EX2_PARAMS))
     d_vals, f_vals, g_vals = oracles.components(EX2_PARAMS)
     gamma = cmath.exp(1j * cmath.pi / 4)
     a1, a2, a3 = 4 / 21**0.5, 2 / 21**0.5, 1 / 21**0.5
-    got = record.sequence.to_complex()
+    got = build(EX2_PARAMS).complex_symbols()[0, 0]
     for i in range(8):
         expected = gamma * (
             a1 * 1j ** int(d_vals[i]) + a2 * 1j ** int(f_vals[i]) + a3 * 1j ** int(g_vals[i])
@@ -199,11 +200,15 @@ def test_build_64qam_against_independent_symbol_map():
 
 
 def test_build_dispatch_and_offset_type_guards():
-    # the offset type picks the constellation and the constraints it must meet
-    assert build(EX1_PARAMS).sequence.scale is Scale.QAM16
-    assert len(build(EX1_PARAMS).components) == 2
-    assert build(EX2_PARAMS).sequence.scale is Scale.QAM64
-    assert len(build(EX2_PARAMS).components) == 3
+    # the offset type picks the constellation and the constraints it must
+    # meet; build gives the one-row block of the parameters
+    for params, scale, components in ((EX1_PARAMS, Scale.QAM16, 2), (EX2_PARAMS, Scale.QAM64, 3)):
+        block = build(params)
+        assert block.scale is scale
+        assert block.offsets == (params.offset,) and block.pi == params.base.pi
+        assert block.coeffs.tolist() == [[*params.base.linear, params.base.constant]]
+        assert block.symbols.shape == (1, 1, 8)
+        assert len(components_of(params)) == components
     bad_type1 = Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 2, 0, 0)
     with pytest.raises(OffsetConstraintError, match=r"h1\+2\*h3=0"):
         build(ConstructionParams(base=EX1_BASE, offset=bad_type1))
@@ -236,10 +241,10 @@ def test_count_enumerated_counts_the_records_enumerate_yields():
 
 def test_enumeration_order_deterministic():
     first = next(iter(enumerate_family(3, Modulation.QAM16)))
-    assert first.params.base.pi == (0, 1, 2)
-    assert first.params.base.linear == (0, 0, 0)
-    assert first.params.base.constant == 0
-    assert (first.params.offset.d1, first.params.offset.d2, first.params.offset.d3) == (0, 1, 1)
+    assert first.base.pi == (0, 1, 2)
+    assert first.base.linear == (0, 0, 0)
+    assert first.base.constant == 0
+    assert (first.offset.d1, first.offset.d2, first.offset.d3) == (0, 1, 1)
     grid = parameter_grid(3, Modulation.QAM16)
     pi, linear, constant, off = next(iter(grid))
     assert (pi, linear, constant) == ((0, 1, 2), (0, 0, 0), 0)
@@ -248,53 +253,56 @@ def test_enumeration_order_deterministic():
 
 def test_enumerate_family_offset_identity_sample():
     # E - D must equal the offset sequence pointwise, and D the base function
-    for record in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 37):
-        params = record.params
-        d_vals, e_vals = record.components
+    for params in itertools.islice(enumerate_family(3, Modulation.QAM16), 0, 512, 37):
+        d_vals, e_vals = components_of(params)
         (s,) = offset_values(params.offset, params.m, params.base.pi)
         assert np.array_equal((e_vals.astype(int) - d_vals) % 4, s)
-        assert_pointwise_components(record)
+        assert_pointwise_components(params, (d_vals, e_vals))
 
 
-def test_enumerate_family_matches_direct_build_sample():
-    records = itertools.islice(enumerate_family(3, Modulation.QAM64), 0, 2048, 171)
-    for record in records:
-        rebuilt = build(record.params)
+def test_chunk_records_match_direct_build_sample():
+    chunks = (r for block in iter_family_chunks(3, Modulation.QAM64) for r in block_records(block))
+    for record in itertools.islice(chunks, 0, 2048, 171):
+        rebuilt = build_record(record.params)
         assert record.sequence == rebuilt.sequence
         assert record.primed_sequence == rebuilt.primed_sequence
 
 
 def test_enumerate_family_walks_the_grid_and_matches_build():
-    # every record, across chunk boundaries, carries the parameters of the
-    # grid tuple at its position; a strided sample is rebuilt one by one
-    records = enumerate_family(3, Modulation.QAM64)
+    # every record of the chunks, across chunk boundaries, carries the
+    # parameters of the grid tuple at its position, as does every parameter
+    # set enumerate_family yields; a strided sample is rebuilt one by one
+    records = (r for block in iter_family_chunks(3, Modulation.QAM64) for r in block_records(block))
+    params = enumerate_family(3, Modulation.QAM64)
     grid = parameter_grid(3, Modulation.QAM64)
     gamma = cmath.exp(1j * cmath.pi / 4)
     weights = (4 / 21**0.5, 2 / 21**0.5, 1 / 21**0.5)
     count = 0
-    for index, (record, (pi, linear, constant, offset)) in enumerate(zip(records, grid)):
+    for index, (record, yielded, (pi, linear, constant, offset)) in enumerate(
+            zip(records, params, grid)):
         base = record.params.base
         assert (base.pi, base.linear, base.constant, record.params.offset) == (
             pi, linear, constant, offset
         )
+        assert yielded == record.params
         if index % 389 == 0:
-            rebuilt = build(record.params)
+            rebuilt = build_record(record.params)
             assert record.sequence == rebuilt.sequence
             assert record.primed_sequence == rebuilt.primed_sequence
             # build is a one-row block too: also check against the pointwise
             # components and plain complex arithmetic, which share no code
             # with the block kernel
-            assert_pointwise_components(record)
+            assert_pointwise_components(record.params, record.components)
             comps = oracles.components(record.params)
             expected = gamma * sum(a * 1j ** c.astype(int) for a, c in zip(weights, comps))
             assert np.max(np.abs(record.sequence.to_complex() - expected)) < 1e-12
         count += 1
     assert count == family_size(3, Modulation.QAM64)
-    assert next(records, None) is None
+    assert next(records, None) is None and next(params, None) is None
 
 
 def test_blocks_agree_with_enumerate():
-    blocks = map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1)
+    blocks = list(map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1))
     # one block per pi, every offset in list order along its first axis,
     # over the 64 constant-0 rows
     assert [(b.pi, b.offsets, len(b)) for b in blocks] == [
@@ -305,7 +313,8 @@ def test_blocks_agree_with_enumerate():
     # row j of offset o of the first block is (pi0, linear part j, constant
     # 0, offset o): record 32 * j + o, as 8 offsets follow each coefficient
     # row and the constant varies fastest
-    for index, record in enumerate(itertools.islice(enumerate_family(3, Modulation.QAM16), 2048)):
+    chunk = next(iter_family_chunks(3, Modulation.QAM16))
+    for index, record in enumerate(itertools.islice(block_records(chunk), 2048)):
         row, o = divmod(index, 32)
         if index % 32 >= 8:
             continue
@@ -320,9 +329,9 @@ def test_blocks_agree_with_enumerate():
             block.offset_components(o)[:, row], record.components, strict=True))
     # the oracle's blocks over every coefficient row, all four constants,
     # hold every enumerated record in parameter_grid order
-    records = enumerate_family(3, Modulation.QAM16)
+    records = (r for block in iter_family_chunks(3, Modulation.QAM16) for r in block_records(block))
     for full in full_family_blocks(lambda b: b, 3, Modulation.QAM16):
-        for record in constructions.grid_records(full):
+        for record in block_records(full):
             expected = next(records)
             assert record.params == expected.params
             assert record.sequence == expected.sequence
@@ -332,12 +341,12 @@ def test_blocks_agree_with_enumerate():
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_records_hold_the_block_symbols_as_int64_pairs(modulation):
-    # the record boundary: grid_records makes a block's complex lattice
+    # the oracle's record form: block_records makes a block's complex lattice
     # points, and its companion's, int64 (re, im) pairs, exactly
     block = next(iter_family_chunks(3, modulation))
     sign = block.companion_sign
     offsets = len(block.offsets)
-    records = list(constructions.grid_records(block))
+    records = list(block_records(block))
     assert len(records) == len(block)
     for j, record in enumerate(records):
         row, o = divmod(j, offsets)
@@ -384,7 +393,7 @@ def test_enumerate_rejects_small_m():
     with pytest.raises(ValueError):
         count_enumerated(2, Modulation.QAM16)
     with pytest.raises(ValueError):
-        map_family_blocks(len, 2, Modulation.QAM16, jobs=1)
+        list(map_family_blocks(len, 2, Modulation.QAM16, jobs=1))
 
 
 def test_bounds_constants():
@@ -432,7 +441,7 @@ def test_companion_sign_is_the_primed_definition(modulation):
 def test_primed_sequence_is_family_member():
     # the primed companion is itself a codeword: same offset, last path
     # coefficient shifted by 2
-    record = build(EX1_PARAMS)
+    block = build(EX1_PARAMS)
     base = EX1_PARAMS.base
     shifted = list(base.linear)
     shifted[base.m - 1] = (shifted[base.m - 1] + 2) % 4
@@ -440,7 +449,7 @@ def test_primed_sequence_is_family_member():
         base=PathQuadratic(m=base.m, pi=base.pi, linear=tuple(shifted), constant=base.constant),
         offset=EX1_PARAMS.offset,
     )
-    assert build(companion).sequence == record.primed_sequence
+    assert np.array_equal(build(companion).symbols, block.symbols * block.companion_sign)
 
 
 @pytest.mark.parametrize("m, modulation", [
@@ -485,7 +494,7 @@ def test_family_blocks_hold_every_offset_within_the_symbol_budget(m, modulation)
     # map_family_blocks: every offset of an orbit-row cell, as many rows as
     # fit in CHUNK_SYMBOLS, and every orbit row of each pi once
     n, offsets = 1 << m, constructions._offset_list(modulation)
-    blocks = map_family_blocks(lambda b: (b.pi, b.offsets, b.coeffs), m, modulation)
+    blocks = list(map_family_blocks(lambda b: (b.pi, b.offsets, b.coeffs), m, modulation))
     rows = min(CHUNK_SYMBOLS // (n * len(offsets)), 4**m)
     assert [len(coeffs) for _, _, coeffs in blocks] == [rows] * len(blocks)
     assert all(block_offsets == offsets for _, block_offsets, _ in blocks)
@@ -691,7 +700,7 @@ def test_the_same_bump_on_the_most_significant_variables_is_no_shift(monkeypatch
             with pytest.raises(AssertionError, match="is not a free quarter shift"):
                 quarter_shift(3, pi)
         with pytest.raises(AssertionError, match="is not a free quarter shift"):
-            map_orbit_blocks(len, 3, modulation)
+            list(map_orbit_blocks(len, 3, modulation))
     finally:
         quarter_shift.cache_clear()
 

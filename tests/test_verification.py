@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from concurrent import futures
 
 import numpy as np
@@ -25,6 +26,7 @@ from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
     correlation_sums_batch,
+    near_points,
     pep_batch,
     pep_spread,
     polyphase_lattice,
@@ -564,6 +566,34 @@ def test_an_odd_rate_needs_the_quarter_shift_images(monkeypatch):
     assert got == (dataclasses.replace(expected[0], max_pmepr=got[0].max_pmepr), expected[1])
 
 
+@pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
+def test_every_row_is_near_at_an_odd_rate_and_none_far_at_a_power_of_two(monkeypatch, modulation):
+    # pep_spread proves a spread only on power-of-two grids: elsewhere it is
+    # infinite, so at L = 3 every row of an orbit block is near every point
+    # and the audit computes the PEPs of all 16 images of every row; at
+    # L = 16 no row is near the ceilings, which no PMEPR lies close to
+    assert pep_spread(3 * 8) == pep_spread(5 * 16) == math.inf
+    assert 0 < pep_spread(16 * 8) < 1e-12
+    block = build_block(3, (0, 1, 2), orbit_offsets(modulation), orbit_rows(3))
+    ceilings = sorted(bound for bound, _ in CEILINGS.values())
+    real, marked = verification.orbit_peps, []
+
+    def spy(z, peps, near, oversample):
+        marked.append(near.copy())
+        return real(z, peps, near, oversample)
+
+    monkeypatch.setattr(verification, "orbit_peps", spy)
+    for oversample, every in ((3, True), (16, False)):
+        p = np.concatenate([pep_batch(z, oversample) for z in block.complex_symbols()]) / 8
+        near = near_points(p, ceilings, oversample * 8)
+        assert np.all(near) if every else not np.any(near)
+        marked.clear()
+        _audit_block(block, oversample)
+        assert all(np.all(near) for near in marked) == every
+    # at L = 16 only rows within the spread of their kind's max are refined
+    assert 0 < sum(np.count_nonzero(near) for near in marked) < len(block)
+
+
 def test_the_audit_max_needs_the_refinement(monkeypatch):
     # negative control: an audit that lets every orbit row stand for its
     # whole orbit misses the type 2 max of 64-QAM m=3, which an image
@@ -623,7 +653,7 @@ def test_kind_stats_add():
 def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
     forward = theorem_bound_audit(3, modulation, jobs=1)
     real = verification.map_orbit_blocks
-    monkeypatch.setattr(verification, "map_orbit_blocks", lambda *args: real(*args)[::-1])
+    monkeypatch.setattr(verification, "map_orbit_blocks", lambda *args: list(real(*args))[::-1])
     assert theorem_bound_audit(3, modulation, jobs=1) == forward
 
 
@@ -725,12 +755,23 @@ def test_example_regression_all_pass():
     assert "example2.pmepr" in names
 
 
+def test_example_symbols_check_fails_on_a_forged_pin(monkeypatch):
+    # negative control: the symbols check compares the pinned Gaussian
+    # integers exactly, and their scale: one symbol moved by one lattice
+    # unit, or the right symbols pinned over the wrong scale, fails it
+    (name, params, comps, (symbols, scale), pmepr), second = verification._EXAMPLES
+    for pin in ((symbols + np.eye(8)[5], scale), (symbols, Scale.QAM64)):
+        monkeypatch.setattr(verification, "_EXAMPLES", ((name, params, comps, pin, pmepr), second))
+        failed = [c.name for c in example_regression() if not c.passed]
+        assert failed == ["example1.symbols"]
+
+
 def test_fan_out_defaults_to_one_worker(monkeypatch):
     # the library's fan-out runs in this process unless it is given a
     # worker count, and refuses a count below 1; a block is one pi's 64
     # orbit rows with all 8 offsets, and len counts its sequences
     monkeypatch.setattr(futures, "ProcessPoolExecutor", None)
-    assert map_family_blocks(len, 3, Modulation.QAM16) == [8 * 64] * 3
+    assert list(map_family_blocks(len, 3, Modulation.QAM16)) == [8 * 64] * 3
     for jobs in (0, -5):
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {jobs}"):
             map_family_blocks(len, 3, Modulation.QAM16, jobs)

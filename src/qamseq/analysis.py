@@ -6,13 +6,14 @@ sum below is a Gaussian integer far below 2^53, which complex128 holds
 exactly; the only rounding in the star operator is one correctly rounded
 square root of the exact norm re^2 + im^2 per shift, and the sum over shifts.
 Every sequence a family walk correlates lies in a coset zeta^D * x of one base
-row D, and coset_correlation_sums correlates a whole family cell that way:
-one matrix product per shift for every (row, term) pair.  The arbitrary-pair
-kernel correlation_sums_batch serves star, star_batch and golay_defect_batch,
-and the tests' reference.  Envelope evaluation samples the continuous-time
-signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times oversampled grid
-t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1; peak-to-mean ratios
-are invariant to that normalization).  Each quantity has
+row D, and coset_correlation_sums, the one correlation kernel, correlates a
+whole family cell that way: one matrix product per shift for every (row,
+term) pair.  star, star_batch and golay_defect_batch are its D = 0, g = 0
+reductions, kept for the library example and the benchmark's tracer; the
+literal per-shift loop is the tests' reference.  Envelope evaluation samples
+the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
+oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
+peak-to-mean ratios are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
 of them.  orbit_peps scores a row for the conjugation x reversal x
 quarter-shift images of its sequence too, and computes their PEPs only where
@@ -98,25 +99,6 @@ def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np
 # ---------------------------------------------------------------------------
 
 
-def correlation_sums_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact sum over k of X_{a_k,b_k}(u) for u = 0 .. n-1, rows batched,
-    where X_{a,b}(u) = sum_i a_i * conj(b_{i+u}).
-
-    a and b are (K, B, n) arrays of Gaussian integers (integer or complex
-    dtype): K sequence pairs per row.  The output is (B, n) complex128.
-    Every product and partial sum is a Gaussian integer, and complex128
-    holds those exactly while their parts stay below 2^53; here they are at
-    most K * n * max|a| * max|b|: 2 * 32 * 98 for a 64-QAM star at m = 5.
-    """
-    a = np.asarray(a, dtype=complex)
-    b_conj = np.conj(np.asarray(b, dtype=complex))
-    n = a.shape[-1]
-    sums = np.empty(a.shape[1:], dtype=complex)
-    for u in range(n):
-        sums[:, u] = np.einsum("kbi,kbi->b", a[:, :, : n - u], b_conj[:, :, u:])
-    return sums
-
-
 def star_sum(sums: np.ndarray) -> np.ndarray:
     """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, n) sums T(u), u >= 0:
     the sum of |T| over every shift of a conjugate-symmetric T(-u) = conj T(u)."""
@@ -124,13 +106,6 @@ def star_sum(sums: np.ndarray) -> np.ndarray:
     mags = np.einsum("...i,...i->...", parts, parts)  # the exact norms re^2 + im^2, below 2^53
     np.sqrt(mags, out=mags)
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
-
-
-def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_a(u) + C_b(u) for u = 0 .. n-1 per row of (B, n) lattice arrays:
-    the pair (a, b) correlated with itself.  star_sum and golay_defect reduce these sums."""
-    pair = np.stack([a, b])
-    return correlation_sums_batch(pair, pair)
 
 
 def row_free(sequences: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -197,6 +172,16 @@ def coset_correlation_sums(base: np.ndarray, factors: np.ndarray) -> np.ndarray:
         units = ZETA[(d[None] - d[ahead]) & 3]  # (u, i, rows)
         sums[:, start : start + step] = np.matmul(factors, units).transpose(1, 2, 0)
     return sums
+
+
+def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C_a(u) + C_b(u), u = 0 .. n-1, per row of equal-shape (B, n) lattice arrays:
+    coset_correlation_sums on the base row D = 0 with no companion (g = 0)."""
+    if a.shape != b.shape:
+        raise ValueError(f"rows of unequal shape: {a.shape} and {b.shape}")
+    zero = np.zeros(a.shape[-1], np.int64)
+    factors = shift_factors(a, a, zero) + shift_factors(b, b, zero)
+    return coset_correlation_sums(zero[None], factors)[:, 0]
 
 
 def star_batch(a: np.ndarray, b: np.ndarray, denominator: int) -> np.ndarray:

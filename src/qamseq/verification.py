@@ -66,11 +66,9 @@ from .analysis import (
     orbit_peps,
     pep_batch,
     pep_spread,
-    pmepr,
     polyphase_lattice,
     row_free,
     shift_factors,
-    star,
     star_sum,
 )
 from .constellation import Scale
@@ -624,7 +622,7 @@ def _parts(z: np.ndarray) -> str:
 
 def example_regression(oversample: int = 16) -> list[CheckResult]:
     """Rebuild both reference examples and pin sequences, symbols, and PMEPR,
-    each read from the example's one-row block."""
+    each read from the example's one-row block, scored as the audit scores one."""
     out: list[CheckResult] = []
     for name, params, components, (symbols, scale), published_pmepr in _EXAMPLES:
         block = build(params)
@@ -644,7 +642,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{_parts(symbols)} (/sqrt({scale.value}))",
             )
         )
-        p = pmepr(block.complex_symbols()[0, 0], oversample)
+        p = float(pep_batch(block.complex_symbols()[0], oversample)[0]) / len(z)
         out.append(
             CheckResult(
                 name=f"{name}.pmepr",
@@ -653,7 +651,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{published_pmepr} +/- {EXAMPLE_PMEPR_TOL}",
             )
         )
-        s = star(z, z * block.companion_sign, block.scale.value) / len(z)
+        s = float(_block_stars(block)[0][0, 0]) / block.scale.value / len(z)
         bound = star_bound(params.offset)
         out.append(
             CheckResult(

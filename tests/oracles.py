@@ -13,8 +13,12 @@ full-range star sum, the one-sequence envelope FFT, the per-record lemma
 double sums, pointwise Boolean-function evaluation, the binary digits of an
 index, the two QAM maps written out per modulation, pointwise offset
 values and component sequences, and the float value of a lattice point.  The library computes each
-of these once, in a batched kernel; the tests compare the two.  star_rows is
-the literal star sum over many records at once, for checks that cover a
+of these once, in a batched kernel; the tests compare the two.
+correlation_sums_batch, the per-shift loop over any sequence pairs, is the
+reference of the library's one correlation kernel, coset_correlation_sums,
+and autocorrelation_sums, that loop over a pair and itself, the reference
+of its D = 0 reduction analysis.autocorrelation_sums.  star_rows is the
+literal star sum over many records at once, for checks that cover a
 whole family, distinct_rows counts a family's distinct symbol rows by
 hashing every one of them, and l1_row_sums takes the L1 lemma residual of
 many rows from row sums, where the library sums it shift by shift.
@@ -57,15 +61,7 @@ from qamseq.algebra import (
     canonical_permutations,
     coefficient_matrix,
 )
-from qamseq.analysis import (
-    autocorrelation_sums,
-    correlation_sums_batch,
-    golay_defect,
-    pep_batch,
-    polyphase_lattice,
-    star_batch,
-    star_sum,
-)
+from qamseq.analysis import golay_defect, pep_batch, polyphase_lattice, star_sum
 from qamseq.constellation import Scale, qam_lattice
 from qamseq.constructions import (
     ConstructionParams,
@@ -454,7 +450,8 @@ def audit_block(block: OffsetBlock, oversample: int, weight: int) -> KindStats:
     n = 1 << block.m
     bound = star_bound(block.offset)
     sign = companion_sign(block.m, block.pi)
-    star_over_n = star_batch(block.symbols, block.symbols * sign, block.scale.value) / n
+    z = block.symbols
+    star_over_n = star_sum(autocorrelation_sums(z, z * sign)) / block.scale.value / n
     ok = star_over_n <= bound + STAR_TOL
     if block.kind == "qam16":
         ok &= star_over_n >= 2.0 - STAR_TOL
@@ -560,6 +557,34 @@ def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # correlation and envelope, one sequence at a time
 # ---------------------------------------------------------------------------
+
+
+def correlation_sums_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact sum over k of X_{a_k,b_k}(u) for u = 0 .. n-1, rows batched,
+    where X_{a,b}(u) = sum_i a_i * conj(b_{i+u}), one shift at a time: the
+    reference of analysis.coset_correlation_sums.
+
+    a and b are (K, B, n) arrays of Gaussian integers (integer or complex
+    dtype): K sequence pairs per row.  The output is (B, n) complex128.
+    Every product and partial sum is a Gaussian integer, and complex128
+    holds those exactly while their parts stay below 2^53; here they are at
+    most K * n * max|a| * max|b|: 2 * 32 * 98 for a 64-QAM star at m = 5.
+    """
+    a = np.asarray(a, dtype=complex)
+    b_conj = np.conj(np.asarray(b, dtype=complex))
+    n = a.shape[-1]
+    sums = np.empty(a.shape[1:], dtype=complex)
+    for u in range(n):
+        sums[:, u] = np.einsum("kbi,kbi->b", a[:, :, : n - u], b_conj[:, :, u:])
+    return sums
+
+
+def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C_a(u) + C_b(u) for u = 0 .. n-1 per row of (B, n) lattice arrays, from
+    correlation_sums_batch of the pair (a, b) with itself: the reference of
+    analysis.autocorrelation_sums."""
+    pair = np.stack([a, b])
+    return correlation_sums_batch(pair, pair)
 
 
 @dataclass(frozen=True, eq=False)

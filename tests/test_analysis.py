@@ -26,7 +26,6 @@ from qamseq.algebra import ZETA
 from qamseq.analysis import (
     CcdfCurve,
     ccdf,
-    correlation_sums_batch,
     coset_correlation_sums,
     coset_footprint,
     default_threshold_grid,
@@ -40,6 +39,7 @@ from qamseq.analysis import (
     shift_factors,
     star,
     star_batch,
+    star_sum,
 )
 from qamseq.constellation import Scale
 from qamseq.constructions import (
@@ -178,6 +178,14 @@ def test_star_length_mismatch():
         star(np.ones(4, complex), np.ones(5, complex), 1)
 
 
+def test_batch_kernels_refuse_rows_of_unequal_length():
+    a, b = np.ones((2, 4), complex), np.ones((2, 5), complex)
+    with pytest.raises(ValueError, match="rows of unequal shape"):
+        star_batch(a, b, 1)
+    with pytest.raises(ValueError, match="rows of unequal shape"):
+        golay_defect_batch(a, b)
+
+
 def test_star_and_pmepr_are_one_row_calls_on_a_block_row():
     # the one-row block of build: star of its symbol row and companion over
     # the scale, and the PMEPR of its unit-energy row, equal the batched
@@ -194,9 +202,11 @@ def test_star_and_pmepr_are_one_row_calls_on_a_block_row():
 @given(lattice_pairs)
 @settings(max_examples=60)
 def test_star_two_code_paths_agree(pair):
-    # the literal full-range sum against the batched conjugate-symmetric form
+    # the literal full-range sum against the conjugate-symmetric form of the
+    # literal per-shift loop, and the library's star bit for bit against the
+    # latter
     a, b = pair
-    one_row = star_batch(*((s.re + 1j * s.im)[None, :] for s in (a, b)), 1)
+    one_row = star_sum(oracles.autocorrelation_sums(*((s.re + 1j * s.im)[None, :] for s in (a, b))))
     assert oracles.star(a, b) == pytest.approx(one_row[0], rel=1e-12)
     assert library_star(a, b) == one_row[0]
 
@@ -349,8 +359,10 @@ def test_random_baseline_count_validation():
 def test_batch_kernels_match_scalar_paths():
     record = build_record(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
-    stars = star_batch(*((s.re + 1j * s.im)[None, :] for s in (seq, pr)), Scale.QAM16.value)
+    rows = tuple((s.re + 1j * s.im)[None, :] for s in (seq, pr))
+    stars = star_batch(*rows, Scale.QAM16.value)
     assert stars[0] == pytest.approx(oracles.star(seq, pr), rel=1e-12)
+    assert stars[0] == star_sum(oracles.autocorrelation_sums(*rows))[0] / Scale.QAM16.value
     peps = pep_batch(seq.to_complex()[None, :], 16)
     assert peps[0] == pytest.approx(oracles.pep(seq), rel=1e-12)
 
@@ -373,9 +385,8 @@ def family_stars_and_pmeprs(modulation):
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_batch_kernels_equal_scalar_paths_bit_for_bit(modulation):
-    # enumerate writes star_batch and pep_batch values where records used to
-    # carry the literal star and pmepr; its output is byte-identical only
-    # while they are equal (not merely close) on every record
+    # star_batch, the coset kernel on D = 0, and pep_batch equal (not merely
+    # come close to) the literal star sum and pmepr on every record
     (re, im, re_p, im_p), stars, pmeprs = family_stars_and_pmeprs(modulation)
     scale = Scale.QAM16 if modulation is Modulation.QAM16 else Scale.QAM64
     assert len(stars) == len(re) == (6144 if modulation is Modulation.QAM16 else 49152)
@@ -463,11 +474,12 @@ def test_golay_defect_batch_detects_non_pairs():
 
 
 def test_correlation_sums_batch_matches_autocorr():
-    # star and Golay pass the pair (H, H') as both operands: C_H(u) + C_H'(u)
+    # the reference loop against the two-sided integer autocorrelation: the
+    # pair (H, H') as both operands gives C_H(u) + C_H'(u)
     record = build_record(EX1_PARAMS)
     seq, pr = record.sequence, record.primed_sequence
     pair = np.stack([seq.re + 1j * seq.im, pr.re + 1j * pr.im])[:, None, :]
-    sums = correlation_sums_batch(pair, pair)
+    sums = oracles.correlation_sums_batch(pair, pair)
     ca, cb = autocorr(seq), autocorr(pr)
     n = len(seq)
     assert sums.shape == (1, n)
@@ -477,13 +489,13 @@ def test_correlation_sums_batch_matches_autocorr():
 
 
 def test_correlation_sums_batch_cross_terms_match_definition():
-    # sum_k sum_i a_k[i] * conj(b_k[i + u]) in exact Python integers, for
-    # distinct operands, complex and integer inputs
+    # the reference loop against sum_k sum_i a_k[i] * conj(b_k[i + u]) in
+    # exact Python integers, for distinct operands, complex and integer inputs
     rng = np.random.default_rng(7)
     a = rng.integers(-7, 8, size=(3, 5, 8)) + 1j * rng.integers(-7, 8, size=(3, 5, 8))
     b = rng.integers(-7, 8, size=(3, 5, 8)) + 1j * rng.integers(-7, 8, size=(3, 5, 8))
     for x, y in ((a, b), (a.real.astype(np.int64), b.imag.astype(np.int64))):
-        sums = correlation_sums_batch(x, y)
+        sums = oracles.correlation_sums_batch(x, y)
         for row in range(5):
             for u in range(8):
                 want = sum(
@@ -494,19 +506,32 @@ def test_correlation_sums_batch_cross_terms_match_definition():
                 assert sums[row, u] == want
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_autocorrelation_sums_are_the_literal_loop(n):
+    # the coset kernel on the base row D = 0 with no companion against the
+    # per-shift loop, bit for bit, on seeded Gaussian-integer pairs, and the
+    # star and Golay defect of the batch kernels against their reductions
+    rng = np.random.default_rng(n)
+    parts = rng.integers(-7, 8, size=(4, 50, n))
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    want = oracles.autocorrelation_sums(a, b)
+    assert np.array_equal(analysis.autocorrelation_sums(a, b), want)
+    assert np.array_equal(star_batch(a, b, 10), star_sum(want) / 10)
+    assert np.array_equal(golay_defect_batch(a, b), analysis.golay_defect(want))
+
+
 def _explicit_sums(sequences, sign):
     """C_z(u) + C_gz(u) of each (..., n) sequence z with its companion g * z,
-    from correlation_sums_batch of the explicit pair."""
+    from the reference loop over the explicit pair."""
     z = sequences.reshape(-1, sequences.shape[-1])
-    pair = np.stack([z, z * sign])
-    return correlation_sums_batch(pair, pair).reshape(sequences.shape)
+    return oracles.autocorrelation_sums(z, z * sign).reshape(sequences.shape)
 
 
 @pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
 @pytest.mark.parametrize("m, cells", [(3, None), (4, 2), (5, 2)])
 def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
     # every sum the family walks take from coset_correlation_sums, bit for bit
-    # against correlation_sums_batch of the explicit sequences: the codewords
+    # against the reference loop over the explicit sequences: the codewords
     # and the components with their companions, and the lemma's T of D with
     # each form and a2a3 T of D + s1 with s1 - s2, for the cell's offsets
     # and the three negative-control offsets; on every cell of m=3, the
@@ -534,7 +559,8 @@ def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
         p, q = (np.stack([case[k] for case in cases]) for k in (0, 1))
         got = coset_correlation_sums(base, shift_factors(p, q, sign) + shift_factors(q, p, sign))
         for t, (_, _, explicit, s) in zip(got, cases, strict=True):
-            assert np.array_equal(t, correlation_sums_batch(*oracles._lemma_terms(explicit, s, sign)))
+            want = oracles.correlation_sums_batch(*oracles._lemma_terms(explicit, s, sign))
+            assert np.array_equal(t, want)
 
 
 def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):

@@ -56,14 +56,7 @@ from oracles import (
 )
 from qamseq import constructions
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
-from qamseq.analysis import (
-    autocorrelation_sums,
-    golay_defect,
-    pep_batch,
-    polyphase_lattice,
-    star_batch,
-    star_sum,
-)
+from qamseq.analysis import golay_defect, pep_batch, polyphase_lattice, star_sum
 from qamseq.constellation import Scale, qam_lattice
 from qamseq.gbf import PathQuadratic
 
@@ -528,15 +521,15 @@ def test_orbit_rows_are_the_constant_zero_rows():
 def orbit_scores(block):
     """Per row of each offset: the codeword star and PEP, then per component
     the star sum and Golay defect of the component with its companion, each
-    as an (arrays, rows) array."""
+    as an (arrays, rows) array, the sums from the literal correlation loop."""
     n, sign = 1 << block.m, block.companion_sign
     z = block.symbols.reshape(-1, n)
     scores = [
-        star_batch(z, z * sign, block.scale.value),
+        star_sum(oracles.autocorrelation_sums(z, z * sign)) / block.scale.value,
         pep_batch(z / np.sqrt(block.scale.value), 16),
     ]
     c = polyphase_lattice(block.components).reshape(-1, n)
-    sums = autocorrelation_sums(c, c * sign)
+    sums = oracles.autocorrelation_sums(c, c * sign)
     scores += [star_sum(sums), golay_defect(sums)]
     rows = len(block.coeffs)
     return [v.reshape(-1, rows) for v in scores]

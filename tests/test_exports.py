@@ -93,3 +93,16 @@ def test_traced_benchmark_child_runs(tmp_path):
     assert counts["synthesis.rows"] == 3 * 8 * 256 == 6144
     assert counts["envelope.fft_points"] == 8 * 16 * 6144 // 4
     assert (tmp_path / "r").stat().st_size == 3189024
+
+
+def test_traced_examples_score_through_the_coset_kernel(tmp_path):
+    counts = traced_counts(tmp_path, "verify", "--suite", "examples")
+    # each of the 2 examples is a one-row block scored as the audit scores a
+    # block: one polyphase_lattice of its components, whose sums
+    # coset_correlation_sums (not a traced name) takes, and no star,
+    # star_batch or golay_defect_batch
+    assert counts["correlation.calls"] == 2 * 1 == 2
+    # one pep_batch of the example's one n = 8 row at the default L = 16;
+    # pmepr, which would book those 128 points once more around its own
+    # pep_batch, does not run
+    assert counts["envelope.fft_points"] == 2 * 8 * 16 == 256

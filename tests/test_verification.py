@@ -25,7 +25,6 @@ from qamseq import verification
 from qamseq.algebra import canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
-    correlation_sums_batch,
     near_points,
     pep_batch,
     pep_spread,
@@ -454,7 +453,7 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     explicit = np.concatenate([block.symbols, polyphase_lattice(block.components)])
     z = explicit.reshape(-1, 8)
     pair = np.stack([z, z * block.companion_sign])
-    assert np.array_equal(sums, correlation_sums_batch(pair, pair).reshape(explicit.shape))
+    assert np.array_equal(sums, oracles.correlation_sums_batch(pair, pair).reshape(explicit.shape))
     # each (offset, row) counts for the 64 records of its orbit: 8 offsets
     # per kind over 16 rows
     assert FULL_ORBIT_SIZE == 64
@@ -764,6 +763,23 @@ def test_example_symbols_check_fails_on_a_forged_pin(monkeypatch):
         monkeypatch.setattr(verification, "_EXAMPLES", ((name, params, comps, pin, pmepr), second))
         failed = [c.name for c in example_regression() if not c.passed]
         assert failed == ["example1.symbols"]
+
+
+def test_example_star_reads_the_coset_kernel(monkeypatch):
+    # negative control: each example's star comes from the audit's
+    # coset_correlation_sums; one unit more on T(0) of every sum lifts star/n
+    # by 1 / (scale * n), above both published ceilings, which example 1
+    # meets exactly and example 2 clears by less than 1e-3
+    real = verification.coset_correlation_sums
+
+    def forged(base, factors):
+        sums = real(base, factors)
+        sums[..., 0] += 1
+        return sums
+
+    monkeypatch.setattr(verification, "coset_correlation_sums", forged)
+    failed = [c.name for c in example_regression() if not c.passed]
+    assert failed == ["example1.star_bound", "example2.star_bound"]
 
 
 def test_fan_out_defaults_to_one_worker(monkeypatch):

@@ -15,13 +15,18 @@ the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
 peak-to-mean ratios are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
-of them.  orbit_peps scores a row for the conjugation x reversal x
-quarter-shift images of its sequence too, and computes their PEPs only where
-pep_spread says that a decision could tell them apart.
+of them.  Beside pep_batch, the float64 FFT, threshold_peps screens rows
+for decisions against a grid of thresholds with one complex64 matrix
+product, and runs pep_batch only on the rows whose screened PEP lies within
+its certified error of a threshold.  orbit_peps scores a row for the
+conjugation x reversal x quarter-shift images of its sequence too, and
+computes their PEPs only where pep_spread says that a decision could tell
+them apart.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +94,8 @@ def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    components = (rng.integers(0, 4, size=(count, n)) for _ in range(modulation.components))
+    components = (rng.integers(0, 4, size=(count, n)).astype(np.uint8)
+                  for _ in range(modulation.components))
     points, scale = qam_lattice(*components)
     return points / np.sqrt(scale.value)
 
@@ -254,11 +260,26 @@ def pep_spread(grid: int) -> float:
     """
     if grid & (grid - 1):
         return math.inf
+    r = _pep_error(grid)
+    return 2 * r / (1 - r)
+
+
+def _pep_error(grid: int) -> float:
+    """r with |p - P| <= r * P for a PEP p that pep_batch computes on a
+    power-of-two grid of `grid` points, P the exact peak (pep_spread)."""
     u = np.finfo(float).eps / 2
     f = math.log2(grid) * 7 * u
     e = f / (1 - f) * math.sqrt(grid)
-    r = (1 + e) ** 2 * (1 + 6 * u) - 1
-    return 2 * r / (1 - r)
+    return (1 + e) ** 2 * (1 + 6 * u) - 1
+
+
+def _point_distance(values: np.ndarray, points) -> np.ndarray:
+    """The distance from each value to the nearest of the ascending points."""
+    points = np.asarray(points, dtype=float)
+    i = np.searchsorted(points, values)
+    below = np.abs(values - points[np.maximum(i - 1, 0)])
+    above = np.abs(points[np.minimum(i, len(points) - 1)] - values)
+    return np.minimum(below, above)
 
 
 def near_points(peps: np.ndarray, points, grid: int) -> np.ndarray:
@@ -267,11 +288,94 @@ def near_points(peps: np.ndarray, points, grid: int) -> np.ndarray:
     and only there, a comparison with a point can come out differently for
     the PEPs of the images of a sequence.  Every PEP is near where
     pep_spread is infinite."""
-    points = np.asarray(points, dtype=float)
-    i = np.searchsorted(points, peps)
-    below = np.abs(peps - points[np.maximum(i - 1, 0)])
-    above = np.abs(points[np.minimum(i, len(points) - 1)] - peps)
-    return np.minimum(below, above) <= pep_spread(grid) * peps
+    return _point_distance(peps, points) <= pep_spread(grid) * peps
+
+
+@functools.cache
+def _screen_matrix(n: int, oversample: int) -> np.ndarray:
+    """The (n, L*n) complex64 matrix exp(2*pi*j*(i*k mod N)/N), N = L*n: the
+    envelope samples S(t_k) of a row z are z @ it."""
+    grid = oversample * n
+    ik = np.outer(np.arange(n), np.arange(grid)) % grid
+    matrix = np.exp(2j * np.pi / grid * ik).astype(np.complex64)
+    matrix.flags.writeable = False  # one array serves every caller
+    return matrix
+
+
+def screen_peps(z: np.ndarray, oversample: int) -> np.ndarray:
+    """Peak |S(t)|^2 per row of a (B, n) complex array in complex64: one
+    matrix product by _screen_matrix per slice of rows whose grids hold at
+    most CHUNK_SYMBOLS points together, then the float32 modulus, its row
+    maximum and its square.  screen_margin bounds its error."""
+    matrix = _screen_matrix(z.shape[1], oversample)
+    step = max(1, CHUNK_SYMBOLS // matrix.shape[1])
+    peaks = np.empty(len(z), np.float32)
+    for start in range(0, len(z), step):
+        samples = z[start : start + step].astype(np.complex64) @ matrix
+        peaks[start : start + step] = np.max(np.abs(samples), axis=1)
+    return np.square(peaks).astype(float)
+
+
+def screen_margin(z: np.ndarray, oversample: int) -> np.ndarray:
+    """Delta per row of a (B, n) complex array z: screen_peps and pep_batch
+    of the row differ by at most Delta / 2, on a power-of-two grid of
+    N = L*n points; infinite for a row whose S1 = sum_i |z_i| lies outside
+    [2^-50, 2^50].
+
+    Let y_k = sum_i z_i w_ik be the exact samples, w_ik = exp(2*pi*j*ik/N),
+    and P = max |y_k|^2.  Every |w_ik| = 1, so |y_k| <= S1 and P <= S1^2.
+    With u = 2^-24, float32's unit roundoff, and gamma_k = k*u / (1 - k*u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec.
+    3.1): rounding z and the matrix to complex64 moves each z_i and w_ik by
+    at most u times its modulus, so the exact products of the rounded
+    factors are within (2u + u^2) * |z_i| of z_i w_ik, and their modulus
+    sum is at most (1 + u)^2 * S1.  A complex dot product of length n is
+    computed within sqrt(2) * gamma_(n+2) times the modulus sum of its
+    products (Sec. 3.6), in any order of summation, fused multiply-adds
+    included.  So every screened sample is within e * S1 of y_k, with
+    e = sqrt(2) * gamma_(n+2) * (1 + u)^2 + 2u + u^2, and the squares of
+    the samples within ((1 + e)^2 - 1) * S1^2 of theirs.  The modulus (one
+    ulp), the exact maximum and the square add at most 6u of the result:
+
+        |screen - P| <= ((1 + e)^2 * (1 + 6u) - 1) * S1^2.
+
+    pep_batch's own error is |p - P| <= r * P <= r * S1^2, r from
+    pep_spread.  Delta is twice the sum of the two terms, times S1^2; the
+    factor 2 covers the float64 evaluation of the matrix (its cosines and
+    sines within about 1e-16), of S1 and of Delta, all far below u.  Inside
+    the S1 range, no product or square leaves float32's range, and an
+    underflow (at most 2^-149 per operation) costs far less than that factor.
+    """
+    n = z.shape[1]
+    u = np.finfo(np.float32).eps / 2
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    e = math.sqrt(2) * gamma * (1 + u) ** 2 + 2 * u + u * u
+    bound = (1 + e) ** 2 * (1 + 6 * u) - 1 + _pep_error(oversample * n)
+    s1 = np.sum(np.abs(z), axis=1)
+    inside = (s1 >= 2.0**-50) & (s1 <= 2.0**50)
+    return np.where(inside, 2 * bound * s1 * s1, math.inf)
+
+
+def threshold_peps(z: np.ndarray, oversample: int, points) -> np.ndarray:
+    """PEPs per row of a (B, n) complex array whose comparisons peps / n > t
+    with each of the ascending points t come out as those of pep_batch(z,
+    oversample): screen_peps, and pep_batch's own value on each row whose
+    screened PEP over n lies within screen_margin over n of a point.  n is a
+    power of two wherever the screen runs, so the divisions are exact.  Off
+    those rows, the screened and the float64 PEP differ by at most half the
+    margin, so they fall on the same side of every point, and farther from
+    it than pep_spread times themselves (the margin is at least 12u * S1^2,
+    pep_spread some 1e-13): near_points and orbit_peps decide on them as on
+    pep_batch's.  Where pep_spread proves nothing (a grid that is not a
+    power of two) and beyond n = 64, where the screen's matrix product costs
+    more than the FFT it saves, this is pep_batch(z, oversample)."""
+    n, grid = z.shape[1], oversample * z.shape[1]
+    if n > 64 or grid & (grid - 1):
+        return pep_batch(z, oversample)
+    peps = screen_peps(z, oversample)
+    (rows,) = np.nonzero(_point_distance(peps / n, points) <= screen_margin(z, oversample) / n)
+    peps[rows] = pep_batch(z[rows], oversample)
+    return peps
 
 
 def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: int) -> tuple:

@@ -33,6 +33,7 @@ from .analysis import (
     row_free,
     shift_factors,
     star_sum,
+    threshold_peps,
 )
 from .constructions import (
     CHUNK_SYMBOLS,
@@ -333,11 +334,12 @@ def cmd_enumerate(args) -> int:
 
 def _block_pmeprs(block: FamilyBlock, oversample: int, thresholds: np.ndarray) -> dict:
     """(PMEPRs, records) per offset kind of a block of map_orbit_blocks: the
-    orbit_peps multiset of its rows, refined near the thresholds, each value
-    counting for ORBIT_SIZE records per image it stands for."""
+    orbit_peps multiset of its rows' threshold_peps, refined near the
+    thresholds, each value counting for ORBIT_SIZE records per image it
+    stands for."""
     n = 1 << block.m
     z = block.complex_symbols().reshape(-1, n)
-    peps = pep_batch(z, oversample)
+    peps = threshold_peps(z, oversample, thresholds)
     near = near_points(peps / n, thresholds, oversample * n)
     values, images, rows = orbit_peps(z, peps, near, oversample)
     kinds = np.array(block.kinds)[rows // len(block.coeffs)]
@@ -385,7 +387,8 @@ def cmd_ccdf(args) -> int:
               for name, (values, records) in samples.items()}
 
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
-    curves["ccdf_baseline"] = ccdf(pep_batch(baseline, args.oversample) / n, thresholds)
+    peps = threshold_peps(baseline, args.oversample, thresholds)
+    curves["ccdf_baseline"] = ccdf(peps / n, thresholds)
 
     names = list(curves)
     lines = [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -31,6 +32,7 @@ from qamseq.analysis import (
     default_threshold_grid,
     envelope_power_batch,
     golay_defect_batch,
+    near_points,
     pep_batch,
     pmepr,
     polyphase_lattice,
@@ -40,8 +42,9 @@ from qamseq.analysis import (
     star,
     star_batch,
     star_sum,
+    threshold_peps,
 )
-from qamseq.constellation import Scale
+from qamseq.constellation import Scale, qam_lattice
 from qamseq.constructions import (
     ConstructionParams,
     Modulation,
@@ -54,6 +57,7 @@ from qamseq.constructions import (
     family_cells,
     form_values,
     iter_family_chunks,
+    map_orbit_blocks,
     offset_forms,
     orbit_rows,
 )
@@ -351,6 +355,16 @@ def test_random_baseline_domain_and_determinism():
         assert not np.array_equal(random_baseline(16, modulation, 50, seed=43), z)
 
 
+def test_random_baseline_is_the_lattice_of_its_draws():
+    # one integers draw per component, in order, from default_rng(seed)
+    for modulation in Modulation:
+        rng = np.random.default_rng(5)
+        draws = [rng.integers(0, 4, size=(30, 8)) for _ in range(modulation.components)]
+        points, scale = qam_lattice(*draws)
+        z = random_baseline(8, modulation, 30, seed=5)
+        assert np.array_equal(z, points / np.sqrt(scale.value))
+
+
 def test_random_baseline_count_validation():
     with pytest.raises(ValueError):
         random_baseline(8, Modulation.QAM16, 0, seed=1)
@@ -455,6 +469,72 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
     # an empty batch has no peaks and runs no FFT
     assert pep_batch(z[:0], 16).shape == (0,)
     assert len(shapes) == 5
+
+
+def orbit_walk_rows(m, modulation):
+    """The symbols of every (offset, row) of the orbit walk that ccdf scores."""
+    n = 1 << m
+    blocks = map_orbit_blocks(lambda block: block.complex_symbols().reshape(-1, n), m, modulation)
+    return np.concatenate(list(blocks))
+
+
+SCREENED_ROWS = {
+    "16qam-m3-orbits": lambda: orbit_walk_rows(3, Modulation.QAM16),
+    "16qam-m4-orbits": lambda: orbit_walk_rows(4, Modulation.QAM16),
+    "64qam-m3-orbits": lambda: orbit_walk_rows(3, Modulation.QAM64),
+    **{f"baseline-n{n}": functools.partial(random_baseline, n, Modulation.QAM16, 20000, n)
+       for n in (8, 16, 32, 64)},
+}
+
+
+@pytest.mark.parametrize("rows", SCREENED_ROWS.values(), ids=SCREENED_ROWS.keys())
+def test_the_envelope_screen_decides_every_threshold_as_pep_batch(rows):
+    z = rows()
+    n, thresholds = z.shape[1], default_threshold_grid()
+    exact, screened = pep_batch(z, 16), analysis.screen_peps(z, 16)
+    margin = analysis.screen_margin(z, 16)
+    assert np.all(np.isfinite(margin))
+    # the screen is within half its margin of the float64 FFT on every row
+    assert np.all(np.abs(screened - exact) <= margin / 2)
+    # rows within the margin of a threshold take pep_batch's value bit for
+    # bit, the others keep the screened one
+    near = np.min(np.abs(screened[:, None] / n - thresholds), axis=1) <= margin / n
+    peps = threshold_peps(z, 16, thresholds)
+    assert np.array_equal(peps[near], exact[near])
+    assert np.array_equal(peps[~near], screened[~near])
+    # every comparison with a threshold, and every near_points decision of
+    # orbit_peps, comes out as on pep_batch's PEPs
+    above = peps[:, None] / n > thresholds
+    assert np.array_equal(above, exact[:, None] / n > thresholds)
+    assert np.array_equal(near_points(peps / n, thresholds, 16 * n),
+                          near_points(exact / n, thresholds, 16 * n))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_screen_without_its_refinement_moves_the_baseline_curve(monkeypatch, m):
+    # the negative control: with no row sent back to pep_batch, the screened
+    # PEPs of the seed-42 baseline fall on the other side of some thresholds
+    n, thresholds = 1 << m, default_threshold_grid()
+    z = random_baseline(n, Modulation.QAM16, 10000, 42)
+    exact = ccdf(pep_batch(z, 16) / n, thresholds).probabilities
+    assert np.array_equal(ccdf(threshold_peps(z, 16, thresholds) / n, thresholds).probabilities,
+                          exact)
+    monkeypatch.setattr(analysis, "screen_margin", lambda z, oversample: np.full(len(z), -np.inf))
+    unrefined = ccdf(threshold_peps(z, 16, thresholds) / n, thresholds).probabilities
+    assert np.count_nonzero(unrefined != exact) > 0
+
+
+def test_threshold_peps_is_pep_batch_where_the_screen_proves_nothing():
+    thresholds = default_threshold_grid()
+    # a grid that is not a power of two, and n beyond 64
+    for n, oversample in ((8, 3), (16, 5), (128, 16)):
+        z = random_baseline(n, Modulation.QAM16, 500, n)
+        assert np.array_equal(threshold_peps(z, oversample, thresholds), pep_batch(z, oversample))
+    # rows whose modulus sum leaves the margin's range are all refined
+    z = random_baseline(16, Modulation.QAM16, 500, 1)
+    for scale in (2.0**-60, 2.0**60):
+        assert np.all(analysis.screen_margin(z * scale, 16) == np.inf)
+        assert np.array_equal(threshold_peps(z * scale, 16, thresholds), pep_batch(z * scale, 16))
 
 
 def test_pep_batch_rejects_oversample_below_one():

@@ -15,7 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qamseq
+from qamseq import analysis
+from qamseq.analysis import default_threshold_grid, random_baseline
+from qamseq.constructions import Modulation
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
@@ -81,12 +86,21 @@ def test_traced_benchmark_child_runs(tmp_path):
     audited = walked + 15 * (6 + 4 + 6)
     assert counts["envelope.fft_points"] == 8 * (16 * audited + 48 * 1536) == 731136
     # the family walk synthesises one row per 64-record orbit: a 64th of the
-    # 6 144 records of 16-QAM m=3; it refines the 3 rows, one per pi, whose
-    # PMEPR is exactly the threshold 2.0, and the baseline adds its 10 000
-    # sequences
+    # 6 144 records of 16-QAM m=3.  threshold_peps screens its 96 rows and
+    # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and
+    # L=16, on the rows whose screened PMEPR lies within screen_margin / n of
+    # a threshold: the 3 family rows, one per pi, whose PMEPR is exactly the
+    # threshold 2.0, then the 15 other images of each of them (orbit_peps),
+    # then 295 of the seed-42 baseline rows, most of them on a threshold to
+    # within rounding
+    z = random_baseline(8, Modulation.QAM16, 10000, 42)
+    screened, margin = analysis.screen_peps(z, 16), analysis.screen_margin(z, 16)
+    thresholds = default_threshold_grid()
+    refined = np.min(np.abs(screened[:, None] / 8 - thresholds), axis=1) <= margin / 8
+    assert np.count_nonzero(refined) == 295
     counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
     assert counts["synthesis.rows"] == 6144 // 64
-    assert counts["envelope.fft_points"] == 8 * 16 * (6144 // 64 + 15 * 3 + 10000)
+    assert counts["envelope.fft_points"] == 8 * 16 * (3 + 15 * 3 + 295) == 43904
     # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient
     # rows; it scores one row per constant orbit, at L=16, and writes every line
     counts = traced_counts(tmp_path, "enumerate", "--m", "3", "--modulation", "16qam")

@@ -182,12 +182,20 @@ def coset_correlation_sums(base: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C_a(u) + C_b(u), u = 0 .. n-1, per row of equal-shape (B, n) lattice arrays:
-    coset_correlation_sums on the base row D = 0 with no companion (g = 0)."""
+    coset_correlation_sums on the base row D = 0 with no companion (g = 0),
+    over slices of at most CHUNK_SYMBOLS // coset_footprint(n, 1) rows (and
+    at least one), so the (n, rows, n) factors are never held for every row."""
     if a.shape != b.shape:
         raise ValueError(f"rows of unequal shape: {a.shape} and {b.shape}")
-    zero = np.zeros(a.shape[-1], np.int64)
-    factors = shift_factors(a, a, zero) + shift_factors(b, b, zero)
-    return coset_correlation_sums(zero[None], factors)[:, 0]
+    n = a.shape[-1]
+    zero = np.zeros(n, np.int64)
+    sums = np.empty(a.shape, dtype=complex)
+    step = max(1, CHUNK_SYMBOLS // coset_footprint(n, 1))
+    for start in range(0, len(a), step):
+        x, y = a[start : start + step], b[start : start + step]
+        factors = shift_factors(x, x, zero) + shift_factors(y, y, zero)
+        sums[start : start + step] = coset_correlation_sums(zero[None], factors)[:, 0]
+    return sums
 
 
 def star_batch(a: np.ndarray, b: np.ndarray, denominator: int) -> np.ndarray:

@@ -106,7 +106,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -538,6 +537,10 @@ def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
 
 
 def _pool_map(task: Callable, cells: Iterator, jobs: int) -> Iterator:
+    # imported here: only a worker pool needs it, and it (with logging) is
+    # a large share of the package's import time
+    from concurrent import futures
+
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(task, cells)
 

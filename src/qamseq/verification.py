@@ -18,6 +18,20 @@ sums are exact Gaussian integers, so a residual passes only at exactly 0.
 Deliberately broken offsets must light them up, otherwise the sweep proves
 nothing.
 
+The sweep scores one row per quarter-shift orbit, on the rows of
+constructions.orbit_cells.  The quarter shift adds i mod 4 to D, and so to
+B = D and to B = D + s1 alike, while s is a function of the row-free form
+alone: P, Q and their companions all gain the factor i^i, so every
+P_i conj(Q_{i+u}) gains i^i * i^(-(i+u)) = i^(-u), and T(u) becomes
+i^(-u) * T(u), a unit times a Gaussian integer.  Its real and imaginary
+parts are those of T(u) up to order and sign, so |T(u)| is the same bit for
+bit on all four rows of the orbit.  Every residual is a function of the
+|T(u)|: L1 is their maximum, the check that T vanishes at every shift,
+which implies the lemma's |sum_u T(u)| = 0 (that sum is not invariant: its
+terms turn by i^(-u)), and the others are weighted sums of them.  So each
+row's residuals are those of its whole orbit, and each counts for
+SHIFT_ORBIT_SIZE evaluations.
+
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
 cancellation of the base pair, and the component star ceilings.  It scores
@@ -42,7 +56,8 @@ it is the same in any block order, for any cell size and for any worker
 count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
-oversampling rate over every constant orbit of the m=3 16-QAM family.  A
+oversampling rate over every constant orbit of the m=3 16-QAM family, in one
+walk that computes each row's L = LOW envelope once.  A
 report's passed is the AND of its own checks(), the verdicts that
 `qamseq verify` prints and exits on.
 """
@@ -74,8 +89,10 @@ from .analysis import (
 from .constellation import Scale
 from .constructions import (
     CEILINGS,
+    CHUNK_SYMBOLS,
     FULL_ORBIT_SIZE,
     ORBIT_SIZE,
+    SHIFT_ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -86,12 +103,12 @@ from .constructions import (
     _offset_list,
     build,
     companion_sign,
-    family_cells,
     family_size,
     form_values,
     map_family_blocks,
     map_orbit_blocks,
     offset_forms,
+    orbit_cells,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -141,8 +158,9 @@ def _lemma_residuals(
     zeta^s and 1), whose form serves the a1a2 sums of every offset with that
     s1, the a1a3 sums of every offset with that s2 and the L1 sums; and the
     a2a3 sums of each 64-QAM offset, T of D + s1 with s1 - s2 (row-free parts
-    zeta^(2*s1 - s2) and zeta^(s1)).  L1 is |sum over every shift of T(u)| =
-    |T(0) + 2 * sum_{u>=1} Re T(u)|, an exact integer.  The others are
+    zeta^(2*s1 - s2) and zeta^(s1)).  L1 is max over every shift of |T(u)|,
+    the square root of an exact integer, 0 exactly where T vanishes at every
+    shift.  The others are
     weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
     which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
     type 1 offsets and belongs to the bound, not to the cancellation claim).
@@ -177,10 +195,10 @@ def _lemma_residuals_at(
         live = np.any(t, axis=2)
         stars = np.zeros(live.shape)
         stars[live] = star_sum(t[live])
-        d = t[: len(forms)].real
         out = {}
         if d_forms:
-            out["L1"] = np.abs(d[d_forms, :, 0] + 2 * np.sum(d[d_forms, :, 1:], axis=2))
+            d = t[d_forms]  # |T(-u)| = |T(u)|: the shifts u >= 0 hold every |T|
+            out["L1"] = np.sqrt(np.max(d.real**2 + d.imag**2, axis=2))
         side = np.sum(np.abs(t[: len(forms), :, 1:]), axis=2)  # the sum over u >= 1
         for kind, prefix, a1a2 in ((OffsetKind.TYPE1, "L2", side), (OffsetKind.TYPE2, "L3", stars)):
             if kind in terms:
@@ -242,9 +260,11 @@ def negative_controls(m: int = 3) -> dict[str, float]:
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     """Every lemma residual at one m, over every (pi, linear part, offset),
-    on the cells of family_cells.
+    on the cells of orbit_cells: one linear part per quarter-shift orbit,
+    whose residuals are those of the orbit's four (module docstring), so
+    each counts SHIFT_ORBIT_SIZE evaluations.
 
-    Each linear part is walked once, with constant 0.  That is exhaustive:
+    Each linear part is walked with constant 0.  That is exhaustive:
     a constant c multiplies P and Q by zeta^c, so every product
     P_i conj(Q_{i+u}), and with it every lemma sum, does not depend on c.
     The sums are exact, so a residual passes only at exactly 0.
@@ -253,13 +273,15 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     counts: dict[str, int] = {k: 0 for k in maxima}
     offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64)
     forms, pairs = _lemma_forms(offsets)
-    cells = family_cells(m, coset_footprint(1 << m, len(forms) + len(pairs)))
+    footprint = coset_footprint(1 << m, len(forms) + len(pairs))
+    # rounded up to a power of two, where orbit_cells keeps to CHUNK_SYMBOLS // per_row rows
+    cells = orbit_cells(m, 1 << (footprint - 1).bit_length())
     for pi, pi_cells in itertools.groupby(cells, key=lambda cell: cell[0]):
         residuals_of = _lemma_residuals_at(offsets, m, pi)
         for _, rows in pi_cells:
             for key, residuals in residuals_of(base_rows(m, pi, rows)).items():
                 maxima[key] = max(maxima[key], float(np.max(residuals)))
-                counts[key] += int(residuals.size)
+                counts[key] += SHIFT_ORBIT_SIZE * int(residuals.size)
 
     return LemmaSweepResult(
         m=m,
@@ -510,56 +532,63 @@ ENVELOPE_M, ENVELOPE_MODULATION = 3, Modulation.QAM16
 LOW, HIGH = 16, 32
 
 
-def _envelope_gaps(block: FamilyBlock, basis: np.ndarray) -> tuple:
-    """The two PEP gaps of a block, one offset of its first axis at a time."""
+def _envelope_gaps(block: FamilyBlock) -> tuple[float, float, float]:
+    """The Parseval gap and the two PEP gaps of a block, over its (offsets *
+    rows, n) view in slices of rows whose L = HIGH grids hold at most
+    CHUNK_SYMBOLS points together, as pep_batch slices them: each kernel
+    runs once per slice, and the L = LOW envelope gives both the grid-mean
+    power and the low-rate PEP."""
+    n = 1 << block.m
+    grid = HIGH * n
+    basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
+    lattice, z = block.symbols.reshape(-1, n), block.complex_symbols().reshape(-1, n)
+    energy = np.sum(lattice.real**2 + lattice.imag**2, axis=1) / block.scale.value
+    step = max(1, CHUNK_SYMBOLS // grid)
     gaps = []
-    for z in block.complex_symbols():
-        p_low, p_high = pep_batch(z, LOW), pep_batch(z, HIGH)
-        dense = np.max(np.abs(z @ basis) ** 2, axis=1)
-        gaps.append((np.max((p_high - p_low) / p_high), np.max(np.abs(p_high - dense) / dense)))
+    for start in range(0, len(z), step):
+        w, e = z[start : start + step], energy[start : start + step]
+        power = envelope_power_batch(w, LOW)
+        p_low, p_high = np.max(power, axis=1), pep_batch(w, HIGH)
+        # squaring is monotone, so the square of the largest |S| is the
+        # largest |S|^2, bit for bit
+        dense = np.max(np.abs(w @ basis), axis=1) ** 2
+        gaps.append((np.max(np.abs(np.mean(power, axis=1) - e) / e),
+                     np.max((p_high - p_low) / p_high),
+                     np.max(np.abs(p_high - dense) / dense)))
     return tuple(float(max(g)) for g in zip(*gaps))
 
 
-def oversampling_audit() -> tuple[float, float]:
-    """Max relative PEP gaps over the envelope family, one row per constant
-    orbit (a row's PEP is that of its whole orbit): between the two
-    oversampling rates, and between pep_batch at the high rate and a
-    dense-DFT peak.
+def envelope_audit() -> tuple[float, float, float]:
+    """(Parseval gap, PEP gap, dense gap): the max relative gaps over the
+    envelope family, one row per constant orbit (zeta^c changes neither the
+    envelope nor the energy, so a row's gaps are those of its whole orbit),
+    from one walk over it.
 
-    The explicit exp(2*pi*j*i*k/(high*n)) matrix shares no code with the FFT,
-    so a kernel that ignores its oversampling rate shows in the second gap
-    and not in the first, which compares pep_batch with itself.
+    The Parseval gap is between the grid-mean envelope power at L = LOW and
+    the sequence energy.  The PEP gaps are between the two oversampling
+    rates, and between pep_batch at the high rate and a dense-DFT peak.
+    The explicit exp(2*pi*j*i*k/(high*n)) matrix shares no code with the
+    FFT, so a kernel that ignores its oversampling rate shows in the dense
+    gap and not in the first, which compares the FFT with itself.
     """
-    n = 1 << ENVELOPE_M
-    grid = HIGH * n
-    basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
-    envelope_gaps = functools.partial(_envelope_gaps, basis=basis)
-    gaps = map_family_blocks(envelope_gaps, ENVELOPE_M, ENVELOPE_MODULATION)
+    gaps = map_family_blocks(_envelope_gaps, ENVELOPE_M, ENVELOPE_MODULATION)
     return tuple(max(g) for g in zip(*gaps))
 
 
-def _parseval_gap(block: FamilyBlock) -> float:
-    """The Parseval gap of a block, one offset of its first axis at a time."""
-    gaps = []
-    for z, w in zip(block.symbols, block.complex_symbols()):
-        mean_power = np.mean(envelope_power_batch(w, LOW), axis=1)
-        energy = np.sum(z.real**2 + z.imag**2, axis=1) / block.scale.value
-        gaps.append(np.max(np.abs(mean_power - energy) / energy))
-    return float(max(gaps))
+def oversampling_audit() -> tuple[float, float]:
+    """The two PEP gaps of envelope_audit."""
+    return envelope_audit()[1:]
 
 
 def parseval_audit() -> float:
-    """Max relative gap between grid-mean envelope power and sequence energy
-    over the envelope family, one row per constant orbit: zeta^c changes
-    neither, so a row's gap is that of its whole orbit."""
-    return max(map_family_blocks(_parseval_gap, ENVELOPE_M, ENVELOPE_MODULATION))
+    """The Parseval gap of envelope_audit."""
+    return envelope_audit()[0]
 
 
 def envelope_checks() -> list[CheckResult]:
     """The Parseval and oversampling-adequacy checks of the envelope kernel."""
     family = f"the m={ENVELOPE_M} {ENVELOPE_MODULATION.value} family"
-    parseval = parseval_audit()
-    gap, dense_gap = oversampling_audit()
+    parseval, gap, dense_gap = envelope_audit()
     records = family_size(ENVELOPE_M, ENVELOPE_MODULATION)
     return [
         CheckResult("analysis.parseval", parseval <= 1e-9,

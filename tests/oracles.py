@@ -20,8 +20,9 @@ and autocorrelation_sums, that loop over a pair and itself, the reference
 of its D = 0 reduction analysis.autocorrelation_sums.  star_rows is the
 literal star sum over many records at once, for checks that cover a
 whole family, distinct_rows counts a family's distinct symbol rows by
-hashing every one of them, and l1_row_sums takes the L1 lemma residual of
-many rows from row sums, where the library sums it shift by shift.
+hashing every one of them, and l1_row_sums takes the 16-QAM lemma's full
+double sum |sum_u T(u)| of many rows from row sums, the weaker claim that
+the library's per-shift L1, max_u |T(u)|, implies.
 codeword_doc is the JSON document of one codeword built field by field from
 the pointwise components and QAM maps, the reference for the CLI's block
 renderer.
@@ -40,9 +41,10 @@ The library scores every offset of a cell at once, through one
 factored correlation of the cell's base rows.  The reference scores one
 offset at a time, from the explicit sequences and their companions:
 offset_block builds one (pi, offset) block straight from offset_values,
-audit_block scores it alone, and lemma_residuals correlates every sum of
-one offset for that offset alone; offset_bound_audit, full_bound_audit and
-offset_lemma_sweep fold them over a family.
+audit_block scores it alone, lemma_terms correlates every lemma pair of
+one offset for that offset alone and lemma_residuals reduces them;
+offset_bound_audit, full_bound_audit and offset_lemma_sweep fold them over
+a family.
 """
 
 from __future__ import annotations
@@ -503,25 +505,37 @@ def _lemma_terms(base_all: np.ndarray, svals: np.ndarray, sign: np.ndarray) -> t
     return np.stack([p, q, sign * p, sign * q]), np.stack([q, p, sign * q, sign * p])
 
 
+def lemma_terms(
+    base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
+) -> list[np.ndarray]:
+    """T(u), u = 0 .. n-1, per base row, of each lemma pair of one offset,
+    correlated for this offset alone: (B, s) = (D, s) for a 16-QAM offset,
+    and (D, s1), (D, s2) and (D + s1, s1 - s2) for a 64-QAM offset."""
+    sign = companion_sign(m, pi)
+    svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
+    pairs = [(base_all, s) for s in svals]
+    if isinstance(offset, Offset64):
+        s1, s2 = svals
+        pairs.append(((base_all + s1) % 4, (s1 - s2) % 4))
+    return [correlation_sums_batch(*_lemma_terms(b, s, sign)) for b, s in pairs]
+
+
 def lemma_residuals(
     base_all: np.ndarray, offset: Offset, m: int, pi: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
-    """Every lemma residual of one offset, per base row, each of its sums
-    correlated for this offset alone: L1 for a 16-QAM offset, L2a-c for a
-    type 1 and L3a-c for a type 2 64-QAM offset."""
-    sign = companion_sign(m, pi)
-    svals = [s.astype(np.int64) for s in offset_values(offset, m, pi)]
+    """Every lemma residual of one offset, per base row, from its lemma_terms:
+    L1 = max_u |T(u)| for a 16-QAM offset, L2a-c for a type 1 and L3a-c for
+    a type 2 64-QAM offset."""
+    terms = lemma_terms(base_all, offset, m, pi)
     if isinstance(offset, Offset16):
-        return {"L1": l1_row_sums(base_all, offset, m, pi)}
-    s1, s2 = svals
-    t12 = correlation_sums_batch(*_lemma_terms(base_all, s1, sign))
-    r13 = star_sum(correlation_sums_batch(*_lemma_terms(base_all, s2, sign)))
-    r23 = star_sum(correlation_sums_batch(*_lemma_terms((base_all + s1) % 4, (s1 - s2) % 4, sign)))
+        (t,) = terms
+        return {"L1": np.sqrt(np.max(t.real**2 + t.imag**2, axis=1))}
+    t12, t13, t23 = terms
     if offset.kind is OffsetKind.TYPE1:
         prefix, r12 = "L2", np.sum(np.abs(t12[:, 1:]), axis=1)
     else:
         prefix, r12 = "L3", star_sum(t12)
-    residuals = (_A1A2 * r12, _A1A3 * r13, _A2A3 * r23)
+    residuals = (_A1A2 * r12, _A1A3 * star_sum(t13), _A2A3 * star_sum(t23))
     return {prefix + part: r for part, r in zip("abc", residuals)}
 
 
@@ -718,7 +732,8 @@ def _cross_inner(base: np.ndarray, svals: np.ndarray, last_bits: np.ndarray, u: 
 
 
 def lemma1_residual(params: ConstructionParams) -> float:
-    """|full double sum| for the 16-QAM cross term; ~0 for valid offsets."""
+    """max over every shift u of |inner sum at u| for the 16-QAM cross term:
+    0 for valid offsets, at every shift, hence also for the full double sum."""
     if not isinstance(params.offset, Offset16):
         raise ValueError("lemma 1 oracle needs an Offset16")
     m, pi = params.m, params.base.pi
@@ -726,8 +741,7 @@ def lemma1_residual(params: ConstructionParams) -> float:
     (svals,) = (s.astype(np.int64) for s in offset_values(params.offset, m, pi))
     lb = _last_bits(m, pi)
     n = base.size
-    total = sum(_cross_inner(base, svals, lb, u) for u in range(1 - n, n))
-    return abs(total)
+    return max(abs(_cross_inner(base, svals, lb, u)) for u in range(1 - n, n))
 
 
 def _three_residuals(
@@ -766,9 +780,11 @@ def lemma3_residuals(params: ConstructionParams) -> tuple[float, float, float]:
 def l1_row_sums(
     base_all: np.ndarray, offset: Offset16, m: int, pi: tuple[int, ...]
 ) -> np.ndarray:
-    """The L1 residual of every row of base_all from row sums: summed over
-    every shift, X_{a,b} is (sum a) * conj(sum b), so the sum of T over every
-    shift is the real number sum_k (sum a_k) * conj(sum b_k) of _lemma_terms."""
+    """|sum over every shift of T(u)|, the lemma's full double sum, for every
+    row of base_all from row sums: summed over every shift, X_{a,b} is
+    (sum a) * conj(sum b), so the sum of T over every shift is the real
+    number sum_k (sum a_k) * conj(sum b_k) of _lemma_terms.  The sweep's L1,
+    max_u |T(u)|, is 0 only where this is."""
     (svals,) = (s.astype(np.int64) for s in offset_values(offset, m, pi))
     a, b = _lemma_terms(base_all, svals, companion_sign(m, pi))
     return np.abs(np.sum(a.sum(axis=2) * np.conj(b.sum(axis=2)), axis=0).real)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +599,30 @@ def test_autocorrelation_sums_are_the_literal_loop(n):
     assert np.array_equal(analysis.autocorrelation_sums(a, b), want)
     assert np.array_equal(star_batch(a, b, 10), star_sum(want) / 10)
     assert np.array_equal(golay_defect_batch(a, b), analysis.golay_defect(want))
+
+
+def test_autocorrelation_sums_hold_one_slice_of_factors(monkeypatch):
+    # the batch kernels correlate their rows in slices of CHUNK_SYMBOLS //
+    # coset_footprint(n, 1): the sums equal those of one unsliced call, and
+    # star_batch over 49 152 rows of n = 8 peaks far below the 144 MiB of
+    # the (n, rows, n) factors of every row at once
+    rng = np.random.default_rng(8)
+    parts = rng.integers(-7, 8, size=(4, 49152, 8))
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    step = analysis.CHUNK_SYMBOLS // analysis.coset_footprint(8, 1)
+    assert 3 * step < 2000 < len(a)
+    sliced = analysis.autocorrelation_sums(a[:2000], b[:2000])
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "CHUNK_SYMBOLS", 1 << 40)
+        assert np.array_equal(sliced, analysis.autocorrelation_sums(a[:2000], b[:2000]))
+    tracemalloc.start()
+    try:
+        stars = star_batch(a, b, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert np.array_equal(stars[:2000], star_sum(sliced) / 10)
 
 
 def _explicit_sums(sequences, sign):

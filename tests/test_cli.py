@@ -370,6 +370,10 @@ PINNED_SHA256 = [
     # of a threshold, many of them on one to within rounding
     (["ccdf", "--m", "3", "--modulation", "16qam"],
      "c31c841f01a7836fdeb4d516bc739a9d4db2d4a51986e553d9cb3a8c28b36f19"),
+    # the lemma sweep alone at m=5, on one row per quarter-shift orbit:
+    # the report of a walk over every row
+    (["verify", "--suite", "lemmas", "--m", "5"],
+     "568d8f498b3845943f6f7f434a1b3b8f05b2a2619e502c2df992c9ec7ee34557"),
 ]
 
 
@@ -378,6 +382,7 @@ PINNED_SHA256 = [
     "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
     "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
     "ccdf-64qam-m4", "ccdf-16qam-m4-L3", "verify-bounds-m3-L3", "ccdf-16qam-m3",
+    "verify-lemmas-m5",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

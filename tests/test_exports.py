@@ -66,10 +66,10 @@ def test_traced_benchmark_child_runs(tmp_path):
     # one row per 64-record orbit: the two audits walk the orbit rows with
     # c_{pi^-1(m-1)} = 0, a quarter of the 64 orbit rows of each of the 3
     # pis, under 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets;
-    # then the Parseval and oversampling walks of the 16-QAM family, which
-    # keep every offset and every orbit row (1 536 rows each)
+    # then the one envelope walk of the 16-QAM family, which keeps every
+    # offset and every orbit row (1 536 rows)
     walked = 3 * (64 // 4) * 2 + 3 * (64 // 4) * 16
-    assert counts["synthesis.rows"] == walked + 1536 + 1536 == 3936
+    assert counts["synthesis.rows"] == walked + 1536 == 2400
     # per audited block (one pi's 16 walk rows, every orbit offset), one
     # polyphase_lattice for D and all its distinct component forms; the
     # codewords and components are then correlated by coset_correlation_sums,
@@ -82,9 +82,11 @@ def test_traced_benchmark_child_runs(tmp_path):
     # 16-QAM blocks, 1 + 1 + 2 type 1 and 4 + 1 + 1 type 2 rows in the
     # 64-QAM ones, a quarter of the walk over 16-record orbits; no PMEPR lies
     # that near its ceiling plus PMEPR_TOL or its star/n plus STAR_TOL), then
-    # the oversampling walk at L=16 and at L=32 (Parseval reads no peak)
+    # the envelope walk at L=32; its L=16 peaks come from the envelope that
+    # also gives the Parseval mean, through envelope_power_batch, which is
+    # not a traced name
     audited = walked + 15 * (6 + 4 + 6)
-    assert counts["envelope.fft_points"] == 8 * (16 * audited + 48 * 1536) == 731136
+    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 534528
     # the family walk synthesises one row per 64-record orbit: a 64th of the
     # 6 144 records of 16-QAM m=3.  threshold_peps screens its 96 rows and
     # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and
@@ -107,6 +109,17 @@ def test_traced_benchmark_child_runs(tmp_path):
     assert counts["synthesis.rows"] == 3 * 8 * 256 == 6144
     assert counts["envelope.fft_points"] == 8 * 16 * 6144 // 4
     assert (tmp_path / "r").stat().st_size == 3189024
+
+
+def test_importing_the_cli_leaves_the_worker_pool_out():
+    # concurrent.futures, and the logging it imports, load only when a walk
+    # fans out over worker processes (jobs > 1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, qamseq.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"
 
 
 def test_traced_examples_score_through_the_coset_kernel(tmp_path):

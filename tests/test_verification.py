@@ -17,12 +17,13 @@ from oracles import (
     lemma3_residuals,
     lemma_reports,
     lemma_residuals,
+    lemma_terms,
     offset_bound_audit,
     offset_block,
     offset_lemma_sweep,
 )
 from qamseq import verification
-from qamseq.algebra import canonical_permutations, coefficient_matrix
+from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
     near_points,
@@ -53,6 +54,7 @@ from qamseq.constructions import (
     orbit_cells,
     orbit_offsets,
     orbit_rows,
+    quarter_shift,
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
@@ -60,8 +62,9 @@ from qamseq.verification import (
     EXAMPLE2_PARAMS,
     KindStats,
     _audit_block,
+    _envelope_gaps,
     _lemma_residuals,
-    _parseval_gap,
+    envelope_audit,
     envelope_checks,
     example_regression,
     lemma_sweep,
@@ -231,7 +234,7 @@ def test_lemma_residuals_see_a_companion_that_is_not_derived(monkeypatch):
     assert all(v == 0 for v in residuals().values())
     monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
     lit = residuals()
-    assert lit["L1"] == 32.0
+    assert lit["L1"] == math.sqrt(40)
     assert all(v > 0.1 for v in lit.values())
 
 
@@ -272,26 +275,75 @@ def test_sweep_batch_agrees_with_per_record_oracle():
     assert position == {"L1": 3, "L2a": 3, "L2b": 3, "L2c": 3, "L3a": 2, "L3b": 2, "L3c": 2}
 
 
-def test_l1_from_row_sums_equals_the_per_shift_sum():
-    # summed over every shift, X_{a,b} is (sum a) * conj(sum b): the sweep's
-    # L1, |T(0) + 2 * sum_{u>=1} Re T(u)| from the per-shift sums T, equals the
-    # row-sum L1 row by row, on every valid 16-QAM offset and four
-    # constraint-breaking triples, over every cell of m=3, 4
+def test_the_per_shift_l1_implies_the_row_sum():
+    # L1 is max_u |T(u)|, 0 only where T vanishes at every shift: the
+    # lemma's full double sum |sum_u T(u)|, here in its row-sum form, is
+    # then 0 too, and at most 2n - 1 times L1 elsewhere; on every valid
+    # 16-QAM offset and four constraint-breaking triples, over every row of
+    # every cell of m=3, 4.  The L1 negative control reads 2n either way
     broken = tuple(Offset16(*t) for t in ((0, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 1)))
     assert all(o.violations() for o in broken)
     offsets = _offset_list(Modulation.QAM16) + broken
     total = lit = 0
     for m in (3, 4):
-        for pi, rows in family_cells(m, 1 << m):
+        n = 1 << m
+        for pi, rows in family_cells(m, n):
             base_all = base_rows(m, pi, rows)
             got = _lemma_residuals(base_all, offsets, m, pi)["L1"]
             for values, off in zip(got, offsets, strict=True):
-                assert np.array_equal(values, l1_row_sums(base_all, off, m, pi))
+                row_sums = l1_row_sums(base_all, off, m, pi)
+                assert not np.any(row_sums[values == 0])
+                assert np.all(row_sums <= (2 * n - 1) * values * (1 + 1e-12))
             total += got.size
             lit += int(np.count_nonzero(got))
+        identity = tuple(range(m))
+        row = base_rows(m, identity, np.array([[1] * m + [0]]))
+        assert l1_row_sums(row, Offset16(0, 0, 0), m, identity)[0] == 2 * n
+        assert negative_controls(m)["L1"] == 2 * n
     assert total == 12 * (3 * 4**3 + 12 * 4**4) == 39168
     assert lit > 0
-    assert [negative_controls(m)["L1"] for m in (3, 4)] == [16.0, 32.0]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_a_quarter_shift_turns_each_lemma_term_by_a_unit(m):
+    # what the orbit-row sweep rests on: a row plus quarter_shift turns
+    # every T(u) of every lemma pair of every offset, valid or broken, into
+    # i^(-u) * T(u) exactly, so every |T(u)| and every residual is bit-equal
+    # on the row and its image; the lemma's full double sum is not, which a
+    # sweep that still read it on a quarter of the rows would miss
+    d = Offset16(0, 1, 1)
+    broken = (Offset16(0, 0, 0), Offset16(1, 2, 3),
+              Offset64(OffsetKind.TYPE1, d, 2, 0, 0), Offset64(OffsetKind.TYPE2, d, 0, 0, 0))
+    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64) + broken
+    turn = ZETA[-np.arange(1 << m) % 4]  # i^(-u)
+    moved = 0
+    for pi in canonical_permutations(m):
+        rows = orbit_rows(m)[:: 4 ** (m - 3)]  # 64 rows of each pi
+        base = base_rows(m, pi, rows)
+        image = base_rows(m, pi, (rows + quarter_shift(m, pi)) % 4)
+        for off in offsets:
+            for t, t_image in zip(lemma_terms(base, off, m, pi), lemma_terms(image, off, m, pi),
+                                  strict=True):
+                assert np.array_equal(t_image, turn * t)
+                assert np.array_equal(np.abs(t_image), np.abs(t))
+            if off in broken[:2]:
+                moved += int(np.count_nonzero(
+                    l1_row_sums(base, off, m, pi) != l1_row_sums(image, off, m, pi)))
+        got, shifted = (_lemma_residuals(b, offsets, m, pi) for b in (base, image))
+        assert list(got) == list(shifted)
+        for key in got:
+            assert np.array_equal(got[key], shifted[key])
+    assert moved > 0
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_orbit_row_sweep_equals_the_every_row_walk(m):
+    # the sweep, on one row per quarter-shift orbit and each counted for
+    # its SHIFT_ORBIT_SIZE rows, reports the maxima and evaluation counts of
+    # every offset correlated alone over every row of family_cells
+    result = lemma_sweep(m)
+    maxima, counts = offset_lemma_sweep(m)
+    assert (result.max_residuals, result.evaluations) == (maxima, counts)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -318,10 +370,6 @@ def test_cell_lemma_residuals_equal_the_per_offset_reference(m):
             assert np.array_equal(values, np.stack(reference[key]))
             lit += int(np.count_nonzero(values))
     assert lit > 0
-    # and the sweep reports the reference's maxima and evaluation counts
-    result = lemma_sweep(m)
-    maxima, counts = offset_lemma_sweep(m)
-    assert (result.max_residuals, result.evaluations) == (maxima, counts)
 
 
 def test_bound_audit_16qam_m3():
@@ -481,7 +529,7 @@ def test_audit_block_refuses_a_symbol_outside_its_coset():
 def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
     # each lemma cell, sized by the kernel's per-row footprint (unit
     # products and sums), holds at most CHUNK_SYMBOLS complex values, and
-    # the sweep correlates every orbit row of every pi once
+    # the sweep correlates one row per quarter-shift orbit of every pi once
     real = verification.coset_correlation_sums
     calls = []
 
@@ -498,7 +546,7 @@ def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
         # 12 forms and 64 a2a3 terms per call, then the negative controls'
         # one row: their 3 distinct forms and the a2a3 terms of L2 and L3
         assert {shape for _, shape in calls[:-1]} == {(n, 12 + 64, n)}
-        assert sum(rows for rows, _ in calls[:-1]) == len(canonical_permutations(m)) * 4**m
+        assert sum(rows for rows, _ in calls[:-1]) == len(canonical_permutations(m)) * 4 ** (m - 1)
         assert calls[-1] == (1, (n, 3 + 2, n))
 
 
@@ -705,15 +753,19 @@ def test_dense_envelope_gap_machine_precision():
 
 def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch, capsys):
     # negative control: an envelope FFT stuck at 2n points agrees with itself
-    # at L=16 and L=32, so only the dense-DFT reference can see it
-    from qamseq import verification
+    # at L=16 and L=32, so only the dense-DFT reference can see it.  The
+    # envelope walk takes its L=16 PEP from envelope_power_batch and its
+    # L=32 PEP from pep_batch, which calls the analysis module's
+    # envelope_power_batch: the broken kernel replaces both names
+    from qamseq import analysis, verification
     from qamseq.cli import main
 
     def two_n_grid(z, oversample=16):
         n = z.shape[1]
-        return np.max(np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2, axis=1)
+        return np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2
 
-    monkeypatch.setattr(verification, "pep_batch", two_n_grid)
+    monkeypatch.setattr(analysis, "envelope_power_batch", two_n_grid)
+    monkeypatch.setattr(verification, "envelope_power_batch", two_n_grid)
     gap, dense_gap = oversampling_audit()
     assert gap == 0.0
     assert dense_gap > 1e-9
@@ -731,9 +783,13 @@ def test_parseval_audit_machine_precision():
     assert check.observed.endswith("over all 6144 codewords of the m=3 16qam family")
 
 
-def test_parseval_audit_equals_the_full_walk():
-    # one row per constant orbit against every record of the family
-    assert parseval_audit() == max(full_family_blocks(_parseval_gap, 3, Modulation.QAM16))
+def test_envelope_audit_equals_the_full_walk():
+    # one row per constant orbit against every record of the family, and
+    # the two traced views are its parts
+    gaps = envelope_audit()
+    full = full_family_blocks(_envelope_gaps, 3, Modulation.QAM16)
+    assert gaps == tuple(max(g) for g in zip(*full))
+    assert (parseval_audit(), oversampling_audit()) == (gaps[0], gaps[1:])
 
 
 def test_parseval_check_fails_on_an_envelope_off_by_one_part_in_a_million(monkeypatch):

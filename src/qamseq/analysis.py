@@ -21,7 +21,9 @@ product, and runs pep_batch only on the rows whose screened PEP lies within
 its certified error of a threshold.  orbit_peps scores a row for the
 conjugation x reversal x quarter-shift images of its sequence too, and
 computes their PEPs only where pep_spread says that a decision could tell
-them apart.
+them apart.  random_baseline, the uncoded reference ensemble, holds only
+its uint8 Z4 draws whole and yields its complex symbols in slices of at
+most CHUNK_SYMBOLS, for threshold_peps to take one at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -88,16 +91,35 @@ def ccdf(values, thresholds, weights=None) -> CcdfCurve:
     return CcdfCurve(thresholds=t, probabilities=probs)
 
 
-def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np.ndarray:
-    """(count, n) complex unit-average-energy symbols, uniform i.i.d. over the
-    constellation (as FamilyBlock.complex_symbols): the uncoded reference ensemble."""
+def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> Iterator[np.ndarray]:
+    """count rows of n complex unit-average-energy symbols, uniform i.i.d.
+    over the constellation (as FamilyBlock.complex_symbols): the uncoded
+    reference ensemble, in slices of at most CHUNK_SYMBOLS symbols (and at
+    least one row).  The Z4 component draws are made here, before the first
+    slice, and held as one (components, count, n) uint8 array: all of
+    component 0, then component 1 (and 2), each from its own row slices of
+    default_rng(seed).integers(0, 4), the same stream as one call per
+    component.  A slice's lattice points are built as it is taken, so the
+    complex symbols of the whole ensemble are never held."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    components = (rng.integers(0, 4, size=(count, n)).astype(np.uint8)
-                  for _ in range(modulation.components))
-    points, scale = qam_lattice(*components)
-    return points / np.sqrt(scale.value)
+    step = max(1, CHUNK_SYMBOLS // n)
+    draws = np.empty((modulation.components, count, n), np.uint8)
+    for component in draws:
+        for start in range(0, count, step):
+            rows = component[start : start + step]
+            rows[...] = rng.integers(0, 4, size=rows.shape)
+    return _lattice_slices(draws, step)
+
+
+def _lattice_slices(draws: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """The unit-average-energy symbols of each slice of step rows of the
+    (components, count, n) Z4 draws."""
+    for start in range(0, draws.shape[1], step):
+        points, scale = qam_lattice(*draws[:, start : start + step])
+        points /= np.sqrt(scale.value)
+        yield points
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def cmd_ccdf(args) -> int:
               for name, (values, records) in samples.items()}
 
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
-    peps = threshold_peps(baseline, args.oversample, thresholds)
+    peps = np.concatenate([threshold_peps(z, args.oversample, thresholds) for z in baseline])
     curves["ccdf_baseline"] = ccdf(peps / n, thresholds)
 
     names = list(curves)

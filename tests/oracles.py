@@ -9,8 +9,9 @@ The tests compare integers in this form.
 
 Each function here evaluates its quantity straight from the definition, one
 sequence or one record at a time: the per-shift autocorrelation loop, the
-full-range star sum, the one-sequence envelope FFT, the per-record lemma
-double sums, pointwise Boolean-function evaluation, the binary digits of an
+full-range star sum, the one-sequence envelope FFT, the one-shot random
+baseline that analysis.random_baseline streams, the per-record lemma double
+sums, pointwise Boolean-function evaluation, the binary digits of an
 index, the two QAM maps written out per modulation, pointwise offset
 values and component sequences, and the float value of a lattice point.  The library computes each
 of these once, in a batched kernel; the tests compare the two.
@@ -691,6 +692,17 @@ def pep(a: ComplexSequence, oversample: int = 16) -> float:
 
 def pmepr(a: ComplexSequence, oversample: int = 16) -> float:
     return pep(a, oversample) / len(a)
+
+
+def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> np.ndarray:
+    """The (count, n) complex uncoded reference ensemble in one piece: one
+    integers draw of every component from default_rng(seed), in order, and
+    the lattice points of all of them at once."""
+    rng = np.random.default_rng(seed)
+    components = (rng.integers(0, 4, size=(count, n)).astype(np.uint8)
+                  for _ in range(modulation.components))
+    points, scale = qam_lattice(*components)
+    return points / np.sqrt(scale.value)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,11 @@ def pep(seq, oversample=16):
     return pep_batch(seq.to_complex()[None, :], oversample)[0]
 
 
+def baseline_rows(n, modulation, count, seed):
+    """The slices of random_baseline stacked into one (count, n) array."""
+    return np.concatenate(list(random_baseline(n, modulation, count, seed)))
+
+
 def unit_sequence(z):
     """The unit-scale record of a complex lattice array."""
     return ComplexSequence(z.real, z.imag, Scale.UNIT)
@@ -344,7 +349,7 @@ def test_random_baseline_domain_and_determinism():
         (Modulation.QAM64, Scale.QAM64, [qam64_map(u, v, w) for u in range(4)
                                          for v in range(4) for w in range(4)]),
     ):
-        z = random_baseline(16, modulation, 50, seed=42)
+        z = baseline_rows(16, modulation, 50, 42)
         assert z.shape == (50, 16) and z.dtype == complex
         lattice = np.rint(z * np.sqrt(scale.value))
         re, im = lattice.real.astype(np.int64), lattice.imag.astype(np.int64)
@@ -352,8 +357,8 @@ def test_random_baseline_domain_and_determinism():
         # bit for bit what ComplexSequence.to_complex gives for those lattice points
         for k in range(len(z)):
             assert np.array_equal(ComplexSequence(re[k], im[k], scale).to_complex(), z[k])
-        assert np.array_equal(random_baseline(16, modulation, 50, seed=42), z)
-        assert not np.array_equal(random_baseline(16, modulation, 50, seed=43), z)
+        assert np.array_equal(baseline_rows(16, modulation, 50, 42), z)
+        assert not np.array_equal(baseline_rows(16, modulation, 50, 43), z)
 
 
 def test_random_baseline_is_the_lattice_of_its_draws():
@@ -362,13 +367,73 @@ def test_random_baseline_is_the_lattice_of_its_draws():
         rng = np.random.default_rng(5)
         draws = [rng.integers(0, 4, size=(30, 8)) for _ in range(modulation.components)]
         points, scale = qam_lattice(*draws)
-        z = random_baseline(8, modulation, 30, seed=5)
+        z = baseline_rows(8, modulation, 30, 5)
         assert np.array_equal(z, points / np.sqrt(scale.value))
 
 
 def test_random_baseline_count_validation():
     with pytest.raises(ValueError):
         random_baseline(8, Modulation.QAM16, 0, seed=1)
+
+
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+@pytest.mark.parametrize("n", [7, 16])
+def test_the_streamed_baseline_is_the_one_shot_ensemble(n, modulation):
+    # slices of CHUNK_SYMBOLS // n rows, each built from its own row slices
+    # of draws; at n = 7 a slice is 4681 rows, an odd 32 767 draws, so the
+    # next slice's draws start inside the generator's 64-bit output
+    step = analysis.CHUNK_SYMBOLS // n
+    for count in (1, 999, step - 1, step, step + 1, 10_000):
+        for seed in (0, 5, 42):
+            slices = list(random_baseline(n, modulation, count, seed))
+            assert [len(z) for z in slices] == [min(step, count - s) for s in range(0, count, step)]
+            assert np.array_equal(np.concatenate(slices),
+                                  oracles.random_baseline(n, modulation, count, seed))
+
+
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+@pytest.mark.parametrize("n, oversample", [(8, 16), (16, 16), (16, 3), (64, 4), (128, 16)])
+def test_per_slice_threshold_peps_give_the_whole_array_curve(n, oversample, modulation):
+    # two full slices and a short one, on the screen (a power-of-two grid,
+    # n <= 64) and off it: every PEP, and so every probability, comes out
+    # bit for bit as from one threshold_peps call on the one-shot ensemble
+    thresholds = default_threshold_grid()
+    count = 2 * (analysis.CHUNK_SYMBOLS // n) + 3
+    sliced = np.concatenate([threshold_peps(z, oversample, thresholds)
+                             for z in random_baseline(n, modulation, count, n)])
+    whole = threshold_peps(oracles.random_baseline(n, modulation, count, n), oversample, thresholds)
+    assert np.array_equal(sliced, whole)
+    assert np.array_equal(ccdf(sliced / n, thresholds).probabilities,
+                          ccdf(whole / n, thresholds).probabilities)
+
+
+def traced_peak(work) -> int:
+    """The tracemalloc peak, in bytes, of one call of work (numpy reports
+    its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_baseline_holds_its_draws_and_its_peps_whole_and_nothing_else():
+    # ccdf's baseline path holds one uint8 draw per component and symbol,
+    # the PEPs (8 bytes a row, twice while they are concatenated: one byte a
+    # symbol at n = 16) and one slice of CHUNK_SYMBOLS symbols at a time
+    n, count, thresholds = 16, 200_000, default_threshold_grid()
+    threshold_peps(baseline_rows(n, Modulation.QAM16, 10, 0), 16, thresholds)  # imports, caches
+    for modulation in Modulation:
+        bound = (modulation.components + 1) * count * n + (4 << 20)
+        peak = traced_peak(lambda: np.concatenate(
+            [threshold_peps(z, 16, thresholds) for z in random_baseline(n, modulation, count, 1)]))
+        assert peak <= bound
+    # the negative control: the one-shot ensemble, screened whole, holds
+    # some 32 bytes a symbol
+    peak = traced_peak(lambda: threshold_peps(
+        oracles.random_baseline(n, Modulation.QAM16, count, 1), 16, thresholds))
+    assert peak > 3 * count * n + (4 << 20)
 
 
 def test_batch_kernels_match_scalar_paths():
@@ -453,7 +518,7 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
     # a stacked batch runs its envelope FFT in slices of rows whose L*n grids
     # hold at most CHUNK_SYMBOLS points, and every row's peak is bit for bit
     # that of its own one-row call
-    z = random_baseline(16, Modulation.QAM64, 600, seed=7)
+    z = baseline_rows(16, Modulation.QAM64, 600, 7)
     single = np.array([pep_batch(row[None, :], 16)[0] for row in z])
     shapes = []
     real = analysis.envelope_power_batch
@@ -483,7 +548,7 @@ SCREENED_ROWS = {
     "16qam-m3-orbits": lambda: orbit_walk_rows(3, Modulation.QAM16),
     "16qam-m4-orbits": lambda: orbit_walk_rows(4, Modulation.QAM16),
     "64qam-m3-orbits": lambda: orbit_walk_rows(3, Modulation.QAM64),
-    **{f"baseline-n{n}": functools.partial(random_baseline, n, Modulation.QAM16, 20000, n)
+    **{f"baseline-n{n}": functools.partial(baseline_rows, n, Modulation.QAM16, 20000, n)
        for n in (8, 16, 32, 64)},
 }
 
@@ -516,7 +581,7 @@ def test_the_screen_without_its_refinement_moves_the_baseline_curve(monkeypatch,
     # the negative control: with no row sent back to pep_batch, the screened
     # PEPs of the seed-42 baseline fall on the other side of some thresholds
     n, thresholds = 1 << m, default_threshold_grid()
-    z = random_baseline(n, Modulation.QAM16, 10000, 42)
+    z = baseline_rows(n, Modulation.QAM16, 10000, 42)
     exact = ccdf(pep_batch(z, 16) / n, thresholds).probabilities
     assert np.array_equal(ccdf(threshold_peps(z, 16, thresholds) / n, thresholds).probabilities,
                           exact)
@@ -529,10 +594,10 @@ def test_threshold_peps_is_pep_batch_where_the_screen_proves_nothing():
     thresholds = default_threshold_grid()
     # a grid that is not a power of two, and n beyond 64
     for n, oversample in ((8, 3), (16, 5), (128, 16)):
-        z = random_baseline(n, Modulation.QAM16, 500, n)
+        z = baseline_rows(n, Modulation.QAM16, 500, n)
         assert np.array_equal(threshold_peps(z, oversample, thresholds), pep_batch(z, oversample))
     # rows whose modulus sum leaves the margin's range are all refined
-    z = random_baseline(16, Modulation.QAM16, 500, 1)
+    z = baseline_rows(16, Modulation.QAM16, 500, 1)
     for scale in (2.0**-60, 2.0**60):
         assert np.all(analysis.screen_margin(z * scale, 16) == np.inf)
         assert np.array_equal(threshold_peps(z * scale, 16, thresholds), pep_batch(z * scale, 16))

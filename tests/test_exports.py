@@ -46,8 +46,8 @@ def test_public_exports_resolve():
         assert getattr(qamseq, name) is not None
 
 
-def traced_counts(tmp_path, *args):
-    """The per-layer counts of one traced benchmark run of the CLI."""
+def traced_layers(tmp_path, *args):
+    """The per-layer self times and counts of one traced benchmark run of the CLI."""
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     args = [*args, "--out", str(tmp_path / "r")]
@@ -56,7 +56,12 @@ def traced_counts(tmp_path, *args):
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(result.read_text())
     assert doc["exit_code"] == 0
-    return doc["layers"]["counts"]
+    return doc["layers"]
+
+
+def traced_counts(tmp_path, *args):
+    """The per-layer counts of one traced benchmark run of the CLI."""
+    return traced_layers(tmp_path, *args)["counts"]
 
 
 def test_traced_benchmark_child_runs(tmp_path):
@@ -94,13 +99,18 @@ def test_traced_benchmark_child_runs(tmp_path):
     # a threshold: the 3 family rows, one per pi, whose PMEPR is exactly the
     # threshold 2.0, then the 15 other images of each of them (orbit_peps),
     # then 295 of the seed-42 baseline rows, most of them on a threshold to
-    # within rounding
-    z = random_baseline(8, Modulation.QAM16, 10000, 42)
-    screened, margin = analysis.screen_peps(z, 16), analysis.screen_margin(z, 16)
-    thresholds = default_threshold_grid()
-    refined = np.min(np.abs(screened[:, None] / 8 - thresholds), axis=1) <= margin / 8
-    assert np.count_nonzero(refined) == 295
-    counts = traced_counts(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
+    # within rounding, over its two slices of CHUNK_SYMBOLS // 8 rows
+    thresholds, refined = default_threshold_grid(), 0
+    for z in random_baseline(8, Modulation.QAM16, 10000, 42):
+        screened, margin = analysis.screen_peps(z, 16), analysis.screen_margin(z, 16)
+        refined += np.count_nonzero(
+            np.min(np.abs(screened[:, None] / 8 - thresholds), axis=1) <= margin / 8)
+    assert refined == 295
+    layers = traced_layers(tmp_path, "ccdf", "--m", "3", "--modulation", "16qam", "--jobs", "1")
+    counts = layers["counts"]
+    # random_baseline makes every draw before it returns its lazy slices, so
+    # its span times the generator, not zero
+    assert layers["self_s"]["ccdf.baseline"] > 0
     assert counts["synthesis.rows"] == 6144 // 64
     assert counts["envelope.fft_points"] == 8 * 16 * (3 + 15 * 3 + 295) == 43904
     # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient

@@ -16,9 +16,10 @@ oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
 peak-to-mean ratios are invariant to that normalization).  Each quantity has
 one batched kernel over (records, n) arrays; star and pmepr are one-row calls
 of them.  Beside pep_batch, the float64 FFT, threshold_peps screens rows
-for decisions against a grid of thresholds with one complex64 matrix
-product, and runs pep_batch only on the rows whose screened PEP lies within
-its certified error of a threshold.  orbit_peps scores a row for the
+for decisions against thresholds (a grid shared by every row, or each
+row's own) and group maxima with one complex64 matrix product, and runs
+pep_batch only on the rows whose screened PEP lies within its certified
+error of a threshold or of its group's maximum.  orbit_peps scores a row for the
 conjugation x reversal x quarter-shift images of its sequence too, and
 computes their PEPs only where pep_spread says that a decision could tell
 them apart.  random_baseline, the uncoded reference ensemble, holds only
@@ -304,8 +305,11 @@ def _pep_error(grid: int) -> float:
 
 
 def _point_distance(values: np.ndarray, points) -> np.ndarray:
-    """The distance from each value to the nearest of the ascending points."""
+    """The distance from each value to the nearest of the points: ascending
+    (k,) points shared by every value, or a (B, k) row of each value's own."""
     points = np.asarray(points, dtype=float)
+    if points.ndim == 2:
+        return np.min(np.abs(values[:, None] - points), axis=1)
     i = np.searchsorted(points, values)
     below = np.abs(values - points[np.maximum(i - 1, 0)])
     above = np.abs(points[np.minimum(i, len(points) - 1)] - values)
@@ -386,26 +390,54 @@ def screen_margin(z: np.ndarray, oversample: int) -> np.ndarray:
     return np.where(inside, 2 * bound * s1 * s1, math.inf)
 
 
-def threshold_peps(z: np.ndarray, oversample: int, points) -> np.ndarray:
+def threshold_peps(z: np.ndarray, oversample: int, points, groups=None) -> np.ndarray:
     """PEPs per row of a (B, n) complex array whose comparisons peps / n > t
-    with each of the ascending points t come out as those of pep_batch(z,
-    oversample): screen_peps, and pep_batch's own value on each row whose
-    screened PEP over n lies within screen_margin over n of a point.  n is a
-    power of two wherever the screen runs, so the divisions are exact.  Off
-    those rows, the screened and the float64 PEP differ by at most half the
-    margin, so they fall on the same side of every point, and farther from
-    it than pep_spread times themselves (the margin is at least 12u * S1^2,
-    pep_spread some 1e-13): near_points and orbit_peps decide on them as on
-    pep_batch's.  Where pep_spread proves nothing (a grid that is not a
-    power of two) and beyond n = 64, where the screen's matrix product costs
-    more than the FFT it saves, this is pep_batch(z, oversample)."""
+    with each of the points t come out as those of pep_batch(z, oversample):
+    screen_peps, and pep_batch's own value on each row whose screened PEP
+    over n lies within screen_margin over n of a point.  The points are
+    ascending and shared by every row, or a (B, k) row of each row's own.
+    n is a power of two wherever the screen runs, so the divisions are
+    exact.  Off those rows, the screened and the float64 PEP differ by at
+    most half the margin, so they fall on the same side of every point of
+    the row, and farther from it than pep_spread times themselves (the
+    margin is at least 12u * S1^2, pep_spread some 1e-13): near_points and
+    orbit_peps decide on them as on pep_batch's.
+
+    groups, (B,) labels 0, 1, .. (or None), adds each group's maximum to
+    the decisions: the largest of the returned PEPs of a group's rows is
+    the largest of their pep_batch PEPs, bit for bit, and every other row
+    of the group lies farther below it than pep_spread times itself, as
+    pep_batch's PEP of the row does (_group_max_rows has the proof).
+    Where pep_spread proves nothing (a grid that is not a power of two) and
+    beyond n = 64, where the screen's matrix product costs more than the
+    FFT it saves, this is pep_batch(z, oversample)."""
     n, grid = z.shape[1], oversample * z.shape[1]
     if n > 64 or grid & (grid - 1):
         return pep_batch(z, oversample)
     peps = screen_peps(z, oversample)
-    (rows,) = np.nonzero(_point_distance(peps / n, points) <= screen_margin(z, oversample) / n)
+    margin = screen_margin(z, oversample)
+    near = _point_distance(peps / n, points) <= margin / n
+    if groups is not None:
+        near |= _group_max_rows(peps, margin, groups)
+    (rows,) = np.nonzero(near)
     peps[rows] = pep_batch(z[rows], oversample)
     return peps
+
+
+def _group_max_rows(peps: np.ndarray, margin: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Where a row's screened PEP s, with its margin Delta, lies within
+    Delta of its group's floor F = max (s' - Delta' / 2) over the group.
+
+    Each row's pep_batch PEP p lies in [s - Delta / 2, s + Delta / 2], so
+    the group's largest p, M, is at least F, and the row that holds it has
+    s + Delta / 2 >= p = M >= F: it is marked.  A row left unmarked has
+    s + Delta < F <= M, so s and p <= s + Delta / 2 both lie more than
+    Delta / 2 below M: pep_batch's value on the marked rows gives the
+    group's maximum M exactly, and every unmarked row, screened or not,
+    stays farther below M than pep_spread times itself."""
+    floor = np.full(int(groups.max()) + 1, -math.inf)
+    np.maximum.at(floor, groups, peps - margin / 2)
+    return peps + margin >= floor[groups]
 
 
 def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: int) -> tuple:

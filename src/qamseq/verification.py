@@ -18,19 +18,40 @@ sums are exact Gaussian integers, so a residual passes only at exactly 0.
 Deliberately broken offsets must light them up, otherwise the sweep proves
 nothing.
 
-The sweep scores one row per quarter-shift orbit, on the rows of
-constructions.orbit_cells.  The quarter shift adds i mod 4 to D, and so to
-B = D and to B = D + s1 alike, while s is a function of the row-free form
-alone: P, Q and their companions all gain the factor i^i, so every
-P_i conj(Q_{i+u}) gains i^i * i^(-(i+u)) = i^(-u), and T(u) becomes
-i^(-u) * T(u), a unit times a Gaussian integer.  Its real and imaginary
-parts are those of T(u) up to order and sign, so |T(u)| is the same bit for
-bit on all four rows of the orbit.  Every residual is a function of the
-|T(u)|: L1 is their maximum, the check that T vanishes at every shift,
-which implies the lemma's |sum_u T(u)| = 0 (that sum is not invariant: its
-terms turn by i^(-u)), and the others are weighted sums of them.  So each
-row's residuals are those of its whole orbit, and each counts for
-SHIFT_ORBIT_SIZE evaluations.
+The sweep scores one (row, offset) per orbit of the quarter shift,
+conjugation and reversal: the rows of constructions.orbit_cells under the
+offsets of constructions.orbit_offsets.  T does not depend on the constant,
+which multiplies P and Q alike, so the images below may take any constant.
+
+- The quarter shift adds i mod 4 to D, and so to B = D and to B = D + s1
+  alike, while s is a function of the row-free form alone: P, Q and their
+  companions all gain the factor i^i, so every P_i conj(Q_{i+u}) gains
+  i^i * i^(-(i+u)) = i^(-u), and T(u) becomes i^(-u) * T(u).
+- Conjugation (sigma) takes D to -D and every form s to sigma(s) = -s
+  (2*x*y = -2*x*y), so P and Q become conj(P) and conj(Q); the companion
+  sign is real and the same, and T(u) becomes conj T(u).
+- Reversal (rho) reads index n-1-i: D reversed is the image's D plus a
+  constant, every form s reversed is rho(s) exactly, and the companion
+  sign reversed is its negative, which cancels in gP conj(gQ).  With
+  sum_i a_(n-1-i) conj(b_(n-1-i-u)) = X_{a,b}(-u) = conj X_{b,a}(u), and T
+  symmetric in P and Q, T(u) becomes conj T(u).  The a2a3 pair, with
+  row-free parts zeta^(2*s1 - s2) and zeta^(s1), goes the same way, as
+  offset_symmetries maps s1 and s2 form by form.
+
+So on the 16 (row, offset) pairs of an orbit T(u) is T(u) or conj T(u)
+times a unit, a Gaussian integer whose real and imaginary parts are those
+of T(u) up to order and sign: |T(u)| is the same bit for bit on all 16,
+at every shift u.  Every residual is a function of the |T(u)| in a fixed
+order of shifts: L1 is their maximum, the check that T vanishes at every
+shift, which implies the lemma's |sum_u T(u)| = 0 (that sum is not
+invariant: its terms turn by i^(-u)), and the others are weighted sums of
+them.  The type 1 a1a2 sum keeps its range u >= 1: no map moves a shift
+(each acts at u itself), so the range is the same on every image, and it
+leaves out the zero-shift term, which for type 1 is genuinely nonzero and
+belongs to the bound, not to the cancellation claim.  So each (row,
+offset)'s residuals are those of its whole orbit, and each counts for
+FULL_ORBIT_SIZE // ORBIT_SIZE = 16 evaluations, one per linear part and
+offset of the orbit.
 
 The bound audit sweeps entire families and checks, per codeword: the star
 ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
@@ -85,6 +106,7 @@ from .analysis import (
     row_free,
     shift_factors,
     star_sum,
+    threshold_peps,
 )
 from .constellation import Scale
 from .constructions import (
@@ -92,7 +114,6 @@ from .constructions import (
     CHUNK_SYMBOLS,
     FULL_ORBIT_SIZE,
     ORBIT_SIZE,
-    SHIFT_ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
     Modulation,
@@ -109,6 +130,7 @@ from .constructions import (
     map_orbit_blocks,
     offset_forms,
     orbit_cells,
+    orbit_offsets,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -163,7 +185,8 @@ def _lemma_residuals(
     shift.  The others are
     weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
     which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
-    type 1 offsets and belongs to the bound, not to the cancellation claim).
+    type 1 offsets and belongs to the bound, not to the cancellation claim;
+    the module docstring says why the orbit walk keeps that range).
     """
     return _lemma_residuals_at(offsets, m, pi)(base_all)
 
@@ -260,9 +283,10 @@ def negative_controls(m: int = 3) -> dict[str, float]:
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     """Every lemma residual at one m, over every (pi, linear part, offset),
-    on the cells of orbit_cells: one linear part per quarter-shift orbit,
-    whose residuals are those of the orbit's four (module docstring), so
-    each counts SHIFT_ORBIT_SIZE evaluations.
+    on the cells of orbit_cells under the 2 + 16 offsets of orbit_offsets:
+    one (linear part, offset) per orbit of the quarter shift, conjugation
+    and reversal, whose residuals are those of the orbit's 16 (module
+    docstring), so each counts FULL_ORBIT_SIZE // ORBIT_SIZE evaluations.
 
     Each linear part is walked with constant 0.  That is exhaustive:
     a constant c multiplies P and Q by zeta^c, so every product
@@ -271,7 +295,7 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     """
     maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
     counts: dict[str, int] = {k: 0 for k in maxima}
-    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64)
+    offsets = orbit_offsets(Modulation.QAM16) + orbit_offsets(Modulation.QAM64)
     forms, pairs = _lemma_forms(offsets)
     footprint = coset_footprint(1 << m, len(forms) + len(pairs))
     # rounded up to a power of two, where orbit_cells keeps to CHUNK_SYMBOLS // per_row rows
@@ -281,7 +305,7 @@ def lemma_sweep(m: int = 3) -> LemmaSweepResult:
         for _, rows in pi_cells:
             for key, residuals in residuals_of(base_rows(m, pi, rows)).items():
                 maxima[key] = max(maxima[key], float(np.max(residuals)))
-                counts[key] += SHIFT_ORBIT_SIZE * int(residuals.size)
+                counts[key] += FULL_ORBIT_SIZE // ORBIT_SIZE * int(residuals.size)
 
     return LemmaSweepResult(
         m=m,
@@ -451,7 +475,12 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
 
     The stars, component stars and Golay defects are the same on all of an
     orbit's records (constructions).  Their PMEPRs decide three things: p <=
-    bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  A row
+    bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  The
+    block's (offsets * rows, n) view is screened at once by
+    analysis.threshold_peps, each row with its two points and its kind's
+    max: pep_batch runs only on the rows the screen cannot decide, and every
+    decision below, the max included, comes out as on pep_batch's PMEPR of
+    every row (at an odd L or beyond n = 64 they are pep_batch's).  A row
     whose PMEPR is farther than analysis.pep_spread from all three decides
     them for its whole orbit; on the other rows orbit_peps computes the
     PMEPR of each conjugation x reversal x quarter-shift image, so every
@@ -462,12 +491,19 @@ def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
     star_over_n = stars[:codewords] / block.scale.value / n
     star_ok = np.all(stars[codewords:] <= 4 * n + STAR_TOL, axis=1)
     z = block.complex_symbols()
-    peps = np.stack([pep_batch(w, oversample) for w in z])
+    # every codeword's decision points, its ceiling plus PMEPR_TOL and its
+    # star/n plus STAR_TOL, and its kind's max: one screen of the whole block
+    order = list(dict.fromkeys(block.kinds))
+    ceilings = np.array([CEILINGS[kind][0] for kind in block.kinds])[:, None] + PMEPR_TOL
+    points = np.stack(np.broadcast_arrays(ceilings, star_over_n + STAR_TOL), axis=-1)
+    labels = np.repeat([order.index(kind) for kind in block.kinds], len(block.coeffs))
+    peps = threshold_peps(z.reshape(-1, n), oversample, points.reshape(-1, 2), labels)
+    peps = peps.reshape(star_over_n.shape)
     pmeprs = peps / n
 
     out = []
     kinds = np.array(block.kinds)
-    for kind in dict.fromkeys(block.kinds):
+    for kind in order:
         mask = kinds == kind
         s, p, index = star_over_n[mask], pmeprs[mask], block.component_index[mask]
         bound = CEILINGS[kind][0]

@@ -590,17 +590,58 @@ def test_the_screen_without_its_refinement_moves_the_baseline_curve(monkeypatch,
     assert np.count_nonzero(unrefined != exact) > 0
 
 
-def test_threshold_peps_is_pep_batch_where_the_screen_proves_nothing():
+@pytest.mark.parametrize("rows", SCREENED_ROWS.values(), ids=SCREENED_ROWS.keys())
+def test_the_screen_decides_row_points_and_group_maxima_as_pep_batch(rows):
+    # the audit's refinement: each row with its own points (here a fixed
+    # ceiling and, on every third row, its own float64 PMEPR) and each of
+    # three groups with its maximum.  Every comparison with a row's points,
+    # every group max and every near_points decision on the max and on the
+    # points come out as on pep_batch's PEPs, the maxima bit for bit
+    z = rows()
+    n = z.shape[1]
+    exact = pep_batch(z, 16)
+    own = np.where(np.arange(len(z)) % 3 == 0, exact / n, 9.0)
+    points = np.stack([np.full(len(z), 2.41), own], axis=1)
+    groups = np.arange(len(z)) * 7 % 3
+    peps = threshold_peps(z, 16, points, groups)
+    assert np.array_equal(peps[:, None] / n > points, exact[:, None] / n > points)
+    assert np.array_equal(near_points(peps / n, points, 16 * n),
+                          near_points(exact / n, points, 16 * n))
+    for group in range(3):
+        got, expected = peps[groups == group] / n, exact[groups == group] / n
+        assert np.max(got) == np.max(expected)
+        assert np.array_equal(near_points(got, [np.max(got)], 16 * n),
+                              near_points(expected, [np.max(expected)], 16 * n))
+
+
+def test_threshold_peps_is_pep_batch_where_the_screen_proves_nothing(monkeypatch):
     thresholds = default_threshold_grid()
-    # a grid that is not a power of two, and n beyond 64
-    for n, oversample in ((8, 3), (16, 5), (128, 16)):
-        z = baseline_rows(n, Modulation.QAM16, 500, n)
-        assert np.array_equal(threshold_peps(z, oversample, thresholds), pep_batch(z, oversample))
+
+    def refused(z, oversample):
+        raise AssertionError("screened")
+
+    # a grid that is not a power of two, and n beyond 64: no row is
+    # screened, with shared points or with the audit's row points and groups
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "screen_peps", refused)
+        for n, oversample in ((8, 3), (16, 5), (128, 16)):
+            z = baseline_rows(n, Modulation.QAM16, 500, n)
+            exact = pep_batch(z, oversample)
+            assert np.array_equal(threshold_peps(z, oversample, thresholds), exact)
+            points = np.stack([np.full(len(z), 2.41), exact / n], axis=1)
+            groups = np.arange(len(z)) % 2
+            assert np.array_equal(threshold_peps(z, oversample, points, groups), exact)
+        # the negative control: at n = 16 and L = 16 the screen runs
+        with pytest.raises(AssertionError, match="screened"):
+            threshold_peps(baseline_rows(16, Modulation.QAM16, 500, 1), 16, thresholds)
     # rows whose modulus sum leaves the margin's range are all refined
     z = baseline_rows(16, Modulation.QAM16, 500, 1)
     for scale in (2.0**-60, 2.0**60):
         assert np.all(analysis.screen_margin(z * scale, 16) == np.inf)
         assert np.array_equal(threshold_peps(z * scale, 16, thresholds), pep_batch(z * scale, 16))
+        groups = np.arange(len(z)) % 2
+        assert np.array_equal(threshold_peps(z * scale, 16, thresholds, groups),
+                              pep_batch(z * scale, 16))
 
 
 def test_pep_batch_rejects_oversample_below_one():

@@ -81,17 +81,20 @@ def test_traced_benchmark_child_runs(tmp_path):
     # which is not a traced name, and no star_batch, golay_defect_batch or star
     # runs: 3 16-QAM blocks and 3 64-QAM blocks
     assert counts["correlation.calls"] == 3 * 1 + 3 * 1 == 6
-    # pep_batch points at n=8: the audited rows at L=16, with the 15 other
-    # conjugation x reversal x quarter-shift images of each row within
-    # pep_spread of its kind's max in its block (1 + 4 + 1 rows in the three
-    # 16-QAM blocks, 1 + 1 + 2 type 1 and 4 + 1 + 1 type 2 rows in the
-    # 64-QAM ones, a quarter of the walk over 16-record orbits; no PMEPR lies
-    # that near its ceiling plus PMEPR_TOL or its star/n plus STAR_TOL), then
-    # the envelope walk at L=32; its L=16 peaks come from the envelope that
-    # also gives the Parseval mean, through envelope_power_batch, which is
-    # not a traced name
-    audited = walked + 15 * (6 + 4 + 6)
-    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 534528
+    # pep_batch points at n=8: the audit screens each block's rows in
+    # complex64 (threshold_peps, no FFT) and runs pep_batch, at L=16, only
+    # on the rows the screen cannot decide.  No screened PMEPR lies within
+    # screen_margin / n of its ceiling plus PMEPR_TOL or its star/n plus
+    # STAR_TOL, and the rows that could hold their kind's max in their block
+    # are the 16 within pep_spread of it (1 + 4 + 1 rows in the three 16-QAM
+    # blocks, 1 + 1 + 2 type 1 and 4 + 1 + 1 type 2 rows in the 64-QAM ones).
+    # orbit_peps computes the 15 other conjugation x reversal x quarter-shift
+    # images of each of them.  Then the envelope walk runs at L=32; its L=16
+    # peaks come from the envelope that also gives the Parseval mean,
+    # through envelope_power_batch, which is not a traced name
+    refined = (1 + 4 + 1) + (1 + 1 + 2) + (4 + 1 + 1)
+    audited = refined + 15 * refined
+    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 425984
     # the family walk synthesises one row per 64-record orbit: a 64th of the
     # 6 144 records of 16-QAM m=3.  threshold_peps screens its 96 rows and
     # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and
@@ -130,6 +133,27 @@ def test_importing_the_cli_leaves_the_worker_pool_out():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "False\n"
+
+
+def test_the_benchmarked_commands_leave_numpy_ma_out(tmp_path):
+    # importing numpy.ma takes 10-20 ms, as long as the screen saves a
+    # whole verify --suite all --m 3; np.unique without return options
+    # imports it on first use, and the last run shows the check sees that
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, numpy, qamseq.cli\n"
+            "code = qamseq.cli.main(sys.argv[2:])\n"
+            "if sys.argv[1] == 'unique': numpy.unique(numpy.zeros(3))\n"
+            "sys.stderr.write(f'{code} {\"numpy.ma\" in sys.modules}\\n')")
+    runs = (("verify", "--suite", "all", "--m", "3"),
+            ("ccdf", "--m", "3", "--modulation", "16qam"),
+            ("enumerate", "--m", "3", "--modulation", "16qam"))
+    seen = []
+    for call, args in [("cli", args) for args in runs] + [("unique", runs[2])]:
+        proc = subprocess.run([sys.executable, "-c", code, call, *args, "--out", str(tmp_path / "r")],
+                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seen.append(proc.stderr.splitlines()[-1])
+    assert seen == ["0 False"] * 3 + ["0 True"]
 
 
 def test_traced_examples_score_through_the_coset_kernel(tmp_path):

@@ -22,7 +22,7 @@ from oracles import (
     offset_block,
     offset_lemma_sweep,
 )
-from qamseq import verification
+from qamseq import analysis, verification
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
@@ -36,6 +36,7 @@ from qamseq.constellation import Scale
 from qamseq.constructions import (
     CEILINGS,
     CHUNK_SYMBOLS,
+    FORM_SYMMETRIES,
     FULL_ORBIT_SIZE,
     ORBIT_SIZE,
     SHIFT_ORBIT_SIZE,
@@ -50,6 +51,7 @@ from qamseq.constructions import (
     family_cells,
     list_offsets64,
     map_family_blocks,
+    offset_forms,
     offset_kind,
     orbit_cells,
     orbit_offsets,
@@ -336,14 +338,72 @@ def test_a_quarter_shift_turns_each_lemma_term_by_a_unit(m):
     assert moved > 0
 
 
+def image_offset(offset, symmetry):
+    """The offset, valid or broken, whose forms are symmetry's images of
+    the forms of offset (one of FORM_SYMMETRIES, or their product)."""
+    forms = [symmetry(*form) for form in offset_forms(offset)]
+    if isinstance(offset, Offset16):
+        return Offset16(*forms[0][1:])
+    s1, s2 = forms
+    if offset.kind is OffsetKind.TYPE1:
+        return Offset64(offset.kind, Offset16(*s2[1:]), s1[1], 0, s1[3])
+    return Offset64(offset.kind, Offset16(*s1[1:]), *s2[1:])
+
+
 @pytest.mark.parametrize("m", [3, 4])
-def test_the_orbit_row_sweep_equals_the_every_row_walk(m):
-    # the sweep, on one row per quarter-shift orbit and each counted for
-    # its SHIFT_ORBIT_SIZE rows, reports the maxima and evaluation counts of
-    # every offset correlated alone over every row of family_cells
+def test_conjugation_and_reversal_keep_every_lemma_residual(m):
+    # what the offset-orbit sweep rests on: the conjugate (sigma), the
+    # reverse (rho) and the reversed conjugate of a record, each with its
+    # image row and image offset, turn every T(u) of every lemma pair of
+    # every offset, valid or broken, into conj T(u) (sigma, rho) or T(u)
+    # (sigma rho), so every residual is bit-equal on the four.  The raw
+    # T(u) do move: on the broken offsets T has imaginary parts, which
+    # sigma and rho negate
+    d = Offset16(0, 1, 1)
+    controls = (Offset16(0, 0, 0), Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
+                Offset64(OffsetKind.TYPE2, d, 0, 0, 0))
+    offsets = _offset_list(Modulation.QAM16) + _offset_list(Modulation.QAM64) + controls
+    sigma, rho = FORM_SYMMETRIES
+    lit = moved = 0
+    for pi in canonical_permutations(m):
+        rows = orbit_rows(m)[:: 4 ** (m - 3)]  # 64 rows of each pi
+        conj, rev = oracles.image_rows(rows, m)
+        images = ((conj, sigma, True), (rev, rho, True),
+                  (oracles.image_rows(conj, m)[1], lambda *f: rho(*sigma(*f)), False))
+        base = base_rows(m, pi, rows)
+        got = _lemma_residuals(base, offsets, m, pi)
+        lit += sum(int(np.count_nonzero(r[-1])) for r in got.values())  # the controls
+        for coeffs, symmetry, conjugates in images:
+            image = base_rows(m, pi, coeffs)
+            image_offsets = tuple(image_offset(off, symmetry) for off in offsets)
+            assert set(image_offsets[:72]) == set(offsets[:72])
+            shifted = _lemma_residuals(image, image_offsets, m, pi)
+            assert list(got) == list(shifted)
+            for key in got:
+                assert np.array_equal(got[key], shifted[key])
+            for off, off_image in zip(controls, image_offsets[72:]):
+                for t, t_image in zip(lemma_terms(base, off, m, pi),
+                                      lemma_terms(image, off_image, m, pi), strict=True):
+                    assert np.array_equal(t_image, np.conj(t) if conjugates else t)
+                    moved += int(np.count_nonzero(t_image != t))
+    assert lit > 0
+    assert moved > 0
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_orbit_row_sweep_equals_the_every_row_walk(monkeypatch, m):
+    # the sweep, on one row per quarter-shift orbit and one offset per
+    # conjugation x reversal orbit, each (row, offset) counted for the 16 of
+    # its orbit, reports the maxima and evaluation counts of every offset
+    # correlated alone over every row of family_cells
     result = lemma_sweep(m)
     maxima, counts = offset_lemma_sweep(m)
     assert (result.max_residuals, result.evaluations) == (maxima, counts)
+    # negative control: 2 + 16 offsets that are not one per orbit (the
+    # first of each list, every 64-QAM one of type 1) miscount the lemmas
+    monkeypatch.setattr(verification, "orbit_offsets",
+                        lambda modulation: _offset_list(modulation)[: len(orbit_offsets(modulation))])
+    assert lemma_sweep(m).evaluations != counts
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -543,9 +603,10 @@ def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
         lemma_sweep(m)
         n = 1 << m
         assert all(rows * coset_footprint(n, shape[1]) <= CHUNK_SYMBOLS for rows, shape in calls)
-        # 12 forms and 64 a2a3 terms per call, then the negative controls'
-        # one row: their 3 distinct forms and the a2a3 terms of L2 and L3
-        assert {shape for _, shape in calls[:-1]} == {(n, 12 + 64, n)}
+        # the 10 distinct forms of the 2 + 16 orbit offsets and their 16
+        # a2a3 terms per call, then the negative controls' one row: their 3
+        # distinct forms and the a2a3 terms of L2 and L3
+        assert {shape for _, shape in calls[:-1]} == {(n, 10 + 16, n)}
         assert sum(rows for rows, _ in calls[:-1]) == len(canonical_permutations(m)) * 4 ** (m - 1)
         assert calls[-1] == (1, (n, 3 + 2, n))
 
@@ -587,12 +648,13 @@ def test_cell_audit_equals_the_per_offset_reference(m, modulation):
     assert cell_stats(build_block(m, pi, offsets, rows)) == summed
 
 
-@pytest.mark.parametrize("oversample", [16, 5])
+@pytest.mark.parametrize("oversample", [16, 32, 5])
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_the_orbit_walk_audit_equals_every_orbit_row_scored_alone(modulation, oversample):
-    # one row per 64-record orbit, refined near each decision, against every
-    # offset scored alone on every orbit row: at L = 16, where the grid is a
-    # power of two, and at L = 5, where it is not
+    # one row per 64-record orbit, its PMEPR screened and refined near each
+    # decision, against every offset scored alone by pep_batch on every
+    # orbit row: at L = 16 and 32, where the grid is a power of two, and at
+    # L = 5, where it is not and no row is screened
     reference = offset_bound_audit(3, modulation, orbit_rows(3), ORBIT_SIZE, oversample)
     assert theorem_bound_audit(3, modulation, oversample, jobs=1) == reference
 
@@ -655,6 +717,42 @@ def test_the_audit_max_needs_the_refinement(monkeypatch):
     assert unrefined["type2"].max_pmepr < expected["type2"].max_pmepr
     assert unrefined["type2"] == dataclasses.replace(
         expected["type2"], max_pmepr=unrefined["type2"].max_pmepr)
+
+
+def test_the_audit_screen_without_its_margin_misses_a_max(monkeypatch):
+    # negative control: with screen_margin forced to 0, the audit sends to
+    # pep_batch only the rows whose screened PMEPR is their kind's screened
+    # max, and at 64-QAM m=4 the type 2 float64 max lies in another row, so
+    # the reported max moves in its last bits; every other field stays
+    reference = theorem_bound_audit(4, Modulation.QAM64, jobs=1)
+    monkeypatch.setattr(analysis, "screen_margin", lambda z, oversample: np.zeros(len(z)))
+    got, expected = ({k.kind: k for k in audit.kinds}
+                     for audit in (theorem_bound_audit(4, Modulation.QAM64, jobs=1), reference))
+    assert got["type1"] == expected["type1"]
+    assert got["type2"].max_pmepr != expected["type2"].max_pmepr
+    assert got["type2"] == dataclasses.replace(expected["type2"], max_pmepr=got["type2"].max_pmepr)
+
+
+@pytest.mark.parametrize("m, oversample", [(7, 16), (3, 3)])
+def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m, oversample):
+    # beyond n = 64 and on a grid that is not a power of two the audit takes
+    # every PEP from pep_batch and never screens: its tally is that of an
+    # audit whose PEPs are all pep_batch's
+    offsets = orbit_offsets(Modulation.QAM16)
+    pi, rows = next(orbit_cells(m, (1 << m) * len(offsets)))
+    block = build_block(m, pi, offsets, rows[:8])
+
+    def refused(z, oversample):
+        raise AssertionError("screened")
+
+    monkeypatch.setattr(analysis, "screen_peps", refused)
+    stats = _audit_block(block, oversample)
+    # the negative control: at n = 8 and L = 16 the audit screens
+    with pytest.raises(AssertionError, match="screened"):
+        _audit_block(build_block(3, (0, 1, 2), offsets, orbit_rows(3)), 16)
+    monkeypatch.setattr(verification, "threshold_peps",
+                        lambda z, oversample, points, groups: pep_batch(z, oversample))
+    assert _audit_block(block, oversample) == stats
 
 
 @pytest.mark.parametrize("tolerance", ["PMEPR_TOL", "STAR_TOL"])

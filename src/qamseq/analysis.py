@@ -131,8 +131,9 @@ def _lattice_slices(draws: np.ndarray, step: int) -> Iterator[np.ndarray]:
 def star_sum(sums: np.ndarray) -> np.ndarray:
     """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, n) sums T(u), u >= 0:
     the sum of |T| over every shift of a conjugate-symmetric T(-u) = conj T(u)."""
-    parts = np.ascontiguousarray(sums, dtype=complex).view(float).reshape(*sums.shape, 2)
-    mags = np.einsum("...i,...i->...", parts, parts)  # the exact norms re^2 + im^2, below 2^53
+    sums = np.asarray(sums, dtype=complex)
+    mags = sums.real**2  # the exact norms re^2 + im^2, below 2^53
+    mags += sums.imag**2
     np.sqrt(mags, out=mags)
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 

@@ -57,8 +57,7 @@ from .verification import (
     CheckResult,
     envelope_checks,
     example_regression,
-    lemma_sweep,
-    theorem_bound_audit,
+    orbit_walk,
 )
 
 ENUMERATION_CAPS = {Modulation.QAM16: 4, Modulation.QAM64: 3}
@@ -405,18 +404,14 @@ def cmd_ccdf(args) -> int:
 
 
 def _suite_checks(args) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    if args.suite in ("examples", "all"):
-        checks += example_regression(oversample=args.oversample)
-    if args.suite in ("lemmas", "all"):
-        checks += lemma_sweep(m=args.m).checks()
-    if args.suite in ("bounds", "all"):
-        for modulation in (Modulation.QAM16, Modulation.QAM64):
-            report = theorem_bound_audit(
-                args.m, modulation, oversample=args.oversample, jobs=args.jobs
-            )
-            checks += report.checks()
-        checks += envelope_checks()
+    checks = example_regression(args.oversample) if args.suite in ("examples", "all") else []
+    if args.suite != "examples":
+        # one orbit walk gives the lemma sweep and both bound audits
+        bounds = args.suite != "lemmas"
+        audits, lemmas = orbit_walk(args.m, args.oversample if bounds else None, args.jobs)
+        checks += lemmas.checks() if args.suite != "bounds" else []
+        checks += [check for report in audits for check in report.checks()]
+        checks += envelope_checks() if bounds else []
     return checks
 
 
@@ -504,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["lemmas", "bounds", "examples", "all"], default="all")
     p.add_argument("--record", default=None, help="re-verify a stored codeword JSON file")
     p.add_argument("--oversample", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the bound audits")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the orbit walk")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

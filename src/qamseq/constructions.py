@@ -545,17 +545,21 @@ def _pool_map(task: Callable, cells: Iterator, jobs: int) -> Iterator:
         yield from pool.map(task, cells)
 
 
-def _map_cells(fn: Callable[[FamilyBlock], object], m: int, offsets: tuple[Offset, ...],
-               cells_of: Callable, jobs: int) -> Iterator:
-    """fn(build_block(m, pi, offsets, rows)) for every (pi, rows) of
-    cells_of(m, n * offsets), in jobs processes, yielded in cell order as
+def _map_cells(task: Callable, cells: Iterator, jobs: int) -> Iterator:
+    """task(cell) for every cell, in jobs processes, yielded in cell order as
     they come, so a consumer folds them without holding them all; one cell
-    is built at a time when jobs is 1."""
+    is taken at a time when jobs is 1."""
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
-    cells = ((m, pi, offsets, rows) for pi, rows in cells_of(m, (1 << m) * len(offsets)))
-    task = functools.partial(_map_cell, fn)
     return map(task, cells) if jobs == 1 else _pool_map(task, cells, jobs)
+
+
+def _map_blocks(fn: Callable[[FamilyBlock], object], m: int, offsets: tuple[Offset, ...],
+                cells_of: Callable, jobs: int) -> Iterator:
+    """fn(build_block(m, pi, offsets, rows)) for every (pi, rows) of
+    cells_of(m, n * offsets), through _map_cells."""
+    cells = ((m, pi, offsets, rows) for pi, rows in cells_of(m, (1 << m) * len(offsets)))
+    return _map_cells(functools.partial(_map_cell, fn), cells, jobs)
 
 
 def map_family_blocks(
@@ -571,7 +575,7 @@ def map_family_blocks(
     and its results must then pickle.  The results are the same for every
     jobs.
     """
-    return _map_cells(fn, m, _offset_list(modulation), family_cells, jobs)
+    return _map_blocks(fn, m, _offset_list(modulation), family_cells, jobs)
 
 
 def map_orbit_blocks(
@@ -582,7 +586,7 @@ def map_orbit_blocks(
     that its (offset, row) pairs meet every FULL_ORBIT_SIZE-record orbit of
     the family once; a consumer that counts records weights each by
     FULL_ORBIT_SIZE.  jobs as for map_family_blocks."""
-    return _map_cells(fn, m, orbit_offsets(modulation), orbit_cells, jobs)
+    return _map_blocks(fn, m, orbit_offsets(modulation), orbit_cells, jobs)
 
 
 def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:

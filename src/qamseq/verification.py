@@ -1,95 +1,91 @@
-"""The checks behind `qamseq verify`: lemma sweep, bound audits, envelope, examples.
+"""The checks behind `qamseq verify`: one orbit walk for the bound audits and
+the lemma sweep, the envelope checks and the reference examples.
 
-The star-bound proofs rest on cross-term double sums of the shape
+A codeword is H = (1 + i) * sum_j w_j * P_j, P_j = zeta^(c_j), w_j =
+2^(k-1-j), over components c_0 = D and c_j = D + s_j, and its companion is
+g * H, g = (-1)^x_{pi(m-1)}.  With X_{a,b}(u) = sum_i a_i conj(b_{i+u}), let
+A_j = X_{P_j,P_j} + X_{gP_j,gP_j} and T_jk = X_{P_j,P_k} + X_{P_k,P_j} +
+X_{gP_j,gP_k} + X_{gP_k,gP_j}.  X is linear in a and conjugate-linear in
+b, and |1 + i|^2 = 2, so at every shift u >= 0
+
+    C_H(u) + C_H'(u) = 2 * sum_j w_j^2 * A_j(u) + 2 * sum_{j<k} w_j w_k * T_jk(u).
+
+The walk takes the codeword sums as one product W @ sums of an integer
+(offsets x terms) weight matrix by the cell's sums.  Every A_j and T_jk is
+a Gaussian integer with parts at most 4n and every weight an integer of at
+most 32, so every product and partial sum is an integer far below 2^53:
+the product is exact in any order of summation, and equals bit for bit
+the direct correlation of each codeword with its companion.
+
+The T_jk are the cross terms the paper's lemmas cancel: the star-bound
+proofs rest on double sums of the shape
 
     sum_u sum_i zeta^(B_i - B_{i+u}) * (zeta^(s_i) + zeta^(-s_{i+u}))
                * [1 + (-1)^(lb_i - lb_{i+u})]
 
-where B is a component sequence, s an offset sequence and lb the bit at the
-path end pi(m-1).  Offsets satisfying their defining congruences make these
-sums vanish.  With P = zeta^(B+s), Q = zeta^B and the companion sign
-(-1)^lb, the inner sum at shift u is a sum of four cross-correlations of P,
-Q and their companions, T(u), with T(-u) = conj T(u).  Every such pair is
-zeta^D times row-free sequences, D the cell's base row, so the sweep takes
-every T of a cell, for u >= 0, from one analysis.coset_correlation_sums
-call: T of D with each distinct component form once (shared by every offset
-whose s1 or s2 is that form), and the a2a3 T of each 64-QAM offset.  The
-sums are exact Gaussian integers, so a residual passes only at exactly 0.
-Deliberately broken offsets must light them up, otherwise the sweep proves
-nothing.
+with B a component sequence, s an offset sequence and lb the bit at the
+path end pi(m-1), which vanish for offsets that satisfy their congruences.
+With P = zeta^(B+s) and Q = zeta^B the inner sum at shift u is T_PQ(u) =
+T(u), T(-u) = conj T(u): the T of D with s1 or s2, and the a2a3 T of
+B = D + s1 with s = s1 - s2.  Each sequence is zeta^D times a row-free
+one, so one analysis.coset_correlation_sums call per cell gives every term
+(_walk_terms): A of D and of D plus each distinct form, T of D with each
+form, and per 64-QAM offset T(F, G) and the a2a3 T, 11 + 10 + 16 + 16 = 53
+terms over the 2 + 16 offsets of both families.  The sums are exact, so a
+residual passes only at exactly 0; deliberately broken offsets must light
+them up, otherwise the sweep proves nothing.
 
-The sweep scores one (row, offset) per orbit of the quarter shift,
+The walk scores one (row, offset) per orbit of the quarter shift,
 conjugation and reversal: the rows of constructions.orbit_cells under the
 offsets of constructions.orbit_offsets.  T does not depend on the constant,
 which multiplies P and Q alike, so the images below may take any constant.
 
 - The quarter shift adds i mod 4 to D, and so to B = D and to B = D + s1
-  alike, while s is a function of the row-free form alone: P, Q and their
-  companions all gain the factor i^i, so every P_i conj(Q_{i+u}) gains
-  i^i * i^(-(i+u)) = i^(-u), and T(u) becomes i^(-u) * T(u).
+  alike, while s is a function of the row-free form alone: every
+  P_i conj(Q_{i+u}) gains i^i * i^(-(i+u)), and T(u) becomes i^(-u) * T(u).
 - Conjugation (sigma) takes D to -D and every form s to sigma(s) = -s
   (2*x*y = -2*x*y), so P and Q become conj(P) and conj(Q); the companion
   sign is real and the same, and T(u) becomes conj T(u).
 - Reversal (rho) reads index n-1-i: D reversed is the image's D plus a
   constant, every form s reversed is rho(s) exactly, and the companion
   sign reversed is its negative, which cancels in gP conj(gQ).  With
-  sum_i a_(n-1-i) conj(b_(n-1-i-u)) = X_{a,b}(-u) = conj X_{b,a}(u), and T
-  symmetric in P and Q, T(u) becomes conj T(u).  The a2a3 pair, with
-  row-free parts zeta^(2*s1 - s2) and zeta^(s1), goes the same way, as
-  offset_symmetries maps s1 and s2 form by form.
+  sum_i a_(n-1-i) conj(b_(n-1-i-u)) = conj X_{b,a}(u), and T symmetric in
+  P and Q, T(u) becomes conj T(u); offset_symmetries maps s1 and s2 form
+  by form, so the a2a3 pair goes the same way.
 
-So on the 16 (row, offset) pairs of an orbit T(u) is T(u) or conj T(u)
-times a unit, a Gaussian integer whose real and imaginary parts are those
-of T(u) up to order and sign: |T(u)| is the same bit for bit on all 16,
-at every shift u.  Every residual is a function of the |T(u)| in a fixed
-order of shifts: L1 is their maximum, the check that T vanishes at every
-shift, which implies the lemma's |sum_u T(u)| = 0 (that sum is not
-invariant: its terms turn by i^(-u)), and the others are weighted sums of
-them.  The type 1 a1a2 sum keeps its range u >= 1: no map moves a shift
-(each acts at u itself), so the range is the same on every image, and it
-leaves out the zero-shift term, which for type 1 is genuinely nonzero and
-belongs to the bound, not to the cancellation claim.  So each (row,
-offset)'s residuals are those of its whole orbit, and each counts for
-FULL_ORBIT_SIZE // ORBIT_SIZE = 16 evaluations, one per linear part and
-offset of the orbit.
+So |T(u)| is the same bit for bit on the 16 (row, offset) pairs of an
+orbit, at every shift u.  Every residual is a function of the |T(u)| in a
+fixed order of shifts: L1 is their maximum, which implies the lemma's
+|sum_u T(u)| = 0 (that sum is not invariant: its terms turn by i^(-u)),
+and the others are weighted sums of them.  The type 1 a1a2 sum keeps its
+range u >= 1, the same on every image (no map moves a shift); it leaves
+out the zero-shift term, which for type 1 is genuinely nonzero and belongs
+to the bound.  So each (row, offset) counts for FULL_ORBIT_SIZE //
+ORBIT_SIZE = 16 evaluations.
 
-The bound audit sweeps entire families and checks, per codeword: the star
-ceiling, the oversampled PMEPR ceiling, pmepr <= star/n, exact Golay
-cancellation of the base pair, and the component star ceilings.  It scores
-each FULL_ORBIT_SIZE-record orbit of zeta^c, conjugation, reversal and the
-quarter shift once, on the row of its offset in constructions.orbit_offsets
-with constant 0 and c_{pi^-1(m-1)} = 0, which counts for the 64 records of
-the orbit (the constructions docstring says why they agree).  Their stars
-agree exactly; their PMEPRs may differ in the last bits, so a row whose
-PMEPR lies within analysis.pep_spread of a decision has the PMEPR of each
-image computed (_audit_block).  Every companion sequence is
-FamilyBlock.companion_sign times its sequence.  A block holds every orbit
-offset of one cell of constructions.orbit_cells, and each component
-sequence once: D, and D plus each distinct component form.  The audit reads back each codeword's and
-each component's row-free sequence from what the block holds, refusing the
-block if one differs between rows, and correlates all of them with their
-companions in one coset_correlation_sums call per cell; the codewords' stars,
-D's Golay defect and each form's star and Golay defect are reductions of
-those sums.  Each block becomes the KindStats of each offset kind it holds,
-read against that kind's ceiling in constructions.CEILINGS, and the report
-is their sum per kind: counts add, extrema take min/max and flags AND, so
-it is the same in any block order, for any cell size and for any worker
-count.
+The bound audit checks, per codeword: the star ceiling, the oversampled
+PMEPR ceiling, pmepr <= star/n, exact Golay cancellation of the base pair,
+and the component star ceilings.  Each (row, offset) of the walk counts for
+the FULL_ORBIT_SIZE records of its orbit of zeta^c, conjugation, reversal
+and the quarter shift (constructions).  Their stars agree exactly; their
+PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
+a decision has the PMEPR of each image computed (_audit_blocks).  Each task
+of the walk becomes the KindStats of each offset kind and its lemma maxima
+and counts; the reports are their sums (counts add, extrema take min/max,
+flags AND), the same in any order, for any cell size and worker count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
-walk that computes each row's L = LOW envelope once.  A
-report's passed is the AND of its own checks(), the verdicts that
+walk.  A report's passed is the AND of its own checks(), the verdicts that
 `qamseq verify` prints and exits on.
 """
-
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +97,7 @@ from .analysis import (
     near_points,
     orbit_peps,
     pep_batch,
-    pep_spread,
     polyphase_lattice,
-    row_free,
     shift_factors,
     star_sum,
     threshold_peps,
@@ -121,14 +115,15 @@ from .constructions import (
     Offset16,
     Offset64,
     OffsetKind,
-    _offset_list,
+    _map_cells,
     build,
+    build_block,
     companion_sign,
     family_size,
     form_values,
     map_family_blocks,
-    map_orbit_blocks,
     offset_forms,
+    offset_kind,
     orbit_cells,
     orbit_offsets,
     star_bound,
@@ -155,82 +150,229 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# lemma sweep: every cross term through the one correlation kernel
+# the orbit walk: every sum of a cell from one correlation kernel call
 # ---------------------------------------------------------------------------
 
 
-def _lemma_forms(offsets: tuple[Offset, ...]) -> tuple[list, list[tuple[int, int]]]:
-    """The distinct component forms of offsets, and the (s1, s2) form indices
-    of each 64-QAM offset among them, in offset order."""
+class _Terms(NamedTuple):
+    """The terms of one (m, pi, offsets) cell in kernel order: A of each
+    component (D, then D plus each distinct form), T of D with each form,
+    then T(F, G) and the a2a3 T of each 64-QAM offset; factors are their
+    shift_factors and weights the (offsets, terms) W of the identity.
+    index names each offset's components, l1 the T of each 16-QAM offset,
+    and kinds the (s1, s2, a2a3) terms of each 64-QAM kind's offsets."""
+
+    factors: np.ndarray
+    weights: np.ndarray
+    components: int
+    index: list[tuple[int, ...]]
+    l1: list[int]
+    kinds: dict[OffsetKind, tuple[np.ndarray, ...]]
+
+
+@functools.lru_cache(maxsize=16)
+def _term_layout(offsets: tuple[Offset, ...]) -> tuple:
+    """What _walk_terms needs that does not depend on pi: the forms; the
+    (F, G) components of each 64-QAM offset; each term as a (p, q) pair of
+    row-free exponent rows (0 for D, s for D + s, then 2*s1 - s2 of each
+    64-QAM offset); and the _Terms without their factors."""
     forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
-    pairs = [tuple(forms.index(f) for f in offset_forms(off))
-             for off in offsets if isinstance(off, Offset64)]
-    return forms, pairs
+    index = [(0, *(1 + forms.index(f) for f in offset_forms(off))) for off in offsets]
+    triples = [(off.kind, c) for off, c in zip(offsets, index) if len(c) == 3]
+    k = 1 + len(forms)
+    pairs = ([(c, c) for c in range(k)] + [(0, c) for c in range(1, k)]
+             + [c[1:] for _, c in triples] + [(k + g, c[1]) for g, (_, c) in enumerate(triples)])
+    term = {pair: t for t, pair in enumerate(pairs) if t >= k}
+    weights = np.zeros((len(offsets), len(pairs)))
+    for o, c in enumerate(index):
+        # 2 * w_j * w_l = 2^(2K - 1 - j - l) on A_j (j = l) and on T_jl
+        for (j, a), (l, b) in itertools.combinations_with_replacement(enumerate(c), 2):
+            weights[o, a if j == l else term[a, b]] += 2 << (2 * len(c) - 2 - j - l)
+    weights.setflags(write=False)  # cached: every cell shares it
+    kinds: dict[OffsetKind, list] = {}
+    for g, (kind, c) in enumerate(triples):
+        kinds.setdefault(kind, []).append((term[0, c[1]], term[0, c[2]], term[k + g, c[1]]))
+    kinds = {kind: tuple(np.array(col) for col in zip(*rows)) for kind, rows in kinds.items()}
+    l1 = [term[0, c[1]] for c in index if len(c) == 2]
+    fg = np.array([c[1:] for _, c in triples], dtype=int).reshape(-1, 2).T
+    return forms, fg, np.array(pairs).T, _Terms(None, weights, k, index, l1, kinds)
 
 
-def _lemma_residuals(
-    base_all: np.ndarray, offsets: tuple[Offset, ...], m: int, pi: tuple[int, ...]
-) -> dict[str, np.ndarray]:
-    """Every lemma residual of each offset, per base row, as (offsets, rows)
-    arrays in the order of offsets: L1 over the 16-QAM offsets, L2a-c over
-    the type 1 and L3a-c over the type 2 64-QAM offsets.
-
-    One coset_correlation_sums call gives every T of the cell: T of D with
-    each distinct component form s (P = zeta^(D+s), Q = zeta^D: row-free parts
-    zeta^s and 1), whose form serves the a1a2 sums of every offset with that
-    s1, the a1a3 sums of every offset with that s2 and the L1 sums; and the
-    a2a3 sums of each 64-QAM offset, T of D + s1 with s1 - s2 (row-free parts
-    zeta^(2*s1 - s2) and zeta^(s1)).  L1 is max over every shift of |T(u)|,
-    the square root of an exact integer, 0 exactly where T vanishes at every
-    shift.  The others are
-    weighted sums of |T(u)| over every shift, except the type 1 a1a2 sum,
-    which ranges over u >= 1 (its zero-shift term is genuinely nonzero for
-    type 1 offsets and belongs to the bound, not to the cancellation claim;
-    the module docstring says why the orbit walk keeps that range).
-    """
-    return _lemma_residuals_at(offsets, m, pi)(base_all)
+@functools.lru_cache(maxsize=1)
+def _walk_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...],
+                sign: tuple[int, ...]) -> _Terms:
+    """The _Terms of offsets at pi under the companion sign, built once for
+    every cell of the pi (the walk's cells come in pi order): one
+    shift_factors call over the stacked (p, q) and (q, p) rows of every
+    term of _term_layout, whose halves add to each T (and to twice each A)."""
+    forms, (f, g), (p, q), terms = _term_layout(offsets)
+    values = np.concatenate([np.zeros((1, 1 << m), np.int64), form_values(forms, m, pi)])
+    x = polyphase_lattice(np.concatenate([values, 2 * values[f] - values[g]]))
+    both = shift_factors(x[np.r_[p, q]], x[np.r_[q, p]], np.array(sign))
+    factors = both[:, : len(p)] + both[:, len(p) :]
+    factors[:, : terms.components] /= 2
+    factors.setflags(write=False)  # cached: every cell of the pi shares them
+    return terms._replace(factors=factors)
 
 
-def _lemma_residuals_at(
-    offsets: tuple[Offset, ...], m: int, pi: tuple[int, ...]
-) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
-    """_lemma_residuals of offsets at pi as a function of the base rows: the
-    factors and term indices are made once, for every cell of the pi."""
-    forms, pairs = _lemma_forms(offsets)
-    values = form_values(forms, m, pi).astype(np.int64)
-    s1, s2 = (values[[pair[k] for pair in pairs]] for k in (0, 1))
-    p = polyphase_lattice(np.concatenate([values, 2 * s1 - s2]))
-    q = polyphase_lattice(np.concatenate([np.zeros_like(values), s1]))
-    sign = companion_sign(m, pi)
-    factors = shift_factors(p, q, sign) + shift_factors(q, p, sign)
-    d_forms = [forms.index(offset_forms(off)[0]) for off in offsets if isinstance(off, Offset16)]
-    kinds = [off.kind for off in offsets if isinstance(off, Offset64)]
-    terms = {}  # per 64-QAM kind: the T of each offset's s1, s2 and a2a3 sums
-    for kind in OffsetKind:
-        chosen = [j for j, k in enumerate(kinds) if k is kind]
-        if chosen:
-            terms[kind] = (*np.array(pairs)[chosen].T, len(forms) + np.array(chosen))
+def _cell_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> _Terms:
+    """The _Terms of offsets at pi under its companion sign."""
+    return _walk_terms(m, pi, offsets, tuple(companion_sign(m, pi).tolist()))
 
-    def cell_residuals(base_all: np.ndarray) -> dict[str, np.ndarray]:
-        t = coset_correlation_sums(base_all, factors)
-        # most T vanish at every shift (the lemmas' claim): their stars are 0
-        # without a square root
-        live = np.any(t, axis=2)
-        stars = np.zeros(live.shape)
-        stars[live] = star_sum(t[live])
-        out = {}
-        if d_forms:
-            d = t[d_forms]  # |T(-u)| = |T(u)|: the shifts u >= 0 hold every |T|
-            out["L1"] = np.sqrt(np.max(d.real**2 + d.imag**2, axis=2))
-        side = np.sum(np.abs(t[: len(forms), :, 1:]), axis=2)  # the sum over u >= 1
-        for kind, prefix, a1a2 in ((OffsetKind.TYPE1, "L2", side), (OffsetKind.TYPE2, "L3", stars)):
-            if kind in terms:
-                f1, f2, a2a3 = terms[kind]
-                parts = (_A1A2 * a1a2[f1], _A1A3 * stars[f2], _A2A3 * stars[a2a3])
-                out.update((prefix + part, r) for part, r in zip("abc", parts))
-        return out
 
-    return cell_residuals
+def _codeword_sums(sums: np.ndarray, terms: _Terms) -> np.ndarray:
+    """The (offsets, rows, n) sums C_H + C_H' of every codeword of a cell:
+    W @ sums, the component identity, on the float pairs of the sums."""
+    flat = sums.view(float).reshape(len(sums), -1)
+    return (terms.weights @ flat).view(complex).reshape(len(terms.weights), *sums.shape[1:])
+
+
+def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
+    """(stars, golay, residuals) of one walk cell of base rows D, per row,
+    from one coset_correlation_sums call: the star of each codeword and then
+    of each term, (offsets + terms, rows); the Golay defect of each
+    component; and every lemma residual as (offsets, rows) arrays in the
+    order of offsets: L1 of the 16-QAM offsets, L2a-c of the type 1 and
+    L3a-c of the type 2 offsets.  L1 is max_u |T(u)|, the square root of an
+    exact integer, 0 exactly where T vanishes at every shift; the others
+    are weighted sums of |T(u)| over every shift, the type 1 a1a2 sum over
+    u >= 1 (module docstring).  |T(-u)| = |T(u)|: the shifts u >= 0 hold
+    every |T|."""
+    sums = coset_correlation_sums(base, terms.factors)
+    n, rows = sums.shape[2], sums.shape[1]
+    stars = star_sum(np.concatenate([_codeword_sums(sums, terms), sums]).reshape(-1, n))
+    stars = stars.reshape(-1, rows)
+    own = stars[len(terms.weights) :]  # the terms' own stars
+    d = sums[terms.l1]
+    residuals = {"L1": np.sqrt(np.max(d.real**2 + d.imag**2, axis=2))} if terms.l1 else {}
+    for kind, prefix in ((OffsetKind.TYPE1, "L2"), (OffsetKind.TYPE2, "L3")):
+        if kind in terms.kinds:
+            f1, f2, a2a3 = terms.kinds[kind]
+            a1a2 = np.sum(np.abs(sums[f1, :, 1:]), axis=2) if kind is OffsetKind.TYPE1 else own[f1]
+            parts = (_A1A2 * a1a2, _A1A3 * own[f2], _A2A3 * own[a2a3])
+            residuals.update((prefix + part, r) for part, r in zip("abc", parts))
+    golay = golay_defect(sums[: terms.components].reshape(-1, n)).reshape(-1, rows)
+    return stars, golay, residuals
+
+
+def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
+                  golay: np.ndarray, oversample: int) -> list[KindStats]:
+    """The audit tally of each offset kind of a task's blocks, one per
+    family, each (offset, row) counted as the FULL_ORBIT_SIZE records of its
+    orbit, from the stars and Golay defects of its cells.  A PMEPR decides
+    p <= bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  One
+    analysis.threshold_peps screens every codeword of the task with its two
+    points and its kind's max, so each decision comes out as on pep_batch's
+    PMEPR.  A row farther than analysis.pep_spread from all three decides
+    them for its whole orbit; on the other rows one orbit_peps call computes
+    the PMEPR of each conjugation x reversal x quarter-shift image, so every
+    verdict and the max are those of a walk over every record."""
+    n, rows, codewords = 1 << blocks[0].m, len(blocks[0].coeffs), len(terms.weights)
+    scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in blocks])
+    star_over_n = stars[:codewords] / scales[:, None] / n
+    star_ok = np.all(stars[codewords : codewords + terms.components] <= 4 * n + STAR_TOL, axis=1)
+    golay = np.max(golay, axis=1)
+    z = np.concatenate([block.complex_symbols() for block in blocks]).reshape(-1, n)
+    kinds = [kind for block in blocks for kind in block.kinds]
+    order = list(dict.fromkeys(kinds))
+    kind_of = np.array([order.index(kind) for kind in kinds])
+    bounds = np.array([CEILINGS[kind][0] for kind in order])
+    # every codeword's decision points, its ceiling plus PMEPR_TOL and its
+    # star/n plus STAR_TOL, and its kind's max: one screen of the whole task
+    points = np.stack(np.broadcast_arrays(
+        (bounds + PMEPR_TOL)[kind_of, None], star_over_n + STAR_TOL), axis=-1)
+    peps = threshold_peps(z, oversample, points.reshape(-1, 2), np.repeat(kind_of, rows))
+    pmeprs = peps.reshape(star_over_n.shape) / n
+    tops = np.array([np.max(pmeprs[kind_of == k]) for k in range(len(order))])
+    # the rows within pep_spread of one of their three PMEPR decisions, and
+    # the images of each: one multiset of values over the task
+    points = np.concatenate([points.reshape(-1, 2), np.repeat(tops[kind_of], rows)[:, None]], 1)
+    near = near_points(pmeprs.ravel(), points, oversample * n)
+    values, images, at = orbit_peps(z, peps, near, oversample)
+    values /= n
+    value_kind = kind_of[at // rows]
+    out = []
+    for k, kind in enumerate(order):
+        mask, mine = kind_of == k, value_kind == k
+        s, index = star_over_n[mask], np.array([terms.index[o] for o in np.flatnonzero(mask)])
+        ok = s <= bounds[k] + STAR_TOL
+        if kind == "qam16":
+            # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
+            # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
+            # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
+            # components and land below 2n; only the ceiling is asserted there.
+            ok &= s >= 2.0 - STAR_TOL
+        component_ok = bool(np.all(star_ok[index[:, 1:]]))
+        if kind == "type1":
+            # type 1 first component is base + linear offset: still a Golay pair
+            component_ok &= bool(np.all(golay[index[:, 1]] == 0))
+        pmepr_ok = ORBIT_SIZE * int(np.sum(images[mine][values[mine] <= bounds[k] + PMEPR_TOL]))
+        out.append(KindStats(
+            kind, FULL_ORBIT_SIZE * s.size, FULL_ORBIT_SIZE * int(np.count_nonzero(ok)), pmepr_ok,
+            float(np.min(s)), float(np.max(s)), float(np.max(values[mine])), int(golay[0]),
+            component_ok, bool(np.all(values[mine] <= star_over_n.ravel()[at[mine]] + STAR_TOL))))
+    return out
+
+
+def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
+    """(KindStats of each offset kind, (max, evaluations) of each lemma
+    residual) of one (m, pi, rows, groups) task, groups the offsets of each
+    family: the _reductions of each walk cell of its rows, then the audit
+    of a block per family, unless oversample is None.  A walk cell holds
+    CHUNK_SYMBOLS // per_row rows, per_row the kernel's footprint over every
+    term plus the symbols of every offset rounded up to a power of two: a
+    cell of orbit_cells(m, per_row).  Its sums are freed before the next."""
+    m, pi, rows, groups = task
+    offsets = tuple(itertools.chain.from_iterable(groups))
+    terms = _cell_terms(m, pi, offsets)
+    per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
+    step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())
+    base = base_rows(m, pi, rows)
+    cells = [_reductions(base[start : start + step], terms) for start in range(0, len(rows), step)]
+    lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
+                    FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
+              for key in cells[0][2]}
+    if oversample is None:
+        return [], lemmas
+    stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
+    blocks = [build_block(m, pi, group, rows) for group in groups]
+    return _audit_blocks(blocks, terms, stars, golay, oversample), lemmas
+
+
+def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
+               modulations: tuple[Modulation, ...] = tuple(Modulation)) -> tuple:
+    """(audits, lemmas): the BoundAuditReport of each of the modulations
+    (none when oversample is None) and, when both families are walked, the
+    LemmaSweepResult, from one walk over orbit_cells under their
+    orbit_offsets.  It maps tasks (_walk_task), the cells of orbit_cells
+    that hold the symbols of every offset within CHUNK_SYMBOLS, in jobs
+    processes; the reports are the same for every jobs."""
+    groups = tuple(orbit_offsets(modulation) for modulation in modulations)
+    held = (1 << m) * sum(map(len, groups))
+    tasks = ((m, pi, rows, groups) for pi, rows in orbit_cells(m, 1 << (held - 1).bit_length()))
+    kinds: dict[str, KindStats] = {}
+    maxima: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for task_stats, lemmas in _map_cells(
+            functools.partial(_walk_task, oversample=oversample), tasks, jobs):
+        for stats in task_stats:
+            kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
+        for key, (value, count) in lemmas.items():
+            maxima[key] = max(maxima.get(key, 0.0), value)
+            counts[key] = counts.get(key, 0) + count
+    audits = () if oversample is None else tuple(
+        BoundAuditReport(m, modulation, oversample, family_size(m, modulation),
+                         tuple(kinds[k] for k in sorted({offset_kind(o) for o in group})))
+        for modulation, group in zip(modulations, groups))
+    both = len(set(modulations)) == len(Modulation)
+    lemmas = LemmaSweepResult(m, counts, maxima, negative_controls(m)) if both else None
+    _walk_terms.cache_clear()  # no factors are held past the walk
+    return audits, lemmas
+
+
+# ---------------------------------------------------------------------------
+# lemma sweep: a view of the walk
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -260,7 +402,7 @@ class LemmaSweepResult:
 
 
 def negative_controls(m: int = 3) -> dict[str, float]:
-    """Constraint-violating offsets pushed through the sweep's residuals
+    """Constraint-violating offsets pushed through the walk's residuals
     together, on one base row: identity path, every linear coefficient 1,
     constant 0.  Each control reads the largest of its lemma's residuals.
 
@@ -276,47 +418,23 @@ def negative_controls(m: int = 3) -> dict[str, float]:
         "L2": Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
         "L3": Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
     }
-    residuals = _lemma_residuals(row, tuple(controls.values()), m, pi)
+    residuals = _reductions(row, _cell_terms(m, pi, tuple(controls.values())))[2]
     return {name: max(float(np.max(r)) for key, r in residuals.items() if key.startswith(name))
             for name in controls}
 
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
-    """Every lemma residual at one m, over every (pi, linear part, offset),
-    on the cells of orbit_cells under the 2 + 16 offsets of orbit_offsets:
-    one (linear part, offset) per orbit of the quarter shift, conjugation
-    and reversal, whose residuals are those of the orbit's 16 (module
-    docstring), so each counts FULL_ORBIT_SIZE // ORBIT_SIZE evaluations.
-
-    Each linear part is walked with constant 0.  That is exhaustive:
-    a constant c multiplies P and Q by zeta^c, so every product
-    P_i conj(Q_{i+u}), and with it every lemma sum, does not depend on c.
-    The sums are exact, so a residual passes only at exactly 0.
-    """
-    maxima: dict[str, float] = {k: 0.0 for k in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")}
-    counts: dict[str, int] = {k: 0 for k in maxima}
-    offsets = orbit_offsets(Modulation.QAM16) + orbit_offsets(Modulation.QAM64)
-    forms, pairs = _lemma_forms(offsets)
-    footprint = coset_footprint(1 << m, len(forms) + len(pairs))
-    # rounded up to a power of two, where orbit_cells keeps to CHUNK_SYMBOLS // per_row rows
-    cells = orbit_cells(m, 1 << (footprint - 1).bit_length())
-    for pi, pi_cells in itertools.groupby(cells, key=lambda cell: cell[0]):
-        residuals_of = _lemma_residuals_at(offsets, m, pi)
-        for _, rows in pi_cells:
-            for key, residuals in residuals_of(base_rows(m, pi, rows)).items():
-                maxima[key] = max(maxima[key], float(np.max(residuals)))
-                counts[key] += FULL_ORBIT_SIZE // ORBIT_SIZE * int(residuals.size)
-
-    return LemmaSweepResult(
-        m=m,
-        evaluations=counts,
-        max_residuals=maxima,
-        negative_controls=negative_controls(m),
-    )
+    """Every lemma residual at one m, over every (pi, linear part, offset):
+    orbit_walk without the envelope, one (linear part, offset) per orbit of
+    the quarter shift, conjugation and reversal, each counting
+    FULL_ORBIT_SIZE // ORBIT_SIZE evaluations (module docstring).  Each
+    linear part is walked with constant 0.  That is exhaustive: a constant
+    c multiplies P and Q by zeta^c, so no lemma sum depends on c."""
+    return orbit_walk(m, None)[1]
 
 
 # ---------------------------------------------------------------------------
-# family-wide bound audit
+# family-wide bound audit: a view of the walk
 # ---------------------------------------------------------------------------
 
 
@@ -399,37 +517,18 @@ class BoundAuditReport:
 
     def checks(self) -> list[CheckResult]:
         prefix = f"bounds.{self.modulation.value}.m{self.m}"
-        out = [
-            CheckResult(
-                name=f"{prefix}.count",
-                passed=self.total == self.expected_total,
-                observed=str(self.total),
-                requirement=f"= {self.expected_total}",
-            )
-        ]
+        out = [CheckResult(f"{prefix}.count", self.total == self.expected_total, str(self.total),
+                           f"= {self.expected_total}")]
         for k in self.kinds:
-            star_req = (
-                f"star/n in [2, {k.bound}] +/- {STAR_TOL}"
-                if k.kind == "qam16"
-                else f"star/n <= {k.bound} + {STAR_TOL}"
-            )
-            out.append(
-                CheckResult(
-                    name=f"{prefix}.{k.kind}.star",
-                    passed=k.star_ok == k.total,
-                    observed=f"max star/n = {k.max_star_over_n:.12f} "
-                    f"(min {k.min_star_over_n:.12f}, exact bound {k.exact_bound})",
-                    requirement=f"{star_req} on {k.total} records",
-                )
-            )
-            out.append(
-                CheckResult(
-                    name=f"{prefix}.{k.kind}.pmepr",
-                    passed=k.pmepr_ok == k.total,
-                    observed=f"max pmepr(L={self.oversample}) = {k.max_pmepr:.12f}",
-                    requirement=f"<= {k.bound} + {PMEPR_TOL}",
-                )
-            )
+            star_req = (f"star/n in [2, {k.bound}] +/- {STAR_TOL}" if k.kind == "qam16"
+                        else f"star/n <= {k.bound} + {STAR_TOL}")
+            out.append(CheckResult(
+                f"{prefix}.{k.kind}.star", k.star_ok == k.total,
+                f"max star/n = {k.max_star_over_n:.12f} (min {k.min_star_over_n:.12f}, "
+                f"exact bound {k.exact_bound})", f"{star_req} on {k.total} records"))
+            out.append(CheckResult(f"{prefix}.{k.kind}.pmepr", k.pmepr_ok == k.total,
+                                   f"max pmepr(L={self.oversample}) = {k.max_pmepr:.12f}",
+                                   f"<= {k.bound} + {PMEPR_TOL}"))
         # (check, verdict, observed if it holds, observed if not, requirement)
         flags = (
             ("golay_base_pair", self.golay_exact, "exact integer cancellation", "defect found",
@@ -450,116 +549,12 @@ class BoundAuditReport:
         return out
 
 
-def _block_stars(block: FamilyBlock) -> tuple[np.ndarray, np.ndarray]:
-    """(stars, golay): the star sum of each codeword and then of D and each
-    form with its companion, (offsets + components, rows), and each
-    component's Golay defect over the rows, from one coset_correlation_sums
-    call.  A function of its own, so that the kernel's sums are freed
-    before the envelope runs."""
-    n, rows, codewords = 1 << block.m, len(block.coeffs), len(block.offsets)
-    # each codeword is zeta^D * K_o and each component zeta^D * zeta^(s_j), with
-    # K_o and s_j the same on every row: read back from what the block holds
-    # (row_free raises otherwise), so every star is of the block's own symbols
-    units = polyphase_lattice(block.components)
-    x = np.concatenate([row_free(block.symbols, units[0]), row_free(units, units[0])])
-    sums = coset_correlation_sums(block.components[0], shift_factors(x, x, block.companion_sign))
-    stars = star_sum(sums.reshape(-1, n)).reshape(-1, rows)
-    # D's Golay defect, and each form's, from the components' sums
-    golay = np.max(golay_defect(sums[codewords:].reshape(-1, n)).reshape(-1, rows), axis=1)
-    return stars, golay
-
-
-def _audit_block(block: FamilyBlock, oversample: int) -> list[KindStats]:
-    """The audit tally of each offset kind of one block over orbit_offsets,
-    each (offset, row) counted as the FULL_ORBIT_SIZE records of its orbit.
-
-    The stars, component stars and Golay defects are the same on all of an
-    orbit's records (constructions).  Their PMEPRs decide three things: p <=
-    bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  The
-    block's (offsets * rows, n) view is screened at once by
-    analysis.threshold_peps, each row with its two points and its kind's
-    max: pep_batch runs only on the rows the screen cannot decide, and every
-    decision below, the max included, comes out as on pep_batch's PMEPR of
-    every row (at an odd L or beyond n = 64 they are pep_batch's).  A row
-    whose PMEPR is farther than analysis.pep_spread from all three decides
-    them for its whole orbit; on the other rows orbit_peps computes the
-    PMEPR of each conjugation x reversal x quarter-shift image, so every
-    verdict and the max are those of a walk over every record."""
-    n, codewords = 1 << block.m, len(block.offsets)
-    grid = oversample * n
-    stars, golay = _block_stars(block)
-    star_over_n = stars[:codewords] / block.scale.value / n
-    star_ok = np.all(stars[codewords:] <= 4 * n + STAR_TOL, axis=1)
-    z = block.complex_symbols()
-    # every codeword's decision points, its ceiling plus PMEPR_TOL and its
-    # star/n plus STAR_TOL, and its kind's max: one screen of the whole block
-    order = list(dict.fromkeys(block.kinds))
-    ceilings = np.array([CEILINGS[kind][0] for kind in block.kinds])[:, None] + PMEPR_TOL
-    points = np.stack(np.broadcast_arrays(ceilings, star_over_n + STAR_TOL), axis=-1)
-    labels = np.repeat([order.index(kind) for kind in block.kinds], len(block.coeffs))
-    peps = threshold_peps(z.reshape(-1, n), oversample, points.reshape(-1, 2), labels)
-    peps = peps.reshape(star_over_n.shape)
-    pmeprs = peps / n
-
-    out = []
-    kinds = np.array(block.kinds)
-    for kind in order:
-        mask = kinds == kind
-        s, p, index = star_over_n[mask], pmeprs[mask], block.component_index[mask]
-        bound = CEILINGS[kind][0]
-        # the rows within pep_spread of one of their three PMEPR decisions
-        near = near_points(p, np.sort([bound + PMEPR_TOL, np.max(p)]), grid)
-        near |= np.abs(p - (s + STAR_TOL)) <= pep_spread(grid) * p
-        values, images, at = orbit_peps(
-            z[mask].reshape(-1, n), peps[mask].ravel(), near.ravel(), oversample)
-        values /= n
-        ok = s <= bound + STAR_TOL
-        if kind == "qam16":
-            # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
-            # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
-            # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
-            # components and land below 2n; only the ceiling is asserted there.
-            ok &= s >= 2.0 - STAR_TOL
-        component_ok = bool(np.all(star_ok[index[:, 1:]]))
-        if kind == "type1":
-            # type 1 first component is base + linear offset: still a Golay pair
-            component_ok &= bool(np.all(golay[index[:, 1]] == 0))
-        out.append(KindStats(
-            kind=kind,
-            total=FULL_ORBIT_SIZE * s.size,
-            star_ok=FULL_ORBIT_SIZE * int(np.count_nonzero(ok)),
-            pmepr_ok=ORBIT_SIZE * int(np.sum(images[values <= bound + PMEPR_TOL])),
-            min_star_over_n=float(np.min(s)),
-            max_star_over_n=float(np.max(s)),
-            max_pmepr=float(np.max(values)),
-            golay_defect=int(golay[0]),
-            component_ok=component_ok,
-            pmepr_le_star=bool(np.all(values <= s.ravel()[at] + STAR_TOL)),
-        ))
-    return out
-
-
-def theorem_bound_audit(
-    m: int,
-    modulation: Modulation,
-    oversample: int = 16,
-    jobs: int = 1,
-) -> BoundAuditReport:
-    """Check every codeword of the family against its star and PMEPR bounds,
-    on the blocks of map_orbit_blocks: one (offset, row) per
+def theorem_bound_audit(m: int, modulation: Modulation, oversample: int = 16,
+                        jobs: int = 1) -> BoundAuditReport:
+    """Check every codeword of the family against its star and PMEPR bounds:
+    orbit_walk over this family alone, one (offset, row) per
     FULL_ORBIT_SIZE-record orbit."""
-    audit = functools.partial(_audit_block, oversample=oversample)
-    kinds: dict[str, KindStats] = {}
-    for block_stats in map_orbit_blocks(audit, m, modulation, jobs):
-        for stats in block_stats:
-            kinds[stats.kind] = kinds[stats.kind] + stats if stats.kind in kinds else stats
-    return BoundAuditReport(
-        m=m,
-        modulation=modulation,
-        oversample=oversample,
-        expected_total=family_size(m, modulation),
-        kinds=tuple(kinds[k] for k in sorted(kinds)),
-    )
+    return orbit_walk(m, oversample, jobs, (modulation,))[0][0]
 
 
 # the family of the envelope checks, and their two oversampling rates:
@@ -687,7 +682,8 @@ def _parts(z: np.ndarray) -> str:
 
 def example_regression(oversample: int = 16) -> list[CheckResult]:
     """Rebuild both reference examples and pin sequences, symbols, and PMEPR,
-    each read from the example's one-row block, scored as the audit scores one."""
+    each read from the example's one-row block, its star from the walk's
+    terms and the component identity, as the audit scores a cell."""
     out: list[CheckResult] = []
     for name, params, components, (symbols, scale), published_pmepr in _EXAMPLES:
         block = build(params)
@@ -716,7 +712,8 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{published_pmepr} +/- {EXAMPLE_PMEPR_TOL}",
             )
         )
-        s = float(_block_stars(block)[0][0, 0]) / block.scale.value / len(z)
+        terms = _cell_terms(block.m, block.pi, block.offsets)
+        s = float(_reductions(block.components[0], terms)[0][0, 0]) / block.scale.value / len(z)
         bound = star_bound(params.offset)
         out.append(
             CheckResult(

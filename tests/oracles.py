@@ -45,7 +45,9 @@ offset_block builds one (pi, offset) block straight from offset_values,
 audit_block scores it alone, lemma_terms correlates every lemma pair of
 one offset for that offset alone and lemma_residuals reduces them;
 offset_bound_audit, full_bound_audit and offset_lemma_sweep fold them over
-a family.
+a family.  The walk takes each codeword's sums from its components' terms
+(the component identity); direct_codeword_sums correlates the codewords
+themselves.
 """
 
 from __future__ import annotations
@@ -64,7 +66,15 @@ from qamseq.algebra import (
     canonical_permutations,
     coefficient_matrix,
 )
-from qamseq.analysis import golay_defect, pep_batch, polyphase_lattice, star_sum
+from qamseq.analysis import (
+    coset_correlation_sums,
+    golay_defect,
+    pep_batch,
+    polyphase_lattice,
+    row_free,
+    shift_factors,
+    star_sum,
+)
 from qamseq.constellation import Scale, qam_lattice
 from qamseq.constructions import (
     ConstructionParams,
@@ -554,6 +564,18 @@ def offset_lemma_sweep(m: int) -> tuple[dict[str, float], dict[str, int]]:
                 maxima[key] = max(maxima.get(key, 0.0), float(np.max(residuals)))
                 counts[key] = counts.get(key, 0) + int(residuals.size)
     return maxima, counts
+
+
+def direct_codeword_sums(block: FamilyBlock) -> np.ndarray:
+    """The (offsets, rows, n) sums C_H(u) + C_H'(u), u >= 0, of every
+    codeword of a block, each correlated as the one sequence it is: its
+    row-free part zeta^(-D) * H read back from the block's symbols
+    (analysis.row_free refuses a block where it differs between rows),
+    correlated with its companion through shift_factors and one
+    coset_correlation_sums call.  The reference of the walk's component
+    identity."""
+    x = row_free(block.symbols, polyphase_lattice(block.components[0]))
+    return coset_correlation_sums(block.components[0], shift_factors(x, x, block.companion_sign))
 
 
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:

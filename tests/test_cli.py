@@ -608,6 +608,46 @@ def test_verify_lemmas_suite(capsys):
     assert report["passed"] is True
 
 
+# the negative controls of the lemma sweep, as the report prints them
+NEGATIVE_CONTROLS = {
+    "3": {"L1": "16.000000", "L2": "3.678802", "L3": "6.095238"},
+    "4": {"L1": "32.000000", "L2": "7.357603", "L3": "12.190476"},
+}
+
+
+@pytest.mark.parametrize("m", ["3", "4"])
+def test_each_suite_prints_its_lines_of_the_whole_suite(capsys, m):
+    # one orbit walk serves the lemma sweep and both bound audits: the
+    # check lines of --suite bounds and of --suite lemmas are the matching
+    # lines of --suite all, and the negative controls read as before
+    checks = {}
+    for suite in ("all", "examples", "lemmas", "bounds"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--m", m)
+        assert code == 0
+        checks[suite] = json.loads(out)["checks"]
+    assert checks["examples"] + checks["lemmas"] + checks["bounds"] == checks["all"]
+    controls = {c["name"].rsplit(".", 1)[1]: c["observed"] for c in checks["lemmas"]
+                if c["name"].startswith("lemma.negative_control.")}
+    assert controls == NEGATIVE_CONTROLS[m]
+
+
+def test_the_lemma_sweep_fans_out_over_workers(capsys, monkeypatch):
+    # --jobs maps the whole walk, the lemma sweep included: two workers
+    # print the report of one, byte for byte
+    pools = []
+    real = constructions._pool_map
+
+    def counted(task, cells, jobs):
+        pools.append(jobs)
+        return real(task, cells, jobs)
+
+    monkeypatch.setattr(constructions, "_pool_map", counted)
+    outs = [run(capsys, "verify", "--suite", "lemmas", "--m", "4", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert pools == [2]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 @pytest.mark.parametrize("suite", ["lemmas", "bounds"])
 def test_verify_small_m_is_a_usage_error(capsys, suite):
     # no family exists for m <= 2, so no suite over it may pass
@@ -943,27 +983,6 @@ def test_verify_record_that_is_not_json_is_a_usage_error(capsys, tmp_path, conte
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot parse --record {path}: ")
-
-
-def test_a_symbol_outside_its_coset_is_an_internal_error(capsys, monkeypatch):
-    # negative control: a block whose first symbol is one lattice unit off
-    # is refused by the audit, which exits 3 with its traceback
-    real = constructions.build_block
-
-    def forged(*args):
-        block = real(*args)
-        block.symbols[0, 0, 0] += 1
-        return block
-
-    monkeypatch.setattr(constructions, "build_block", forged)
-    code, out, err = run(capsys, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
-    assert code == 3
-    assert out == ""
-    assert "Traceback (most recent call last)" in err and "in row_free" in err
-    assert err.rstrip().splitlines()[-1] == (
-        "internal error: ValueError: a sequence is not zeta^D times one row-free sequence "
-        "on every row"
-    )
 
 
 def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

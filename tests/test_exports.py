@@ -66,28 +66,30 @@ def traced_counts(tmp_path, *args):
 
 def test_traced_benchmark_child_runs(tmp_path):
     counts = traced_counts(tmp_path, "verify", "--suite", "bounds", "--m", "3", "--jobs", "1")
-    # 6 144 16-QAM and 49 152 64-QAM records
-    assert counts["audit.distinct_sequences"] == 55296
-    # one row per 64-record orbit: the two audits walk the orbit rows with
-    # c_{pi^-1(m-1)} = 0, a quarter of the 64 orbit rows of each of the 3
-    # pis, under 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets;
-    # then the one envelope walk of the 16-QAM family, which keeps every
-    # offset and every orbit row (1 536 rows)
+    # the CLI walks both families once (verification.orbit_walk), which does
+    # not call the traced theorem_bound_audit: no audit.distinct_sequences
+    assert "audit.distinct_sequences" not in counts
+    # one row per 64-record orbit: the walk's tasks, one per pi, hold the
+    # orbit rows with c_{pi^-1(m-1)} = 0, a quarter of the 64 orbit rows of
+    # each of the 3 pis, and build a block of each family over them, under
+    # 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets; then the one
+    # envelope walk of the 16-QAM family, which keeps every offset and every
+    # orbit row (1 536 rows)
     walked = 3 * (64 // 4) * 2 + 3 * (64 // 4) * 16
     assert counts["synthesis.rows"] == walked + 1536 == 2400
-    # per audited block (one pi's 16 walk rows, every orbit offset), one
-    # polyphase_lattice for D and all its distinct component forms; the
-    # codewords and components are then correlated by coset_correlation_sums,
-    # which is not a traced name, and no star_batch, golay_defect_batch or star
-    # runs: 3 16-QAM blocks and 3 64-QAM blocks
-    assert counts["correlation.calls"] == 3 * 1 + 3 * 1 == 6
-    # pep_batch points at n=8: the audit screens each block's rows in
+    # one polyphase_lattice per pi for the terms of the 2 + 16 orbit
+    # offsets, which every walk cell of the pi shares, and one for the
+    # negative controls' terms; the sums come from coset_correlation_sums,
+    # which is not a traced name, and no star_batch, golay_defect_batch or
+    # star runs
+    assert counts["correlation.calls"] == 3 * 1 + 1 == 4
+    # pep_batch points at n=8: the audit screens each task's rows in
     # complex64 (threshold_peps, no FFT) and runs pep_batch, at L=16, only
     # on the rows the screen cannot decide.  No screened PMEPR lies within
     # screen_margin / n of its ceiling plus PMEPR_TOL or its star/n plus
-    # STAR_TOL, and the rows that could hold their kind's max in their block
-    # are the 16 within pep_spread of it (1 + 4 + 1 rows in the three 16-QAM
-    # blocks, 1 + 1 + 2 type 1 and 4 + 1 + 1 type 2 rows in the 64-QAM ones).
+    # STAR_TOL, and the rows that could hold their kind's max in their task
+    # are the 16 within pep_spread of it (1 + 4 + 1 16-QAM rows, 1 + 1 + 2
+    # type 1 and 4 + 1 + 1 type 2 rows in the three tasks).
     # orbit_peps computes the 15 other conjugation x reversal x quarter-shift
     # images of each of them.  Then the envelope walk runs at L=32; its L=16
     # peaks come from the envelope that also gives the Parseval mean,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from concurrent import futures
@@ -41,7 +42,6 @@ from qamseq.constructions import (
     ORBIT_SIZE,
     SHIFT_ORBIT_SIZE,
     ConstructionParams,
-    FamilyBlock,
     Modulation,
     Offset16,
     Offset64,
@@ -63,9 +63,7 @@ from qamseq.verification import (
     EXAMPLE1_PARAMS,
     EXAMPLE2_PARAMS,
     KindStats,
-    _audit_block,
     _envelope_gaps,
-    _lemma_residuals,
     envelope_audit,
     envelope_checks,
     example_regression,
@@ -78,6 +76,12 @@ from qamseq.verification import (
 
 ID_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
 ZERO_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(0, 0, 0), constant=0)
+
+
+def _lemma_residuals(base, offsets, m, pi):
+    """The lemma residuals of one walk cell of base rows D at pi under
+    offsets, as the walk computes them."""
+    return verification._reductions(base, verification._cell_terms(m, pi, offsets))[2]
 
 
 def test_lemma1_reference_params_vanish():
@@ -509,9 +513,17 @@ def test_bound_audit_verdict_is_its_checks():
     assert forged.passed is False
 
 
+def walk_audit(block, oversample):
+    """The walk's audit of one block as a task of its own: the sums of
+    every term of its offsets from one kernel call, then its envelope."""
+    terms = verification._cell_terms(block.m, block.pi, block.offsets)
+    stars, golay, _ = verification._reductions(block.components[0], terms)
+    return verification._audit_blocks((block,), terms, stars, golay, oversample)
+
+
 def cell_stats(block):
     """The cell audit of a block, its KindStats by kind."""
-    return {k.kind: k for k in _audit_block(block, 16)}
+    return {k.kind: k for k in walk_audit(block, 16)}
 
 
 def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
@@ -523,9 +535,7 @@ def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
     cell64 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
     assert cell_stats(cell16)["qam16"].golay_defect == 0
     assert cell_stats(cell64)["type1"].component_ok
-    monkeypatch.setattr(
-        FamilyBlock, "companion_sign", property(lambda b: np.ones(1 << b.m, dtype=np.int64))
-    )
+    monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
     assert cell_stats(cell16)["qam16"].golay_defect > 0
     stats64 = cell_stats(cell64)
     assert stats64["type1"].golay_defect > 0 and stats64["type2"].golay_defect > 0
@@ -536,9 +546,9 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     # D and the 10 distinct component forms of the 16 orbit offsets (4
     # linear type 1 s1 forms, 2 quadratic forms serving as d and type 2 s1,
     # 4 type 2 s2 forms) are correlated once per cell, not 3 times per
-    # offset, in the one kernel call that also correlates the 16 codewords:
-    # over the cell's base rows D, the 64 / 4 = 16 orbit rows of the orbit
-    # walk's first cell, every row once
+    # offset, in the one kernel call that also gives every cross term the
+    # codewords and the lemmas need: over the cell's base rows D, the
+    # 64 / 4 = 16 orbit rows of the orbit walk's first cell, every row once
     pi, rows = next(orbit_cells(3, 8 * 16))
     block = build_block(3, pi, orbit_offsets(Modulation.QAM64), rows)
     assert block.components.shape == (11, 16, 8)
@@ -552,63 +562,131 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
         return sums
 
     monkeypatch.setattr(verification, "coset_correlation_sums", counted)
-    stats = _audit_block(block, 16)
+    stats = walk_audit(block, 16)
     ((base, shape, sums),) = calls
     assert np.array_equal(base, block.components[0])
-    # (shifts, terms, n): the 16 codewords, then D and the 10 forms, each
-    # correlated with its companion as the explicit sequences are
-    assert shape == (8, 16 + 11, 8)
-    explicit = np.concatenate([block.symbols, polyphase_lattice(block.components)])
-    z = explicit.reshape(-1, 8)
-    pair = np.stack([z, z * block.companion_sign])
-    assert np.array_equal(sums, oracles.correlation_sums_batch(pair, pair).reshape(explicit.shape))
+    # (shifts, terms, n): A of D and of the 10 forms, each correlated with
+    # its companion as the explicit sequences are, then T of D with each
+    # form, and T(F, G) and the a2a3 T of each of the 16 offsets
+    assert shape == (8, 11 + 10 + 16 + 16, 8)
+    units = polyphase_lattice(block.components).reshape(-1, 8)
+    pair = np.stack([units, units * block.companion_sign])
+    assert np.array_equal(sums[:11], oracles.correlation_sums_batch(pair, pair).reshape(11, 16, 8))
     # each (offset, row) counts for the 64 records of its orbit: 8 offsets
     # per kind over 16 rows
     assert FULL_ORBIT_SIZE == 64
     assert [(k.kind, k.total) for k in stats] == [("type1", 64 * 8 * 16), ("type2", 64 * 8 * 16)]
 
 
-def test_audit_block_refuses_a_symbol_outside_its_coset():
-    # negative control: the audit reads each codeword's row-free sequence
-    # back from the block's symbols and each form from its components; one
-    # symbol, or one component value, of one row moved by one unit makes
-    # them differ between rows, and the audit must refuse the cell rather
-    # than score some other sequence
-    block = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
-    assert all(k.star_ok == k.total and k.component_ok for k in _audit_block(block, 16))
-    symbols = block.symbols.copy()
-    symbols[40, 9, 6] += 1
-    components = block.components.copy()
-    components[5, 9, 6] = (components[5, 9, 6] + 1) % 4
-    for forged in (dataclasses.replace(block, symbols=symbols),
-                   dataclasses.replace(block, components=components)):
-        with pytest.raises(ValueError, match="not zeta\\^D times one row-free sequence"):
-            _audit_block(forged, 16)
+def walk_cells(m):
+    """The (pi, rows) cells of the walk of both families, its kernel calls."""
+    n = 1 << m
+    per_row = coset_footprint(n, 53) + 18 * n
+    return orbit_cells(m, 1 << (per_row - 1).bit_length())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+def test_the_component_identity_gives_every_codeword_sum(m, modulation):
+    # W @ sums, the codeword sums the walk takes from its components' A
+    # and T terms, equals bit for bit the direct correlation of every
+    # codeword (its row-free sequence read back from the block's symbols),
+    # cell by cell over the walk's cells
+    offsets = orbit_offsets(modulation)
+    for pi, rows in walk_cells(m):
+        block = build_block(m, pi, offsets, rows)
+        terms = verification._cell_terms(m, pi, offsets)
+        sums = analysis.coset_correlation_sums(block.components[0], terms.factors)
+        assert np.array_equal(verification._codeword_sums(sums, terms),
+                              oracles.direct_codeword_sums(block))
+
+
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+def test_the_component_identity_needs_every_term_and_its_companion(modulation):
+    # negative controls: one T_jk forged by one lattice unit at u = 0, where
+    # C_H(0) + C_H'(0) is twice the energy, raises the star of every
+    # codeword with that cross term; and A_j or T_jk taken without the
+    # companion sign, (1 + g_i g_{i+u}) replaced by 2, break the identity
+    m, pi, rows = 3, (0, 2, 1), orbit_rows(3)[:16]
+    offsets = orbit_offsets(modulation)
+    block = build_block(m, pi, offsets, rows)
+    direct = oracles.direct_codeword_sums(block)
+    terms = verification._cell_terms(m, pi, offsets)
+    sums = analysis.coset_correlation_sums(block.components[0], terms.factors)
+    stars = star_sum(direct.reshape(-1, 8)).reshape(direct.shape[:2])
+    t = terms.components  # T of D with the first form
+    forged = sums.copy()
+    forged[t, 0, 0] += 1
+    moved = star_sum(verification._codeword_sums(forged, terms).reshape(-1, 8)).reshape(stars.shape)
+    changed = moved != stars
+    assert np.array_equal(changed[:, 0], terms.weights[:, t] != 0) and changed[:, 0].any()
+    assert not changed[:, 1:].any()
+    plain = verification._walk_terms(m, pi, offsets, (1,) * 8)
+    for part in (slice(0, t), slice(t, None)):
+        factors = terms.factors.copy()
+        factors[:, part] = plain.factors[:, part]
+        wrong = analysis.coset_correlation_sums(block.components[0], factors)
+        assert not np.array_equal(verification._codeword_sums(wrong, terms), direct)
+
+
+def test_a_walk_cell_stays_within_its_memory_bound():
+    # one walk cell at m=5: the rows of orbit_cells at per_row, the
+    # kernel's footprint over all 53 terms (unit products and sums) plus the
+    # symbols of the 18 offsets, rounded up to a power of two, hold at most
+    # CHUNK_SYMBOLS complex values.  The kernel copies its product into the
+    # sums, and star_sum stacks the codeword and term sums and their norms:
+    # at most that much again, so the cell's reductions peak below twice
+    # CHUNK_SYMBOLS complex values.  Negative control: a cell with twice the
+    # rows the cell rule allows goes beyond that bound
+    import tracemalloc
+
+    m, n = 5, 32
+    offsets = orbit_offsets(Modulation.QAM16) + orbit_offsets(Modulation.QAM64)
+    per_row = 1 << (coset_footprint(n, 53) + 18 * n - 1).bit_length()
+    pi, rows = next(walk_cells(m))
+    assert len(rows) == CHUNK_SYMBOLS // per_row == 8
+    bound = 2 * CHUNK_SYMBOLS * np.dtype(complex).itemsize
+    terms = verification._cell_terms(m, pi, offsets)  # shared by every cell of the pi
+    base = base_rows(m, pi, orbit_rows(m)[: 2 * len(rows)])
+    peaks = []
+    for count in (len(rows), 2 * len(rows)):
+        tracemalloc.start()
+        verification._reductions(base[:count], terms)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1]
 
 
 def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
-    # each lemma cell, sized by the kernel's per-row footprint (unit
-    # products and sums), holds at most CHUNK_SYMBOLS complex values, and
-    # the sweep correlates one row per quarter-shift orbit of every pi once
+    # each walk cell, sized by the kernel's per-row footprint over every
+    # term (unit products and sums) plus the symbols of every offset,
+    # holds at most CHUNK_SYMBOLS complex values; its kernel call takes
+    # one cell of orbit_cells at that size, and the walk correlates one row
+    # per quarter-shift orbit of every pi once, with or without the audits
     real = verification.coset_correlation_sums
     calls = []
 
     def recorded(base, factors):
-        calls.append((len(base), factors.shape))
+        calls.append((base.copy(), factors.shape))
         return real(base, factors)
 
     monkeypatch.setattr(verification, "coset_correlation_sums", recorded)
-    for m in (3, 4):
+    for m, walk in itertools.product((3, 4), (lemma_sweep, verification.orbit_walk)):
         calls.clear()
-        lemma_sweep(m)
+        walk(m)
         n = 1 << m
-        assert all(rows * coset_footprint(n, shape[1]) <= CHUNK_SYMBOLS for rows, shape in calls)
-        # the 10 distinct forms of the 2 + 16 orbit offsets and their 16
-        # a2a3 terms per call, then the negative controls' one row: their 3
-        # distinct forms and the a2a3 terms of L2 and L3
-        assert {shape for _, shape in calls[:-1]} == {(n, 10 + 16, n)}
-        assert sum(rows for rows, _ in calls[:-1]) == len(canonical_permutations(m)) * 4 ** (m - 1)
-        assert calls[-1] == (1, (n, 3 + 2, n))
+        cells = list(walk_cells(m))
+        assert all(len(rows) * (coset_footprint(n, 53) + 18 * n) <= CHUNK_SYMBOLS
+                   for _, rows in cells)
+        # the 11 components, 10 forms and 16 + 16 terms of the 2 + 16 orbit
+        # offsets per call, then the negative controls' one row: 3 distinct
+        # forms, and T(F, G) and the a2a3 T of L2 and L3
+        assert {shape for _, shape in calls[:-1]} == {(n, 53, n)}
+        assert len(calls) - 1 == len(cells)
+        for (base, _), (pi, rows) in zip(calls, cells):
+            assert np.array_equal(base, base_rows(m, pi, rows))
+        assert sum(len(rows) for _, rows in cells) == len(canonical_permutations(m)) * 4 ** (m - 1)
+        assert calls[-1][0].shape == (1, n) and calls[-1][1] == (n, 1 + 2 * 3 + 2 * 2, n)
 
 
 def test_audit_block_requires_a_golay_first_component_for_type1_only(monkeypatch):
@@ -697,7 +775,7 @@ def test_every_row_is_near_at_an_odd_rate_and_none_far_at_a_power_of_two(monkeyp
         near = near_points(p, ceilings, oversample * 8)
         assert np.all(near) if every else not np.any(near)
         marked.clear()
-        _audit_block(block, oversample)
+        walk_audit(block, oversample)
         assert all(np.all(near) for near in marked) == every
     # at L = 16 only rows within the spread of their kind's max are refined
     assert 0 < sum(np.count_nonzero(near) for near in marked) < len(block)
@@ -746,13 +824,13 @@ def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m
         raise AssertionError("screened")
 
     monkeypatch.setattr(analysis, "screen_peps", refused)
-    stats = _audit_block(block, oversample)
+    stats = walk_audit(block, oversample)
     # the negative control: at n = 8 and L = 16 the audit screens
     with pytest.raises(AssertionError, match="screened"):
-        _audit_block(build_block(3, (0, 1, 2), offsets, orbit_rows(3)), 16)
+        walk_audit(build_block(3, (0, 1, 2), offsets, orbit_rows(3)), 16)
     monkeypatch.setattr(verification, "threshold_peps",
                         lambda z, oversample, points, groups: pep_batch(z, oversample))
-    assert _audit_block(block, oversample) == stats
+    assert walk_audit(block, oversample) == stats
 
 
 @pytest.mark.parametrize("tolerance", ["PMEPR_TOL", "STAR_TOL"])
@@ -762,7 +840,8 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolera
     # that its point lands on one row's PMEPR must send that row, and only
     # rows that near, to orbit_peps for its images' PEPs
     block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
-    stars, _ = verification._block_stars(block)
+    terms = verification._cell_terms(3, (0, 1, 2), block.offsets)
+    stars = verification._reductions(block.components[0], terms)[0]
     type2 = np.array(block.kinds) == "type2"
     s = (stars[: len(block.offsets)] / 42 / 8)[type2].ravel()
     p = np.stack([pep_batch(z, 16) for z in block.complex_symbols()])[type2].ravel() / 8
@@ -771,19 +850,20 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolera
     real, marked = verification.orbit_peps, []
 
     def spy(z, peps, near, oversample):
-        marked.append(near.copy())
+        # the one call of the block holds every offset's rows: its type 2 rows
+        marked.append(near.reshape(len(block.offsets), -1)[type2].ravel())
         return real(z, peps, near, oversample)
 
     monkeypatch.setattr(verification, "orbit_peps", spy)
     cell_stats(block)
-    assert not marked[1][row]
+    assert not marked[0][row]
     monkeypatch.setattr(verification, tolerance, p[row] - point)
     marked.clear()
     cell_stats(block)
-    assert marked[1][row]
+    assert marked[0][row]
     points = [p.max(), CEILINGS["type2"][0] + verification.PMEPR_TOL, s + verification.STAR_TOL]
     near = [np.abs(p - point) <= pep_spread(16 * 8) * p for point in points]
-    assert np.array_equal(marked[1], near[0] | near[1] | near[2])
+    assert np.array_equal(marked[0], near[0] | near[1] | near[2])
 
 
 def test_kind_stats_add():
@@ -797,32 +877,33 @@ def test_kind_stats_add():
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
     forward = theorem_bound_audit(3, modulation, jobs=1)
-    real = verification.map_orbit_blocks
-    monkeypatch.setattr(verification, "map_orbit_blocks", lambda *args: list(real(*args))[::-1])
+    real = verification._map_cells
+    monkeypatch.setattr(verification, "_map_cells", lambda *args: list(real(*args))[::-1])
     assert theorem_bound_audit(3, modulation, jobs=1) == forward
 
 
 def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
     # negative control: the first record of the first type 2 orbit offset
     # of the first cell reads one lattice unit (1/42) above the published type 2
-    # ceiling: its zero-shift sum, in the kernel's output, is raised by the
-    # gap, which raises its star by exactly that much (T(0) > 0)
+    # ceiling: its zero-shift sum, in the codeword sums of the component
+    # identity, is raised by the gap, which raises its star by exactly that
+    # much (T(0) > 0).  The walk of both families holds the 2 16-QAM offsets
+    # before the 16 64-QAM ones
     from qamseq.cli import main
 
     first_type2 = [offset_kind(o) for o in orbit_offsets(Modulation.QAM64)].index("type2")
-    real = verification.coset_correlation_sums
+    real = verification._codeword_sums
     forged = []
 
-    def one_over(base, factors):
-        sums = real(base, factors)
-        n, terms = factors.shape[:2]
-        if terms == 16 + 11 and not forged:  # the first 64-QAM cell: codewords, D, forms
-            row = sums[first_type2, 0]
-            row[0] += CEILINGS["type2"][0] * n * Scale.QAM64.value + 1 - star_sum(row[None])[0]
+    def one_over(sums, terms):
+        codewords = real(sums, terms)
+        if not forged:  # the first cell
+            row = codewords[first_type2 + len(terms.weights) - 16, 0]
+            row[0] += CEILINGS["type2"][0] * 8 * Scale.QAM64.value + 1 - star_sum(row[None])[0]
             forged.append(row[0])
-        return sums
+        return codewords
 
-    monkeypatch.setattr(verification, "coset_correlation_sums", one_over)
+    monkeypatch.setattr(verification, "_codeword_sums", one_over)
     report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
     assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.type2.star"]
     assert not report.passed
@@ -920,9 +1001,11 @@ def test_example_symbols_check_fails_on_a_forged_pin(monkeypatch):
 
 
 def test_example_star_reads_the_coset_kernel(monkeypatch):
-    # negative control: each example's star comes from the audit's
-    # coset_correlation_sums; one unit more on T(0) of every sum lifts star/n
-    # by 1 / (scale * n), above both published ceilings, which example 1
+    # negative control: each example's star comes from the walk's
+    # coset_correlation_sums through the component identity; one unit more
+    # on T(0) of every term lifts the codeword's T(0) by the sum of its
+    # weights, 14 for 16-QAM and 70 for 64-QAM, and star/n by 14 / (10 * 8)
+    # and 70 / (42 * 8), above both published ceilings, which example 1
     # meets exactly and example 2 clears by less than 1e-3
     real = verification.coset_correlation_sums
 

@@ -138,17 +138,6 @@ def star_sum(sums: np.ndarray) -> np.ndarray:
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 
 
-def row_free(sequences: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """The (terms, n) sequences x_k with sequences[k, r] = units[r] * x_k on
-    every row r, from (terms, rows, n) sequences and (rows, n) unit sequences
-    zeta^(D_r).  Raises ValueError when a term is not one such x_k on every
-    row: coset_correlation_sums would then correlate some other sequence."""
-    x = sequences * np.conj(units)
-    if not np.array_equal(x, np.broadcast_to(x[:, :1], x.shape)):
-        raise ValueError("a sequence is not zeta^D times one row-free sequence on every row")
-    return x[:, 0]
-
-
 def _ahead(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(u, i) -> i + u modulo n, and where i + u < n."""
     ahead = np.arange(n)[:, None] + np.arange(n)[None, :]

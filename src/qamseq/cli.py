@@ -28,9 +28,7 @@ from .analysis import (
     near_points,
     orbit_peps,
     pep_batch,
-    polyphase_lattice,
     random_baseline,
-    row_free,
     shift_factors,
     star_sum,
     threshold_peps,
@@ -61,6 +59,12 @@ from .verification import (
 )
 
 ENUMERATION_CAPS = {Modulation.QAM16: 4, Modulation.QAM64: 3}
+# the largest m that construct builds and that a verify --record document
+# may name (construct takes some 7 s and 3 GB at m = 13, most of it the n^2
+# shift factors of the one-row correlation), and the largest envelope grid,
+# oversample * n, of any subcommand: the default rate at that m
+CONSTRUCT_M_LIMIT = RECORD_M_LIMIT = 13
+GRID_LIMIT = 16 << CONSTRUCT_M_LIMIT
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -78,6 +82,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{what}: expected comma-separated integers, got {text!r}") from exc
+
+
+def _check_grid(m: int, oversample: int) -> None:
+    if oversample > GRID_LIMIT >> m:
+        raise UsageError(
+            f"oversample * n = {oversample} * 2^{m} exceeds the grid limit {GRID_LIMIT}")
 
 
 def _parse_offset(values: list[int], modulation: Modulation):
@@ -126,13 +136,13 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     scores' reprs made once per distinct value in the block.  Each orbit is
     scored once, on its first row: zeta^c rotates a codeword exactly, so its
     records share star and PMEPR bit for bit."""
-    m, scale, sign, coeffs = block.m, block.scale.value, block.companion_sign, block.coeffs
-    n, grid = 1 << m, (len(coeffs), len(block.offsets))
-    orbits, base = block.symbols[:, ::ORBIT_SIZE], block.components[0, ::ORBIT_SIZE]
-    x = row_free(orbits, polyphase_lattice(base))
-    sums = coset_correlation_sums(base, shift_factors(x, x, sign)).reshape(-1, n)
+    m, scale, sign = block.m, block.scale.value, block.companion_sign
+    n, grid = 1 << m, (len(block.coeffs), len(block.offsets))
+    orbits = block.select(slice(None, None, ORBIT_SIZE))
+    factors = shift_factors(block.parts, block.parts, sign)  # every codeword is zeta^D * its part
+    sums = coset_correlation_sums(orbits.base, factors).reshape(-1, n)
     star = (star_sum(sums) / scale).reshape(grid[1], -1).T  # (orbits, offsets)
-    pmepr = pep_batch(orbits.reshape(-1, n) / np.sqrt(scale), oversample).reshape(grid[1], -1).T
+    pmepr = pep_batch(orbits.complex_symbols().reshape(-1, n), oversample).reshape(grid[1], -1).T
     scores = {}
     for key, value in (("star", star), ("star_over_n", star / n), ("pmepr", pmepr / n)):
         unique, index = np.unique(np.repeat(value, ORBIT_SIZE, 0)[: grid[0]], return_inverse=True)
@@ -149,15 +159,15 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     # an 8th of the block's symbols holds about as much memory as the block
     step = max(1, CHUNK_SYMBOLS // (8 * n * grid[1]))
     for start in range(0, grid[0], step):
-        rows = slice(start, start + step)
-        lists, z = _z4_texts(block.components[:, rows]), block.symbols[:, rows]
+        rows = block.select(slice(start, start + step))
+        lists, z = _z4_texts(rows.components), rows.symbols
         parts = (np.stack([z, z * sign]).view(float).astype(np.int8) + 7) // 2  # re, im, re, ...
         pairs = _PAIR_TEXTS[parts[..., 0::2] * 8 + parts[..., 1::2]].swapaxes(1, 2)
         texts = {  # of every field that varies by row, over (rows, offsets, texts)
             "base+components": lists[block.component_index].transpose(2, 0, 1),  # D, E or D, F, G
-            "constant": np.array(list("0123"), object)[coeffs[rows, m], None, None],
-            "linear": _z4_texts(coeffs[rows, :m])[:, None, None], "symbols": pairs[0],
-            "primed_symbols": pairs[1], **{k: v[rows] for k, v in scores.items()}}
+            "constant": np.array(list("0123"), object)[rows.coeffs[:, m], None, None],
+            "linear": _z4_texts(rows.coeffs[:, :m])[:, None, None], "symbols": pairs[0],
+            "primed_symbols": pairs[1], **{k: v[start : start + step] for k, v in scores.items()}}
         lines = np.empty((*pairs.shape[1:3], 2 * skeletons.shape[1] - 1), dtype=object)
         lines[..., 0::2], col = skeletons, 1
         for key in sorted(texts):
@@ -173,12 +183,7 @@ def codeword_doc(params: ConstructionParams, oversample: int = 16) -> dict:
 
 
 def params_from_doc(doc: dict) -> ConstructionParams:
-    base = PathQuadratic(
-        m=doc["m"],
-        pi=tuple(doc["pi"]),
-        linear=tuple(doc["linear"]),
-        constant=doc["constant"],
-    )
+    base = PathQuadratic(doc["m"], tuple(doc["pi"]), tuple(doc["linear"]), doc["constant"])
     return ConstructionParams(base=base, offset=_offset_from_doc(doc["offset"]))
 
 
@@ -196,7 +201,7 @@ _INT_LIST = (_is_int_list, "a list of integers")
 # the fields a codeword is rebuilt from, the offset's as "offset.<name>":
 # (shape test, what the shape is)
 _FIELD_SHAPES = {
-    "m": _INT,
+    "m": (lambda v: _is_int(v) and 2 < v <= RECORD_M_LIMIT, f"an integer in [3, {RECORD_M_LIMIT}]"),
     "pi": _INT_LIST,
     "linear": _INT_LIST,
     "constant": _INT,
@@ -216,9 +221,10 @@ def verify_codeword_doc(doc: dict) -> list[str]:
     """Rebuild the whole document from its parameters and compare every field
     exactly, one problem per field that is missing, extra or different.
 
-    The fields it is rebuilt from are type-checked first, so nothing is built
-    from a field of the wrong type. The star/n ceiling verdict is read from
-    the rebuilt document, never from the record's own numbers."""
+    The fields it is rebuilt from are type-checked first, and m and the
+    envelope grid held to RECORD_M_LIMIT and GRID_LIMIT, so nothing is built
+    from a field of the wrong type or size. The star/n ceiling verdict is
+    read from the rebuilt document, never from the record's own numbers."""
     if not isinstance(doc, dict):
         return ["unparseable parameters: the record is not a JSON object"]
     fields = dict(doc)
@@ -230,6 +236,8 @@ def verify_codeword_doc(doc: dict) -> list[str]:
         for key, (fits, what) in _FIELD_SHAPES.items()
         if key in fields and not fits(fields[key])
     ]
+    if not problems and doc["oversample"] > GRID_LIMIT >> doc["m"]:
+        problems = [f"record field 'oversample' times n = 2^{doc['m']} exceeds {GRID_LIMIT}"]
     if problems:
         return problems
     try:
@@ -286,6 +294,9 @@ def cmd_construct(args) -> int:
     pi = tuple(_parse_int_list(args.pi, "--pi"))
     coeffs = _parse_int_list(args.c, "--c")
     m = len(pi)
+    if m > CONSTRUCT_M_LIMIT:
+        raise UsageError(f"m={m} exceeds the construct limit m <= {CONSTRUCT_M_LIMIT}")
+    _check_grid(m, args.oversample)
     if args.m is not None and args.m != m:
         raise UsageError(f"--m {args.m} disagrees with --pi of length {m}")
     if len(coeffs) != m + 1:
@@ -315,13 +326,8 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         closed = family_size(args.m, modulation)
         enumerated = count_enumerated(args.m, modulation)
-        doc = {
-            "m": args.m,
-            "modulation": modulation.value,
-            "closed_form": closed,
-            "enumerated": enumerated,
-            "match": closed == enumerated,
-        }
+        doc = {"m": args.m, "modulation": modulation.value, "closed_form": closed,
+               "enumerated": enumerated, "match": closed == enumerated}
         _write_out(json.dumps(doc, sort_keys=True), args.out)
         return EXIT_OK if doc["match"] else EXIT_VERIFY_FAILED
 
@@ -367,10 +373,6 @@ def family_pmeprs(
             for kind, pairs in grouped.items()}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def cmd_ccdf(args) -> int:
     modulation = Modulation(args.modulation)
     if args.baseline_count < 1 or args.seed < 0:
@@ -396,9 +398,8 @@ def cmd_ccdf(args) -> int:
         ",".join(["threshold_linear", "threshold_db", *names]),
     ]
     for idx, thr in enumerate(thresholds):
-        row = [_fmt(thr), _fmt(10 * np.log10(thr))]
-        row += [_fmt(curves[name].probabilities[idx]) for name in names]
-        lines.append(",".join(row))
+        row = [thr, 10 * np.log10(thr), *(curves[name].probabilities[idx] for name in names)]
+        lines.append(",".join(f"{value:.12g}" for value in row))
     _write_out("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -425,11 +426,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:  # not UTF-8 text, or not JSON
             raise UsageError(f"cannot parse --record {args.record}: {exc}") from exc
         problems = verify_codeword_doc(doc)
-        report = {
-            "record": args.record,
-            "passed": not problems,
-            "problems": problems,
-        }
+        report = {"record": args.record, "passed": not problems, "problems": problems}
         _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
         return EXIT_OK if not problems else EXIT_VERIFY_FAILED
 
@@ -438,20 +435,8 @@ def cmd_verify(args) -> int:
     for c in checks:
         tag = "PASS" if c.passed else "FAIL"
         print(f"{tag}  {c.name}: {c.observed}  [require {c.requirement}]", file=sys.stderr)
-    report = {
-        "suite": args.suite,
-        "m": args.m,
-        "passed": passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "observed": c.observed,
-                "requirement": c.requirement,
-            }
-            for c in checks
-        ],
-    }
+    report = {"suite": args.suite, "m": args.m, "passed": passed,
+              "checks": [vars(c) for c in checks]}
     _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
@@ -512,10 +497,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"worker count (--jobs) must be >= 1, got {args.jobs}")
-        if getattr(args, "m", None) is not None and args.m <= 2:
+        if args.m is not None and args.m <= 2:
             raise UsageError(f"family defined for m > 2, got m={args.m}")
-        if getattr(args, "oversample", 1) < 1:
+        if args.oversample < 1:
             raise UsageError(f"oversample must be >= 1, got {args.oversample}")
+        if args.m is not None:
+            _check_grid(args.m, args.oversample)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

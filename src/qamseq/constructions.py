@@ -106,14 +106,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .algebra import bit_matrix, canonical_permutations, coefficient_matrix
+from .algebra import ZETA, bit_matrix, canonical_permutations, coefficient_matrix
 from .constellation import Scale, qam_lattice
 from .gbf import PathQuadratic, base_rows
 
@@ -475,28 +475,32 @@ def orbit_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndar
 class FamilyBlock:
     """Every offset of one (permutation, coefficient rows) cell, vectorized.
 
-    The row axis of every array follows coeffs, rows of coefficient_matrix(m)
-    (a cell of family_cells or orbit_cells in the family walks).  components
-    holds the quaternary sequences the cell's codewords are made of, each
-    once: D at index 0, then D plus each distinct offset_forms form of the
-    offsets, as (1 + forms, rows, n).  Row o of component_index names the
-    components ((D, E) or (D, F, G)) of offset o, and symbols holds the
-    (offsets, rows, n) complex lattice points of every codeword; the primed
-    companion is derived through companion_sign.  len counts the sequences,
-    offsets times rows.
+    The row axis follows coeffs, rows of coefficient_matrix(m).  Every
+    codeword is zeta^D * K: base holds the (rows, n) uint8 base rows D,
+    parts the (offsets, n) row-free codeword parts K = qam(0, s_j..), forms
+    the (1 + forms, n) uint8 row-free values of the components (0 for D,
+    then each distinct offset_forms form once), and row o of
+    component_index the components ((D, E) or (D, F, G)) of offset o.  The
+    symbols and the components are derived on access for the block's rows
+    (select takes some of them); the companion through companion_sign.
     """
 
     m: int
     pi: tuple[int, ...]
     offsets: tuple[Offset, ...]
     coeffs: np.ndarray
-    components: np.ndarray
+    base: np.ndarray
+    forms: np.ndarray
     component_index: np.ndarray
-    symbols: np.ndarray
+    parts: np.ndarray
     scale: Scale
 
     def __len__(self) -> int:
-        return int(self.symbols.shape[0] * self.symbols.shape[1])
+        return len(self.offsets) * len(self.base)
+
+    def select(self, rows) -> FamilyBlock:
+        """The block of the rows asked for, any index of the row axis."""
+        return replace(self, coeffs=self.coeffs[rows], base=self.base[rows])
 
     @property
     def kinds(self) -> tuple[str, ...]:
@@ -507,9 +511,19 @@ class FamilyBlock:
     def companion_sign(self) -> np.ndarray:
         return companion_sign(self.m, self.pi)
 
+    @property
+    def components(self) -> np.ndarray:
+        """(1 + forms, rows, n) uint8 sequences: D, then D plus each form."""
+        return (self.base + self.forms[:, None]) % 4
+
     def offset_components(self, o: int) -> np.ndarray:
         """(components, rows, n) sequences of offset o: (D, E) or (D, F, G)."""
         return self.components[self.component_index[o]]
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """(offsets, rows, n) complex lattice points zeta^D * K of every codeword."""
+        return ZETA[self.base] * self.parts[:, None]
 
     def complex_symbols(self) -> np.ndarray:
         """(offsets, rows, n) complex unit-average-energy symbols: the lattice
@@ -521,15 +535,16 @@ def build_block(
     m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...], coeffs: np.ndarray
 ) -> FamilyBlock:
     """Vectorized synthesis of every offset of one (pi, rows) cell: D once, each
-    distinct component form once, then every offset's symbols from them."""
+    distinct component form once, and every offset's row-free part K from
+    one qam_lattice call over the forms; no symbol is made here."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
     index = np.array([[0, *(1 + forms.index(f) for f in offset_forms(off))] for off in offsets])
-    base = base_rows(m, pi, coeffs)
-    comps = np.concatenate([base[None], (base + form_values(forms, m, pi)[:, None]) % 4])
-    symbols, scale = qam_lattice(*np.moveaxis(comps[index], 1, 0))
-    return FamilyBlock(m, pi, tuple(offsets), coeffs, comps, index, symbols, scale)
+    values = np.concatenate([np.zeros((1, 1 << m), np.uint8), form_values(forms, m, pi)])
+    parts, scale = qam_lattice(*np.moveaxis(values[index], 1, 0))
+    return FamilyBlock(m, pi, tuple(offsets), coeffs, base_rows(m, pi, coeffs), values, index,
+                       parts, scale)
 
 
 def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):

@@ -572,8 +572,9 @@ def _envelope_gaps(block: FamilyBlock) -> tuple[float, float, float]:
     n = 1 << block.m
     grid = HIGH * n
     basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
-    lattice, z = block.symbols.reshape(-1, n), block.complex_symbols().reshape(-1, n)
-    energy = np.sum(lattice.real**2 + lattice.imag**2, axis=1) / block.scale.value
+    z, k = block.complex_symbols().reshape(-1, n), block.parts
+    # |zeta^D * K| = |K|: every row of an offset has the energy of its part
+    energy = np.repeat(np.sum(k.real**2 + k.imag**2, axis=1), len(block.base)) / block.scale.value
     step = max(1, CHUNK_SYMBOLS // grid)
     gaps = []
     for start in range(0, len(z), step):
@@ -713,7 +714,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
             )
         )
         terms = _cell_terms(block.m, block.pi, block.offsets)
-        s = float(_reductions(block.components[0], terms)[0][0, 0]) / block.scale.value / len(z)
+        s = float(_reductions(block.base, terms)[0][0, 0]) / block.scale.value / len(z)
         bound = star_bound(params.offset)
         out.append(
             CheckResult(

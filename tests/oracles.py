@@ -71,7 +71,6 @@ from qamseq.analysis import (
     golay_defect,
     pep_batch,
     polyphase_lattice,
-    row_free,
     shift_factors,
     star_sum,
 )
@@ -566,16 +565,38 @@ def offset_lemma_sweep(m: int) -> tuple[dict[str, float], dict[str, int]]:
     return maxima, counts
 
 
+def row_free(sequences: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The (terms, n) sequences x_k with sequences[k, r] = units[r] * x_k on
+    every row r, from (terms, rows, n) sequences and (rows, n) unit sequences
+    zeta^(D_r).  Raises ValueError when a term is not one such x_k on every
+    row: coset_correlation_sums would then correlate some other sequence."""
+    x = sequences * np.conj(units)
+    if not np.array_equal(x, np.broadcast_to(x[:, :1], x.shape)):
+        raise ValueError("a sequence is not zeta^D times one row-free sequence on every row")
+    return x[:, 0]
+
+
+def synthesized_symbols(block: FamilyBlock) -> np.ndarray:
+    """The (offsets, rows, n) lattice points of every codeword of a block by
+    the paper's synthesis: qam_lattice over its components (D, D + s_j..),
+    each offset's built from base_rows and form_values, not from the
+    block's row-free values."""
+    base = base_rows(block.m, block.pi, block.coeffs).astype(np.int64)
+    return np.stack([
+        qam_lattice(base, *(base + form_values(offset_forms(off), block.m, block.pi)[:, None]))[0]
+        for off in block.offsets])
+
+
 def direct_codeword_sums(block: FamilyBlock) -> np.ndarray:
     """The (offsets, rows, n) sums C_H(u) + C_H'(u), u >= 0, of every
-    codeword of a block, each correlated as the one sequence it is: its
-    row-free part zeta^(-D) * H read back from the block's symbols
-    (analysis.row_free refuses a block where it differs between rows),
-    correlated with its companion through shift_factors and one
+    codeword of a block, each correlated as the one sequence it is: the
+    codeword rebuilt by synthesized_symbols, its row-free part zeta^(-D) * H
+    read back by row_free (which refuses a block where it differs between
+    rows), correlated with its companion through shift_factors and one
     coset_correlation_sums call.  The reference of the walk's component
-    identity."""
-    x = row_free(block.symbols, polyphase_lattice(block.components[0]))
-    return coset_correlation_sums(block.components[0], shift_factors(x, x, block.companion_sign))
+    identity; it never reads the block's parts."""
+    x = row_free(synthesized_symbols(block), polyphase_lattice(block.base))
+    return coset_correlation_sums(block.base, shift_factors(x, x, block.companion_sign))
 
 
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:

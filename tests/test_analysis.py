@@ -38,7 +38,6 @@ from qamseq.analysis import (
     pmepr,
     polyphase_lattice,
     random_baseline,
-    row_free,
     shift_factors,
     star,
     star_batch,
@@ -756,7 +755,7 @@ def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
         base, sign = block.components[0], block.companion_sign
         units = polyphase_lattice(block.components)
         for sequences in (block.symbols, units):
-            x = row_free(sequences, units[0])
+            x = oracles.row_free(sequences, units[0])
             got = coset_correlation_sums(base, shift_factors(x, x, sign))
             assert np.array_equal(got, _explicit_sums(sequences, sign))
         lemma_offsets = offsets + controls
@@ -780,7 +779,7 @@ def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):
     # 25 rows give the one-slice sums of all 40 rows bit for bit
     block = build_block(4, (0, 1, 2, 3), _offset_list(Modulation.QAM64), orbit_rows(4)[:40])
     units = polyphase_lattice(block.components)
-    x = row_free(block.symbols, units[0])
+    x = oracles.row_free(block.symbols, units[0])
     factors = shift_factors(x, x, block.companion_sign)
     assert analysis.CHUNK_SYMBOLS // coset_footprint(16, 64) == 25
     sliced = coset_correlation_sums(block.components[0], factors)
@@ -790,13 +789,14 @@ def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):
 
 
 def test_row_free_refuses_a_sequence_outside_its_coset():
-    # negative control: one symbol of one row moved by one lattice unit is
-    # no longer zeta^D times the row-free sequence of the other rows
+    # negative control of the oracle's row_free: one symbol of one row moved
+    # by one lattice unit is no longer zeta^D times the row-free sequence of
+    # the other rows
     block = build_block(3, (0, 2, 1), _offset_list(Modulation.QAM16), orbit_rows(3))
-    units = polyphase_lattice(block.components)
-    x = row_free(block.symbols, units[0])
-    assert np.array_equal(block.symbols, units[0] * x[:, None, :])
-    forged = block.symbols.copy()
+    units = polyphase_lattice(block.base)
+    symbols = oracles.synthesized_symbols(block)
+    assert np.array_equal(oracles.row_free(symbols, units), block.parts)
+    forged = symbols.copy()
     forged[3, 17, 5] += 1
     with pytest.raises(ValueError, match="not zeta\\^D times one row-free sequence"):
-        row_free(forged, units[0])
+        oracles.row_free(forged, units)

@@ -711,12 +711,14 @@ def test_construct_output_roundtrips_at_its_rate(capsys, tmp_path, flags, rate):
     assert json.loads(out) == {"record": str(path), "passed": True, "problems": []}
 
 
-def test_construct_roundtrips_for_every_offset(capsys, tmp_path):
+@pytest.mark.parametrize("pi, c", [("0,2,1", "3,0,2,1"), ("0,3,1,4,2", "3,0,2,1,2,1")],
+                         ids=["m3", "m5"])
+def test_construct_roundtrips_for_every_offset(capsys, tmp_path, pi, c):
     offsets16 = [("16qam", f"{o.d1},{o.d2},{o.d3}") for o in list_offsets16()]
     offsets64 = [("64qam", f"{o.d.d1},{o.d.d2},{o.d.d3},{o.h1},{o.h3}") for o in list_offsets64()]
     assert len(offsets16 + offsets64) == 72
     for modulation, offset in offsets16 + offsets64:
-        flags = ["--modulation", modulation, "--pi", "0,2,1", "--c", "3,0,2,1", "--offset", offset]
+        flags = ["--modulation", modulation, "--pi", pi, "--c", c, "--offset", offset]
         doc, _ = construct_doc(capsys, tmp_path, flags)
         assert verify_doc(capsys, tmp_path, doc) == (0, []), (modulation, offset)
         # the one-row render, at constant 1, is the per-record oracle's document
@@ -795,6 +797,20 @@ def test_verify_record_with_a_bad_oversample_fails(capsys, tmp_path, value):
     code, problems = verify_doc(capsys, tmp_path, dict(doc, oversample=value))
     assert code == 1
     assert problems == ["record field 'oversample' is not an integer >= 1"]
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("m", cli.RECORD_M_LIMIT + 1,
+     f"record field 'm' is not an integer in [3, {cli.RECORD_M_LIMIT}]"),
+    ("oversample", 10**9, f"record field 'oversample' times n = 2^3 exceeds {cli.GRID_LIMIT}"),
+    ("oversample", cli.GRID_LIMIT // 8 + 1,
+     f"record field 'oversample' times n = 2^3 exceeds {cli.GRID_LIMIT}"),
+])
+def test_verify_record_beyond_a_limit_fails(capsys, tmp_path, key, value, problem):
+    # an m or an envelope grid beyond the CLI's limits is a fault of the
+    # record (exit 1, one problem), never a MemoryError inside the library
+    doc, _ = construct_doc(capsys, tmp_path, EX1_FLAGS)
+    assert verify_doc(capsys, tmp_path, dict(doc, **{key: value})) == (1, [problem])
 
 
 def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
@@ -964,6 +980,20 @@ def test_codeword_doc_roundtrip_functions():
     (["verify", "--suite", "examples", "--oversample", "0"], "oversample must be >= 1, got 0"),
     (["verify", "--suite", "examples", "--m", "2"], "family defined for m > 2, got m=2"),
     (["enumerate", "--m", "1", "--modulation", "64qam", "--count-only"], "m > 2"),
+    # an m or an envelope grid beyond the CLI's limits, not a MemoryError
+    (["construct", "--modulation", "16qam", "--pi", ",".join(map(str, range(40))),
+      "--c", ",".join("0" * 41), "--offset", "0,1,1"],
+     f"m=40 exceeds the construct limit m <= {cli.CONSTRUCT_M_LIMIT}"),
+    (["construct", "--modulation", "16qam", "--pi", ",".join(map(str, range(14))),
+      "--c", ",".join("0" * 15), "--offset", "0,1,1", "--oversample", "1"],
+     f"m=14 exceeds the construct limit m <= {cli.CONSTRUCT_M_LIMIT}"),
+    (["construct", *EX1_FLAGS, "--oversample", "1000000000"],
+     f"oversample * n = 1000000000 * 2^3 exceeds the grid limit {cli.GRID_LIMIT}"),
+    (["construct", *EX1_FLAGS, "--oversample", str(cli.GRID_LIMIT // 8 + 1)], "grid limit"),
+    (["enumerate", "--m", "3", "--modulation", "16qam", "--oversample", "1000000000"],
+     "grid limit"),
+    (["ccdf", "--m", "40", "--modulation", "16qam"], "16 * 2^40 exceeds the grid limit"),
+    (["verify", "--suite", "examples", "--oversample", "1000000000"], "grid limit"),
     (["construct", "--modulation", "64qam", "--pi", "0,1,2", "--c", "1,1,1,0",
       "--offset", "0,1,1,1,0"], "satisfies neither"),
 ])
@@ -973,6 +1003,12 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_the_grid_limit_itself_is_accepted(capsys):
+    # oversample * n = GRID_LIMIT exactly is within the limit
+    code, out, _ = run(capsys, "construct", *EX1_FLAGS, "--oversample", str(cli.GRID_LIMIT // 8))
+    assert code == 0 and json.loads(out)["oversample"] == cli.GRID_LIMIT // 8
 
 
 @pytest.mark.parametrize("content", ["{not json", b"\xff\xfe"])

@@ -1,8 +1,8 @@
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +352,29 @@ def test_records_hold_the_block_symbols_as_int64_pairs(modulation):
     assert first.base is not None and first.base is second.base
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+def test_block_symbols_are_the_synthesis_of_their_components(m, modulation):
+    # a block stores D and its row-free parts K and derives its symbols as
+    # zeta^D * K: on every cell of both family walks they are, bit for bit,
+    # qam_lattice over (D, D + s_j..) from base_rows and form_values, whose
+    # row-free part the oracle's row_free reads back as K.  Negative
+    # control: the synthesis forged on one row is no row-free part's coset
+    walks = ((constructions._offset_list(modulation), family_cells),
+             (orbit_offsets(modulation), orbit_cells))
+    for offsets, cells_of in walks:
+        for pi, rows in cells_of(m, (1 << m) * len(offsets)):
+            block = build_block(m, pi, offsets, rows)
+            symbols, units = oracles.synthesized_symbols(block), polyphase_lattice(block.base)
+            assert block.symbols.tobytes() == symbols.tobytes()
+            scaled = symbols / np.sqrt(block.scale.value)
+            assert block.complex_symbols().tobytes() == scaled.tobytes()
+            assert np.array_equal(oracles.row_free(symbols, units), block.parts)
+    symbols[-1, -1] *= 1j
+    with pytest.raises(ValueError, match="not zeta\\^D times one row-free sequence"):
+        oracles.row_free(symbols, units)
+
+
 def test_block_shapes():
     block = build_block(3, (0, 1, 2), list_offsets16(), orbit_rows(3))
     assert np.array_equal(block.coeffs, orbit_rows(3))
@@ -562,7 +585,10 @@ def test_orbit_invariance_fails_when_the_constant_reaches_one_component_only(mod
     constant = coeffs[:, m:].astype(np.int64)
     comps = np.concatenate([block.components[:1], (block.components[1:] - constant) % 4])
     symbols = qam_lattice(*np.moveaxis(comps[block.component_index], 1, 0))[0]
-    broken = dataclasses.replace(block, components=comps, symbols=symbols)
+    # a block derives its symbols from D and its parts, so the broken one is
+    # a stand-in with the fields orbit_scores reads
+    broken = types.SimpleNamespace(m=m, coeffs=coeffs, scale=block.scale, components=comps,
+                                   companion_sign=block.companion_sign, symbols=symbols)
     assert not orbit_invariant(broken)
 
 

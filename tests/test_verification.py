@@ -605,8 +605,10 @@ def test_the_component_identity_gives_every_codeword_sum(m, modulation):
 def test_the_component_identity_needs_every_term_and_its_companion(modulation):
     # negative controls: one T_jk forged by one lattice unit at u = 0, where
     # C_H(0) + C_H'(0) is twice the energy, raises the star of every
-    # codeword with that cross term; and A_j or T_jk taken without the
-    # companion sign, (1 + g_i g_{i+u}) replaced by 2, break the identity
+    # codeword with that cross term; A_j or T_jk taken without the
+    # companion sign, (1 + g_i g_{i+u}) replaced by 2, break the identity;
+    # and the weight of A of the first form off by one moves the star of
+    # exactly the offsets that carry it away from the direct star, on every row
     m, pi, rows = 3, (0, 2, 1), orbit_rows(3)[:16]
     offsets = orbit_offsets(modulation)
     block = build_block(m, pi, offsets, rows)
@@ -627,6 +629,13 @@ def test_the_component_identity_needs_every_term_and_its_companion(modulation):
         factors[:, part] = plain.factors[:, part]
         wrong = analysis.coset_correlation_sums(block.components[0], factors)
         assert not np.array_equal(verification._codeword_sums(wrong, terms), direct)
+    weights = terms.weights.copy()
+    carriers = weights[:, 1] != 0  # A of D plus the first form
+    weights[carriers, 1] += 1
+    off = verification._codeword_sums(sums, terms._replace(weights=weights))
+    off = star_sum(off.reshape(-1, 8)).reshape(stars.shape)
+    assert 0 < carriers.sum() < len(offsets)
+    assert np.array_equal(off != stars, np.repeat(carriers[:, None], len(rows), axis=1))
 
 
 def test_a_walk_cell_stays_within_its_memory_bound():

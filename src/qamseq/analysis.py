@@ -8,23 +8,20 @@ square root of the exact norm re^2 + im^2 per shift, and the sum over shifts.
 Every sequence a family walk correlates lies in a coset zeta^D * x of one base
 row D, and coset_correlation_sums, the one correlation kernel, correlates a
 whole family cell that way: one matrix product per shift for every (row,
-term) pair.  star, star_batch and golay_defect_batch are its D = 0, g = 0
-reductions, kept for the library example and the benchmark's tracer; the
-literal per-shift loop is the tests' reference.  Envelope evaluation samples
-the continuous-time signal S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
+term) pair; star, star_batch and golay_defect_batch are its D = 0, g = 0
+reductions, kept for the library example and the benchmark's tracer.
+Envelope evaluation samples S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
-peak-to-mean ratios are invariant to that normalization).  Each quantity has
-one batched kernel over (records, n) arrays; star and pmepr are one-row calls
-of them.  Beside pep_batch, the float64 FFT, threshold_peps screens rows
-for decisions against thresholds (a grid shared by every row, or each
-row's own) and group maxima with one complex64 matrix product, and runs
-pep_batch only on the rows whose screened PEP lies within its certified
-error of a threshold or of its group's maximum.  orbit_peps scores a row for the
-conjugation x reversal x quarter-shift images of its sequence too, and
-computes their PEPs only where pep_spread says that a decision could tell
-them apart.  random_baseline, the uncoded reference ensemble, holds only
-its uint8 Z4 draws whole and yields its complex symbols in slices of at
-most CHUNK_SYMBOLS, for threshold_peps to take one at a time.
+peak-to-mean ratios are invariant to that normalization) with pep_batch,
+the float64 FFT; pmepr is its one-row call.  score_block gives the star and
+PMEPR of every codeword of a block.  threshold_peps screens rows in
+complex64 against thresholds and group maxima, and runs pep_batch only
+where its certified error reaches one; orbit_pmeprs, the one PMEPR decision
+rule of the audit and ccdf, adds orbit_peps, the PEPs of the conjugation x
+reversal x quarter-shift images of each row near a decision by pep_spread.
+random_baseline, the uncoded reference ensemble, holds only its uint8 Z4
+draws whole and yields its complex symbols in slices of at most
+CHUNK_SYMBOLS, for threshold_peps to take one at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +35,8 @@ import numpy as np
 
 from .algebra import ZETA
 from .constellation import qam_lattice
-from .constructions import CHUNK_SYMBOLS, FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE, Modulation
+from .constructions import (CHUNK_SYMBOLS, FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE,
+                            FamilyBlock, Modulation)
 
 
 def star(a: np.ndarray, b: np.ndarray, denominator: int) -> float:
@@ -452,6 +450,37 @@ def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: in
     return (np.concatenate([peps, extra]),
             np.concatenate([images, np.ones(len(extra), images.dtype)]),
             np.concatenate([np.arange(len(peps)), np.tile(rows, count - 1)]))
+
+
+def orbit_pmeprs(z: np.ndarray, oversample: int, points, groups=None) -> tuple:
+    """(pmeprs, records, rows): the one PMEPR decision rule, over the (B, n)
+    complex rows z of orbits of ORBIT_SIZE records.  threshold_peps screens
+    the rows against the points (ascending and shared, or a (B, k) row of
+    each row's own, as groups need) and each group's maximum, which then
+    joins its rows' points; orbit_peps computes the images of the rows
+    near_points marks.  pmeprs is the multiset of PEPs over n, records the
+    records each value stands for, rows the row of z of each value."""
+    n = z.shape[1]
+    peps = threshold_peps(z, oversample, points, groups)
+    if groups is not None:
+        tops = np.full(int(groups.max()) + 1, -math.inf)
+        np.maximum.at(tops, groups, peps / n)
+        points = np.column_stack([points, tops[groups]])
+    near = near_points(peps / n, points, oversample * n)
+    values, images, rows = orbit_peps(z, peps, near, oversample)
+    return values / n, ORBIT_SIZE * images, rows
+
+
+def score_block(block: FamilyBlock, oversample: int) -> tuple[np.ndarray, np.ndarray]:
+    """(star, pmepr), each (offsets, rows), of every codeword of a block: its
+    star over the scale denominator, from one coset_correlation_sums call on
+    the base rows with the parts' shift_factors (every codeword is zeta^D *
+    its part), and its PEP over n, from one pep_batch call."""
+    n, shape = 1 << block.m, (len(block.offsets), len(block.base))
+    factors = shift_factors(block.parts, block.parts, block.companion_sign)
+    star = star_sum(coset_correlation_sums(block.base, factors).reshape(-1, n)) / block.scale.value
+    pmepr = pep_batch(block.complex_symbols().reshape(-1, n), oversample) / n
+    return star.reshape(shape), pmepr.reshape(shape)
 
 
 def polyphase_lattice(values: np.ndarray) -> np.ndarray:

@@ -23,14 +23,10 @@ import numpy as np
 
 from .analysis import (
     ccdf,
-    coset_correlation_sums,
     default_threshold_grid,
-    near_points,
-    orbit_peps,
-    pep_batch,
+    orbit_pmeprs,
     random_baseline,
-    shift_factors,
-    star_sum,
+    score_block,
     threshold_peps,
 )
 from .constructions import (
@@ -138,13 +134,9 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     records share star and PMEPR bit for bit."""
     m, scale, sign = block.m, block.scale.value, block.companion_sign
     n, grid = 1 << m, (len(block.coeffs), len(block.offsets))
-    orbits = block.select(slice(None, None, ORBIT_SIZE))
-    factors = shift_factors(block.parts, block.parts, sign)  # every codeword is zeta^D * its part
-    sums = coset_correlation_sums(orbits.base, factors).reshape(-1, n)
-    star = (star_sum(sums) / scale).reshape(grid[1], -1).T  # (orbits, offsets)
-    pmepr = pep_batch(orbits.complex_symbols().reshape(-1, n), oversample).reshape(grid[1], -1).T
+    star, pmepr = (v.T for v in score_block(block.select(slice(None, None, ORBIT_SIZE)), oversample))
     scores = {}
-    for key, value in (("star", star), ("star_over_n", star / n), ("pmepr", pmepr / n)):
+    for key, value in (("star", star), ("star_over_n", star / n), ("pmepr", pmepr)):
         unique, index = np.unique(np.repeat(value, ORBIT_SIZE, 0)[: grid[0]], return_inverse=True)
         scores[key] = np.array([repr(v) for v in unique.tolist()], object)[index].reshape(*grid, 1)
     modulation = Modulation.QAM16 if isinstance(block.offsets[0], Offset16) else Modulation.QAM64
@@ -198,6 +190,7 @@ def _is_int_list(value) -> bool:
 _INT = (_is_int, "an integer")
 _INT_LIST = (_is_int_list, "a list of integers")
 
+_OFFSET_KEYS = ({"d1", "d2", "d3"}, {"d1", "d2", "d3", "h1", "h2", "h3", "kind"})
 # the fields a codeword is rebuilt from, the offset's as "offset.<name>":
 # (shape test, what the shape is)
 _FIELD_SHAPES = {
@@ -205,6 +198,8 @@ _FIELD_SHAPES = {
     "pi": _INT_LIST,
     "linear": _INT_LIST,
     "constant": _INT,
+    "offset": (lambda v: isinstance(v, dict) and set(v) in _OFFSET_KEYS,
+               "an object with the keys d1, d2, d3 (16qam) or those and h1, h2, h3, kind (64qam)"),
     **{f"offset.{key}": _INT for key in ("d1", "d2", "d3", "h1", "h2", "h3")},
     "oversample": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
 }
@@ -338,17 +333,12 @@ def cmd_enumerate(args) -> int:
 
 
 def _block_pmeprs(block: FamilyBlock, oversample: int, thresholds: np.ndarray) -> dict:
-    """(PMEPRs, records) per offset kind of a block of map_orbit_blocks: the
-    orbit_peps multiset of its rows' threshold_peps, refined near the
-    thresholds, each value counting for ORBIT_SIZE records per image it
-    stands for."""
-    n = 1 << block.m
-    z = block.complex_symbols().reshape(-1, n)
-    peps = threshold_peps(z, oversample, thresholds)
-    near = near_points(peps / n, thresholds, oversample * n)
-    values, images, rows = orbit_peps(z, peps, near, oversample)
+    """(PMEPRs, records) per offset kind of a block of map_orbit_blocks, by
+    analysis.orbit_pmeprs at the thresholds."""
+    z = block.complex_symbols().reshape(-1, 1 << block.m)
+    values, records, rows = orbit_pmeprs(z, oversample, thresholds)
     kinds = np.array(block.kinds)[rows // len(block.coeffs)]
-    return {kind: (values[kinds == kind] / n, ORBIT_SIZE * images[kinds == kind])
+    return {kind: (values[kinds == kind], records[kinds == kind])
             for kind in dict.fromkeys(block.kinds)}
 
 
@@ -356,13 +346,9 @@ def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The oversampled PMEPRs of the family as a weighted multiset per offset
-    kind, (values, records): one value per (offset, row) of
-    map_orbit_blocks standing for the FULL_ORBIT_SIZE records of its orbit,
-    or, where it lies within analysis.pep_spread of a threshold, one per
-    conjugation x reversal x quarter-shift image standing for its
-    ORBIT_SIZE records.  The records above
-    each of the ascending thresholds are those of a walk over every record,
-    and the records sum to the kind's size."""
+    kind, (values, records), from analysis.orbit_pmeprs over the blocks of
+    map_orbit_blocks: the records above each of the ascending thresholds
+    are those of a walk over every record, and they sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     pmeprs = functools.partial(
         _block_pmeprs, oversample=oversample, thresholds=np.asarray(thresholds, dtype=float))

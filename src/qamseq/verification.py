@@ -69,10 +69,11 @@ and the component star ceilings.  Each (row, offset) of the walk counts for
 the FULL_ORBIT_SIZE records of its orbit of zeta^c, conjugation, reversal
 and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
-a decision has the PMEPR of each image computed (_audit_blocks).  Each task
-of the walk becomes the KindStats of each offset kind and its lemma maxima
-and counts; the reports are their sums (counts add, extrema take min/max,
-flags AND), the same in any order, for any cell size and worker count.
+a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
+Each task of the walk becomes the KindStats of each offset kind and its
+lemma maxima and counts; the reports are their sums (counts add, extrema
+take min/max, flags AND), the same in any order, for any cell size and
+worker count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
@@ -94,13 +95,12 @@ from .analysis import (
     coset_footprint,
     envelope_power_batch,
     golay_defect,
-    near_points,
-    orbit_peps,
+    orbit_pmeprs,
     pep_batch,
     polyphase_lattice,
+    score_block,
     shift_factors,
     star_sum,
-    threshold_peps,
 )
 from .constellation import Scale
 from .constructions import (
@@ -259,14 +259,9 @@ def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
                   golay: np.ndarray, oversample: int) -> list[KindStats]:
     """The audit tally of each offset kind of a task's blocks, one per
     family, each (offset, row) counted as the FULL_ORBIT_SIZE records of its
-    orbit, from the stars and Golay defects of its cells.  A PMEPR decides
-    p <= bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max.  One
-    analysis.threshold_peps screens every codeword of the task with its two
-    points and its kind's max, so each decision comes out as on pep_batch's
-    PMEPR.  A row farther than analysis.pep_spread from all three decides
-    them for its whole orbit; on the other rows one orbit_peps call computes
-    the PMEPR of each conjugation x reversal x quarter-shift image, so every
-    verdict and the max are those of a walk over every record."""
+    orbit, from the stars and Golay defects of its cells.  Its PMEPR
+    decisions, p <= bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's
+    max, are one analysis.orbit_pmeprs call, as over every record."""
     n, rows, codewords = 1 << blocks[0].m, len(blocks[0].coeffs), len(terms.weights)
     scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in blocks])
     star_over_n = stars[:codewords] / scales[:, None] / n
@@ -278,22 +273,13 @@ def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
     kind_of = np.array([order.index(kind) for kind in kinds])
     bounds = np.array([CEILINGS[kind][0] for kind in order])
     # every codeword's decision points, its ceiling plus PMEPR_TOL and its
-    # star/n plus STAR_TOL, and its kind's max: one screen of the whole task
+    # star/n plus STAR_TOL, and its kind's max
     points = np.stack(np.broadcast_arrays(
-        (bounds + PMEPR_TOL)[kind_of, None], star_over_n + STAR_TOL), axis=-1)
-    peps = threshold_peps(z, oversample, points.reshape(-1, 2), np.repeat(kind_of, rows))
-    pmeprs = peps.reshape(star_over_n.shape) / n
-    tops = np.array([np.max(pmeprs[kind_of == k]) for k in range(len(order))])
-    # the rows within pep_spread of one of their three PMEPR decisions, and
-    # the images of each: one multiset of values over the task
-    points = np.concatenate([points.reshape(-1, 2), np.repeat(tops[kind_of], rows)[:, None]], 1)
-    near = near_points(pmeprs.ravel(), points, oversample * n)
-    values, images, at = orbit_peps(z, peps, near, oversample)
-    values /= n
-    value_kind = kind_of[at // rows]
+        (bounds + PMEPR_TOL)[kind_of, None], star_over_n + STAR_TOL), axis=-1).reshape(-1, 2)
+    values, records, at = orbit_pmeprs(z, oversample, points, np.repeat(kind_of, rows))
     out = []
     for k, kind in enumerate(order):
-        mask, mine = kind_of == k, value_kind == k
+        mask, mine = kind_of == k, kind_of[at // rows] == k
         s, index = star_over_n[mask], np.array([terms.index[o] for o in np.flatnonzero(mask)])
         ok = s <= bounds[k] + STAR_TOL
         if kind == "qam16":
@@ -306,7 +292,7 @@ def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
         if kind == "type1":
             # type 1 first component is base + linear offset: still a Golay pair
             component_ok &= bool(np.all(golay[index[:, 1]] == 0))
-        pmepr_ok = ORBIT_SIZE * int(np.sum(images[mine][values[mine] <= bounds[k] + PMEPR_TOL]))
+        pmepr_ok = int(np.sum(records[mine][values[mine] <= bounds[k] + PMEPR_TOL]))
         out.append(KindStats(
             kind, FULL_ORBIT_SIZE * s.size, FULL_ORBIT_SIZE * int(np.count_nonzero(ok)), pmepr_ok,
             float(np.min(s)), float(np.max(s)), float(np.max(values[mine])), int(golay[0]),
@@ -327,7 +313,8 @@ def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], di
     terms = _cell_terms(m, pi, offsets)
     per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
     step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())
-    base = base_rows(m, pi, rows)
+    blocks = [] if oversample is None else [build_block(m, pi, group, rows) for group in groups]
+    base = blocks[0].base if blocks else base_rows(m, pi, rows)
     cells = [_reductions(base[start : start + step], terms) for start in range(0, len(rows), step)]
     lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
                     FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
@@ -335,7 +322,6 @@ def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], di
     if oversample is None:
         return [], lemmas
     stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
-    blocks = [build_block(m, pi, group, rows) for group in groups]
     return _audit_blocks(blocks, terms, stars, golay, oversample), lemmas
 
 
@@ -682,9 +668,9 @@ def _parts(z: np.ndarray) -> str:
 
 
 def example_regression(oversample: int = 16) -> list[CheckResult]:
-    """Rebuild both reference examples and pin sequences, symbols, and PMEPR,
-    each read from the example's one-row block, its star from the walk's
-    terms and the component identity, as the audit scores a cell."""
+    """Rebuild both reference examples and pin sequences, symbols, PMEPR
+    and star, each read from the example's one-row block, the scores by
+    analysis.score_block, as construct prints them."""
     out: list[CheckResult] = []
     for name, params, components, (symbols, scale), published_pmepr in _EXAMPLES:
         block = build(params)
@@ -704,7 +690,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{_parts(symbols)} (/sqrt({scale.value}))",
             )
         )
-        p = float(pep_batch(block.complex_symbols()[0], oversample)[0]) / len(z)
+        s, p = (float(v[0, 0]) for v in score_block(block, oversample))
         out.append(
             CheckResult(
                 name=f"{name}.pmepr",
@@ -713,8 +699,7 @@ def example_regression(oversample: int = 16) -> list[CheckResult]:
                 requirement=f"{published_pmepr} +/- {EXAMPLE_PMEPR_TOL}",
             )
         )
-        terms = _cell_terms(block.m, block.pi, block.offsets)
-        s = float(_reductions(block.base, terms)[0][0, 0]) / block.scale.value / len(z)
+        s /= len(z)
         bound = star_bound(params.offset)
         out.append(
             CheckResult(

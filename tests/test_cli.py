@@ -480,7 +480,7 @@ def test_an_odd_rate_ccdf_needs_the_quarter_shift_images(monkeypatch):
     # negative control: a refinement that computes only the conjugation x
     # reversal images of a near row gives the full walk's counts at L = 16,
     # but at L = 5 it misses records on the CCDF grid itself
-    monkeypatch.setattr(cli, "orbit_peps", oracles.conjugation_reversal_peps)
+    monkeypatch.setattr(analysis, "orbit_peps", oracles.conjugation_reversal_peps)
     assert family_pmeprs_count_the_full_walk(3, Modulation.QAM16, 16)
     assert not family_pmeprs_count_the_full_walk(3, Modulation.QAM16, 5, grid_only=True)
 
@@ -816,8 +816,6 @@ def test_verify_record_beyond_a_limit_fails(capsys, tmp_path, key, value, proble
 def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
     # negative control: a regenerated star/n above the published 12/5 is a
     # problem even when the record stores that same star
-    from qamseq import cli
-
     def stars_at_two_and_a_half(base, factors):
         # T(0) = 2.5 * n * 10 and T(u) = 0 otherwise: every star 2.5 * n over
         # the 16-QAM denominator 10
@@ -826,7 +824,7 @@ def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
         sums[:, :, 0] = 2.5 * n * 10
         return sums
 
-    monkeypatch.setattr(cli, "coset_correlation_sums", stars_at_two_and_a_half)
+    monkeypatch.setattr(analysis, "coset_correlation_sums", stars_at_two_and_a_half)
     doc = codeword_doc(EXAMPLE1_PARAMS)
     assert doc["star"] == 2.5 * doc["n"]
     assert verify_codeword_doc(doc) == ["star/n = 2.5 exceeds bound 2.4"]
@@ -899,7 +897,9 @@ def test_verify_record_with_malformed_payload_fails(capsys, tmp_path, key, value
 
 @pytest.mark.parametrize(
     "key,value",
-    [("m", 3.0), ("pi", [0, 1, 2.0]), ("linear", [1, True, 1]), ("offset.d1", "0")],
+    [("m", 3.0), ("pi", [0, 1, 2.0]), ("linear", [1, True, 1]), ("offset.d1", "0"),
+     ("offset", [0, 1, 1, 0, 0]), ("offset", None), ("offset", {}),
+     ("offset", {"d1": 0, "d2": 1}), ("offset", {"d1": 0, "d2": 1, "d3": 1, "h1": 0})],
 )
 def test_verify_record_with_malformed_parameters_fails(capsys, tmp_path, key, value):
     # a parameter of the wrong type is the record's fault: one problem naming

@@ -160,11 +160,11 @@ def test_the_benchmarked_commands_leave_numpy_ma_out(tmp_path):
 
 def test_traced_examples_score_through_the_coset_kernel(tmp_path):
     counts = traced_counts(tmp_path, "verify", "--suite", "examples")
-    # each of the 2 examples is a one-row block scored as the audit scores a
-    # block: one polyphase_lattice of its components, whose sums
-    # coset_correlation_sums (not a traced name) takes, and no star,
-    # star_batch or golay_defect_batch
-    assert counts["correlation.calls"] == 2 * 1 == 2
+    # each of the 2 examples is a one-row block scored by score_block, as
+    # construct scores it: its sums come from coset_correlation_sums (not a
+    # traced name) on the block's base rows and parts, so no polyphase_lattice,
+    # star, star_batch or golay_defect_batch runs
+    assert counts.get("correlation.calls", 0) == 0
     # one pep_batch of the example's one n = 8 row at the default L = 16;
     # pmepr, which would book those 128 points once more around its own
     # pep_batch, does not run

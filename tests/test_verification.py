@@ -23,7 +23,7 @@ from oracles import (
     offset_block,
     offset_lemma_sweep,
 )
-from qamseq import analysis, verification
+from qamseq import analysis, constructions, verification
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
@@ -31,6 +31,7 @@ from qamseq.analysis import (
     pep_batch,
     pep_spread,
     polyphase_lattice,
+    score_block,
     star_sum,
 )
 from qamseq.constellation import Scale
@@ -601,6 +602,26 @@ def test_the_component_identity_gives_every_codeword_sum(m, modulation):
                               oracles.direct_codeword_sums(block))
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+def test_score_block_stars_are_the_walks_bit_for_bit(monkeypatch, m, modulation):
+    # score_block's star, from each codeword's own coset sums, equals the
+    # walk's codeword star from the component identity over the scale, bit
+    # for bit, cell by cell over the walk's cells; negative control: with
+    # the companion sign forced to +1 the block scores another star
+    offsets = orbit_offsets(modulation)
+
+    def both(pi, rows):
+        block = build_block(m, pi, offsets, rows)
+        walk = verification._reductions(block.base, verification._cell_terms(m, pi, offsets))[0]
+        return score_block(block, 16)[0], walk[: len(offsets)] / block.scale.value
+
+    for pi, rows in walk_cells(m):
+        assert np.array_equal(*both(pi, rows))
+    monkeypatch.setattr(constructions, "companion_sign", lambda m, pi: np.ones(1 << m, np.int64))
+    assert not np.array_equal(*both(*next(walk_cells(m))))
+
+
 @pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
 def test_the_component_identity_needs_every_term_and_its_companion(modulation):
     # negative controls: one T_jk forged by one lattice unit at u = 0, where
@@ -752,7 +773,7 @@ def test_an_odd_rate_needs_the_quarter_shift_images(monkeypatch):
     # computes only the conjugation x reversal images misses the type 1 max
     # of 64-QAM m=3, which a quarter shift reaches; at L = 16 they are
     # bit-equal here, and the same refinement gives the reference
-    monkeypatch.setattr(verification, "orbit_peps", oracles.conjugation_reversal_peps)
+    monkeypatch.setattr(analysis, "orbit_peps", oracles.conjugation_reversal_peps)
     audits = {oversample: (theorem_bound_audit(3, Modulation.QAM64, oversample, jobs=1),
                            offset_bound_audit(3, Modulation.QAM64, orbit_rows(3), ORBIT_SIZE,
                                               oversample)) for oversample in (16, 5)}
@@ -772,13 +793,13 @@ def test_every_row_is_near_at_an_odd_rate_and_none_far_at_a_power_of_two(monkeyp
     assert 0 < pep_spread(16 * 8) < 1e-12
     block = build_block(3, (0, 1, 2), orbit_offsets(modulation), orbit_rows(3))
     ceilings = sorted(bound for bound, _ in CEILINGS.values())
-    real, marked = verification.orbit_peps, []
+    real, marked = analysis.orbit_peps, []
 
     def spy(z, peps, near, oversample):
         marked.append(near.copy())
         return real(z, peps, near, oversample)
 
-    monkeypatch.setattr(verification, "orbit_peps", spy)
+    monkeypatch.setattr(analysis, "orbit_peps", spy)
     for oversample, every in ((3, True), (16, False)):
         p = np.concatenate([pep_batch(z, oversample) for z in block.complex_symbols()]) / 8
         near = near_points(p, ceilings, oversample * 8)
@@ -795,8 +816,8 @@ def test_the_audit_max_needs_the_refinement(monkeypatch):
     # whole orbit misses the type 2 max of 64-QAM m=3, which an image
     # reaches in its last bits
     reference = offset_bound_audit(3, Modulation.QAM64, orbit_rows(3), ORBIT_SIZE)
-    real = verification.orbit_peps
-    monkeypatch.setattr(verification, "orbit_peps",
+    real = analysis.orbit_peps
+    monkeypatch.setattr(analysis, "orbit_peps",
                         lambda z, peps, near, oversample: real(z, peps, near & False, oversample))
     unrefined = {k.kind: k for k in theorem_bound_audit(3, Modulation.QAM64, jobs=1).kinds}
     expected = {k.kind: k for k in reference.kinds}
@@ -837,7 +858,7 @@ def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m
     # the negative control: at n = 8 and L = 16 the audit screens
     with pytest.raises(AssertionError, match="screened"):
         walk_audit(build_block(3, (0, 1, 2), offsets, orbit_rows(3)), 16)
-    monkeypatch.setattr(verification, "threshold_peps",
+    monkeypatch.setattr(analysis, "threshold_peps",
                         lambda z, oversample, points, groups: pep_batch(z, oversample))
     assert walk_audit(block, oversample) == stats
 
@@ -856,14 +877,14 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolera
     p = np.stack([pep_batch(z, 16) for z in block.complex_symbols()])[type2].ravel() / 8
     row = int(np.argsort(p)[len(p) // 2])  # a middling PMEPR, far from the max
     point = {"PMEPR_TOL": CEILINGS["type2"][0], "STAR_TOL": s[row]}[tolerance]
-    real, marked = verification.orbit_peps, []
+    real, marked = analysis.orbit_peps, []
 
     def spy(z, peps, near, oversample):
         # the one call of the block holds every offset's rows: its type 2 rows
         marked.append(near.reshape(len(block.offsets), -1)[type2].ravel())
         return real(z, peps, near, oversample)
 
-    monkeypatch.setattr(verification, "orbit_peps", spy)
+    monkeypatch.setattr(analysis, "orbit_peps", spy)
     cell_stats(block)
     assert not marked[0][row]
     monkeypatch.setattr(verification, tolerance, p[row] - point)
@@ -1010,20 +1031,19 @@ def test_example_symbols_check_fails_on_a_forged_pin(monkeypatch):
 
 
 def test_example_star_reads_the_coset_kernel(monkeypatch):
-    # negative control: each example's star comes from the walk's
-    # coset_correlation_sums through the component identity; one unit more
-    # on T(0) of every term lifts the codeword's T(0) by the sum of its
-    # weights, 14 for 16-QAM and 70 for 64-QAM, and star/n by 14 / (10 * 8)
-    # and 70 / (42 * 8), above both published ceilings, which example 1
-    # meets exactly and example 2 clears by less than 1e-3
-    real = verification.coset_correlation_sums
+    # negative control: each example's star comes from score_block's
+    # coset_correlation_sums of its codeword; one unit more on T(0) lifts
+    # star/n by 1 / (10 * 8) and 1 / (42 * 8), above both published
+    # ceilings, which example 1 meets exactly and example 2 clears by less
+    # than 1e-3
+    real = analysis.coset_correlation_sums
 
     def forged(base, factors):
         sums = real(base, factors)
         sums[..., 0] += 1
         return sums
 
-    monkeypatch.setattr(verification, "coset_correlation_sums", forged)
+    monkeypatch.setattr(analysis, "coset_correlation_sums", forged)
     failed = [c.name for c in example_regression() if not c.passed]
     assert failed == ["example1.star_bound", "example2.star_bound"]
 

@@ -38,12 +38,16 @@ from .constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    _map_cells,
     build,
+    build_block,
     classify_offset64,
     count_enumerated,
     family_size,
     iter_family_chunks,
-    map_orbit_blocks,
+    orbit_cells,
+    orbit_offsets,
+    packed_cells,
     star_bound,
 )
 from .gbf import PathQuadratic
@@ -61,6 +65,10 @@ ENUMERATION_CAPS = {Modulation.QAM16: 4, Modulation.QAM64: 3}
 # oversample * n, of any subcommand: the default rate at that m
 CONSTRUCT_M_LIMIT = RECORD_M_LIMIT = 13
 GRID_LIMIT = 16 << CONSTRUCT_M_LIMIT
+# the most symbols, count * n, of ccdf's random baseline, whose Z4 draws
+# are held at once (up to three bytes a symbol): above the default 10 000
+# rows at m = 13
+BASELINE_LIMIT = 1 << 27
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -332,28 +340,35 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _block_pmeprs(block: FamilyBlock, oversample: int, thresholds: np.ndarray) -> dict:
-    """(PMEPRs, records) per offset kind of a block of map_orbit_blocks, by
-    analysis.orbit_pmeprs at the thresholds."""
-    z = block.complex_symbols().reshape(-1, 1 << block.m)
-    values, records, rows = orbit_pmeprs(z, oversample, thresholds)
-    kinds = np.array(block.kinds)[rows // len(block.coeffs)]
+def _run_pmeprs(run: list, m: int, offsets: tuple, oversample: int, thresholds) -> dict:
+    """(PMEPRs, records) per offset kind of a run of packed_cells: the block
+    of each of its pis, then one analysis.orbit_pmeprs call at the
+    thresholds over all their rows, (offsets, rows) in order."""
+    blocks = [build_block(m, pi, offsets, rows) for pi, rows in run]
+    z = np.concatenate([block.complex_symbols() for block in blocks], axis=1)
+    values, records, rows = orbit_pmeprs(z.reshape(-1, 1 << m), oversample, thresholds)
+    kinds = np.array(blocks[0].kinds)[rows // z.shape[1]]
     return {kind: (values[kinds == kind], records[kinds == kind])
-            for kind in dict.fromkeys(block.kinds)}
+            for kind in dict.fromkeys(blocks[0].kinds)}
 
 
 def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The oversampled PMEPRs of the family as a weighted multiset per offset
-    kind, (values, records), from analysis.orbit_pmeprs over the blocks of
-    map_orbit_blocks: the records above each of the ascending thresholds
-    are those of a walk over every record, and they sum to the kind's size."""
+    kind, (values, records): the cells of orbit_cells under
+    orbit_offsets(modulation), packed into runs of at most CHUNK_SYMBOLS
+    symbols (packed_cells), one orbit_pmeprs call per run.  The records
+    above each of the ascending thresholds are those of a walk over every
+    record, and they sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    pmeprs = functools.partial(
-        _block_pmeprs, oversample=oversample, thresholds=np.asarray(thresholds, dtype=float))
-    for block_values in map_orbit_blocks(pmeprs, m, modulation, jobs):
-        for kind, pair in block_values.items():
+    offsets = orbit_offsets(modulation)
+    per_row = (1 << m) * len(offsets)
+    pmeprs = functools.partial(_run_pmeprs, m=m, offsets=offsets, oversample=oversample,
+                               thresholds=np.asarray(thresholds, dtype=float))
+    runs = packed_cells(orbit_cells(m, per_row), CHUNK_SYMBOLS // per_row)
+    for run_values in _map_cells(pmeprs, runs, jobs):
+        for kind, pair in run_values.items():
             grouped.setdefault(kind, []).append(pair)
     return {kind: tuple(np.concatenate(part) for part in zip(*pairs))
             for kind, pairs in grouped.items()}
@@ -364,6 +379,9 @@ def cmd_ccdf(args) -> int:
     if args.baseline_count < 1 or args.seed < 0:
         raise UsageError(f"baseline count must be >= 1 and seed >= 0, got "
                          f"{args.baseline_count} and {args.seed}")
+    if args.baseline_count > BASELINE_LIMIT >> args.m:
+        raise UsageError(f"baseline count * n = {args.baseline_count} * 2^{args.m} exceeds the "
+                         f"baseline limit {BASELINE_LIMIT}")
     n = 1 << args.m
     thresholds = default_threshold_grid()
     by_kind = family_pmeprs(args.m, modulation, thresholds, args.oversample, args.jobs)

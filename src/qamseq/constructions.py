@@ -109,7 +109,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -471,6 +471,22 @@ def orbit_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndar
             yield pi, kept
 
 
+def packed_cells(cells: Iterable[tuple[tuple[int, ...], np.ndarray]],
+                 budget: int) -> Iterator[list[tuple[tuple[int, ...], np.ndarray]]]:
+    """Runs of consecutive (pi, rows) cells, in cell order, each of at most
+    budget rows together, or of one cell that holds more: a walk that holds
+    per_row symbols per row of each cell holds at most CHUNK_SYMBOLS in a
+    run at budget = CHUNK_SYMBOLS // per_row."""
+    run: list = []
+    for cell in cells:
+        if run and sum(len(rows) for _, rows in run) + len(cell[1]) > budget:
+            yield run
+            run = []
+        run.append(cell)
+    if run:
+        yield run
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """Every offset of one (permutation, coefficient rows) cell, vectorized.
@@ -569,14 +585,6 @@ def _map_cells(task: Callable, cells: Iterator, jobs: int) -> Iterator:
     return map(task, cells) if jobs == 1 else _pool_map(task, cells, jobs)
 
 
-def _map_blocks(fn: Callable[[FamilyBlock], object], m: int, offsets: tuple[Offset, ...],
-                cells_of: Callable, jobs: int) -> Iterator:
-    """fn(build_block(m, pi, offsets, rows)) for every (pi, rows) of
-    cells_of(m, n * offsets), through _map_cells."""
-    cells = ((m, pi, offsets, rows) for pi, rows in cells_of(m, (1 << m) * len(offsets)))
-    return _map_cells(functools.partial(_map_cell, fn), cells, jobs)
-
-
 def map_family_blocks(
     fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
 ) -> Iterator:
@@ -590,18 +598,9 @@ def map_family_blocks(
     and its results must then pickle.  The results are the same for every
     jobs.
     """
-    return _map_blocks(fn, m, _offset_list(modulation), family_cells, jobs)
-
-
-def map_orbit_blocks(
-    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
-) -> Iterator:
-    """fn(block) for every block of the orbit walk, in cell order: one per cell of
-    orbit_cells(m, n * offsets), each holding orbit_offsets(modulation), so
-    that its (offset, row) pairs meet every FULL_ORBIT_SIZE-record orbit of
-    the family once; a consumer that counts records weights each by
-    FULL_ORBIT_SIZE.  jobs as for map_family_blocks."""
-    return _map_blocks(fn, m, orbit_offsets(modulation), orbit_cells, jobs)
+    offsets = _offset_list(modulation)
+    cells = ((m, pi, offsets, rows) for pi, rows in family_cells(m, (1 << m) * len(offsets)))
+    return _map_cells(functools.partial(_map_cell, fn), cells, jobs)
 
 
 def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:

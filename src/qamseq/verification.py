@@ -70,10 +70,15 @@ the FULL_ORBIT_SIZE records of its orbit of zeta^c, conjugation, reversal
 and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
-Each task of the walk becomes the KindStats of each offset kind and its
-lemma maxima and counts; the reports are their sums (counts add, extrema
-take min/max, flags AND), the same in any order, for any cell size and
-worker count.
+Each task of the walk is a run of consecutive cells, of one pi or of
+several (constructions.packed_cells), that holds at most CHUNK_SYMBOLS
+symbols, and screens the envelopes of all its rows in one orbit_pmeprs
+call.  Every decision against a point is taken per row, and the group
+maximum rule gives each kind's exact maximum over the run, so no report
+depends on how the cells are packed.  A task becomes the KindStats of each
+offset kind and its lemma maxima and counts; the reports are their sums
+(counts add, extrema take min/max, flags AND), the same in any order, for
+any cell size, run and worker count.
 
 The envelope checks hold the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
@@ -126,6 +131,7 @@ from .constructions import (
     offset_kind,
     orbit_cells,
     orbit_offsets,
+    packed_cells,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -255,20 +261,23 @@ def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
     return stars, golay, residuals
 
 
-def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
+def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndarray,
                   golay: np.ndarray, oversample: int) -> list[KindStats]:
-    """The audit tally of each offset kind of a task's blocks, one per
-    family, each (offset, row) counted as the FULL_ORBIT_SIZE records of its
-    orbit, from the stars and Golay defects of its cells.  Its PMEPR
-    decisions, p <= bound + PMEPR_TOL, p <= star/n + STAR_TOL and the kind's
-    max, are one analysis.orbit_pmeprs call, as over every record."""
-    n, rows, codewords = 1 << blocks[0].m, len(blocks[0].coeffs), len(terms.weights)
-    scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in blocks])
+    """The audit tally of each offset kind of a task's pieces, one per pi of
+    its run, each a block per family, each (offset, row) counted as the
+    FULL_ORBIT_SIZE records of its orbit, from the stars and Golay defects
+    of their cells, rows in piece order.  Its PMEPR decisions, p <= bound +
+    PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max over the run, are
+    one analysis.orbit_pmeprs call over the rows of every piece, as over
+    every record."""
+    # the first piece's blocks give the offsets, kinds and scales of every piece
+    n, rows, codewords = 1 << pieces[0][0].m, stars.shape[1], len(terms.weights)
+    scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in pieces[0]])
     star_over_n = stars[:codewords] / scales[:, None] / n
     star_ok = np.all(stars[codewords : codewords + terms.components] <= 4 * n + STAR_TOL, axis=1)
     golay = np.max(golay, axis=1)
-    z = np.concatenate([block.complex_symbols() for block in blocks]).reshape(-1, n)
-    kinds = [kind for block in blocks for kind in block.kinds]
+    z = np.hstack([np.vstack([b.complex_symbols() for b in p]) for p in pieces]).reshape(-1, n)
+    kinds = [kind for block in pieces[0] for kind in block.kinds]
     order = list(dict.fromkeys(kinds))
     kind_of = np.array([order.index(kind) for kind in kinds])
     bounds = np.array([CEILINGS[kind][0] for kind in order])
@@ -302,27 +311,33 @@ def _audit_blocks(blocks: list[FamilyBlock], terms: _Terms, stars: np.ndarray,
 
 def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
     """(KindStats of each offset kind, (max, evaluations) of each lemma
-    residual) of one (m, pi, rows, groups) task, groups the offsets of each
-    family: the _reductions of each walk cell of its rows, then the audit
-    of a block per family, unless oversample is None.  A walk cell holds
-    CHUNK_SYMBOLS // per_row rows, per_row the kernel's footprint over every
-    term plus the symbols of every offset rounded up to a power of two: a
-    cell of orbit_cells(m, per_row).  Its sums are freed before the next."""
-    m, pi, rows, groups = task
+    residual) of one (m, run, groups) task: run a list of (pi, rows) cells
+    from packed_cells, groups the offsets of each family.  Per pi of the
+    run, the _reductions of each kernel cell of its rows and a block per
+    family; then, unless oversample is None, one _audit_blocks call over
+    the blocks of every pi.  A kernel cell holds CHUNK_SYMBOLS // per_row
+    rows, per_row the kernel's footprint over every term plus the symbols
+    of every offset rounded up to a power of two: a cell of
+    orbit_cells(m, per_row).  Its sums are freed before the next."""
+    m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
-    terms = _cell_terms(m, pi, offsets)
-    per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
-    step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())
-    blocks = [] if oversample is None else [build_block(m, pi, group, rows) for group in groups]
-    base = blocks[0].base if blocks else base_rows(m, pi, rows)
-    cells = [_reductions(base[start : start + step], terms) for start in range(0, len(rows), step)]
+    pieces, cells = [], []
+    for pi, rows in run:
+        terms = _cell_terms(m, pi, offsets)
+        per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
+        step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())
+        blocks = [] if oversample is None else [build_block(m, pi, group, rows) for group in groups]
+        base = blocks[0].base if blocks else base_rows(m, pi, rows)
+        cells += [_reductions(base[i : i + step], terms) for i in range(0, len(rows), step)]
+        pieces.append(blocks)
     lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
                     FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
               for key in cells[0][2]}
     if oversample is None:
         return [], lemmas
     stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
-    return _audit_blocks(blocks, terms, stars, golay, oversample), lemmas
+    # the term layout does not depend on pi: any piece's terms serve
+    return _audit_blocks(pieces, terms, stars, golay, oversample), lemmas
 
 
 def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
@@ -330,12 +345,13 @@ def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
     """(audits, lemmas): the BoundAuditReport of each of the modulations
     (none when oversample is None) and, when both families are walked, the
     LemmaSweepResult, from one walk over orbit_cells under their
-    orbit_offsets.  It maps tasks (_walk_task), the cells of orbit_cells
-    that hold the symbols of every offset within CHUNK_SYMBOLS, in jobs
-    processes; the reports are the same for every jobs."""
+    orbit_offsets.  It maps tasks (_walk_task), the runs of packed_cells
+    over the cells of orbit_cells that hold the symbols of every offset
+    within CHUNK_SYMBOLS, in jobs processes; the reports are the same for
+    every jobs."""
     groups = tuple(orbit_offsets(modulation) for modulation in modulations)
-    held = (1 << m) * sum(map(len, groups))
-    tasks = ((m, pi, rows, groups) for pi, rows in orbit_cells(m, 1 << (held - 1).bit_length()))
+    held = 1 << ((1 << m) * sum(map(len, groups)) - 1).bit_length()
+    tasks = ((m, run, groups) for run in packed_cells(orbit_cells(m, held), CHUNK_SYMBOLS // held))
     kinds: dict[str, KindStats] = {}
     maxima: dict[str, float] = {}
     counts: dict[str, int] = {}

@@ -57,8 +57,9 @@ from qamseq.constructions import (
     family_cells,
     form_values,
     iter_family_chunks,
-    map_orbit_blocks,
     offset_forms,
+    orbit_cells,
+    orbit_offsets,
     orbit_rows,
 )
 from qamseq.gbf import PathQuadratic
@@ -538,9 +539,9 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
 
 def orbit_walk_rows(m, modulation):
     """The symbols of every (offset, row) of the orbit walk that ccdf scores."""
-    n = 1 << m
-    blocks = map_orbit_blocks(lambda block: block.complex_symbols().reshape(-1, n), m, modulation)
-    return np.concatenate(list(blocks))
+    n, offsets = 1 << m, orbit_offsets(modulation)
+    return np.concatenate([build_block(m, pi, offsets, rows).complex_symbols().reshape(-1, n)
+                           for pi, rows in orbit_cells(m, n * len(offsets))])
 
 
 SCREENED_ROWS = {

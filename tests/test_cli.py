@@ -976,6 +976,11 @@ def test_codeword_doc_roundtrip_functions():
     (["ccdf", "--m", "3", "--modulation", "16qam", "--baseline-count", "0"],
      "baseline count must be >= 1"),
     (["ccdf", "--m", "3", "--modulation", "16qam", "--seed", "-1"], "seed >= 0"),
+    # a baseline beyond the limit is refused before the walk, not a MemoryError
+    (["ccdf", "--m", "3", "--modulation", "16qam", "--baseline-count", "10000000000000"],
+     f"baseline count * n = 10000000000000 * 2^3 exceeds the baseline limit {cli.BASELINE_LIMIT}"),
+    (["ccdf", "--m", "5", "--modulation", "64qam", "--baseline-count",
+      str(cli.BASELINE_LIMIT // 32 + 1)], "baseline limit"),
     (["construct", *EX1_FLAGS, "--oversample", "0"], "oversample must be >= 1, got 0"),
     (["verify", "--suite", "examples", "--oversample", "0"], "oversample must be >= 1, got 0"),
     (["verify", "--suite", "examples", "--m", "2"], "family defined for m > 2, got m=2"),
@@ -1003,6 +1008,22 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_the_baseline_limit_is_checked_before_the_walk(capsys, monkeypatch, tmp_path):
+    # count * n = BASELINE_LIMIT exactly passes the check and reaches the
+    # family walk (stubbed here, so no baseline is drawn); one row more is
+    # refused before it, and no --out is written
+    def walk(*args):
+        raise cli.UsageError("walk reached")
+
+    monkeypatch.setattr(cli, "family_pmeprs", walk)
+    out = tmp_path / "ccdf.csv"
+    for count, message in ((cli.BASELINE_LIMIT // 8, "walk reached"),
+                           (cli.BASELINE_LIMIT // 8 + 1, "exceeds the baseline limit")):
+        code, _, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam",
+                           "--baseline-count", str(count), "--out", str(out))
+        assert code == 2 and message in err and not out.exists()
 
 
 def test_the_grid_limit_itself_is_accepted(capsys):

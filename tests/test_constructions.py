@@ -32,13 +32,13 @@ from qamseq.constructions import (
     list_offsets16,
     list_offsets64,
     map_family_blocks,
-    map_orbit_blocks,
     offset_forms,
     offset_kind,
     offset_symmetries,
     orbit_cells,
     orbit_offsets,
     orbit_rows,
+    packed_cells,
     quarter_shift,
     star_bound,
 )
@@ -643,8 +643,8 @@ def test_every_offset_orbit_has_four_offsets(modulation):
                for k, o in enumerate(offsets))
     # the orbit walk's (offset, row) pairs, 64 records each, are the family
     for m in (3, 4):
-        rows = sum(map_orbit_blocks(len, m, modulation))
-        assert FULL_ORBIT_SIZE * rows == family_size(m, modulation)
+        rows = sum(len(rows) for _, rows in orbit_cells(m, (1 << m) * len(kept)))
+        assert FULL_ORBIT_SIZE * len(kept) * rows == family_size(m, modulation)
 
 
 @pytest.mark.parametrize("broken", [
@@ -719,7 +719,7 @@ def test_the_same_bump_on_the_most_significant_variables_is_no_shift(monkeypatch
             with pytest.raises(AssertionError, match="is not a free quarter shift"):
                 quarter_shift(3, pi)
         with pytest.raises(AssertionError, match="is not a free quarter shift"):
-            list(map_orbit_blocks(len, 3, modulation))
+            list(orbit_cells(3, 8 * len(orbit_offsets(modulation))))
     finally:
         quarter_shift.cache_clear()
 
@@ -788,3 +788,33 @@ def test_orbit_cells_shape(monkeypatch):
             expected = orbit_rows(m)[orbit_rows(m)[:, pi.index(m - 1)] == 0]
             assert len(per_pi) == 4 ** m // SHIFT_ORBIT_SIZE
             assert np.array_equal(np.unique(per_pi, axis=0), expected)
+
+
+def packing_holds(pack, m, per_row):
+    """Whether the runs pack makes of orbit_cells(m, per_row), at the budget
+    CHUNK_SYMBOLS // per_row, join to those cells in order, each run
+    holding at least one cell and at most CHUNK_SYMBOLS symbols."""
+    cells = list(orbit_cells(m, per_row))
+    runs = list(pack(iter(cells), CHUNK_SYMBOLS // per_row))
+    joined = [cell for run in runs for cell in run]
+    return (len(joined) == len(cells)
+            and all(p == q and np.array_equal(a, b) for (p, a), (q, b) in zip(joined, cells))
+            and all(run and sum(len(rows) for _, rows in run) * per_row <= CHUNK_SYMBOLS
+                    for run in runs))
+
+
+def test_packed_cells_join_to_the_orbit_cells_within_the_symbol_budget(monkeypatch):
+    # the runs of both orbit walks: verify's per_row at m = 3, 4 and 5
+    # (the symbols of 18 offsets plus the kernel's footprint, rounded up),
+    # ccdf's at m = 3 and 4 for each family (2 or 16 offsets), and one
+    # cell per run at a budget of one row.  Negative control: a packer that
+    # fills a run to twice its budget holds two pis of verify at m = 4 in
+    # one run, beyond CHUNK_SYMBOLS
+    monkeypatch.setattr(constructions, "build_block", None)  # nothing is built
+    runs = {(3, 256): 1, (4, 512): 12, (5, 1024): 480, (3, 16): 1, (4, 32): 1, (3, 128): 1,
+            (4, 256): 6}
+    for (m, per_row), count in runs.items():
+        assert packing_holds(packed_cells, m, per_row)
+        assert len(list(packed_cells(orbit_cells(m, per_row), CHUNK_SYMBOLS // per_row))) == count
+    assert [len(run) for run in packed_cells(orbit_cells(4, 32), 1)] == [1] * 12
+    assert not packing_holds(lambda cells, budget: packed_cells(cells, 2 * budget), 4, 512)

@@ -69,9 +69,10 @@ def test_traced_benchmark_child_runs(tmp_path):
     # the CLI walks both families once (verification.orbit_walk), which does
     # not call the traced theorem_bound_audit: no audit.distinct_sequences
     assert "audit.distinct_sequences" not in counts
-    # one row per 64-record orbit: the walk's tasks, one per pi, hold the
-    # orbit rows with c_{pi^-1(m-1)} = 0, a quarter of the 64 orbit rows of
-    # each of the 3 pis, and build a block of each family over them, under
+    # one row per 64-record orbit: the walk's one task, a run of the 3 pis
+    # (packed_cells), holds the orbit rows with c_{pi^-1(m-1)} = 0, a
+    # quarter of the 64 orbit rows of each pi, and builds a block of each
+    # family per pi over them, under
     # 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets; then the one
     # envelope walk of the 16-QAM family, which keeps every offset and every
     # orbit row (1 536 rows)
@@ -83,20 +84,20 @@ def test_traced_benchmark_child_runs(tmp_path):
     # which is not a traced name, and no star_batch, golay_defect_batch or
     # star runs
     assert counts["correlation.calls"] == 3 * 1 + 1 == 4
-    # pep_batch points at n=8: the audit screens each task's rows in
-    # complex64 (threshold_peps, no FFT) and runs pep_batch, at L=16, only
-    # on the rows the screen cannot decide.  No screened PMEPR lies within
-    # screen_margin / n of its ceiling plus PMEPR_TOL or its star/n plus
-    # STAR_TOL, and the rows that could hold their kind's max in their task
-    # are the 16 within pep_spread of it (1 + 4 + 1 16-QAM rows, 1 + 1 + 2
-    # type 1 and 4 + 1 + 1 type 2 rows in the three tasks).
-    # orbit_peps computes the 15 other conjugation x reversal x quarter-shift
-    # images of each of them.  Then the envelope walk runs at L=32; its L=16
-    # peaks come from the envelope that also gives the Parseval mean,
-    # through envelope_power_batch, which is not a traced name
-    refined = (1 + 4 + 1) + (1 + 1 + 2) + (4 + 1 + 1)
+    # pep_batch points at n=8: the audit screens the run's 864 rows in
+    # complex64 (threshold_peps, no FFT) in one call and runs pep_batch, at
+    # L=16, only on the rows the screen cannot decide.  No screened PMEPR
+    # lies within screen_margin / n of its ceiling plus PMEPR_TOL or its
+    # star/n plus STAR_TOL, and the rows that could hold their kind's max
+    # over the run are the 9 within pep_spread of it (4 16-QAM rows, 1
+    # type 1 and 4 type 2 rows).  orbit_peps computes the 15 other
+    # conjugation x reversal x quarter-shift images of each of them.  Then
+    # the envelope walk runs at L=32; its L=16 peaks come from the envelope
+    # that also gives the Parseval mean, through envelope_power_batch,
+    # which is not a traced name
+    refined = 4 + 1 + 4
     audited = refined + 15 * refined
-    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 425984
+    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 411648
     # the family walk synthesises one row per 64-record orbit: a 64th of the
     # 6 144 records of 16-QAM m=3.  threshold_peps screens its 96 rows and
     # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and

@@ -23,10 +23,11 @@ from oracles import (
     offset_block,
     offset_lemma_sweep,
 )
-from qamseq import analysis, constructions, verification
+from qamseq import analysis, cli, constructions, verification
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
 from qamseq.analysis import (
     coset_footprint,
+    default_threshold_grid,
     near_points,
     pep_batch,
     pep_spread,
@@ -515,11 +516,12 @@ def test_bound_audit_verdict_is_its_checks():
 
 
 def walk_audit(block, oversample):
-    """The walk's audit of one block as a task of its own: the sums of
-    every term of its offsets from one kernel call, then its envelope."""
+    """The walk's audit of one block as a task of its own, a run of one
+    pi: the sums of every term of its offsets from one kernel call, then
+    its envelope."""
     terms = verification._cell_terms(block.m, block.pi, block.offsets)
     stars, golay, _ = verification._reductions(block.components[0], terms)
-    return verification._audit_blocks((block,), terms, stars, golay, oversample)
+    return verification._audit_blocks([[block]], terms, stars, golay, oversample)
 
 
 def cell_stats(block):
@@ -906,10 +908,58 @@ def test_kind_stats_add():
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
-    forward = theorem_bound_audit(3, modulation, jobs=1)
+    # the walk's tasks folded in reverse order: at m = 3 one run holds every
+    # pi, so the m at which a one-family walk makes several runs, 30 for
+    # 16-QAM m = 5 and 6 for 64-QAM m = 4, is checked too
     real = verification._map_cells
-    monkeypatch.setattr(verification, "_map_cells", lambda *args: list(real(*args))[::-1])
-    assert theorem_bound_audit(3, modulation, jobs=1) == forward
+    for m in (3, {Modulation.QAM16: 5, Modulation.QAM64: 4}[modulation]):
+        forward = theorem_bound_audit(m, modulation, jobs=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "_map_cells", lambda *args: list(real(*args))[::-1])
+            assert theorem_bound_audit(m, modulation, jobs=1) == forward
+
+
+def packed_walks(m):
+    """(orbit_walk(m) and the bound audit of each family alone,
+    family_pmeprs of each family at m as sorted (value, records) pairs per
+    kind, orbit_pmeprs calls of the audits and of ccdf)."""
+    calls = {"walk": 0, "ccdf": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, key in ((verification, "walk"), (cli, "ccdf")):
+            def counted(*args, real=module.orbit_pmeprs, key=key):
+                calls[key] += 1
+                return real(*args)
+            patch.setattr(module, "orbit_pmeprs", counted)
+        walk = (verification.orbit_walk(m), *(theorem_bound_audit(m, mod) for mod in Modulation))
+        pmeprs, thresholds = {}, default_threshold_grid()
+        for modulation in Modulation:
+            for kind, (values, records) in cli.family_pmeprs(m, modulation, thresholds).items():
+                order = np.lexsort((records, values))
+                pmeprs[kind] = (values[order], records[order])
+    return walk, pmeprs, calls
+
+
+@pytest.mark.parametrize("m, calls", [(3, ({"walk": 3, "ccdf": 2}, {"walk": 9, "ccdf": 6})),
+                                      (4, ({"walk": 19, "ccdf": 7}, {"walk": 36, "ccdf": 24}))])
+def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
+    # the walks with their cells packed into runs of at most CHUNK_SYMBOLS
+    # symbols, one orbit_pmeprs call per run, against one cell per run
+    # (packed_cells at a budget of one row): every orbit_walk report, every
+    # one-family bound audit and every family_pmeprs multiset, bit for bit.
+    # At m = 3 a run holds all 3 pis of every walk; at m = 4 one pi fills a
+    # run of the walk of both families, and the one-family walks pack 12
+    # pis of 16-QAM or 2 of 64-QAM, as ccdf does
+    packed = packed_walks(m)
+    real = constructions.packed_cells
+    for module in (verification, cli):
+        monkeypatch.setattr(module, "packed_cells", lambda cells, budget: real(cells, 1))
+    unpacked = packed_walks(m)
+    assert (packed[2], unpacked[2]) == calls
+    assert packed[0] == unpacked[0]
+    assert packed[1].keys() == unpacked[1].keys() == set(CEILINGS)
+    for kind, (values, records) in packed[1].items():
+        assert np.array_equal(values, unpacked[1][kind][0])
+        assert np.array_equal(records, unpacked[1][kind][1])
 
 
 def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from .constructions import (
     classify_offset64,
     enumerate_family,
     family_size,
-    map_family_blocks,
 )
 from .gbf import PathQuadratic
 from .verification import lemma_sweep, theorem_bound_audit
@@ -32,6 +31,5 @@ __all__ = [
     "enumerate_family",
     "family_size",
     "lemma_sweep",
-    "map_family_blocks",
     "theorem_bound_audit",
 ]

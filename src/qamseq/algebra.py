@@ -12,6 +12,7 @@ reference sequences; see tests.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import numpy as np
 
@@ -50,14 +51,15 @@ def is_canonical(pi: tuple[int, ...]) -> bool:
     return pi[0] < pi[-1]
 
 
-def canonical_permutations(m: int) -> list[tuple[int, ...]]:
-    """All m!/2 canonical path permutations of {0..m-1}, lexicographic.
+def canonical_permutations(m: int) -> Iterator[tuple[int, ...]]:
+    """All m!/2 canonical path permutations of {0..m-1}, lexicographic, as a
+    lazy iterator: a walk holds one at a time, never all m!/2.
 
-    Raises ValueError for m < 2 (a path needs two endpoints).
+    Raises ValueError for m < 2 (a path needs two endpoints), on the call.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    return [pi for pi in itertools.permutations(range(m)) if is_canonical(pi)]
+    return (pi for pi in itertools.permutations(range(m)) if is_canonical(pi))
 
 
 def coefficient_matrix(m: int) -> np.ndarray:

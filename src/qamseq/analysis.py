@@ -20,8 +20,9 @@ where its certified error reaches one; orbit_pmeprs, the one PMEPR decision
 rule of the audit and ccdf, adds orbit_peps, the PEPs of the conjugation x
 reversal x quarter-shift images of each row near a decision by pep_spread.
 random_baseline, the uncoded reference ensemble, holds only its uint8 Z4
-draws whole and yields its complex symbols in slices of at most
-CHUNK_SYMBOLS, for threshold_peps to take one at a time.
+draws whole and yields its complex symbols in row_slices, for
+threshold_peps to take one at a time.  Every kernel here runs its rows in
+constructions.row_slices of its footprint per row, the one memory rule.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from .algebra import ZETA
 from .constellation import qam_lattice
-from .constructions import (CHUNK_SYMBOLS, FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE,
-                            FamilyBlock, Modulation)
+from .constructions import (FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE, FamilyBlock,
+                            Modulation, row_slices)
 
 
 def star(a: np.ndarray, b: np.ndarray, denominator: int) -> float:
@@ -93,30 +94,28 @@ def ccdf(values, thresholds, weights=None) -> CcdfCurve:
 def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> Iterator[np.ndarray]:
     """count rows of n complex unit-average-energy symbols, uniform i.i.d.
     over the constellation (as FamilyBlock.complex_symbols): the uncoded
-    reference ensemble, in slices of at most CHUNK_SYMBOLS symbols (and at
-    least one row).  The Z4 component draws are made here, before the first
-    slice, and held as one (components, count, n) uint8 array: all of
-    component 0, then component 1 (and 2), each from its own row slices of
+    reference ensemble, in the row_slices of n symbols a row.  The Z4
+    component draws are made here, before the first slice, and held as one
+    (components, count, n) uint8 array: all of component 0, then component
+    1 (and 2), each from its own row slices of
     default_rng(seed).integers(0, 4), the same stream as one call per
     component.  A slice's lattice points are built as it is taken, so the
     complex symbols of the whole ensemble are never held."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    step = max(1, CHUNK_SYMBOLS // n)
     draws = np.empty((modulation.components, count, n), np.uint8)
     for component in draws:
-        for start in range(0, count, step):
-            rows = component[start : start + step]
-            rows[...] = rng.integers(0, 4, size=rows.shape)
-    return _lattice_slices(draws, step)
+        for part in row_slices(count, n):
+            component[part] = rng.integers(0, 4, size=component[part].shape)
+    return _lattice_slices(draws)
 
 
-def _lattice_slices(draws: np.ndarray, step: int) -> Iterator[np.ndarray]:
-    """The unit-average-energy symbols of each slice of step rows of the
+def _lattice_slices(draws: np.ndarray) -> Iterator[np.ndarray]:
+    """The unit-average-energy symbols of each row slice of the
     (components, count, n) Z4 draws."""
-    for start in range(0, draws.shape[1], step):
-        points, scale = qam_lattice(*draws[:, start : start + step])
+    for part in row_slices(draws.shape[1], draws.shape[2]):
+        points, scale = qam_lattice(*draws[:, part])
         points /= np.sqrt(scale.value)
         yield points
 
@@ -177,35 +176,33 @@ def coset_correlation_sums(base: np.ndarray, factors: np.ndarray) -> np.ndarray:
     so at each shift the sums of every row and term are one matrix product
     of the unit products by the row-free factors.  The units are +-1, +-i
     and the factors Gaussian integers, so every product and partial sum is
-    exact.  Rows run in slices of at most CHUNK_SYMBOLS // coset_footprint
-    (and at least one), so the unit products are never held for a whole cell.
+    exact.  Rows run in the row_slices of coset_footprint, so the unit
+    products are never held for a whole cell.
     """
     n, terms = factors.shape[:2]
     ahead, _ = _ahead(n)
     sums = np.empty((terms, len(base), n), dtype=complex)
-    step = max(1, CHUNK_SYMBOLS // coset_footprint(n, terms))
-    for start in range(0, len(base), step):
-        d = base[start : start + step].T  # (i, rows)
+    for part in row_slices(len(base), coset_footprint(n, terms)):
+        d = base[part].T  # (i, rows)
         units = ZETA[(d[None] - d[ahead]) & 3]  # (u, i, rows)
-        sums[:, start : start + step] = np.matmul(factors, units).transpose(1, 2, 0)
+        sums[:, part] = np.matmul(factors, units).transpose(1, 2, 0)
     return sums
 
 
 def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C_a(u) + C_b(u), u = 0 .. n-1, per row of equal-shape (B, n) lattice arrays:
     coset_correlation_sums on the base row D = 0 with no companion (g = 0),
-    over slices of at most CHUNK_SYMBOLS // coset_footprint(n, 1) rows (and
-    at least one), so the (n, rows, n) factors are never held for every row."""
+    over the row_slices of coset_footprint(n, 1), so the (n, rows, n)
+    factors are never held for every row."""
     if a.shape != b.shape:
         raise ValueError(f"rows of unequal shape: {a.shape} and {b.shape}")
     n = a.shape[-1]
     zero = np.zeros(n, np.int64)
     sums = np.empty(a.shape, dtype=complex)
-    step = max(1, CHUNK_SYMBOLS // coset_footprint(n, 1))
-    for start in range(0, len(a), step):
-        x, y = a[start : start + step], b[start : start + step]
+    for part in row_slices(len(a), coset_footprint(n, 1)):
+        x, y = a[part], b[part]
         factors = shift_factors(x, x, zero) + shift_factors(y, y, zero)
-        sums[start : start + step] = coset_correlation_sums(zero[None], factors)[:, 0]
+        sums[part] = coset_correlation_sums(zero[None], factors)[:, 0]
     return sums
 
 
@@ -242,14 +239,12 @@ def envelope_power_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
 
 
 def pep_batch(z: np.ndarray, oversample: int = 16) -> np.ndarray:
-    """Peak |S(t)|^2 per row of a (B, n) complex array, over slices of rows
-    whose L*n grids hold at most CHUNK_SYMBOLS points together: a batch's
-    envelope is never held whole, and each row's peak is the same in any slice."""
-    step = max(1, CHUNK_SYMBOLS // max(1, oversample * z.shape[1]))
+    """Peak |S(t)|^2 per row of a (B, n) complex array, over the row_slices
+    of its L*n grid points a row: a batch's envelope is never held whole,
+    and each row's peak is the same in any slice."""
     peaks = np.empty(len(z))
-    for start in range(0, len(z), step):
-        power = envelope_power_batch(z[start : start + step], oversample)
-        peaks[start : start + step] = np.max(power, axis=1)
+    for part in row_slices(len(z), oversample * z.shape[1]):
+        peaks[part] = np.max(envelope_power_batch(z[part], oversample), axis=1)
     return peaks
 
 
@@ -326,15 +321,14 @@ def _screen_matrix(n: int, oversample: int) -> np.ndarray:
 
 def screen_peps(z: np.ndarray, oversample: int) -> np.ndarray:
     """Peak |S(t)|^2 per row of a (B, n) complex array in complex64: one
-    matrix product by _screen_matrix per slice of rows whose grids hold at
-    most CHUNK_SYMBOLS points together, then the float32 modulus, its row
-    maximum and its square.  screen_margin bounds its error."""
+    matrix product by _screen_matrix per row_slices slice of its L*n grid
+    points a row, then the float32 modulus, its row maximum and its square.
+    screen_margin bounds its error."""
     matrix = _screen_matrix(z.shape[1], oversample)
-    step = max(1, CHUNK_SYMBOLS // matrix.shape[1])
     peaks = np.empty(len(z), np.float32)
-    for start in range(0, len(z), step):
-        samples = z[start : start + step].astype(np.complex64) @ matrix
-        peaks[start : start + step] = np.max(np.abs(samples), axis=1)
+    for part in row_slices(len(z), matrix.shape[1]):
+        samples = z[part].astype(np.complex64) @ matrix
+        peaks[part] = np.max(np.abs(samples), axis=1)
     return np.square(peaks).astype(float)
 
 

@@ -30,7 +30,6 @@ from .analysis import (
     threshold_peps,
 )
 from .constructions import (
-    CHUNK_SYMBOLS,
     ORBIT_SIZE,
     ConstructionParams,
     FamilyBlock,
@@ -45,9 +44,9 @@ from .constructions import (
     count_enumerated,
     family_size,
     iter_family_chunks,
-    orbit_cells,
     orbit_offsets,
-    packed_cells,
+    orbit_runs,
+    row_slices,
     star_bound,
 )
 from .gbf import PathQuadratic
@@ -157,9 +156,8 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
     }, sort_keys=True) + "\n").split("null") for offset in block.offsets], dtype=object)
     # a slice's texts take some 8 to 13 times the 16 bytes of its complex symbols:
     # an 8th of the block's symbols holds about as much memory as the block
-    step = max(1, CHUNK_SYMBOLS // (8 * n * grid[1]))
-    for start in range(0, grid[0], step):
-        rows = block.select(slice(start, start + step))
+    for part in row_slices(grid[0], 8 * n * grid[1]):
+        rows = block.select(part)
         lists, z = _z4_texts(rows.components), rows.symbols
         parts = (np.stack([z, z * sign]).view(float).astype(np.int8) + 7) // 2  # re, im, re, ...
         pairs = _PAIR_TEXTS[parts[..., 0::2] * 8 + parts[..., 1::2]].swapaxes(1, 2)
@@ -167,7 +165,7 @@ def codeword_lines(block: FamilyBlock, oversample: int) -> Iterator[str]:
             "base+components": lists[block.component_index].transpose(2, 0, 1),  # D, E or D, F, G
             "constant": np.array(list("0123"), object)[rows.coeffs[:, m], None, None],
             "linear": _z4_texts(rows.coeffs[:, :m])[:, None, None], "symbols": pairs[0],
-            "primed_symbols": pairs[1], **{k: v[start : start + step] for k, v in scores.items()}}
+            "primed_symbols": pairs[1], **{k: v[part] for k, v in scores.items()}}
         lines = np.empty((*pairs.shape[1:3], 2 * skeletons.shape[1] - 1), dtype=object)
         lines[..., 0::2], col = skeletons, 1
         for key in sorted(texts):
@@ -341,7 +339,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _run_pmeprs(run: list, m: int, offsets: tuple, oversample: int, thresholds) -> dict:
-    """(PMEPRs, records) per offset kind of a run of packed_cells: the block
+    """(PMEPRs, records) per offset kind of a run of orbit_runs: the block
     of each of its pis, then one analysis.orbit_pmeprs call at the
     thresholds over all their rows, (offsets, rows) in order."""
     blocks = [build_block(m, pi, offsets, rows) for pi, rows in run]
@@ -356,22 +354,20 @@ def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The oversampled PMEPRs of the family as a weighted multiset per offset
-    kind, (values, records): the cells of orbit_cells under
-    orbit_offsets(modulation), packed into runs of at most CHUNK_SYMBOLS
-    symbols (packed_cells), one orbit_pmeprs call per run.  The records
+    kind, (values, records): the runs of orbit_runs under
+    orbit_offsets(modulation), one orbit_pmeprs call per run.  The records
     above each of the ascending thresholds are those of a walk over every
     record, and they sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     offsets = orbit_offsets(modulation)
-    per_row = (1 << m) * len(offsets)
     pmeprs = functools.partial(_run_pmeprs, m=m, offsets=offsets, oversample=oversample,
                                thresholds=np.asarray(thresholds, dtype=float))
-    runs = packed_cells(orbit_cells(m, per_row), CHUNK_SYMBOLS // per_row)
-    for run_values in _map_cells(pmeprs, runs, jobs):
+    for run_values in _map_cells(pmeprs, orbit_runs(m, (1 << m) * len(offsets)), jobs):
         for kind, pair in run_values.items():
             grouped.setdefault(kind, []).append(pair)
-    return {kind: tuple(np.concatenate(part) for part in zip(*pairs))
-            for kind, pairs in grouped.items()}
+    # each kind's parts are freed once joined: never every part and every join at once
+    return {kind: tuple(np.concatenate(part) for part in zip(*grouped.pop(kind)))
+            for kind in list(grouped)}
 
 
 def cmd_ccdf(args) -> int:

@@ -87,7 +87,7 @@ components c_j.
   record keeps its offset, so kappa = 1 and then t = 1.  Every orbit has
   FULL_ORBIT_SIZE = 64 records, and exactly one of them has the least
   offset of its offset orbit (orbit_offsets), constant 0 and
-  c_{pi^-1(m-1)} = 0: a walk over those rows (orbit_cells) meets each
+  c_{pi^-1(m-1)} = 0: a walk over those rows (orbit_runs) meets each
   orbit once.
 - What the images share.  Every star sum, component star and Golay defect
   of an image is the record's, conjugated or times a unit: the companion of
@@ -109,7 +109,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -284,6 +284,14 @@ def form_values(forms, m: int, pi: tuple[int, ...]) -> np.ndarray:
     return ((q * x0 * x1 + c1 * x0 + c2 * x1 + c3) % 4).astype(np.uint8)
 
 
+def component_forms(offsets) -> tuple[list, list[tuple[int, ...]]]:
+    """(forms, index): each distinct offset_forms form of the offsets once,
+    in order of first use, and the components of each offset as rows of
+    (D, D plus each form): 0 for D, then 1 + the index of each of its forms."""
+    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
+    return forms, [(0, *(1 + forms.index(f) for f in offset_forms(off))) for off in offsets]
+
+
 def build(params: ConstructionParams) -> FamilyBlock:
     """The one-row block of one codeword: its symbols at [0, 0], its
     components at offset_components(0)[:, 0], its companion through
@@ -408,7 +416,7 @@ def offset_symmetries(modulation: Modulation) -> tuple[tuple[int, ...], tuple[in
 def orbit_offsets(modulation: Modulation) -> tuple[Offset, ...]:
     """The least offset, in list order, of each conjugation x reversal orbit:
     2 of the 8 16-QAM offsets, 16 of the 64 64-QAM offsets (8 per kind).
-    Over the rows of orbit_cells they meet every FULL_ORBIT_SIZE-record
+    Over the rows of orbit_runs they meet every FULL_ORBIT_SIZE-record
     orbit once."""
     sigma, rho = offset_symmetries(modulation)
     offsets = _offset_list(modulation)
@@ -435,56 +443,57 @@ def quarter_shift(m: int, pi: tuple[int, ...]) -> np.ndarray:
     return shift
 
 
-# symbols a family walk holds per cell of family_cells: bounds its memory
+# symbols a walk or kernel holds per slice of row_slices: bounds its memory
 # at any m and for either modulation
 CHUNK_SYMBOLS = 1 << 15
 
 
+def row_slices(count: int, per_row: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), in order, each of at most
+    CHUNK_SYMBOLS // per_row rows and at least one: the one memory rule of
+    every walk and kernel, which holds per_row symbols per row it takes."""
+    step = max(1, CHUNK_SYMBOLS // max(1, per_row))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """The (pi, orbit rows) cells of every family walk, with nothing built:
-    pi lexicographic, then consecutive slices of orbit_rows(m), each of at
-    most CHUNK_SYMBOLS // per_row rows and at least one.  per_row is the
+    pi lexicographic, then the row_slices of orbit_rows(m) at per_row, the
     number of symbols the walk holds per orbit row."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     rows = orbit_rows(m)
-    step = max(1, CHUNK_SYMBOLS // per_row)
     for pi in canonical_permutations(m):
-        for start in range(0, len(rows), step):
-            yield pi, rows[start : start + step]
+        for part in row_slices(len(rows), per_row):
+            yield pi, rows[part]
 
 
-def orbit_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """The (pi, rows) cells of the orbit walk: per pi, the orbit rows with
+def orbit_runs(m: int, per_row: int) -> Iterator[list[tuple[tuple[int, ...], np.ndarray]]]:
+    """The orbit walk as runs of (pi, rows) cells, with nothing built.  Per
+    pi, in lexicographic order, its rows are the orbit rows with
     c_{pi^-1(m-1)} = 0 (the coefficient quarter_shift moves by 1), one per
-    quarter-shift orbit.  Each is a cell of family_cells(m, per_row //
-    SHIFT_ORBIT_SIZE) with only its rows whose last linear coefficient is 0,
-    a quarter of them, and that coefficient's column swapped with the one
-    quarter_shift moves by 1.  So for per_row a power of two up to
-    CHUNK_SYMBOLS a cell holds CHUNK_SYMBOLS // per_row rows, or all of its
-    pi's; a cell left with no row is skipped."""
-    for pi, rows in family_cells(m, per_row // SHIFT_ORBIT_SIZE):
-        free = int(np.flatnonzero(quarter_shift(m, pi) == 1)[0])
-        kept = rows[rows[:, m - 1] == 0]
-        kept[:, [free, m - 1]] = kept[:, [m - 1, free]]
-        if len(kept):
-            yield pi, kept
+    quarter-shift orbit: those of orbit_rows(m) whose last linear
+    coefficient is 0, in order, with that coefficient's column swapped with
+    the one quarter_shift moves by 1.  Consecutive pis whose rows fit one
+    row_slices budget of per_row symbols a row together make a run, a cell
+    each; the rows of a pi that do not are its row_slices, a run each."""
+    if m <= 2:
+        raise ValueError(f"family defined for m > 2, got m={m}")
+    kept = orbit_rows(m)[::SHIFT_ORBIT_SIZE]  # the last linear coefficient varies fastest
+    pis = canonical_permutations(m)
+    for group in row_slices(math.factorial(m) // 2, len(kept) * per_row):
+        cells = (cell for pi in itertools.islice(pis, group.stop - group.start)
+                 for cell in _quarter_cells(m, pi, kept, per_row))
+        yield from [list(cells)] if group.stop - group.start > 1 else ([cell] for cell in cells)
 
 
-def packed_cells(cells: Iterable[tuple[tuple[int, ...], np.ndarray]],
-                 budget: int) -> Iterator[list[tuple[tuple[int, ...], np.ndarray]]]:
-    """Runs of consecutive (pi, rows) cells, in cell order, each of at most
-    budget rows together, or of one cell that holds more: a walk that holds
-    per_row symbols per row of each cell holds at most CHUNK_SYMBOLS in a
-    run at budget = CHUNK_SYMBOLS // per_row."""
-    run: list = []
-    for cell in cells:
-        if run and sum(len(rows) for _, rows in run) + len(cell[1]) > budget:
-            yield run
-            run = []
-        run.append(cell)
-    if run:
-        yield run
+def _quarter_cells(m: int, pi: tuple[int, ...], kept: np.ndarray, per_row: int) -> Iterator:
+    """The (pi, rows) cells of the row_slices of kept at pi, each with its
+    last linear coefficient's column swapped with the one quarter_shift
+    moves by 1."""
+    free, columns = int(np.flatnonzero(quarter_shift(m, pi) == 1)[0]), np.arange(m + 1)
+    columns[[free, m - 1]] = m - 1, free
+    return ((pi, kept[part][:, columns]) for part in row_slices(len(kept), per_row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,16 +564,12 @@ def build_block(
     one qam_lattice call over the forms; no symbol is made here."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
-    index = np.array([[0, *(1 + forms.index(f) for f in offset_forms(off))] for off in offsets])
+    forms, index = component_forms(offsets)
+    index = np.array(index)
     values = np.concatenate([np.zeros((1, 1 << m), np.uint8), form_values(forms, m, pi)])
     parts, scale = qam_lattice(*np.moveaxis(values[index], 1, 0))
     return FamilyBlock(m, pi, tuple(offsets), coeffs, base_rows(m, pi, coeffs), values, index,
                        parts, scale)
-
-
-def _map_cell(fn: Callable[[FamilyBlock], object], cell: tuple):
-    return fn(build_block(*cell))
 
 
 def _pool_map(task: Callable, cells: Iterator, jobs: int) -> Iterator:
@@ -583,24 +588,6 @@ def _map_cells(task: Callable, cells: Iterator, jobs: int) -> Iterator:
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     return map(task, cells) if jobs == 1 else _pool_map(task, cells, jobs)
-
-
-def map_family_blocks(
-    fn: Callable[[FamilyBlock], object], m: int, modulation: Modulation, jobs: int = 1
-) -> Iterator:
-    """fn(block) for every block of the family, in cell order: one per cell of
-    family_cells(m, n * offsets), each holding every offset of the family
-    in list order, so each block holds at most CHUNK_SYMBOLS symbols.  A
-    block's rows are orbit rows: a consumer that counts records weights
-    each row by ORBIT_SIZE, the records of its orbit.
-
-    jobs > 1 builds and maps the blocks in that many worker processes; fn
-    and its results must then pickle.  The results are the same for every
-    jobs.
-    """
-    offsets = _offset_list(modulation)
-    cells = ((m, pi, offsets, rows) for pi, rows in family_cells(m, (1 << m) * len(offsets)))
-    return _map_cells(functools.partial(_map_cell, fn), cells, jobs)
 
 
 def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:

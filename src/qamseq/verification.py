@@ -36,7 +36,7 @@ residual passes only at exactly 0; deliberately broken offsets must light
 them up, otherwise the sweep proves nothing.
 
 The walk scores one (row, offset) per orbit of the quarter shift,
-conjugation and reversal: the rows of constructions.orbit_cells under the
+conjugation and reversal: the rows of constructions.orbit_runs under the
 offsets of constructions.orbit_offsets.  T does not depend on the constant,
 which multiplies P and Q alike, so the images below may take any constant.
 
@@ -70,12 +70,12 @@ the FULL_ORBIT_SIZE records of its orbit of zeta^c, conjugation, reversal
 and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
-Each task of the walk is a run of consecutive cells, of one pi or of
-several (constructions.packed_cells), that holds at most CHUNK_SYMBOLS
-symbols, and screens the envelopes of all its rows in one orbit_pmeprs
-call.  Every decision against a point is taken per row, and the group
-maximum rule gives each kind's exact maximum over the run, so no report
-depends on how the cells are packed.  A task becomes the KindStats of each
+Each task of the walk is a run of constructions.orbit_runs, the cells of
+one pi or of several whose symbols fit one row_slices budget, and screens
+the envelopes of all its rows in one orbit_pmeprs call.  Every decision
+against a point is taken per row, and the group maximum rule gives each
+kind's exact maximum over the run, so no report depends on how the cells
+are packed.  A task becomes the KindStats of each
 offset kind and its lemma maxima and counts; the reports are their sums
 (counts add, extrema take min/max, flags AND), the same in any order, for
 any cell size, run and worker count.
@@ -110,7 +110,6 @@ from .analysis import (
 from .constellation import Scale
 from .constructions import (
     CEILINGS,
-    CHUNK_SYMBOLS,
     FULL_ORBIT_SIZE,
     ORBIT_SIZE,
     ConstructionParams,
@@ -121,17 +120,18 @@ from .constructions import (
     Offset64,
     OffsetKind,
     _map_cells,
+    _offset_list,
     build,
     build_block,
     companion_sign,
+    component_forms,
+    family_cells,
     family_size,
     form_values,
-    map_family_blocks,
-    offset_forms,
     offset_kind,
-    orbit_cells,
     orbit_offsets,
-    packed_cells,
+    orbit_runs,
+    row_slices,
     star_bound,
 )
 from .gbf import PathQuadratic, base_rows
@@ -182,8 +182,7 @@ def _term_layout(offsets: tuple[Offset, ...]) -> tuple:
     (F, G) components of each 64-QAM offset; each term as a (p, q) pair of
     row-free exponent rows (0 for D, s for D + s, then 2*s1 - s2 of each
     64-QAM offset); and the _Terms without their factors."""
-    forms = list(dict.fromkeys(f for off in offsets for f in offset_forms(off)))
-    index = [(0, *(1 + forms.index(f) for f in offset_forms(off))) for off in offsets]
+    forms, index = component_forms(offsets)
     triples = [(off.kind, c) for off, c in zip(offsets, index) if len(c) == 3]
     k = 1 + len(forms)
     pairs = ([(c, c) for c in range(k)] + [(0, c) for c in range(1, k)]
@@ -311,24 +310,22 @@ def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndar
 
 def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
     """(KindStats of each offset kind, (max, evaluations) of each lemma
-    residual) of one (m, run, groups) task: run a list of (pi, rows) cells
-    from packed_cells, groups the offsets of each family.  Per pi of the
-    run, the _reductions of each kernel cell of its rows and a block per
-    family; then, unless oversample is None, one _audit_blocks call over
-    the blocks of every pi.  A kernel cell holds CHUNK_SYMBOLS // per_row
-    rows, per_row the kernel's footprint over every term plus the symbols
-    of every offset rounded up to a power of two: a cell of
-    orbit_cells(m, per_row).  Its sums are freed before the next."""
+    residual) of one (m, run, groups) task: run a run of orbit_runs, groups
+    the offsets of each family.  Per pi of the run, the _reductions of each
+    kernel cell of its rows and a block per family; then, unless oversample
+    is None, one _audit_blocks call over the blocks of every pi.  The
+    kernel cells are the row_slices of the kernel's footprint over every
+    term plus the symbols of every offset; a cell's sums are freed before
+    the next."""
     m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
     pieces, cells = [], []
     for pi, rows in run:
         terms = _cell_terms(m, pi, offsets)
         per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
-        step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())
         blocks = [] if oversample is None else [build_block(m, pi, group, rows) for group in groups]
         base = blocks[0].base if blocks else base_rows(m, pi, rows)
-        cells += [_reductions(base[i : i + step], terms) for i in range(0, len(rows), step)]
+        cells += [_reductions(base[part], terms) for part in row_slices(len(rows), per_row)]
         pieces.append(blocks)
     lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
                     FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
@@ -344,14 +341,12 @@ def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
                modulations: tuple[Modulation, ...] = tuple(Modulation)) -> tuple:
     """(audits, lemmas): the BoundAuditReport of each of the modulations
     (none when oversample is None) and, when both families are walked, the
-    LemmaSweepResult, from one walk over orbit_cells under their
-    orbit_offsets.  It maps tasks (_walk_task), the runs of packed_cells
-    over the cells of orbit_cells that hold the symbols of every offset
-    within CHUNK_SYMBOLS, in jobs processes; the reports are the same for
-    every jobs."""
+    LemmaSweepResult, from one walk over orbit_runs under their
+    orbit_offsets.  It maps tasks (_walk_task), the runs of orbit_runs that
+    hold the symbols of every offset, in jobs processes; the reports are
+    the same for every jobs."""
     groups = tuple(orbit_offsets(modulation) for modulation in modulations)
-    held = 1 << ((1 << m) * sum(map(len, groups)) - 1).bit_length()
-    tasks = ((m, run, groups) for run in packed_cells(orbit_cells(m, held), CHUNK_SYMBOLS // held))
+    tasks = ((m, run, groups) for run in orbit_runs(m, (1 << m) * sum(map(len, groups))))
     kinds: dict[str, KindStats] = {}
     maxima: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -567,20 +562,18 @@ LOW, HIGH = 16, 32
 
 def _envelope_gaps(block: FamilyBlock) -> tuple[float, float, float]:
     """The Parseval gap and the two PEP gaps of a block, over its (offsets *
-    rows, n) view in slices of rows whose L = HIGH grids hold at most
-    CHUNK_SYMBOLS points together, as pep_batch slices them: each kernel
-    runs once per slice, and the L = LOW envelope gives both the grid-mean
-    power and the low-rate PEP."""
+    rows, n) view in the row_slices of its L = HIGH grid points a row, as
+    pep_batch slices them: each kernel runs once per slice, and the L = LOW
+    envelope gives both the grid-mean power and the low-rate PEP."""
     n = 1 << block.m
     grid = HIGH * n
     basis = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(grid)) % grid) / grid)
     z, k = block.complex_symbols().reshape(-1, n), block.parts
     # |zeta^D * K| = |K|: every row of an offset has the energy of its part
     energy = np.repeat(np.sum(k.real**2 + k.imag**2, axis=1), len(block.base)) / block.scale.value
-    step = max(1, CHUNK_SYMBOLS // grid)
     gaps = []
-    for start in range(0, len(z), step):
-        w, e = z[start : start + step], energy[start : start + step]
+    for part in row_slices(len(z), grid):
+        w, e = z[part], energy[part]
         power = envelope_power_batch(w, LOW)
         p_low, p_high = np.max(power, axis=1), pep_batch(w, HIGH)
         # squaring is monotone, so the square of the largest |S| is the
@@ -596,7 +589,7 @@ def envelope_audit() -> tuple[float, float, float]:
     """(Parseval gap, PEP gap, dense gap): the max relative gaps over the
     envelope family, one row per constant orbit (zeta^c changes neither the
     envelope nor the energy, so a row's gaps are those of its whole orbit),
-    from one walk over it.
+    from one block per cell of family_cells, every offset in list order.
 
     The Parseval gap is between the grid-mean envelope power at L = LOW and
     the sequence energy.  The PEP gaps are between the two oversampling
@@ -605,7 +598,9 @@ def envelope_audit() -> tuple[float, float, float]:
     FFT, so a kernel that ignores its oversampling rate shows in the dense
     gap and not in the first, which compares the FFT with itself.
     """
-    gaps = map_family_blocks(_envelope_gaps, ENVELOPE_M, ENVELOPE_MODULATION)
+    offsets = _offset_list(ENVELOPE_MODULATION)
+    gaps = [_envelope_gaps(build_block(ENVELOPE_M, pi, offsets, rows))
+            for pi, rows in family_cells(ENVELOPE_M, (1 << ENVELOPE_M) * len(offsets))]
     return tuple(max(g) for g in zip(*gaps))
 
 

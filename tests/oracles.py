@@ -33,6 +33,8 @@ full_family_blocks is the family walk over every coefficient row, all four
 constants of each orbit included, one block per pi; full_family_pmeprs takes
 the PMEPR of every record over it.  The library walks one row per orbit of
 zeta^c, conjugation, reversal and the quarter shift and weights it.
+family_blocks builds the blocks of family_cells, and run_cells lists the
+cells of the orbit walk's runs.
 image_rows writes the conjugation and reversal of a record's coefficient
 row out from their formulas, for the test that the library's offset
 permutations complete them.  conjugation_reversal_peps is the refinement
@@ -53,6 +55,7 @@ themselves.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
@@ -90,6 +93,7 @@ from qamseq.constructions import (
     form_values,
     offset_forms,
     offset_kind,
+    orbit_runs,
     star_bound,
 )
 from qamseq.gbf import PathQuadratic, base_rows
@@ -370,6 +374,21 @@ def full_family_blocks(
     coeffs = coefficient_matrix(m)
     offsets = constructions._offset_list(modulation)
     return [fn(build_block(m, pi, offsets, coeffs)) for pi in canonical_permutations(m)]
+
+
+def family_blocks(m: int, modulation: Modulation) -> list[FamilyBlock]:
+    """One block per cell of family_cells at the symbols of every offset,
+    each of every offset in list order over its orbit rows: the blocks of
+    verification.envelope_audit."""
+    offsets = constructions._offset_list(modulation)
+    cells = family_cells(m, (1 << m) * len(offsets))
+    return [build_block(m, pi, offsets, rows) for pi, rows in cells]
+
+
+def run_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The (pi, rows) cells of constructions.orbit_runs(m, per_row), run
+    after run."""
+    return itertools.chain.from_iterable(orbit_runs(m, per_row))
 
 
 def full_bound_audit(m: int, modulation: Modulation, oversample: int = 16) -> BoundAuditReport:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -68,18 +69,18 @@ def test_bit_matrix_matches_bits_of():
 
 @pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (4, 12)])
 def test_canonical_permutation_counts(m, count):
-    perms = canonical_permutations(m)
+    perms = list(canonical_permutations(m))
     assert len(perms) == count
     assert len(perms) == math.factorial(m) // 2
 
 
 def test_canonical_permutations_m3_explicit():
-    assert canonical_permutations(3) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
+    assert list(canonical_permutations(3)) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
 
 
 def test_canonical_permutations_lexicographic_and_reversal_free():
     for m in (3, 4, 5):
-        perms = canonical_permutations(m)
+        perms = list(canonical_permutations(m))
         assert perms == sorted(perms)
         as_set = set(perms)
         for pi in perms:
@@ -89,8 +90,28 @@ def test_canonical_permutations_lexicographic_and_reversal_free():
 
 
 def test_canonical_permutations_rejects_small_m():
+    # on the call, before any permutation is asked for
     with pytest.raises(ValueError):
         canonical_permutations(1)
+
+
+def traced_peak(work) -> int:
+    """The tracemalloc peak, in bytes, of one call of work."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_permutations_hold_one_permutation_at_a_time():
+    # the permutations come one at a time: the first of m = 10 takes well
+    # under 1 MiB, where the list of all 10!/2 of them takes some 200 MiB.
+    # Negative control: the list of the 8!/2 of m = 8 already takes more
+    assert next(canonical_permutations(10)) == tuple(range(10))
+    assert traced_peak(lambda: next(canonical_permutations(10))) < 1 << 20
+    assert traced_peak(lambda: list(canonical_permutations(8))) > 1 << 20
 
 
 def test_is_canonical():

@@ -23,7 +23,7 @@ from oracles import (
     qam16_map,
     qam64_map,
 )
-from qamseq import analysis
+from qamseq import analysis, constructions
 from qamseq.algebra import ZETA
 from qamseq.analysis import (
     CcdfCurve,
@@ -58,7 +58,6 @@ from qamseq.constructions import (
     form_values,
     iter_family_chunks,
     offset_forms,
-    orbit_cells,
     orbit_offsets,
     orbit_rows,
 )
@@ -382,7 +381,7 @@ def test_the_streamed_baseline_is_the_one_shot_ensemble(n, modulation):
     # slices of CHUNK_SYMBOLS // n rows, each built from its own row slices
     # of draws; at n = 7 a slice is 4681 rows, an odd 32 767 draws, so the
     # next slice's draws start inside the generator's 64-bit output
-    step = analysis.CHUNK_SYMBOLS // n
+    step = constructions.CHUNK_SYMBOLS // n
     for count in (1, 999, step - 1, step, step + 1, 10_000):
         for seed in (0, 5, 42):
             slices = list(random_baseline(n, modulation, count, seed))
@@ -398,7 +397,7 @@ def test_per_slice_threshold_peps_give_the_whole_array_curve(n, oversample, modu
     # n <= 64) and off it: every PEP, and so every probability, comes out
     # bit for bit as from one threshold_peps call on the one-shot ensemble
     thresholds = default_threshold_grid()
-    count = 2 * (analysis.CHUNK_SYMBOLS // n) + 3
+    count = 2 * (constructions.CHUNK_SYMBOLS // n) + 3
     sliced = np.concatenate([threshold_peps(z, oversample, thresholds)
                              for z in random_baseline(n, modulation, count, n)])
     whole = threshold_peps(oracles.random_baseline(n, modulation, count, n), oversample, thresholds)
@@ -530,7 +529,7 @@ def test_pep_batch_equals_its_one_row_calls_in_bounded_slices(monkeypatch):
     monkeypatch.setattr(analysis, "envelope_power_batch", recorded)
     stacked = pep_batch(z, 16)
     assert np.array_equal(stacked, single)
-    assert analysis.CHUNK_SYMBOLS // (16 * 16) == 128
+    assert constructions.CHUNK_SYMBOLS // (16 * 16) == 128
     assert shapes == [(128, 16)] * 4 + [(88, 16)]
     # an empty batch has no peaks and runs no FFT
     assert pep_batch(z[:0], 16).shape == (0,)
@@ -541,7 +540,7 @@ def orbit_walk_rows(m, modulation):
     """The symbols of every (offset, row) of the orbit walk that ccdf scores."""
     n, offsets = 1 << m, orbit_offsets(modulation)
     return np.concatenate([build_block(m, pi, offsets, rows).complex_symbols().reshape(-1, n)
-                           for pi, rows in orbit_cells(m, n * len(offsets))])
+                           for pi, rows in oracles.run_cells(m, n * len(offsets))])
 
 
 SCREENED_ROWS = {
@@ -715,11 +714,11 @@ def test_autocorrelation_sums_hold_one_slice_of_factors(monkeypatch):
     rng = np.random.default_rng(8)
     parts = rng.integers(-7, 8, size=(4, 49152, 8))
     a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
-    step = analysis.CHUNK_SYMBOLS // analysis.coset_footprint(8, 1)
+    step = constructions.CHUNK_SYMBOLS // analysis.coset_footprint(8, 1)
     assert 3 * step < 2000 < len(a)
     sliced = analysis.autocorrelation_sums(a[:2000], b[:2000])
     with monkeypatch.context() as patch:
-        patch.setattr(analysis, "CHUNK_SYMBOLS", 1 << 40)
+        patch.setattr(constructions, "CHUNK_SYMBOLS", 1 << 40)
         assert np.array_equal(sliced, analysis.autocorrelation_sums(a[:2000], b[:2000]))
     tracemalloc.start()
     try:
@@ -782,10 +781,10 @@ def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):
     units = polyphase_lattice(block.components)
     x = oracles.row_free(block.symbols, units[0])
     factors = shift_factors(x, x, block.companion_sign)
-    assert analysis.CHUNK_SYMBOLS // coset_footprint(16, 64) == 25
+    assert constructions.CHUNK_SYMBOLS // coset_footprint(16, 64) == 25
     sliced = coset_correlation_sums(block.components[0], factors)
     for budget in (40, 1, 3):
-        monkeypatch.setattr(analysis, "CHUNK_SYMBOLS", budget * coset_footprint(16, 64))
+        monkeypatch.setattr(constructions, "CHUNK_SYMBOLS", budget * coset_footprint(16, 64))
         assert np.array_equal(coset_correlation_sums(block.components[0], factors), sliced)
 
 

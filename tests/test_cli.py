@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import parameter_grid
-from qamseq import analysis, cli, constructions
+from qamseq import analysis, cli, constructions, verification
 from qamseq.analysis import default_threshold_grid, pep_batch
 from qamseq.cli import (
     EXIT_BROKEN_PIPE,
@@ -153,7 +153,8 @@ def test_enumerate_count_only(capsys, m, modulation, expected):
 def test_enumerate_count_only_sees_a_dropped_chunk(capsys, monkeypatch):
     # negative control: a cell walk that loses its last cell loses records
     # from enumerate, and the count, which reads the same cells, must show
-    # it; so must the audit's count, whose blocks come from the same cells
+    # it; so must the audit's count, when its orbit walk loses the last
+    # cell of each run
     real = constructions.family_cells
     monkeypatch.setattr(constructions, "family_cells", lambda *args: list(real(*args))[:-1])
     code, out, _ = run(capsys, "enumerate", "--m", "3", "--modulation", "16qam", "--count-only")
@@ -161,6 +162,8 @@ def test_enumerate_count_only_sees_a_dropped_chunk(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["closed_form"] == 6144 > doc["enumerated"]
     assert doc["match"] is False
+    runs = verification.orbit_runs
+    monkeypatch.setattr(verification, "orbit_runs", lambda *args: [r[:-1] for r in runs(*args)])
     report = theorem_bound_audit(3, Modulation.QAM16)
     assert report.total < 6144
     assert [c.name for c in report.checks() if not c.passed] == ["bounds.16qam.m3.count"]
@@ -374,6 +377,11 @@ PINNED_SHA256 = [
     # the report of a walk over every row
     (["verify", "--suite", "lemmas", "--m", "5"],
      "568d8f498b3845943f6f7f434a1b3b8f05b2a2619e502c2df992c9ec7ee34557"),
+    # both bound audits at m=5, whose walk splits each pi's 256 orbit rows
+    # into several runs: the report of runs of 32 rows, before a run took
+    # as many rows as fit the symbol budget
+    (["verify", "--suite", "bounds", "--m", "5", "--jobs", "1"],
+     "02d237524e0ac2b779ad36a05a6edaed4c04a5252f91f136f75483411d9528d2"),
 ]
 
 
@@ -382,7 +390,7 @@ PINNED_SHA256 = [
     "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
     "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
     "ccdf-64qam-m4", "ccdf-16qam-m4-L3", "verify-bounds-m3-L3", "ccdf-16qam-m3",
-    "verify-lemmas-m5",
+    "verify-lemmas-m5", "verify-bounds-m5",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

@@ -31,15 +31,14 @@ from qamseq.constructions import (
     iter_family_chunks,
     list_offsets16,
     list_offsets64,
-    map_family_blocks,
     offset_forms,
     offset_kind,
     offset_symmetries,
-    orbit_cells,
     orbit_offsets,
     orbit_rows,
-    packed_cells,
+    orbit_runs,
     quarter_shift,
+    row_slices,
     star_bound,
 )
 import oracles
@@ -48,11 +47,13 @@ from oracles import (
     block_records,
     build_record,
     distinct_rows,
+    family_blocks,
     full_family_blocks,
     offset16_eval,
     offset_eval,
     offset_values,
     parameter_grid,
+    run_cells,
 )
 from qamseq import constructions
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
@@ -295,7 +296,7 @@ def test_enumerate_family_walks_the_grid_and_matches_build():
 
 
 def test_blocks_agree_with_enumerate():
-    blocks = list(map_family_blocks(lambda b: b, 3, Modulation.QAM16, jobs=1))
+    blocks = family_blocks(3, Modulation.QAM16)
     # one block per pi, every offset in list order along its first axis,
     # over the 64 constant-0 rows
     assert [(b.pi, b.offsets, len(b)) for b in blocks] == [
@@ -361,7 +362,7 @@ def test_block_symbols_are_the_synthesis_of_their_components(m, modulation):
     # row-free part the oracle's row_free reads back as K.  Negative
     # control: the synthesis forged on one row is no row-free part's coset
     walks = ((constructions._offset_list(modulation), family_cells),
-             (orbit_offsets(modulation), orbit_cells))
+             (orbit_offsets(modulation), run_cells))
     for offsets, cells_of in walks:
         for pi, rows in cells_of(m, (1 << m) * len(offsets)):
             block = build_block(m, pi, offsets, rows)
@@ -409,7 +410,9 @@ def test_enumerate_rejects_small_m():
     with pytest.raises(ValueError):
         count_enumerated(2, Modulation.QAM16)
     with pytest.raises(ValueError):
-        list(map_family_blocks(len, 2, Modulation.QAM16, jobs=1))
+        list(family_cells(2, 8))
+    with pytest.raises(ValueError):
+        list(orbit_runs(2, 8))
 
 
 def test_bounds_constants():
@@ -450,7 +453,7 @@ def test_companion_sign_is_the_primed_definition(modulation):
     # every record, all four constants of each orbit: enumerate and build
     # apply companion_sign to them all, not only to the orbit rows
     assert sum(full_family_blocks(check, m, modulation)) == family_size(m, modulation)
-    rows = sum(map_family_blocks(check, m, modulation, jobs=1))
+    rows = sum(map(check, family_blocks(m, modulation)))
     assert ORBIT_SIZE * rows == family_size(m, modulation)
 
 
@@ -507,10 +510,11 @@ def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
 @pytest.mark.parametrize("m", [3, 4])
 def test_family_blocks_hold_every_offset_within_the_symbol_budget(m, modulation):
-    # map_family_blocks: every offset of an orbit-row cell, as many rows as
-    # fit in CHUNK_SYMBOLS, and every orbit row of each pi once
+    # the blocks of family_cells at the symbols of every offset: every
+    # offset of an orbit-row cell, as many rows as fit in CHUNK_SYMBOLS, and
+    # every orbit row of each pi once
     n, offsets = 1 << m, constructions._offset_list(modulation)
-    blocks = list(map_family_blocks(lambda b: (b.pi, b.offsets, b.coeffs), m, modulation))
+    blocks = [(b.pi, b.offsets, b.coeffs) for b in family_blocks(m, modulation)]
     rows = min(CHUNK_SYMBOLS // (n * len(offsets)), 4**m)
     assert [len(coeffs) for _, _, coeffs in blocks] == [rows] * len(blocks)
     assert all(block_offsets == offsets for _, block_offsets, _ in blocks)
@@ -525,7 +529,7 @@ def test_family_cells_shape(monkeypatch):
     monkeypatch.setattr(constructions, "build_block", None)
     for m, per_row, slices in ((6, 64, [512] * 8), (5, 32, [1024]), (3, 1 << 20, [1] * 64)):
         cells = list(family_cells(m, per_row))
-        pis = canonical_permutations(m)
+        pis = list(canonical_permutations(m))
         assert [pi for pi, _ in cells] == [pi for pi in pis for _ in slices]
         assert [len(rows) for _, rows in cells] == slices * len(pis)
         per_pi = np.concatenate([rows for _, rows in cells[: len(slices)]])
@@ -643,7 +647,7 @@ def test_every_offset_orbit_has_four_offsets(modulation):
                for k, o in enumerate(offsets))
     # the orbit walk's (offset, row) pairs, 64 records each, are the family
     for m in (3, 4):
-        rows = sum(len(rows) for _, rows in orbit_cells(m, (1 << m) * len(kept)))
+        rows = sum(len(rows) for _, rows in run_cells(m, (1 << m) * len(kept)))
         assert FULL_ORBIT_SIZE * len(kept) * rows == family_size(m, modulation)
 
 
@@ -719,7 +723,7 @@ def test_the_same_bump_on_the_most_significant_variables_is_no_shift(monkeypatch
             with pytest.raises(AssertionError, match="is not a free quarter shift"):
                 quarter_shift(3, pi)
         with pytest.raises(AssertionError, match="is not a free quarter shift"):
-            list(orbit_cells(3, 8 * len(orbit_offsets(modulation))))
+            list(orbit_runs(3, 8 * len(orbit_offsets(modulation))))
     finally:
         quarter_shift.cache_clear()
 
@@ -754,7 +758,7 @@ def test_every_orbit_has_64_records_and_the_walk_meets_each_once(modulation):
             conj + np.array(sigma),
             rev + np.array(rho),
         ))
-        reps = np.concatenate([rows for p, rows in orbit_cells(m, 8 * len(kept)) if p == pi])
+        reps = np.concatenate([rows for p, rows in run_cells(m, 8 * len(kept)) if p == pi])
         walk = (record_codes(reps, m, count) + kept).ravel()
         images = []
         for k in (walk, conjugate[walk], reverse[walk], conjugate[reverse[walk]]):
@@ -772,49 +776,75 @@ def test_every_orbit_has_64_records_and_the_walk_meets_each_once(modulation):
             assert np.array_equal(label[action], label)
 
 
-def test_orbit_cells_shape(monkeypatch):
-    # the orbit walk's cells: of each pi, the orbit rows with
-    # c_{pi^-1(m-1)} = 0, each once, a quarter of a cell of family_cells at
-    # a quarter of the symbols per row, and nothing is built for them
+def slices_hold(slices, count, per_row):
+    """Whether slices cover range(count) once and in order, each of at least
+    one row and of at most CHUNK_SYMBOLS // per_row rows, or of one."""
+    spans = [range(count)[part] for part in slices]
+    budget = max(1, CHUNK_SYMBOLS // per_row)
+    return ([i for span in spans for i in span] == list(range(count))
+            and all(1 <= len(span) <= budget for span in spans))
+
+
+def test_row_slices_cover_every_row_once_within_the_budget():
+    for count in (0, 1, 7, 127, 128, 129, 1000):
+        for per_row in (1, 3, 256, 257, CHUNK_SYMBOLS, CHUNK_SYMBOLS + 1, 1 << 20):
+            assert slices_hold(row_slices(count, per_row), count, per_row)
+    # the whole budget, then the rest; one row a slice beyond CHUNK_SYMBOLS
+    assert [(p.start, p.stop) for p in row_slices(300, 256)] == [(0, 128), (128, 256), (256, 300)]
+    assert [(p.start, p.stop) for p in row_slices(3, CHUNK_SYMBOLS + 1)] == [(0, 1), (1, 2), (2, 3)]
+
+    # negative controls: a step one row longer than the budget, and slices
+    # that each reach one row into the next
+    def stepped(count, per_row, extra, reach):
+        step = max(1, CHUNK_SYMBOLS // per_row) + extra
+        return (slice(start, start + step + reach) for start in range(0, count, step))
+
+    assert slices_hold(stepped(300, 256, 0, 0), 300, 256)
+    assert not slices_hold(stepped(300, 256, 1, 0), 300, 256)
+    assert not slices_hold(stepped(300, 256, -1, 1), 300, 256)
+
+
+def orbit_runs_hold(runs, m, per_row):
+    """Whether runs of the orbit walk at m meet every orbit row with
+    c_{pi^-1(m-1)} = 0 of each pi once, pi by pi in order, each run of at
+    most CHUNK_SYMBOLS // per_row rows unless it is one cell."""
+    cells = [cell for run in runs for cell in run]
+    pis = list(canonical_permutations(m))
+    order = [pi for pi, _ in cells]
+    if order != sorted(order) or set(order) != set(pis):
+        return False
+    for pi in pis:
+        per_pi = np.concatenate([rows for p, rows in cells if p == pi])
+        expected = orbit_rows(m)[orbit_rows(m)[:, pi.index(m - 1)] == 0]
+        if len(per_pi) != len(expected) or not np.array_equal(np.unique(per_pi, axis=0), expected):
+            return False
+    return all(len(run) == 1 or sum(len(rows) for _, rows in run) <= CHUNK_SYMBOLS // per_row
+               for run in runs)
+
+
+def test_orbit_runs_meet_every_orbit_row_once_within_the_symbol_budget(monkeypatch):
+    # the runs of both orbit walks, with nothing built: verify's per_row (the
+    # symbols of the 2 + 16 offsets) at m = 3, 4 and 5, ccdf's for each
+    # family (2 or 16 offsets) at m = 3 and 4, and one row per run beyond
+    # CHUNK_SYMBOLS.  The pis whose rows fit one budget share a run (all 3 at
+    # m = 3, two 64-QAM pis at m = 4); a pi that does not is split into the
+    # row_slices of its 4^(m-1) rows, one run each (56, 56, 56, 56 and 32 at
+    # m = 5)
     monkeypatch.setattr(constructions, "build_block", None)
-    for m, per_row, slices in ((6, 1024, [32] * 32), (5, 128, [256]), (4, 16, [64])):
-        cells = list(orbit_cells(m, per_row))
-        pis = canonical_permutations(m)
-        assert [pi for pi, _ in cells] == [pi for pi in pis for _ in slices]
-        assert [len(rows) for _, rows in cells] == slices * len(pis)
-        assert all(len(rows) * per_row <= CHUNK_SYMBOLS for _, rows in cells)
-        for pi in pis:
-            per_pi = np.concatenate([rows for p, rows in cells if p == pi])
-            expected = orbit_rows(m)[orbit_rows(m)[:, pi.index(m - 1)] == 0]
-            assert len(per_pi) == 4 ** m // SHIFT_ORBIT_SIZE
-            assert np.array_equal(np.unique(per_pi, axis=0), expected)
-
-
-def packing_holds(pack, m, per_row):
-    """Whether the runs pack makes of orbit_cells(m, per_row), at the budget
-    CHUNK_SYMBOLS // per_row, join to those cells in order, each run
-    holding at least one cell and at most CHUNK_SYMBOLS symbols."""
-    cells = list(orbit_cells(m, per_row))
-    runs = list(pack(iter(cells), CHUNK_SYMBOLS // per_row))
-    joined = [cell for run in runs for cell in run]
-    return (len(joined) == len(cells)
-            and all(p == q and np.array_equal(a, b) for (p, a), (q, b) in zip(joined, cells))
-            and all(run and sum(len(rows) for _, rows in run) * per_row <= CHUNK_SYMBOLS
-                    for run in runs))
-
-
-def test_packed_cells_join_to_the_orbit_cells_within_the_symbol_budget(monkeypatch):
-    # the runs of both orbit walks: verify's per_row at m = 3, 4 and 5
-    # (the symbols of 18 offsets plus the kernel's footprint, rounded up),
-    # ccdf's at m = 3 and 4 for each family (2 or 16 offsets), and one
-    # cell per run at a budget of one row.  Negative control: a packer that
-    # fills a run to twice its budget holds two pis of verify at m = 4 in
-    # one run, beyond CHUNK_SYMBOLS
-    monkeypatch.setattr(constructions, "build_block", None)  # nothing is built
-    runs = {(3, 256): 1, (4, 512): 12, (5, 1024): 480, (3, 16): 1, (4, 32): 1, (3, 128): 1,
-            (4, 256): 6}
-    for (m, per_row), count in runs.items():
-        assert packing_holds(packed_cells, m, per_row)
-        assert len(list(packed_cells(orbit_cells(m, per_row), CHUNK_SYMBOLS // per_row))) == count
-    assert [len(run) for run in packed_cells(orbit_cells(4, 32), 1)] == [1] * 12
-    assert not packing_holds(lambda cells, budget: packed_cells(cells, 2 * budget), 4, 512)
+    runs_of = {(3, 144): [48], (4, 288): [64] * 12, (5, 576): [56] * 4 + [32], (3, 16): [48],
+               (4, 32): [768], (3, 128): [48], (4, 256): [128] * 6,
+               (4, CHUNK_SYMBOLS + 1): [1] * 768}
+    for (m, per_row), expected in runs_of.items():
+        runs = list(orbit_runs(m, per_row))
+        assert orbit_runs_hold(runs, m, per_row)
+        sizes = [sum(len(rows) for _, rows in run) for run in runs]
+        assert sizes == expected * (len(sizes) // len(expected))
+    assert len(list(orbit_runs(5, 576))) == 60 * 5
+    # negative controls: runs of twice the budget hold two pis of verify at
+    # m = 4, and a walk that loses a cell misses its rows
+    assert not orbit_runs_hold(list(orbit_runs(4, 144)), 4, 288)
+    (run,) = orbit_runs(3, 144)
+    assert not orbit_runs_hold([run[:-1]], 3, 144)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="m > 2"):
+            next(orbit_runs(m, 144))

@@ -4,9 +4,11 @@ The traced benchmark run (perfbench/child.py) wraps the functions named in
 its LAYERS and ITERATOR_LAYERS with getattr; a deleted or renamed function
 makes that run raise AttributeError, which no other test would notice.  Its
 count functions read attributes of the results and arguments of the traced
-calls, so one traced run checks those too.
+calls, so one traced run checks those too.  The package's one memory rule,
+constructions.row_slices, is the only code that divides CHUNK_SYMBOLS.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -41,6 +43,33 @@ def test_traced_layers_resolve():
         assert callable(getattr(importlib.import_module(f"qamseq.{module}"), function))
 
 
+def chunk_divisions(source: str) -> list[int]:
+    """The lines of a module's source that divide or shift CHUNK_SYMBOLS
+    (a name or an attribute) outside the body of a function row_slices."""
+    tree = ast.parse(source)
+    allowed = {line for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "row_slices"
+               for line in range(node.lineno, node.end_lineno + 1)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.FloorDiv, ast.Div, ast.RShift, ast.Mod))
+        and "CHUNK_SYMBOLS" in {getattr(node.left, "id", None), getattr(node.left, "attr", None)}
+        and node.lineno not in allowed)
+
+
+def test_only_row_slices_divides_the_symbol_budget():
+    # every walk and kernel sizes its slices through row_slices; negative
+    # controls: the hand-written rules it replaced are found anywhere else
+    for path in sorted((ROOT / "src" / "qamseq").glob("*.py")):
+        assert chunk_divisions(path.read_text()) == [], path.name
+    rules = ("step = max(1, CHUNK_SYMBOLS // per_row)\n"
+             "step = max(1, CHUNK_SYMBOLS >> (per_row - 1).bit_length())\n"
+             "budget = constructions.CHUNK_SYMBOLS // per_row\n")
+    assert chunk_divisions(rules) == [1, 2, 3]
+    assert chunk_divisions("def row_slices(count, per_row):\n    " + rules.splitlines()[0]) == []
+
+
 def test_public_exports_resolve():
     for name in qamseq.__all__:
         assert getattr(qamseq, name) is not None
@@ -70,7 +99,7 @@ def test_traced_benchmark_child_runs(tmp_path):
     # not call the traced theorem_bound_audit: no audit.distinct_sequences
     assert "audit.distinct_sequences" not in counts
     # one row per 64-record orbit: the walk's one task, a run of the 3 pis
-    # (packed_cells), holds the orbit rows with c_{pi^-1(m-1)} = 0, a
+    # (orbit_runs), holds the orbit rows with c_{pi^-1(m-1)} = 0, a
     # quarter of the 64 orbit rows of each pi, and builds a block of each
     # family per pi over them, under
     # 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets; then the one

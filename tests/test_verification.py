@@ -22,6 +22,7 @@ from oracles import (
     offset_bound_audit,
     offset_block,
     offset_lemma_sweep,
+    run_cells,
 )
 from qamseq import analysis, cli, constructions, verification
 from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
@@ -48,17 +49,18 @@ from qamseq.constructions import (
     Offset16,
     Offset64,
     OffsetKind,
+    _map_cells,
     _offset_list,
     build_block,
     family_cells,
     list_offsets64,
-    map_family_blocks,
     offset_forms,
     offset_kind,
-    orbit_cells,
     orbit_offsets,
     orbit_rows,
+    orbit_runs,
     quarter_shift,
+    row_slices,
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import (
@@ -552,7 +554,7 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     # offset, in the one kernel call that also gives every cross term the
     # codewords and the lemmas need: over the cell's base rows D, the
     # 64 / 4 = 16 orbit rows of the orbit walk's first cell, every row once
-    pi, rows = next(orbit_cells(3, 8 * 16))
+    pi, rows = next(run_cells(3, 8 * 16))
     block = build_block(3, pi, orbit_offsets(Modulation.QAM64), rows)
     assert block.components.shape == (11, 16, 8)
     assert len(block) == 16 * 16
@@ -582,10 +584,13 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
 
 
 def walk_cells(m):
-    """The (pi, rows) cells of the walk of both families, its kernel calls."""
+    """The (pi, rows) cells of the walk of both families, its kernel calls:
+    the row_slices of each cell of its runs at the kernel's footprint over
+    every term plus the symbols of the 18 offsets."""
     n = 1 << m
     per_row = coset_footprint(n, 53) + 18 * n
-    return orbit_cells(m, 1 << (per_row - 1).bit_length())
+    return ((pi, rows[part]) for pi, rows in run_cells(m, 18 * n)
+            for part in row_slices(len(rows), per_row))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -662,11 +667,10 @@ def test_the_component_identity_needs_every_term_and_its_companion(modulation):
 
 
 def test_a_walk_cell_stays_within_its_memory_bound():
-    # one walk cell at m=5: the rows of orbit_cells at per_row, the
-    # kernel's footprint over all 53 terms (unit products and sums) plus the
-    # symbols of the 18 offsets, rounded up to a power of two, hold at most
-    # CHUNK_SYMBOLS complex values.  The kernel copies its product into the
-    # sums, and star_sum stacks the codeword and term sums and their norms:
+    # one walk cell at m=5: the row_slices at per_row, the kernel's
+    # footprint over all 53 terms (unit products and sums) plus the symbols
+    # of the 18 offsets, hold at most CHUNK_SYMBOLS complex values.  The
+    # kernel copies its product into the sums, and star_sum stacks the codeword and term sums and their norms:
     # at most that much again, so the cell's reductions peak below twice
     # CHUNK_SYMBOLS complex values.  Negative control: a cell with twice the
     # rows the cell rule allows goes beyond that bound
@@ -674,9 +678,9 @@ def test_a_walk_cell_stays_within_its_memory_bound():
 
     m, n = 5, 32
     offsets = orbit_offsets(Modulation.QAM16) + orbit_offsets(Modulation.QAM64)
-    per_row = 1 << (coset_footprint(n, 53) + 18 * n - 1).bit_length()
+    per_row = coset_footprint(n, 53) + 18 * n
     pi, rows = next(walk_cells(m))
-    assert len(rows) == CHUNK_SYMBOLS // per_row == 8
+    assert len(rows) == CHUNK_SYMBOLS // per_row == 9
     bound = 2 * CHUNK_SYMBOLS * np.dtype(complex).itemsize
     terms = verification._cell_terms(m, pi, offsets)  # shared by every cell of the pi
     base = base_rows(m, pi, orbit_rows(m)[: 2 * len(rows)])
@@ -693,7 +697,7 @@ def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
     # each walk cell, sized by the kernel's per-row footprint over every
     # term (unit products and sums) plus the symbols of every offset,
     # holds at most CHUNK_SYMBOLS complex values; its kernel call takes
-    # one cell of orbit_cells at that size, and the walk correlates one row
+    # one row slice of a cell of the walk's runs, and the walk correlates one row
     # per quarter-shift orbit of every pi once, with or without the audits
     real = verification.coset_correlation_sums
     calls = []
@@ -717,7 +721,8 @@ def test_lemma_cells_hold_the_kernel_footprint(monkeypatch):
         assert len(calls) - 1 == len(cells)
         for (base, _), (pi, rows) in zip(calls, cells):
             assert np.array_equal(base, base_rows(m, pi, rows))
-        assert sum(len(rows) for _, rows in cells) == len(canonical_permutations(m)) * 4 ** (m - 1)
+        pis = len(list(canonical_permutations(m)))
+        assert sum(len(rows) for _, rows in cells) == pis * 4 ** (m - 1)
         assert calls[-1][0].shape == (1, n) and calls[-1][1] == (n, 1 + 2 * 3 + 2 * 2, n)
 
 
@@ -749,7 +754,7 @@ def test_cell_audit_equals_the_per_offset_reference(m, modulation):
     # holds every orbit of its pi, are the reference's blocks of every
     # offset over every orbit row of that pi, summed
     offsets = orbit_offsets(modulation)
-    pi, rows = next(orbit_cells(m, (1 << m) * len(offsets)))
+    pi, rows = next(run_cells(m, (1 << m) * len(offsets)))
     assert len(rows) == 4**m // SHIFT_ORBIT_SIZE
     summed: dict[str, KindStats] = {}
     for off in _offset_list(modulation):
@@ -849,7 +854,7 @@ def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m
     # every PEP from pep_batch and never screens: its tally is that of an
     # audit whose PEPs are all pep_batch's
     offsets = orbit_offsets(Modulation.QAM16)
-    pi, rows = next(orbit_cells(m, (1 << m) * len(offsets)))
+    pi, rows = next(run_cells(m, (1 << m) * len(offsets)))
     block = build_block(m, pi, offsets, rows[:8])
 
     def refused(z, oversample):
@@ -943,16 +948,16 @@ def packed_walks(m):
                                       (4, ({"walk": 19, "ccdf": 7}, {"walk": 36, "ccdf": 24}))])
 def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     # the walks with their cells packed into runs of at most CHUNK_SYMBOLS
-    # symbols, one orbit_pmeprs call per run, against one cell per run
-    # (packed_cells at a budget of one row): every orbit_walk report, every
-    # one-family bound audit and every family_pmeprs multiset, bit for bit.
+    # symbols, one orbit_pmeprs call per run, against one cell per run (each
+    # run of orbit_runs split into its cells): every orbit_walk report,
+    # every one-family bound audit and every family_pmeprs multiset, bit for bit.
     # At m = 3 a run holds all 3 pis of every walk; at m = 4 one pi fills a
     # run of the walk of both families, and the one-family walks pack 12
     # pis of 16-QAM or 2 of 64-QAM, as ccdf does
     packed = packed_walks(m)
-    real = constructions.packed_cells
     for module in (verification, cli):
-        monkeypatch.setattr(module, "packed_cells", lambda cells, budget: real(cells, 1))
+        monkeypatch.setattr(module, "orbit_runs",
+                            lambda m, per_row: ([cell] for cell in run_cells(m, per_row)))
     unpacked = packed_walks(m)
     assert (packed[2], unpacked[2]) == calls
     assert packed[0] == unpacked[0]
@@ -1099,11 +1104,14 @@ def test_example_star_reads_the_coset_kernel(monkeypatch):
 
 
 def test_fan_out_defaults_to_one_worker(monkeypatch):
-    # the library's fan-out runs in this process unless it is given a
-    # worker count, and refuses a count below 1; a block is one pi's 64
-    # orbit rows with all 8 offsets, and len counts its sequences
+    # the library's one fan-out, _map_cells, runs in this process at one
+    # job, the walks' default, and refuses a count below 1; a cell of
+    # family_cells at the symbols of all 8 offsets is one pi's 64 orbit rows
     monkeypatch.setattr(futures, "ProcessPoolExecutor", None)
-    assert list(map_family_blocks(len, 3, Modulation.QAM16)) == [8 * 64] * 3
+    offsets = _offset_list(Modulation.QAM16)
+    cells = ((3, pi, offsets, rows) for pi, rows in family_cells(3, 8 * len(offsets)))
+    assert list(_map_cells(lambda cell: len(build_block(*cell)), cells, 1)) == [8 * 64] * 3
+    assert theorem_bound_audit(3, Modulation.QAM16).passed
     for jobs in (0, -5):
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {jobs}"):
-            map_family_blocks(len, 3, Modulation.QAM16, jobs)
+            _map_cells(len, iter([]), jobs)

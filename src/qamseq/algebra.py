@@ -62,16 +62,11 @@ def canonical_permutations(m: int) -> Iterator[tuple[int, ...]]:
     return (pi for pi in itertools.permutations(range(m)) if is_canonical(pi))
 
 
-def coefficient_matrix(m: int) -> np.ndarray:
-    """(4^(m+1), m+1) uint8 array of all coefficient tuples, counter order.
-
-    Column m is the constant term and varies fastest; column 0 is the most
-    significant digit.
-    """
-    count = 4 ** (m + 1)
-    idx = np.arange(count, dtype=np.int64)
-    cols = []
-    for pos in range(m + 1):
-        shift = 4 ** (m - pos)
-        cols.append((idx // shift) % 4)
-    return np.stack(cols, axis=1).astype(np.uint8)
+def coefficient_rows(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """(rows, m + 1) uint8 base-4 digits of each value of range(start, stop,
+    step), most significant first: the coefficient rows of the family in
+    counter order, column m the constant, varying fastest.  A walk takes
+    the rows of one slice of the counter at a time, never all 4^(m+1)."""
+    idx = np.arange(start, stop, step, dtype=np.int64)
+    shifts = np.arange(2 * m, -1, -2, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 3).astype(np.uint8)

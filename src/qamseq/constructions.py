@@ -113,7 +113,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .algebra import ZETA, bit_matrix, canonical_permutations, coefficient_matrix
+from .algebra import ZETA, bit_matrix, canonical_permutations, coefficient_rows
 from .constellation import Scale, qam_lattice
 from .gbf import PathQuadratic, base_rows
 
@@ -340,22 +340,24 @@ def _offset_list(modulation: Modulation) -> tuple[Offset, ...]:
 def enumerate_family(m: int, modulation: Modulation) -> Iterator[ConstructionParams]:
     """Lazily yield the parameters of every codeword of the family, with
     nothing built, in the order of the rows and offsets of the blocks of
-    iter_family_chunks: pi lexicographic, then coefficient rows in counter
-    order (the constant fastest), then offsets in list order."""
+    iter_family_chunks: pi lexicographic, then the coefficient rows as a
+    base-4 counter (the constant fastest), then offsets in list order."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
     offsets = _offset_list(modulation)
-    bases = (PathQuadratic(m, pi, tuple(row[:m]), row[m])
-             for pi, rows in _enumerate_cells(m, modulation)
-             for row in _chunk_coeffs(rows, m).tolist())
+    bases = (PathQuadratic(m, pi, row[:m], row[m]) for pi in canonical_permutations(m)
+             for row in itertools.product(range(4), repeat=m + 1))
     return (ConstructionParams(base, offset) for base in bases for offset in offsets)
 
 
 def count_enumerated(m: int, modulation: Modulation) -> int:
     """The parameter sets that enumerate_family yields (matches family_size):
-    the ORBIT_SIZE records per offset of each orbit row of its cells, unbuilt."""
-    rows = sum(len(rows) for _, rows in _enumerate_cells(m, modulation))
-    return ORBIT_SIZE * len(_offset_list(modulation)) * rows
+    one record per offset on each coefficient row of the cells of
+    iter_family_chunks, counted from their counter spans, with no row or
+    codeword built."""
+    offsets = len(_offset_list(modulation))
+    cells = family_cells(m, ORBIT_SIZE * (1 << m) * offsets)
+    return offsets * sum(stop - start for _, (start, stop) in cells)
 
 
 def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
@@ -369,11 +371,6 @@ def companion_sign(m: int, pi: tuple[int, ...]) -> np.ndarray:
 # symbols by zeta^c, an exact lattice rotation, so star, PMEPR, the Golay
 # defect and the component stars are the same on the c = 0, 1, 2, 3 rows
 ORBIT_SIZE = 4
-
-
-def orbit_rows(m: int) -> np.ndarray:
-    """The 4^m constant-0 rows of coefficient_matrix(m), one per constant orbit."""
-    return coefficient_matrix(m)[::ORBIT_SIZE]  # the constant varies fastest
 
 
 # the images of one offset_forms form under conjugation (sigma) and reversal (rho)
@@ -456,51 +453,57 @@ def row_slices(count: int, per_row: int) -> Iterator[slice]:
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """The (pi, orbit rows) cells of every family walk, with nothing built:
-    pi lexicographic, then the row_slices of orbit_rows(m) at per_row, the
-    number of symbols the walk holds per orbit row."""
+def family_cells(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
+    """The (pi, (start, stop)) cells of every family walk, with nothing
+    built: pi lexicographic, then the row_slices of the 4^m constant orbits
+    at per_row, the number of symbols the walk holds per orbit, each as the
+    span of the coefficient counter that holds its orbits' rows, ORBIT_SIZE
+    per orbit, the constant fastest.  A walk generates a cell's rows as it
+    takes the cell: coefficient_rows(m, start, stop) for every constant,
+    and with step ORBIT_SIZE for one row per orbit."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    rows = orbit_rows(m)
     for pi in canonical_permutations(m):
-        for part in row_slices(len(rows), per_row):
-            yield pi, rows[part]
+        for part in row_slices(4 ** m, per_row):
+            yield pi, (ORBIT_SIZE * part.start, ORBIT_SIZE * part.stop)
 
 
 def orbit_runs(m: int, per_row: int) -> Iterator[list[tuple[tuple[int, ...], np.ndarray]]]:
     """The orbit walk as runs of (pi, rows) cells, with nothing built.  Per
-    pi, in lexicographic order, its rows are the orbit rows with
+    pi, in lexicographic order, its rows are the 4^(m-1) orbit rows with
     c_{pi^-1(m-1)} = 0 (the coefficient quarter_shift moves by 1), one per
-    quarter-shift orbit: those of orbit_rows(m) whose last linear
-    coefficient is 0, in order, with that coefficient's column swapped with
-    the one quarter_shift moves by 1.  Consecutive pis whose rows fit one
+    quarter-shift orbit: the coefficient rows whose constant and last
+    linear coefficient are 0, every SHIFT_ORBIT_SIZE * ORBIT_SIZE-th of
+    the counter, in order, with that coefficient's column swapped with the
+    one quarter_shift moves by 1.  Consecutive pis whose rows fit one
     row_slices budget of per_row symbols a row together make a run, a cell
-    each; the rows of a pi that do not are its row_slices, a run each."""
+    each; the rows of a pi that do not are its row_slices, a run each, and
+    each cell's rows are generated as it is made."""
     if m <= 2:
         raise ValueError(f"family defined for m > 2, got m={m}")
-    kept = orbit_rows(m)[::SHIFT_ORBIT_SIZE]  # the last linear coefficient varies fastest
     pis = canonical_permutations(m)
-    for group in row_slices(math.factorial(m) // 2, len(kept) * per_row):
+    for group in row_slices(math.factorial(m) // 2, 4 ** (m - 1) * per_row):
         cells = (cell for pi in itertools.islice(pis, group.stop - group.start)
-                 for cell in _quarter_cells(m, pi, kept, per_row))
+                 for cell in _quarter_cells(m, pi, per_row))
         yield from [list(cells)] if group.stop - group.start > 1 else ([cell] for cell in cells)
 
 
-def _quarter_cells(m: int, pi: tuple[int, ...], kept: np.ndarray, per_row: int) -> Iterator:
-    """The (pi, rows) cells of the row_slices of kept at pi, each with its
-    last linear coefficient's column swapped with the one quarter_shift
-    moves by 1."""
+def _quarter_cells(m: int, pi: tuple[int, ...], per_row: int) -> Iterator:
+    """The (pi, rows) cells of the row_slices of the 4^(m-1) orbit rows of
+    orbit_runs at pi, each with its last linear coefficient's column
+    swapped with the one quarter_shift moves by 1."""
     free, columns = int(np.flatnonzero(quarter_shift(m, pi) == 1)[0]), np.arange(m + 1)
     columns[[free, m - 1]] = m - 1, free
-    return ((pi, kept[part][:, columns]) for part in row_slices(len(kept), per_row))
+    step = SHIFT_ORBIT_SIZE * ORBIT_SIZE
+    return ((pi, coefficient_rows(m, step * part.start, step * part.stop, step)[:, columns])
+            for part in row_slices(4 ** (m - 1), per_row))
 
 
 @dataclass(frozen=True, eq=False)
 class FamilyBlock:
     """Every offset of one (permutation, coefficient rows) cell, vectorized.
 
-    The row axis follows coeffs, rows of coefficient_matrix(m).  Every
+    The row axis follows coeffs, rows of algebra.coefficient_rows.  Every
     codeword is zeta^D * K: base holds the (rows, n) uint8 base rows D,
     parts the (offsets, n) row-free codeword parts K = qam(0, s_j..), forms
     the (1 + forms, n) uint8 row-free values of the components (0 for D,
@@ -590,23 +593,10 @@ def _map_cells(task: Callable, cells: Iterator, jobs: int) -> Iterator:
     return map(task, cells) if jobs == 1 else _pool_map(task, cells, jobs)
 
 
-def _enumerate_cells(m: int, modulation: Modulation) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The cells of iter_family_chunks: it holds an orbit's records for every offset."""
-    return family_cells(m, ORBIT_SIZE * (1 << m) * len(_offset_list(modulation)))
-
-
 def iter_family_chunks(m: int, modulation: Modulation) -> Iterator[FamilyBlock]:
-    """The family as blocks, one per cell of family_cells: every offset, in
-    list order, over the cell's coefficient rows, each orbit row followed by
-    its constants 1 to ORBIT_SIZE - 1."""
+    """The family as blocks, one per cell of family_cells at the symbols of
+    an orbit's records for every offset: every offset, in list order, over
+    the cell's coefficient rows in counter order, the constant fastest."""
     offsets = _offset_list(modulation)
-    for pi, rows in _enumerate_cells(m, modulation):
-        yield build_block(m, pi, offsets, _chunk_coeffs(rows, m))
-
-
-def _chunk_coeffs(rows: np.ndarray, m: int) -> np.ndarray:
-    """The coefficient rows of an enumeration cell: each orbit row followed
-    by its constants 1 to ORBIT_SIZE - 1."""
-    coeffs = np.repeat(rows, ORBIT_SIZE, axis=0)
-    coeffs[:, m] = np.arange(len(coeffs)) % ORBIT_SIZE
-    return coeffs
+    for pi, span in family_cells(m, ORBIT_SIZE * (1 << m) * len(offsets)):
+        yield build_block(m, pi, offsets, coefficient_rows(m, *span))

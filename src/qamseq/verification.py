@@ -95,6 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import coefficient_rows
 from .analysis import (
     coset_correlation_sums,
     coset_footprint,
@@ -589,7 +590,8 @@ def envelope_audit() -> tuple[float, float, float]:
     """(Parseval gap, PEP gap, dense gap): the max relative gaps over the
     envelope family, one row per constant orbit (zeta^c changes neither the
     envelope nor the energy, so a row's gaps are those of its whole orbit),
-    from one block per cell of family_cells, every offset in list order.
+    from one block per cell of family_cells over its constant-0 rows, every
+    offset in list order.
 
     The Parseval gap is between the grid-mean envelope power at L = LOW and
     the sequence energy.  The PEP gaps are between the two oversampling
@@ -598,9 +600,9 @@ def envelope_audit() -> tuple[float, float, float]:
     FFT, so a kernel that ignores its oversampling rate shows in the dense
     gap and not in the first, which compares the FFT with itself.
     """
-    offsets = _offset_list(ENVELOPE_MODULATION)
-    gaps = [_envelope_gaps(build_block(ENVELOPE_M, pi, offsets, rows))
-            for pi, rows in family_cells(ENVELOPE_M, (1 << ENVELOPE_M) * len(offsets))]
+    m, offsets = ENVELOPE_M, _offset_list(ENVELOPE_MODULATION)
+    gaps = [_envelope_gaps(build_block(m, pi, offsets, coefficient_rows(m, *span, ORBIT_SIZE)))
+            for pi, span in family_cells(m, (1 << m) * len(offsets))]
     return tuple(max(g) for g in zip(*gaps))
 
 

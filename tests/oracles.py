@@ -28,13 +28,17 @@ codeword_doc is the JSON document of one codeword built field by field from
 the pointwise components and QAM maps, the reference for the CLI's block
 renderer.
 
+coefficient_matrix is every coefficient row at once, the whole base-4
+counter that algebra.coefficient_rows generates a slice at a time, and
+orbit_rows its constant-0 rows, one per constant orbit.
 parameter_grid is the family's record order as a plain tuple walk.
 full_family_blocks is the family walk over every coefficient row, all four
 constants of each orbit included, one block per pi; full_family_pmeprs takes
 the PMEPR of every record over it.  The library walks one row per orbit of
 zeta^c, conjugation, reversal and the quarter shift and weights it.
-family_blocks builds the blocks of family_cells, and run_cells lists the
-cells of the orbit walk's runs.
+family_rows generates the cells of family_cells one row per constant
+orbit, family_blocks builds their blocks, and run_cells lists the cells of
+the orbit walk's runs.
 image_rows writes the conjugation and reversal of a record's coefficient
 row out from their formulas, for the test that the library's offset
 permutations complete them.  conjugation_reversal_peps is the refinement
@@ -50,12 +54,16 @@ offset_bound_audit, full_bound_audit and offset_lemma_sweep fold them over
 a family.  The walk takes each codeword's sums from its components' terms
 (the component identity); direct_codeword_sums correlates the codewords
 themselves.
+
+traced_peak is the tracemalloc peak of one call, for the tests' memory
+bounds.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
@@ -67,7 +75,7 @@ from qamseq.algebra import (
     ZETA_INT,
     bit_matrix,
     canonical_permutations,
-    coefficient_matrix,
+    coefficient_rows,
 )
 from qamseq.analysis import (
     coset_correlation_sums,
@@ -352,6 +360,28 @@ def components(params: ConstructionParams) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
+def coefficient_matrix(m: int) -> np.ndarray:
+    """(4^(m+1), m+1) uint8 array of all coefficient tuples, counter order:
+    the whole-counter reference of algebra.coefficient_rows.
+
+    Column m is the constant term and varies fastest; column 0 is the most
+    significant digit.
+    """
+    count = 4 ** (m + 1)
+    idx = np.arange(count, dtype=np.int64)
+    cols = []
+    for pos in range(m + 1):
+        shift = 4 ** (m - pos)
+        cols.append((idx // shift) % 4)
+    return np.stack(cols, axis=1).astype(np.uint8)
+
+
+def orbit_rows(m: int) -> np.ndarray:
+    """The 4^m constant-0 rows of coefficient_matrix(m), one per constant
+    orbit, taken from the whole matrix."""
+    return coefficient_matrix(m)[::constructions.ORBIT_SIZE]  # the constant varies fastest
+
+
 def parameter_grid(
     m: int, modulation: Modulation
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, Offset]]:
@@ -376,12 +406,19 @@ def full_family_blocks(
     return [fn(build_block(m, pi, offsets, coeffs)) for pi in canonical_permutations(m)]
 
 
+def family_rows(m: int, per_row: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(pi, rows) of each cell of family_cells, one row per constant orbit:
+    the rows of the envelope audit's blocks."""
+    return ((pi, coefficient_rows(m, *span, constructions.ORBIT_SIZE))
+            for pi, span in family_cells(m, per_row))
+
+
 def family_blocks(m: int, modulation: Modulation) -> list[FamilyBlock]:
     """One block per cell of family_cells at the symbols of every offset,
     each of every offset in list order over its orbit rows: the blocks of
     verification.envelope_audit."""
     offsets = constructions._offset_list(modulation)
-    cells = family_cells(m, (1 << m) * len(offsets))
+    cells = family_rows(m, (1 << m) * len(offsets))
     return [build_block(m, pi, offsets, rows) for pi, rows in cells]
 
 
@@ -575,7 +612,7 @@ def offset_lemma_sweep(m: int) -> tuple[dict[str, float], dict[str, int]]:
     offsets = constructions._offset_list(Modulation.QAM16) + constructions._offset_list(
         Modulation.QAM64
     )
-    for pi, rows in family_cells(m, 1 << m):
+    for pi, rows in family_rows(m, 1 << m):
         base_all = base_rows(m, pi, rows)
         for off in offsets:
             for key, residuals in lemma_residuals(base_all, off, m, pi).items():
@@ -929,3 +966,14 @@ def codeword_doc(
         "pmepr": pmepr_of(seq, oversample),
         "oversample": oversample,
     }
+
+
+def traced_peak(work) -> int:
+    """The tracemalloc peak, in bytes, of one call of work (numpy reports
+    its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,18 +1,18 @@
 import itertools
 import math
-import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bits_of, index_of
+from oracles import bits_of, coefficient_matrix, index_of, traced_peak
 from qamseq.algebra import (
     ZETA,
     ZETA_INT,
     bit_matrix,
     canonical_permutations,
-    coefficient_matrix,
+    coefficient_rows,
     is_canonical,
 )
 
@@ -95,16 +95,6 @@ def test_canonical_permutations_rejects_small_m():
         canonical_permutations(1)
 
 
-def traced_peak(work) -> int:
-    """The tracemalloc peak, in bytes, of one call of work."""
-    tracemalloc.start()
-    try:
-        work()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_canonical_permutations_hold_one_permutation_at_a_time():
     # the permutations come one at a time: the first of m = 10 takes well
     # under 1 MiB, where the list of all 10!/2 of them takes some 200 MiB.
@@ -133,8 +123,8 @@ def test_zeta_product_exhaustive():
             assert zeta(a) * zeta(b) == zeta(a + b)
 
 
-def test_coefficient_matrix_is_base4_counter():
-    mat = coefficient_matrix(2)
+def test_coefficient_rows_are_a_base4_counter():
+    mat = coefficient_rows(2, 0, 4**3)
     assert mat.shape == (4**3, 3)
     listed = [tuple(int(v) for v in row) for row in mat]
     assert listed == list(itertools.product(range(4), repeat=3))
@@ -144,7 +134,22 @@ def test_coefficient_matrix_is_base4_counter():
     assert listed[4] == (0, 1, 0)
 
 
-def test_iter_coefficients_matches_matrix():
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_coefficient_rows_equal_the_counter_reference(m):
+    # the whole counter and slices of it, some starting above 0, at the
+    # steps the walks take: 1 (every constant), 4 (one row per constant
+    # orbit) and 16 (one per quarter-shift orbit)
+    full = coefficient_matrix(m)
+    count = len(full)
+    for start, stop, step in ((0, count, 1), (0, count, 4), (0, count, 16), (4, 4 * 37, 1),
+                              (3, count - 5, 1), (8, count - 4, 4), (16 * 5, 16 * 9, 16),
+                              (7, count, 16)):
+        rows = coefficient_rows(m, start, stop, step)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, full[start:stop:step])
+
+
+def test_iter_coefficients_matches_the_counter_reference():
     pairs = list(iter_coefficients(2))
     mat = coefficient_matrix(2)
     assert len(pairs) == len(mat)

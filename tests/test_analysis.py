@@ -15,13 +15,16 @@ from oracles import (
     ComplexSequence,
     autocorr,
     build_record,
+    family_rows,
     library_pmepr,
     library_star,
+    orbit_rows,
     polyphase,
     primed,
     psi,
     qam16_map,
     qam64_map,
+    traced_peak,
 )
 from qamseq import analysis, constructions
 from qamseq.algebra import ZETA
@@ -54,12 +57,10 @@ from qamseq.constructions import (
     _offset_list,
     build,
     build_block,
-    family_cells,
     form_values,
     iter_family_chunks,
     offset_forms,
     orbit_offsets,
-    orbit_rows,
 )
 from qamseq.gbf import PathQuadratic
 
@@ -406,17 +407,6 @@ def test_per_slice_threshold_peps_give_the_whole_array_curve(n, oversample, modu
                           ccdf(whole / n, thresholds).probabilities)
 
 
-def traced_peak(work) -> int:
-    """The tracemalloc peak, in bytes, of one call of work (numpy reports
-    its array buffers to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        work()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_the_baseline_holds_its_draws_and_its_peps_whole_and_nothing_else():
     # ccdf's baseline path holds one uint8 draw per component and symbol,
     # the PEPs (8 bytes a row, twice while they are concatenated: one byte a
@@ -750,7 +740,7 @@ def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
     controls = (Offset16(0, 0, 0), Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
                 Offset64(OffsetKind.TYPE2, d, 0, 0, 0))
     offsets = _offset_list(modulation)
-    for pi, rows in itertools.islice(family_cells(m, (1 << m) * len(offsets)), cells):
+    for pi, rows in itertools.islice(family_rows(m, (1 << m) * len(offsets)), cells):
         block = build_block(m, pi, offsets, rows)
         base, sign = block.components[0], block.companion_sign
         units = polyphase_lattice(block.components)

@@ -2,13 +2,14 @@ import errno
 import hashlib
 import json
 import os
+import random
 import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import parameter_grid
+from oracles import family_rows, orbit_rows, parameter_grid
 from qamseq import analysis, cli, constructions, verification
 from qamseq.analysis import default_threshold_grid, pep_batch
 from qamseq.cli import (
@@ -33,7 +34,6 @@ from qamseq.constructions import (
     list_offsets16,
     list_offsets64,
     orbit_offsets,
-    orbit_rows,
 )
 from qamseq.gbf import PathQuadratic
 from qamseq.verification import (
@@ -190,7 +190,7 @@ def test_splitting_the_family_into_more_cells_changes_no_result(capsys, monkeypa
     # 200 symbols: 25-row slices of the 64 orbit rows for the n-symbol walks
     # (25, 25, 14), one orbit row per cell for enumerate's 256-symbol rows
     monkeypatch.setattr(constructions, "CHUNK_SYMBOLS", 200)
-    cells = [len(rows) for _, rows in constructions.family_cells(3, 8)]
+    cells = [len(rows) for _, rows in family_rows(3, 8)]
     assert cells == [25, 25, 14] * 3
     assert len(list(constructions.family_cells(3, 256))) == 64 * 3
     assert split_walk_outputs(capsys, tmp_path) == default
@@ -732,6 +732,26 @@ def test_construct_roundtrips_for_every_offset(capsys, tmp_path, pi, c):
         # the one-row render, at constant 1, is the per-record oracle's document
         assert doc == oracles.codeword_doc(params_from_doc(doc)), (modulation, offset)
 
+
+
+@pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
+def test_a_seeded_record_at_m10_roundtrips(capsys, tmp_path, modulation):
+    # one record of n = 1024 symbols through construct and verify --record:
+    # a canonical pi, coefficients and an offset drawn with a fixed seed
+    m, rng = 10, random.Random(10)
+    pi = rng.sample(range(m), m)
+    pi = pi if pi[0] < pi[-1] else pi[::-1]
+    offset = rng.choice(constructions._offset_list(modulation))
+    offset = (offset.d1, offset.d2, offset.d3) if modulation is Modulation.QAM16 else (
+        offset.d.d1, offset.d.d2, offset.d.d3, offset.h1, offset.h3)
+    flags = ["--modulation", modulation.value, "--pi", ",".join(map(str, pi)),
+             "--c", ",".join(str(rng.randrange(4)) for _ in range(m + 1)),
+             "--offset", ",".join(map(str, offset))]
+    doc, path = construct_doc(capsys, tmp_path, flags)
+    assert doc["m"] == m and len(doc["symbols"]) == 1 << m
+    code, out, _ = run(capsys, "verify", "--record", str(path))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 # for every field of a construct document but m and pi, a value of the right
 # JSON type that no regeneration writes there

@@ -35,7 +35,6 @@ from qamseq.constructions import (
     offset_kind,
     offset_symmetries,
     orbit_offsets,
-    orbit_rows,
     orbit_runs,
     quarter_shift,
     row_slices,
@@ -46,20 +45,25 @@ from oracles import (
     bits_of,
     block_records,
     build_record,
+    coefficient_matrix,
     distinct_rows,
+    family_rows,
     family_blocks,
     full_family_blocks,
     offset16_eval,
     offset_eval,
     offset_values,
+    orbit_rows,
     parameter_grid,
     run_cells,
+    traced_peak,
 )
 from qamseq import constructions
-from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
+from qamseq.algebra import ZETA, canonical_permutations, coefficient_rows
 from qamseq.analysis import golay_defect, pep_batch, polyphase_lattice, star_sum
 from qamseq.constellation import Scale, qam_lattice
 from qamseq.gbf import PathQuadratic
+from qamseq.verification import ENVELOPE_MODULATION
 
 EX1_BASE = PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0)
 EX1_PARAMS = ConstructionParams(base=EX1_BASE, offset=Offset16(0, 1, 1))
@@ -361,7 +365,7 @@ def test_block_symbols_are_the_synthesis_of_their_components(m, modulation):
     # qam_lattice over (D, D + s_j..) from base_rows and form_values, whose
     # row-free part the oracle's row_free reads back as K.  Negative
     # control: the synthesis forged on one row is no row-free part's coset
-    walks = ((constructions._offset_list(modulation), family_cells),
+    walks = ((constructions._offset_list(modulation), family_rows),
              (orbit_offsets(modulation), run_cells))
     for offsets, cells_of in walks:
         for pi, rows in cells_of(m, (1 << m) * len(offsets)):
@@ -495,16 +499,16 @@ def test_distinct_rows_sees_a_repeated_offset(monkeypatch):
 def test_family_chunks_stay_within_the_symbol_budget(m, modulation):
     n, offsets = 1 << m, constructions._offset_list(modulation)
     per_row = ORBIT_SIZE * n * len(offsets)
-    (pi, rows), block = next(family_cells(m, per_row)), next(iter_family_chunks(m, modulation))
+    (pi, span), block = next(family_cells(m, per_row)), next(iter_family_chunks(m, modulation))
     assert block.offsets == offsets
     # the first cell's orbit rows, each followed by its constants 1-3: the
-    # first rows of coefficient_matrix, in counter order
-    coeffs = coefficient_matrix(m)[: ORBIT_SIZE * len(rows)]
+    # first rows of the counter, in order
+    coeffs = coefficient_matrix(m)[slice(*span)]
     assert block.pi == pi and np.array_equal(block.coeffs, coeffs)
     assert block.symbols.shape == (len(offsets), len(coeffs), n)
     assert len(coeffs) * n * len(offsets) <= CHUNK_SYMBOLS
-    # as many orbit rows as fit, up to the 4^m of one pi
-    assert len(rows) == min(CHUNK_SYMBOLS // per_row, 4**m)
+    # as many orbits as fit, up to the 4^m of one pi
+    assert span == (0, ORBIT_SIZE * min(CHUNK_SYMBOLS // per_row, 4**m))
 
 
 @pytest.mark.parametrize("modulation", [Modulation.QAM16, Modulation.QAM64])
@@ -525,20 +529,25 @@ def test_family_blocks_hold_every_offset_within_the_symbol_budget(m, modulation)
 
 
 def test_family_cells_shape(monkeypatch):
-    # the cells are orbit-row slices of each pi, and nothing is built for them
+    # the cells are the counter spans of orbit slices of each pi, every
+    # constant of an orbit in one span, and nothing is built for them
     monkeypatch.setattr(constructions, "build_block", None)
+    monkeypatch.setattr(constructions, "coefficient_rows", None)
     for m, per_row, slices in ((6, 64, [512] * 8), (5, 32, [1024]), (3, 1 << 20, [1] * 64)):
         cells = list(family_cells(m, per_row))
         pis = list(canonical_permutations(m))
         assert [pi for pi, _ in cells] == [pi for pi in pis for _ in slices]
-        assert [len(rows) for _, rows in cells] == slices * len(pis)
-        per_pi = np.concatenate([rows for _, rows in cells[: len(slices)]])
-        assert np.array_equal(per_pi, orbit_rows(m))
+        assert [stop - start for _, (start, stop) in cells] == [ORBIT_SIZE * s for s in slices] * len(pis)
+        # each pi's spans tile the counter, in order
+        bounds = [bound for _, span in cells[: len(slices)] for bound in span]
+        assert bounds[0] == 0 and bounds[-1] == 4 ** (m + 1)
+        assert bounds[1:-1:2] == bounds[2::2]
 
 
 def test_orbit_rows_are_the_constant_zero_rows():
+    # every ORBIT_SIZE-th row of the counter, as the walks take them
     for m in (3, 4, 5):
-        full, rows = coefficient_matrix(m), orbit_rows(m)
+        full, rows = coefficient_matrix(m), coefficient_rows(m, 0, 4 ** (m + 1), ORBIT_SIZE)
         assert ORBIT_SIZE * len(rows) == len(full) == 4 ** (m + 1)
         assert not rows[:, m].any()
         # the linear parts in counter order, each once
@@ -848,3 +857,21 @@ def test_orbit_runs_meet_every_orbit_row_once_within_the_symbol_budget(monkeypat
     for m in (1, 2):
         with pytest.raises(ValueError, match="m > 2"):
             next(orbit_runs(m, 144))
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_the_first_cell_of_every_walk_takes_under_a_mebibyte(m):
+    # every walk generates a cell's coefficient rows as it takes the cell,
+    # so its first cell costs what the cell holds, not the family's 4^(m+1)
+    # rows: family_cells at the envelope audit's symbols per orbit, one row
+    # per orbit (family_rows), the orbit walk at verify's (2 + 16 offsets)
+    # and enumerate's first block
+    n, bound = 1 << m, 1 << 20
+    envelope = n * len(constructions._offset_list(ENVELOPE_MODULATION))
+    walks = (lambda: family_rows(m, envelope), lambda: orbit_runs(m, n * 18),
+             lambda: iter_family_chunks(m, Modulation.QAM16))
+    for walk in walks:
+        assert traced_peak(lambda: next(walk())) < bound
+    # negative control: the orbit rows taken from the whole counter at once
+    # exceed the bound already at m = 8
+    assert traced_peak(lambda: orbit_rows(8)) > bound

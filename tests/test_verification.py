@@ -10,6 +10,8 @@ import pytest
 import oracles
 from oracles import (
     audit_block,
+    coefficient_matrix,
+    family_rows,
     full_bound_audit,
     full_family_blocks,
     l1_row_sums,
@@ -22,10 +24,11 @@ from oracles import (
     offset_bound_audit,
     offset_block,
     offset_lemma_sweep,
+    orbit_rows,
     run_cells,
 )
 from qamseq import analysis, cli, constructions, verification
-from qamseq.algebra import ZETA, canonical_permutations, coefficient_matrix
+from qamseq.algebra import ZETA, canonical_permutations
 from qamseq.analysis import (
     coset_footprint,
     default_threshold_grid,
@@ -52,12 +55,10 @@ from qamseq.constructions import (
     _map_cells,
     _offset_list,
     build_block,
-    family_cells,
     list_offsets64,
     offset_forms,
     offset_kind,
     orbit_offsets,
-    orbit_rows,
     orbit_runs,
     quarter_shift,
     row_slices,
@@ -297,7 +298,7 @@ def test_the_per_shift_l1_implies_the_row_sum():
     total = lit = 0
     for m in (3, 4):
         n = 1 << m
-        for pi, rows in family_cells(m, n):
+        for pi, rows in family_rows(m, n):
             base_all = base_rows(m, pi, rows)
             got = _lemma_residuals(base_all, offsets, m, pi)["L1"]
             for values, off in zip(got, offsets, strict=True):
@@ -426,7 +427,7 @@ def test_cell_lemma_residuals_equal_the_per_offset_reference(m):
         Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
     )
     lit = 0
-    for pi, rows in family_cells(m, 1 << m):
+    for pi, rows in family_rows(m, 1 << m):
         base_all = base_rows(m, pi, rows)
         cell = _lemma_residuals(base_all, offsets, m, pi)
         reference: dict[str, list] = {}
@@ -1109,7 +1110,7 @@ def test_fan_out_defaults_to_one_worker(monkeypatch):
     # family_cells at the symbols of all 8 offsets is one pi's 64 orbit rows
     monkeypatch.setattr(futures, "ProcessPoolExecutor", None)
     offsets = _offset_list(Modulation.QAM16)
-    cells = ((3, pi, offsets, rows) for pi, rows in family_cells(3, 8 * len(offsets)))
+    cells = ((3, pi, offsets, rows) for pi, rows in family_rows(3, 8 * len(offsets)))
     assert list(_map_cells(lambda cell: len(build_block(*cell)), cells, 1)) == [8 * 64] * 3
     assert theorem_bound_audit(3, Modulation.QAM16).passed
     for jobs in (0, -5):

@@ -1,5 +1,6 @@
 """The checks behind `qamseq verify`: one orbit walk for the bound audits and
-the lemma sweep, the envelope checks and the reference examples.
+the lemma sweep, and the reference examples; and envelope_audit, the
+envelope kernel's self-test.
 
 A codeword is H = (1 + i) * sum_j w_j * P_j, P_j = zeta^(c_j), w_j =
 2^(k-1-j), over components c_0 = D and c_j = D + s_j, and its companion is
@@ -63,9 +64,19 @@ out the zero-shift term, which for type 1 is genuinely nonzero and belongs
 to the bound.  So each (row, offset) counts for FULL_ORBIT_SIZE //
 ORBIT_SIZE = 16 evaluations.
 
-The bound audit checks, per codeword: the star ceiling, the oversampled
-PMEPR ceiling, pmepr <= star/n, exact Golay cancellation of the base pair,
-and the component star ceilings.  Each (row, offset) of the walk counts for
+The bound audit checks, per codeword: the star ceiling, the PMEPR ceiling,
+pmepr <= star/n, exact Golay cancellation of the base pair, and the
+component star ceilings.  The PMEPR ceiling is certified by the star, with
+no sample: PEP(H) <= max_t (|S_H(t)|^2 + |S_H'(t)|^2) <= sum_u |C_H(u) +
+C_H'(u)|, the triangle inequality on the Fourier series of |S_H|^2 +
+|S_H'|^2, so the continuous PMEPR is at most star/n, and a kind's PMEPR
+check holds where its largest star/n meets the ceiling.  A sampled
+maximum could not certify it: the L-times oversampled peak power may lie
+below the continuous one by up to the factor 1/cos(pi/(2L))^2, 1.0097 at
+L = 16 (Sharif, Gharavi-Alkhansari and Khalaj, IEEE Trans. Commun. 51(1),
+2003).
+The sampled PMEPRs are still reported, each kind's maximum, and held to
+pmepr <= star/n.  Each (row, offset) of the walk counts for
 the FULL_ORBIT_SIZE records of its orbit of zeta^c, conjugation, reversal
 and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
@@ -80,10 +91,12 @@ offset kind and its lemma maxima and counts; the reports are their sums
 (counts add, extrema take min/max, flags AND), the same in any order, for
 any cell size, run and worker count.
 
-The envelope checks hold the envelope kernel to Parseval and to its
+envelope_audit holds the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
-walk.  A report's passed is the AND of its own checks(), the verdicts that
-`qamseq verify` prints and exits on.
+walk: a self-test of the FFT kernel on a fixed family, which the tests run
+and `qamseq verify` does not, as no verdict of verify reads it.  A report's
+passed is the AND of its own checks(), the verdicts that `qamseq verify`
+prints and exits on.
 """
 from __future__ import annotations
 
@@ -138,7 +151,6 @@ from .constructions import (
 from .gbf import PathQuadratic, base_rows
 
 STAR_TOL = 1e-9
-PMEPR_TOL = 0.01
 
 # cross-term weights a1*a2, a1*a3, a2*a3 with (a1, a2, a3) = (4, 2, 1)/sqrt(21)
 _A1A2 = 8.0 / 21.0
@@ -266,10 +278,10 @@ def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndar
     """The audit tally of each offset kind of a task's pieces, one per pi of
     its run, each a block per family, each (offset, row) counted as the
     FULL_ORBIT_SIZE records of its orbit, from the stars and Golay defects
-    of their cells, rows in piece order.  Its PMEPR decisions, p <= bound +
-    PMEPR_TOL, p <= star/n + STAR_TOL and the kind's max over the run, are
-    one analysis.orbit_pmeprs call over the rows of every piece, as over
-    every record."""
+    of their cells, rows in piece order.  Its PMEPR decisions, p <= star/n
+    + STAR_TOL and the kind's max over the run, are one
+    analysis.orbit_pmeprs call over the rows of every piece, as over every
+    record; no decision compares a sampled PMEPR with a ceiling."""
     # the first piece's blocks give the offsets, kinds and scales of every piece
     n, rows, codewords = 1 << pieces[0][0].m, stars.shape[1], len(terms.weights)
     scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in pieces[0]])
@@ -280,17 +292,14 @@ def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndar
     kinds = [kind for block in pieces[0] for kind in block.kinds]
     order = list(dict.fromkeys(kinds))
     kind_of = np.array([order.index(kind) for kind in kinds])
-    bounds = np.array([CEILINGS[kind][0] for kind in order])
-    # every codeword's decision points, its ceiling plus PMEPR_TOL and its
-    # star/n plus STAR_TOL, and its kind's max
-    points = np.stack(np.broadcast_arrays(
-        (bounds + PMEPR_TOL)[kind_of, None], star_over_n + STAR_TOL), axis=-1).reshape(-1, 2)
+    # every codeword's decision point, its star/n plus STAR_TOL, and its kind's max
+    points = (star_over_n + STAR_TOL).reshape(-1, 1)
     values, records, at = orbit_pmeprs(z, oversample, points, np.repeat(kind_of, rows))
     out = []
     for k, kind in enumerate(order):
         mask, mine = kind_of == k, kind_of[at // rows] == k
         s, index = star_over_n[mask], np.array([terms.index[o] for o in np.flatnonzero(mask)])
-        ok = s <= bounds[k] + STAR_TOL
+        ok = s <= CEILINGS[kind][0] + STAR_TOL
         if kind == "qam16":
             # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
             # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
@@ -301,9 +310,8 @@ def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndar
         if kind == "type1":
             # type 1 first component is base + linear offset: still a Golay pair
             component_ok &= bool(np.all(golay[index[:, 1]] == 0))
-        pmepr_ok = int(np.sum(records[mine][values[mine] <= bounds[k] + PMEPR_TOL]))
         out.append(KindStats(
-            kind, FULL_ORBIT_SIZE * s.size, FULL_ORBIT_SIZE * int(np.count_nonzero(ok)), pmepr_ok,
+            kind, FULL_ORBIT_SIZE * s.size, FULL_ORBIT_SIZE * int(np.count_nonzero(ok)),
             float(np.min(s)), float(np.max(s)), float(np.max(values[mine])), int(golay[0]),
             component_ok, bool(np.all(values[mine] <= star_over_n.ravel()[at[mine]] + STAR_TOL))))
     return out
@@ -444,7 +452,6 @@ class KindStats:
     kind: str
     total: int
     star_ok: int
-    pmepr_ok: int
     min_star_over_n: float
     max_star_over_n: float
     max_pmepr: float
@@ -465,7 +472,6 @@ class KindStats:
             kind=self.kind,
             total=self.total + other.total,
             star_ok=self.star_ok + other.star_ok,
-            pmepr_ok=self.pmepr_ok + other.pmepr_ok,
             min_star_over_n=min(self.min_star_over_n, other.min_star_over_n),
             max_star_over_n=max(self.max_star_over_n, other.max_star_over_n),
             max_pmepr=max(self.max_pmepr, other.max_pmepr),
@@ -524,9 +530,12 @@ class BoundAuditReport:
                 f"{prefix}.{k.kind}.star", k.star_ok == k.total,
                 f"max star/n = {k.max_star_over_n:.12f} (min {k.min_star_over_n:.12f}, "
                 f"exact bound {k.exact_bound})", f"{star_req} on {k.total} records"))
-            out.append(CheckResult(f"{prefix}.{k.kind}.pmepr", k.pmepr_ok == k.total,
+            # the verdict is the certified chain pmepr <= star/n <= ceiling; the
+            # sampled maximum is reported, and held to star/n by pmepr_le_star
+            out.append(CheckResult(f"{prefix}.{k.kind}.pmepr",
+                                   k.max_star_over_n <= k.bound + STAR_TOL,
                                    f"max pmepr(L={self.oversample}) = {k.max_pmepr:.12f}",
-                                   f"<= {k.bound} + {PMEPR_TOL}"))
+                                   f"continuous pmepr <= star/n <= {k.bound} + {STAR_TOL}"))
         # (check, verdict, observed if it holds, observed if not, requirement)
         flags = (
             ("golay_base_pair", self.golay_exact, "exact integer cancellation", "defect found",
@@ -555,7 +564,7 @@ def theorem_bound_audit(m: int, modulation: Modulation, oversample: int = 16,
     return orbit_walk(m, oversample, jobs, (modulation,))[0][0]
 
 
-# the family of the envelope checks, and their two oversampling rates:
+# the family of the envelope kernel's self-test, and its two oversampling rates:
 # L = LOW, the audits' default rate, and L = HIGH, its reference
 ENVELOPE_M, ENVELOPE_MODULATION = 3, Modulation.QAM16
 LOW, HIGH = 16, 32
@@ -616,22 +625,6 @@ def parseval_audit() -> float:
     return envelope_audit()[0]
 
 
-def envelope_checks() -> list[CheckResult]:
-    """The Parseval and oversampling-adequacy checks of the envelope kernel."""
-    family = f"the m={ENVELOPE_M} {ENVELOPE_MODULATION.value} family"
-    parseval, gap, dense_gap = envelope_audit()
-    records = family_size(ENVELOPE_M, ENVELOPE_MODULATION)
-    return [
-        CheckResult("analysis.parseval", parseval <= 1e-9,
-                    f"max relative gap {parseval:.3e} over all {records} codewords of {family}",
-                    "<= 1e-9 relative"),
-        CheckResult("analysis.oversampling_adequacy", gap <= 0.005 and dense_gap <= 1e-9,
-                    f"max relative PEP gap L={LOW} vs L={HIGH}: {gap:.3e}; "
-                    f"FFT vs dense DFT at L={HIGH}: {dense_gap:.3e}",
-                    f"<= 0.5% and <= 1e-9 relative over {family}"),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # reference-example regression
 # ---------------------------------------------------------------------------
@@ -644,6 +637,8 @@ EXAMPLE2_PARAMS = ConstructionParams(
     base=PathQuadratic(m=3, pi=(0, 1, 2), linear=(1, 1, 1), constant=0),
     offset=Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0),
 )
+# the examples' published PMEPRs have one decimal: each sampled PMEPR is held
+# to that value, not to a ceiling, so this tolerance is not a bound's slack
 EXAMPLE_PMEPR_TOL = 0.05
 
 # per example: check-name prefix, parameters, component sequences by check

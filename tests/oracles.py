@@ -105,7 +105,7 @@ from qamseq.constructions import (
     star_bound,
 )
 from qamseq.gbf import PathQuadratic, base_rows
-from qamseq.verification import PMEPR_TOL, STAR_TOL, BoundAuditReport, KindStats
+from qamseq.verification import STAR_TOL, BoundAuditReport, KindStats
 
 # ---------------------------------------------------------------------------
 # the int64 record form of a codeword
@@ -535,7 +535,6 @@ def audit_block(block: OffsetBlock, oversample: int, weight: int) -> KindStats:
         kind=block.kind,
         total=weight * len(block.coeffs),
         star_ok=weight * int(np.count_nonzero(ok)),
-        pmepr_ok=weight * int(np.count_nonzero(pmeprs <= bound + PMEPR_TOL)),
         min_star_over_n=float(np.min(star_over_n)),
         max_star_over_n=float(np.max(star_over_n)),
         max_pmepr=float(np.max(pmeprs)),

@@ -21,7 +21,6 @@ from qamseq.verification import (
 )
 
 STAR_TOL = 1e-9
-PMEPR_TOL = 0.01
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -71,7 +70,8 @@ def test_criterion_2_theorem1_bounds(audit_16_m3, audit_16_m4):
     for audit in (audit_16_m3, audit_16_m4):
         (stats,) = audit.kinds
         star_ok = stats.star_ok == stats.total and stats.max_star_over_n <= 2.4 + STAR_TOL
-        pmepr_ok = stats.pmepr_ok == stats.total and stats.max_pmepr <= 2.4 + PMEPR_TOL
+        # the PMEPR bound is certified by the star: pmepr <= star/n <= 2.4
+        pmepr_ok = audit.pmepr_le_star_ok and stats.max_pmepr <= stats.max_star_over_n + STAR_TOL
         ok &= star_ok and pmepr_ok
         details.append(
             f"m={audit.m}: {stats.total} records, max star/n {stats.max_star_over_n:.9f}, "
@@ -88,10 +88,11 @@ def test_criterion_3_theorem2_bounds(audit_64_m3):
     ok = (
         t1.star_ok == t1.total
         and t1.max_star_over_n <= 3.62 + STAR_TOL
-        and t1.max_pmepr <= 3.62 + PMEPR_TOL
+        and t1.max_pmepr <= t1.max_star_over_n + STAR_TOL
         and t2.star_ok == t2.total
         and t2.max_star_over_n <= 2.48 + STAR_TOL
-        and t2.max_pmepr <= 2.48 + PMEPR_TOL
+        and t2.max_pmepr <= t2.max_star_over_n + STAR_TOL
+        and audit_64_m3.pmepr_le_star_ok
         and audit_64_m3.total == 49152
     )
     report(

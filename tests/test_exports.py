@@ -5,7 +5,8 @@ its LAYERS and ITERATOR_LAYERS with getattr; a deleted or renamed function
 makes that run raise AttributeError, which no other test would notice.  Its
 count functions read attributes of the results and arguments of the traced
 calls, so one traced run checks those too.  The package's one memory rule,
-constructions.row_slices, is the only code that divides CHUNK_SYMBOLS.
+constructions.row_slices, is the only code that divides CHUNK_SYMBOLS; no
+verdict has a PMEPR_TOL slack; and verify's checks keep their names and order.
 """
 
 import ast
@@ -13,6 +14,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import qamseq
-from qamseq import analysis
+from qamseq import analysis, cli
 from qamseq.analysis import default_threshold_grid, random_baseline
 from qamseq.constructions import Modulation
 
@@ -70,6 +72,53 @@ def test_only_row_slices_divides_the_symbol_budget():
     assert chunk_divisions("def row_slices(count, per_row):\n    " + rules.splitlines()[0]) == []
 
 
+def tolerance_lines(source: str) -> list[int]:
+    """The lines of a source text that name PMEPR_TOL, in code, a string or
+    a comment; EXAMPLE_PMEPR_TOL is another name."""
+    return [number for number, line in enumerate(source.splitlines(), 1)
+            if re.search(r"\bPMEPR_TOL\b", line)]
+
+
+def test_no_verdict_has_a_pmepr_tolerance():
+    # every bound audit's PMEPR verdict reads the certified chain pmepr <=
+    # star/n <= ceiling, with no slack on a sampled value; negative
+    # controls: each way the old tolerance could come back is found
+    for path in sorted((ROOT / "src" / "qamseq").glob("*.py")):
+        assert tolerance_lines(path.read_text()) == [], path.name
+    comebacks = ("PMEPR_TOL = 0.01\n"
+                 "ok = p <= bound + verification.PMEPR_TOL\n"
+                 "from .verification import PMEPR_TOL\n"
+                 "requirement = f'<= {bound} + PMEPR_TOL'\n")
+    assert tolerance_lines(comebacks) == [1, 2, 3, 4]
+    assert tolerance_lines("EXAMPLE_PMEPR_TOL = 0.05\nx = EXAMPLE_PMEPR_TOL\n") == []
+
+
+# the checks of verify --suite all --m 3, in report order
+VERIFY_ALL_M3_CHECKS = [
+    *(f"example1.{c}" for c in ("base_sequence", "offset_component", "symbols", "pmepr",
+                                 "star_bound")),
+    *(f"example2.{c}" for c in ("component0", "component1", "component2", "symbols", "pmepr",
+                                 "star_bound")),
+    *(f"lemma.{lemma}.max_residual" for lemma in ("L1", "L2a", "L2b", "L2c", "L3a", "L3b", "L3c")),
+    *(f"lemma.negative_control.{lemma}" for lemma in ("L1", "L2", "L3")),
+    *(f"bounds.{modulation}.m3.{check}"
+      for modulation, kinds in (("16qam", ("qam16",)), ("64qam", ("type1", "type2")))
+      for check in ("count", *(f"{kind}.{c}" for kind in kinds for c in ("star", "pmepr")),
+                    "golay_base_pair", "component_stars", "pmepr_le_star",
+                    "strictly_near_complementary", "distinct_sequences")),
+]
+
+
+def test_verify_check_names_are_pinned(tmp_path):
+    # a dropped, renamed or reordered check shows here by name, not only as
+    # the pinned report's sha256 mismatch
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "all", "--m", "3", "--out", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert len(VERIFY_ALL_M3_CHECKS) == 39
+    assert names == VERIFY_ALL_M3_CHECKS
+
+
 def test_public_exports_resolve():
     for name in qamseq.__all__:
         assert getattr(qamseq, name) is not None
@@ -102,11 +151,11 @@ def test_traced_benchmark_child_runs(tmp_path):
     # (orbit_runs), holds the orbit rows with c_{pi^-1(m-1)} = 0, a
     # quarter of the 64 orbit rows of each pi, and builds a block of each
     # family per pi over them, under
-    # 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets; then the one
-    # envelope walk of the 16-QAM family, which keeps every offset and every
-    # orbit row (1 536 rows)
+    # 2 of the 8 16-QAM offsets and 16 of the 64 64-QAM offsets.  verify
+    # runs no envelope self-test (verification.envelope_audit), so nothing
+    # else is synthesised
     walked = 3 * (64 // 4) * 2 + 3 * (64 // 4) * 16
-    assert counts["synthesis.rows"] == walked + 1536 == 2400
+    assert counts["synthesis.rows"] == walked == 864
     # one polyphase_lattice per pi for the terms of the 2 + 16 orbit
     # offsets, which every walk cell of the pi shares, and one for the
     # negative controls' terms; the sums come from coset_correlation_sums,
@@ -115,18 +164,16 @@ def test_traced_benchmark_child_runs(tmp_path):
     assert counts["correlation.calls"] == 3 * 1 + 1 == 4
     # pep_batch points at n=8: the audit screens the run's 864 rows in
     # complex64 (threshold_peps, no FFT) in one call and runs pep_batch, at
-    # L=16, only on the rows the screen cannot decide.  No screened PMEPR
-    # lies within screen_margin / n of its ceiling plus PMEPR_TOL or its
-    # star/n plus STAR_TOL, and the rows that could hold their kind's max
-    # over the run are the 9 within pep_spread of it (4 16-QAM rows, 1
-    # type 1 and 4 type 2 rows).  orbit_peps computes the 15 other
-    # conjugation x reversal x quarter-shift images of each of them.  Then
-    # the envelope walk runs at L=32; its L=16 peaks come from the envelope
-    # that also gives the Parseval mean, through envelope_power_batch,
-    # which is not a traced name
+    # L=16, only on the rows the screen cannot decide.  A row's one decision
+    # point is its star/n plus STAR_TOL (no PMEPR verdict reads a ceiling),
+    # and no screened PMEPR lies within screen_margin / n of it; the rows
+    # that could hold their kind's max over the run are the 9 within
+    # pep_spread of it (4 16-QAM rows, 1 type 1 and 4 type 2 rows).
+    # orbit_peps computes the 15 other conjugation x reversal x
+    # quarter-shift images of each of them.  No L=32 envelope runs
     refined = 4 + 1 + 4
     audited = refined + 15 * refined
-    assert counts["envelope.fft_points"] == 8 * (16 * audited + 32 * 1536) == 411648
+    assert counts["envelope.fft_points"] == 8 * 16 * audited == 18432
     # the family walk synthesises one row per 64-record orbit: a 64th of the
     # 6 144 records of 16-QAM m=3.  threshold_peps screens its 96 rows and
     # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and

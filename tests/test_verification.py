@@ -70,7 +70,6 @@ from qamseq.verification import (
     KindStats,
     _envelope_gaps,
     envelope_audit,
-    envelope_checks,
     example_regression,
     lemma_sweep,
     negative_controls,
@@ -452,7 +451,7 @@ def test_bound_audit_16qam_m3():
     assert report.distinct_sequences == 6144
     (stats,) = report.kinds
     assert stats.kind == "qam16"
-    assert stats.star_ok == stats.pmepr_ok == 6144
+    assert stats.star_ok == 6144
     assert stats.max_star_over_n <= 2.4 + 1e-9
     assert stats.max_star_over_n > 2.0
     assert stats.max_pmepr <= 2.41
@@ -871,12 +870,11 @@ def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m
     assert walk_audit(block, oversample) == stats
 
 
-@pytest.mark.parametrize("tolerance", ["PMEPR_TOL", "STAR_TOL"])
-def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolerance):
-    # the audit compares a row's PMEPR with the ceiling plus PMEPR_TOL, with
-    # its star/n plus STAR_TOL and with the kind's max.  A tolerance moved so
-    # that its point lands on one row's PMEPR must send that row, and only
-    # rows that near, to orbit_peps for its images' PEPs
+def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch):
+    # the audit compares a row's PMEPR with its star/n plus STAR_TOL and
+    # with the kind's max, and with no ceiling.  STAR_TOL moved so that one
+    # row's point lands on its PMEPR must send that row, and only rows that
+    # near, to orbit_peps for its images' PEPs
     block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
     terms = verification._cell_terms(3, (0, 1, 2), block.offsets)
     stars = verification._reductions(block.components[0], terms)[0]
@@ -884,7 +882,6 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolera
     s = (stars[: len(block.offsets)] / 42 / 8)[type2].ravel()
     p = np.stack([pep_batch(z, 16) for z in block.complex_symbols()])[type2].ravel() / 8
     row = int(np.argsort(p)[len(p) // 2])  # a middling PMEPR, far from the max
-    point = {"PMEPR_TOL": CEILINGS["type2"][0], "STAR_TOL": s[row]}[tolerance]
     real, marked = analysis.orbit_peps, []
 
     def spy(z, peps, near, oversample):
@@ -895,19 +892,19 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch, tolera
     monkeypatch.setattr(analysis, "orbit_peps", spy)
     cell_stats(block)
     assert not marked[0][row]
-    monkeypatch.setattr(verification, tolerance, p[row] - point)
+    monkeypatch.setattr(verification, "STAR_TOL", p[row] - s[row])
     marked.clear()
     cell_stats(block)
     assert marked[0][row]
-    points = [p.max(), CEILINGS["type2"][0] + verification.PMEPR_TOL, s + verification.STAR_TOL]
+    points = [p.max(), s + verification.STAR_TOL]
     near = [np.abs(p - point) <= pep_spread(16 * 8) * p for point in points]
-    assert np.array_equal(marked[0], near[0] | near[1] | near[2])
+    assert np.array_equal(marked[0], near[0] | near[1])
 
 
 def test_kind_stats_add():
-    a = KindStats("type1", 10, 9, 10, 0.5, 3.0, 2.9, 0, True, True)
-    b = KindStats("type1", 5, 5, 4, 0.6, 3.5, 2.8, 2, False, True)
-    total = KindStats("type1", 15, 14, 14, 0.5, 3.5, 2.9, 2, False, True)
+    a = KindStats("type1", 10, 9, 0.5, 3.0, 2.9, 0, True, True)
+    b = KindStats("type1", 5, 5, 0.6, 3.5, 2.8, 2, False, True)
+    total = KindStats("type1", 15, 14, 0.5, 3.5, 2.9, 2, False, True)
     assert a + b == b + a == total
     assert (total.bound, total.exact_bound) == CEILINGS["type1"]
 
@@ -968,13 +965,16 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
         assert np.array_equal(records, unpacked[1][kind][1])
 
 
-def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monkeypatch, capsys):
+def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceiling(
+        monkeypatch, capsys):
     # negative control: the first record of the first type 2 orbit offset
     # of the first cell reads one lattice unit (1/42) above the published type 2
     # ceiling: its zero-shift sum, in the codeword sums of the component
     # identity, is raised by the gap, which raises its star by exactly that
-    # much (T(0) > 0).  The walk of both families holds the 2 16-QAM offsets
-    # before the 16 64-QAM ones
+    # much (T(0) > 0).  The kind's PMEPR verdict is the chain pmepr <=
+    # star/n <= ceiling, so it fails with the star, though no sampled PEP
+    # moves.  The walk of both families holds the 2 16-QAM offsets before
+    # the 16 64-QAM ones
     from qamseq.cli import main
 
     first_type2 = [offset_kind(o) for o in orbit_offsets(Modulation.QAM64)].index("type2")
@@ -990,8 +990,9 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
         return codewords
 
     monkeypatch.setattr(verification, "_codeword_sums", one_over)
+    over = ["bounds.64qam.m3.type2.star", "bounds.64qam.m3.type2.pmepr"]
     report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
-    assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.type2.star"]
+    assert [c.name for c in report.checks() if not c.passed] == over
     assert not report.passed
     by_kind = {k.kind: k for k in report.kinds}
     # the forged row is an orbit representative: its star fails for the
@@ -1004,7 +1005,47 @@ def test_bound_audit_fails_only_the_star_check_of_the_kind_over_its_ceiling(monk
     forged.clear()
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.64qam.m3.type2.star"]
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == over
+
+
+def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatch, capsys):
+    # negative control: the first row of the first orbit_pmeprs call, the
+    # first orbit offset's first row, has its sampled PEP forged to its
+    # star/n plus 1e-3 (its decision point is star/n + STAR_TOL).  pmepr <=
+    # star/n fails for that row; each kind's pmepr check reads the star, not
+    # a sample, so it stays passed, as does every other check.  The walk of
+    # both families holds the 16-QAM offsets first
+    from qamseq.cli import main
+
+    real = analysis.threshold_peps
+    forged = []
+
+    def over(z, oversample, points, groups=None):
+        peps = real(z, oversample, points, groups)
+        if not forged:
+            peps[0] = (points[0, 0] + 1e-3) * z.shape[1]
+            forged.append(peps[0] / z.shape[1])
+        return peps
+
+    monkeypatch.setattr(analysis, "threshold_peps", over)
+    report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
+    assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.pmepr_le_star"]
+    assert all(c.passed for c in report.checks() if c.name.endswith(".pmepr"))
+    assert len(forged) == 1
+    forged.clear()
+    assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.16qam.m3.pmepr_le_star"]
+
+
+def envelope_failures(gaps):
+    """The bounds of the envelope kernel's self-test that envelope_audit's
+    (Parseval, PEP, dense) gaps break: Parseval <= 1e-9 relative, and PEP
+    gap L=16 vs L=32 <= 0.5 % with FFT vs dense DFT <= 1e-9 relative."""
+    parseval, gap, dense_gap = gaps
+    verdicts = (("parseval", parseval <= 1e-9),
+                ("oversampling_adequacy", gap <= 0.005 and dense_gap <= 1e-9))
+    return [name for name, passed in verdicts if not passed]
 
 
 def test_oversampling_audit_within_half_percent():
@@ -1016,36 +1057,28 @@ def test_dense_envelope_gap_machine_precision():
     assert oversampling_audit()[1] <= 1e-9
 
 
-def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch, capsys):
+def test_oversampling_check_fails_on_a_kernel_that_ignores_oversample(monkeypatch):
     # negative control: an envelope FFT stuck at 2n points agrees with itself
     # at L=16 and L=32, so only the dense-DFT reference can see it.  The
     # envelope walk takes its L=16 PEP from envelope_power_batch and its
     # L=32 PEP from pep_batch, which calls the analysis module's
     # envelope_power_batch: the broken kernel replaces both names
-    from qamseq import analysis, verification
-    from qamseq.cli import main
-
     def two_n_grid(z, oversample=16):
         n = z.shape[1]
         return np.abs(np.fft.ifft(z, n=2 * n, axis=1) * 2 * n) ** 2
 
     monkeypatch.setattr(analysis, "envelope_power_batch", two_n_grid)
     monkeypatch.setattr(verification, "envelope_power_batch", two_n_grid)
-    gap, dense_gap = oversampling_audit()
-    assert gap == 0.0
-    assert dense_gap > 1e-9
-    assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
-        "analysis.oversampling_adequacy"
-    ]
+    gaps = envelope_audit()
+    assert gaps[1:] == oversampling_audit()
+    assert gaps[1] == 0.0
+    assert gaps[2] > 1e-9
+    assert envelope_failures(gaps) == ["oversampling_adequacy"]
 
 
 def test_parseval_audit_machine_precision():
     assert parseval_audit() <= 1e-9
-    (check,) = [c for c in envelope_checks() if c.name == "analysis.parseval"]
-    assert check.passed
-    assert check.observed.endswith("over all 6144 codewords of the m=3 16qam family")
+    assert envelope_failures(envelope_audit()) == []
 
 
 def test_envelope_audit_equals_the_full_walk():
@@ -1063,7 +1096,24 @@ def test_parseval_check_fails_on_an_envelope_off_by_one_part_in_a_million(monkey
     monkeypatch.setattr(
         verification, "envelope_power_batch", lambda z, oversample: real(z, oversample) * (1 + 1e-6)
     )
-    assert [c.name for c in envelope_checks() if not c.passed] == ["analysis.parseval"]
+    assert envelope_failures(envelope_audit()) == ["parseval"]
+
+
+def test_verify_leaves_the_envelope_self_test_to_the_tests(monkeypatch, capsys):
+    # the envelope kernel's self-test runs here, in the tests, and not in
+    # verify: with it refused, both suites that walk the bound audits still
+    # pass, and no report names an analysis.* check
+    from qamseq.cli import main
+
+    def refused():
+        raise AssertionError("verify ran the envelope self-test")
+
+    monkeypatch.setattr(verification, "envelope_audit", refused)
+    for suite in ("all", "bounds"):
+        assert main(["verify", "--suite", suite, "--m", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"]
+        assert not [c["name"] for c in report["checks"] if c["name"].startswith("analysis.")]
 
 
 def test_example_regression_all_pass():

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -52,43 +51,29 @@ def pmepr(z: np.ndarray, oversample: int = 16) -> float:
     return float(pep_batch(z[None, :], oversample)[0]) / len(z)
 
 
-@dataclass(frozen=True, eq=False)
-class CcdfCurve:
-    """Exceedance curve: probability that PMEPR strictly exceeds a threshold."""
-
-    thresholds: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=float)
-        p = np.asarray(self.probabilities, dtype=float)
-        if t.shape != p.shape or t.ndim != 1:
-            raise ValueError("thresholds and probabilities must be 1-d, equal length")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "probabilities", p)
-
-
 def default_threshold_grid() -> np.ndarray:
     """Linear PMEPR thresholds 1.0 .. 10.0 in steps of 0.05."""
     return np.linspace(1.0, 10.0, 181)
 
 
-def ccdf(values, thresholds, weights=None) -> CcdfCurve:
-    """Empirical CCDF of PMEPR samples on an ascending threshold grid: the
-    share of samples strictly above each threshold, from one sort.  Sample k
-    counts weights[k] times (an integer, 1 by default): each share is the
-    integer weight above the threshold over the integer total."""
+def ccdf(values, thresholds, weights=None) -> np.ndarray:
+    """Empirical CCDF of PMEPR samples on a 1-d, strictly increasing
+    threshold grid: the share of samples strictly above each threshold, from
+    one sort.  Sample k counts weights[k] times (an integer, 1 by default):
+    each share is the integer weight above the threshold over the integer
+    total."""
     v = np.asarray(values, dtype=float)
+    t = np.asarray(thresholds, dtype=float)
     if v.size == 0:
         raise ValueError("need at least one PMEPR sample")
+    if t.ndim != 1:
+        raise ValueError("thresholds must be 1-d")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("thresholds must be strictly increasing")
     w = np.ones(v.size, np.int64) if weights is None else np.asarray(weights, np.int64)
     order = np.argsort(v, kind="stable")
     above = np.append(np.cumsum(w[order][::-1])[::-1], 0)  # the weight from each index on
-    t = np.asarray(thresholds, dtype=float)
-    probs = above[np.searchsorted(v[order], t, side="right")] / above[0]
-    return CcdfCurve(thresholds=t, probabilities=probs)
+    return above[np.searchsorted(v[order], t, side="right")] / above[0]
 
 
 def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> Iterator[np.ndarray]:
@@ -288,11 +273,8 @@ def _pep_error(grid: int) -> float:
 
 
 def _point_distance(values: np.ndarray, points) -> np.ndarray:
-    """The distance from each value to the nearest of the points: ascending
-    (k,) points shared by every value, or a (B, k) row of each value's own."""
+    """The distance from each value to the nearest of the ascending points."""
     points = np.asarray(points, dtype=float)
-    if points.ndim == 2:
-        return np.min(np.abs(values[:, None] - points), axis=1)
     i = np.searchsorted(points, values)
     below = np.abs(values - points[np.maximum(i - 1, 0)])
     above = np.abs(points[np.minimum(i, len(points) - 1)] - values)
@@ -376,12 +358,11 @@ def threshold_peps(z: np.ndarray, oversample: int, points, groups=None) -> np.nd
     """PEPs per row of a (B, n) complex array whose comparisons peps / n > t
     with each of the points t come out as those of pep_batch(z, oversample):
     screen_peps, and pep_batch's own value on each row whose screened PEP
-    over n lies within screen_margin over n of a point.  The points are
-    ascending and shared by every row, or a (B, k) row of each row's own.
-    n is a power of two wherever the screen runs, so the divisions are
-    exact.  Off those rows, the screened and the float64 PEP differ by at
-    most half the margin, so they fall on the same side of every point of
-    the row, and farther from it than pep_spread times themselves (the
+    over n lies within screen_margin over n of a point, ascending points
+    shared by every row.  n is a power of two wherever the screen runs, so
+    the divisions are exact.  Off those rows, the screened and the float64
+    PEP differ by at most half the margin, so they fall on the same side of
+    every point, and farther from it than pep_spread times themselves (the
     margin is at least 12u * S1^2, pep_spread some 1e-13): near_points and
     orbit_peps decide on them as on pep_batch's.
 
@@ -449,17 +430,18 @@ def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: in
 def orbit_pmeprs(z: np.ndarray, oversample: int, points, groups=None) -> tuple:
     """(pmeprs, records, rows): the one PMEPR decision rule, over the (B, n)
     complex rows z of orbits of ORBIT_SIZE records.  threshold_peps screens
-    the rows against the points (ascending and shared, or a (B, k) row of
-    each row's own, as groups need) and each group's maximum, which then
-    joins its rows' points; orbit_peps computes the images of the rows
-    near_points marks.  pmeprs is the multiset of PEPs over n, records the
+    the rows against the ascending points, shared by every row, and each
+    group's maximum, which then joins the points; orbit_peps computes the
+    images of the rows near_points marks.  A row near a point that none of
+    its own decisions reads is refined as well, which moves no value a
+    decision reads.  pmeprs is the multiset of PEPs over n, records the
     records each value stands for, rows the row of z of each value."""
     n = z.shape[1]
     peps = threshold_peps(z, oversample, points, groups)
     if groups is not None:
         tops = np.full(int(groups.max()) + 1, -math.inf)
         np.maximum.at(tops, groups, peps / n)
-        points = np.column_stack([points, tops[groups]])
+        points = np.sort(np.concatenate([points, tops]))
     near = near_points(peps / n, points, oversample * n)
     values, images, rows = orbit_peps(z, peps, near, oversample)
     return values / n, ORBIT_SIZE * images, rows

@@ -397,7 +397,7 @@ def cmd_ccdf(args) -> int:
         ",".join(["threshold_linear", "threshold_db", *names]),
     ]
     for idx, thr in enumerate(thresholds):
-        row = [thr, 10 * np.log10(thr), *(curves[name].probabilities[idx] for name in names)]
+        row = [thr, 10 * np.log10(thr), *(curves[name][idx] for name in names)]
         lines.append(",".join(f"{value:.12g}" for value in row))
     _write_out("\n".join(lines), args.out)
     return EXIT_OK

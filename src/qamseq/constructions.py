@@ -420,7 +420,6 @@ def orbit_offsets(modulation: Modulation) -> tuple[Offset, ...]:
     return tuple(o for k, o in enumerate(offsets) if k == min(sigma[k], rho[k], sigma[rho[k]], k))
 
 
-@functools.cache
 def quarter_shift(m: int, pi: tuple[int, ...]) -> np.ndarray:
     """The (m + 1,) coefficient row whose addition to any row at pi is the
     quarter shift: QUARTER_SHIFT's coefficients on the linear coefficients
@@ -436,7 +435,6 @@ def quarter_shift(m: int, pi: tuple[int, ...]) -> np.ndarray:
     d = base_rows(m, pi, np.stack([np.zeros_like(shift), shift])).astype(np.int64)
     if not np.array_equal((d[1] - d[0]) % 4, np.arange(1 << m) % 4):
         raise AssertionError(f"{shift.tolist()} is not a free quarter shift at pi {pi}")
-    shift.setflags(write=False)  # cached: every caller shares it
     return shift
 
 

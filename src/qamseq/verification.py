@@ -83,13 +83,14 @@ PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
 Each task of the walk is a run of constructions.orbit_runs, the cells of
 one pi or of several whose symbols fit one row_slices budget, and screens
-the envelopes of all its rows in one orbit_pmeprs call.  Every decision
-against a point is taken per row, and the group maximum rule gives each
-kind's exact maximum over the run, so no report depends on how the cells
-are packed.  A task becomes the KindStats of each
-offset kind and its lemma maxima and counts; the reports are their sums
-(counts add, extrema take min/max, flags AND), the same in any order, for
-any cell size, run and worker count.
+the envelopes of all its rows in one orbit_pmeprs call, against one
+ascending set: the run's distinct star/n + STAR_TOL values and each kind's
+maximum.  A row near another row's point is refined as well, which moves
+no decision of its own, and the group maximum rule gives each kind's exact
+maximum over the run, so no report depends on how the cells are packed.
+A task becomes the KindStats of each offset kind and its lemma maxima and
+counts; the reports are their sums (counts add, extrema take min/max,
+flags AND), the same in any order, for any cell size, run and worker count.
 
 envelope_audit holds the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
@@ -292,8 +293,11 @@ def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndar
     kinds = [kind for block in pieces[0] for kind in block.kinds]
     order = list(dict.fromkeys(kinds))
     kind_of = np.array([order.index(kind) for kind in kinds])
-    # every codeword's decision point, its star/n plus STAR_TOL, and its kind's max
-    points = (star_over_n + STAR_TOL).reshape(-1, 1)
+    # every codeword's decision point, its star/n plus STAR_TOL, in one shared
+    # ascending set of the run's distinct values, and its kind's max (np.unique
+    # would import numpy.ma, 10-20 ms of a whole call)
+    points = np.sort((star_over_n + STAR_TOL).ravel())
+    points = points[np.diff(points, prepend=-np.inf) > 0]
     values, records, at = orbit_pmeprs(z, oversample, points, np.repeat(kind_of, rows))
     out = []
     for k, kind in enumerate(order):

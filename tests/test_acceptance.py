@@ -152,10 +152,10 @@ def test_criterion_7_ccdf_shape():
 
     values, records = family_pmeprs(4, Modulation.QAM16, thresholds)["qam16"]
     curve16 = ccdf(values, thresholds, records)
-    beyond16 = curve16.probabilities[thresholds >= 2.4]
+    beyond16 = curve16[thresholds >= 2.4]
     values, records = family_pmeprs(3, Modulation.QAM64, thresholds)["type2"]
     curve_t2 = ccdf(values, thresholds, records)
-    beyond_t2 = curve_t2.probabilities[thresholds >= 2.48]
+    beyond_t2 = curve_t2[thresholds >= 2.48]
 
     baseline = random_baseline(16, Modulation.QAM16, 10_000, seed=42)
     baseline_pmeprs = np.concatenate([pep_batch(z, 16) for z in baseline]) / 16

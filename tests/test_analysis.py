@@ -29,7 +29,6 @@ from oracles import (
 from qamseq import analysis, constructions
 from qamseq.algebra import ZETA
 from qamseq.analysis import (
-    CcdfCurve,
     ccdf,
     coset_correlation_sums,
     coset_footprint,
@@ -309,13 +308,13 @@ def test_star_bound_check_fake_record_fails():
 
 def test_ccdf_counting():
     curve = ccdf([1.0, 2.0, 3.0], [0.0, 2.5, 4.0])
-    assert curve.probabilities.tolist() == [1.0, pytest.approx(1 / 3), 0.0]
+    assert curve.tolist() == [1.0, pytest.approx(1 / 3), 0.0]
 
 
 def test_ccdf_counts_only_samples_strictly_above_a_threshold():
     # samples sitting exactly on a threshold do not exceed it
     curve = ccdf([2.45, 2.4, 2.4], [2.35, 2.4, 2.45])
-    assert curve.probabilities.tolist() == [1.0, 1 / 3, 0.0]
+    assert curve.tolist() == [1.0, 1 / 3, 0.0]
 
 
 def test_ccdf_equals_the_share_above_each_threshold():
@@ -325,14 +324,18 @@ def test_ccdf_equals_the_share_above_each_threshold():
     grid = default_threshold_grid()
     values = np.concatenate([rng.uniform(0.5, 11.0, 500), grid[::7], grid[::7], [1.0, 10.0]])
     curve = ccdf(values, grid)
-    assert curve.probabilities.tolist() == [np.mean(values > t) for t in grid]
+    assert curve.tolist() == [np.mean(values > t) for t in grid]
 
 
 def test_ccdf_rejects_empty_and_bad_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one PMEPR sample"):
         ccdf([], [1.0])
-    with pytest.raises(ValueError):
-        CcdfCurve(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
+        ccdf([1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="thresholds must be 1-d"):
+        ccdf([1.0], [[0.5, 1.5]])
+    # a 1-d, strictly increasing grid is taken
+    assert ccdf([1.0], [0.5, 1.5]).tolist() == [1.0, 0.0]
 
 
 def test_default_threshold_grid():
@@ -403,8 +406,7 @@ def test_per_slice_threshold_peps_give_the_whole_array_curve(n, oversample, modu
                              for z in random_baseline(n, modulation, count, n)])
     whole = threshold_peps(oracles.random_baseline(n, modulation, count, n), oversample, thresholds)
     assert np.array_equal(sliced, whole)
-    assert np.array_equal(ccdf(sliced / n, thresholds).probabilities,
-                          ccdf(whole / n, thresholds).probabilities)
+    assert np.array_equal(ccdf(sliced / n, thresholds), ccdf(whole / n, thresholds))
 
 
 def test_the_baseline_holds_its_draws_and_its_peps_whole_and_nothing_else():
@@ -571,26 +573,24 @@ def test_the_screen_without_its_refinement_moves_the_baseline_curve(monkeypatch,
     # PEPs of the seed-42 baseline fall on the other side of some thresholds
     n, thresholds = 1 << m, default_threshold_grid()
     z = baseline_rows(n, Modulation.QAM16, 10000, 42)
-    exact = ccdf(pep_batch(z, 16) / n, thresholds).probabilities
-    assert np.array_equal(ccdf(threshold_peps(z, 16, thresholds) / n, thresholds).probabilities,
-                          exact)
+    exact = ccdf(pep_batch(z, 16) / n, thresholds)
+    assert np.array_equal(ccdf(threshold_peps(z, 16, thresholds) / n, thresholds), exact)
     monkeypatch.setattr(analysis, "screen_margin", lambda z, oversample: np.full(len(z), -np.inf))
-    unrefined = ccdf(threshold_peps(z, 16, thresholds) / n, thresholds).probabilities
+    unrefined = ccdf(threshold_peps(z, 16, thresholds) / n, thresholds)
     assert np.count_nonzero(unrefined != exact) > 0
 
 
 @pytest.mark.parametrize("rows", SCREENED_ROWS.values(), ids=SCREENED_ROWS.keys())
 def test_the_screen_decides_row_points_and_group_maxima_as_pep_batch(rows):
-    # the audit's refinement: each row with its own points (here a fixed
-    # ceiling and, on every third row, its own float64 PMEPR) and each of
-    # three groups with its maximum.  Every comparison with a row's points,
+    # the audit's refinement: the rows' points in one shared ascending set
+    # (here a fixed ceiling and the float64 PMEPR of every third row) and
+    # each of three groups with its maximum.  Every comparison with a point,
     # every group max and every near_points decision on the max and on the
     # points come out as on pep_batch's PEPs, the maxima bit for bit
     z = rows()
     n = z.shape[1]
     exact = pep_batch(z, 16)
-    own = np.where(np.arange(len(z)) % 3 == 0, exact / n, 9.0)
-    points = np.stack([np.full(len(z), 2.41), own], axis=1)
+    points = np.union1d(exact[::3] / n, [2.41])
     groups = np.arange(len(z)) * 7 % 3
     peps = threshold_peps(z, 16, points, groups)
     assert np.array_equal(peps[:, None] / n > points, exact[:, None] / n > points)
@@ -610,14 +610,14 @@ def test_threshold_peps_is_pep_batch_where_the_screen_proves_nothing(monkeypatch
         raise AssertionError("screened")
 
     # a grid that is not a power of two, and n beyond 64: no row is
-    # screened, with shared points or with the audit's row points and groups
+    # screened, with thresholds or with the audit's row points and groups
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "screen_peps", refused)
         for n, oversample in ((8, 3), (16, 5), (128, 16)):
             z = baseline_rows(n, Modulation.QAM16, 500, n)
             exact = pep_batch(z, oversample)
             assert np.array_equal(threshold_peps(z, oversample, thresholds), exact)
-            points = np.stack([np.full(len(z), 2.41), exact / n], axis=1)
+            points = np.union1d(exact / n, [2.41])
             groups = np.arange(len(z)) % 2
             assert np.array_equal(threshold_peps(z, oversample, points, groups), exact)
         # the negative control: at n = 16 and L = 16 the screen runs

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -726,15 +727,27 @@ def test_the_same_bump_on_the_most_significant_variables_is_no_shift(monkeypatch
     # uses it
     assert not shifts_every_record(3, modulation, msb_shift)
     monkeypatch.setattr(constructions, "QUARTER_SHIFT", ((0, 1), (1, 2)))
-    quarter_shift.cache_clear()
-    try:
-        for pi in canonical_permutations(3):
-            with pytest.raises(AssertionError, match="is not a free quarter shift"):
-                quarter_shift(3, pi)
+    for pi in canonical_permutations(3):
         with pytest.raises(AssertionError, match="is not a free quarter shift"):
-            list(orbit_runs(3, 8 * len(orbit_offsets(modulation))))
+            quarter_shift(3, pi)
+    with pytest.raises(AssertionError, match="is not a free quarter shift"):
+        list(orbit_runs(3, 8 * len(orbit_offsets(modulation))))
+
+
+def test_quarter_shift_holds_no_memory_once_it_returns():
+    # a walk calls quarter_shift once per pi, so nothing it computes may
+    # stay behind: a row kept per (m, pi) would grow with the m! / 2 pis of
+    # each rung, about 0.5 MiB over the 2 520 pis of m = 7
+    pis = list(canonical_permutations(7))
+    quarter_shift(7, pis[0])  # the imports and first-call work of its callees
+    tracemalloc.start()
+    try:
+        for pi in pis:
+            quarter_shift(7, pi)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
-        quarter_shift.cache_clear()
+        tracemalloc.stop()
+    assert held < 64 << 10
 
 
 def record_codes(coeffs, m, count):

@@ -872,15 +872,18 @@ def test_the_audit_runs_pep_batch_where_the_screen_proves_nothing(monkeypatch, m
 
 def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch):
     # the audit compares a row's PMEPR with its star/n plus STAR_TOL and
-    # with the kind's max, and with no ceiling.  STAR_TOL moved so that one
-    # row's point lands on its PMEPR must send that row, and only rows that
-    # near, to orbit_peps for its images' PEPs
+    # with the kind's max, and with no ceiling, screening every row against
+    # one shared set: every offset's star/n plus STAR_TOL and each kind's
+    # max.  STAR_TOL moved so that one row's point lands on its PMEPR must
+    # send that row, and only rows near a point of the set, to orbit_peps
+    # for its images' PEPs
     block = build_block(3, (0, 1, 2), orbit_offsets(Modulation.QAM64), orbit_rows(3))
     terms = verification._cell_terms(3, (0, 1, 2), block.offsets)
     stars = verification._reductions(block.components[0], terms)[0]
     type2 = np.array(block.kinds) == "type2"
-    s = (stars[: len(block.offsets)] / 42 / 8)[type2].ravel()
-    p = np.stack([pep_batch(z, 16) for z in block.complex_symbols()])[type2].ravel() / 8
+    stars_over_n = stars[: len(block.offsets)] / 42 / 8
+    pmeprs = np.stack([pep_batch(z, 16) for z in block.complex_symbols()]) / 8
+    s, p = stars_over_n[type2].ravel(), pmeprs[type2].ravel()
     row = int(np.argsort(p)[len(p) // 2])  # a middling PMEPR, far from the max
     real, marked = analysis.orbit_peps, []
 
@@ -896,9 +899,10 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch):
     marked.clear()
     cell_stats(block)
     assert marked[0][row]
-    points = [p.max(), s + verification.STAR_TOL]
-    near = [np.abs(p - point) <= pep_spread(16 * 8) * p for point in points]
-    assert np.array_equal(marked[0], near[0] | near[1])
+    points = [pmeprs[type2].max(), pmeprs[~type2].max(),
+              *np.ravel(stars_over_n + verification.STAR_TOL)]
+    near = np.abs(p[:, None] - points) <= pep_spread(16 * 8) * p[:, None]
+    assert np.array_equal(marked[0], np.any(near, axis=1))
 
 
 def test_kind_stats_add():
@@ -1010,8 +1014,9 @@ def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceilin
 
 def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatch, capsys):
     # negative control: the first row of the first orbit_pmeprs call, the
-    # first orbit offset's first row, has its sampled PEP forged to its
-    # star/n plus 1e-3 (its decision point is star/n + STAR_TOL).  pmepr <=
+    # first orbit offset's first row, has its sampled PEP forged to 1e-3
+    # above the largest point of the call, so above its own star/n +
+    # STAR_TOL, the point of its pmepr <= star/n decision.  pmepr <=
     # star/n fails for that row; each kind's pmepr check reads the star, not
     # a sample, so it stays passed, as does every other check.  The walk of
     # both families holds the 16-QAM offsets first
@@ -1023,7 +1028,7 @@ def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatc
     def over(z, oversample, points, groups=None):
         peps = real(z, oversample, points, groups)
         if not forged:
-            peps[0] = (points[0, 0] + 1e-3) * z.shape[1]
+            peps[0] = (points[-1] + 1e-3) * z.shape[1]
             forged.append(peps[0] / z.shape[1])
         return peps
 

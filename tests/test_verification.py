@@ -1013,14 +1013,28 @@ def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceilin
 
 
 def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatch, capsys):
-    # negative control: the first row of the first orbit_pmeprs call, the
-    # first orbit offset's first row, has its sampled PEP forged to 1e-3
-    # above the largest point of the call, so above its own star/n +
-    # STAR_TOL, the point of its pmepr <= star/n decision.  pmepr <=
-    # star/n fails for that row; each kind's pmepr check reads the star, not
-    # a sample, so it stays passed, as does every other check.  The walk of
-    # both families holds the 16-QAM offsets first
+    # negative control: in the first orbit_pmeprs call, the row 0 codeword of
+    # the first pi with the least star/n has its sampled PEP forged to 1e-3
+    # above its own star/n + STAR_TOL, the point of its pmepr <= star/n
+    # decision.  For 64-QAM that is a type 1 row of star/n 4/7, so the
+    # forged value lies below its kind's largest star/n and ceiling: a
+    # pmepr_le_star that read either instead of the row's own star would
+    # pass it.  pmepr <= star/n fails for that row; each kind's pmepr check
+    # reads the star, not a sample, so it stays passed, as does every other
+    # check.  The walk of both families holds the 16-QAM offsets first,
+    # whose star/n are all 12/5
     from qamseq.cli import main
+
+    def least_star_row(modulation):
+        pi = next(iter(canonical_permutations(3)))
+        block = build_block(3, pi, orbit_offsets(modulation), orbit_rows(3))
+        terms = verification._cell_terms(3, pi, block.offsets)
+        stars = verification._reductions(block.components[0], terms)[0][: len(block.offsets)]
+        stars_over_n = stars / block.scale.value / 8
+        c = int(np.argmin(stars_over_n[:, 0]))
+        kind = np.array(block.kinds) == block.kinds[c]
+        return (stars_over_n[c, 0], block.complex_symbols()[c, 0],
+                min(np.max(stars_over_n[kind]), CEILINGS[block.kinds[c]][0]))
 
     real = analysis.threshold_peps
     forged = []
@@ -1028,19 +1042,26 @@ def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatc
     def over(z, oversample, points, groups=None):
         peps = real(z, oversample, points, groups)
         if not forged:
-            peps[0] = (points[-1] + 1e-3) * z.shape[1]
-            forged.append(peps[0] / z.shape[1])
+            own, symbols, _ = target
+            at = np.flatnonzero(np.all(z == symbols, axis=1))
+            assert at.size == 1
+            peps[at] = (own + verification.STAR_TOL + 1e-3) * z.shape[1]
+            forged.append(peps[at[0]] / z.shape[1])
         return peps
 
     monkeypatch.setattr(analysis, "threshold_peps", over)
+    target = least_star_row(Modulation.QAM64)
+    assert target[0] + verification.STAR_TOL + 1e-3 < target[2]
     report = theorem_bound_audit(3, Modulation.QAM64, jobs=1)
     assert [c.name for c in report.checks() if not c.passed] == ["bounds.64qam.m3.pmepr_le_star"]
     assert all(c.passed for c in report.checks() if c.name.endswith(".pmepr"))
     assert len(forged) == 1
     forged.clear()
+    target = least_star_row(Modulation.QAM16)
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.16qam.m3.pmepr_le_star"]
+    assert len(forged) == 1
 
 
 def envelope_failures(gaps):

@@ -24,8 +24,8 @@ import numpy as np
 from .analysis import (
     ccdf,
     default_threshold_grid,
-    orbit_pmeprs,
     random_baseline,
+    run_pmeprs,
     score_block,
     threshold_peps,
 )
@@ -39,7 +39,6 @@ from .constructions import (
     OffsetKind,
     _map_cells,
     build,
-    build_block,
     classify_offset64,
     count_enumerated,
     family_size,
@@ -337,33 +336,21 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _run_pmeprs(run: list, m: int, offsets: tuple, oversample: int, thresholds) -> dict:
-    """(PMEPRs, records) per offset kind of a run of orbit_runs: the block
-    of each of its pis, then one analysis.orbit_pmeprs call at the
-    thresholds over all their rows, (offsets, rows) in order."""
-    blocks = [build_block(m, pi, offsets, rows) for pi, rows in run]
-    z = np.concatenate([block.complex_symbols() for block in blocks], axis=1)
-    values, records, rows = orbit_pmeprs(z.reshape(-1, 1 << m), oversample, thresholds)
-    kinds = np.array(blocks[0].kinds)[rows // z.shape[1]]
-    return {kind: (values[kinds == kind], records[kinds == kind])
-            for kind in dict.fromkeys(blocks[0].kinds)}
-
-
 def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The oversampled PMEPRs of the family as a weighted multiset per offset
     kind, (values, records): the runs of orbit_runs under
-    orbit_offsets(modulation), one orbit_pmeprs call per run.  The records
-    above each of the ascending thresholds are those of a walk over every
-    record, and they sum to the kind's size."""
+    orbit_offsets(modulation), one analysis.run_pmeprs call per run.  The
+    records above each of the ascending thresholds are those of a walk over
+    every record, and they sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     offsets = orbit_offsets(modulation)
-    pmeprs = functools.partial(_run_pmeprs, m=m, offsets=offsets, oversample=oversample,
-                               thresholds=np.asarray(thresholds, dtype=float))
+    pmeprs = functools.partial(run_pmeprs, m=m, families=(offsets,), oversample=oversample,
+                               points=np.asarray(thresholds, dtype=float))
     for run_values in _map_cells(pmeprs, orbit_runs(m, (1 << m) * len(offsets)), jobs):
-        for kind, pair in run_values.items():
-            grouped.setdefault(kind, []).append(pair)
+        for kind, (values, records, _) in run_values.items():
+            grouped.setdefault(kind, []).append((values, records))
     # each kind's parts are freed once joined: never every part and every join at once
     return {kind: tuple(np.concatenate(part) for part in zip(*grouped.pop(kind)))
             for kind in list(grouped)}

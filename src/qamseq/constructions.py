@@ -106,6 +106,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -578,12 +579,16 @@ def _pool_map(task: Callable, cells: Iterator, jobs: int) -> Iterator:
     # a large share of the package's import time
     from concurrent import futures
 
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool launches every worker at its first submit: no more
+    # than the CPUs this process may run on, which a larger count cannot use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with futures.ProcessPoolExecutor(max_workers=min(jobs, cpus or 1)) as pool:
         yield from pool.map(task, cells)
 
 
 def _map_cells(task: Callable, cells: Iterator, jobs: int) -> Iterator:
-    """task(cell) for every cell, in jobs processes, yielded in cell order as
+    """task(cell) for every cell, in jobs processes (no more than the CPUs
+    this process may run on), yielded in cell order as
     they come, so a consumer folds them without holding them all; one cell
     is taken at a time when jobs is 1."""
     if jobs < 1:

@@ -82,15 +82,19 @@ and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
 Each task of the walk is a run of constructions.orbit_runs, the cells of
-one pi or of several whose symbols fit one row_slices budget, and screens
-the envelopes of all its rows in one orbit_pmeprs call, against one
-ascending set: the run's distinct star/n + STAR_TOL values and each kind's
-maximum.  A row near another row's point is refined as well, which moves
-no decision of its own, and the group maximum rule gives each kind's exact
-maximum over the run, so no report depends on how the cells are packed.
-A task becomes the KindStats of each offset kind and its lemma maxima and
+one pi or of several whose symbols fit one row_slices budget.  Its
+correlations take the cells' base rows alone, and its envelopes are one
+analysis.run_pmeprs call, the pass ccdf makes over its runs too: all the
+run's rows screened against one ascending set, the run's distinct
+star/n + STAR_TOL values and each kind's maximum.  A row near another
+row's point is refined as well, which moves no decision of its own, and
+the group maximum rule gives each kind's exact maximum over the run, so no
+report depends on how the cells are packed.  A task becomes the KindStats
+of each offset kind, only what the checks read, and its lemma maxima and
 counts; the reports are their sums (counts add, extrema take min/max,
 flags AND), the same in any order, for any cell size, run and worker count.
+The star check reads each kind's extrema: its largest star/n against the
+ceiling and, for 16-QAM, its least against the 2n floor.
 
 envelope_audit holds the envelope kernel to Parseval and to its
 oversampling rate over every constant orbit of the m=3 16-QAM family, in one
@@ -115,9 +119,9 @@ from .analysis import (
     coset_footprint,
     envelope_power_batch,
     golay_defect,
-    orbit_pmeprs,
     pep_batch,
     polyphase_lattice,
+    run_pmeprs,
     score_block,
     shift_factors,
     star_sum,
@@ -274,50 +278,38 @@ def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
     return stars, golay, residuals
 
 
-def _audit_blocks(pieces: list[list[FamilyBlock]], terms: _Terms, stars: np.ndarray,
-                  golay: np.ndarray, oversample: int) -> list[KindStats]:
-    """The audit tally of each offset kind of a task's pieces, one per pi of
-    its run, each a block per family, each (offset, row) counted as the
-    FULL_ORBIT_SIZE records of its orbit, from the stars and Golay defects
-    of their cells, rows in piece order.  Its PMEPR decisions, p <= star/n
-    + STAR_TOL and the kind's max over the run, are one
-    analysis.orbit_pmeprs call over the rows of every piece, as over every
-    record; no decision compares a sampled PMEPR with a ceiling."""
-    # the first piece's blocks give the offsets, kinds and scales of every piece
-    n, rows, codewords = 1 << pieces[0][0].m, stars.shape[1], len(terms.weights)
-    scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in pieces[0]])
+def _audit_blocks(task: tuple, terms: _Terms, stars: np.ndarray, golay: np.ndarray,
+                  oversample: int) -> list[KindStats]:
+    """The audit tally of each offset kind of an (m, run, groups) task, each
+    (offset, row) counted as the FULL_ORBIT_SIZE records of its orbit, from
+    the stars and Golay defects of its cells, rows in run order.  Its PMEPR
+    decisions, p <= star/n + STAR_TOL and the kind's max over the run, are
+    one analysis.run_pmeprs call over the run, as over every record; no
+    decision compares a sampled PMEPR with a ceiling."""
+    m, run, groups = task
+    n, codewords = 1 << m, len(terms.weights)
+    kinds = np.array([offset_kind(o) for o in itertools.chain.from_iterable(groups)])
+    scales = np.where(kinds == "qam16", Scale.QAM16.value, Scale.QAM64.value)
     star_over_n = stars[:codewords] / scales[:, None] / n
-    star_ok = np.all(stars[codewords : codewords + terms.components] <= 4 * n + STAR_TOL, axis=1)
+    within = np.all(stars[codewords : codewords + terms.components] <= 4 * n + STAR_TOL, axis=1)
     golay = np.max(golay, axis=1)
-    z = np.hstack([np.vstack([b.complex_symbols() for b in p]) for p in pieces]).reshape(-1, n)
-    kinds = [kind for block in pieces[0] for kind in block.kinds]
-    order = list(dict.fromkeys(kinds))
-    kind_of = np.array([order.index(kind) for kind in kinds])
     # every codeword's decision point, its star/n plus STAR_TOL, in one shared
-    # ascending set of the run's distinct values, and its kind's max (np.unique
-    # would import numpy.ma, 10-20 ms of a whole call)
+    # ascending set of the run's distinct values (np.unique would import
+    # numpy.ma, 10-20 ms of a whole call)
     points = np.sort((star_over_n + STAR_TOL).ravel())
     points = points[np.diff(points, prepend=-np.inf) > 0]
-    values, records, at = orbit_pmeprs(z, oversample, points, np.repeat(kind_of, rows))
     out = []
-    for k, kind in enumerate(order):
-        mask, mine = kind_of == k, kind_of[at // rows] == k
+    for kind, (values, _, at) in run_pmeprs(run, m, groups, oversample, points).items():
+        mask = kinds == kind
         s, index = star_over_n[mask], np.array([terms.index[o] for o in np.flatnonzero(mask)])
-        ok = s <= CEILINGS[kind][0] + STAR_TOL
-        if kind == "qam16":
-            # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
-            # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
-            # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
-            # components and land below 2n; only the ceiling is asserted there.
-            ok &= s >= 2.0 - STAR_TOL
-        component_ok = bool(np.all(star_ok[index[:, 1:]]))
+        component_ok = bool(np.all(within[index[:, 1:]]))
         if kind == "type1":
             # type 1 first component is base + linear offset: still a Golay pair
             component_ok &= bool(np.all(golay[index[:, 1]] == 0))
         out.append(KindStats(
-            kind, FULL_ORBIT_SIZE * s.size, FULL_ORBIT_SIZE * int(np.count_nonzero(ok)),
-            float(np.min(s)), float(np.max(s)), float(np.max(values[mine])), int(golay[0]),
-            component_ok, bool(np.all(values[mine] <= star_over_n.ravel()[at[mine]] + STAR_TOL))))
+            kind, FULL_ORBIT_SIZE * s.size, float(np.min(s)), float(np.max(s)),
+            float(np.max(values)), int(golay[0]), component_ok,
+            bool(np.all(values <= star_over_n.ravel()[at] + STAR_TOL))))
     return out
 
 
@@ -325,29 +317,26 @@ def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], di
     """(KindStats of each offset kind, (max, evaluations) of each lemma
     residual) of one (m, run, groups) task: run a run of orbit_runs, groups
     the offsets of each family.  Per pi of the run, the _reductions of each
-    kernel cell of its rows and a block per family; then, unless oversample
-    is None, one _audit_blocks call over the blocks of every pi.  The
-    kernel cells are the row_slices of the kernel's footprint over every
-    term plus the symbols of every offset; a cell's sums are freed before
-    the next."""
+    kernel cell of its base rows; then, unless oversample is None, one
+    _audit_blocks call over the run.  The kernel cells are the row_slices
+    of the kernel's footprint over every term plus the symbols of every
+    offset; a cell's sums are freed before the next."""
     m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
-    pieces, cells = [], []
+    cells = []
     for pi, rows in run:
         terms = _cell_terms(m, pi, offsets)
         per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
-        blocks = [] if oversample is None else [build_block(m, pi, group, rows) for group in groups]
-        base = blocks[0].base if blocks else base_rows(m, pi, rows)
-        cells += [_reductions(base[part], terms) for part in row_slices(len(rows), per_row)]
-        pieces.append(blocks)
+        cells += [_reductions(base_rows(m, pi, rows[part]), terms)
+                  for part in row_slices(len(rows), per_row)]
     lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
                     FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
               for key in cells[0][2]}
     if oversample is None:
         return [], lemmas
     stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
-    # the term layout does not depend on pi: any piece's terms serve
-    return _audit_blocks(pieces, terms, stars, golay, oversample), lemmas
+    # the term layout does not depend on pi: any pi's terms serve
+    return _audit_blocks(task, terms, stars, golay, oversample), lemmas
 
 
 def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
@@ -455,7 +444,6 @@ class KindStats:
 
     kind: str
     total: int
-    star_ok: int
     min_star_over_n: float
     max_star_over_n: float
     max_pmepr: float
@@ -475,7 +463,6 @@ class KindStats:
         return KindStats(
             kind=self.kind,
             total=self.total + other.total,
-            star_ok=self.star_ok + other.star_ok,
             min_star_over_n=min(self.min_star_over_n, other.min_star_over_n),
             max_star_over_n=max(self.max_star_over_n, other.max_star_over_n),
             max_pmepr=max(self.max_pmepr, other.max_pmepr),
@@ -528,16 +515,22 @@ class BoundAuditReport:
         out = [CheckResult(f"{prefix}.count", self.total == self.expected_total, str(self.total),
                            f"= {self.expected_total}")]
         for k in self.kinds:
-            star_req = (f"star/n in [2, {k.bound}] +/- {STAR_TOL}" if k.kind == "qam16"
+            # the 2n floor is a 16-QAM fact here: the r1*r2 energy cross terms
+            # sum to zero over valid offsets, so C(0)_H + C(0)_H' = 2n exactly.
+            # 64-QAM type 1 offsets with s1 = 2 collapse the two largest
+            # components and land below 2n; only the ceiling is asserted there.
+            floor = k.kind == "qam16"
+            star_req = (f"star/n in [2, {k.bound}] +/- {STAR_TOL}" if floor
                         else f"star/n <= {k.bound} + {STAR_TOL}")
+            within = k.max_star_over_n <= k.bound + STAR_TOL
             out.append(CheckResult(
-                f"{prefix}.{k.kind}.star", k.star_ok == k.total,
+                f"{prefix}.{k.kind}.star",
+                within and (not floor or k.min_star_over_n >= 2.0 - STAR_TOL),
                 f"max star/n = {k.max_star_over_n:.12f} (min {k.min_star_over_n:.12f}, "
                 f"exact bound {k.exact_bound})", f"{star_req} on {k.total} records"))
             # the verdict is the certified chain pmepr <= star/n <= ceiling; the
             # sampled maximum is reported, and held to star/n by pmepr_le_star
-            out.append(CheckResult(f"{prefix}.{k.kind}.pmepr",
-                                   k.max_star_over_n <= k.bound + STAR_TOL,
+            out.append(CheckResult(f"{prefix}.{k.kind}.pmepr", within,
                                    f"max pmepr(L={self.oversample}) = {k.max_pmepr:.12f}",
                                    f"continuous pmepr <= star/n <= {k.bound} + {STAR_TOL}"))
         # (check, verdict, observed if it holds, observed if not, requirement)

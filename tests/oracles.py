@@ -102,7 +102,6 @@ from qamseq.constructions import (
     offset_forms,
     offset_kind,
     orbit_runs,
-    star_bound,
 )
 from qamseq.gbf import PathQuadratic, base_rows
 from qamseq.verification import STAR_TOL, BoundAuditReport, KindStats
@@ -516,13 +515,9 @@ def audit_block(block: OffsetBlock, oversample: int, weight: int) -> KindStats:
     """The audit tally of one offset block, each row counted weight times:
     its own star, PMEPR, Golay defect of D and component stars."""
     n = 1 << block.m
-    bound = star_bound(block.offset)
     sign = companion_sign(block.m, block.pi)
     z = block.symbols
     star_over_n = star_sum(autocorrelation_sums(z, z * sign)) / block.scale.value / n
-    ok = star_over_n <= bound + STAR_TOL
-    if block.kind == "qam16":
-        ok &= star_over_n >= 2.0 - STAR_TOL
     pmeprs = pep_batch(block.symbols / np.sqrt(block.scale.value), oversample) / n
     sums = []
     for component in block.components:
@@ -534,7 +529,6 @@ def audit_block(block: OffsetBlock, oversample: int, weight: int) -> KindStats:
     return KindStats(
         kind=block.kind,
         total=weight * len(block.coeffs),
-        star_ok=weight * int(np.count_nonzero(ok)),
         min_star_over_n=float(np.min(star_over_n)),
         max_star_over_n=float(np.max(star_over_n)),
         max_pmepr=float(np.max(pmeprs)),

@@ -524,6 +524,22 @@ def records_above(values, records, thresholds):
     return np.array([records[values > t].sum() for t in thresholds])
 
 
+def test_family_pmeprs_refuse_thresholds_out_of_order():
+    # the screen finds the threshold nearest each PMEPR by a binary search,
+    # which reads wrong neighbours from thresholds out of order: the
+    # distinct full-walk PMEPRs shuffled, reversed or with a NaN are
+    # refused, and ascending they give the full walk's records above each
+    full = oracles.full_family_pmeprs(3, Modulation.QAM16)["qam16"]
+    ascending = np.unique(full)
+    shuffled = np.random.default_rng(0).permutation(ascending)
+    for thresholds in (shuffled, ascending[::-1], np.append(ascending, np.nan)):
+        with pytest.raises(ValueError, match="points must be ascending"):
+            family_pmeprs(3, Modulation.QAM16, thresholds)
+    values, records = family_pmeprs(3, Modulation.QAM16, ascending)["qam16"]
+    assert np.array_equal(records_above(values, records, ascending),
+                          records_above(full, 1, ascending))
+
+
 def test_family_pmeprs_do_not_depend_on_jobs():
     thresholds = default_threshold_grid()
     serial = family_pmeprs(3, Modulation.QAM64, thresholds, jobs=1)

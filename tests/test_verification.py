@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 from concurrent import futures
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
 from qamseq import analysis, cli, constructions, verification
 from qamseq.algebra import ZETA, canonical_permutations
 from qamseq.analysis import (
+    ccdf,
     coset_footprint,
     default_threshold_grid,
     near_points,
@@ -451,7 +453,8 @@ def test_bound_audit_16qam_m3():
     assert report.distinct_sequences == 6144
     (stats,) = report.kinds
     assert stats.kind == "qam16"
-    assert stats.star_ok == 6144
+    assert {c.name: c.passed for c in report.checks()}["bounds.16qam.m3.qam16.star"]
+    assert stats.min_star_over_n >= 2.0 - 1e-9
     assert stats.max_star_over_n <= 2.4 + 1e-9
     assert stats.max_star_over_n > 2.0
     assert stats.max_pmepr <= 2.41
@@ -523,7 +526,8 @@ def walk_audit(block, oversample):
     its envelope."""
     terms = verification._cell_terms(block.m, block.pi, block.offsets)
     stars, golay, _ = verification._reductions(block.components[0], terms)
-    return verification._audit_blocks([[block]], terms, stars, golay, oversample)
+    task = (block.m, [(block.pi, block.coeffs)], (block.offsets,))
+    return verification._audit_blocks(task, terms, stars, golay, oversample)
 
 
 def cell_stats(block):
@@ -906,9 +910,9 @@ def test_each_pmepr_decision_refines_the_rows_near_its_point(monkeypatch):
 
 
 def test_kind_stats_add():
-    a = KindStats("type1", 10, 9, 0.5, 3.0, 2.9, 0, True, True)
-    b = KindStats("type1", 5, 5, 0.6, 3.5, 2.8, 2, False, True)
-    total = KindStats("type1", 15, 14, 0.5, 3.5, 2.9, 2, False, True)
+    a = KindStats("type1", 10, 0.5, 3.0, 2.9, 0, True, True)
+    b = KindStats("type1", 5, 0.6, 3.5, 2.8, 2, False, True)
+    total = KindStats("type1", 15, 0.5, 3.5, 2.9, 2, False, True)
     assert a + b == b + a == total
     assert (total.bound, total.exact_bound) == CEILINGS["type1"]
 
@@ -927,22 +931,22 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 
 
 def packed_walks(m):
-    """(orbit_walk(m) and the bound audit of each family alone,
-    family_pmeprs of each family at m as sorted (value, records) pairs per
-    kind, orbit_pmeprs calls of the audits and of ccdf)."""
+    """(orbit_walk(m) and the bound audit of each family alone, what ccdf
+    reads of family_pmeprs of each family at m, per kind: its curve at the
+    default thresholds, its record count and its largest PMEPR, run_pmeprs
+    calls of the audits and of ccdf)."""
     calls = {"walk": 0, "ccdf": 0}
     with pytest.MonkeyPatch.context() as patch:
         for module, key in ((verification, "walk"), (cli, "ccdf")):
-            def counted(*args, real=module.orbit_pmeprs, key=key):
+            def counted(*args, real=module.run_pmeprs, key=key, **kwargs):
                 calls[key] += 1
-                return real(*args)
-            patch.setattr(module, "orbit_pmeprs", counted)
+                return real(*args, **kwargs)
+            patch.setattr(module, "run_pmeprs", counted)
         walk = (verification.orbit_walk(m), *(theorem_bound_audit(m, mod) for mod in Modulation))
         pmeprs, thresholds = {}, default_threshold_grid()
         for modulation in Modulation:
             for kind, (values, records) in cli.family_pmeprs(m, modulation, thresholds).items():
-                order = np.lexsort((records, values))
-                pmeprs[kind] = (values[order], records[order])
+                pmeprs[kind] = (ccdf(values, thresholds, records), records.sum(), values.max())
     return walk, pmeprs, calls
 
 
@@ -950,9 +954,12 @@ def packed_walks(m):
                                       (4, ({"walk": 19, "ccdf": 7}, {"walk": 36, "ccdf": 24}))])
 def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     # the walks with their cells packed into runs of at most CHUNK_SYMBOLS
-    # symbols, one orbit_pmeprs call per run, against one cell per run (each
+    # symbols, one run_pmeprs call per run, against one cell per run (each
     # run of orbit_runs split into its cells): every orbit_walk report,
-    # every one-family bound audit and every family_pmeprs multiset, bit for bit.
+    # every one-family bound audit and, of every family_pmeprs multiset,
+    # the curve, record count and maximum, bit for bit.  The multisets
+    # themselves differ: each run refines the rows near its own kind
+    # maxima, so more runs split more rows into their images.
     # At m = 3 a run holds all 3 pis of every walk; at m = 4 one pi fills a
     # run of the walk of both families, and the one-family walks pack 12
     # pis of 16-QAM or 2 of 64-QAM, as ccdf does
@@ -964,9 +971,9 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     assert (packed[2], unpacked[2]) == calls
     assert packed[0] == unpacked[0]
     assert packed[1].keys() == unpacked[1].keys() == set(CEILINGS)
-    for kind, (values, records) in packed[1].items():
-        assert np.array_equal(values, unpacked[1][kind][0])
-        assert np.array_equal(records, unpacked[1][kind][1])
+    for kind, (curve, records, top) in packed[1].items():
+        assert np.array_equal(curve, unpacked[1][kind][0])
+        assert (records, top) == unpacked[1][kind][1:]
 
 
 def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceiling(
@@ -999,10 +1006,6 @@ def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceilin
     assert [c.name for c in report.checks() if not c.passed] == over
     assert not report.passed
     by_kind = {k.kind: k for k in report.kinds}
-    # the forged row is an orbit representative: its star fails for the
-    # FULL_ORBIT_SIZE records of its orbit
-    assert by_kind["type2"].star_ok == by_kind["type2"].total - FULL_ORBIT_SIZE
-    assert by_kind["type1"].star_ok == by_kind["type1"].total
     assert by_kind["type2"].max_star_over_n == pytest.approx(CEILINGS["type2"][0] + 1 / (42 * 8))
 
     assert len(forged) == 1 and forged[0].real > 0
@@ -1010,6 +1013,47 @@ def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceilin
     assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in out["checks"] if not c["passed"]] == over
+
+
+def test_a_16qam_star_forged_below_2n_fails_only_the_star_check(monkeypatch, capsys):
+    # negative control for the 16-QAM floor star/n >= 2: in the first cell,
+    # the 16-QAM codeword of the least sampled PMEPR has its zero-shift sum
+    # lowered until its star reads one lattice unit below 2n (the floor
+    # C(0)_H + C(0)_H' = 2n of valid offsets), star/n = 159/80.  Its
+    # PMEPR lies below that, so pmepr <= star/n still holds; the kind's
+    # largest star/n, which its pmepr check reads, does not move.  Only
+    # the star check, which reads the kind's least star/n, fails.  The walk
+    # of both families holds the 16-QAM offsets first
+    from qamseq.cli import main
+
+    pi, rows = next(run_cells(3, 8 * 2))
+    block = build_block(3, pi, orbit_offsets(Modulation.QAM16), rows)
+    pmeprs = pep_batch(block.complex_symbols()[0], 16) / 8
+    row = int(np.argmin(pmeprs))
+    floor = 2 * 8 * Scale.QAM16.value
+    assert pmeprs[row] < (floor - 1) / 80
+    real = verification._codeword_sums
+    forged = []
+
+    def one_under(sums, terms):
+        codewords = real(sums, terms)
+        if not forged:  # the first cell
+            sums = codewords[0, row]
+            sums[0] += floor - 1 - star_sum(sums[None])[0]
+            forged.append(sums[0])
+        return codewords
+
+    monkeypatch.setattr(verification, "_codeword_sums", one_under)
+    report = theorem_bound_audit(3, Modulation.QAM16, jobs=1)
+    assert [c.name for c in report.checks() if not c.passed] == ["bounds.16qam.m3.qam16.star"]
+    (stats,) = report.kinds
+    assert stats.min_star_over_n == pytest.approx((floor - 1) / 80, abs=1e-12)
+    assert stats.max_star_over_n == pytest.approx(2.4, abs=1e-12)
+    assert len(forged) == 1 and forged[0].real > 0
+    forged.clear()
+    assert main(["verify", "--suite", "bounds", "--m", "3", "--jobs", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == ["bounds.16qam.m3.qam16.star"]
 
 
 def test_a_sampled_pep_forged_above_its_star_fails_only_pmepr_le_star(monkeypatch, capsys):
@@ -1178,6 +1222,43 @@ def test_example_star_reads_the_coset_kernel(monkeypatch):
     monkeypatch.setattr(analysis, "coset_correlation_sums", forged)
     failed = [c.name for c in example_regression() if not c.passed]
     assert failed == ["example1.star_bound", "example2.star_bound"]
+
+
+class InProcessPool:
+    """A stand-in for concurrent.futures.ProcessPoolExecutor that records
+    the max_workers asked of it and maps in this process: no process starts."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, task, cells):
+        return map(task, cells)
+
+
+def test_a_huge_jobs_count_asks_no_more_workers_than_cpus(monkeypatch, capsys):
+    # a fork-started pool launches every worker at its first submit, so
+    # --jobs 100000 must not reach the pool: it asks for no more workers
+    # than the CPUs this process may run on, and every report is that of
+    # --jobs 1.  The pool is a stand-in: no process starts at any count
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "workers", [])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for command in (["verify", "--m", "3"],
+                    ["ccdf", "--m", "3", "--modulation", "64qam", "--baseline-count", "100"]):
+        outputs = []
+        for jobs in ("1", "100000", "2"):
+            assert cli.main([*command, "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+    assert InProcessPool.workers == [cpus, min(2, cpus)] * 2
 
 
 def test_fan_out_defaults_to_one_worker(monkeypatch):

@@ -20,8 +20,9 @@ where its certified error reaches one; orbit_pmeprs, the one PMEPR decision
 rule, adds orbit_peps, the PEPs of the conjugation x reversal x
 quarter-shift images of each row near a decision by pep_spread.  run_pmeprs
 is the one PMEPR pass of the audit and ccdf: per task, a run of
-constructions.orbit_runs, a block per family of offsets for each pi, then
-one orbit_pmeprs call over every row, each offset kind a group.
+constructions.orbit_runs given as a block per family of offsets for each
+pi, one orbit_pmeprs call over every row, the values split by offset kind;
+the audit, which reports each kind's maximum, makes each kind a group.
 random_baseline, the uncoded reference ensemble, holds only its uint8 Z4
 draws whole and yields its complex symbols in row_slices, for
 threshold_peps to take one at a time.  Every kernel here runs its rows in
@@ -39,7 +40,7 @@ import numpy as np
 from .algebra import ZETA
 from .constellation import qam_lattice
 from .constructions import (FULL_ORBIT_SIZE, ORBIT_SIZE, SHIFT_ORBIT_SIZE, FamilyBlock,
-                            Modulation, build_block, offset_kind, row_slices)
+                            Modulation, row_slices)
 
 
 def star(a: np.ndarray, b: np.ndarray, denominator: int) -> float:
@@ -434,41 +435,43 @@ def orbit_peps(z: np.ndarray, peps: np.ndarray, near: np.ndarray, oversample: in
             np.concatenate([np.arange(len(peps)), np.tile(rows, count - 1)]))
 
 
-def orbit_pmeprs(z: np.ndarray, oversample: int, points, groups: np.ndarray) -> tuple:
+def orbit_pmeprs(z: np.ndarray, oversample: int, points, groups: np.ndarray | None) -> tuple:
     """(pmeprs, records, rows): the one PMEPR decision rule, over the (B, n)
     complex rows z of orbits of ORBIT_SIZE records.  threshold_peps screens
     the rows against the ascending points, shared by every row, and the
-    maximum of each of the (B,) groups, which then joins the points;
-    orbit_peps computes the images of the rows near_points marks.  A row
-    near a point that none of its own decisions reads is refined as well,
-    which moves no value a decision reads.  pmeprs is the multiset of PEPs
-    over n, records the records each value stands for, rows the row of z of
-    each value."""
+    maximum of each of the (B,) groups, if given, which then joins the
+    points; orbit_peps computes the images of the rows near_points marks.
+    A row near a point that none of its own decisions reads is refined as
+    well, which moves no value a decision reads.  pmeprs is the multiset of
+    PEPs over n, records the records each value stands for, rows the row of
+    z of each value."""
     n = z.shape[1]
     peps = threshold_peps(z, oversample, points, groups)
-    tops = np.full(int(groups.max()) + 1, -math.inf)
-    np.maximum.at(tops, groups, peps / n)
-    near = near_points(peps / n, np.sort(np.concatenate([points, tops])), oversample * n)
+    if groups is not None:
+        tops = np.full(int(groups.max()) + 1, -math.inf)
+        np.maximum.at(tops, groups, peps / n)
+        points = np.sort(np.concatenate([points, tops]))
+    near = near_points(peps / n, points, oversample * n)
     values, images, rows = orbit_peps(z, peps, near, oversample)
     return values / n, ORBIT_SIZE * images, rows
 
 
-def run_pmeprs(run: list, m: int, families: tuple, oversample: int, points) -> dict:
-    """{kind: (pmeprs, records, rows)} of a run of constructions.orbit_runs:
-    a block per family of offsets for each (pi, rows) cell, then one
-    orbit_pmeprs call at the ascending points over the rows of every cell,
-    each offset kind a group.  rows indexes the run's (offsets, rows) grid,
-    the offsets of every family in order and the rows of every cell."""
-    z = np.hstack([np.vstack([build_block(m, pi, offsets, rows).complex_symbols()
-                              for offsets in families]) for pi, rows in run])
-    kinds = [offset_kind(offset) for offsets in families for offset in offsets]
-    order = list(dict.fromkeys(kinds))
-    label = np.array([order.index(kind) for kind in kinds])
-    values, records, rows = orbit_pmeprs(z.reshape(-1, 1 << m), oversample, points,
-                                         np.repeat(label, z.shape[1]))
+def run_pmeprs(blocks: list[list[FamilyBlock]], oversample: int, points, maxima: bool) -> dict:
+    """{kind: (pmeprs, records, rows)} of a run of constructions.orbit_runs,
+    blocks a block per family of offsets for each of its (pi, rows) cells:
+    one orbit_pmeprs call at the ascending points over the rows of every
+    cell, each offset kind a group if maxima is set.  Without groups the
+    multiset does not depend on how cells are packed into runs.  rows
+    indexes the run's (offsets, rows) grid, the offsets of every family in
+    order and the rows of every cell."""
+    z = np.hstack([np.vstack([block.complex_symbols() for block in cell]) for cell in blocks])
+    order: dict[str, int] = {}  # each kind's group, numbered in order of first offset
+    label = np.array([order.setdefault(kind, len(order)) for b in blocks[0] for kind in b.kinds])
+    values, records, rows = orbit_pmeprs(z.reshape(-1, z.shape[2]), oversample, points,
+                                         np.repeat(label, z.shape[1]) if maxima else None)
     mine = label[rows // z.shape[1]]
     return {kind: (values[mine == k], records[mine == k], rows[mine == k])
-            for k, kind in enumerate(order)}
+            for kind, k in order.items()}
 
 
 def score_block(block: FamilyBlock, oversample: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ from .constructions import (
     OffsetKind,
     _map_cells,
     build,
+    build_block,
     classify_offset64,
     count_enumerated,
     family_size,
@@ -336,6 +337,14 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _family_run(run: list, m: int, offsets: tuple, oversample: int, thresholds) -> dict:
+    """analysis.run_pmeprs of a run of orbit_runs at the thresholds, over
+    a block of the offsets per pi, with no group maxima: a curve reads only
+    the records above each threshold."""
+    blocks = [[build_block(m, pi, offsets, rows)] for pi, rows in run]
+    return run_pmeprs(blocks, oversample, thresholds, maxima=False)
+
+
 def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -346,8 +355,8 @@ def family_pmeprs(
     every record, and they sum to the kind's size."""
     grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     offsets = orbit_offsets(modulation)
-    pmeprs = functools.partial(run_pmeprs, m=m, families=(offsets,), oversample=oversample,
-                               points=np.asarray(thresholds, dtype=float))
+    pmeprs = functools.partial(_family_run, m=m, offsets=offsets, oversample=oversample,
+                               thresholds=np.asarray(thresholds, dtype=float))
     for run_values in _map_cells(pmeprs, orbit_runs(m, (1 << m) * len(offsets)), jobs):
         for kind, (values, records, _) in run_values.items():
             grouped.setdefault(kind, []).append((values, records))

@@ -82,9 +82,10 @@ and the quarter shift (constructions).  Their stars agree exactly; their
 PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
 Each task of the walk is a run of constructions.orbit_runs, the cells of
-one pi or of several whose symbols fit one row_slices budget.  Its
-correlations take the cells' base rows alone, and its envelopes are one
-analysis.run_pmeprs call, the pass ccdf makes over its runs too: all the
+one pi or of several whose symbols fit one row_slices budget.  It builds
+a block per family for each pi, whose base rows its correlations take, and
+its envelopes are one analysis.run_pmeprs call over those blocks, the pass
+ccdf makes over its runs too, here with each offset kind a group: all the
 run's rows screened against one ascending set, the run's distinct
 star/n + STAR_TOL values and each kind's maximum.  A row near another
 row's point is refined as well, which moves no decision of its own, and
@@ -278,18 +279,20 @@ def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
     return stars, golay, residuals
 
 
-def _audit_blocks(task: tuple, terms: _Terms, stars: np.ndarray, golay: np.ndarray,
+def _audit_blocks(blocks: list[list[FamilyBlock]], terms: _Terms, cells: list,
                   oversample: int) -> list[KindStats]:
-    """The audit tally of each offset kind of an (m, run, groups) task, each
-    (offset, row) counted as the FULL_ORBIT_SIZE records of its orbit, from
-    the stars and Golay defects of its cells, rows in run order.  Its PMEPR
-    decisions, p <= star/n + STAR_TOL and the kind's max over the run, are
-    one analysis.run_pmeprs call over the run, as over every record; no
-    decision compares a sampled PMEPR with a ceiling."""
-    m, run, groups = task
-    n, codewords = 1 << m, len(terms.weights)
-    kinds = np.array([offset_kind(o) for o in itertools.chain.from_iterable(groups)])
-    scales = np.where(kinds == "qam16", Scale.QAM16.value, Scale.QAM64.value)
+    """The audit tally of each offset kind of a task's blocks, a block per
+    family for each pi of its run, each (offset, row) counted as the
+    FULL_ORBIT_SIZE records of its orbit, from the stars and Golay defects
+    of the _reductions of their cells, in run order.  Its PMEPR decisions,
+    p <= star/n + STAR_TOL and the kind's max over the run, are one
+    analysis.run_pmeprs call over the run with each kind a group, as over
+    every record; no decision compares a sampled PMEPR with a ceiling."""
+    # the first pi's blocks give the offsets, kinds and scales of every pi
+    n, codewords = 1 << blocks[0][0].m, len(terms.weights)
+    scales = np.concatenate([[block.scale.value] * len(block.offsets) for block in blocks[0]])
+    kinds = np.array([kind for block in blocks[0] for kind in block.kinds])
+    stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
     star_over_n = stars[:codewords] / scales[:, None] / n
     within = np.all(stars[codewords : codewords + terms.components] <= 4 * n + STAR_TOL, axis=1)
     golay = np.max(golay, axis=1)
@@ -299,7 +302,7 @@ def _audit_blocks(task: tuple, terms: _Terms, stars: np.ndarray, golay: np.ndarr
     points = np.sort((star_over_n + STAR_TOL).ravel())
     points = points[np.diff(points, prepend=-np.inf) > 0]
     out = []
-    for kind, (values, _, at) in run_pmeprs(run, m, groups, oversample, points).items():
+    for kind, (values, _, at) in run_pmeprs(blocks, oversample, points, maxima=True).items():
         mask = kinds == kind
         s, index = star_over_n[mask], np.array([terms.index[o] for o in np.flatnonzero(mask)])
         component_ok = bool(np.all(within[index[:, 1:]]))
@@ -316,27 +319,27 @@ def _audit_blocks(task: tuple, terms: _Terms, stars: np.ndarray, golay: np.ndarr
 def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
     """(KindStats of each offset kind, (max, evaluations) of each lemma
     residual) of one (m, run, groups) task: run a run of orbit_runs, groups
-    the offsets of each family.  Per pi of the run, the _reductions of each
-    kernel cell of its base rows; then, unless oversample is None, one
-    _audit_blocks call over the run.  The kernel cells are the row_slices
-    of the kernel's footprint over every term plus the symbols of every
-    offset; a cell's sums are freed before the next."""
+    the offsets of each family.  Per pi of the run, unless oversample is
+    None, a block per family, and the _reductions of each kernel cell of
+    its base rows; then one _audit_blocks call over the blocks of every pi.
+    The kernel cells are the row_slices of the kernel's footprint over
+    every term plus the symbols of every offset; a cell's sums are freed
+    before the next."""
     m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
-    cells = []
+    blocks, cells = [], []
     for pi, rows in run:
         terms = _cell_terms(m, pi, offsets)
         per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
-        cells += [_reductions(base_rows(m, pi, rows[part]), terms)
-                  for part in row_slices(len(rows), per_row)]
+        # a lemma-only walk (oversample None) needs no block, only base rows
+        blocks.append([] if oversample is None else [build_block(m, pi, g, rows) for g in groups])
+        base = blocks[-1][0].base if blocks[-1] else base_rows(m, pi, rows)
+        cells += [_reductions(base[part], terms) for part in row_slices(len(rows), per_row)]
     lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
                     FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
               for key in cells[0][2]}
-    if oversample is None:
-        return [], lemmas
-    stars, golay = (np.concatenate([cell[i] for cell in cells], axis=1) for i in (0, 1))
     # the term layout does not depend on pi: any pi's terms serve
-    return _audit_blocks(task, terms, stars, golay, oversample), lemmas
+    return ([] if oversample is None else _audit_blocks(blocks, terms, cells, oversample)), lemmas
 
 
 def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,

@@ -179,11 +179,9 @@ def test_traced_benchmark_child_runs(tmp_path):
     # the baseline's 10 000 without an FFT, and pep_batch runs, at n=8 and
     # L=16, on the rows whose screened PMEPR lies within screen_margin / n of
     # a threshold: the 3 family rows, one per pi, whose PMEPR is exactly the
-    # threshold 2.0, and the 4 that could hold the family's maximum (each
-    # offset kind is a group of run_pmeprs), then the 15 other images of each
-    # of the 7 (orbit_peps), then 295 of the seed-42 baseline rows, most of
-    # them on a threshold to within rounding, over its two slices of
-    # CHUNK_SYMBOLS // 8 rows
+    # threshold 2.0, then the 15 other images of each of them (orbit_peps),
+    # then 295 of the seed-42 baseline rows, most of them on a threshold to
+    # within rounding, over its two slices of CHUNK_SYMBOLS // 8 rows
     thresholds, refined = default_threshold_grid(), 0
     for z in random_baseline(8, Modulation.QAM16, 10000, 42):
         screened, margin = analysis.screen_peps(z, 16), analysis.screen_margin(z, 16)
@@ -196,7 +194,7 @@ def test_traced_benchmark_child_runs(tmp_path):
     # its span times the generator, not zero
     assert layers["self_s"]["ccdf.baseline"] > 0
     assert counts["synthesis.rows"] == 6144 // 64
-    assert counts["envelope.fft_points"] == 8 * 16 * (7 + 15 * 7 + 295) == 52096
+    assert counts["envelope.fft_points"] == 8 * 16 * (3 + 15 * 3 + 295) == 43904
     # enumerate synthesises every record: 3 pis x 8 offsets x 256 coefficient
     # rows; it scores one row per constant orbit, at L=16, and writes every line
     counts = traced_counts(tmp_path, "enumerate", "--m", "3", "--modulation", "16qam")

@@ -31,7 +31,6 @@ from oracles import (
 from qamseq import analysis, cli, constructions, verification
 from qamseq.algebra import ZETA, canonical_permutations
 from qamseq.analysis import (
-    ccdf,
     coset_footprint,
     default_threshold_grid,
     near_points,
@@ -525,9 +524,8 @@ def walk_audit(block, oversample):
     pi: the sums of every term of its offsets from one kernel call, then
     its envelope."""
     terms = verification._cell_terms(block.m, block.pi, block.offsets)
-    stars, golay, _ = verification._reductions(block.components[0], terms)
-    task = (block.m, [(block.pi, block.coeffs)], (block.offsets,))
-    return verification._audit_blocks(task, terms, stars, golay, oversample)
+    cells = [verification._reductions(block.components[0], terms)]
+    return verification._audit_blocks([[block]], terms, cells, oversample)
 
 
 def cell_stats(block):
@@ -931,10 +929,9 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 
 
 def packed_walks(m):
-    """(orbit_walk(m) and the bound audit of each family alone, what ccdf
-    reads of family_pmeprs of each family at m, per kind: its curve at the
-    default thresholds, its record count and its largest PMEPR, run_pmeprs
-    calls of the audits and of ccdf)."""
+    """(orbit_walk(m) and the bound audit of each family alone,
+    family_pmeprs of each family at m as sorted (value, records) pairs per
+    kind, run_pmeprs calls of the audits and of ccdf)."""
     calls = {"walk": 0, "ccdf": 0}
     with pytest.MonkeyPatch.context() as patch:
         for module, key in ((verification, "walk"), (cli, "ccdf")):
@@ -946,7 +943,8 @@ def packed_walks(m):
         pmeprs, thresholds = {}, default_threshold_grid()
         for modulation in Modulation:
             for kind, (values, records) in cli.family_pmeprs(m, modulation, thresholds).items():
-                pmeprs[kind] = (ccdf(values, thresholds, records), records.sum(), values.max())
+                order = np.lexsort((records, values))
+                pmeprs[kind] = (values[order], records[order])
     return walk, pmeprs, calls
 
 
@@ -956,10 +954,7 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     # the walks with their cells packed into runs of at most CHUNK_SYMBOLS
     # symbols, one run_pmeprs call per run, against one cell per run (each
     # run of orbit_runs split into its cells): every orbit_walk report,
-    # every one-family bound audit and, of every family_pmeprs multiset,
-    # the curve, record count and maximum, bit for bit.  The multisets
-    # themselves differ: each run refines the rows near its own kind
-    # maxima, so more runs split more rows into their images.
+    # every one-family bound audit and every family_pmeprs multiset, bit for bit.
     # At m = 3 a run holds all 3 pis of every walk; at m = 4 one pi fills a
     # run of the walk of both families, and the one-family walks pack 12
     # pis of 16-QAM or 2 of 64-QAM, as ccdf does
@@ -971,9 +966,9 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     assert (packed[2], unpacked[2]) == calls
     assert packed[0] == unpacked[0]
     assert packed[1].keys() == unpacked[1].keys() == set(CEILINGS)
-    for kind, (curve, records, top) in packed[1].items():
-        assert np.array_equal(curve, unpacked[1][kind][0])
-        assert (records, top) == unpacked[1][kind][1:]
+    for kind, (values, records) in packed[1].items():
+        assert np.array_equal(values, unpacked[1][kind][0])
+        assert np.array_equal(records, unpacked[1][kind][1])
 
 
 def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceiling(

@@ -23,6 +23,10 @@ is the one PMEPR pass of the audit and ccdf: per task, a run of
 constructions.orbit_runs given as a block per family of offsets for each
 pi, one orbit_pmeprs call over every row, the values split by offset kind;
 the audit, which reports each kind's maximum, makes each kind a group.
+ccdf is the one counting rule of every CCDF column: exact int64 counts of
+a sample set's records, in total and above each threshold, which add over
+sample sets, so the ccdf command counts each run and each baseline slice
+as it comes and holds no PMEPR multiset past it.
 random_baseline, the uncoded reference ensemble, holds only its uint8 Z4
 draws whole and yields its complex symbols in row_slices, for
 threshold_peps to take one at a time.  Every kernel here runs its rows in
@@ -61,23 +65,24 @@ def default_threshold_grid() -> np.ndarray:
 
 
 def ccdf(values, thresholds, weights=None) -> np.ndarray:
-    """Empirical CCDF of PMEPR samples on a 1-d, strictly increasing
-    threshold grid: the share of samples strictly above each threshold, from
-    one sort.  Sample k counts weights[k] times (an integer, 1 by default):
-    each share is the integer weight above the threshold over the integer
-    total."""
+    """Exact int64 counts of PMEPR samples on a 1-d, nonempty, strictly
+    increasing threshold grid, from one sort: the total weight, then the
+    weight strictly above each threshold.  Sample k counts weights[k] times
+    (an integer, 1 by default), so the counts of two sample sets add, and
+    the curve is counts[1:] / counts[0].  A NaN sample or threshold is
+    refused: it would count as above every threshold, or break the grid."""
     v = np.asarray(values, dtype=float)
     t = np.asarray(thresholds, dtype=float)
-    if v.size == 0:
-        raise ValueError("need at least one PMEPR sample")
-    if t.ndim != 1:
-        raise ValueError("thresholds must be 1-d")
+    if v.size == 0 or np.isnan(v).any():
+        raise ValueError("need at least one PMEPR sample, and no NaN")
+    if t.ndim != 1 or t.size == 0 or np.isnan(t).any():
+        raise ValueError("thresholds must be 1-d, nonempty and not NaN")
     if np.any(np.diff(t) <= 0):
         raise ValueError("thresholds must be strictly increasing")
     w = np.ones(v.size, np.int64) if weights is None else np.asarray(weights, np.int64)
     order = np.argsort(v, kind="stable")
     above = np.append(np.cumsum(w[order][::-1])[::-1], 0)  # the weight from each index on
-    return above[np.searchsorted(v[order], t, side="right")] / above[0]
+    return above[np.append(0, np.searchsorted(v[order], t, side="right"))]
 
 
 def random_baseline(n: int, modulation: Modulation, count: int, seed: int) -> Iterator[np.ndarray]:
@@ -278,11 +283,11 @@ def _pep_error(grid: int) -> float:
 
 def _point_distance(values: np.ndarray, points) -> np.ndarray:
     """The distance from each value to the nearest of the ascending points,
-    which it refuses in any other order (NaN included): its searchsorted
-    would find wrong neighbours."""
+    which it refuses empty, where no point is nearest, or in any other order
+    (NaN included): its searchsorted would find wrong neighbours."""
     points = np.asarray(points, dtype=float)
-    if not np.all(np.diff(points) >= 0):
-        raise ValueError("points must be ascending")
+    if not (points.size and np.all(np.diff(points) >= 0)):
+        raise ValueError("points must be ascending and nonempty")
     i = np.searchsorted(points, values)
     below = np.abs(values - points[np.maximum(i - 1, 0)])
     above = np.abs(points[np.minimum(i, len(points) - 1)] - values)

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or constraint error,
 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 Records are emitted as self-describing JSON (symbols as exact integer
 lattice pairs plus a scale tag, never floats); curves as CSV with 12
-significant digits.  Identical flags produce byte-identical output.
+significant digits, each point an exact int64 count of records above its
+threshold over the column's total (analysis.ccdf's counts, added run by
+run and slice by slice).  Identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 from typing import Iterator
 
 import numpy as np
@@ -338,31 +339,32 @@ def cmd_enumerate(args) -> int:
 
 
 def _family_run(run: list, m: int, offsets: tuple, oversample: int, thresholds) -> dict:
-    """analysis.run_pmeprs of a run of orbit_runs at the thresholds, over
-    a block of the offsets per pi, with no group maxima: a curve reads only
-    the records above each threshold."""
+    """analysis.ccdf counts of each offset kind of a run of orbit_runs at the
+    thresholds, from analysis.run_pmeprs over a block of the offsets per pi
+    with no group maxima: a curve reads only the records above each
+    threshold."""
     blocks = [[build_block(m, pi, offsets, rows)] for pi, rows in run]
-    return run_pmeprs(blocks, oversample, thresholds, maxima=False)
+    return {kind: ccdf(values, thresholds, records) for kind, (values, records, _)
+            in run_pmeprs(blocks, oversample, thresholds, maxima=False).items()}
 
 
 def family_pmeprs(
     m: int, modulation: Modulation, thresholds, oversample: int = 16, jobs: int = 1
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The oversampled PMEPRs of the family as a weighted multiset per offset
-    kind, (values, records): the runs of orbit_runs under
-    orbit_offsets(modulation), one analysis.run_pmeprs call per run.  The
-    records above each of the ascending thresholds are those of a walk over
-    every record, and they sum to the kind's size."""
-    grouped: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+) -> dict[str, np.ndarray]:
+    """The oversampled PMEPRs of the family as int64 counts per offset kind,
+    analysis.ccdf's: the kind's records, then its records strictly above
+    each of the ascending thresholds, those of a walk over every record.
+    Each run of orbit_runs under orbit_offsets(modulation) is counted by
+    one analysis.run_pmeprs call and added as it comes, so no run's PMEPRs
+    outlive it (a worker of jobs > 1 sends back only its counts)."""
+    counts: dict[str, np.ndarray] = {}
     offsets = orbit_offsets(modulation)
-    pmeprs = functools.partial(_family_run, m=m, offsets=offsets, oversample=oversample,
-                               thresholds=np.asarray(thresholds, dtype=float))
-    for run_values in _map_cells(pmeprs, orbit_runs(m, (1 << m) * len(offsets)), jobs):
-        for kind, (values, records, _) in run_values.items():
-            grouped.setdefault(kind, []).append((values, records))
-    # each kind's parts are freed once joined: never every part and every join at once
-    return {kind: tuple(np.concatenate(part) for part in zip(*grouped.pop(kind)))
-            for kind in list(grouped)}
+    count = functools.partial(_family_run, m=m, offsets=offsets, oversample=oversample,
+                              thresholds=np.asarray(thresholds, dtype=float))
+    for run_counts in _map_cells(count, orbit_runs(m, (1 << m) * len(offsets)), jobs):
+        for kind, run_count in run_counts.items():
+            counts[kind] = counts.get(kind, 0) + run_count
+    return counts
 
 
 def cmd_ccdf(args) -> int:
@@ -376,15 +378,13 @@ def cmd_ccdf(args) -> int:
     n = 1 << args.m
     thresholds = default_threshold_grid()
     by_kind = family_pmeprs(args.m, modulation, thresholds, args.oversample, args.jobs)
-    samples = {"constructed": tuple(np.concatenate(part) for part in zip(*by_kind.values()))}
+    counts = {"constructed": sum(by_kind.values())}
     if modulation is Modulation.QAM64:
-        samples.update(type1=by_kind["type1"], type2=by_kind["type2"])
-    curves = {f"ccdf_{name}": ccdf(values, thresholds, records)
-              for name, (values, records) in samples.items()}
-
+        counts.update(type1=by_kind["type1"], type2=by_kind["type2"])
     baseline = random_baseline(n, modulation, args.baseline_count, args.seed)
-    peps = np.concatenate([threshold_peps(z, args.oversample, thresholds) for z in baseline])
-    curves["ccdf_baseline"] = ccdf(peps / n, thresholds)
+    counts["baseline"] = sum(ccdf(threshold_peps(z, args.oversample, thresholds) / n, thresholds)
+                             for z in baseline)
+    curves = {f"ccdf_{name}": c[1:] / c[0] for name, c in counts.items()}
 
     names = list(curves)
     lines = [
@@ -509,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except Exception as exc:  # a fault in the library, not in the command line
+        # imported here: only this branch needs it, and nothing else loads it
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -152,19 +152,18 @@ def test_criterion_6_lemma_oracles():
 def test_criterion_7_ccdf_shape():
     thresholds = np.array([2.0, 2.4, 2.48, 3.0, 3.62, 4.0])
 
-    values, records = family_pmeprs(4, Modulation.QAM16, thresholds)["qam16"]
-    curve16 = ccdf(values, thresholds, records)
-    beyond16 = curve16[thresholds >= 2.4]
-    values, records = family_pmeprs(3, Modulation.QAM64, thresholds)["type2"]
-    curve_t2 = ccdf(values, thresholds, records)
-    beyond_t2 = curve_t2[thresholds >= 2.48]
+    counts16 = family_pmeprs(4, Modulation.QAM16, thresholds)["qam16"]
+    beyond16 = counts16[1:][thresholds >= 2.4]
+    counts_t2 = family_pmeprs(3, Modulation.QAM64, thresholds)["type2"]
+    beyond_t2 = counts_t2[1:][thresholds >= 2.48]
 
     baseline = random_baseline(16, Modulation.QAM16, 10_000, seed=42)
-    baseline_pmeprs = np.concatenate([pep_batch(z, 16) for z in baseline]) / 16
-    baseline_at_24 = float(np.mean(baseline_pmeprs > 2.4))
+    baseline_counts = sum(ccdf(pep_batch(z, 16) / 16, thresholds) for z in baseline)
+    baseline_at_24 = float(baseline_counts[1:][thresholds == 2.4][0] / baseline_counts[0])
 
     ok = (
-        not np.any(beyond16)
+        counts16[0] == family_size(4, Modulation.QAM16)
+        and not np.any(beyond16)
         and not np.any(beyond_t2)
         and baseline_at_24 > 0.0
     )
@@ -173,6 +172,7 @@ def test_criterion_7_ccdf_shape():
         ok,
         f"constructed CCDF 0 at/beyond bounds; baseline CCDF(2.4) = {baseline_at_24:.4f}",
     )
+    assert counts16[0] == family_size(4, Modulation.QAM16)
     assert not np.any(beyond16)
     assert not np.any(beyond_t2)
     assert baseline_at_24 > 0.0

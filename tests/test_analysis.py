@@ -307,14 +307,15 @@ def test_star_bound_check_fake_record_fails():
 
 
 def test_ccdf_counting():
-    curve = ccdf([1.0, 2.0, 3.0], [0.0, 2.5, 4.0])
-    assert curve.tolist() == [1.0, pytest.approx(1 / 3), 0.0]
+    counts = ccdf([1.0, 2.0, 3.0], [0.0, 2.5, 4.0])
+    assert counts.dtype == np.int64 and counts.tolist() == [3, 3, 1, 0]
 
 
 def test_ccdf_counts_only_samples_strictly_above_a_threshold():
     # samples sitting exactly on a threshold do not exceed it
-    curve = ccdf([2.45, 2.4, 2.4], [2.35, 2.4, 2.45])
-    assert curve.tolist() == [1.0, 1 / 3, 0.0]
+    counts = ccdf([2.45, 2.4, 2.4], [2.35, 2.4, 2.45])
+    assert counts.tolist() == [3, 3, 1, 0]
+    assert (counts[1:] / counts[0]).tolist() == [1.0, 1 / 3, 0.0]
 
 
 def test_ccdf_equals_the_share_above_each_threshold():
@@ -323,19 +324,48 @@ def test_ccdf_equals_the_share_above_each_threshold():
     rng = np.random.default_rng(5)
     grid = default_threshold_grid()
     values = np.concatenate([rng.uniform(0.5, 11.0, 500), grid[::7], grid[::7], [1.0, 10.0]])
-    curve = ccdf(values, grid)
-    assert curve.tolist() == [np.mean(values > t) for t in grid]
+    counts = ccdf(values, grid)
+    assert counts[0] == values.size
+    assert (counts[1:] / counts[0]).tolist() == [np.mean(values > t) for t in grid]
+
+
+def test_ccdf_counts_of_two_sample_sets_add():
+    # weighted counts are exact integers, so the counts of the parts of a
+    # sample set, in any split, are the counts of the whole
+    rng = np.random.default_rng(6)
+    grid = default_threshold_grid()
+    values = np.concatenate([rng.uniform(0.5, 11.0, 400), grid[::5]])
+    weights = rng.integers(1, 65, values.size)
+    whole = ccdf(values, grid, weights)
+    assert whole[0] == weights.sum()
+    assert whole[1:].tolist() == [weights[values > t].sum() for t in grid]
+    for cut in (1, 137, values.size - 1):
+        parts = ccdf(values[:cut], grid, weights[:cut]) + ccdf(values[cut:], grid, weights[cut:])
+        assert np.array_equal(parts, whole)
+
+
+def test_ccdf_refuses_nan_samples_and_thresholds():
+    # a NaN threshold broke the grid unseen (the curve rose after it), and
+    # a NaN sample counted above every threshold
+    with pytest.raises(ValueError, match="thresholds must be 1-d, nonempty and not NaN"):
+        ccdf([1.0, 2.0, 4.0], [0.5, np.nan, 3.0])
+    with pytest.raises(ValueError, match="thresholds must be 1-d, nonempty and not NaN"):
+        ccdf([1.0], [np.nan])
+    with pytest.raises(ValueError, match="need at least one PMEPR sample, and no NaN"):
+        ccdf([1.0, np.nan, 4.0], [0.5, 3.0])
 
 
 def test_ccdf_rejects_empty_and_bad_grid():
     with pytest.raises(ValueError, match="need at least one PMEPR sample"):
         ccdf([], [1.0])
+    with pytest.raises(ValueError, match="thresholds must be 1-d, nonempty"):
+        ccdf([1.0], [])
     with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
         ccdf([1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="thresholds must be 1-d"):
         ccdf([1.0], [[0.5, 1.5]])
     # a 1-d, strictly increasing grid is taken
-    assert ccdf([1.0], [0.5, 1.5]).tolist() == [1.0, 0.0]
+    assert ccdf([1.0], [0.5, 1.5]).tolist() == [1, 1, 0]
 
 
 def test_default_threshold_grid():
@@ -409,16 +439,16 @@ def test_per_slice_threshold_peps_give_the_whole_array_curve(n, oversample, modu
     assert np.array_equal(ccdf(sliced / n, thresholds), ccdf(whole / n, thresholds))
 
 
-def test_the_baseline_holds_its_draws_and_its_peps_whole_and_nothing_else():
+def test_the_baseline_holds_its_draws_and_one_slice_and_nothing_else():
     # ccdf's baseline path holds one uint8 draw per component and symbol,
-    # the PEPs (8 bytes a row, twice while they are concatenated: one byte a
-    # symbol at n = 16) and one slice of CHUNK_SYMBOLS symbols at a time
+    # and one slice of CHUNK_SYMBOLS symbols at a time, with its PEPs and
+    # their counts: no PEP of the whole ensemble is held
     n, count, thresholds = 16, 200_000, default_threshold_grid()
     threshold_peps(baseline_rows(n, Modulation.QAM16, 10, 0), 16, thresholds)  # imports, caches
     for modulation in Modulation:
-        bound = (modulation.components + 1) * count * n + (4 << 20)
-        peak = traced_peak(lambda: np.concatenate(
-            [threshold_peps(z, 16, thresholds) for z in random_baseline(n, modulation, count, 1)]))
+        bound = modulation.components * count * n + (4 << 20)
+        peak = traced_peak(lambda: sum(ccdf(threshold_peps(z, 16, thresholds) / n, thresholds)
+                                       for z in random_baseline(n, modulation, count, 1)))
         assert peak <= bound
     # the negative control: the one-shot ensemble, screened whole, holds
     # some 32 bytes a symbol

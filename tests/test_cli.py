@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import family_rows, orbit_rows, parameter_grid
+from oracles import family_rows, orbit_rows, parameter_grid, traced_peak
 from qamseq import analysis, cli, constructions, verification
 from qamseq.analysis import default_threshold_grid, pep_batch
 from qamseq.cli import (
@@ -474,8 +474,8 @@ def test_worker_count_below_one_is_a_usage_error(capsys, jobs):
     (3, Modulation.QAM16), (4, Modulation.QAM16), (3, Modulation.QAM64),
 ])
 def test_family_pmeprs_equal_the_full_walk(m, modulation):
-    # the weighted multiset puts exactly the full walk's records above every
-    # threshold it was refined at: the CCDF grid, and every distinct PMEPR
+    # the counts are exactly the full walk's records above every threshold
+    # they were refined at: the CCDF grid, and every distinct PMEPR
     # of the family, so that no threshold can sit between two members of
     # an orbit unseen
     assert family_pmeprs_count_the_full_walk(m, modulation, 16)
@@ -499,29 +499,27 @@ def test_an_odd_rate_ccdf_needs_the_quarter_shift_images(monkeypatch):
 
 def family_pmeprs_count_the_full_walk(m, modulation, oversample, grid_only=False):
     """Whether family_pmeprs, refined at the CCDF grid and (unless
-    grid_only) at every distinct full-walk PMEPR, puts the full walk's
-    records above each of those thresholds, its records summing to each
-    kind's size."""
+    grid_only) at every distinct full-walk PMEPR, gives each kind's int64
+    counts as the full walk's: its size, then its records above each of
+    those thresholds."""
     full = oracles.full_family_pmeprs(m, modulation, oversample)
     grids = [default_threshold_grid()]
     if not grid_only:
         grids.append(np.unique(np.concatenate(list(full.values()))))
     for thresholds in grids:
         ours = family_pmeprs(m, modulation, thresholds, oversample, jobs=1)
-        if list(ours) != list(full):
+        if list(ours) != list(full) or not all(
+                ours[kind].dtype == np.int64
+                and np.array_equal(ours[kind], records_above(full[kind], thresholds))
+                for kind in full):
             return False
-        for kind, (values, records) in ours.items():
-            if records.sum() != full[kind].size or not np.array_equal(
-                    records_above(values, records, thresholds),
-                    records_above(full[kind], 1, thresholds)):
-                return False
     return True
 
 
-def records_above(values, records, thresholds):
-    """The records strictly above each threshold of a weighted multiset."""
-    records = np.broadcast_to(records, values.shape)
-    return np.array([records[values > t].sum() for t in thresholds])
+def records_above(values, thresholds):
+    """The counts of the full walk's PMEPRs, one per record: the records,
+    then the records strictly above each threshold."""
+    return np.array([values.size, *(np.count_nonzero(values > t) for t in thresholds)])
 
 
 def test_family_pmeprs_refuse_thresholds_out_of_order():
@@ -535,9 +533,15 @@ def test_family_pmeprs_refuse_thresholds_out_of_order():
     for thresholds in (shuffled, ascending[::-1], np.append(ascending, np.nan)):
         with pytest.raises(ValueError, match="points must be ascending"):
             family_pmeprs(3, Modulation.QAM16, thresholds)
-    values, records = family_pmeprs(3, Modulation.QAM16, ascending)["qam16"]
-    assert np.array_equal(records_above(values, records, ascending),
-                          records_above(full, 1, ascending))
+    counts = family_pmeprs(3, Modulation.QAM16, ascending)["qam16"]
+    assert np.array_equal(counts, records_above(full, ascending))
+
+
+def test_family_pmeprs_refuse_an_empty_grid():
+    # no point is nearest a PMEPR on an empty grid: the screen's search
+    # indexed past its end (IndexError) before the grid was refused
+    with pytest.raises(ValueError, match="points must be ascending and nonempty"):
+        family_pmeprs(3, Modulation.QAM16, [])
 
 
 def test_family_pmeprs_do_not_depend_on_jobs():
@@ -546,7 +550,19 @@ def test_family_pmeprs_do_not_depend_on_jobs():
     parallel = family_pmeprs(3, Modulation.QAM64, thresholds, jobs=2)
     assert list(serial) == list(parallel) == ["type1", "type2"]
     for kind in serial:
-        assert all(map(np.array_equal, serial[kind], parallel[kind]))
+        assert np.array_equal(serial[kind], parallel[kind])
+
+
+def test_family_pmeprs_memory_stays_flat_in_m():
+    # each run's PMEPRs are counted and dropped as the run ends, so the
+    # traced peak is one run's, not the whole family's multiset: 64-QAM
+    # m = 5 has 20 times the orbit rows of m = 4.  Holding every run's
+    # PMEPRs and weights until the walk ended peaked at about 4.4 times m = 4
+    thresholds = default_threshold_grid()
+    family_pmeprs(3, Modulation.QAM64, thresholds)  # imports, caches
+    peaks = [traced_peak(lambda: family_pmeprs(m, Modulation.QAM64, thresholds))
+             for m in (4, 5)]
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_a_threshold_between_two_members_of_an_orbit_is_counted_exactly(monkeypatch):
@@ -563,12 +579,10 @@ def test_a_threshold_between_two_members_of_an_orbit_is_counted_exactly(monkeypa
     below = images.reshape(3, -1) < own
     assert 0 < np.count_nonzero(np.any(below, axis=0)) < len(z)
     threshold = np.array([images.reshape(3, -1)[below][0]])
-    full = records_above(oracles.full_family_pmeprs(m, modulation)["qam16"], 1, threshold)
-    values, records = family_pmeprs(m, modulation, threshold)["qam16"]
-    assert np.array_equal(records_above(values, records, threshold), full)
+    full = records_above(oracles.full_family_pmeprs(m, modulation)["qam16"], threshold)
+    assert np.array_equal(family_pmeprs(m, modulation, threshold)["qam16"], full)
     monkeypatch.setattr(analysis, "pep_spread", lambda grid: 0.0)
-    values, records = family_pmeprs(m, modulation, threshold)["qam16"]
-    assert records_above(values, records, threshold)[0] > full[0]
+    assert family_pmeprs(m, modulation, threshold)["qam16"][1] > full[1]
 
 
 def test_ccdf_16qam_zero_beyond_bound(capsys, tmp_path):
@@ -1073,6 +1087,20 @@ def test_the_baseline_limit_is_checked_before_the_walk(capsys, monkeypatch, tmp_
         code, _, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam",
                            "--baseline-count", str(count), "--out", str(out))
         assert code == 2 and message in err and not out.exists()
+
+
+def test_a_nan_pmepr_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # a NaN PEP is a fault of the envelope kernel: ccdf refuses it, where it
+    # once counted as above every threshold, and the command exits 3 with
+    # the traceback, writing no --out
+    monkeypatch.setattr(cli, "threshold_peps", lambda z, *args: np.full(len(z), np.nan))
+    out = tmp_path / "ccdf.csv"
+    code, _, err = run(capsys, "ccdf", "--m", "3", "--modulation", "16qam",
+                       "--baseline-count", "100", "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().splitlines()[-1] == (
+        "internal error: ValueError: need at least one PMEPR sample, and no NaN")
 
 
 def test_the_grid_limit_itself_is_accepted(capsys):

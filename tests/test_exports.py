@@ -205,13 +205,15 @@ def test_traced_benchmark_child_runs(tmp_path):
 
 def test_importing_the_cli_leaves_the_worker_pool_out():
     # concurrent.futures, and the logging it imports, load only when a walk
-    # fans out over worker processes (jobs > 1)
+    # fans out over worker processes (jobs > 1); traceback only when main
+    # reports an internal error
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, qamseq.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, qamseq.cli\n"
+            "print(*(name in sys.modules for name in ('concurrent.futures', 'traceback')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_the_benchmarked_commands_leave_numpy_ma_out(tmp_path):

@@ -930,8 +930,8 @@ def test_bound_audit_does_not_depend_on_block_order(monkeypatch, modulation):
 
 def packed_walks(m):
     """(orbit_walk(m) and the bound audit of each family alone,
-    family_pmeprs of each family at m as sorted (value, records) pairs per
-    kind, run_pmeprs calls of the audits and of ccdf)."""
+    family_pmeprs of each family at m, run_pmeprs calls of the audits and
+    of ccdf)."""
     calls = {"walk": 0, "ccdf": 0}
     with pytest.MonkeyPatch.context() as patch:
         for module, key in ((verification, "walk"), (cli, "ccdf")):
@@ -940,12 +940,10 @@ def packed_walks(m):
                 return real(*args, **kwargs)
             patch.setattr(module, "run_pmeprs", counted)
         walk = (verification.orbit_walk(m), *(theorem_bound_audit(m, mod) for mod in Modulation))
-        pmeprs, thresholds = {}, default_threshold_grid()
-        for modulation in Modulation:
-            for kind, (values, records) in cli.family_pmeprs(m, modulation, thresholds).items():
-                order = np.lexsort((records, values))
-                pmeprs[kind] = (values[order], records[order])
-    return walk, pmeprs, calls
+        thresholds = default_threshold_grid()
+        counts = {kind: count for modulation in Modulation
+                  for kind, count in cli.family_pmeprs(m, modulation, thresholds).items()}
+    return walk, counts, calls
 
 
 @pytest.mark.parametrize("m, calls", [(3, ({"walk": 3, "ccdf": 2}, {"walk": 9, "ccdf": 6})),
@@ -954,7 +952,7 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     # the walks with their cells packed into runs of at most CHUNK_SYMBOLS
     # symbols, one run_pmeprs call per run, against one cell per run (each
     # run of orbit_runs split into its cells): every orbit_walk report,
-    # every one-family bound audit and every family_pmeprs multiset, bit for bit.
+    # every one-family bound audit and every family_pmeprs count.
     # At m = 3 a run holds all 3 pis of every walk; at m = 4 one pi fills a
     # run of the walk of both families, and the one-family walks pack 12
     # pis of 16-QAM or 2 of 64-QAM, as ccdf does
@@ -966,9 +964,8 @@ def test_packing_cells_into_runs_moves_no_report(monkeypatch, m, calls):
     assert (packed[2], unpacked[2]) == calls
     assert packed[0] == unpacked[0]
     assert packed[1].keys() == unpacked[1].keys() == set(CEILINGS)
-    for kind, (values, records) in packed[1].items():
-        assert np.array_equal(values, unpacked[1][kind][0])
-        assert np.array_equal(records, unpacked[1][kind][1])
+    for kind, counts in packed[1].items():
+        assert np.array_equal(counts, unpacked[1][kind])
 
 
 def test_bound_audit_fails_the_star_and_pmepr_checks_of_the_kind_over_its_ceiling(

@@ -12,7 +12,7 @@ b, and |1 + i|^2 = 2, so at every shift u >= 0
     C_H(u) + C_H'(u) = 2 * sum_j w_j^2 * A_j(u) + 2 * sum_{j<k} w_j w_k * T_jk(u).
 
 The walk takes the codeword sums as one product W @ sums of an integer
-(offsets x terms) weight matrix by the cell's sums.  Every A_j and T_jk is
+(offsets x terms) weight matrix by the terms' sums.  Every A_j and T_jk is
 a Gaussian integer with parts at most 4n and every weight an integer of at
 most 32, so every product and partial sum is an integer far below 2^53:
 the product is exact in any order of summation, and equals bit for bit
@@ -29,21 +29,37 @@ path end pi(m-1), which vanish for offsets that satisfy their congruences.
 With P = zeta^(B+s) and Q = zeta^B the inner sum at shift u is T_PQ(u) =
 T(u), T(-u) = conj T(u): the T of D with s1 or s2, and the a2a3 T of
 B = D + s1 with s = s1 - s2.  Each sequence is zeta^D times a row-free
-one, so one analysis.coset_correlation_sums call per cell gives every term
-(_walk_terms): A of D and of D plus each distinct form, T of D with each
-form, and per 64-QAM offset T(F, G) and the a2a3 T, 11 + 10 + 16 + 16 = 53
-terms over the 2 + 16 offsets of both families.  The sums are exact, so a
-residual passes only at exactly 0; deliberately broken offsets must light
-them up, otherwise the sweep proves nothing.
+one, so one analysis.coset_correlation_sums call on one row gives every
+term (_walk_terms): A of D and of D plus each distinct form, T of D with
+each form, and per 64-QAM offset T(F, G) and the a2a3 T, 11 + 10 + 16 + 16
+= 53 terms over the 2 + 16 offsets of both families.  The sums are exact,
+so a residual passes only at exactly 0; deliberately broken offsets must
+light them up, otherwise the sweep proves nothing.
+
+One row per pi.  Each sum is sum_i zeta^(D_i - D_j) F(i, j), j = i + u,
+F(i, j) = p_i conj(q_j) (1 + g_i g_j), D the path 2 sum_k x_pi(k)x_pi(k+1)
+plus the row's affine part (P3, base_rows).  _walk_terms asserts that each
+row-free exponent reads only x_pi(0), x_pi(1) (P1) and g only x_pi(m-1)
+(P2).  With v the last path position where i and j differ:
+- 1 <= v <= m-2: flipping x_pi(v+1) in both keeps j - i and F and turns
+  D_i - D_j by 2, so the pairs cancel;
+- v = m-1: g_i g_j = -1, so the companion factor is 0;
+- left are u = 0, where D cancels, so S(0) does not depend on the row,
+  and u0 = 2^(m-1-pi(0)), where D_i - D_j = -c0 - 2 x_pi(1)(i), c0 the
+  row's coefficient of x_pi(0): S(u0) is zeta^(-c0) times a row-free sum;
+- every reduction is a modulus or |re| + |im|, which the unit leaves
+  unchanged bit for bit (it swaps or negates exact integer parts).
+So a row's stars, Golay defects and residuals are those of the zero row
+of its pi (linear part 0, constant 0), which the walk reduces once per pi
+(_pi_reductions) and credits to each row.
 
 The walk scores one (row, offset) per orbit of the quarter shift,
 conjugation and reversal: the rows of constructions.orbit_runs under the
-offsets of constructions.orbit_offsets.  T does not depend on the constant,
-which multiplies P and Q alike, so the images below may take any constant.
+offsets of constructions.orbit_offsets.  The quarter shift keeps pi, so
+the row and its images share the zero row's reductions.  T does not depend
+on the constant, which multiplies P and Q alike, so the images below may
+take any constant.
 
-- The quarter shift adds i mod 4 to D, and so to B = D and to B = D + s1
-  alike, while s is a function of the row-free form alone: every
-  P_i conj(Q_{i+u}) gains i^i * i^(-(i+u)), and T(u) becomes i^(-u) * T(u).
 - Conjugation (sigma) takes D to -D and every form s to sigma(s) = -s
   (2*x*y = -2*x*y), so P and Q become conj(P) and conj(Q); the companion
   sign is real and the same, and T(u) becomes conj T(u).
@@ -83,9 +99,9 @@ PMEPRs may differ in the last bits, so a row within analysis.pep_spread of
 a decision has the PMEPR of each image computed (analysis.orbit_pmeprs).
 Each task of the walk is a run of constructions.orbit_runs, the cells of
 one pi or of several whose symbols fit one row_slices budget.  It builds
-a block per family for each pi, whose base rows its correlations take, and
-its envelopes are one analysis.run_pmeprs call over those blocks, the pass
-ccdf makes over its runs too, here with each offset kind a group: all the
+a block per family for each pi, and its envelopes are one
+analysis.run_pmeprs call over those blocks, the pass ccdf makes over its
+runs too, here with each offset kind a group: all the
 run's rows screened against one ascending set, the run's distinct
 star/n + STAR_TOL values and each kind's maximum.  A row near another
 row's point is refined as well, which moves no decision of its own, and
@@ -93,7 +109,7 @@ the group maximum rule gives each kind's exact maximum over the run, so no
 report depends on how the cells are packed.  A task becomes the KindStats
 of each offset kind, only what the checks read, and its lemma maxima and
 counts; the reports are their sums (counts add, extrema take min/max,
-flags AND), the same in any order, for any cell size, run and worker count.
+flags AND), the same in any order, for any run and worker count.
 The star check reads each kind's extrema: its largest star/n against the
 ceiling and, for 16-QAM, its least against the 2n floor.
 
@@ -117,7 +133,6 @@ import numpy as np
 from .algebra import coefficient_rows
 from .analysis import (
     coset_correlation_sums,
-    coset_footprint,
     envelope_power_batch,
     golay_defect,
     pep_batch,
@@ -175,12 +190,12 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# the orbit walk: every sum of a cell from one correlation kernel call
+# the orbit walk: every sum of a pi from one correlation kernel call on one row
 # ---------------------------------------------------------------------------
 
 
 class _Terms(NamedTuple):
-    """The terms of one (m, pi, offsets) cell in kernel order: A of each
+    """The terms of one (m, pi, offsets) in kernel order: A of each
     component (D, then D plus each distinct form), T of D with each form,
     then T(F, G) and the a2a3 T of each 64-QAM offset; factors are their
     shift_factors and weights the (offsets, terms) W of the identity.
@@ -212,7 +227,7 @@ def _term_layout(offsets: tuple[Offset, ...]) -> tuple:
         # 2 * w_j * w_l = 2^(2K - 1 - j - l) on A_j (j = l) and on T_jl
         for (j, a), (l, b) in itertools.combinations_with_replacement(enumerate(c), 2):
             weights[o, a if j == l else term[a, b]] += 2 << (2 * len(c) - 2 - j - l)
-    weights.setflags(write=False)  # cached: every cell shares it
+    weights.setflags(write=False)  # cached: every pi shares it
     kinds: dict[OffsetKind, list] = {}
     for g, (kind, c) in enumerate(triples):
         kinds.setdefault(kind, []).append((term[0, c[1]], term[0, c[2]], term[k + g, c[1]]))
@@ -222,37 +237,36 @@ def _term_layout(offsets: tuple[Offset, ...]) -> tuple:
     return forms, fg, np.array(pairs).T, _Terms(None, weights, k, index, l1, kinds)
 
 
-@functools.lru_cache(maxsize=1)
-def _walk_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...],
-                sign: tuple[int, ...]) -> _Terms:
-    """The _Terms of offsets at pi under the companion sign, built once for
-    every cell of the pi (the walk's cells come in pi order): one
+def _walk_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> _Terms:
+    """The _Terms of offsets at pi under its companion sign: one
     shift_factors call over the stacked (p, q) and (q, p) rows of every
-    term of _term_layout, whose halves add to each T (and to twice each A)."""
+    term of _term_layout, whose halves add to each T (and to twice each A).
+    Raises AssertionError unless every row-free exponent row reads only
+    x_pi(0) and x_pi(1) (P1) and the sign only x_pi(m-1) (P2): the premises
+    of the walk's one row per pi (module docstring)."""
     forms, (f, g), (p, q), terms = _term_layout(offsets)
     values = np.concatenate([np.zeros((1, 1 << m), np.int64), form_values(forms, m, pi)])
-    x = polyphase_lattice(np.concatenate([values, 2 * values[f] - values[g]]))
-    both = shift_factors(x[np.r_[p, q]], x[np.r_[q, p]], np.array(sign))
+    values, sign = np.concatenate([values, 2 * values[f] - values[g]]), companion_sign(m, pi)
+    i, bit = np.arange(1 << m), [1 << (m - 1 - v) for v in pi]  # x_v is bit m-1-v of i
+    if not (np.array_equal(values, values[:, i & (bit[0] | bit[1])])
+            and np.array_equal(sign, sign[i & bit[-1]])):
+        raise AssertionError(f"the row-free factors at pi {pi} read more than P1 and P2 allow")
+    x = polyphase_lattice(values)
+    both = shift_factors(x[np.r_[p, q]], x[np.r_[q, p]], sign)
     factors = both[:, : len(p)] + both[:, len(p) :]
     factors[:, : terms.components] /= 2
-    factors.setflags(write=False)  # cached: every cell of the pi shares them
     return terms._replace(factors=factors)
 
 
-def _cell_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> _Terms:
-    """The _Terms of offsets at pi under its companion sign."""
-    return _walk_terms(m, pi, offsets, tuple(companion_sign(m, pi).tolist()))
-
-
 def _codeword_sums(sums: np.ndarray, terms: _Terms) -> np.ndarray:
-    """The (offsets, rows, n) sums C_H + C_H' of every codeword of a cell:
+    """The (offsets, rows, n) sums C_H + C_H' of every codeword of the rows:
     W @ sums, the component identity, on the float pairs of the sums."""
     flat = sums.view(float).reshape(len(sums), -1)
     return (terms.weights @ flat).view(complex).reshape(len(terms.weights), *sums.shape[1:])
 
 
 def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
-    """(stars, golay, residuals) of one walk cell of base rows D, per row,
+    """(stars, golay, residuals) of (rows, n) base rows D, per row,
     from one coset_correlation_sums call: the star of each codeword and then
     of each term, (offsets + terms, rows); the Golay defect of each
     component; and every lemma residual as (offsets, rows) arrays in the
@@ -283,8 +297,8 @@ def _audit_blocks(blocks: list[list[FamilyBlock]], terms: _Terms, cells: list,
                   oversample: int) -> list[KindStats]:
     """The audit tally of each offset kind of a task's blocks, a block per
     family for each pi of its run, each (offset, row) counted as the
-    FULL_ORBIT_SIZE records of its orbit, from the stars and Golay defects
-    of the _reductions of their cells, in run order.  Its PMEPR decisions,
+    FULL_ORBIT_SIZE records of its orbit, from cells, the (stars, golay)
+    of _reductions over their rows in run order.  Its PMEPR decisions,
     p <= star/n + STAR_TOL and the kind's max over the run, are one
     analysis.run_pmeprs call over the run with each kind a group, as over
     every record; no decision compares a sampled PMEPR with a ceiling."""
@@ -316,30 +330,32 @@ def _audit_blocks(blocks: list[list[FamilyBlock]], terms: _Terms, cells: list,
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _pi_reductions(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> tuple:
+    """The _reductions of the zero row at pi (linear part 0, constant 0),
+    which are those of every row at pi (module docstring), once for every
+    task of the pi: the walk's tasks come in pi order."""
+    return _reductions(base_rows(m, pi, np.zeros((1, m + 1), int)), _walk_terms(m, pi, offsets))
+
+
 def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
     """(KindStats of each offset kind, (max, evaluations) of each lemma
     residual) of one (m, run, groups) task: run a run of orbit_runs, groups
-    the offsets of each family.  Per pi of the run, unless oversample is
-    None, a block per family, and the _reductions of each kernel cell of
-    its base rows; then one _audit_blocks call over the blocks of every pi.
-    The kernel cells are the row_slices of the kernel's footprint over
-    every term plus the symbols of every offset; a cell's sums are freed
-    before the next."""
+    the offsets of each family.  Each pi of the run gives its _pi_reductions
+    to each of its rows; unless oversample is None, a block per family for
+    each pi then takes one _audit_blocks call over the blocks of every pi,
+    with the term layout of the offsets, which does not depend on pi."""
     m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
-    blocks, cells = [], []
-    for pi, rows in run:
-        terms = _cell_terms(m, pi, offsets)
-        per_row = coset_footprint(1 << m, len(terms.factors[0])) + (1 << m) * len(offsets)
-        # a lemma-only walk (oversample None) needs no block, only base rows
-        blocks.append([] if oversample is None else [build_block(m, pi, g, rows) for g in groups])
-        base = blocks[-1][0].base if blocks[-1] else base_rows(m, pi, rows)
-        cells += [_reductions(base[part], terms) for part in row_slices(len(rows), per_row)]
-    lemmas = {key: (max(float(np.max(cell[2][key])) for cell in cells),
-                    FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size for cell in cells))
-              for key in cells[0][2]}
-    # the term layout does not depend on pi: any pi's terms serve
-    return ([] if oversample is None else _audit_blocks(blocks, terms, cells, oversample)), lemmas
+    cells = [(_pi_reductions(m, pi, offsets), len(rows)) for pi, rows in run]
+    lemmas = {key: (max(float(np.max(cell[2][key])) for cell, _ in cells),
+                    FULL_ORBIT_SIZE // ORBIT_SIZE * sum(cell[2][key].size * k for cell, k in cells))
+              for key in cells[0][0][2]}
+    if oversample is None:
+        return [], lemmas
+    blocks = [[build_block(m, pi, g, rows) for g in groups] for pi, rows in run]
+    credited = [[np.repeat(a, k, axis=1) for a in cell[:2]] for cell, k in cells]
+    return _audit_blocks(blocks, _term_layout(offsets)[3], credited, oversample), lemmas
 
 
 def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
@@ -368,7 +384,7 @@ def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
         for modulation, group in zip(modulations, groups))
     both = len(set(modulations)) == len(Modulation)
     lemmas = LemmaSweepResult(m, counts, maxima, negative_controls(m)) if both else None
-    _walk_terms.cache_clear()  # no factors are held past the walk
+    _pi_reductions.cache_clear()  # no walk's reductions outlive it
     return audits, lemmas
 
 
@@ -420,18 +436,16 @@ def negative_controls(m: int = 3) -> dict[str, float]:
         "L2": Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
         "L3": Offset64(OffsetKind.TYPE2, d, 0, 0, 0),
     }
-    residuals = _reductions(row, _cell_terms(m, pi, tuple(controls.values())))[2]
+    residuals = _reductions(row, _walk_terms(m, pi, tuple(controls.values())))[2]
     return {name: max(float(np.max(r)) for key, r in residuals.items() if key.startswith(name))
             for name in controls}
 
 
 def lemma_sweep(m: int = 3) -> LemmaSweepResult:
     """Every lemma residual at one m, over every (pi, linear part, offset):
-    orbit_walk without the envelope, one (linear part, offset) per orbit of
-    the quarter shift, conjugation and reversal, each counting
-    FULL_ORBIT_SIZE // ORBIT_SIZE evaluations (module docstring).  Each
-    linear part is walked with constant 0.  That is exhaustive: a constant
-    c multiplies P and Q by zeta^c, so no lemma sum depends on c."""
+    orbit_walk without the envelope, each pi's zero row credited to its
+    orbit rows, each (row, offset) counting FULL_ORBIT_SIZE // ORBIT_SIZE
+    evaluations (module docstring)."""
     return orbit_walk(m, None)[1]
 
 

@@ -386,6 +386,14 @@ PINNED_SHA256 = [
     # as many rows as fit the symbol budget
     (["verify", "--suite", "bounds", "--m", "5", "--jobs", "1"],
      "69b44ed1b998fd116a4e5f78c387b218a067d8176ffaa09ee34af8e42b949b36"),
+    # the same report from two workers, each with its own cache of the
+    # zero-row reductions of a pi, whose 256 orbit rows span several tasks
+    (["verify", "--suite", "bounds", "--m", "5", "--jobs", "2"],
+     "69b44ed1b998fd116a4e5f78c387b218a067d8176ffaa09ee34af8e42b949b36"),
+    # the lemma sweep alone at m=6, 37 tasks a pi: the report of the walk
+    # that reduced every orbit row
+    (["verify", "--suite", "lemmas", "--m", "6"],
+     "aa9af55bcf5f63729993ec32cf09bc2261089a3beb3e91b7f6030088dd25b3b5"),
 ]
 
 
@@ -394,7 +402,7 @@ PINNED_SHA256 = [
     "construct-64qam", "construct-16qam-csv", "verify-all-m3-jobs1", "verify-all-m3-jobs2",
     "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
     "ccdf-64qam-m4", "ccdf-16qam-m4-L3", "verify-bounds-m3-L3", "ccdf-16qam-m3",
-    "verify-lemmas-m5", "verify-bounds-m5",
+    "verify-lemmas-m5", "verify-bounds-m5", "verify-bounds-m5-jobs2", "verify-lemmas-m6",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"

@@ -157,10 +157,11 @@ def test_traced_benchmark_child_runs(tmp_path):
     walked = 3 * (64 // 4) * 2 + 3 * (64 // 4) * 16
     assert counts["synthesis.rows"] == walked == 864
     # one polyphase_lattice per pi for the terms of the 2 + 16 orbit
-    # offsets, which every walk cell of the pi shares, and one for the
-    # negative controls' terms; the sums come from coset_correlation_sums,
-    # which is not a traced name, and no star_batch, golay_defect_batch or
-    # star runs
+    # offsets on the pi's zero row, whose reductions every orbit row of the
+    # pi shares (the audit takes the pi-free term layout, and builds no
+    # terms of its own), and one for the negative controls' terms; the sums
+    # come from coset_correlation_sums, which is not a traced name, and no
+    # star_batch, golay_defect_batch or star runs
     assert counts["correlation.calls"] == 3 * 1 + 1 == 4
     # pep_batch points at n=8: the audit screens the run's 864 rows in
     # complex64 (threshold_peps, no FFT) in one call and runs pep_batch, at

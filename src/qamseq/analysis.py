@@ -5,11 +5,16 @@ sequences) are complex128 arrays of Gaussian integers.  Every value and every
 sum below is a Gaussian integer far below 2^53, which complex128 holds
 exactly; the only rounding in the star operator is one correctly rounded
 square root of the exact norm re^2 + im^2 per shift, and the sum over shifts.
-Every sequence a family walk correlates lies in a coset zeta^D * x of one base
-row D, and coset_correlation_sums, the one correlation kernel, correlates a
-whole family cell that way: one matrix product per shift for every (row,
-term) pair; star, star_batch and golay_defect_batch are its D = 0, g = 0
-reductions, kept for the library example and the benchmark's tracer.
+Every sequence the walk or a block correlates is zeta^D * x with its
+companion g * zeta^D * x, x row-free, D a base row.  Its sums vanish at
+every shift but 0 and u0 = 2^(m-1-pi(0)) (proof in verification) if x reads
+only x_pi(0) and x_pi(1) (P1), g reads only x_pi(m-1) and changes sign with
+it (P2), and D is the quadratic path plus an affine part (P3,
+gbf.base_rows).  shift_factors certifies P1 and P2; coset_correlation_sums,
+the one correlation kernel, gives both sums of every (row, term) pair from
+one matrix product.  Arbitrary pairs are not two-shift sparse:
+autocorrelation_sums sums each shift, and star, star_batch and
+golay_defect_batch reduce it for the library example and the benchmark.
 Envelope evaluation samples S(t) = sum_i A_i exp(2*pi*j*i*t) on an L-times
 oversampled grid t_k = k/(L*n) over one period (w0 = 0, ws = 1, T = 1;
 peak-to-mean ratios are invariant to that normalization) with pep_batch,
@@ -120,7 +125,7 @@ def _lattice_slices(draws: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def star_sum(sums: np.ndarray) -> np.ndarray:
-    """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, n) sums T(u), u >= 0:
+    """|T(0)| + 2 * sum_{u>=1} |T(u)| per row of (B, shifts) sums T(u), u >= 0:
     the sum of |T| over every shift of a conjugate-symmetric T(-u) = conj T(u)."""
     sums = np.asarray(sums, dtype=complex)
     mags = sums.real**2  # the exact norms re^2 + im^2, below 2^53
@@ -129,74 +134,59 @@ def star_sum(sums: np.ndarray) -> np.ndarray:
     return mags[:, 0] + 2 * np.sum(mags[:, 1:], axis=1)
 
 
-def _ahead(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, i) -> i + u modulo n, and where i + u < n."""
-    ahead = np.arange(n)[:, None] + np.arange(n)[None, :]
-    return ahead % n, ahead < n
-
-
-def shift_factors(p: np.ndarray, q: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """(n, terms, n) factors F[u, k, i] = p_k(i) * conj(q_k(i+u)) * (1 + g_i g_{i+u})
-    for i + u < n, and 0 beyond, of (terms, n) row-free sequences p, q and
-    the (n,) companion sign g: coset_correlation_sums of them is X_{P,Q} +
-    X_{gP,gQ} for P = zeta^D * p and Q = zeta^D * q."""
-    ahead, inside = _ahead(p.shape[-1])
-    factors = np.conj(q).T[ahead]  # (u, i, terms)
-    factors *= p.T
-    factors *= np.where(inside, 1 + sign * sign[ahead], 0)[:, :, None]
-    return factors.transpose(0, 2, 1)
+def shift_factors(p: np.ndarray, q: np.ndarray, sign: np.ndarray, pi: tuple) -> np.ndarray:
+    """(2, terms, n) factors F[k, t, i] = p_t(i) * conj(q_t(i+u)) * (1 + g_i g_{i+u})
+    at u = 0 (k = 0) and u0 (k = 1), 0 where i + u >= n, of (terms, n)
+    row-free p, q and the (n,) companion sign g at pi.  Raises
+    AssertionError unless P1 and P2 hold."""
+    n = p.shape[-1]
+    i, bit = np.arange(n), [n >> (v + 1) for v in pi]  # x_v is bit m-1-v of i
+    free = i & (bit[0] | bit[1])
+    if not (np.array_equal(p, p[:, free]) and np.array_equal(q, q[:, free])
+            and np.array_equal(sign, sign[i & bit[-1]]) and np.all(sign * sign[i ^ bit[-1]] == -1)):
+        raise AssertionError(f"the row-free factors at pi {pi} read more than P1 and P2 allow")
+    u0 = bit[0]
+    factors = np.stack([2 * p * np.conj(q), np.zeros_like(p, dtype=complex)])
+    factors[1, :, : n - u0] = p[:, : n - u0] * np.conj(q[:, u0:]) * (1 + sign[: n - u0] * sign[u0:])
+    return factors
 
 
 def coset_footprint(n: int, terms: int) -> int:
-    """Complex values coset_correlation_sums holds per base row: its (n, n)
-    unit products and its terms x n sums."""
-    return n * (n + terms)
+    """Complex values coset_correlation_sums holds per base row: its n units
+    at u0 and its terms sums there."""
+    return n + terms
 
 
-def coset_correlation_sums(base: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """(terms, rows, n) sums sum_i zeta^(D_r(i) - D_r(i+u)) * F[u, k, i] for the
-    (rows, n) Z4 base rows D_r and (n, terms, n) shift_factors F.
-
-    Every sequence a family walk correlates is zeta^D times a sequence that
-    does not depend on the row: a codeword is zeta^D * (1 + i) * sum_j w_j *
-    zeta^(s_j), a component zeta^D * zeta^(s_j), and a lemma pair
-    (zeta^(B+s), zeta^B) with B = D or D + s1 moves zeta^(s1) into its row-free
-    part (the Reed-Muller coset structure of Davis and Jedwab).  With
-    P = zeta^D * p, Q = zeta^D * q and X_{a,b}(u) = sum_i a_i conj(b_{i+u}),
-
-        X_{P,Q}(u) + X_{gP,gQ}(u)
-            = sum_i zeta^(D_i - D_{i+u}) * p_i conj(q_{i+u}) * (1 + g_i g_{i+u}),
-
-    so at each shift the sums of every row and term are one matrix product
-    of the unit products by the row-free factors.  The units are +-1, +-i
-    and the factors Gaussian integers, so every product and partial sum is
-    exact.  Rows run in the row_slices of coset_footprint, so the unit
-    products are never held for a whole cell.
-    """
-    n, terms = factors.shape[:2]
-    ahead, _ = _ahead(n)
-    sums = np.empty((terms, len(base), n), dtype=complex)
+def coset_correlation_sums(base: np.ndarray, factors: np.ndarray, pi: tuple) -> np.ndarray:
+    """(terms, rows, 2) sums S(u) = sum_i zeta^(D_r(i) - D_r(i+u)) * F[k, t, i]
+    at u = 0 and u0 = 2^(m-1-pi(0)) of the (rows, n) Z4 base rows D_r and
+    the shift_factors F at pi: X_{P,Q}(u) + X_{gP,gQ}(u) for P = zeta^D * p,
+    Q = zeta^D * q and X_{a,b}(u) = sum_i a_i conj(b_{i+u}), which by P1-P3
+    is 0 at every other shift.  D cancels at u = 0, so S(0) is the row-free
+    sum of F[0]; S(u0) is one matrix product of the rows' unit products by
+    F[1].  Units +-1, +-i and Gaussian-integer factors keep every product
+    and partial sum exact.  Rows run in the row_slices of coset_footprint."""
+    terms, n = factors.shape[1:]
+    u0 = n >> (pi[0] + 1)
+    sums = np.empty((terms, len(base), 2), dtype=complex)
+    sums[:, :, 0] = np.sum(factors[0], axis=1)[:, None]
     for part in row_slices(len(base), coset_footprint(n, terms)):
         d = base[part].T  # (i, rows)
-        units = ZETA[(d[None] - d[ahead]) & 3]  # (u, i, rows)
-        sums[:, part] = np.matmul(factors, units).transpose(1, 2, 0)
+        sums[:, part, 1] = factors[1, :, : n - u0] @ ZETA[(d[: n - u0] - d[u0:]) & 3]
     return sums
 
 
 def autocorrelation_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_a(u) + C_b(u), u = 0 .. n-1, per row of equal-shape (B, n) lattice arrays:
-    coset_correlation_sums on the base row D = 0 with no companion (g = 0),
-    over the row_slices of coset_footprint(n, 1), so the (n, rows, n)
-    factors are never held for every row."""
+    """C_a(u) + C_b(u), u = 0 .. n-1, per row of equal-shape (B, n) lattice
+    arrays, one shift at a time, over row_slices of 4n values a row."""
     if a.shape != b.shape:
         raise ValueError(f"rows of unequal shape: {a.shape} and {b.shape}")
     n = a.shape[-1]
-    zero = np.zeros(n, np.int64)
     sums = np.empty(a.shape, dtype=complex)
-    for part in row_slices(len(a), coset_footprint(n, 1)):
-        x, y = a[part], b[part]
-        factors = shift_factors(x, x, zero) + shift_factors(y, y, zero)
-        sums[part] = coset_correlation_sums(zero[None], factors)[:, 0]
+    for part in row_slices(len(a), 4 * n):
+        z = np.stack([a[part], b[part]])
+        for u in range(n):
+            sums[part, u] = np.sum(z[..., : n - u] * np.conj(z[..., u:]), axis=(0, 2))
     return sums
 
 
@@ -485,8 +475,9 @@ def score_block(block: FamilyBlock, oversample: int) -> tuple[np.ndarray, np.nda
     the base rows with the parts' shift_factors (every codeword is zeta^D *
     its part), and its PEP over n, from one pep_batch call."""
     n, shape = 1 << block.m, (len(block.offsets), len(block.base))
-    factors = shift_factors(block.parts, block.parts, block.companion_sign)
-    star = star_sum(coset_correlation_sums(block.base, factors).reshape(-1, n)) / block.scale.value
+    factors = shift_factors(block.parts, block.parts, block.companion_sign, block.pi)
+    sums = coset_correlation_sums(block.base, factors, block.pi)
+    star = star_sum(sums.reshape(-1, 2)) / block.scale.value
     pmepr = pep_batch(block.complex_symbols().reshape(-1, n), oversample) / n
     return star.reshape(shape), pmepr.reshape(shape)
 

@@ -59,9 +59,10 @@ from .verification import (
 
 ENUMERATION_CAPS = {Modulation.QAM16: 4, Modulation.QAM64: 3}
 # the largest m that construct builds and that a verify --record document
-# may name (construct takes some 7 s and 3 GB at m = 13, most of it the n^2
-# shift factors of the one-row correlation), and the largest envelope grid,
-# oversample * n, of any subcommand: the default rate at that m
+# may name (construct takes some 0.4 s and 40 MB at m = 13: the correlation
+# holds two shifts, linear in n, and the envelope 16 * n points), and the
+# largest envelope grid, oversample * n, of any subcommand: the default
+# rate at that m
 CONSTRUCT_M_LIMIT = RECORD_M_LIMIT = 13
 GRID_LIMIT = 16 << CONSTRUCT_M_LIMIT
 # the most symbols, count * n, of ccdf's random baseline, whose Z4 draws

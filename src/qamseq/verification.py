@@ -36,22 +36,25 @@ each form, and per 64-QAM offset T(F, G) and the a2a3 T, 11 + 10 + 16 + 16
 so a residual passes only at exactly 0; deliberately broken offsets must
 light them up, otherwise the sweep proves nothing.
 
-One row per pi.  Each sum is sum_i zeta^(D_i - D_j) F(i, j), j = i + u,
-F(i, j) = p_i conj(q_j) (1 + g_i g_j), D the path 2 sum_k x_pi(k)x_pi(k+1)
-plus the row's affine part (P3, base_rows).  _walk_terms asserts that each
-row-free exponent reads only x_pi(0), x_pi(1) (P1) and g only x_pi(m-1)
-(P2).  With v the last path position where i and j differ:
+Two shifts, one row per pi.  Each sum is sum_i zeta^(D_i - D_j) F(i, j),
+j = i + u, F(i, j) = p_i conj(q_j) (1 + g_i g_j), D the path 2 sum_k
+x_pi(k)x_pi(k+1) plus its affine part (P3, base_rows).
+analysis.shift_factors asserts on each call that the row-free sequences
+read only x_pi(0), x_pi(1) (P1) and g only x_pi(m-1), changing sign with
+it (P2: a constant g leaves the v = m-1 terms).  With v the last path
+position where i and j differ:
 - 1 <= v <= m-2: flipping x_pi(v+1) in both keeps j - i and F and turns
   D_i - D_j by 2, so the pairs cancel;
-- v = m-1: g_i g_j = -1, so the companion factor is 0;
+- v = m-1: g_i g_j = -1 by P2, so the companion factor is 0;
 - left are u = 0, where D cancels, so S(0) does not depend on the row,
   and u0 = 2^(m-1-pi(0)), where D_i - D_j = -c0 - 2 x_pi(1)(i), c0 the
   row's coefficient of x_pi(0): S(u0) is zeta^(-c0) times a row-free sum;
 - every reduction is a modulus or |re| + |im|, which the unit leaves
   unchanged bit for bit (it swaps or negates exact integer parts).
-So a row's stars, Golay defects and residuals are those of the zero row
-of its pi (linear part 0, constant 0), which the walk reduces once per pi
-(_pi_reductions) and credits to each row.
+So the kernel sums u = 0 and u0 alone, and a row's stars, Golay defects
+and residuals are those of the zero row of its pi (linear part 0, constant
+0), which the walk reduces once per pi (_pi_reductions) and credits to
+each row; without the audits a task is a pi, and builds no row.
 
 The walk scores one (row, offset) per orbit of the quarter shift,
 conjugation and reversal: the rows of constructions.orbit_runs under the
@@ -130,7 +133,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import coefficient_rows
+from .algebra import canonical_permutations, coefficient_rows
 from .analysis import (
     coset_correlation_sums,
     envelope_power_batch,
@@ -203,6 +206,7 @@ class _Terms(NamedTuple):
     and kinds the (s1, s2, a2a3) terms of each 64-QAM kind's offsets."""
 
     factors: np.ndarray
+    pi: tuple[int, ...]
     weights: np.ndarray
     components: int
     index: list[tuple[int, ...]]
@@ -234,32 +238,25 @@ def _term_layout(offsets: tuple[Offset, ...]) -> tuple:
     kinds = {kind: tuple(np.array(col) for col in zip(*rows)) for kind, rows in kinds.items()}
     l1 = [term[0, c[1]] for c in index if len(c) == 2]
     fg = np.array([c[1:] for _, c in triples], dtype=int).reshape(-1, 2).T
-    return forms, fg, np.array(pairs).T, _Terms(None, weights, k, index, l1, kinds)
+    return forms, fg, np.array(pairs).T, _Terms(None, None, weights, k, index, l1, kinds)
 
 
 def _walk_terms(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> _Terms:
     """The _Terms of offsets at pi under its companion sign: one
     shift_factors call over the stacked (p, q) and (q, p) rows of every
-    term of _term_layout, whose halves add to each T (and to twice each A).
-    Raises AssertionError unless every row-free exponent row reads only
-    x_pi(0) and x_pi(1) (P1) and the sign only x_pi(m-1) (P2): the premises
-    of the walk's one row per pi (module docstring)."""
+    term of _term_layout, whose halves add to each T (and to twice each A);
+    it certifies P1 and P2."""
     forms, (f, g), (p, q), terms = _term_layout(offsets)
     values = np.concatenate([np.zeros((1, 1 << m), np.int64), form_values(forms, m, pi)])
-    values, sign = np.concatenate([values, 2 * values[f] - values[g]]), companion_sign(m, pi)
-    i, bit = np.arange(1 << m), [1 << (m - 1 - v) for v in pi]  # x_v is bit m-1-v of i
-    if not (np.array_equal(values, values[:, i & (bit[0] | bit[1])])
-            and np.array_equal(sign, sign[i & bit[-1]])):
-        raise AssertionError(f"the row-free factors at pi {pi} read more than P1 and P2 allow")
-    x = polyphase_lattice(values)
-    both = shift_factors(x[np.r_[p, q]], x[np.r_[q, p]], sign)
+    x = polyphase_lattice(np.concatenate([values, 2 * values[f] - values[g]]))
+    both = shift_factors(x[np.r_[p, q]], x[np.r_[q, p]], companion_sign(m, pi), pi)
     factors = both[:, : len(p)] + both[:, len(p) :]
     factors[:, : terms.components] /= 2
-    return terms._replace(factors=factors)
+    return terms._replace(factors=factors, pi=pi)
 
 
 def _codeword_sums(sums: np.ndarray, terms: _Terms) -> np.ndarray:
-    """The (offsets, rows, n) sums C_H + C_H' of every codeword of the rows:
+    """The (offsets, rows, 2) sums C_H + C_H' of every codeword of the rows:
     W @ sums, the component identity, on the float pairs of the sums."""
     flat = sums.view(float).reshape(len(sums), -1)
     return (terms.weights @ flat).view(complex).reshape(len(terms.weights), *sums.shape[1:])
@@ -274,12 +271,10 @@ def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
     L3a-c of the type 2 offsets.  L1 is max_u |T(u)|, the square root of an
     exact integer, 0 exactly where T vanishes at every shift; the others
     are weighted sums of |T(u)| over every shift, the type 1 a1a2 sum over
-    u >= 1 (module docstring).  |T(-u)| = |T(u)|: the shifts u >= 0 hold
-    every |T|."""
-    sums = coset_correlation_sums(base, terms.factors)
-    n, rows = sums.shape[2], sums.shape[1]
-    stars = star_sum(np.concatenate([_codeword_sums(sums, terms), sums]).reshape(-1, n))
-    stars = stars.reshape(-1, rows)
+    u >= 1 (module docstring).  |T(-u)| = |T(u)|, 0 but at u = 0 and u0."""
+    sums = coset_correlation_sums(base, terms.factors, terms.pi)
+    both = np.concatenate([_codeword_sums(sums, terms), sums])
+    stars = star_sum(both.reshape(-1, 2)).reshape(len(both), -1)
     own = stars[len(terms.weights) :]  # the terms' own stars
     d = sums[terms.l1]
     residuals = {"L1": np.sqrt(np.max(d.real**2 + d.imag**2, axis=2))} if terms.l1 else {}
@@ -289,7 +284,7 @@ def _reductions(base: np.ndarray, terms: _Terms) -> tuple:
             a1a2 = np.sum(np.abs(sums[f1, :, 1:]), axis=2) if kind is OffsetKind.TYPE1 else own[f1]
             parts = (_A1A2 * a1a2, _A1A3 * own[f2], _A2A3 * own[a2a3])
             residuals.update((prefix + part, r) for part, r in zip("abc", parts))
-    golay = golay_defect(sums[: terms.components].reshape(-1, n)).reshape(-1, rows)
+    golay = golay_defect(sums[: terms.components].reshape(-1, 2)).reshape(terms.components, -1)
     return stars, golay, residuals
 
 
@@ -340,11 +335,12 @@ def _pi_reductions(m: int, pi: tuple[int, ...], offsets: tuple[Offset, ...]) -> 
 
 def _walk_task(task: tuple, oversample: int | None) -> tuple[list[KindStats], dict]:
     """(KindStats of each offset kind, (max, evaluations) of each lemma
-    residual) of one (m, run, groups) task: run a run of orbit_runs, groups
-    the offsets of each family.  Each pi of the run gives its _pi_reductions
-    to each of its rows; unless oversample is None, a block per family for
-    each pi then takes one _audit_blocks call over the blocks of every pi,
-    with the term layout of the offsets, which does not depend on pi."""
+    residual) of one (m, run, groups) task: run a run of orbit_runs (a pi
+    and its rows' range if oversample is None), groups the offsets of each
+    family.  Each pi of the run gives its _pi_reductions to each of
+    its rows; unless oversample is None, a block per family for each pi
+    then takes one _audit_blocks call over the blocks of every pi, with the
+    term layout of the offsets, which does not depend on pi."""
     m, run, groups = task
     offsets = tuple(itertools.chain.from_iterable(groups))
     cells = [(_pi_reductions(m, pi, offsets), len(rows)) for pi, rows in run]
@@ -364,10 +360,13 @@ def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
     (none when oversample is None) and, when both families are walked, the
     LemmaSweepResult, from one walk over orbit_runs under their
     orbit_offsets.  It maps tasks (_walk_task), the runs of orbit_runs that
-    hold the symbols of every offset, in jobs processes; the reports are
-    the same for every jobs."""
+    hold the symbols of every offset (a pi each without the audits), in
+    jobs processes; the reports are the same for every jobs."""
+    sizes = [family_size(m, modulation) for modulation in modulations]  # refuses m <= 2
     groups = tuple(orbit_offsets(modulation) for modulation in modulations)
-    tasks = ((m, run, groups) for run in orbit_runs(m, (1 << m) * sum(map(len, groups))))
+    runs = (orbit_runs(m, (1 << m) * sum(map(len, groups))) if oversample is not None
+            else ([(pi, range(4 ** (m - 1)))] for pi in canonical_permutations(m)))
+    tasks = ((m, run, groups) for run in runs)
     kinds: dict[str, KindStats] = {}
     maxima: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -379,9 +378,9 @@ def orbit_walk(m: int, oversample: int | None = 16, jobs: int = 1,
             maxima[key] = max(maxima.get(key, 0.0), value)
             counts[key] = counts.get(key, 0) + count
     audits = () if oversample is None else tuple(
-        BoundAuditReport(m, modulation, oversample, family_size(m, modulation),
+        BoundAuditReport(m, modulation, oversample, size,
                          tuple(kinds[k] for k in sorted({offset_kind(o) for o in group})))
-        for modulation, group in zip(modulations, groups))
+        for modulation, group, size in zip(modulations, groups, sizes))
     both = len(set(modulations)) == len(Modulation)
     lemmas = LemmaSweepResult(m, counts, maxima, negative_controls(m)) if both else None
     _pi_reductions.cache_clear()  # no walk's reductions outlive it

@@ -17,8 +17,9 @@ values and component sequences, and the float value of a lattice point.  The lib
 of these once, in a batched kernel; the tests compare the two.
 correlation_sums_batch, the per-shift loop over any sequence pairs, is the
 reference of the library's one correlation kernel, coset_correlation_sums,
-and autocorrelation_sums, that loop over a pair and itself, the reference
-of its D = 0 reduction analysis.autocorrelation_sums.  star_rows is the
+whose two shifts two_shifts reads off the loop's n, and
+autocorrelation_sums, that loop over a pair and itself, the reference of
+analysis.autocorrelation_sums.  star_rows is the
 literal star sum over many records at once, for checks that cover a
 whole family, distinct_rows counts a family's distinct symbol rows by
 hashing every one of them, and l1_row_sums takes the 16-QAM lemma's full
@@ -53,7 +54,7 @@ one offset for that offset alone and lemma_residuals reduces them;
 offset_bound_audit, full_bound_audit and offset_lemma_sweep fold them over
 a family.  The walk takes each codeword's sums from its components' terms
 (the component identity); direct_codeword_sums correlates the codewords
-themselves.
+themselves, at every shift.
 
 traced_peak is the tracemalloc peak of one call, for the tests' memory
 bounds.
@@ -78,11 +79,9 @@ from qamseq.algebra import (
     coefficient_rows,
 )
 from qamseq.analysis import (
-    coset_correlation_sums,
     golay_defect,
     pep_batch,
     polyphase_lattice,
-    shift_factors,
     star_sum,
 )
 from qamseq.constellation import Scale, qam_lattice
@@ -639,13 +638,24 @@ def synthesized_symbols(block: FamilyBlock) -> np.ndarray:
 def direct_codeword_sums(block: FamilyBlock) -> np.ndarray:
     """The (offsets, rows, n) sums C_H(u) + C_H'(u), u >= 0, of every
     codeword of a block, each correlated as the one sequence it is: the
-    codeword rebuilt by synthesized_symbols, its row-free part zeta^(-D) * H
-    read back by row_free (which refuses a block where it differs between
-    rows), correlated with its companion through shift_factors and one
-    coset_correlation_sums call.  The reference of the walk's component
-    identity; it never reads the block's parts."""
-    x = row_free(synthesized_symbols(block), polyphase_lattice(block.base))
-    return coset_correlation_sums(block.base, shift_factors(x, x, block.companion_sign))
+    codeword rebuilt by synthesized_symbols, correlated with its companion
+    by the per-shift loop autocorrelation_sums, at every shift.  The
+    reference of the walk's component identity and of the two-shift
+    kernel; it never reads the block's parts."""
+    z = synthesized_symbols(block)
+    flat = z.reshape(-1, z.shape[-1])
+    return autocorrelation_sums(flat, flat * block.companion_sign).reshape(z.shape)
+
+
+def two_shifts(sums: np.ndarray, pi: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(at, rest): the columns u = 0 and u0 = 2^(m-1-pi(0)) of (..., n)
+    per-shift sums, the shifts analysis.coset_correlation_sums gives, and
+    every other column, which the kernel takes for 0."""
+    n = sums.shape[-1]
+    u0 = n >> (pi[0] + 1)
+    rest = np.ones(n, bool)
+    rest[[0, u0]] = False
+    return sums[..., [0, u0]], sums[..., rest]
 
 
 def distinct_rows(m: int, modulation: Modulation) -> tuple[int, int]:

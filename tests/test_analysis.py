@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import tracemalloc
 
@@ -27,7 +26,7 @@ from oracles import (
     traced_peak,
 )
 from qamseq import analysis, constructions
-from qamseq.algebra import ZETA
+from qamseq.algebra import ZETA, canonical_permutations
 from qamseq.analysis import (
     ccdf,
     coset_correlation_sums,
@@ -727,27 +726,29 @@ def test_autocorrelation_sums_are_the_literal_loop(n):
 
 
 def test_autocorrelation_sums_hold_one_slice_of_factors(monkeypatch):
-    # the batch kernels correlate their rows in slices of CHUNK_SYMBOLS //
-    # coset_footprint(n, 1): the sums equal those of one unsliced call, and
-    # star_batch over 49 152 rows of n = 8 peaks far below the 144 MiB of
-    # the (n, rows, n) factors of every row at once
+    # the batch kernels correlate their rows shift by shift in slices of
+    # CHUNK_SYMBOLS // (4 * n) rows, each row's products and conjugates: the
+    # sums equal those of one unsliced call, and star_batch over 49 152
+    # rows of n = 8 peaks below 16 MiB.  Negative control: unsliced, it
+    # peaks above
     rng = np.random.default_rng(8)
     parts = rng.integers(-7, 8, size=(4, 49152, 8))
     a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
-    step = constructions.CHUNK_SYMBOLS // analysis.coset_footprint(8, 1)
-    assert 3 * step < 2000 < len(a)
-    sliced = analysis.autocorrelation_sums(a[:2000], b[:2000])
+    step = constructions.CHUNK_SYMBOLS // (4 * 8)
+    assert 3 * step < 4000 < len(a)
+    sliced = analysis.autocorrelation_sums(a[:4000], b[:4000])
     with monkeypatch.context() as patch:
         patch.setattr(constructions, "CHUNK_SYMBOLS", 1 << 40)
-        assert np.array_equal(sliced, analysis.autocorrelation_sums(a[:2000], b[:2000]))
+        assert np.array_equal(sliced, analysis.autocorrelation_sums(a[:4000], b[:4000]))
+        assert traced_peak(lambda: star_batch(a, b, 10)) > 16 << 20
     tracemalloc.start()
     try:
         stars = star_batch(a, b, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 << 20
-    assert np.array_equal(stars[:2000], star_sum(sliced) / 10)
+    assert peak < 16 << 20
+    assert np.array_equal(stars[:4000], star_sum(sliced) / 10)
 
 
 def _explicit_sums(sequences, sign):
@@ -757,27 +758,47 @@ def _explicit_sums(sequences, sign):
     return oracles.autocorrelation_sums(z, z * sign).reshape(sequences.shape)
 
 
+def _kernel_cells(m, offsets):
+    """(pi, rows): every cell of family_rows at m <= 4, one row per constant
+    orbit; above, 16 seeded rows (any constant) of each of five spread pis."""
+    if m <= 4:
+        return family_rows(m, (1 << m) * len(offsets))
+    rng = np.random.default_rng(m)
+    pis = list(canonical_permutations(m))
+    return ((pi, rng.integers(0, 4, size=(16, m + 1), dtype=np.uint8))
+            for pi in pis[:: math.ceil(len(pis) / 5)])
+
+
+def _assert_two_shifts(got, explicit, pi):
+    """got, the kernel's sums, equals the per-shift loop's at u = 0 and u0
+    bit for bit, and the loop is 0 at every other shift."""
+    at, rest = oracles.two_shifts(explicit, pi)
+    assert np.array_equal(got, at)
+    assert not rest.any()
+
+
 @pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
-@pytest.mark.parametrize("m, cells", [(3, None), (4, 2), (5, 2)])
-def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
-    # every sum the family walks take from coset_correlation_sums, bit for bit
-    # against the reference loop over the explicit sequences: the codewords
-    # and the components with their companions, and the lemma's T of D with
-    # each form and a2a3 T of D + s1 with s1 - s2, for the cell's offsets
-    # and the three negative-control offsets; on every cell of m=3, the
-    # first two of m=4 and m=5
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_coset_kernel_equals_the_explicit_correlations(m, modulation):
+    # every sum the family walks take from coset_correlation_sums, bit for
+    # bit against the reference loop over the explicit sequences at u = 0
+    # and u0, with the loop 0 at every other shift: the codewords and the
+    # components with their companions, and the lemma's T of D with each
+    # form and a2a3 T of D + s1 with s1 - s2, for the cell's offsets and the
+    # three negative-control offsets; on every row of m = 3 and 4, and on
+    # sampled rows of m = 5 and 6
     d = Offset16(0, 1, 1)
     controls = (Offset16(0, 0, 0), Offset64(OffsetKind.TYPE1, d, 2, 0, 0),
                 Offset64(OffsetKind.TYPE2, d, 0, 0, 0))
     offsets = _offset_list(modulation)
-    for pi, rows in itertools.islice(family_rows(m, (1 << m) * len(offsets)), cells):
+    for pi, rows in _kernel_cells(m, offsets):
         block = build_block(m, pi, offsets, rows)
         base, sign = block.components[0], block.companion_sign
         units = polyphase_lattice(block.components)
         for sequences in (block.symbols, units):
             x = oracles.row_free(sequences, units[0])
-            got = coset_correlation_sums(base, shift_factors(x, x, sign))
-            assert np.array_equal(got, _explicit_sums(sequences, sign))
+            got = coset_correlation_sums(base, shift_factors(x, x, sign, pi), pi)
+            _assert_two_shifts(got, _explicit_sums(sequences, sign), pi)
         lemma_offsets = offsets + controls
         forms = list(dict.fromkeys(f for off in lemma_offsets for f in offset_forms(off)))
         values = dict(zip(forms, form_values(forms, m, pi).astype(np.int64)))
@@ -787,25 +808,63 @@ def test_coset_kernel_equals_the_explicit_correlations(m, cells, modulation):
         cases += [(ZETA[(2 * values[f1] - values[f2]) % 4], ZETA[values[f1] % 4],
                    (base + values[f1]) % 4, values[f1] - values[f2]) for f1, f2 in pairs]
         p, q = (np.stack([case[k] for case in cases]) for k in (0, 1))
-        got = coset_correlation_sums(base, shift_factors(p, q, sign) + shift_factors(q, p, sign))
+        factors = shift_factors(p, q, sign, pi) + shift_factors(q, p, sign, pi)
+        got = coset_correlation_sums(base, factors, pi)
         for t, (_, _, explicit, s) in zip(got, cases, strict=True):
             want = oracles.correlation_sums_batch(*oracles._lemma_terms(explicit, s, sign))
-            assert np.array_equal(t, want)
+            _assert_two_shifts(t, want, pi)
 
 
 def test_coset_kernel_is_the_same_in_any_row_slices(monkeypatch):
-    # the kernel runs its rows in slices sized by its footprint: slices of
-    # one row, of three rows (the last one short), and the default budget's
-    # 25 rows give the one-slice sums of all 40 rows bit for bit
-    block = build_block(4, (0, 1, 2, 3), _offset_list(Modulation.QAM64), orbit_rows(4)[:40])
+    # the kernel runs its rows in slices sized by its footprint, linear in
+    # n: slices of one row, of three rows (the last one short), and of 40
+    # give the sums of all 40 rows under the default budget, one slice of
+    # up to 409 rows, bit for bit
+    pi = (0, 1, 2, 3)
+    block = build_block(4, pi, _offset_list(Modulation.QAM64), orbit_rows(4)[:40])
     units = polyphase_lattice(block.components)
     x = oracles.row_free(block.symbols, units[0])
-    factors = shift_factors(x, x, block.companion_sign)
-    assert constructions.CHUNK_SYMBOLS // coset_footprint(16, 64) == 25
-    sliced = coset_correlation_sums(block.components[0], factors)
+    factors = shift_factors(x, x, block.companion_sign, pi)
+    assert factors.shape == (2, 64, 16)
+    assert constructions.CHUNK_SYMBOLS // coset_footprint(16, 64) == 409
+    sliced = coset_correlation_sums(block.components[0], factors, pi)
     for budget in (40, 1, 3):
         monkeypatch.setattr(constructions, "CHUNK_SYMBOLS", budget * coset_footprint(16, 64))
-        assert np.array_equal(coset_correlation_sums(block.components[0], factors), sliced)
+        assert np.array_equal(coset_correlation_sums(block.components[0], factors, pi), sliced)
+
+
+def test_a_form_that_reads_a_third_variable_makes_score_block_raise(monkeypatch):
+    # negative control for premise P1 in the kernel: forms that also read
+    # x_pi(2), 2 * x_pi(2) added to every form value, give codewords whose
+    # sums are nonzero outside u = 0 and u0, and score_block, as construct,
+    # enumerate and the examples run it, refuses their parts
+    m, pi = 4, (1, 0, 3, 2)
+    real = constructions.form_values
+
+    def third(forms, m, pi):
+        return (real(forms, m, pi) + 2 * ((np.arange(1 << m) >> (m - 1 - pi[2])) & 1)) % 4
+
+    monkeypatch.setattr(constructions, "form_values", third)
+    block = build_block(m, pi, _offset_list(Modulation.QAM16), orbit_rows(m)[:8])
+    _, rest = oracles.two_shifts(_explicit_sums(block.symbols, block.companion_sign), pi)
+    assert rest.any()
+    with pytest.raises(AssertionError, match="P1 and P2"):
+        analysis.score_block(block, 16)
+
+
+def test_a_base_with_an_off_path_cross_term_leaves_other_shifts_nonzero():
+    # negative control for premise P3, which no kernel call can see (the
+    # kernel takes D as given; a tier-1 test holds base_rows to it): the
+    # codewords of a base row with an x_pi(0) * x_pi(2) term, 2 * x_pi(0) *
+    # x_pi(2) added to the path, correlate to nonzero sums outside u = 0 and
+    # u0, where the path's own codewords give 0
+    m, pi = 4, (2, 0, 3, 1)
+    block = build_block(m, pi, _offset_list(Modulation.QAM64), orbit_rows(m)[:8])
+    bits = (np.arange(1 << m)[:, None] >> (m - 1 - np.array(pi))) & 1  # x_pi(k)
+    cross = ZETA[2 * bits[:, 0] * bits[:, 2]]
+    for symbols, lit in ((block.symbols, False), (block.symbols * cross, True)):
+        _, rest = oracles.two_shifts(_explicit_sums(symbols, block.companion_sign), pi)
+        assert rest.any() == lit
 
 
 def test_row_free_refuses_a_sequence_outside_its_coset():

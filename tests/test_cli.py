@@ -135,6 +135,18 @@ def test_construct_deterministic(capsys):
     assert first == second
 
 
+def test_a_codeword_doc_at_m12_holds_nothing_quadratic_in_n():
+    # construct scores its one row through the two-shift kernel, whose
+    # footprint is linear in n: codeword_doc at m = 12 (n = 4096) peaks
+    # below 8 MiB, about 1.8 MiB, where the n-shift kernel's (n, n) unit
+    # products and (n, terms, n) factors took some 670 MiB
+    m = 12
+    params = ConstructionParams(PathQuadratic(m, tuple(range(m)), (1,) * m, 0),
+                                constructions.Offset16(0, 1, 1))
+    codeword_doc(EXAMPLE1_PARAMS)  # imports, caches
+    assert traced_peak(lambda: codeword_doc(params)) < 8 << 20
+
+
 @pytest.mark.parametrize(
     "m,modulation,expected",
     [(3, "16qam", 6144), (4, "16qam", 98304), (3, "64qam", 49152)],
@@ -390,10 +402,19 @@ PINNED_SHA256 = [
     # zero-row reductions of a pi, whose 256 orbit rows span several tasks
     (["verify", "--suite", "bounds", "--m", "5", "--jobs", "2"],
      "69b44ed1b998fd116a4e5f78c387b218a067d8176ffaa09ee34af8e42b949b36"),
-    # the lemma sweep alone at m=6, 37 tasks a pi: the report of the walk
+    # the lemma sweep alone at m=6, one task per pi: the report of the walk
     # that reduced every orbit row
     (["verify", "--suite", "lemmas", "--m", "6"],
      "aa9af55bcf5f63729993ec32cf09bc2261089a3beb3e91b7f6030088dd25b3b5"),
+    # the lemma sweep alone at m=7, one task per pi: the report of the walk
+    # that made a task per run of orbit_runs and correlated every shift
+    (["verify", "--suite", "lemmas", "--m", "7"],
+     "8230fa4fc246928c9dfdce4df75d52cde6a09377606b25cd768cabd58d52981c"),
+    # one 16-QAM record at the construct limit m=13, scored by the
+    # two-shift kernel: the record the n-shift kernel wrote
+    (["construct", "--modulation", "16qam", "--pi", "0,1,2,3,4,5,6,7,8,9,10,11,12",
+      "--c", "1,1,1,1,1,1,1,1,1,1,1,1,1,0", "--offset", "0,1,1"],
+     "e28fa088fae63711b2dc3dd987638b861724f29f02d34846141c817e49f77327"),
 ]
 
 
@@ -403,6 +424,7 @@ PINNED_SHA256 = [
     "ccdf-16qam-m4", "ccdf-64qam-m3", "verify-all-m4-jobs1", "verify-all-m4-jobs2",
     "ccdf-64qam-m4", "ccdf-16qam-m4-L3", "verify-bounds-m3-L3", "ccdf-16qam-m3",
     "verify-lemmas-m5", "verify-bounds-m5", "verify-bounds-m5-jobs2", "verify-lemmas-m6",
+    "verify-lemmas-m7", "construct-16qam-m13",
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out"
@@ -887,11 +909,11 @@ def test_verify_record_beyond_a_limit_fails(capsys, tmp_path, key, value, proble
 def test_verify_record_reads_the_ceiling_from_the_regeneration(monkeypatch):
     # negative control: a regenerated star/n above the published 12/5 is a
     # problem even when the record stores that same star
-    def stars_at_two_and_a_half(base, factors):
-        # T(0) = 2.5 * n * 10 and T(u) = 0 otherwise: every star 2.5 * n over
-        # the 16-QAM denominator 10
-        n, terms = factors.shape[:2]
-        sums = np.zeros((terms, len(base), n), dtype=complex)
+    def stars_at_two_and_a_half(base, factors, pi):
+        # T(0) = 2.5 * n * 10 and T(u0) = 0: every star 2.5 * n over the
+        # 16-QAM denominator 10
+        terms, n = factors.shape[1:]
+        sums = np.zeros((terms, len(base), 2), dtype=complex)
         sums[:, :, 0] = 2.5 * n * 10
         return sums
 

@@ -228,21 +228,25 @@ def test_lemma_residuals_do_not_depend_on_the_constant():
     assert lit > 0
 
 
-def test_lemma_residuals_see_a_companion_that_is_not_derived(monkeypatch):
+def test_lemma_residuals_see_a_companion_that_is_not_derived(monkeypatch, capsys):
     # negative control: with the companion sign forced to all +1 the
-    # (-1)^(lb_i - lb_{i+u}) factor is gone, and valid offsets light up
+    # (-1)^(lb_i - lb_{i+u}) factor is gone, and the per-shift oracle of
+    # valid offsets lights up; the kernel's certificate refuses that sign
+    # (P2: g must change sign with x_pi(m-1)), and verify exits 3, an
+    # internal error, not a verdict
     m, pi = 3, (0, 1, 2)
     row = base_rows(m, pi, np.array([[1, 1, 1, 0]]))
     valid = (Offset16(0, 1, 1), Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0))
-
-    def residuals():
-        return {k: float(r[0, 0]) for k, r in _lemma_residuals(row, valid, m, pi).items()}
-
-    assert all(v == 0 for v in residuals().values())
-    monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
-    lit = residuals()
-    assert lit["L1"] == math.sqrt(40)
-    assert all(v > 0.1 for v in lit.values())
+    assert all(np.all(r == 0) for r in _lemma_residuals(row, valid, m, pi).values())
+    plain = lambda m, pi: np.ones(1 << m, dtype=np.int64)  # noqa: E731
+    monkeypatch.setattr(oracles, "companion_sign", plain)
+    assert lemma_residuals(row, valid[0], m, pi)["L1"][0] == math.sqrt(40)
+    assert all(np.all(r > 0.1) for r in lemma_residuals(row, valid[1], m, pi).values())
+    monkeypatch.setattr(verification, "companion_sign", plain)
+    with pytest.raises(AssertionError, match="P1 and P2"):
+        _lemma_residuals(row, valid, m, pi)
+    assert cli.main(["verify", "--m", "3", "--jobs", "1"]) == 3
+    assert "AssertionError" in capsys.readouterr().err
 
 
 def test_sweep_batch_agrees_with_per_record_oracle():
@@ -530,20 +534,29 @@ def cell_stats(block):
     return {k.kind: k for k in walk_audit(block, 16)}
 
 
-def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch):
+def test_audit_block_sees_a_companion_that_is_not_derived(monkeypatch, capsys):
     # negative control: with the companion sign forced to all +1 every
     # "pair" is a sequence with itself, which is never a Golay pair: the
-    # base pair of every cell shows a defect, and so does the type 1 first
-    # component
-    cell16 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM16), orbit_rows(3))
-    cell64 = build_block(3, (0, 1, 2), _offset_list(Modulation.QAM64), orbit_rows(3))
+    # per-offset oracle shows a defect in the base pair of every cell and
+    # in the type 1 first component; the kernel's certificate refuses that
+    # sign (P2), for the audit as for the walk, and verify exits 3
+    pi = (0, 1, 2)
+    cell16 = build_block(3, pi, _offset_list(Modulation.QAM16), orbit_rows(3))
+    cell64 = build_block(3, pi, _offset_list(Modulation.QAM64), orbit_rows(3))
     assert cell_stats(cell16)["qam16"].golay_defect == 0
     assert cell_stats(cell64)["type1"].component_ok
-    monkeypatch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, dtype=np.int64))
-    assert cell_stats(cell16)["qam16"].golay_defect > 0
-    stats64 = cell_stats(cell64)
-    assert stats64["type1"].golay_defect > 0 and stats64["type2"].golay_defect > 0
-    assert not stats64["type1"].component_ok
+    plain = lambda m, pi: np.ones(1 << m, dtype=np.int64)  # noqa: E731
+    monkeypatch.setattr(oracles, "companion_sign", plain)
+    type1 = Offset64(OffsetKind.TYPE1, Offset16(0, 1, 1), 0, 0, 0)
+    stats = audit_block(offset_block(3, pi, type1, orbit_rows(3)), 16, 1)
+    assert stats.golay_defect > 0 and not stats.component_ok
+    assert audit_block(offset_block(3, pi, Offset16(0, 1, 1), orbit_rows(3)), 16, 1).golay_defect > 0
+    monkeypatch.setattr(verification, "companion_sign", plain)
+    for cell in (cell16, cell64):
+        with pytest.raises(AssertionError, match="P1 and P2"):
+            cell_stats(cell)
+    assert cli.main(["verify", "--m", "3", "--jobs", "1"]) == 3
+    assert "AssertionError" in capsys.readouterr().err
 
 
 def test_audit_block_correlates_each_component_once(monkeypatch):
@@ -560,8 +573,8 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     calls = []
     real = verification.coset_correlation_sums
 
-    def counted(base, factors):
-        sums = real(base, factors)
+    def counted(base, factors, pi):
+        sums = real(base, factors, pi)
         calls.append((base, factors.shape, sums))
         return sums
 
@@ -569,13 +582,15 @@ def test_audit_block_correlates_each_component_once(monkeypatch):
     stats = walk_audit(block, 16)
     ((base, shape, sums),) = calls
     assert np.array_equal(base, block.components[0])
-    # (shifts, terms, n): A of D and of the 10 forms, each correlated with
-    # its companion as the explicit sequences are, then T of D with each
-    # form, and T(F, G) and the a2a3 T of each of the 16 offsets
-    assert shape == (8, 11 + 10 + 16 + 16, 8)
+    # (shifts u = 0 and u0, terms, n): A of D and of the 10 forms, each
+    # correlated with its companion as the explicit sequences are, then T
+    # of D with each form, and T(F, G) and the a2a3 T of each of the 16
+    # offsets
+    assert shape == (2, 11 + 10 + 16 + 16, 8)
     units = polyphase_lattice(block.components).reshape(-1, 8)
     pair = np.stack([units, units * block.companion_sign])
-    assert np.array_equal(sums[:11], oracles.correlation_sums_batch(pair, pair).reshape(11, 16, 8))
+    at, rest = oracles.two_shifts(oracles.correlation_sums_batch(pair, pair), pi)
+    assert np.array_equal(sums[:11], at.reshape(11, 16, 2)) and not rest.any()
     # each (offset, row) counts for the 64 records of its orbit: 8 offsets
     # per kind over 16 rows
     assert FULL_ORBIT_SIZE == 64
@@ -593,16 +608,17 @@ def walk_groups():
 @pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
 def test_the_component_identity_gives_every_codeword_sum(m, modulation):
     # W @ sums, the codeword sums the walk takes from its components' A
-    # and T terms, equals bit for bit the direct correlation of every
-    # codeword (its row-free sequence read back from the block's symbols),
-    # over every orbit row of every pi
+    # and T terms at u = 0 and u0, equals bit for bit the per-shift
+    # correlation of every codeword there, which is 0 at every other
+    # shift, over every orbit row of every pi
     offsets = orbit_offsets(modulation)
     for pi, rows in run_cells(m, 1):
         block = build_block(m, pi, offsets, rows)
         terms = verification._walk_terms(m, pi, offsets)
-        sums = analysis.coset_correlation_sums(block.components[0], terms.factors)
-        assert np.array_equal(verification._codeword_sums(sums, terms),
-                              oracles.direct_codeword_sums(block))
+        sums = analysis.coset_correlation_sums(block.components[0], terms.factors, pi)
+        at, rest = oracles.two_shifts(oracles.direct_codeword_sums(block), pi)
+        assert np.array_equal(verification._codeword_sums(sums, terms), at)
+        assert not rest.any()
 
 
 @pytest.mark.parametrize("m, step", [(3, 1), (4, 1), (5, 16)])
@@ -613,7 +629,8 @@ def test_every_orbit_row_reduces_as_the_zero_row_of_its_pi(monkeypatch, m, step)
     # 16th at m = 5: each row's own _reductions (every star, Golay defect
     # and lemma residual) and score_block's star of each family's block
     # equal the zero row's, bit for bit.  Negative control: with the
-    # companion sign forced to +1 the block scores another star
+    # companion sign forced to +1 the per-shift oracle scores another star,
+    # and score_block refuses the sign
     groups, offsets = walk_groups()
     for pi, rows in run_cells(m, 1):
         rows = rows[::step]
@@ -628,7 +645,10 @@ def test_every_orbit_row_reduces_as_the_zero_row_of_its_pi(monkeypatch, m, step)
             walk = zero[0][first : first + len(group)] / block.scale.value
             assert np.array_equal(score_block(block, 16)[0], np.repeat(walk, len(rows), axis=1))
     monkeypatch.setattr(constructions, "companion_sign", lambda m, pi: np.ones(1 << m, np.int64))
-    assert not np.array_equal(score_block(block, 16)[0], np.repeat(walk, len(rows), axis=1))
+    plain = star_sum(oracles.direct_codeword_sums(block).reshape(-1, 1 << m)) / block.scale.value
+    assert not np.array_equal(plain.reshape(len(walk), -1), np.repeat(walk, len(rows), axis=1))
+    with pytest.raises(AssertionError, match="P1 and P2"):
+        score_block(block, 16)
 
 
 def test_a_reduction_that_reads_the_phase_of_s_u0_differs_between_rows():
@@ -636,12 +656,12 @@ def test_a_reduction_that_reads_the_phase_of_s_u0_differs_between_rows():
     # the zero row's, so a reduction that reads its phase, Re S(u0) of each
     # 16-QAM codeword, differs between the rows of the first pi at m = 4,
     # where its modulus, which the star reads, does not
-    m, n = 4, 16
+    m = 4
     pi, rows = next(run_cells(m, 1))
     offsets = orbit_offsets(Modulation.QAM16)
     terms = verification._walk_terms(m, pi, offsets)
-    sums = analysis.coset_correlation_sums(base_rows(m, pi, rows), terms.factors)
-    at_u0 = verification._codeword_sums(sums, terms)[:, :, n >> (pi[0] + 1)]
+    sums = analysis.coset_correlation_sums(base_rows(m, pi, rows), terms.factors, pi)
+    at_u0 = verification._codeword_sums(sums, terms)[:, :, 1]
     assert len(np.unique(at_u0.real)) > 1
     assert len(np.unique(np.abs(at_u0))) == 1
 
@@ -683,18 +703,18 @@ def test_the_walk_correlates_one_zero_row_per_pi(monkeypatch):
     # every orbit row of a pi is credited with the reductions of its zero
     # row, so the walk makes one kernel call per pi, with or without the
     # audits, on the zero row alone, and one for the negative controls;
-    # at m = 5 each pi's rows span several tasks of the lemma walk, which
-    # share the pi's one call
+    # the lemma walk makes one task per pi, and the audit walk at m = 5
+    # spans a pi over several runs, which share the pi's one call
     real = verification.coset_correlation_sums
     calls = []
 
-    def recorded(base, factors):
+    def recorded(base, factors, pi):
         calls.append((base.copy(), factors.shape))
-        return real(base, factors)
+        return real(base, factors, pi)
 
     monkeypatch.setattr(verification, "coset_correlation_sums", recorded)
     for m, walk in [(3, lemma_sweep), (3, verification.orbit_walk), (4, lemma_sweep),
-                    (4, verification.orbit_walk), (5, lemma_sweep)]:
+                    (4, verification.orbit_walk), (5, lemma_sweep), (5, verification.orbit_walk)]:
         calls.clear()
         walk(m)
         n, pis = 1 << m, list(canonical_permutations(m))
@@ -702,66 +722,65 @@ def test_the_walk_correlates_one_zero_row_per_pi(monkeypatch):
         for (base, shape), pi in zip(calls, pis):
             # the 11 components, 10 forms and 16 + 16 terms of the 2 + 16
             # orbit offsets
-            assert shape == (n, 53, n)
+            assert shape == (2, 53, n)
             assert np.array_equal(base, base_rows(m, pi, np.zeros((1, m + 1), np.uint8)))
         # the negative controls' one row: 3 distinct forms, and T(F, G) and
         # the a2a3 T of L2 and L3
-        assert calls[-1][0].shape == (1, n) and calls[-1][1] == (n, 1 + 2 * 3 + 2 * 2, n)
+        assert calls[-1][0].shape == (1, n) and calls[-1][1] == (2, 1 + 2 * 3 + 2 * 2, n)
 
 
 @pytest.mark.parametrize("modulation", list(Modulation), ids=lambda mod: mod.value)
 def test_the_component_identity_needs_every_term_and_its_companion(monkeypatch, modulation):
     # negative controls: one T_jk forged by one lattice unit at u = 0, where
     # C_H(0) + C_H'(0) is twice the energy, raises the star of every
-    # codeword with that cross term; A_j or T_jk taken without the
-    # companion sign, (1 + g_i g_{i+u}) replaced by 2, break the identity;
-    # and the weight of A of the first form off by one moves the star of
-    # exactly the offsets that carry it away from the direct star, on every row
+    # codeword with that cross term; the codewords taken without the
+    # companion sign, (1 + g_i g_{i+u}) replaced by 2, have sums outside
+    # u = 0 and u0, and the terms refuse that sign; and the weight of A of
+    # the first form off by one moves the star of exactly the offsets that
+    # carry it away from the direct star, on every row
     m, pi, rows = 3, (0, 2, 1), orbit_rows(3)[:16]
     offsets = orbit_offsets(modulation)
     block = build_block(m, pi, offsets, rows)
     direct = oracles.direct_codeword_sums(block)
     terms = verification._walk_terms(m, pi, offsets)
-    sums = analysis.coset_correlation_sums(block.components[0], terms.factors)
+    sums = analysis.coset_correlation_sums(block.components[0], terms.factors, pi)
     stars = star_sum(direct.reshape(-1, 8)).reshape(direct.shape[:2])
     t = terms.components  # T of D with the first form
     forged = sums.copy()
     forged[t, 0, 0] += 1
-    moved = star_sum(verification._codeword_sums(forged, terms).reshape(-1, 8)).reshape(stars.shape)
+    moved = star_sum(verification._codeword_sums(forged, terms).reshape(-1, 2)).reshape(stars.shape)
     changed = moved != stars
     assert np.array_equal(changed[:, 0], terms.weights[:, t] != 0) and changed[:, 0].any()
     assert not changed[:, 1:].any()
-    # the terms under a plain sign, g = +1 everywhere, which P2 admits
+    # a plain sign, g = +1 everywhere, which P2 refuses
     with monkeypatch.context() as patch:
+        patch.setattr(constructions, "companion_sign", lambda m, pi: np.ones(1 << m, np.int64))
+        assert oracles.two_shifts(oracles.direct_codeword_sums(block), pi)[1].any()
         patch.setattr(verification, "companion_sign", lambda m, pi: np.ones(1 << m, np.int64))
-        plain = verification._walk_terms(m, pi, offsets)
-    for part in (slice(0, t), slice(t, None)):
-        factors = terms.factors.copy()
-        factors[:, part] = plain.factors[:, part]
-        wrong = analysis.coset_correlation_sums(block.components[0], factors)
-        assert not np.array_equal(verification._codeword_sums(wrong, terms), direct)
+        with pytest.raises(AssertionError, match="P1 and P2"):
+            verification._walk_terms(m, pi, offsets)
     weights = terms.weights.copy()
     carriers = weights[:, 1] != 0  # A of D plus the first form
     weights[carriers, 1] += 1
     off = verification._codeword_sums(sums, terms._replace(weights=weights))
-    off = star_sum(off.reshape(-1, 8)).reshape(stars.shape)
+    off = star_sum(off.reshape(-1, 2)).reshape(stars.shape)
     assert 0 < carriers.sum() < len(offsets)
     assert np.array_equal(off != stars, np.repeat(carriers[:, None], len(rows), axis=1))
 
 
 def test_a_walk_cell_stays_within_its_memory_bound():
     # the walk holds no row's sums: a lemma-only task over the 256 orbit
-    # rows of a pi at m = 5 peaks as one over 8 of them, within four times
-    # the (n, 53, n) complex factors of the pi's one zero-row reduction.
+    # rows of a pi at m = 5 peaks as one over 8 of them, within 16 times
+    # the (2, 53, n) complex factors of the pi's one zero-row reduction.
     # Negative control: the per-row reductions of the 256 rows, the walk's
-    # oracle, hold their (53, 256, n) sums and go beyond that bound
+    # oracle, hold their (53, 256, 2) sums and go beyond that bound
     import tracemalloc
 
     m, n = 5, 32
     groups, offsets = walk_groups()
     pi, rows = next(run_cells(m, 1))
     assert len(rows) == 256
-    bound = 4 * 53 * n * n * np.dtype(complex).itemsize
+    bound = 16 * 2 * 53 * n * np.dtype(complex).itemsize
     peaks = []
     for count in (8, 256):
         tracemalloc.start()
@@ -1258,8 +1277,8 @@ def test_example_star_reads_the_coset_kernel(monkeypatch):
     # than 1e-3
     real = analysis.coset_correlation_sums
 
-    def forged(base, factors):
-        sums = real(base, factors)
+    def forged(base, factors, pi):
+        sums = real(base, factors, pi)
         sums[..., 0] += 1
         return sums
 
